@@ -10,17 +10,18 @@ Python source* -- one function per ``(variant, vector_dim)`` -- that is
 ``exec``-compiled once and cached on the :class:`~repro.fem.plan.AssemblyPlan`
 next to the tape, so a sweep becomes a single function call per chunk.
 
-Lowering pipeline (all passes operate on the recorder's SSA op list):
+Lowering pipeline.  Steps 1-4 are the shared front end of
+:mod:`repro.core.passes` -- the same scheduled program the replay
+lowerings of :mod:`repro.core.tape` consume -- and 5-6 are this back end:
 
-1. **DCE** backwards from the scatter roots (same algorithm as
-   :func:`~repro.core.tape.compile_tape`).
-2. **CSE** with structural keys; scalar operands key on their exact
-   ``float64`` bits (``tobytes``), never on Python ``float`` equality,
-   so ``-0.0``/``0.0`` are not merged and bit-identity survives.
+1. **Value numbering** while recording (CSE): structurally identical ops
+   are one value; scalar operands key on their exact ``float64`` bits
+   (``tobytes``), never on Python ``float`` equality, so ``-0.0``/``0.0``
+   are not merged and bit-identity survives.
+2. **DCE** backwards from the scatter roots.
 3. **Invariant hoisting**: ops depending only on coordinate gathers are
-   loop-invariant across sweeps; they (and scatters of invariant values)
-   move to a ``setup`` function executed once at bind time into pinned
-   full-width buffers.
+   loop-invariant across sweeps; they move to a ``setup`` function
+   executed once at bind time into pinned full-width buffers.
 4. **DFS scheduling** from the scatter roots, shrinking producer-consumer
    distance so the liveness pass below needs far fewer slab rows than the
    recorded order.
@@ -63,25 +64,27 @@ import dataclasses
 import math
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
 from ..obs.spans import NULL_TRACER, get_tracer
-from .dsl import KernelContext
+from .passes import UFUNC_NAMES as _UFUNC_NAMES
+from .passes import Front, assign_rows, front_end
+from .passes import is_scalar as _is_scalar
+from .passes import reads as _reads
 from .tape import (
-    BatchRecordingBackend,
-    RecordingBackend,
     TapeReport,
-    _UFUNC_NAMES,
+    _batch_counts,
+    _check_velocity_only,
     _eval_param_stage,
-    _is_scalar,
+    _make_report,
+    _record,
     batch_tape_cache_key,
     tape_cache_key,
 )
-from .variants import get_variant
 
 __all__ = [
     "DEFAULT_CHUNK_LANES",
@@ -122,173 +125,8 @@ _CODE_CACHE: Dict[str, object] = {}
 
 
 # ---------------------------------------------------------------------------
-# SSA passes
+# Fusion and statement liveness (the source back end's own passes)
 # ---------------------------------------------------------------------------
-
-
-def _annotate(ops: Sequence[tuple]) -> List[tuple]:
-    """Rewrite scatters ``(sc, slot, comp, src)`` to carry their call
-    index: ``(sc, call, slot, comp, src)``.  The call index survives DCE
-    (scatters are roots, never removed) and names the op's row in the
-    deferred values buffer."""
-    out: List[tuple] = []
-    call = 0
-    for op in ops:
-        if op[0] == "sc":
-            out.append(("sc", call, op[1], op[2], op[3]))
-            call += 1
-        else:
-            out.append(op)
-    return out
-
-
-def _reads(op: tuple) -> Tuple:
-    """Operand refs (vector ids or folded scalars) of an annotated op."""
-    tag = op[0]
-    if tag == "bin":
-        return (op[2], op[3])
-    if tag == "un":
-        return (op[2],)
-    if tag == "sel":
-        return (op[1], op[2], op[3])
-    if tag == "sc":
-        return (op[4],)
-    return ()  # gc / gf
-
-
-def _dce(ops: List[tuple]) -> Tuple[List[tuple], int]:
-    """Drop ops unreachable backwards from the scatter roots."""
-    needed: Set[int] = set()
-    keep = [False] * len(ops)
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op[0] == "sc" or op[-1] in needed:
-            keep[i] = True
-            for r in _reads(op):
-                if not _is_scalar(r):
-                    needed.add(r)
-    live = [op for op, k in zip(ops, keep) if k]
-    return live, len(ops) - len(live)
-
-
-def _scalar_key(x) -> bytes:
-    """Exact-bits CSE key for a folded scalar.  ``tobytes`` distinguishes
-    ``-0.0`` from ``0.0`` (Python ``float`` equality would merge them,
-    changing bits at e.g. ``x + -0.0`` for ``x = -0.0``)."""
-    return np.float64(x).tobytes()
-
-
-def _cse(ops: List[tuple]) -> Tuple[List[tuple], int]:
-    """Merge structurally identical value definitions.
-
-    A duplicate's consumers are rewritten to the first occurrence as they
-    stream through (SSA: operands always precede their uses), so no
-    re-DCE is needed -- the canonical op keeps every producer alive that
-    the duplicate kept alive.
-    """
-    rep: Dict[int, int] = {}
-    table: Dict[tuple, int] = {}
-    out_ops: List[tuple] = []
-    removed = 0
-
-    def res(r):
-        return r if _is_scalar(r) else rep.get(r, r)
-
-    def rkey(r):
-        return ("s", _scalar_key(r)) if _is_scalar(r) else ("v", res(r))
-
-    for op in ops:
-        tag = op[0]
-        if tag == "sc":
-            out_ops.append(("sc", op[1], op[2], op[3], res(op[4])))
-            continue
-        if tag == "bin":
-            key = ("bin", op[1], rkey(op[2]), rkey(op[3]))
-            new = ("bin", op[1], res(op[2]), res(op[3]), op[4])
-        elif tag == "un":
-            key = ("un", op[1], rkey(op[2]))
-            new = ("un", op[1], res(op[2]), op[3])
-        elif tag == "sel":
-            key = ("sel", rkey(op[1]), rkey(op[2]), rkey(op[3]),
-                   _scalar_key(op[4]))
-            new = ("sel", res(op[1]), res(op[2]), res(op[3]), op[4], op[5])
-        elif tag == "gc":
-            key = ("gc", op[1], op[2])
-            new = op
-        elif tag == "rp":
-            # batched recordings only: one symbolic per-scenario row per
-            # parameter name (the recorder memoizes, but keep CSE total)
-            key = ("rp", op[1])
-            new = op
-        else:  # gf
-            key = ("gf", op[1], op[2], op[3])
-            new = op
-        prev = table.get(key)
-        if prev is not None:
-            rep[op[-1]] = prev
-            removed += 1
-            continue
-        table[key] = op[-1]
-        out_ops.append(new)
-    return out_ops, removed
-
-
-def _invariants(ops: List[tuple]) -> Set[int]:
-    """Value ids constant across sweeps: coordinate gathers and anything
-    computed only from them (and folded scalars).  Field gathers read the
-    per-sweep velocity, so they -- and everything downstream -- vary."""
-    inv: Set[int] = set()
-    for op in ops:
-        tag = op[0]
-        if tag == "gc":
-            inv.add(op[-1])
-        elif tag in ("bin", "un", "sel"):
-            if all(_is_scalar(r) or r in inv for r in _reads(op)):
-                inv.add(op[-1])
-    return inv
-
-
-def _schedule(
-    ops: List[tuple], prod: Dict[int, tuple], extra_roots: Sequence[int] = ()
-) -> List[tuple]:
-    """Reorder one partition's compute ops depth-first from its scatter
-    roots (then ``extra_roots`` -- pinned values not reachable from the
-    partition's own scatters).  Scatters keep their original relative
-    order, so the deferred values buffer is filled in call order and the
-    elemental flavour preserves ``+=`` accumulation order.  Pure SSA
-    value definitions commute, so reordering cannot change bits."""
-    sched: List[tuple] = []
-    emitted: Set[int] = set()
-    opened: Set[int] = set()
-
-    def visit(root: int) -> None:
-        stack = [root]
-        while stack:
-            r = stack[-1]
-            if r in emitted or r not in prod:
-                stack.pop()
-                continue
-            op = prod[r]
-            if r in opened:
-                stack.pop()
-                if r not in emitted:
-                    emitted.add(r)
-                    sched.append(op)
-                continue
-            opened.add(r)
-            for q in reversed([x for x in _reads(op) if not _is_scalar(x)]):
-                if q not in emitted and q in prod:
-                    stack.append(q)
-
-    for op in ops:
-        if op[0] == "sc":
-            src = op[4]
-            if not _is_scalar(src):
-                visit(src)
-            sched.append(op)
-    for r in extra_roots:
-        visit(r)
-    return sched
 
 
 def _fuse(sched: List[tuple], exclude: Set[int]) -> Set[int]:
@@ -365,38 +203,30 @@ def _statements(
     return stmts
 
 
-def _assign_rows(
-    stmts: List[_Stmt], is_external: Callable[[int], bool]
-) -> Tuple[Dict[int, int], int]:
-    """Statement-level linear-scan slab allocation (LIFO free list).
+def _stmt_rows(
+    stmts: List[_Stmt],
+    external: Set[int],
+    pool_of: Callable[[int], str] = lambda r: "vec",
+) -> Tuple[Dict[int, int], Dict[str, int]]:
+    """Statement-level :func:`~repro.core.passes.assign_rows`.
 
-    Dying operands release their row *before* the output is placed, so
-    in-place ``out=`` aliasing happens naturally -- safe because every
-    emitted form either is an elementwise ufunc over direct operands or
-    (``where`` selects, fused sub-expressions) fully evaluates its
-    arguments into temporaries before the destination is written.
+    No row is ever held: every emitted form either is an elementwise
+    ufunc over direct operands or (``where`` selects, fused
+    sub-expressions) fully evaluates its arguments into temporaries
+    before the destination is written.
     """
-    last: Dict[int, int] = {}
-    for j, st in enumerate(stmts):
-        for r in st.leaves:
-            if not is_external(r):
-                last[r] = j
-    row_of: Dict[int, int] = {}
-    free: List[int] = []
-    nrows = 0
-    for j, st in enumerate(stmts):
-        for r in sorted(set(st.leaves)):
-            if not is_external(r) and last.get(r) == j:
-                free.append(row_of[r])
-        if st.op[0] != "sc":
-            out = st.op[-1]
-            if not is_external(out):
-                if free:
-                    row_of[out] = free.pop()
-                else:
-                    row_of[out] = nrows
-                    nrows += 1
-    return row_of, nrows
+    return assign_rows(
+        [
+            (
+                [r for r in st.leaves if r not in external],
+                None if st.op[0] == "sc" or st.op[-1] in external
+                else st.op[-1],
+                None,
+            )
+            for st in stmts
+        ],
+        pool_of,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +291,12 @@ def _expr(
     return name_of(r)
 
 
-def _render_mesh(
-    st: _Stmt,
-    prod: Dict[int, tuple],
-    fused: Set[int],
-    name_of: Callable[[int], str],
-    scatter_dst: Callable[[int], str],
-    gather_src: Callable[[tuple], str],
-    vd: int,
-    scratch: Optional[List[int]] = None,
+def _render_arith(
+    op: tuple, ex: Callable[[object], str], name_of: Callable[[int], str]
 ) -> str:
-    """One mesh-wide statement (setup or body flavour)."""
-    op = st.op
+    """One bin/un/sel statement writing its row; ``ex`` renders operands
+    (inlining fused producers)."""
     tag = op[0]
-
-    def ex(r):
-        return _expr(r, prod, fused, name_of, scratch)
-
     if tag == "bin":
         return (
             f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}, "
@@ -485,23 +304,16 @@ def _render_mesh(
         )
     if tag == "un":
         return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, out={name_of(op[3])})"
-    if tag == "sel":
-        return (
-            f"copyto({name_of(op[5])}, where(greater({ex(op[1])}, "
-            f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
-        )
-    if tag in ("gc", "gf"):
-        return gather_src(op)
-    # sc
-    dst = scatter_dst(op[1])
-    src = op[4]
-    if _is_scalar(src):
-        return f"{dst}[...] = {_lit(src)}"
-    return f"copyto({dst}, {ex(src)}.reshape(-1, {vd}))"
+    return (
+        f"copyto({name_of(op[5])}, where(greater({ex(op[1])}, "
+        f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
+    )
 
 
 def _emit_block(lines: List[str], stmts: List[str], indent: str,
-                timed: bool) -> None:
+                timed: bool, lanevars: Optional[List[str]] = None) -> None:
+    """Append ``stmts``; the timed form records each statement's seconds
+    over its lane count (``lanevars[i]``, default ``n``)."""
     if not stmts:
         lines.append(f"{indent}pass")
         return
@@ -513,7 +325,9 @@ def _emit_block(lines: List[str], stmts: List[str], indent: str,
     for i, s in enumerate(stmts):
         lines.append(f"{indent}_t = clock()")
         lines.append(f"{indent}{s}")
-        lines.append(f"{indent}rec({i}, clock() - _t, n)")
+        lines.append(
+            f"{indent}rec({i}, clock() - _t, {lanevars[i] if lanevars else 'n'})"
+        )
 
 
 def _op_cost(op: tuple) -> Tuple[float, float, float]:
@@ -584,14 +398,15 @@ def _stmt_costs(stmts: List[_Stmt]) -> Tuple[tuple, ...]:
 class CodegenProgram:
     """A generated, picklable mesh-wide kernel module.
 
-    ``source`` defines three functions: ``setup(C, I, P, T, SV)`` (run
-    once at bind time: coordinate gathers, loop-invariant arithmetic and
-    invariant/constant scatters, at full lane width), ``factory(VC, GI,
-    P, SV, B)`` (returns a zero-argument per-chunk closure over prebound
-    chunk views) and ``factory_timed(...)`` (the profiled twin, one clock
-    read per statement).  Re-compilation in a pool worker is exact: the
-    emission is deterministic, so equal configurations produce equal
-    source strings and hit the module-level code cache.
+    ``source`` defines three functions: ``setup(C, I, P, T)`` (run once at
+    bind time: coordinate gathers and loop-invariant arithmetic at full
+    lane width), ``factory(VC, GI, P, SV, B)`` (returns a zero-argument
+    per-chunk closure over prebound chunk views; ``SV[c]`` is scatter call
+    ``c``'s slice of the deferred values buffer) and
+    ``factory_timed(...)`` (the profiled twin, one clock read per
+    statement).  Re-compilation in a pool worker is exact: the emission
+    is deterministic, so equal configurations produce equal source
+    strings and hit the module-level code cache.
     """
 
     variant: str
@@ -600,8 +415,6 @@ class CodegenProgram:
     nnode_per_element: int
     source: str
     scatter_calls: Tuple[Tuple[int, int], ...]
-    setup_calls: Tuple[int, ...]
-    body_calls: Tuple[int, ...]
     gf_slots: Tuple[int, ...]
     vc_comps: Tuple[int, ...]
     npinned: int
@@ -615,8 +428,8 @@ class CodegenProgram:
 class ElementalCodegenProgram:
     """Generated worker-side module: ``elemental(X, U, R, B)`` accumulates
     ``(n, nnode_per_element, 3)`` contributions exactly like
-    :class:`~repro.core.tape.ElementalTape` (no hoisting -- the setup
-    split would reorder the ``+=`` accumulation), plus the profiled twin
+    :class:`~repro.core.tape.ElementalTape` (no hoisting -- workers see
+    new coordinates on every call), plus the profiled twin
     ``elemental_timed``."""
 
     variant: str
@@ -628,46 +441,6 @@ class ElementalCodegenProgram:
     report: TapeReport
 
 
-def _record_ssa(variant_name: str, kernel_params: Dict[str, float],
-                nnode_per_element: int):
-    variant = get_variant(variant_name)
-    ctx = KernelContext(
-        connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
-        coords=np.zeros((1, 3)),
-        fields={"velocity": np.zeros((1, 3))},
-        rhs=np.zeros((1, 3)),
-        params=dict(kernel_params),
-        nnode_per_element=nnode_per_element,
-    )
-    recorder = RecordingBackend(ctx)
-    variant.kernel(recorder, ctx)
-    return variant, recorder
-
-
-def _make_report(variant: str, recorder, ops: List[tuple], dce_removed: int,
-                 cse_removed: int, hoisted: int, fused: int, nslab: int,
-                 npinned: int) -> TapeReport:
-    tags = [op[0] for op in ops]
-    return TapeReport(
-        variant=variant,
-        ops_recorded=len(recorder.ops),
-        ops_live=len(ops),
-        dce_removed=dce_removed,
-        folded_scalars=recorder.folded_scalars,
-        gather_reuses=recorder.gather_reuses,
-        scatter_calls=len(recorder.scatter_calls),
-        buffers_live=nslab,
-        binary_ops=tags.count("bin"),
-        unary_ops=tags.count("un"),
-        select_ops=tags.count("sel"),
-        gather_ops=tags.count("gc") + tags.count("gf"),
-        cse_removed=cse_removed,
-        hoisted_ops=hoisted,
-        fused_ops=fused,
-        pinned_buffers=npinned,
-    )
-
-
 def _maybe_dump(filename: str, source: str) -> None:
     outdir = os.environ.get("REPRO_CODEGEN_DUMP")
     if not outdir:
@@ -676,6 +449,82 @@ def _maybe_dump(filename: str, source: str) -> None:
     with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
         fh.write(source)
     get_registry().counter("codegen.dumps").inc()
+
+
+@dataclasses.dataclass
+class _MeshLowering:
+    """What the serial and batched mesh-wide emitters share: fusion and
+    statements of both partitions plus the emitted ``setup`` block (the
+    invariants are geometry-only, hence rank-1 -- identical for any S)."""
+
+    pin_index: Dict[int, int]
+    nfused: int
+    body_fused: Set[int]
+    body_stmts: List[_Stmt]
+    setup_lines: List[str]
+    nsetup_tmp: int
+    gf_slots: List[int]
+    vc_comps: List[int]
+
+    def prologue(self) -> List[str]:
+        return (
+            [f"vc{c} = VC[{c}]" for c in self.vc_comps]
+            + [f"gi{k} = GI[{k}]" for k in range(len(self.gf_slots))]
+            + [f"p{k} = P[{k}]" for k in range(len(self.pin_index))]
+        )
+
+
+def _lower_mesh(front: Front) -> _MeshLowering:
+    prod = front.prod
+    pinned = set(front.pinned)
+    pin_index = {r: k for k, r in enumerate(front.pinned)}
+    setup_fused = _fuse(front.setup, exclude=pinned)
+    body_fused = _fuse(front.body, exclude=set())
+    setup_stmts = _statements(front.setup, prod, setup_fused)
+    setup_rows, n = _stmt_rows(setup_stmts, pinned)
+
+    def name(r: int) -> str:
+        return f"P[{pin_index[r]}]" if r in pinned else f"T[{setup_rows[r]}]"
+
+    setup_lines = []
+    for st in setup_stmts:
+        op = st.op
+        if op[0] == "gc":
+            setup_lines.append(f"take(C[{op[2]}], I[{op[1]}], out={name(op[3])})")
+        else:
+            setup_lines.append(_render_arith(
+                op, lambda r: _expr(r, prod, setup_fused, name), name
+            ))
+    gathers = [op for op in front.body if op[0] == "gf"]
+    return _MeshLowering(
+        pin_index=pin_index,
+        nfused=len(setup_fused) + len(body_fused),
+        body_fused=body_fused,
+        body_stmts=_statements(front.body, prod, body_fused),
+        setup_lines=setup_lines,
+        nsetup_tmp=n.get("vec", 0),
+        gf_slots=sorted({op[2] for op in gathers}),
+        vc_comps=sorted({op[3] for op in gathers}),
+    )
+
+
+def _module(header: str, setup_lines: List[str], args: str, timed_args: str,
+            prologue: List[str], emit_body: Callable[[List[str], bool], None],
+            ) -> str:
+    """Assemble ``setup`` / ``factory`` / ``factory_timed`` source."""
+    lines = [
+        "# generated by repro.core.codegen -- do not edit", header, "", "",
+        "def setup(C, I, P, T):",
+    ]
+    _emit_block(lines, setup_lines, "    ", timed=False)
+    for sig, timed in ((f"factory({args})", False),
+                       (f"factory_timed({args}, {timed_args})", True)):
+        lines += ["", "", f"def {sig}:"]
+        lines += [f"    {p}" for p in prologue]
+        lines += ["", "    def kernel():"]
+        emit_body(lines, timed)
+        lines += ["", "    return kernel"]
+    return "\n".join(lines) + "\n"
 
 
 def generate_program(
@@ -690,164 +539,59 @@ def generate_program(
     with get_tracer().span(
         "codegen.generate", variant=variant_name.upper(), vector_dim=vd
     ):
-        variant, recorder = _record_ssa(
+        variant, recorder = _record(
             variant_name, kernel_params, nnode_per_element
         )
-        for op in recorder.ops:
-            if op[0] == "gf" and op[1] != "velocity":
-                raise ValueError(
-                    f"generated kernel gathers unknown field {op[1]!r}; "
-                    "the mesh-wide executor only binds 'velocity'"
-                )
-        ops = _annotate(recorder.ops)
-        live, dce_removed = _dce(ops)
-        ops, cse_removed = _cse(live)
-        inv = _invariants(ops)
+        _check_velocity_only(recorder.ops, "generated kernel")
+        front = front_end(recorder, hoist=True)
+        low = _lower_mesh(front)
+        prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
+        body_rows, n = _stmt_rows(low.body_stmts, set(pin_index))
+        nslab = n.get("vec", 0)
+        gi_index = {slot: k for k, slot in enumerate(low.gf_slots)}
 
-        setup_ops: List[tuple] = []
-        body_ops: List[tuple] = []
-        setup_calls: List[int] = []
-        body_calls: List[int] = []
-        for op in ops:
-            if op[0] == "sc":
-                src = op[4]
-                if _is_scalar(src) or src in inv:
-                    setup_ops.append(op)
-                    setup_calls.append(op[1])
-                else:
-                    body_ops.append(op)
-                    body_calls.append(op[1])
-            elif op[-1] in inv:
-                setup_ops.append(op)
-            else:
-                body_ops.append(op)
+        def name(r: int) -> str:
+            return f"p{pin_index[r]}" if r in pin_index else f"b{body_rows[r]}"
 
-        prod: Dict[int, tuple] = {
-            op[-1]: op for op in ops if op[0] != "sc"
-        }
-        # per-partition producer maps: the DFS scheduler must stop at the
-        # partition boundary (a body op reading an invariant value treats
-        # it as an external pinned input, not as something to re-emit).
-        setup_prod = {op[-1]: op for op in setup_ops if op[0] != "sc"}
-        body_prod = {op[-1]: op for op in body_ops if op[0] != "sc"}
-        pinned = sorted({
-            r
-            for op in body_ops
-            for r in _reads(op)
-            if not _is_scalar(r) and r in inv
-        })
-        pinned_set = set(pinned)
-        pin_index = {r: k for k, r in enumerate(pinned)}
-
-        setup_sched = _schedule(setup_ops, setup_prod, extra_roots=pinned)
-        body_sched = _schedule(body_ops, body_prod)
-        setup_fused = _fuse(setup_sched, exclude=pinned_set)
-        body_fused = _fuse(body_sched, exclude=set())
-        setup_stmts = _statements(setup_sched, prod, setup_fused)
-        body_stmts = _statements(body_sched, prod, body_fused)
-
-        setup_rows, nsetup_tmp = _assign_rows(
-            setup_stmts, lambda r: r in pinned_set
-        )
-        body_rows, nslab = _assign_rows(
-            body_stmts, lambda r: r in pinned_set
-        )
-
-        def setup_name(r: int) -> str:
-            if r in pinned_set:
-                return f"P[{pin_index[r]}]"
-            return f"T[{setup_rows[r]}]"
-
-        def body_name(r: int) -> str:
-            if r in pinned_set:
-                return f"p{pin_index[r]}"
-            return f"b{body_rows[r]}"
-
-        spos = {call: j for j, call in enumerate(setup_calls)}
-        bpos = {call: j for j, call in enumerate(body_calls)}
-        gf_slots = sorted({
-            op[2] for op in body_ops if op[0] == "gf"
-        })
-        gi_index = {slot: k for k, slot in enumerate(gf_slots)}
-        vc_comps = sorted({
-            op[3] for op in body_ops if op[0] == "gf"
-        })
-
-        setup_lines = [
-            _render_mesh(
-                st, prod, setup_fused, setup_name,
-                lambda c: f"SV[{spos[c]}]",
-                lambda op: (
-                    f"take(C[{op[2]}], I[{op[1]}], out={setup_name(op[3])})"
-                ),
-                vd,
-            )
-            for st in setup_stmts
-        ]
         # Body statements route fused bin/un nodes into scratch rows
         # (``out=t{k}``): no per-node allocation on the hot path.  The
         # counter resets per statement, so scratch rows are shared across
         # statements but unique within one (no sibling clobbering).
         body_lines: List[str] = []
         nscratch = 0
-        for st in body_stmts:
+        for st in low.body_stmts:
+            op = st.op
             ctr = [0]
-            body_lines.append(_render_mesh(
-                st, prod, body_fused, body_name,
-                lambda c: f"s{bpos[c]}",
-                lambda op: (
-                    f"take(vc{op[3]}, gi{gi_index[op[2]]}, "
-                    f"out={body_name(op[4])})"
-                ),
-                vd,
-                scratch=ctr,
-            ))
+
+            def ex(r):
+                return _expr(r, prod, fused, name, ctr)
+
+            if op[0] == "gf":
+                line = (
+                    f"take(vc{op[3]}, gi{gi_index[op[2]]}, out={name(op[4])})"
+                )
+            elif op[0] != "sc":
+                line = _render_arith(op, ex, name)
+            elif _is_scalar(op[4]):
+                line = f"s{op[1]}[...] = {_lit(op[4])}"
+            else:
+                line = f"copyto(s{op[1]}, {ex(op[4])}.reshape(-1, {vd}))"
+            body_lines.append(line)
             nscratch = max(nscratch, ctr[0])
         nrows = nslab + nscratch
 
-        prologue = (
-            [f"vc{c} = VC[{c}]" for c in vc_comps]
-            + [f"gi{k} = GI[{k}]" for k in range(len(gf_slots))]
-            + [f"p{k} = P[{k}]" for k in range(len(pinned))]
-            + [f"s{j} = SV[{j}]" for j in range(len(body_calls))]
-            + [f"b{r} = B[{r}]" for r in range(nslab)]
-            + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)]
-        )
-
-        lines: List[str] = [
-            f"# generated by repro.core.codegen -- do not edit",
+        source = _module(
             f"# variant={variant.name} vector_dim={vd} "
-            f"stmts={len(body_stmts)} slab_rows={nrows} "
-            f"(scratch={nscratch}) pinned={len(pinned)} fused="
-            f"{len(setup_fused) + len(body_fused)}",
-            "",
-            "",
-            "def setup(C, I, P, T, SV):",
-        ]
-        _emit_block(lines, setup_lines, "    ", timed=False)
-        lines += ["", "", "def factory(VC, GI, P, SV, B):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        lines.append("")
-        lines.append("    def kernel():")
-        _emit_block(lines, body_lines, "        ", timed=False)
-        lines.append("")
-        lines.append("    return kernel")
-        lines += ["", "", "def factory_timed(VC, GI, P, SV, B, clock, rec, n):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        lines.append("")
-        lines.append("    def kernel():")
-        _emit_block(lines, body_lines, "        ", timed=True)
-        lines.append("")
-        lines.append("    return kernel")
-        source = "\n".join(lines) + "\n"
-
-        report = _make_report(
-            variant.name, recorder, ops, dce_removed, cse_removed,
-            hoisted=len(setup_sched),
-            fused=len(setup_fused) + len(body_fused),
-            nslab=nrows, npinned=len(pinned),
+            f"stmts={len(low.body_stmts)} slab_rows={nrows} "
+            f"(scratch={nscratch}) pinned={len(pin_index)} fused={low.nfused}",
+            low.setup_lines, "VC, GI, P, SV, B", "clock, rec, n",
+            low.prologue()
+            + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
+            + [f"b{r} = B[{r}]" for r in range(nslab)]
+            + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)],
+            lambda lines, timed: _emit_block(
+                lines, body_lines, "        ", timed
+            ),
         )
         program = CodegenProgram(
             variant=variant.name,
@@ -855,16 +599,16 @@ def generate_program(
             vector_dim=vd,
             nnode_per_element=nnode_per_element,
             source=source,
-            scatter_calls=tuple(recorder.scatter_calls),
-            setup_calls=tuple(setup_calls),
-            body_calls=tuple(body_calls),
-            gf_slots=tuple(gf_slots),
-            vc_comps=tuple(vc_comps),
-            npinned=len(pinned),
-            nsetup_tmp=nsetup_tmp,
+            scatter_calls=front.scatter_calls,
+            gf_slots=tuple(low.gf_slots),
+            vc_comps=tuple(low.vc_comps),
+            npinned=len(pin_index),
+            nsetup_tmp=low.nsetup_tmp,
             nslab=nrows,
-            stmt_costs=_stmt_costs(body_stmts),
-            report=report,
+            stmt_costs=_stmt_costs(low.body_stmts),
+            report=_make_report(
+                variant.name, front, nrows, fused_ops=low.nfused
+            ),
         )
     registry = get_registry()
     registry.counter("codegen.generates").inc()
@@ -878,67 +622,49 @@ def generate_elemental_program(
     kernel_params: Optional[Dict[str, float]] = None,
     nnode_per_element: int = 4,
 ) -> ElementalCodegenProgram:
-    """Lower one variant to the worker-side elemental source module.
-
-    No hoisting: the elemental executor accumulates scatters with ``+=``
-    in call order, and a setup/body split would reorder that sum.
-    """
+    """Lower one variant to the worker-side elemental source module."""
     kernel_params = dict(kernel_params or {})
     with get_tracer().span(
         "codegen.generate_elemental", variant=variant_name.upper()
     ):
-        variant, recorder = _record_ssa(
+        variant, recorder = _record(
             variant_name, kernel_params, nnode_per_element
         )
-        ops = _annotate(recorder.ops)
-        live, dce_removed = _dce(ops)
-        ops, cse_removed = _cse(live)
-        prod: Dict[int, tuple] = {
-            op[-1]: op for op in ops if op[0] != "sc"
-        }
-        sched = _schedule(ops, prod)
-        fused = _fuse(sched, exclude=set())
-        stmts = _statements(sched, prod, fused)
-        rows, nslab = _assign_rows(stmts, lambda r: False)
+        front = front_end(recorder, hoist=False)
+        prod = front.prod
+        fused = _fuse(front.body, exclude=set())
+        stmts = _statements(front.body, prod, fused)
+        rows, n = _stmt_rows(stmts, set())
+        nslab = n.get("vec", 0)
 
         def name(r: int) -> str:
             return f"b{rows[r]}"
 
-        def render(st: _Stmt, ctr: List[int]) -> str:
+        stmt_lines: List[str] = []
+        nscratch = 0
+        for st in stmts:
             op = st.op
-            tag = op[0]
+            ctr = [0]
 
             def ex(r):
                 return _expr(r, prod, fused, name, ctr)
 
-            if tag == "gc":
-                return f"copyto({name(op[3])}, x{op[1]}{op[2]})"
-            if tag == "gf":
-                return f"copyto({name(op[4])}, u{op[2]}{op[3]})"
-            if tag == "sc":
+            if op[0] == "gc":
+                line = f"copyto({name(op[3])}, x{op[1]}{op[2]})"
+            elif op[0] == "gf":
+                line = f"copyto({name(op[4])}, u{op[2]}{op[3]})"
+            elif op[0] == "sc":
                 rname = f"r{op[2]}{op[3]}"
-                return f"add({rname}, {ex(op[4])}, out={rname})"
-            return _render_mesh(
-                st, prod, fused, name, lambda c: "", lambda o: "", 0,
-                scratch=ctr,
-            )
-
-        stmt_lines: List[str] = []
-        nscratch = 0
-        for st in stmts:
-            ctr = [0]
-            stmt_lines.append(render(st, ctr))
+                line = f"add({rname}, {ex(op[4])}, out={rname})"
+            else:
+                line = _render_arith(op, ex, name)
+            stmt_lines.append(line)
             nscratch = max(nscratch, ctr[0])
         nrows = nslab + nscratch
-        x_keys = sorted({
-            (op[1], op[2]) for op in ops if op[0] == "gc"
-        })
-        u_keys = sorted({
-            (op[2], op[3]) for op in ops if op[0] == "gf"
-        })
-        r_keys = sorted({
-            (op[2], op[3]) for op in ops if op[0] == "sc"
-        })
+        ops = front.ops
+        x_keys = sorted({(op[1], op[2]) for op in ops if op[0] == "gc"})
+        u_keys = sorted({(op[2], op[3]) for op in ops if op[0] == "gf"})
+        r_keys = sorted({(op[2], op[3]) for op in ops if op[0] == "sc"})
         prologue = (
             [f"x{s}{c} = X[:, {s}, {c}]" for s, c in x_keys]
             + [f"u{s}{c} = U[:, {s}, {c}]" for s, c in u_keys]
@@ -947,26 +673,17 @@ def generate_elemental_program(
             + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)]
         )
         lines: List[str] = [
-            f"# generated by repro.core.codegen -- do not edit",
+            "# generated by repro.core.codegen -- do not edit",
             f"# variant={variant.name} elemental "
             f"stmts={len(stmts)} slab_rows={nrows} fused={len(fused)}",
-            "",
-            "",
-            "def elemental(X, U, R, B):",
         ]
-        for p in prologue:
-            lines.append(f"    {p}")
-        _emit_block(lines, stmt_lines, "    ", timed=False)
-        lines += ["", "", "def elemental_timed(X, U, R, B, clock, rec, n):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        _emit_block(lines, stmt_lines, "    ", timed=True)
+        for sig, timed in (("elemental(X, U, R, B)", False),
+                           ("elemental_timed(X, U, R, B, clock, rec, n)", True)):
+            lines += ["", "", f"def {sig}:"]
+            lines += [f"    {p}" for p in prologue]
+            _emit_block(lines, stmt_lines, "    ", timed)
         source = "\n".join(lines) + "\n"
 
-        report = _make_report(
-            variant.name, recorder, ops, dce_removed, cse_removed,
-            hoisted=0, fused=len(fused), nslab=nrows, npinned=0,
-        )
         program = ElementalCodegenProgram(
             variant=variant.name,
             params_key=tuple(sorted(kernel_params.items())),
@@ -974,7 +691,9 @@ def generate_elemental_program(
             source=source,
             nslab=nrows,
             stmt_costs=_stmt_costs(stmts),
-            report=report,
+            report=_make_report(
+                variant.name, front, nrows, fused_ops=len(fused)
+            ),
         )
     get_registry().counter("codegen.generates").inc()
     _maybe_dump(f"{variant.name}_elemental.py", source)
@@ -1117,13 +836,13 @@ class GeneratedKernel:
         self._factory = ns["factory"]
         self._factory_timed = ns["factory_timed"]
 
-        # run the hoisted setup once: coordinate gathers, loop-invariant
-        # arithmetic and constant/invariant scatter rows, full lane width.
-        # The transient rows are freed immediately after.
-        T = np.empty((max(program.nsetup_tmp, 1), nlane))
-        SV = [self._values[:, c, :] for c in program.setup_calls]
-        ns["setup"](self._ccols, self._idx, self._pinned, T, SV)
-        del T
+        # run the hoisted setup once: coordinate gathers and
+        # loop-invariant arithmetic at full lane width; the transient
+        # rows are freed immediately after.
+        ns["setup"](
+            self._ccols, self._idx, self._pinned,
+            np.empty((max(program.nsetup_tmp, 1), nlane)),
+        )
 
         #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
         self._chunk_cache: Dict[Tuple[int, int], list] = {}
@@ -1158,7 +877,7 @@ class GeneratedKernel:
             n = (g1 - g0) * vd
             GI = [self._idx[slot][lo:lo + n] for slot in program.gf_slots]
             P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
-            SV = [self._values[g0:g1, c, :] for c in program.body_calls]
+            SV = [self._values[g0:g1, c, :] for c in range(self._ncalls)]
             B = [slabs[s, r, :n] for r in range(program.nslab)]
             if profile is None:
                 kern = factory(self._vcols, GI, P, SV, B)
@@ -1403,86 +1122,22 @@ def generated_kernel(
 #
 # A batched recording (BatchRecordingBackend) keeps varying runtime
 # parameters symbolic as ("rp", name, out) ops, giving every SSA value a
-# rank on the lattice srow (S, 1) < {vec (lanes,), full (S, lanes)} (see
-# repro.core.tape._infer_ranks).  Lowering reuses the serial pipeline --
-# DCE, CSE, invariant hoisting, DFS scheduling, fusion -- with three
-# batch-specific twists:
+# rank on the lattice srow (S, 1) < {vec (lanes,), full (S, lanes)}.  The
+# shared front end (repro.core.passes.front_end) infers the ranks and
+# peels the all-srow prefix into a tiny Python-evaluated parameter stage
+# (evaluated by tape._eval_param_stage into persistent (S, 1) rows Q);
+# this back end adds two batch-specific twists:
 #
-# * the all-srow prefix is peeled into a tiny Python-evaluated parameter
-#   stage (same lowered format as BatchTapeProgram.param_ops, evaluated
-#   by tape._eval_param_stage into persistent (S, 1) rows Q) instead of
-#   being emitted as lane-wide statements;
 # * slab rows are assigned from two pools -- rank-1 rows BV and (S, n)
-#   rows BF -- by a rank-aware liveness scan, and fused scratch rows are
-#   drawn per pool from the fused op's *own* rank, so shared geometry
-#   arithmetic runs once per batch at rank-1;
+#   rows BF -- and fused scratch rows are drawn per pool from the fused
+#   op's *own* rank, so shared geometry arithmetic runs once per batch at
+#   rank-1;
 # * scatters reshape by source rank: scalars fill, srow rows broadcast as
 #   (S, 1, 1), vec sources broadcast a (cg, vd) block over all scenarios
 #   and full sources land per scenario as (S, cg, vd).
 #
-# The hoisted setup stays *identical* to the serial emission (invariants
-# are geometry-only, hence rank-1); only the SV views handed to it are
-# (S, G, vd) so its writes broadcast across scenarios once at bind time.
-
-
-def _infer_ranks_annotated(ops: List[tuple], velocity_rank: str) -> Dict[int, str]:
-    """Rank of every annotated SSA value: ``srow`` / ``vec`` / ``full``."""
-    rank: Dict[int, str] = {}
-    for op in ops:
-        tag = op[0]
-        if tag == "sc":
-            continue
-        if tag == "rp":
-            rank[op[-1]] = "srow"
-        elif tag == "gc":
-            rank[op[-1]] = "vec"
-        elif tag == "gf":
-            rank[op[-1]] = velocity_rank
-        else:  # bin / un / sel
-            rs = {rank[r] for r in _reads(op) if not _is_scalar(r)}
-            if rs <= {"srow"}:
-                rank[op[-1]] = "srow"
-            elif rs == {"vec"}:
-                rank[op[-1]] = "vec"
-            else:
-                rank[op[-1]] = "full"
-    return rank
-
-
-def _assign_rows_batch(
-    stmts: List[_Stmt],
-    is_external: Callable[[int], bool],
-    rank_of: Callable[[int], str],
-) -> Tuple[Dict[int, int], int, int]:
-    """Two-pool statement liveness: rank-1 rows and ``(S, n)`` rows.
-
-    Same LIFO linear scan as :func:`_assign_rows`, with one free list per
-    rank pool -- a released rank-1 row can never be handed to a full-rank
-    output (the pools are disjoint slabs), so in-place ``out=`` aliasing
-    stays confined to same-shape rows exactly like the serial kernel.
-    """
-    last: Dict[int, int] = {}
-    for j, st in enumerate(stmts):
-        for r in st.leaves:
-            if not is_external(r):
-                last[r] = j
-    row_of: Dict[int, int] = {}
-    free: Dict[str, List[int]] = {"vec": [], "full": []}
-    nrows = {"vec": 0, "full": 0}
-    for j, st in enumerate(stmts):
-        for r in sorted(set(st.leaves)):
-            if not is_external(r) and last.get(r) == j:
-                free[rank_of(r)].append(row_of[r])
-        if st.op[0] != "sc":
-            out = st.op[-1]
-            if not is_external(out):
-                pool = rank_of(out)
-                if free[pool]:
-                    row_of[out] = free[pool].pop()
-                else:
-                    row_of[out] = nrows[pool]
-                    nrows[pool] += 1
-    return row_of, nrows["vec"], nrows["full"]
+# The hoisted setup is *identical* to the serial emission (invariants are
+# geometry-only, hence rank-1).
 
 
 def _expr_batch(
@@ -1575,38 +1230,17 @@ def _stmt_costs_batch(
     return tuple(costs)
 
 
-def _emit_block_batch(
-    lines: List[str],
-    stmts: List[str],
-    lanevars: List[str],
-    indent: str,
-    timed: bool,
-) -> None:
-    if not stmts:
-        lines.append(f"{indent}pass")
-        return
-    if not timed:
-        for s in stmts:
-            lines.append(f"{indent}{s}")
-        return
-    for i, (s, lv) in enumerate(zip(stmts, lanevars)):
-        lines.append(f"{indent}_t = clock()")
-        lines.append(f"{indent}{s}")
-        lines.append(f"{indent}rec({i}, clock() - _t, {lv})")
-
-
 @dataclasses.dataclass(frozen=True)
 class BatchedCodegenProgram:
     """A generated, picklable scenario-batched kernel module.
 
-    ``source`` defines ``setup(C, I, P, T, SV)`` (byte-identical emission
-    to the serial module -- invariants are rank-1 -- writing broadcast
-    ``(S, G, vd)`` views once at bind time), ``factory(VC, GI, P, Q, SV,
-    BV, BF)`` and the profiled twin ``factory_timed(..., clock, rec, n,
-    ns)`` where ``n``/``ns`` are the chunk's rank-1 / full lane counts.
-    ``param_ops`` is the Python-evaluated ``(S, 1)`` scenario-row stage in
-    the exact :class:`~repro.core.tape.BatchTapeProgram` format, refreshed
-    every execute by :func:`~repro.core.tape._eval_param_stage`.
+    ``source`` defines ``setup(C, I, P, T)`` (byte-identical emission to
+    the serial module -- invariants are rank-1), ``factory(VC, GI, P, Q,
+    SV, BV, BF)`` and the profiled twin ``factory_timed(..., clock, rec,
+    n, ns)`` where ``n``/``ns`` are the chunk's rank-1 / full lane
+    counts.  ``param_ops`` is the Python-evaluated ``(S, 1)`` scenario-row
+    stage in the exact :class:`~repro.core.tape.BatchTapeProgram` format,
+    refreshed every execute by :func:`~repro.core.tape._eval_param_stage`.
     """
 
     variant: str
@@ -1619,8 +1253,6 @@ class BatchedCodegenProgram:
     param_ops: Tuple[tuple, ...]
     nq: int
     scatter_calls: Tuple[Tuple[int, int], ...]
-    setup_calls: Tuple[int, ...]
-    body_calls: Tuple[int, ...]
     gf_slots: Tuple[int, ...]
     vc_comps: Tuple[int, ...]
     npinned: int
@@ -1639,193 +1271,63 @@ def generate_batched_program(
     nnode_per_element: int = 4,
 ) -> BatchedCodegenProgram:
     """Lower one variant to a scenario-batched generated source module."""
-    if velocity_rank not in ("vec", "full"):
-        raise ValueError(
-            f"velocity_rank must be 'vec' or 'full', got {velocity_rank!r}"
-        )
     vd = int(vector_dim)
     S = int(batch.size)
-    variant = get_variant(variant_name)
     with get_tracer().span(
         "codegen.generate_batch",
-        variant=variant.name,
+        variant=variant_name.upper(),
         vector_dim=vd,
         scenarios=S,
     ):
-        ctx = KernelContext(
-            connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
-            coords=np.zeros((1, 3)),
-            fields={"velocity": np.zeros((1, 3))},
-            rhs=np.zeros((1, 3)),
-            params=dict(batch.recording_params()),
-            nnode_per_element=nnode_per_element,
+        variant, recorder = _record(
+            variant_name, batch.recording_params(), nnode_per_element,
+            varying=batch.varying,
         )
-        recorder = BatchRecordingBackend(ctx, batch.varying)
-        variant.kernel(recorder, ctx)
-        for op in recorder.ops:
-            if op[0] == "gf" and op[1] != "velocity":
-                raise ValueError(
-                    f"batched generated kernel gathers unknown field "
-                    f"{op[1]!r}; the executor only binds 'velocity'"
-                )
-        ops = _annotate(recorder.ops)
-        live, dce_removed = _dce(ops)
-        ops, cse_removed = _cse(live)
-        rank = _infer_ranks_annotated(ops, velocity_rank)
-        inv = _invariants(ops)
-
-        # -- three-way partition: param stage / setup / body -------------
-        q_of: Dict[int, int] = {}
-        param_ops: List[tuple] = []
-        setup_ops: List[tuple] = []
-        body_ops: List[tuple] = []
-        setup_calls: List[int] = []
-        body_calls: List[int] = []
-        for op in ops:
-            tag = op[0]
-            if tag == "sc":
-                src = op[4]
-                if _is_scalar(src) or src in inv:
-                    setup_ops.append(op)
-                    setup_calls.append(op[1])
-                else:
-                    body_ops.append(op)
-                    body_calls.append(op[1])
-                continue
-            out = op[-1]
-            if tag == "rp" or rank[out] == "srow":
-                q_of[out] = len(q_of)
-
-                def qref(r):
-                    return r if _is_scalar(r) else q_of[r]
-
-                if tag == "rp":
-                    param_ops.append(("rp", op[1], q_of[out]))
-                elif tag == "bin":
-                    param_ops.append((
-                        "bin", _UFUNC_NAMES[op[1]], qref(op[2]),
-                        qref(op[3]), q_of[out],
-                    ))
-                elif tag == "un":
-                    param_ops.append((
-                        "un", _UFUNC_NAMES[op[1]], qref(op[2]), q_of[out],
-                    ))
-                else:  # sel (x is srow: scalar x folds at record time)
-                    param_ops.append((
-                        "sel", qref(op[1]), qref(op[2]), qref(op[3]),
-                        op[4], q_of[out],
-                    ))
-            elif out in inv:
-                setup_ops.append(op)
-            else:
-                body_ops.append(op)
-
-        prod: Dict[int, tuple] = {
-            op[-1]: op for op in ops if op[0] != "sc"
-        }
-        setup_prod = {op[-1]: op for op in setup_ops if op[0] != "sc"}
-        body_prod = {op[-1]: op for op in body_ops if op[0] != "sc"}
-        pinned = sorted({
-            r
-            for op in body_ops
-            for r in _reads(op)
-            if not _is_scalar(r) and r in inv
-        })
-        pinned_set = set(pinned)
-        pin_index = {r: k for k, r in enumerate(pinned)}
-        q_refs = set(q_of)
-
-        def is_external(r: int) -> bool:
-            return r in pinned_set or r in q_refs
-
-        setup_sched = _schedule(setup_ops, setup_prod, extra_roots=pinned)
-        body_sched = _schedule(body_ops, body_prod)
-        setup_fused = _fuse(setup_sched, exclude=pinned_set)
-        body_fused = _fuse(body_sched, exclude=set())
-        setup_stmts = _statements(setup_sched, prod, setup_fused)
-        body_stmts = _statements(body_sched, prod, body_fused)
-
-        setup_rows, nsetup_tmp = _assign_rows(
-            setup_stmts, lambda r: r in pinned_set
+        _check_velocity_only(recorder.ops, "batched generated kernel")
+        front = front_end(recorder, velocity_rank, hoist=True)
+        low = _lower_mesh(front)
+        prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
+        rank, q_of = front.rank, front.q_of
+        body_rows, n = _stmt_rows(
+            low.body_stmts, front.external(), rank.__getitem__
         )
-        body_rows, nslab_v, nslab_f = _assign_rows_batch(
-            body_stmts, is_external, lambda r: rank[r]
-        )
+        nslab_v, nslab_f = n.get("vec", 0), n.get("full", 0)
+        gi_index = {slot: k for k, slot in enumerate(low.gf_slots)}
 
-        def setup_name(r: int) -> str:
-            if r in pinned_set:
-                return f"P[{pin_index[r]}]"
-            return f"T[{setup_rows[r]}]"
-
-        def body_name(r: int) -> str:
-            if r in pinned_set:
+        def name(r: int) -> str:
+            if r in pin_index:
                 return f"p{pin_index[r]}"
-            if r in q_refs:
+            if r in q_of:
                 return f"q{q_of[r]}"
-            if rank[r] == "vec":
-                return f"bv{body_rows[r]}"
-            return f"bf{body_rows[r]}"
+            return f"{'bv' if rank[r] == 'vec' else 'bf'}{body_rows[r]}"
 
-        spos = {call: j for j, call in enumerate(setup_calls)}
-        bpos = {call: j for j, call in enumerate(body_calls)}
-        gf_slots = sorted({op[2] for op in body_ops if op[0] == "gf"})
-        gi_index = {slot: k for k, slot in enumerate(gf_slots)}
-        vc_comps = sorted({op[3] for op in body_ops if op[0] == "gf"})
-
-        # -- setup: identical emission to the serial module --------------
-        setup_lines = [
-            _render_mesh(
-                st, prod, setup_fused, setup_name,
-                lambda c: f"SV[{spos[c]}]",
-                lambda op: (
-                    f"take(C[{op[2]}], I[{op[1]}], out={setup_name(op[3])})"
-                ),
-                vd,
-            )
-            for st in setup_stmts
-        ]
-
-        # -- body: rank-aware emission ------------------------------------
         gather = "take(vc{c}, gi{k}, axis=1, out={dst})" \
             if velocity_rank == "full" else "take(vc{c}, gi{k}, out={dst})"
         body_lines: List[str] = []
         lanevars: List[str] = []
         nscratch = {"vec": 0, "full": 0}
-        for st in body_stmts:
+        for st in low.body_stmts:
             op = st.op
             tag = op[0]
             ctr = {"vec": 0, "full": 0}
 
             def ex(r):
                 return _expr_batch(
-                    r, prod, body_fused, body_name, lambda v: rank[v], ctr
+                    r, prod, fused, name, rank.__getitem__, ctr
                 )
 
-            if tag == "bin":
-                line = (
-                    f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}, "
-                    f"out={body_name(op[4])})"
-                )
-            elif tag == "un":
-                line = (
-                    f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, "
-                    f"out={body_name(op[3])})"
-                )
-            elif tag == "sel":
-                line = (
-                    f"copyto({body_name(op[5])}, where(greater({ex(op[1])}, "
-                    f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
-                )
-            elif tag == "gf":
+            if tag == "gf":
                 line = gather.format(
-                    c=op[3], k=gi_index[op[2]], dst=body_name(op[4])
+                    c=op[3], k=gi_index[op[2]], dst=name(op[4])
                 )
-            else:  # sc
-                dst = f"s{bpos[op[1]]}"
+            elif tag != "sc":
+                line = _render_arith(op, ex, name)
+            else:
+                dst = f"s{op[1]}"
                 src = op[4]
                 if _is_scalar(src):
                     line = f"{dst}[...] = {_lit(src)}"
-                elif src in q_refs:
+                elif src in q_of:
                     line = f"copyto({dst}, q{q_of[src]}.reshape({S}, 1, 1))"
                 elif rank[src] == "full":
                     line = (
@@ -1834,7 +1336,7 @@ def generate_batched_program(
                 else:
                     line = f"copyto({dst}, {ex(src)}.reshape(-1, {vd}))"
             body_lines.append(line)
-            if tag == "sc" or rank.get(op[-1]) == "full":
+            if tag == "sc" or rank[op[-1]] == "full":
                 lanevars.append("ns")
             else:
                 lanevars.append("n")
@@ -1843,74 +1345,23 @@ def generate_batched_program(
 
         nslab_vec = nslab_v + nscratch["vec"]
         nslab_full = nslab_f + nscratch["full"]
-
-        prologue = (
-            [f"vc{c} = VC[{c}]" for c in vc_comps]
-            + [f"gi{k} = GI[{k}]" for k in range(len(gf_slots))]
-            + [f"p{k} = P[{k}]" for k in range(len(pinned))]
+        source = _module(
+            f"# variant={variant.name} vector_dim={vd} scenarios={S} "
+            f"velocity_rank={velocity_rank} stmts={len(low.body_stmts)} "
+            f"rows_vec={nslab_vec} rows_full={nslab_full} "
+            f"param_ops={len(front.param_ops)} pinned={len(pin_index)} "
+            f"fused={low.nfused}",
+            low.setup_lines, "VC, GI, P, Q, SV, BV, BF", "clock, rec, n, ns",
+            low.prologue()
             + [f"q{k} = Q[{k}]" for k in range(len(q_of))]
-            + [f"s{j} = SV[{j}]" for j in range(len(body_calls))]
+            + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
             + [f"bv{r} = BV[{r}]" for r in range(nslab_v)]
             + [f"tv{k} = BV[{nslab_v + k}]" for k in range(nscratch["vec"])]
             + [f"bf{r} = BF[{r}]" for r in range(nslab_f)]
-            + [f"tf{k} = BF[{nslab_f + k}]" for k in range(nscratch["full"])]
-        )
-
-        lines: List[str] = [
-            "# generated by repro.core.codegen -- do not edit",
-            f"# variant={variant.name} vector_dim={vd} scenarios={S} "
-            f"velocity_rank={velocity_rank} stmts={len(body_stmts)} "
-            f"rows_vec={nslab_vec} rows_full={nslab_full} "
-            f"param_ops={len(param_ops)} pinned={len(pinned)} "
-            f"fused={len(setup_fused) + len(body_fused)}",
-            "",
-            "",
-            "def setup(C, I, P, T, SV):",
-        ]
-        _emit_block(lines, setup_lines, "    ", timed=False)
-        lines += ["", "", "def factory(VC, GI, P, Q, SV, BV, BF):"]
-        for p in prologue:
-            lines.append(f"    {p}")
-        lines.append("")
-        lines.append("    def kernel():")
-        _emit_block_batch(lines, body_lines, lanevars, "        ",
-                          timed=False)
-        lines.append("")
-        lines.append("    return kernel")
-        lines += [
-            "", "",
-            "def factory_timed(VC, GI, P, Q, SV, BV, BF, clock, rec, n, ns):",
-        ]
-        for p in prologue:
-            lines.append(f"    {p}")
-        lines.append("")
-        lines.append("    def kernel():")
-        _emit_block_batch(lines, body_lines, lanevars, "        ",
-                          timed=True)
-        lines.append("")
-        lines.append("    return kernel")
-        source = "\n".join(lines) + "\n"
-
-        nvec_ops = sum(
-            1 for op in body_ops
-            if op[0] != "sc" and rank.get(op[-1]) == "vec"
-        )
-        nfull_ops = sum(
-            1 for op in body_ops
-            if op[0] != "sc" and rank.get(op[-1]) == "full"
-        )
-        report = dataclasses.replace(
-            _make_report(
-                variant.name, recorder, ops, dce_removed, cse_removed,
-                hoisted=len(setup_sched),
-                fused=len(setup_fused) + len(body_fused),
-                nslab=nslab_vec + nslab_full,
-                npinned=len(pinned),
+            + [f"tf{k} = BF[{nslab_f + k}]" for k in range(nscratch["full"])],
+            lambda lines, timed: _emit_block(
+                lines, body_lines, "        ", timed, lanevars
             ),
-            srow_ops=len(param_ops),
-            vec_ops=nvec_ops,
-            full_ops=nfull_ops,
-            scenarios=S,
         )
         program = BatchedCodegenProgram(
             variant=variant.name,
@@ -1920,19 +1371,20 @@ def generate_batched_program(
             vector_dim=vd,
             nnode_per_element=nnode_per_element,
             source=source,
-            param_ops=tuple(param_ops),
+            param_ops=front.param_ops,
             nq=len(q_of),
-            scatter_calls=tuple(recorder.scatter_calls),
-            setup_calls=tuple(setup_calls),
-            body_calls=tuple(body_calls),
-            gf_slots=tuple(gf_slots),
-            vc_comps=tuple(vc_comps),
-            npinned=len(pinned),
-            nsetup_tmp=nsetup_tmp,
+            scatter_calls=front.scatter_calls,
+            gf_slots=tuple(low.gf_slots),
+            vc_comps=tuple(low.vc_comps),
+            npinned=len(pin_index),
+            nsetup_tmp=low.nsetup_tmp,
             nslab_vec=nslab_vec,
             nslab_full=nslab_full,
-            stmt_costs=_stmt_costs_batch(body_stmts, rank, q_refs, S),
-            report=report,
+            stmt_costs=_stmt_costs_batch(low.body_stmts, rank, set(q_of), S),
+            report=_make_report(
+                variant.name, front, nslab_vec + nslab_full,
+                fused_ops=low.nfused, **_batch_counts(front, S),
+            ),
         )
     registry = get_registry()
     registry.counter("codegen.generates").inc()
@@ -2066,12 +1518,11 @@ class BatchedGeneratedKernel:
         self._factory = ns["factory"]
         self._factory_timed = ns["factory_timed"]
 
-        # run the hoisted setup once: rank-1 geometry at full lane width,
-        # writes broadcasting over the (S, G, vd) scatter-value views.
-        T = np.empty((max(program.nsetup_tmp, 1), nlane))
-        SV = [self._values[:, :, c, :] for c in program.setup_calls]
-        ns["setup"](self._ccols, self._idx, self._pinned, T, SV)
-        del T
+        # run the hoisted setup once: rank-1 geometry at full lane width
+        ns["setup"](
+            self._ccols, self._idx, self._pinned,
+            np.empty((max(program.nsetup_tmp, 1), nlane)),
+        )
 
         self._chunk_cache: Dict[Tuple[int, int], list] = {}
 
@@ -2116,7 +1567,7 @@ class BatchedGeneratedKernel:
             n = (g1 - g0) * vd
             GI = [self._idx[slot][lo:lo + n] for slot in program.gf_slots]
             P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
-            SV = [self._values[:, g0:g1, c, :] for c in program.body_calls]
+            SV = [self._values[:, g0:g1, c, :] for c in range(self._ncalls)]
             BV = [slabs_v[s, r, :n] for r in range(program.nslab_vec)]
             BF = [
                 slabs_f[s, r, :S * n].reshape(S, n)

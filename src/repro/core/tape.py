@@ -12,8 +12,10 @@ the Python analogue of P:
   the kernels are straight-line code whose control flow depends only on
   runtime *flags* (baked into the tape) and never on lane data, a single
   recording is valid for every element group of every assembly.
-* :func:`compile_tape` dead-code-eliminates the tape backwards from its
-  scatter calls, runs a linear-scan liveness analysis and assigns every
+* :func:`compile_tape` takes the shared front end of
+  :mod:`repro.core.passes` (DCE backwards from the scatter calls, a
+  depth-first schedule), runs a linear-scan liveness analysis and
+  assigns every
   surviving intermediate to a small pool of preallocated lane-width
   buffers -- the numpy analog of registers.  The resulting
   :class:`TapeReport` reports "buffers live" the way
@@ -39,8 +41,10 @@ interpreted ``NumpyBackend`` path.  This holds because
   per-group evaluation;
 * scalar folding at record time uses the *same* numpy-scalar arithmetic
   ``NumpyBackend`` would have used (``np.float64`` throughout);
-* gathers and ``select_gt`` are pure selection (no arithmetic), so CSE
-  and predicated replay preserve bits; and
+* value numbering merges only ops with the identical tag and identical
+  operands (same SSA ids, same scalar *bits*), and gathers and
+  ``select_gt`` are pure selection, so CSE and predicated replay
+  preserve bits; and
 * scatter values are laid out ``(ngroups, ncalls, nlane)`` so that their
   C-order flattening reproduces the accumulator's group-major temporal
   order -- the same ``bincount`` input order, hence the same rounding.
@@ -63,6 +67,15 @@ from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
 from ..obs.spans import NULL_TRACER, get_tracer
 from .dsl import Backend, KernelContext, Temp, Value
+from .passes import (
+    UFUNC_NAMES,
+    Front,
+    assign_rows,
+    front_end,
+    is_scalar,
+    reads,
+    scalar_key,
+)
 from .storage import Storage, TempSpec
 from .variants import get_variant
 
@@ -87,25 +100,8 @@ __all__ = [
 Scalar = np.float64
 Ref = Union[int, np.float64]
 
-#: DSL op name -> numpy ufunc name (picklable; resolved at execution time)
-_UFUNC_NAMES = {
-    "add": "add",
-    "sub": "subtract",
-    "mul": "multiply",
-    "div": "true_divide",
-    "max": "maximum",
-    "neg": "negative",
-    "sqrt": "sqrt",
-    "cbrt": "cbrt",
-}
-
-
-def _ufunc(name: str):
-    return getattr(np, name)
-
-
-def _is_scalar(ref) -> bool:
-    return not isinstance(ref, (int, np.integer)) or isinstance(ref, bool)
+#: numpy ufunc name -> ufunc, resolved once per process
+_UFUNCS = {name: getattr(np, name) for name in UFUNC_NAMES.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +121,15 @@ class RecordingBackend(Backend):
     slot yields the scalar ``0.0`` -- the ``np.zeros`` initialisation the
     execution backend guarantees for non-``write_before_read`` temps.
 
-    Gathers are CSE'd (coordinates and fields are read-only during a
-    sweep, so re-gathering the same ``(slot, component)`` -- which the
-    RSPR kernel does -- is the same value).  Scalar arithmetic is folded
-    at record time with the identical numpy-scalar operations the numpy
-    backend would have executed, so folding cannot change a single bit.
+    Every value op is numbered as it is issued: an op with the same tag
+    and the same operands (SSA ids, or scalars with the same *bits* --
+    ``-0.0`` is not ``0.0``) as an earlier one **is** that earlier value,
+    so nothing is appended.  No commutativity and no identity folding
+    (``0.0 + x`` is not bit-exact for ``x = -0.0``): only literally
+    repeated work is merged, which is what the eager backend would have
+    recomputed to the same bits.  Scalar arithmetic is folded at record
+    time with the identical numpy-scalar operations the numpy backend
+    would have executed, so folding cannot change a single bit either.
     """
 
     def __init__(self, ctx: KernelContext) -> None:
@@ -139,21 +139,27 @@ class RecordingBackend(Backend):
         self.scatter_calls: List[Tuple[int, int]] = []
         self.temps: Dict[str, TempSpec] = {}
         self._slots: Dict[Tuple[str, int], Ref] = {}
-        self._gather_memo: Dict[tuple, int] = {}
-        self._next_id = 0
+        self._memo: Dict[tuple, int] = {}
         self.folded_scalars = 0
         self.gather_reuses = 0
+        self.cse_removed = 0
 
-    # -- SSA ids ---------------------------------------------------------
-    def _emit(self, op: tuple) -> Value:
-        """Append ``op`` (whose last element is the fresh out id)."""
-        self.ops.append(op)
-        return Value(self, op[-1])
-
-    def _new_id(self) -> int:
-        i = self._next_id
-        self._next_id += 1
-        return i
+    def _emit(self, *op) -> Value:
+        """Value-number ``op`` (given without its out id): reuse the id of
+        a structurally identical earlier op, else append it with a fresh
+        one.  Ids and names key as themselves, scalars on their bits."""
+        key = tuple(
+            scalar_key(x) if isinstance(x, np.float64) else x for x in op
+        )
+        ref = self._memo.get(key)
+        if ref is None:
+            ref = self._memo[key] = len(self._memo)
+            self.ops.append(op + (ref,))
+        elif op[0] in ("gc", "gf"):
+            self.gather_reuses += 1
+        elif op[0] != "rp":
+            self.cse_removed += 1
+        return Value(self, ref)
 
     # -- scalars ---------------------------------------------------------
     def const(self, x) -> Value:
@@ -161,18 +167,18 @@ class RecordingBackend(Backend):
 
     def binop(self, op: str, a: Value, b: Value) -> Value:
         pa, pb = a.payload, b.payload
-        if _is_scalar(pa) and _is_scalar(pb):
+        if is_scalar(pa) and is_scalar(pb):
             # Fold with the same np.float64 arithmetic NumpyBackend uses.
             self.folded_scalars += 1
-            return Value(self, _ufunc(_UFUNC_NAMES[op])(pa, pb))
-        return self._emit(("bin", op, pa, pb, self._new_id()))
+            return Value(self, _UFUNCS[UFUNC_NAMES[op]](pa, pb))
+        return self._emit("bin", op, pa, pb)
 
     def unop(self, op: str, a: Value) -> Value:
         pa = a.payload
-        if _is_scalar(pa):
+        if is_scalar(pa):
             self.folded_scalars += 1
-            return Value(self, _ufunc(_UFUNC_NAMES[op])(pa))
-        return self._emit(("un", op, pa, self._new_id()))
+            return Value(self, _UFUNCS[UFUNC_NAMES[op]](pa))
+        return self._emit("un", op, pa)
 
     def maximum(self, a: Value, b) -> Value:
         return self.binop("max", a, self._coerce(b))
@@ -180,12 +186,12 @@ class RecordingBackend(Backend):
     def select_gt(self, x: Value, thresh: float, a: Value, b) -> Value:
         bv = self._coerce(b)
         px, pa, pb = x.payload, a.payload, bv.payload
-        if _is_scalar(px):
+        if is_scalar(px):
             # Pure selection on a uniform condition: the eager backend's
             # np.where would return (a copy of) one branch wholesale.
             self.folded_scalars += 1
             return Value(self, pa if px > thresh else pb)
-        return self._emit(("sel", px, pa, pb, np.float64(thresh), self._new_id()))
+        return self._emit("sel", px, pa, pb, np.float64(thresh))
 
     def _coerce(self, x) -> Value:
         return x if isinstance(x, Value) else self.const(x)
@@ -218,29 +224,22 @@ class RecordingBackend(Backend):
         self._slots[(temp.spec.name, lin)] = value.payload
 
     # -- mesh / global data ----------------------------------------------
+    # Coordinates and fields are read-only during a sweep, so re-gathering
+    # the same (slot, component) -- which the RSPR kernel does -- is the
+    # same value.
     def gather_coord(self, node_slot: int, component: int) -> Value:
-        key = ("gc", int(node_slot), int(component))
-        ref = self._gather_memo.get(key)
-        if ref is not None:
-            self.gather_reuses += 1
-            return Value(self, ref)
-        out = self._new_id()
-        self._gather_memo[key] = out
-        return self._emit(("gc", int(node_slot), int(component), out))
+        return self._emit("gc", int(node_slot), int(component))
 
     def gather_field(self, field: str, node_slot: int, component: int) -> Value:
-        key = ("gf", field, int(node_slot), int(component))
-        ref = self._gather_memo.get(key)
-        if ref is not None:
-            self.gather_reuses += 1
-            return Value(self, ref)
-        out = self._new_id()
-        self._gather_memo[key] = out
-        return self._emit(("gf", field, int(node_slot), int(component), out))
+        return self._emit("gf", field, int(node_slot), int(component))
 
     def scatter_add_rhs(self, node_slot: int, component: int, value: Value) -> None:
+        # the call index names the op's row in the deferred values buffer
+        call = len(self.scatter_calls)
         self.scatter_calls.append((int(node_slot), int(component)))
-        self.ops.append(("sc", int(node_slot), int(component), value.payload))
+        self.ops.append(
+            ("sc", call, int(node_slot), int(component), value.payload)
+        )
 
     # -- parameters ------------------------------------------------------
     def runtime_param(self, name: str) -> Value:
@@ -263,9 +262,9 @@ class BatchRecordingBackend(RecordingBackend):
 
     Identical to :class:`RecordingBackend` except that runtime parameters
     named in ``varying`` are *not* folded into scalar constants: they
-    become symbolic ``("rp", name, out)`` ops (memoized, one per name)
-    whose value at execution time is a per-scenario ``(S, 1)`` row.  Any
-    op downstream of one is then computed for all ``S`` scenarios at
+    become symbolic ``("rp", name, out)`` ops (value-numbered, so one per
+    name) whose value at execution time is a per-scenario ``(S, 1)`` row.
+    Any op downstream of one is then computed for all ``S`` scenarios at
     once, while the (usually dominant) geometry/velocity chains stay at
     rank-1 and are computed once per batch.
 
@@ -277,21 +276,15 @@ class BatchRecordingBackend(RecordingBackend):
     def __init__(self, ctx: KernelContext, varying) -> None:
         super().__init__(ctx)
         self.varying = frozenset(varying)
-        self._param_memo: Dict[str, int] = {}
 
     def runtime_param(self, name: str) -> Value:
         if name not in self.varying:
             return self.const(self.ctx.params[name])
-        ref = self._param_memo.get(name)
-        if ref is not None:
-            return Value(self, ref)
-        out = self._new_id()
-        self._param_memo[name] = out
-        return self._emit(("rp", name, out))
+        return self._emit("rp", name)
 
 
 # ---------------------------------------------------------------------------
-# Compilation: DCE + linear-scan buffer-arena allocation
+# Compilation: shared front end + linear-scan buffer-arena allocation
 # ---------------------------------------------------------------------------
 
 
@@ -316,12 +309,15 @@ class TapeReport:
     unary_ops: int = 0
     select_ops: int = 0
     gather_ops: int = 0
-    # codegen-only statistics (zero for replayed tapes): common
-    # subexpressions merged, ops hoisted into the one-time setup, ops
-    # inlined into fused expressions, and full-width pinned invariant
-    # buffers.  ``buffers_live`` for a generated kernel counts the *slab*
-    # rows surviving fusion -- directly comparable to (and smaller than)
-    # the replay arena of the same variant.
+    # shared front-end statistics: duplicate ops merged by record-time
+    # value numbering (``ops_recorded == ops_live + dce_removed +
+    # cse_removed``: ``ops_recorded`` counts what the kernel *issued*).
+    # The rest is codegen-only (zero for replayed tapes): ops hoisted into
+    # the one-time setup, the full-width pinned invariant buffers the
+    # per-sweep body reads and ops inlined into fused expressions.
+    # ``binary_ops`` .. ``gather_ops`` above count the per-sweep body only
+    # -- what one execution runs.  ``buffers_live`` counts arena rows for
+    # a replayed tape and slab rows for a generated kernel.
     cse_removed: int = 0
     hoisted_ops: int = 0
     fused_ops: int = 0
@@ -390,26 +386,126 @@ class TapeReport:
         )
 
 
-def _op_inputs(op: tuple) -> Tuple[Ref, ...]:
-    tag = op[0]
-    if tag == "bin":
-        return (op[2], op[3])
-    if tag == "un":
-        return (op[2],)
-    if tag == "sel":
-        return (op[1], op[2], op[3])
-    if tag == "sc":
-        return (op[3],)
-    return ()  # gc / gf
+def _make_report(
+    variant: str, front: Front, buffers_live: int, **extra
+) -> TapeReport:
+    """The :class:`TapeReport` of one lowering of ``front``."""
+    tags = [op[0] for op in front.body]
+    return TapeReport(
+        variant=variant,
+        ops_recorded=front.ops_recorded,
+        ops_live=len(front.ops),
+        dce_removed=front.dce_removed,
+        folded_scalars=front.folded_scalars,
+        gather_reuses=front.gather_reuses,
+        scatter_calls=len(front.scatter_calls),
+        buffers_live=buffers_live,
+        binary_ops=tags.count("bin"),
+        unary_ops=tags.count("un"),
+        select_ops=tags.count("sel"),
+        gather_ops=tags.count("gc") + tags.count("gf"),
+        cse_removed=front.cse_removed,
+        hoisted_ops=len(front.setup),
+        pinned_buffers=len(front.pinned),
+        **extra,
+    )
+
+
+def _batch_counts(front: Front, scenarios: int) -> Dict[str, int]:
+    """Batched-report extras: ops per rank of the per-sweep body."""
+    ranks = [front.rank[op[-1]] for op in front.body if op[0] != "sc"]
+    return {
+        "srow_ops": len(front.param_ops),
+        "vec_ops": ranks.count("vec"),
+        "full_ops": ranks.count("full"),
+        "scenarios": int(scenarios),
+    }
+
+
+def _record(
+    variant_name: str,
+    params: Dict[str, float],
+    nnode_per_element: int,
+    varying=None,
+):
+    """Run a variant kernel once against a recording backend.
+
+    The recording runs against a dummy single-lane context: kernels are
+    straight-line code whose only data-dependent control flow reads the
+    runtime flags in ``params``, so the captured tape is valid for any
+    element group of any mesh.  With ``varying`` (a batch's varying
+    parameter names) those parameters stay symbolic.
+    """
+    variant = get_variant(variant_name)
+    ctx = KernelContext(
+        connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
+        coords=np.zeros((1, 3)),
+        fields={"velocity": np.zeros((1, 3))},
+        rhs=np.zeros((1, 3)),
+        params=dict(params),
+        nnode_per_element=nnode_per_element,
+    )
+    if varying is None:
+        recorder = RecordingBackend(ctx)
+    else:
+        recorder = BatchRecordingBackend(ctx, varying)
+    variant.kernel(recorder, ctx)
+    return variant, recorder
+
+
+def _replay_steps(ops: List[tuple], external) -> List[tuple]:
+    """Op-level :func:`~repro.core.passes.assign_rows` steps.
+
+    The replay select overwrites ``out`` with branch ``b`` before reading
+    branch ``a`` (mask-first order makes ``x``- and ``b``-aliasing safe),
+    so ``a``'s row is held until after the output is placed.
+    """
+    steps = []
+    for op in ops:
+        rd = [r for r in reads(op) if not is_scalar(r) and r not in external]
+        out = None if op[0] == "sc" or op[-1] in external else op[-1]
+        hold = None
+        if op[0] == "sel" and not is_scalar(op[2]) and op[2] not in external:
+            hold = op[2]
+        steps.append((rd, out, hold))
+    return steps
+
+
+def _lower(ops: List[tuple], row) -> Tuple[tuple, ...]:
+    """SSA ops -> executable opcodes; ``row`` maps a value id to its
+    operand form (scalars pass through)."""
+
+    def ref(r):
+        return r if is_scalar(r) else row(r)
+
+    out: List[tuple] = []
+    for op in ops:
+        tag = op[0]
+        if tag == "bin":
+            out.append(
+                (0, UFUNC_NAMES[op[1]], ref(op[2]), ref(op[3]), row(op[4]))
+            )
+        elif tag == "un":
+            out.append((1, UFUNC_NAMES[op[1]], ref(op[2]), row(op[3])))
+        elif tag == "sel":
+            out.append(
+                (2, ref(op[1]), ref(op[2]), ref(op[3]), op[4], row(op[5]))
+            )
+        elif tag == "gc":
+            out.append((3, op[1], op[2], row(op[3])))
+        elif tag == "gf":
+            out.append((4, op[1], op[2], op[3], row(op[4])))
+        else:  # sc
+            out.append((5, op[1], op[2], op[3], ref(op[4])))
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)
 class TapeProgram:
     """A compiled, picklable kernel tape.
 
-    ``ops`` use integer opcodes; every vector reference is a buffer-arena
-    row index in ``[0, nbufs)`` and every scalar reference is a folded
-    ``np.float64``:
+    ``ops`` use integer opcodes; every vector reference is a row index and
+    every scalar reference is a folded ``np.float64``:
 
     ==  ==========================================  =========================
     op  operands                                    semantics
@@ -433,109 +529,17 @@ class TapeProgram:
 
 
 def compile_tape(recorder: RecordingBackend, variant: str, params_key) -> TapeProgram:
-    """Lower a recorded tape: DCE, liveness, arena assignment."""
-    ops = recorder.ops
-    # -- dead-code elimination backwards from the scatter roots ----------
-    needed: set = set()
-    keep = [False] * len(ops)
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op[0] == "sc" or (not _is_scalar(op[-1]) and op[-1] in needed):
-            keep[i] = True
-            for ref in _op_inputs(op):
-                if not _is_scalar(ref):
-                    needed.add(ref)
-    live_ops = [op for op, k in zip(ops, keep) if k]
-
-    # -- liveness: last read position of every vector ref ----------------
-    last_use: Dict[int, int] = {}
-    for j, op in enumerate(live_ops):
-        for ref in _op_inputs(op):
-            if not _is_scalar(ref):
-                last_use[ref] = j
-
-    # -- linear-scan arena allocation (LIFO free list) -------------------
-    # Dying inputs release their buffer *before* the output is allocated,
-    # so in-place ``out=`` aliasing happens naturally -- safe for every
-    # elementwise ufunc.  The one exception is the select op: its executor
-    # overwrites ``out`` with branch ``b`` before reading branch ``a``
-    # (mask-first order makes ``x``- and ``b``-aliasing safe), so ``a``'s
-    # buffer is protected until after the output is placed.
-    buf_of: Dict[int, int] = {}
-    free: List[int] = []
-    nbufs = 0
-    for j, op in enumerate(live_ops):
-        protected = None
-        if op[0] == "sel" and not _is_scalar(op[2]):
-            protected = op[2]
-        deferred = None
-        for ref in set(_op_inputs(op)):
-            if _is_scalar(ref) or last_use.get(ref) != j:
-                continue
-            if ref == protected:
-                deferred = ref
-            else:
-                free.append(buf_of[ref])
-        if op[0] != "sc":
-            out = op[-1]
-            if free:
-                buf_of[out] = free.pop()
-            else:
-                buf_of[out] = nbufs
-                nbufs += 1
-        if deferred is not None:
-            free.append(buf_of[deferred])
-
-    # -- lower to executable opcodes -------------------------------------
-    def ref_of(r: Ref):
-        return r if _is_scalar(r) else buf_of[r]
-
-    lowered: List[tuple] = []
-    call = 0
-    for op in live_ops:
-        tag = op[0]
-        if tag == "bin":
-            lowered.append(
-                (0, _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3]), buf_of[op[4]])
-            )
-        elif tag == "un":
-            lowered.append((1, _UFUNC_NAMES[op[1]], ref_of(op[2]), buf_of[op[3]]))
-        elif tag == "sel":
-            lowered.append(
-                (2, ref_of(op[1]), ref_of(op[2]), ref_of(op[3]), op[4], buf_of[op[5]])
-            )
-        elif tag == "gc":
-            lowered.append((3, op[1], op[2], buf_of[op[3]]))
-        elif tag == "gf":
-            lowered.append((4, op[1], op[2], op[3], buf_of[op[4]]))
-        elif tag == "sc":
-            lowered.append((5, call, op[1], op[2], ref_of(op[3])))
-            call += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown tape op {tag!r}")
-
-    codes = [op[0] for op in lowered]
-    report = TapeReport(
-        variant=variant,
-        ops_recorded=len(ops),
-        ops_live=len(live_ops),
-        dce_removed=len(ops) - len(live_ops),
-        folded_scalars=recorder.folded_scalars,
-        gather_reuses=recorder.gather_reuses,
-        scatter_calls=len(recorder.scatter_calls),
-        buffers_live=nbufs,
-        binary_ops=codes.count(0),
-        unary_ops=codes.count(1),
-        select_ops=codes.count(2),
-        gather_ops=codes.count(3) + codes.count(4),
-    )
+    """Lower a recorded tape: shared front end, liveness, arena rows."""
+    front = front_end(recorder, hoist=False)
+    rows, n = assign_rows(_replay_steps(front.body, ()))
+    nbufs = n.get("vec", 0)
     return TapeProgram(
         variant=variant,
         params_key=tuple(params_key),
-        ops=tuple(lowered),
+        ops=_lower(front.body, rows.__getitem__),
         nbufs=nbufs,
-        scatter_calls=tuple(recorder.scatter_calls),
-        report=report,
+        scatter_calls=front.scatter_calls,
+        report=_make_report(variant, front, nbufs),
         nnode_per_element=recorder.ctx.nnode_per_element,
     )
 
@@ -545,31 +549,66 @@ def record_program(
     kernel_params: Dict[str, float],
     nnode_per_element: int = 4,
 ) -> TapeProgram:
-    """Record a variant once and compile it to a :class:`TapeProgram`.
-
-    The recording runs against a dummy single-lane context: kernels are
-    straight-line code whose only data-dependent control flow reads the
-    runtime flags in ``kernel_params``, so the captured tape is valid for
-    any element group of any mesh.
-    """
-    variant = get_variant(variant_name)
-    ctx = KernelContext(
-        connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
-        coords=np.zeros((1, 3)),
-        fields={"velocity": np.zeros((1, 3))},
-        rhs=np.zeros((1, 3)),
-        params=dict(kernel_params),
-        nnode_per_element=nnode_per_element,
-    )
+    """Record a variant once and compile it to a :class:`TapeProgram`."""
     params_key = tuple(sorted(kernel_params.items()))
-    with get_tracer().span("tape.record", variant=variant.name):
-        recorder = RecordingBackend(ctx)
-        variant.kernel(recorder, ctx)
+    with get_tracer().span("tape.record", variant=variant_name.upper()):
+        variant, recorder = _record(
+            variant_name, kernel_params, nnode_per_element
+        )
         program = compile_tape(recorder, variant.name, params_key)
     registry = get_registry()
     registry.counter("tape.records").inc()
     registry.gauge(f"tape.buffers_live.{variant.name}").set(program.nbufs)
     return program
+
+
+def _replay(ops, R, mask, coord, field, scatter) -> None:
+    """Execute lowered ``ops`` in place over the row list ``R``.
+
+    ``coord(slot, comp, out)`` / ``field(slot, comp, out)`` /
+    ``scatter(call, slot, comp, src)`` are the executor's gather and
+    scatter bindings (mesh-wide index gathers and the deferred values
+    buffer, or packed per-element arrays and ``+=``).
+    """
+    ufuncs = _UFUNCS
+    for op in ops:
+        code = op[0]
+        if code == 0:
+            _, uf, a, b, out = op
+            ufuncs[uf](
+                a if is_scalar(a) else R[a],
+                b if is_scalar(b) else R[b],
+                out=R[out],
+            )
+        elif code == 1:
+            _, uf, a, out = op
+            ufuncs[uf](a if is_scalar(a) else R[a], out=R[out])
+        elif code == 2:
+            _, x, a, b, thresh, out = op
+            # mask first (x-aliasing safe), then b, then a-over-mask
+            np.greater(R[x], thresh, out=mask)
+            dst = R[out]
+            dst[...] = b if is_scalar(b) else R[b]
+            np.copyto(dst, a if is_scalar(a) else R[a], where=mask)
+        elif code == 3:
+            coord(op[1], op[2], R[op[3]])
+        elif code == 4:
+            field(op[2], op[3], R[op[4]])
+        else:  # code == 5
+            src = op[4]
+            scatter(op[1], op[2], op[3], src if is_scalar(src) else R[src])
+
+
+def _replay_timed(ops, R, mask, coord, field, scatter, profile, n) -> None:
+    """Profiled :func:`_replay`: the identical op stream into the
+    identical buffers (so results stay bitwise equal), one clock pair
+    around each op.  A separate loop, so the unprofiled hot path carries
+    no per-op branch -- the overhead-guard microbenchmark pins that."""
+    clock = time.perf_counter
+    for i in range(len(ops)):
+        t0 = clock()
+        _replay(ops[i:i + 1], R, mask, coord, field, scatter)
+        profile.record(i, clock() - t0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +677,7 @@ class CompiledTape:
             for g in range(self.ngroups)
             for (slot, comp) in program.scatter_calls
         )
-        for op in program.ops:
-            if op[0] == 4 and op[1] != "velocity":
-                raise ValueError(
-                    f"compiled tape gathers unknown field {op[1]!r}; the "
-                    "stacked executor only binds 'velocity'"
-                )
+        _check_velocity_only(program.ops, "compiled tape")
         key = (program.variant, self.vector_dim, perm_key)
         pattern = plan.scatter_pattern(key)
         registry = get_registry()
@@ -684,133 +718,52 @@ class CompiledTape:
         self._mask = np.empty(nlane, dtype=bool)
         self._values = np.empty((self.ngroups, ncalls, self.vector_dim))
         self._values_flat = self._values.reshape(-1)
-        self._ufuncs = {name: _ufunc(name) for name in _UFUNC_NAMES.values()}
 
     @property
     def report(self) -> TapeReport:
         return self.program.report
 
     def _execute_ops_slice(
-        self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray
+        self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray,
+        profile=None,
     ) -> None:
         """Replay the tape over groups ``[g0, g1)`` into ``arena``.
 
         Scatter values land in the chunk's rows of the shared
         ``self._values`` buffer -- disjoint slices per chunk, so
         concurrent chunk executions never write the same memory.  All
-        other shared state (gather indices, coordinate/velocity columns)
-        is read-only during a sweep, which is what makes the threaded
-        executor race-free.
+        other shared state (gather indices, velocity columns) is read-only during a sweep, which is what makes the
+        threaded executor race-free.  With ``profile`` the identical op
+        stream runs through :func:`_replay_timed`.
         """
         vd = self.vector_dim
-        lo = g0 * vd
         n = (g1 - g0) * vd
-        nrows = g1 - g0
-        lanes = slice(lo, lo + n)
-        A = arena if arena.shape[1] == n else arena[:, :n]
-        m = mask if mask.shape[0] == n else mask[:n]
-        values = self._values
-        ufuncs = self._ufuncs
-        ccols = self._ccols
-        vcols = self._vcols
-        idx = self._idx
-        for op in self.program.ops:
-            code = op[0]
-            if code == 0:
-                _, uf, a, b, out = op
-                ufuncs[uf](
-                    a if _is_scalar(a) else A[a],
-                    b if _is_scalar(b) else A[b],
-                    out=A[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                ufuncs[uf](a if _is_scalar(a) else A[a], out=A[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                # mask first (x-aliasing safe), then b, then a-over-mask
-                np.greater(A[x], thresh, out=m)
-                dst = A[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = A[b]
-                np.copyto(dst, a if _is_scalar(a) else A[a], where=m)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.take(ccols[comp], idx[slot][lanes], out=A[out])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.take(vcols[comp], idx[slot][lanes], out=A[out])
-            else:  # code == 5: deferred scatter into the values buffer
-                _, call, slot, comp, src = op
-                dst = values[g0:g1, call, :]
-                if _is_scalar(src):
-                    dst[...] = src
-                else:
-                    np.copyto(dst, A[src].reshape(nrows, vd))
+        lanes = slice(g0 * vd, g0 * vd + n)
+        rows = [arena[r, :n] for r in range(self.program.nbufs)]
+        ccols, vcols = self._ccols, self._vcols
+        idx = [i[lanes] for i in self._idx]
+        values = self._values[g0:g1]
 
-    def _execute_ops_slice_timed(
-        self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray, profile
-    ) -> None:
-        """Profiled twin of :meth:`_execute_ops_slice`.
+        def coord(slot, comp, out):
+            np.take(ccols[comp], idx[slot], out=out)
 
-        Issues the *identical* op stream into the identical buffers (so
-        the result stays bitwise equal to the unprofiled replay) with one
-        ``perf_counter`` read around each op, recorded into ``profile``.
-        Kept as a separate loop so the unprofiled hot path carries no
-        per-op branch or callable indirection -- the overhead-guard
-        microbenchmark pins that property.
-        """
-        vd = self.vector_dim
-        lo = g0 * vd
-        n = (g1 - g0) * vd
-        nrows = g1 - g0
-        lanes = slice(lo, lo + n)
-        A = arena if arena.shape[1] == n else arena[:, :n]
-        m = mask if mask.shape[0] == n else mask[:n]
-        values = self._values
-        ufuncs = self._ufuncs
-        ccols = self._ccols
-        vcols = self._vcols
-        idx = self._idx
-        clock = time.perf_counter
-        for i, op in enumerate(self.program.ops):
-            code = op[0]
-            t0 = clock()
-            if code == 0:
-                _, uf, a, b, out = op
-                ufuncs[uf](
-                    a if _is_scalar(a) else A[a],
-                    b if _is_scalar(b) else A[b],
-                    out=A[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                ufuncs[uf](a if _is_scalar(a) else A[a], out=A[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                np.greater(A[x], thresh, out=m)
-                dst = A[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = A[b]
-                np.copyto(dst, a if _is_scalar(a) else A[a], where=m)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.take(ccols[comp], idx[slot][lanes], out=A[out])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.take(vcols[comp], idx[slot][lanes], out=A[out])
+        def field(slot, comp, out):
+            np.take(vcols[comp], idx[slot], out=out)
+
+        def scatter(call, slot, comp, src):
+            # deferred: (group, call, lane) layout, flushed once per sweep
+            if isinstance(src, np.ndarray):
+                np.copyto(values[:, call, :], src.reshape(-1, vd))
             else:
-                _, call, slot, comp, src = op
-                dst = values[g0:g1, call, :]
-                if _is_scalar(src):
-                    dst[...] = src
-                else:
-                    np.copyto(dst, A[src].reshape(nrows, vd))
-            profile.record(i, clock() - t0, n)
+                values[:, call, :] = src
+
+        if profile is None:
+            _replay(self.program.ops, rows, mask[:n], coord, field, scatter)
+        else:
+            _replay_timed(
+                self.program.ops, rows, mask[:n], coord, field, scatter,
+                profile, n,
+            )
 
     def _flush(self, rhs: np.ndarray, profile=None) -> None:
         from ..fem.plan import flush_pattern
@@ -851,7 +804,7 @@ class CompiledTape:
                 profile = self.profiler.for_program(
                     self.program, self.vector_dim, "serial"
                 )
-                self._execute_ops_slice_timed(
+                self._execute_ops_slice(
                     0, self.ngroups, self._arena, self._mask, profile
                 )
                 self._flush(rhs, profile)
@@ -867,10 +820,7 @@ class CompiledTape:
     def _run_chunk(self, g0: int, g1: int, slabs, profile=None) -> None:
         arena, mask = slabs.acquire()
         try:
-            if profile is None:
-                self._execute_ops_slice(g0, g1, arena, mask)
-            else:
-                self._execute_ops_slice_timed(g0, g1, arena, mask, profile)
+            self._execute_ops_slice(g0, g1, arena, mask, profile)
         finally:
             slabs.release(arena, mask)
 
@@ -929,14 +879,10 @@ class CompiledTape:
                 )
             threaded = nthreads > 1 and len(chunks) > 1
             if not threaded:
-                if profile is None:
-                    for g0, g1 in chunks:
-                        self._execute_ops_slice(g0, g1, self._arena, self._mask)
-                else:
-                    for g0, g1 in chunks:
-                        self._execute_ops_slice_timed(
-                            g0, g1, self._arena, self._mask, profile
-                        )
+                for g0, g1 in chunks:
+                    self._execute_ops_slice(
+                        g0, g1, self._arena, self._mask, profile
+                    )
             else:
                 slabs = _threads.SlabPool(
                     max(self.program.nbufs, 1),
@@ -982,11 +928,11 @@ class ElementalTape:
         #: set to a :class:`repro.obs.profiler.TapeProfile` to time ops
         self.profile = None
         self._n = -1
-        self._arena: Optional[np.ndarray] = None
+        self._rows: Optional[List[np.ndarray]] = None
         self._mask: Optional[np.ndarray] = None
 
     def _bind(self, n: int) -> None:
-        self._arena = np.empty((max(self.program.nbufs, 1), n))
+        self._rows = list(np.empty((self.program.nbufs, n)))
         self._mask = np.empty(n, dtype=bool)
         self._n = n
 
@@ -994,139 +940,41 @@ class ElementalTape:
         n = xel.shape[0]
         if n != self._n:
             self._bind(n)
-        arena = self._arena
-        mask = self._mask
-        nnpe = self.program.nnode_per_element
-        out_rhs = np.zeros((n, nnpe, 3))
-        if self.profile is not None:
-            self._call_timed(xel, uel, arena, mask, out_rhs, n)
-            return out_rhs
-        for op in self.program.ops:
-            code = op[0]
-            if code == 0:
-                _, uf, a, b, out = op
-                _ufunc(uf)(
-                    a if _is_scalar(a) else arena[a],
-                    b if _is_scalar(b) else arena[b],
-                    out=arena[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                _ufunc(uf)(a if _is_scalar(a) else arena[a], out=arena[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                np.greater(arena[x], thresh, out=mask)
-                dst = arena[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = arena[b]
-                np.copyto(dst, a if _is_scalar(a) else arena[a], where=mask)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.copyto(arena[out], xel[:, slot, comp])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.copyto(arena[out], uel[:, slot, comp])
-            else:  # code == 5
-                _, call, slot, comp, src = op
-                out_rhs[:, slot, comp] += src if _is_scalar(src) else arena[src]
-        return out_rhs
+        out_rhs = np.zeros((n, self.program.nnode_per_element, 3))
 
-    def _call_timed(self, xel, uel, arena, mask, out_rhs, n) -> None:
-        """Profiled twin of :meth:`__call__`'s op loop (identical op
-        stream into identical buffers; one clock read per op)."""
-        profile = self.profile
-        clock = time.perf_counter
-        for i, op in enumerate(self.program.ops):
-            code = op[0]
-            t0 = clock()
-            if code == 0:
-                _, uf, a, b, out = op
-                _ufunc(uf)(
-                    a if _is_scalar(a) else arena[a],
-                    b if _is_scalar(b) else arena[b],
-                    out=arena[out],
-                )
-            elif code == 1:
-                _, uf, a, out = op
-                _ufunc(uf)(a if _is_scalar(a) else arena[a], out=arena[out])
-            elif code == 2:
-                _, x, a, b, thresh, out = op
-                np.greater(arena[x], thresh, out=mask)
-                dst = arena[out]
-                if _is_scalar(b):
-                    dst[...] = b
-                else:
-                    dst[...] = arena[b]
-                np.copyto(dst, a if _is_scalar(a) else arena[a], where=mask)
-            elif code == 3:
-                _, slot, comp, out = op
-                np.copyto(arena[out], xel[:, slot, comp])
-            elif code == 4:
-                _, field, slot, comp, out = op
-                np.copyto(arena[out], uel[:, slot, comp])
-            else:  # code == 5
-                _, call, slot, comp, src = op
-                out_rhs[:, slot, comp] += src if _is_scalar(src) else arena[src]
-            profile.record(i, clock() - t0, n)
-        profile.finish_execution()
+        def coord(slot, comp, out):
+            np.copyto(out, xel[:, slot, comp])
+
+        def field(slot, comp, out):
+            np.copyto(out, uel[:, slot, comp])
+
+        def scatter(call, slot, comp, src):
+            out_rhs[:, slot, comp] += src
+
+        args = (self.program.ops, self._rows, self._mask, coord, field, scatter)
+        if self.profile is None:
+            _replay(*args)
+        else:
+            _replay_timed(*args, self.profile, n)
+            self.profile.finish_execution()
+        return out_rhs
 
 
 # ---------------------------------------------------------------------------
 # Scenario-batched compilation and execution
 # ---------------------------------------------------------------------------
 
-#: rank lattice of a batched tape value.  ``srow`` is a per-scenario
-#: ``(S, 1)`` parameter row, ``vec`` a rank-1 ``(lanes,)`` vector shared
-#: by all scenarios, ``full`` a per-scenario ``(S, lanes)`` matrix.
-#: ``join(vec, srow) = full``; scalars are rank-neutral.
-_RANKS = ("srow", "vec", "full")
-
-
-def _infer_ranks(ops, velocity_rank: str) -> Dict[int, str]:
-    """Rank of every SSA value: srow / vec / full."""
-    rank: Dict[int, str] = {}
-    for op in ops:
-        tag = op[0]
-        if tag == "rp":
-            rank[op[2]] = "srow"
-        elif tag == "gc":
-            rank[op[3]] = "vec"
-        elif tag == "gf":
-            rank[op[4]] = velocity_rank
-        elif tag in ("bin", "un", "sel"):
-            rs = {
-                rank[r] for r in _op_inputs(op) if not _is_scalar(r)
-            }
-            if rs <= {"srow"}:
-                rank[op[-1]] = "srow"
-            elif rs == {"vec"}:
-                rank[op[-1]] = "vec"
-            else:
-                rank[op[-1]] = "full"
-    return rank
-
-
 @dataclasses.dataclass(frozen=True)
 class BatchTapeProgram:
     """A compiled scenario-batched tape.
 
-    The op stream is split by rank: ``param_ops`` is the tiny
+    The op stream is split in two: ``param_ops`` is the tiny
     scenario-row stage (all-``srow`` chains, evaluated once per execute
-    into ``nq`` persistent ``(S, 1)`` buffers ``Q``); ``ops`` is the
-    lane-wide body.  Body operands are tagged: a folded ``np.float64``
-    scalar, ``("q", k)`` for param row ``Q[k]``, ``("v", row)`` for a
-    rank-1 arena row or ``("f", row)`` for an ``(S, lanes)`` arena row.
-
-    Body op forms (last element is always the tagged output)::
-
-        ("bin", ufunc_name, a, b, out)
-        ("un",  ufunc_name, a, out)
-        ("sel", x, a, b, thresh, out)
-        ("gc",  node_slot, component, out)      # coordinate gather (vec)
-        ("gf",  node_slot, component, out)      # velocity gather
-        ("sc",  call, node_slot, component, src)
+    into ``nq`` persistent ``(S, 1)`` buffers ``Q``) and ``ops`` the
+    lane-wide body.  Body ops use the :class:`TapeProgram` opcodes with
+    tagged operands: a folded ``np.float64`` scalar, ``("q", k)`` for
+    param row ``Q[k]``, ``("v", row)`` for a rank-1 arena row or ``("f",
+    row)`` for an ``(S, lanes)`` arena row.
 
     Param-stage op forms (refs are ``np.float64`` scalars or ``Q``
     indices)::
@@ -1151,7 +999,7 @@ class BatchTapeProgram:
     nnode_per_element: int = 4
 
 
-def _eval_param_stage(program: BatchTapeProgram, param_rows, Q) -> None:
+def _eval_param_stage(program, param_rows, Q) -> None:
     """Evaluate the ``(S, 1)`` scenario-row stage in place.
 
     Elementwise ``np.float64`` ufuncs over per-scenario rows -- each row
@@ -1164,23 +1012,31 @@ def _eval_param_stage(program: BatchTapeProgram, param_rows, Q) -> None:
             np.copyto(Q[op[2]], param_rows[op[1]])
         elif tag == "bin":
             _, uf, a, b, out = op
-            _ufunc(uf)(
-                a if _is_scalar(a) else Q[a],
-                b if _is_scalar(b) else Q[b],
+            _UFUNCS[uf](
+                a if is_scalar(a) else Q[a],
+                b if is_scalar(b) else Q[b],
                 out=Q[out],
             )
         elif tag == "un":
             _, uf, a, out = op
-            _ufunc(uf)(a if _is_scalar(a) else Q[a], out=Q[out])
+            _UFUNCS[uf](a if is_scalar(a) else Q[a], out=Q[out])
         else:  # sel: x is srow (scalar x folds at record time)
             _, x, a, b, thresh, out = op
             m = np.greater(Q[x], thresh)
             dst = Q[out]
-            if _is_scalar(b):
-                dst[...] = b
-            else:
-                dst[...] = Q[b]
-            np.copyto(dst, a if _is_scalar(a) else Q[a], where=m)
+            dst[...] = b if is_scalar(b) else Q[b]
+            np.copyto(dst, a if is_scalar(a) else Q[a], where=m)
+
+
+def _check_velocity_only(ops, what: str) -> None:
+    """Reject (SSA or lowered) field gathers a mesh-wide executor cannot
+    bind; pool workers read any field from their packed ``uel``."""
+    for op in ops:
+        if op[0] in ("gf", 4) and op[1] != "velocity":
+            raise ValueError(
+                f"{what} gathers unknown field {op[1]!r}; the mesh-wide "
+                "executor only binds 'velocity'"
+            )
 
 
 def compile_batch_tape(
@@ -1190,179 +1046,32 @@ def compile_batch_tape(
     scenarios: int,
     velocity_rank: str = "vec",
 ) -> BatchTapeProgram:
-    """Lower a batch-recorded tape: rank split, DCE, two-pool liveness."""
-    if velocity_rank not in ("vec", "full"):
-        raise ValueError(
-            f"velocity_rank must be 'vec' or 'full', got {velocity_rank!r}"
-        )
-    ops = recorder.ops
-    rank = _infer_ranks(ops, velocity_rank)
+    """Lower a batch-recorded tape: shared front end, two-pool liveness."""
+    _check_velocity_only(recorder.ops, "batched tape")
+    front = front_end(recorder, velocity_rank, hoist=False)
+    rank, q_of = front.rank, front.q_of
+    rows, n = assign_rows(_replay_steps(front.body, q_of), rank.__getitem__)
 
-    # -- DCE backwards from the scatter roots (rp has no inputs) ---------
-    needed: set = set()
-    keep = [False] * len(ops)
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op[0] == "sc" or (not _is_scalar(op[-1]) and op[-1] in needed):
-            keep[i] = True
-            for ref in _op_inputs(op):
-                if not _is_scalar(ref):
-                    needed.add(ref)
-    live_ops = [op for op, k in zip(ops, keep) if k]
-
-    # -- split off the (S, 1) scenario-row stage -------------------------
-    # srow ops are closed under their inputs (scalar/srow only), so the
-    # whole stage is a tiny straight-line prefix evaluated once per
-    # execute; every srow value gets its own persistent Q row.
-    q_of: Dict[int, int] = {}
-    param_ops: List[tuple] = []
-    body: List[tuple] = []
-    for op in live_ops:
-        tag = op[0]
-        is_param = tag == "rp" or (
-            tag in ("bin", "un", "sel") and rank[op[-1]] == "srow"
-        )
-        if is_param:
-            out = op[-1]
-            q_of[out] = len(q_of)
-
-            def qref(r):
-                return r if _is_scalar(r) else q_of[r]
-
-            if tag == "rp":
-                param_ops.append(("rp", op[1], q_of[out]))
-            elif tag == "bin":
-                param_ops.append(
-                    ("bin", _UFUNC_NAMES[op[1]], qref(op[2]), qref(op[3]),
-                     q_of[out])
-                )
-            elif tag == "un":
-                param_ops.append(
-                    ("un", _UFUNC_NAMES[op[1]], qref(op[2]), q_of[out])
-                )
-            else:
-                param_ops.append(
-                    ("sel", qref(op[1]), qref(op[2]), qref(op[3]), op[4],
-                     q_of[out])
-                )
-        else:
-            body.append(op)
-
-    # -- liveness over the body (srow refs are external, never freed) ----
-    last_use: Dict[int, int] = {}
-    for j, op in enumerate(body):
-        for ref in _op_inputs(op):
-            if not _is_scalar(ref) and ref not in q_of:
-                last_use[ref] = j
-
-    buf_of: Dict[int, int] = {}
-    free = {"vec": [], "full": []}
-    nbufs = {"vec": 0, "full": 0}
-    for j, op in enumerate(body):
-        protected = None
-        if op[0] == "sel" and not _is_scalar(op[2]) and op[2] not in q_of:
-            protected = op[2]
-        deferred = None
-        for ref in set(_op_inputs(op)):
-            if (
-                _is_scalar(ref)
-                or ref in q_of
-                or last_use.get(ref) != j
-            ):
-                continue
-            if ref == protected:
-                deferred = ref
-            else:
-                free[rank[ref]].append(buf_of[ref])
-        if op[0] != "sc":
-            out = op[-1]
-            pool = rank[out]
-            if free[pool]:
-                buf_of[out] = free[pool].pop()
-            else:
-                buf_of[out] = nbufs[pool]
-                nbufs[pool] += 1
-        if deferred is not None:
-            free[rank[deferred]].append(buf_of[deferred])
-
-    # -- lower body ops with tagged operands ------------------------------
-    def ref_of(r: Ref):
-        if _is_scalar(r):
-            return r
+    def tagged(r):
         if r in q_of:
             return ("q", q_of[r])
-        return ("f" if rank[r] == "full" else "v", buf_of[r])
+        return ("f" if rank[r] == "full" else "v", rows[r])
 
-    lowered: List[tuple] = []
-    call = 0
-    nfull = 0
-    for op in body:
-        tag = op[0]
-        if tag == "bin":
-            lowered.append(
-                ("bin", _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3]),
-                 ref_of(op[4]))
-            )
-        elif tag == "un":
-            lowered.append(
-                ("un", _UFUNC_NAMES[op[1]], ref_of(op[2]), ref_of(op[3]))
-            )
-        elif tag == "sel":
-            lowered.append(
-                ("sel", ref_of(op[1]), ref_of(op[2]), ref_of(op[3]), op[4],
-                 ref_of(op[5]))
-            )
-        elif tag == "gc":
-            lowered.append(("gc", op[1], op[2], ref_of(op[3])))
-        elif tag == "gf":
-            if op[1] != "velocity":
-                raise ValueError(
-                    f"batched tape gathers unknown field {op[1]!r}; the "
-                    "batched executor only binds 'velocity'"
-                )
-            lowered.append(("gf", op[2], op[3], ref_of(op[4])))
-        elif tag == "sc":
-            lowered.append(("sc", call, op[1], op[2], ref_of(op[3])))
-            call += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unexpected body op {tag!r}")
-        if tag != "sc" and rank.get(op[-1]) == "full":
-            nfull += 1
-
-    nvec_ops = sum(
-        1 for op in body if op[0] != "sc" and rank.get(op[-1]) == "vec"
-    )
-    tags = [op[0] for op in lowered]
-    report = TapeReport(
-        variant=variant,
-        ops_recorded=len(ops),
-        ops_live=len(live_ops),
-        dce_removed=len(ops) - len(live_ops),
-        folded_scalars=recorder.folded_scalars,
-        gather_reuses=recorder.gather_reuses,
-        scatter_calls=len(recorder.scatter_calls),
-        buffers_live=nbufs["vec"] + nbufs["full"],
-        binary_ops=tags.count("bin"),
-        unary_ops=tags.count("un"),
-        select_ops=tags.count("sel"),
-        gather_ops=tags.count("gc") + tags.count("gf"),
-        srow_ops=len(param_ops),
-        vec_ops=nvec_ops,
-        full_ops=nfull,
-        scenarios=scenarios,
-    )
+    nvec, nfull = n.get("vec", 0), n.get("full", 0)
     return BatchTapeProgram(
         variant=variant,
         batch_key=tuple(batch_key),
         scenarios=int(scenarios),
         velocity_rank=velocity_rank,
-        param_ops=tuple(param_ops),
+        param_ops=front.param_ops,
         nq=len(q_of),
-        ops=tuple(lowered),
-        nbufs_vec=nbufs["vec"],
-        nbufs_full=nbufs["full"],
-        scatter_calls=tuple(recorder.scatter_calls),
-        report=report,
+        ops=_lower(front.body, tagged),
+        nbufs_vec=nvec,
+        nbufs_full=nfull,
+        scatter_calls=front.scatter_calls,
+        report=_make_report(
+            variant, front, nvec + nfull, **_batch_counts(front, scenarios)
+        ),
         nnode_per_element=recorder.ctx.nnode_per_element,
     )
 
@@ -1378,20 +1087,14 @@ def record_batch_program(
     Like :func:`record_program`, but runtime parameters that vary across
     the batch stay symbolic (per-scenario rows) instead of folding.
     """
-    variant = get_variant(variant_name)
-    ctx = KernelContext(
-        connectivity=np.zeros((1, nnode_per_element), dtype=np.int64),
-        coords=np.zeros((1, 3)),
-        fields={"velocity": np.zeros((1, 3))},
-        rhs=np.zeros((1, 3)),
-        params=dict(batch.recording_params()),
-        nnode_per_element=nnode_per_element,
-    )
     with get_tracer().span(
-        "tape.record_batch", variant=variant.name, scenarios=batch.size
+        "tape.record_batch", variant=variant_name.upper(),
+        scenarios=batch.size,
     ):
-        recorder = BatchRecordingBackend(ctx, batch.varying)
-        variant.kernel(recorder, ctx)
+        variant, recorder = _record(
+            variant_name, batch.recording_params(), nnode_per_element,
+            varying=batch.varying,
+        )
         program = compile_batch_tape(
             recorder, variant.name, batch.cache_key(), batch.size,
             velocity_rank,
@@ -1521,7 +1224,6 @@ class BatchedTape:
         #: current per-scenario parameter rows (name -> (S, 1) array);
         #: refreshed by the plan wrapper on every cache hit
         self.param_rows: Dict[str, np.ndarray] = {}
-        self._ufuncs = {name: _ufunc(name) for name in _UFUNC_NAMES.values()}
         self._closure_cache: Dict[tuple, list] = {}
 
     @property
@@ -1583,16 +1285,15 @@ class BatchedTape:
         ops: List[tuple] = []
         nlanes: List[int] = []
         for op in self.program.ops:
-            tag = op[0]
-            if tag == "bin":
-                ops.append((0, self._ufuncs[op[1]], operand(op[2]),
+            code = op[0]
+            if code == 0:
+                ops.append((0, _UFUNCS[op[1]], operand(op[2]),
                             operand(op[3]), arr(op[4])))
                 nlanes.append(lanes_of(op[4]))
-            elif tag == "un":
-                ops.append((1, self._ufuncs[op[1]], operand(op[2]),
-                            arr(op[3])))
+            elif code == 1:
+                ops.append((1, _UFUNCS[op[1]], operand(op[2]), arr(op[3])))
                 nlanes.append(lanes_of(op[3]))
-            elif tag == "sel":
+            elif code == 2:
                 x = op[1]
                 if not isinstance(x, tuple) or x[0] == "q":
                     m = mask_q
@@ -1603,34 +1304,27 @@ class BatchedTape:
                 ops.append((2, operand(x), operand(op[2]), operand(op[3]),
                             op[4], arr(op[5]), m))
                 nlanes.append(lanes_of(op[5]))
-            elif tag == "gc":
+            elif code == 3:
                 ops.append((3, self._ccols[op[2]], self._idx[op[1]][lanes],
                             arr(op[3])))
                 nlanes.append(n)
-            elif tag == "gf":
-                if self.program.velocity_rank == "full":
-                    ops.append((4, self._vcols[op[2]],
-                                self._idx[op[1]][lanes], arr(op[3])))
-                    nlanes.append(S * n)
-                else:
-                    ops.append((3, self._vcols[op[2]],
-                                self._idx[op[1]][lanes], arr(op[3])))
-                    nlanes.append(n)
-            else:  # sc
+            elif code == 4:
+                full = self.program.velocity_rank == "full"
+                ops.append((4 if full else 3, self._vcols[op[3]],
+                            self._idx[op[2]][lanes], arr(op[4])))
+                nlanes.append(S * n if full else n)
+            else:  # 5: scatter
                 _, call, slot, comp, src = op
                 dst = self._values[:, g0:g1, call, :]
                 if not isinstance(src, tuple):
                     ops.append((6, dst, src))
-                    nlanes.append(S * n)
                 elif src[0] == "q":
                     ops.append((5, dst, Q[src[1]].reshape(S, 1, 1)))
-                    nlanes.append(S * n)
                 elif src[0] == "f":
                     ops.append((5, dst, arr(src).reshape(S, nrows, vd)))
-                    nlanes.append(S * n)
                 else:
                     ops.append((5, dst, arr(src).reshape(nrows, vd)))
-                    nlanes.append(S * n)
+                nlanes.append(S * n)
         return ops, nlanes
 
     def _closures(self, cg: int, nslabs: int) -> list:
@@ -1683,29 +1377,12 @@ class BatchedTape:
             else:  # code == 6
                 op[1][...] = op[2]
 
-    @staticmethod
-    def _run_ops_timed(ops: list, nlanes: list, profile) -> None:
+    @classmethod
+    def _run_ops_timed(cls, ops: list, nlanes: list, profile) -> None:
         clock = time.perf_counter
-        for i, op in enumerate(ops):
-            code = op[0]
+        for i in range(len(ops)):
             t0 = clock()
-            if code == 0:
-                op[1](op[2], op[3], out=op[4])
-            elif code == 1:
-                op[1](op[2], out=op[3])
-            elif code == 2:
-                _, x, a, b, thresh, out, m = op
-                np.greater(x, thresh, out=m)
-                out[...] = b
-                np.copyto(out, a, where=m)
-            elif code == 3:
-                np.take(op[1], op[2], out=op[3])
-            elif code == 4:
-                np.take(op[1], op[2], axis=1, out=op[3])
-            elif code == 5:
-                np.copyto(op[1], op[2])
-            else:
-                op[1][...] = op[2]
+            cls._run_ops(ops[i:i + 1])
             profile.record(i, clock() - t0, nlanes[i])
 
     def _run_slab(self, chunks: list, profile=None) -> None:

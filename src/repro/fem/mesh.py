@@ -110,9 +110,16 @@ class TetMesh:
         # in place, so mesh-lifetime caches (repro.fem.plan) can
         # invalidate.
         self._version = 0
+        #: ``(version, AssemblyPlan)`` owned by :func:`repro.fem.plan.get_plan`
+        self._plan = None
         self._seed_element_ids: Optional[np.ndarray] = None
         if validate:
             self.validate()
+
+    def __getstate__(self):
+        # the plan is a cache of compiled tapes and exec'd kernels, not
+        # mesh state: pickles and deep copies start without one
+        return {**self.__dict__, "_plan": None}
 
     # ------------------------------------------------------------------
     # Basic properties

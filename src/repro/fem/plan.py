@@ -27,7 +27,7 @@ the hot loop:
   single ``bincount`` in the exact temporal order the per-call
   ``np.add.at`` path would have used -- hence bit-identical results.
 * :class:`AssemblyPlan` / :func:`get_plan` -- the per-mesh cache tying
-  it together (weakly keyed, invalidated when the mesh is reoriented).
+  it together (owned by the mesh, invalidated when it is reoriented).
 
 Telemetry flows through :mod:`repro.obs`: plan construction records a
 ``plan.build`` span, and the ``plan.*`` / ``scatter.*`` counters track
@@ -37,7 +37,6 @@ cache hits, strategy use and reduced value counts.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -471,7 +470,7 @@ class AssemblyPlan:
     """Everything about a mesh the assembly can precompute once.
 
     Instances are created through :func:`get_plan`, which caches one plan
-    per live mesh (weakly referenced; reorienting the mesh with
+    on each live mesh (reorienting the mesh with
     :meth:`~repro.fem.mesh.TetMesh.fix_orientation` invalidates it).
     """
 
@@ -666,22 +665,22 @@ class AssemblyPlan:
 
 # -- per-mesh plan cache ------------------------------------------------------
 
-_PLANS: "weakref.WeakKeyDictionary[TetMesh, Tuple[int, AssemblyPlan]]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 def get_plan(mesh: TetMesh) -> AssemblyPlan:
     """The (cached) :class:`AssemblyPlan` of ``mesh``.
 
-    Plans are weakly keyed on the mesh object and invalidated when the
-    mesh's structural version changes (``fix_orientation``).
+    The plan is stored *on* the mesh (``mesh._plan``) together with the
+    structural version it was built for (``fix_orientation`` bumps it and
+    so invalidates the plan).  The plan refers back to its mesh, so any
+    table keyed on the mesh -- even a weak one -- would keep every mesh
+    it ever saw alive through its own value; owned by the mesh, plan and
+    mesh are one garbage cycle that goes away when the mesh is dropped.
     """
     version = getattr(mesh, "_version", 0)
-    entry = _PLANS.get(mesh)
+    entry = getattr(mesh, "_plan", None)
     if entry is not None and entry[0] == version:
         get_registry().counter("plan.cache_hits").inc()
         return entry[1]
     plan = AssemblyPlan(mesh)
-    _PLANS[mesh] = (version, plan)
+    mesh._plan = (version, plan)
     return plan

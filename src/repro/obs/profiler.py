@@ -43,7 +43,6 @@ __all__ = [
     "TapeProfile",
     "TapeProfiler",
     "op_costs_from_program",
-    "op_costs_from_batch_program",
 ]
 
 #: bytes per float64 lane element
@@ -65,15 +64,22 @@ PHASE_ORDER = ("gather", "compute", "select", "store", "scatter", "flush")
 
 
 def _is_vec(ref: Any) -> bool:
-    """A lowered tape operand is a vector iff it is an arena row index."""
+    """A lowered tape operand is lane-wide iff it is an arena row index
+    (serial tapes) or a tagged arena row (batched tapes: ``("v", row)``
+    rank-1, ``("f", row)`` per-scenario).
+    Folded scalars and the tiny ``("q", k)`` scenario rows are
+    register/cache resident and cost no arena traffic."""
     import numpy as np
 
+    if isinstance(ref, tuple):
+        return ref[0] != "q"
     return isinstance(ref, (int, np.integer)) and not isinstance(ref, bool)
 
 
 def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]:
     """Per-lane ``(kind, label, bytes_read, bytes_written, flops)`` for
-    every lowered op of a :class:`repro.core.tape.TapeProgram`.
+    every lowered per-sweep op of a :class:`repro.core.tape.TapeProgram`
+    or :class:`~repro.core.tape.BatchTapeProgram` (same opcodes).
 
     The accounting mirrors what each executor op actually moves per lane:
 
@@ -88,7 +94,10 @@ def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]
       into the deferred values buffer.
 
     Every arithmetic op costs 1 Flop per lane (the DSL has no fused op),
-    matching :data:`repro.core.dsl._FLOP_COST`.
+    matching :data:`repro.core.dsl._FLOP_COST`.  For a batched program
+    lanes are *scenario-lanes*: the executor records ``n`` lanes for a
+    rank-1 (shared) op and ``S * n`` for a full-rank one, so
+    ``lanes * (rb + wb)`` stays the actual traffic either way.
     """
     costs: List[Tuple[str, str, float, float, float]] = []
     for op in program.ops:
@@ -117,56 +126,6 @@ def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]
             )
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown lowered op code {code!r}")
-    return costs
-
-
-def _is_batch_vec(ref: Any) -> bool:
-    """A batched-tape operand is lane-wide iff it is a tagged arena ref
-    (``("v", row)`` rank-1 or ``("f", row)`` per-scenario).  Folded
-    scalars and tiny ``("q", k)`` scenario rows are register/cache
-    resident and cost no arena traffic."""
-    return isinstance(ref, tuple) and ref[0] in ("v", "f")
-
-
-def op_costs_from_batch_program(program) -> List[Tuple[str, str, float, float, float]]:
-    """Per-lane costs for a :class:`repro.core.tape.BatchTapeProgram`.
-
-    Same accounting as :func:`op_costs_from_program`, but lanes are
-    *scenario-lanes*: the batched executor records ``n`` lanes for a
-    rank-1 (shared) op and ``S * n`` for a full-rank one, so
-    ``lanes * (rb + wb)`` stays the actual traffic either way.  The
-    ``(S, 1)`` parameter-row operands are counted like folded scalars
-    (0 B) -- they live in cache across the whole sweep.
-    """
-    costs: List[Tuple[str, str, float, float, float]] = []
-    for op in program.ops:
-        tag = op[0]
-        if tag == "bin":
-            nvec = sum(1 for r in (op[2], op[3]) if _is_batch_vec(r))
-            costs.append(("bin", op[1], nvec * _F8, _F8, 1.0))
-        elif tag == "un":
-            nvec = 1 if _is_batch_vec(op[2]) else 0
-            costs.append(("un", op[1], nvec * _F8, _F8, 1.0))
-        elif tag == "sel":
-            nvec = sum(
-                1 for r in (op[1], op[2], op[3]) if _is_batch_vec(r)
-            )
-            costs.append(("sel", "select", nvec * _F8 + 1.0, _F8 + 1.0, 1.0))
-        elif tag == "gc":
-            costs.append(
-                ("gather", f"coord[{op[1]},{op[2]}]", 2 * _F8, _F8, 0.0)
-            )
-        elif tag == "gf":
-            costs.append(
-                ("gather", f"velocity[{op[1]},{op[2]}]", 2 * _F8, _F8, 0.0)
-            )
-        elif tag == "sc":
-            nvec = 1 if _is_batch_vec(op[4]) else 0
-            costs.append(
-                ("scatter", f"rhs[{op[2]},{op[3]}]", nvec * _F8, _F8, 0.0)
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown batched op tag {tag!r}")
     return costs
 
 
@@ -558,7 +517,7 @@ class TapeProfiler:
                 vector_dim,
                 "compiled",
                 executor,
-                op_costs=op_costs_from_batch_program(program),
+                op_costs=op_costs_from_program(program),
                 report=program.report,
                 scenarios=program.scenarios,
             ),

@@ -4,10 +4,10 @@ Two layers, two very different lifetimes:
 
 * :class:`MeshCache` -- ``MeshSpec`` hash -> the constructed
   :class:`~repro.fem.mesh.TetMesh`.  This is the *performance* cache:
-  :func:`repro.fem.plan.get_plan` is weak-keyed on the mesh object, so
+  :func:`repro.fem.plan.get_plan` stores the plan on the mesh object, so
   keeping the mesh alive keeps its :class:`~repro.fem.plan.AssemblyPlan`
   -- compiled tapes, codegen modules, autotuned winners -- hot across
-  requests.  The warm-vs-cold service latency gap in ``BENCH_server.json``
+  requests, and evicting the mesh releases all of it.  The warm-vs-cold service latency gap in ``BENCH_server.json``
   and the "zero re-plans on the second identical campaign" assertion
   (``plan.builds`` counter) both hang off this cache.
 * :class:`ResultCache` -- request ``content_key`` -> finished response

@@ -193,9 +193,12 @@ def test_codegen_report_reflects_fusion(params):
     kp = params.as_kernel_params()
     gen = generate_program("B", 64, kernel_params=kp)
     replay = record_program("B", kp)
-    # fused regions eliminate intermediates: fewer live buffers than the
-    # 211-buffer replay arena
-    assert gen.report.buffers_live < replay.report.buffers_live
+    # both back ends lower the same scheduled program: fusion shows up as
+    # fewer statements than live ops, the shared schedule as a small
+    # replay arena (211 rows before replay was scheduled)
+    assert gen.report.ops_live == replay.report.ops_live
+    assert len(gen.stmt_costs) < gen.report.ops_live - gen.report.hoisted_ops
+    assert replay.report.buffers_live <= 100
     assert gen.report.fused_ops > 0
     assert gen.report.hoisted_ops > 0
     assert gen.report.pinned_buffers > 0

@@ -1,0 +1,144 @@
+"""The shared front end: one value-numbered, scheduled program per kernel.
+
+Every lowering -- compiled replay, generated source, their batched forms
+and the pool-worker (elemental) forms -- consumes the same
+:func:`repro.core.passes.front_end` output, so the op accounting must
+agree everywhere and value numbering must merge only literally repeated
+work.  Bit-identity of the results is pinned by the hypothesis suites of
+``test_tape`` / ``test_codegen`` / ``test_batch``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
+from repro.core.codegen import (
+    generate_batched_program,
+    generate_elemental_program,
+    generate_program,
+    generated_kernel,
+)
+from repro.core.dsl import KernelContext
+from repro.core.storage import Storage
+from repro.core.tape import (
+    RecordingBackend,
+    record_batch_program,
+    record_program,
+)
+from repro.fem import box_tet_mesh, get_plan
+
+
+def _recorder():
+    ctx = KernelContext(
+        connectivity=np.zeros((1, 4), dtype=np.int64),
+        coords=np.zeros((1, 3)),
+        fields={"velocity": np.zeros((1, 3))},
+        rhs=np.zeros((1, 3)),
+        params={},
+    )
+    return RecordingBackend(ctx)
+
+
+# -- op accounting across back ends -------------------------------------------
+
+
+@pytest.mark.parametrize("variant", variant_names())
+def test_accounting_identity_and_equal_live_ops(params, variant):
+    kp = params.as_kernel_params()
+    batch = ScenarioBatch.from_arrays(
+        viscosity=np.array([1.0e-3, 2.0e-3, 3.0e-3]),
+        body_force=params.body_force,
+    )
+    serial = {
+        "compiled": record_program(variant, kp).report,
+        "codegen": generate_program(variant, 64, kernel_params=kp).report,
+        "elemental": generate_elemental_program(variant, kernel_params=kp).report,
+    }
+    batched = {
+        "compiled": record_batch_program(variant, batch).report,
+        "codegen": generate_batched_program(variant, 64, batch).report,
+    }
+    for r in list(serial.values()) + list(batched.values()):
+        assert r.ops_recorded == r.ops_live + r.dce_removed + r.cse_removed
+        assert r.cse_removed > 0  # every kernel repeats some work
+    assert len({r.ops_live for r in serial.values()}) == 1
+    assert len({r.ops_live for r in batched.values()}) == 1
+    assert len({r.cse_removed for r in serial.values()}) == 1
+    # only the mesh-bound generated kernels hoist (the same
+    # coordinate-only partition, serial and batched); replay tapes and
+    # pool-worker kernels run every live op per sweep
+    assert serial["codegen"].hoisted_ops == batched["codegen"].hoisted_ops > 0
+    for r in (serial["compiled"], serial["elemental"], batched["compiled"]):
+        assert r.hoisted_ops == r.pinned_buffers == 0
+    assert batched["compiled"].scenarios == batched["codegen"].scenarios == 3
+
+
+def test_replay_arena_is_scheduled(params):
+    """CSE alone lengthens live ranges; the depth-first schedule keeps
+    B's replay arena small (it was 211 rows in recorded order)."""
+    assert record_program("B", params.as_kernel_params()).report.buffers_live <= 100
+
+
+# -- value numbering -----------------------------------------------------------
+
+
+def test_value_numbering_keys_on_exact_bits_without_algebra():
+    bk = _recorder()
+    x = bk.gather_coord(0, 0)
+    y = bk.gather_coord(1, 0)
+    plus = bk.binop("add", x, bk.const(0.0))
+    minus = bk.binop("add", x, bk.const(-0.0))
+    assert plus.payload != minus.payload  # -0.0 is not 0.0
+    assert plus.payload != x.payload  # no identity folding
+    assert bk.binop("mul", x, y).payload != bk.binop("mul", y, x).payload
+    assert bk.cse_removed == 0
+    # a literally repeated op is the earlier value
+    assert bk.binop("add", x, bk.const(0.0)).payload == plus.payload
+    assert bk.select_gt(x, 0.5, y, 1.0).payload == bk.select_gt(x, 0.5, y, 1.0).payload
+    assert bk.select_gt(x, 0.5, y, 1.0).payload != bk.select_gt(x, 0.25, y, 1.0).payload
+    assert bk.cse_removed == 3
+    assert bk.gather_coord(0, 0).payload == x.payload and bk.gather_reuses == 1
+    assert len(bk.ops) == 8  # 2 gathers, 4 binops, 2 selects
+
+
+def test_restored_temp_slot_does_not_alias_stale_value():
+    """Numbering keys on SSA ids, and a load reads the slot's *current*
+    binding, so reusing a temp never resurrects what it held before."""
+    bk = _recorder()
+    x = bk.gather_coord(0, 0)
+    y = bk.gather_coord(1, 0)
+    t = bk.temp("t", (1,), Storage.PRIVATE)
+    bk.store(t, (0,), x)
+    first = bk.binop("mul", bk.load(t, (0,)), y)
+    bk.store(t, (0,), y)
+    second = bk.binop("mul", bk.load(t, (0,)), y)
+    assert second.payload != first.payload  # y * y, not the stale x * y
+    assert bk.binop("mul", x, y).payload == first.payload
+
+
+# -- hoisted invariants follow the mesh version --------------------------------
+
+
+def test_hoisted_rows_rebuilt_after_fix_orientation(params):
+    mesh = box_tet_mesh(3, 3, 3)
+    u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
+    kp = params.as_kernel_params()
+    gen = UnifiedAssembler(mesh, params, vector_dim=16, mode="codegen")
+    before = gen.assemble("B", u)
+    old = generated_kernel(get_plan(mesh), "B", 16, kernel_params=kp)
+    assert old._pinned.shape == (old.program.report.pinned_buffers, old.nlane)
+
+    # stretch the mesh and flip one element, then repair the orientation:
+    # the pinned coordinate-only rows of the old kernel are now stale
+    with mesh.mutate():
+        mesh._coords[:, 0] *= 2.0
+        conn = mesh._connectivity
+        conn[0, 1], conn[0, 2] = conn[0, 2].copy(), conn[0, 1].copy()
+    assert mesh.fix_orientation() == 1
+
+    after = gen.assemble("B", u)
+    new = generated_kernel(get_plan(mesh), "B", 16, kernel_params=kp)
+    assert new is not old and not np.array_equal(new._pinned, old._pinned)
+    interp = UnifiedAssembler(mesh, params, vector_dim=16)
+    assert np.array_equal(after, interp.assemble("B", u))
+    assert not np.array_equal(after, before)

@@ -358,3 +358,68 @@ def test_accumulator_rejects_out_of_order_reuse(small_mesh):
     acc2.add(1, 0, np.ones(groups[0].vector_dim))  # different slot
     with pytest.raises(RuntimeError, match="scatter pattern"):
         acc2.finalize(np.zeros((small_mesh.nnode, 3)))
+
+
+# -- plan lifetime ------------------------------------------------------------------
+
+
+def _warm_plan(mesh):
+    """A plan holding everything a served mesh accumulates: geometry, a
+    packing, a compiled tape and its scatter pattern."""
+    from repro.physics import AssemblyParams
+
+    UnifiedAssembler(
+        mesh, AssemblyParams(), vector_dim=16, mode="compiled"
+    ).assemble("RS", np.zeros((mesh.nnode, 3)))
+    plan = get_plan(mesh)
+    plan.geometry()
+    return plan
+
+
+def test_dropped_meshes_release_their_plans():
+    """The plan refers back to its mesh, so it must be owned *by* the
+    mesh: a table keyed on the mesh would pin every mesh forever."""
+    import gc
+    import weakref
+
+    refs = []
+    for _ in range(5):
+        mesh = box_tet_mesh(3, 3, 3)
+        plan = _warm_plan(mesh)
+        assert get_plan(mesh) is plan
+        refs += [weakref.ref(mesh), weakref.ref(plan)]
+    del mesh, plan
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_mesh_cache_eviction_releases_plan():
+    """Evicting a mesh from the server's LRU frees its warm plan."""
+    import gc
+    import weakref
+
+    from repro.server.cache import MeshCache
+    from repro.server.protocol import MeshSpec
+
+    cache = MeshCache(max_entries=1)
+    first = weakref.ref(_warm_plan(cache.get(MeshSpec(2, 2, 2))))
+    gc.collect()
+    assert first() is not None  # cached mesh keeps its plan warm
+    cache.get(MeshSpec(3, 2, 2))  # evicts the 2x2x2 mesh
+    gc.collect()
+    assert first() is None
+
+
+def test_pickled_and_copied_meshes_leave_the_plan_behind():
+    """The plan holds exec'd kernels; a pickle or deep copy of a warm
+    mesh carries the mesh only and plans afresh."""
+    import copy
+    import pickle
+
+    mesh = box_tet_mesh(2, 2, 2)
+    plan = _warm_plan(mesh)
+    for clone in (pickle.loads(pickle.dumps(mesh)), copy.deepcopy(mesh)):
+        assert clone._plan is None
+        assert np.array_equal(clone.connectivity, mesh.connectivity)
+        assert get_plan(clone) is not plan
+    assert get_plan(mesh) is plan
