@@ -3,11 +3,9 @@
 The global-RHS reduction is the one assembly stage numpy punishes hardest:
 ``np.add.at`` is unbuffered and runs an order of magnitude slower than the
 gather/compute stages it follows.  :class:`repro.fem.plan.ScatterPlan`
-replaces it with a precomputed ``bincount`` reduction (bit-identical) and
-an optional sort/``reduceat`` strategy (deterministic, rounding-level
-differences).  This bench times all three on a >=100k-element mesh and
-feeds the result into ``BENCH_variants.json`` via the ``bench_extra``
-fixture.
+replaces it with a precomputed ``bincount`` reduction (bit-identical).
+This bench times both on a >=100k-element mesh and feeds the result into
+``BENCH_variants.json`` via the ``bench_extra`` fixture.
 
 Runnable standalone::
 
@@ -40,10 +38,10 @@ def _best_of(fn, repeats=REPEATS):
 
 
 def scatter_timings(mesh, repeats=REPEATS):
-    """Time the three reduction strategies on one momentum-sized scatter.
+    """Time ``np.add.at`` and the plan on one momentum-sized scatter.
 
-    Returns a bench.json-style row; asserts the plan's default strategy is
-    bitwise equal to ``np.add.at`` before timing anything.
+    Returns a bench.json-style row; asserts the plan is bitwise equal to
+    ``np.add.at`` before timing anything.
     """
     plan = get_plan(mesh)
     rng = np.random.default_rng(0)
@@ -57,13 +55,9 @@ def scatter_timings(mesh, repeats=REPEATS):
 
     reference = add_at()
     assert np.array_equal(reference, plan.scatter.scatter(values))
-    assert np.allclose(reference, plan.scatter.scatter(values, strategy="sort"))
 
     t_add_at = _best_of(add_at, repeats)
     t_bincount = _best_of(lambda: plan.scatter.scatter(values), repeats)
-    t_sort = _best_of(
-        lambda: plan.scatter.scatter(values, strategy="sort"), repeats
-    )
     # Effective traffic of one reduction: every contribution is read once
     # with its index, every output row written once.
     bytes_moved = values.nbytes + indices.nbytes + mesh.nnode * 3 * 8
@@ -82,9 +76,7 @@ def scatter_timings(mesh, repeats=REPEATS):
         "ordering": "none",
         "add_at_ms": t_add_at * 1e3,
         "plan_bincount_ms": t_bincount * 1e3,
-        "plan_sort_ms": t_sort * 1e3,
         "speedup_bincount": t_add_at / t_bincount,
-        "speedup_sort": t_add_at / t_sort,
         "scatter_gbps": bytes_moved / t_bincount / 1e9,
         "gather_ms": t_gather * 1e3,
         "gather_gbps": gather_bytes / t_gather / 1e9,
@@ -105,9 +97,7 @@ def test_scatter_plan_beats_add_at(scatter_mesh, bench_extra, capsys):
             f"\nscatter [{row['nelem']} elems]: "
             f"add.at {row['add_at_ms']:.1f} ms, "
             f"bincount {row['plan_bincount_ms']:.1f} ms "
-            f"({row['speedup_bincount']:.1f}x), "
-            f"sort {row['plan_sort_ms']:.1f} ms "
-            f"({row['speedup_sort']:.1f}x)"
+            f"({row['speedup_bincount']:.1f}x)"
         )
     # 4x measured on a quiet machine; 1.5x floor absorbs CI noise
     assert row["speedup_bincount"] > 1.5
@@ -133,10 +123,6 @@ def main() -> None:
     print(
         f"  plan bincount   {row['plan_bincount_ms']:8.2f} ms  "
         f"({row['speedup_bincount']:.1f}x, bit-identical)"
-    )
-    print(
-        f"  plan sort       {row['plan_sort_ms']:8.2f} ms  "
-        f"({row['speedup_sort']:.1f}x, deterministic)"
     )
     print(
         f"  bandwidth: scatter {row['scatter_gbps']:.1f} GB/s, "

@@ -9,17 +9,16 @@ primitives.  This module hoists all of that mesh-lifetime setup out of
 the hot loop:
 
 * :class:`ScatterPlan` -- a precomputed reduction plan over a fixed index
-  pattern (the raveled connectivity).  The default ``"bincount"``
-  strategy is **bit-identical** to ``np.add.at`` into a zero array
-  (both accumulate sequentially in input order), while running an order
-  of magnitude faster.  The ``"sort"`` strategy (stable argsort +
-  ``np.add.reduceat`` segment reduction) is deterministic and fastest
-  for repeated many-component scatters, but uses pairwise summation
-  inside segments, so it reproduces ``np.add.at`` only to rounding.
+  pattern (the raveled connectivity): a ``bincount`` reduction,
+  **bit-identical** to ``np.add.at`` into a zero array (both accumulate
+  sequentially in input order) while running an order of magnitude
+  faster.
 * :class:`GeometryCache` -- Jacobians, Cartesian shape gradients and
   volumes of the P1 mesh, computed once and shared by the momentum
-  assembly, the pressure-Poisson assembly and the divergence
-  diagnostics.
+  assembly and the pressure path.
+* :class:`P1Derivatives` -- sparse divergence/gradient operators built
+  from that geometry on first use; the pressure Laplacian, divergence
+  RHS, projection gradient and divergence diagnostic all apply them.
 * :class:`ScatterAccumulator` -- the deferred scatter used by the DSL
   execution backend: every ``scatter_add_rhs`` call appends its lane
   values to a buffer whose *index pattern* is computed once per
@@ -31,7 +30,7 @@ the hot loop:
 
 Telemetry flows through :mod:`repro.obs`: plan construction records a
 ``plan.build`` span, and the ``plan.*`` / ``scatter.*`` counters track
-cache hits, strategy use and reduced value counts.
+cache hits and reduced value counts.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..obs.metrics import get_registry
 from ..obs.spans import get_tracer
@@ -55,6 +55,7 @@ __all__ = [
     "seed_flush_order",
     "ScatterPlan",
     "GeometryCache",
+    "P1Derivatives",
     "ScatterAccumulator",
     "AssemblyPlan",
     "get_plan",
@@ -119,61 +120,21 @@ class ScatterPlan:
         if self.indices.size and self.indices.min() < 0:
             raise ValueError("scatter indices must be non-negative")
         self.nbins = int(nbins)
-        # sort-strategy artifacts, built on first use
-        self._order: Optional[np.ndarray] = None
-        self._starts: Optional[np.ndarray] = None
-        self._bins: Optional[np.ndarray] = None
 
     @property
     def nvalues(self) -> int:
         return self.indices.shape[0]
 
-    def _build_sort(self) -> None:
-        order = np.argsort(self.indices, kind="stable")
-        sorted_idx = self.indices[order]
-        if sorted_idx.size:
-            new = np.ones(sorted_idx.size, dtype=bool)
-            new[1:] = sorted_idx[1:] != sorted_idx[:-1]
-            starts = np.flatnonzero(new)
-            bins = sorted_idx[starts]
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-            bins = np.zeros(0, dtype=np.int64)
-        self._order = _readonly(order)
-        self._starts = _readonly(starts)
-        self._bins = _readonly(bins)
-        get_registry().counter("scatter.sort_plan_builds").inc()
-
-    def scatter(self, values: np.ndarray, strategy: str = "bincount") -> np.ndarray:
-        """Reduce ``values`` (aligned with ``indices``) into the bins.
-
-        ``strategy="bincount"`` (default) is bit-identical to the
-        ``np.add.at`` reduction the seed code used.  ``strategy="sort"``
-        uses the precomputed stable argsort and ``np.add.reduceat``; it is
-        deterministic but sums segments pairwise, so it matches only to
-        rounding.
-        """
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Reduce ``values`` (aligned with ``indices``) into the bins,
+        bit-identical to the ``np.add.at`` reduction the seed code used."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape[0] != self.nvalues:
             raise ValueError(
                 f"values leading dim {values.shape[0]} != plan size "
                 f"{self.nvalues}"
             )
-        if strategy == "bincount":
-            return segment_scatter(self.indices, values, self.nbins)
-        if strategy != "sort":
-            raise ValueError(f"unknown scatter strategy {strategy!r}")
-        if self._order is None:
-            self._build_sort()
-        registry = get_registry()
-        registry.counter("scatter.sort_calls").inc()
-        registry.counter("scatter.values_reduced").inc(values.size)
-        shape = (self.nbins,) + values.shape[1:]
-        out = np.zeros(shape, dtype=np.float64)
-        if self.nvalues:
-            seg = np.add.reduceat(values[self._order], self._starts, axis=0)
-            out[self._bins] = seg
-        return out
+        return segment_scatter(self.indices, values, self.nbins)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,6 +154,26 @@ class GeometryCache:
     gradients: np.ndarray
     dets: np.ndarray
     volumes: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class P1Derivatives:
+    """Sparse P1 derivative operators, one CSR matrix per axis ``i``.
+
+    Attributes
+    ----------
+    elemental:
+        ``De_i`` (``nelem x nnode``): ``(De_i f)_e = d_i f``, constant on
+        element ``e``.
+    nodal:
+        ``Dn_i = S^T diag(V/4) De_i`` (``nnode x nnode``, ``S`` the
+        element->node incidence): ``(Dn_i f)_a = int N_a d_i f dV`` --
+        the divergence RHS is ``sum_i Dn_i u_i`` and the lumped nodal
+        gradient ``Dn_i p / m``.
+    """
+
+    elemental: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
+    nodal: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -485,6 +466,8 @@ class AssemblyPlan:
         self._element_volumes: Optional[np.ndarray] = None
         self._lumped_mass: Optional[np.ndarray] = None
         self._packed_coords: Optional[np.ndarray] = None
+        self._p1_derivatives: Optional[P1Derivatives] = None
+        self._operators: Dict[str, object] = {}
         self._packings: Dict[Tuple, ElementPacking] = {}
         self._patterns: Dict[Tuple, _ScatterPattern] = {}
         self._tapes: Dict[Tuple, object] = {}
@@ -529,6 +512,27 @@ class AssemblyPlan:
                 self.scatter.scatter(np.repeat(vols / 4.0, 4))
             )
         return self._lumped_mass
+
+    def p1_derivatives(self) -> P1Derivatives:
+        """Cached :class:`P1Derivatives`, built on first use (only time
+        stepping needs them): the elemental CSR is written straight from
+        the connectivity (four entries per row, no sort), the nodal one is
+        a sparse product."""
+        if self._p1_derivatives is None:
+            geo, conn = self.geometry(), self.mesh.connectivity
+            indptr = np.arange(0, conn.size + 1, 4)
+
+            def rows(data: np.ndarray) -> sp.csr_matrix:
+                return sp.csr_matrix(
+                    (data, conn.ravel(), indptr), shape=(len(conn), self.mesh.nnode)
+                )
+
+            elemental = tuple(rows(geo.gradients[:, :, i].ravel()) for i in range(3))
+            lump_t = rows(np.repeat(geo.volumes / 4.0, 4)).T.tocsr()  # S^T diag(V/4)
+            self._p1_derivatives = P1Derivatives(
+                elemental, tuple(lump_t @ de for de in elemental)
+            )
+        return self._p1_derivatives
 
     def packed_coords(self) -> np.ndarray:
         """Cached ``(nelem, 4, 3)`` gathered element node coordinates."""
@@ -618,6 +622,19 @@ class AssemblyPlan:
 
     def store_codegen(self, key: Tuple, kern) -> None:
         self._codegen[key] = kern
+
+    # -- solver operators ---------------------------------------------------
+    def cached_operator(self, key: str):
+        """Cached solver operator for ``key``, or ``None``.
+
+        :class:`~repro.physics.pressure.PressureSolver` keeps the pressure
+        Laplacian and its default AMG hierarchy here, so every solver on
+        this mesh shares them and mesh reorientation drops them.
+        """
+        return self._operators.get(key)
+
+    def store_operator(self, key: str, operator) -> None:
+        self._operators[key] = operator
 
     # -- autotuned vector_dim -----------------------------------------------
     def tuned_vector_dim(

@@ -319,8 +319,8 @@ class FractionalStepSolver:
     def max_divergence(self, velocity: Optional[np.ndarray] = None) -> float:
         """Max |div u| over elements (projection-quality diagnostic)."""
         u = self.velocity if velocity is None else velocity
-        grads = self._plan.geometry().gradients
-        div = np.einsum("eai,eai->e", grads, u[self.mesh.connectivity])
+        elemental = self._plan.p1_derivatives().elemental
+        div = sum(de @ u[:, i] for i, de in enumerate(elemental))
         return float(np.abs(div).max()) if div.size else 0.0
 
     def kinetic_energy(self) -> float:

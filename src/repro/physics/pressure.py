@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..fem.mesh import TetMesh
-from ..fem.plan import GeometryCache, get_plan
-from ..obs.metrics import MetricsRegistry
+from ..fem.plan import get_plan
+from ..obs.metrics import MetricsRegistry, get_registry
 from ..solvers.amg import SmoothedAggregationAMG
 from ..solvers.cg import SolveResult, SolverError, conjugate_gradient
 from ..solvers.deflation import deflated_cg, partition_coarse_space
@@ -38,21 +38,13 @@ from ..solvers.deflation import deflated_cg, partition_coarse_space
 __all__ = ["assemble_laplacian", "divergence_rhs", "PressureSolver"]
 
 
-def assemble_laplacian(
-    mesh: TetMesh, geometry: Optional[GeometryCache] = None
-) -> sp.csr_matrix:
-    """P1 stiffness matrix ``K_ab = sum_e V_e grad N_a . grad N_b``."""
-    geo = get_plan(mesh).geometry() if geometry is None else geometry
-    grads, vols = geo.gradients, geo.volumes
-    # elemental 4x4 blocks, vectorized
-    ke = np.einsum("e,eai,ebi->eab", vols, grads, grads)
-    conn = mesh.connectivity
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    k = sp.coo_matrix(
-        (ke.ravel(), (rows, cols)), shape=(mesh.nnode, mesh.nnode)
-    )
-    return k.tocsr()
+def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
+    """P1 stiffness matrix ``K_ab = sum_e V_e grad N_a . grad N_b``, formed
+    as ``sum_i De_i^T diag(V) De_i`` from the plan's elemental derivatives."""
+    plan = get_plan(mesh)
+    vols = sp.diags(plan.geometry().volumes)
+    k = sum(de.T @ (vols @ de) for de in plan.p1_derivatives().elemental)
+    return k.tocsr()  # from CSC: column indices come out sorted
 
 
 def divergence_rhs(
@@ -65,13 +57,9 @@ def divergence_rhs(
     ``K p = -(rho/dt) int N div u`` gives ``laplacian p = (rho/dt) div u``,
     so the corrector ``u -= (dt/rho) grad p`` removes the divergence.
     """
-    plan = get_plan(mesh)
-    geo = plan.geometry()
-    grads, vols = geo.gradients, geo.volumes
-    uel = velocity[mesh.connectivity]  # (nelem, 4, 3)
-    div = np.einsum("eai,eai->e", grads, uel)  # constant per element
-    contrib = -(density / dt) * (vols * div) / 4.0  # N_a integrates to V/4
-    return plan.scatter.scatter(np.repeat(contrib, 4))
+    nodal = get_plan(mesh).p1_derivatives().nodal
+    div = sum(dn @ velocity[:, i] for i, dn in enumerate(nodal))
+    return -(density / dt) * div
 
 
 @dataclasses.dataclass
@@ -119,17 +107,25 @@ class PressureSolver:
     )
 
     def __post_init__(self) -> None:
-        self._plan = get_plan(self.mesh)
-        self.laplacian = assemble_laplacian(
-            self.mesh, geometry=self._plan.geometry()
-        )
+        # shared by every solver on this mesh, immutable once stored
+        self._plan = plan = get_plan(self.mesh)
+        self.laplacian = plan.cached_operator("laplacian")
+        if self.laplacian is None:
+            self.laplacian = assemble_laplacian(self.mesh)
+            plan.store_operator("laplacian", self.laplacian)
         self._amg: Optional[SmoothedAggregationAMG] = None
         if self.use_amg:
-            self._amg = SmoothedAggregationAMG(self.laplacian)
+            self._amg = plan.cached_operator("amg")
+            if self._amg is None:
+                self._amg = SmoothedAggregationAMG(self.laplacian)
+                plan.store_operator("amg", self._amg)
+                registry = get_registry() if self.metrics is None else self.metrics
+                registry.counter("pressure.hierarchy_builds").inc()
+            self._precond = self._amg.vcycle
         else:
             diag = self.laplacian.diagonal()
             inv = np.where(diag > 0, 1.0 / np.where(diag == 0, 1, diag), 1.0)
-            self._jacobi = lambda r: inv * r
+            self._precond = lambda r: inv * r
         # rescue rungs are built lazily -- a healthy campaign never pays
         # for them.
         self._deflation_basis: Optional[sp.csr_matrix] = None
@@ -139,12 +135,7 @@ class PressureSolver:
         return v - v.mean()
 
     def _preconditioner(self):
-        precond = (
-            self._amg.as_preconditioner()
-            if self._amg is not None
-            else self._jacobi
-        )
-        return lambda r: self._project_constant(precond(r))
+        return lambda r: self._project_constant(self._precond(r))
 
     # -- rescue rungs ----------------------------------------------------
     def _coarse_space(self) -> sp.csr_matrix:
@@ -301,12 +292,6 @@ class PressureSolver:
         Computes ``int N_a dp/dx_i dV`` per node divided by the lumped mass,
         giving a nodal gradient field.
         """
-        mesh = self.mesh
-        geo = self._plan.geometry()
-        grads, vols = geo.gradients, geo.volumes
-        pel = pressure[mesh.connectivity]  # (nelem, 4)
-        gp = np.einsum("eai,ea->ei", grads, pel)  # constant per element
-        contrib = (vols / 4.0)[:, None, None] * gp[:, None, :].repeat(4, axis=1)
-        acc = self._plan.scatter.scatter(contrib.reshape(-1, 3))
-        mass = self._plan.lumped_mass()
-        return acc / mass[:, None]
+        nodal = self._plan.p1_derivatives().nodal
+        acc = np.stack([dn @ pressure for dn in nodal], axis=1)
+        return acc / self._plan.lumped_mass()[:, None]

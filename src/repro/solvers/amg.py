@@ -34,6 +34,7 @@ class AmgLevel:
     a: sp.csr_matrix
     prolongator: Optional[sp.csr_matrix]  # None on the coarsest level
     diag_inv: np.ndarray
+    restriction: Optional[sp.csr_matrix] = None  # prolongator.T, as CSR
 
 
 def _strength_graph(a: sp.csr_matrix, theta: float) -> sp.csr_matrix:
@@ -86,7 +87,9 @@ class SmoothedAggregationAMG:
     a:
         System matrix (CSR convertible).
     theta:
-        Strength threshold for aggregation.
+        Strength threshold on the fine level; level ``k`` uses
+        ``theta * 0.5**k`` (Vanek/Mandel/Brezina: Galerkin coarse operators
+        couple more weakly, so a fixed threshold stalls coarsening).
     omega:
         Damping of the prolongator smoother and of the Jacobi smoother.
     max_levels, coarse_size:
@@ -111,36 +114,27 @@ class SmoothedAggregationAMG:
         self.levels: List[AmgLevel] = []
 
         current = sp.csr_matrix(a, dtype=np.float64)
-        for _ in range(max_levels):
+        for k in range(max_levels + 1):
+            n = current.shape[0]
             diag = current.diagonal()
             diag_inv = np.where(diag != 0.0, 1.0 / np.where(diag == 0, 1, diag), 0.0)
-            if current.shape[0] <= coarse_size:
-                self.levels.append(AmgLevel(current, None, diag_inv))
-                break
-            strength = _strength_graph(current, theta)
-            agg = _aggregate(strength)
-            nagg = int(agg.max()) + 1
-            if nagg >= current.shape[0]:  # aggregation stalled
+            agg = None
+            if k < max_levels and n > coarse_size:
+                agg = _aggregate(_strength_graph(current, theta * 0.5**k))
+            if agg is None or agg.max() + 1 >= n:  # coarsest, or aggregation stalled
                 self.levels.append(AmgLevel(current, None, diag_inv))
                 break
             tentative = sp.csr_matrix(
-                (
-                    np.ones(current.shape[0]),
-                    (np.arange(current.shape[0]), agg),
-                ),
-                shape=(current.shape[0], nagg),
+                (np.ones(n), (np.arange(n), agg)), shape=(n, int(agg.max()) + 1)
             )
             # Jacobi-smoothed prolongator: P = (I - w D^-1 A) T
             dinv_a = sp.diags(diag_inv) @ current
             prolongator = (
                 tentative - self.omega * (dinv_a @ tentative)
             ).tocsr()
-            self.levels.append(AmgLevel(current, prolongator, diag_inv))
-            current = (prolongator.T @ current @ prolongator).tocsr()
-        else:
-            diag = current.diagonal()
-            diag_inv = np.where(diag != 0.0, 1.0 / np.where(diag == 0, 1, diag), 0.0)
-            self.levels.append(AmgLevel(current, None, diag_inv))
+            restriction = prolongator.T.tocsr()
+            self.levels.append(AmgLevel(current, prolongator, diag_inv, restriction))
+            current = (restriction @ current @ prolongator).tocsr()
 
         # dense coarse pseudo-inverse handles the singular Neumann operator
         self._coarse_pinv = np.linalg.pinv(
@@ -167,13 +161,16 @@ class SmoothedAggregationAMG:
         level = self.levels[k]
         if level.prolongator is None:
             return self._coarse_pinv @ b
-        x = np.zeros_like(b)
-        x = self._smooth(level, x, b, self.presmooth)
-        residual = b - level.a @ x
-        coarse = self._cycle(k + 1, level.prolongator.T @ residual)
-        x = x + level.prolongator @ coarse
-        x = self._smooth(level, x, b, self.postsmooth)
-        return x
+        if self.presmooth:
+            # from a zero guess the first sweep's residual is ``b`` itself
+            x = self._smooth(
+                level, self.omega * level.diag_inv * b, b, self.presmooth - 1
+            )
+            coarse = self._cycle(k + 1, level.restriction @ (b - level.a @ x))
+            x += level.prolongator @ coarse
+        else:
+            x = level.prolongator @ self._cycle(k + 1, level.restriction @ b)
+        return self._smooth(level, x, b, self.postsmooth)
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle applied to the residual equation ``A e = b``."""

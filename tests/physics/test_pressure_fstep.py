@@ -97,6 +97,36 @@ def test_amg_vs_jacobi_iterations(mesh):
     assert amg_iters < jac_iters
 
 
+def test_solvers_share_one_hierarchy_and_solve_concurrently():
+    """Solvers on one mesh share the plan's Laplacian and hierarchy; the
+    shared objects hold no per-solve state, so concurrent solves (more
+    threads than cores, switching every 10 us) equal the serial ones."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    mesh = box_tet_mesh(6, 6, 6)
+    solvers = [PressureSolver(mesh) for _ in range(8)]
+    assert all(s._amg is solvers[0]._amg for s in solvers)
+    assert all(s.laplacian is solvers[0].laplacian for s in solvers)
+    rng = np.random.default_rng(4)
+    fields = 0.1 * rng.standard_normal((len(solvers), mesh.nnode, 3))
+
+    def solve(k):
+        return solvers[k].solve(fields[k], 1.0, 0.05).x
+
+    serial = [solve(k) for k in range(len(solvers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
+            futures = [pool.submit(solve, k) for k in range(len(solvers))]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, ref in zip(threaded, serial):
+        assert np.array_equal(got, ref)
+
+
 def test_pressure_gradient_of_linear_field(mesh):
     ps = PressureSolver(mesh, use_amg=False)
     p = 2.0 * mesh.coords[:, 0] - mesh.coords[:, 2]

@@ -182,6 +182,57 @@ def test_warm_mesh_different_physics_reuses_plan():
         handle.stop()
 
 
+def test_campaigns_share_one_pressure_hierarchy_per_warm_mesh():
+    """Two concurrent campaigns on one mesh both match the direct library
+    (the shared hierarchy is immutable, V-cycle temporaries belong to each
+    solve), and a campaign on the warm mesh builds no hierarchy."""
+    from repro.fem.meshgen import box_tet_mesh
+    from repro.physics.fractional_step import BatchCampaign
+    from repro.physics.momentum import AssemblyParams
+
+    mesh_spec = {"nx": 5, "ny": 5, "nz": 5}  # 216 nodes: a multi-level hierarchy
+    scenarios = [{"body_force": (0.0, 0.0, 0.01)}, {"body_force": (0.0, 0.0, 0.02)}]
+
+    # interpreted assembly: compiled tapes and generated kernels replay in
+    # buffers owned by the plan-cached kernel, so two jobs on one mesh race
+    # there whatever the pressure path does (ROADMAP item 4)
+    mode = "interpreted"
+
+    def request(seed):
+        return {"kind": "campaign", "mesh": mesh_spec, "steps": 2, "dt": 1e-3,
+                "scenarios": scenarios, "mode": mode, "velocity_seed": seed}
+
+    def direct_sha(seed):
+        mesh = box_tet_mesh(5, 5, 5)
+        campaign = BatchCampaign(
+            mesh, [AssemblyParams(**s) for s in scenarios], mode=mode
+        )
+        campaign.set_velocities(
+            0.1 * np.random.default_rng(seed).standard_normal((mesh.nnode, 3))
+        )
+        campaign.run(2, dt=1e-3)
+        final = np.ascontiguousarray(campaign.velocities())
+        return hashlib.sha256(final.tobytes()).hexdigest()
+
+    server, handle, client = _serve(ServerConfig(workers=2))
+    try:
+        cold = _count("pressure.hierarchy_builds")
+        jobs = [client.submit(request(seed))["job_id"] for seed in (21, 22)]
+        for job_id, seed in zip(jobs, (21, 22)):
+            done = client.wait(job_id, timeout=120)
+            assert done["state"] == "done"
+            assert done["result"]["sha256"] == direct_sha(seed)
+        builds = _count("pressure.hierarchy_builds")
+        # the racing first builds may both run (wasted, not wrong work);
+        # direct_sha built two more on its own cold meshes
+        assert cold + 3 <= builds <= cold + 4
+        third = client.run(request(23), timeout=120)
+        assert _count("pressure.hierarchy_builds") == builds
+        assert third["result"]["sha256"] == direct_sha(23)
+    finally:
+        handle.stop()
+
+
 def test_identical_inflight_submissions_coalesce():
     server, handle, client = _serve()
     try:

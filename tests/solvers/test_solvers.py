@@ -192,6 +192,75 @@ def test_amg_small_matrix_direct():
     assert np.allclose(a @ x, np.ones(8), atol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def poisson12():
+    """A mesh big enough for three levels; the 5^3 ``poisson`` has two."""
+    return assemble_laplacian(box_tet_mesh(12, 12, 12))
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_amg_hierarchy_on_real_mesh(poisson12, n):
+    """At 24^3 an undecayed threshold stalls level 1 and level 2 fills in to
+    2.5x the fine operator; 12^3 is too small to show it."""
+    a = poisson12 if n == 12 else assemble_laplacian(box_tet_mesh(n, n, n))
+    amg = SmoothedAggregationAMG(a)
+    nnz = [l.a.nnz for l in amg.levels]
+    assert amg.num_levels >= 3
+    assert nnz == sorted(nnz, reverse=True)  # no level fills in past its parent
+    assert amg.operator_complexity() <= 2.0
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal(a.shape[0])
+    b -= b.mean()
+
+    def precond(r):  # V-cycle, then project out the Neumann nullspace
+        z = amg.vcycle(r)
+        return z - z.mean()
+
+    res = conjugate_gradient(a, b, tol=1e-8, maxiter=100, preconditioner=precond)
+    assert res.converged and res.iterations <= 25
+
+
+def test_amg_vcycle_is_symmetric(poisson12):
+    """CG needs a symmetric preconditioner: ``x . M^-1 y == y . M^-1 x``."""
+    amg = SmoothedAggregationAMG(poisson12)
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((2, poisson12.shape[0]))
+    x -= x.mean()
+    y -= y.mean()
+    xy, yx = x @ amg.vcycle(y), y @ amg.vcycle(x)
+    assert abs(xy - yx) <= 1e-10 * max(abs(xy), abs(yx))
+
+
+def _textbook_cycle(amg, k, b):
+    """The V-cycle as written in the books: zero guess, explicit residuals,
+    restriction by ``P.T``."""
+    level = amg.levels[k]
+    if level.prolongator is None:
+        return amg._coarse_pinv @ b
+    x = np.zeros_like(b)
+    for _ in range(amg.presmooth):
+        x = x + amg.omega * level.diag_inv * (b - level.a @ x)
+    coarse = _textbook_cycle(amg, k + 1, level.prolongator.T @ (b - level.a @ x))
+    x = x + level.prolongator @ coarse
+    for _ in range(amg.postsmooth):
+        x = x + amg.omega * level.diag_inv * (b - level.a @ x)
+    return x
+
+
+@pytest.mark.parametrize("sweeps", [(1, 1), (3, 3), (0, 2)])
+def test_amg_vcycle_equals_textbook_cycle(poisson12, sweeps):
+    amg = SmoothedAggregationAMG(
+        poisson12, presmooth=sweeps[0], postsmooth=sweeps[1]
+    )
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal(poisson12.shape[0])
+    b -= b.mean()
+    ref = _textbook_cycle(amg, 0, b)
+    assert np.allclose(
+        amg.vcycle(b), ref, rtol=0.0, atol=1e-13 * np.abs(ref).max()
+    )
+
+
 # -- deflation --------------------------------------------------------------------
 
 
