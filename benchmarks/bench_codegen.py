@@ -16,9 +16,11 @@ for all five variants -- codegen must not be slower than replay beyond
 noise -- and that both back ends report the same live-op count.  (Before
 the front end was shared, replay ran 5,618 ops against codegen's 1,945
 on B/P and this bench asserted a 1.5x codegen win there; that gap was
-duplicate work, not dispatch.)  B and P do not reach the floor on this
-cache-resident mesh; their shortfall is reported as an expected
-failure, see ``BEHIND_REPLAY``.
+duplicate work, not dispatch.)  Until lane buffers were cache-line
+aligned and every chunk sized to the L2 (``repro.core.arena``), B and P
+read below the floor in most runs and were carried as an expected
+failure; they now read 0.95 .. 1.00x in eight of eight readings and are
+held to the same floor as the rest.
 
 A second microbench quantifies pure dispatch overhead: statements/sec of
 the RS generated kernel at ``vector_dim`` 32 vs 1024 (small groups pay
@@ -51,13 +53,6 @@ VECTOR_DIM = 1024
 REPEATS = 7
 #: codegen must not fall behind replay of the same program beyond noise
 PARITY_FLOOR = 0.85
-#: Finding, not noise: with replay value-numbered too, the generated B/P
-#: kernels read below the floor in 10 of 12 readings over six runs of
-#: this bench (0.68 .. 0.83x; 1,945 ops in 4,096-lane chunks against one
-#: full-width replay).  The floor stays where it is and only the timing
-#: assertion is reported as an expected failure; closing the gap is
-#: ROADMAP item 3.
-BEHIND_REPLAY = ("B", "P")
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -187,11 +182,6 @@ def test_codegen_vs_replay(
             f"{row['buffers_live']} vs {row['replay_buffers_live']} buffers)"
         )
     assert row["ops_live"] == row["replay_ops_live"]
-    if variant in BEHIND_REPLAY and row["speedup"] <= PARITY_FLOOR:
-        pytest.xfail(
-            f"codegen {row['speedup']:.2f}x of replay on {variant}, floor "
-            f"{PARITY_FLOOR} (known gap, see BEHIND_REPLAY)"
-        )
     assert row["speedup"] > PARITY_FLOOR
 
 

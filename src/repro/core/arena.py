@@ -1,0 +1,371 @@
+"""Who owns lane memory: one aligned allocator, one cache budget, one
+mesh binding.
+
+The paper's method is "find where the temporaries live, then move them to
+the fastest memory that holds them".  On the numpy substrate the
+temporaries are the lane rows every executor computes in, and two things
+decide how fast a ufunc streams through them:
+
+* **Placement.**  numpy only guarantees 16-byte alignment (a fresh
+  mmap-backed buffer sits at 16 mod 64), so on an AVX-512 core every
+  64-byte vector access of every row splits a cache line.
+  :func:`aligned_empty` is the one allocator of the kernel layer: every
+  buffer a kernel computes in or binds starts on a cache line.  Lane
+  counts are multiples of ``vector_dim``, so with ``vector_dim % 8 == 0``
+  (64 B of float64) every row, every chunk slice ``[:, lo:lo + n]`` and
+  the partial last chunk are aligned too -- :func:`check_aligned` asserts
+  that where the chunks are bound.
+* **Size.**  :data:`ARENA_BUDGET_BYTES` is the one arena budget: a chunk's
+  rows must fit the per-core L2, and :func:`budget_chunk_groups` is the
+  one rule that turns a program's bytes per lane into ``chunk_groups``.
+
+:class:`MeshBound` is the part the four mesh-wide executors
+(:class:`~repro.core.tape.CompiledTape`, :class:`~repro.core.tape.BatchedTape`,
+:class:`~repro.core.codegen.GeneratedKernel`,
+:class:`~repro.core.codegen.BatchedGeneratedKernel`) share: the gather
+indices, coordinate / velocity columns, deferred scatter values and the
+plan's scatter pattern of one ``(plan, packing)`` pair, plus the lock that
+makes a plan-cached kernel safe to call from two jobs.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+import time
+from typing import Optional, Tuple
+
+import numpy as np
+
+from ..obs.metrics import get_registry
+from ..obs.profiler import NULL_PROFILER
+
+__all__ = [
+    "ALIGNMENT",
+    "ARENA_BUDGET_BYTES",
+    "MeshBound",
+    "aligned_empty",
+    "budget_chunk_groups",
+    "check_aligned",
+]
+
+#: cache-line size: the alignment of every lane buffer
+ALIGNMENT = 64
+
+#: arena budget of one chunk: this container's per-core L2 (measured
+#: optimum for every variant and both back ends, EXPERIMENTS.md "Arena
+#: placement")
+ARENA_BUDGET_BYTES = 2 << 20
+
+
+def aligned_empty(shape, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)`` whose first byte sits on a cache line.
+
+    Over-allocates a byte buffer by one line and returns an array over
+    its aligned window (zero-size shapes included, which a slice would
+    not move off the base pointer); the array keeps the buffer alive.
+    """
+    dtype = np.dtype(dtype)
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    raw = np.empty(
+        math.prod(shape) * dtype.itemsize + ALIGNMENT, dtype=np.uint8
+    )
+    return np.ndarray(
+        shape, dtype, buffer=raw, offset=-raw.ctypes.data % ALIGNMENT
+    )
+
+
+def check_aligned(arrays, vector_dim: int) -> None:
+    """Assert every array of a bound chunk starts on a cache line.
+
+    Only promised for ``vector_dim % 8 == 0`` (lane offsets are multiples
+    of ``vector_dim`` float64 values); narrower groups run unaligned, as
+    everything did before this module.
+    """
+    if vector_dim % 8:
+        return
+    for a in arrays:
+        if a.ctypes.data % ALIGNMENT:
+            raise AssertionError(
+                f"lane buffer {a.shape} {a.dtype} is not "
+                f"{ALIGNMENT}-byte aligned"
+            )
+
+
+def budget_chunk_groups(lane_bytes: int, vector_dim: int, ngroups: int) -> int:
+    """Largest chunk (in element groups) whose arena of ``lane_bytes``
+    per lane fits :data:`ARENA_BUDGET_BYTES`; at least one group, at most
+    the mesh."""
+    cg = ARENA_BUDGET_BYTES // max(1, int(lane_bytes) * int(vector_dim))
+    return max(1, min(cg, int(ngroups)))
+
+
+class MeshBound:
+    """A kernel bound to one ``(plan, packing)`` pair.
+
+    Owns the mesh side of the binding -- gather indices ``_idx``
+    (``(nnode_per_element, nlane)``), coordinate columns ``_ccols``,
+    velocity columns ``_vcols`` (refreshed, never reallocated, per call),
+    the deferred scatter values and the scatter index pattern shared
+    through ``plan`` under the ``(variant, vector_dim, permutation)`` key,
+    so an interpreted, a compiled and a generated sweep of one
+    configuration build the pattern once between them.  ``scenarios=None``
+    is the serial layout (values ``(ngroups, ncalls, vector_dim)``, whose
+    C-order flattening reproduces the accumulator's group-major temporal
+    order); a batch adds a leading ``S`` axis and the tiled flush indices.
+
+    A bound kernel replays in buffers it owns, and the plan hands the same
+    kernel to every caller on the mesh: ``lock`` is held for the span of
+    a sweep (input refresh to flush), so concurrent jobs serialize on the
+    kernel instead of corrupting each other.
+
+    Subclasses supply the back end of :meth:`_sweep`: ``_span`` (span
+    name; its prefix names the counters), ``_profile_for`` (the
+    :class:`~repro.obs.profiler.TapeProfiler` factory method),
+    ``_lane_bytes`` (arena bytes per lane of one slab) and
+    ``_tasks(cg, nslabs, profile)`` -- zero-argument callables covering
+    the mesh: one per chunk, or one per slab of sequential chunks.
+    """
+
+    _span = ""
+    _profile_for = ""
+    _lane_bytes = 0
+    #: whether the default chunk size consults the plan's autotuned winner
+    _uses_tuned_chunk = True
+    #: scenarios per sweep; serial kernels are the ``S = 1`` case without
+    #: the leading axis
+    S = 1
+
+    def __init__(
+        self,
+        program,
+        plan,
+        packing,
+        perm_key,
+        tracer,
+        what: str,
+        scenarios: Optional[int] = None,
+        velocity_rank: str = "vec",
+    ) -> None:
+        from ..fem.plan import batch_flush_indices, seed_flush_order
+
+        self.program = program
+        self.plan = plan
+        self.packing = packing
+        self.tracer = tracer
+        self.profiler = NULL_PROFILER
+        self.lock = threading.Lock()
+        mesh = plan.mesh
+        self.nnode = int(mesh.nnode)
+        self.ncomp = 3
+        groups = packing.groups()
+        self.ngroups = len(groups)
+        self.vector_dim = int(packing.vector_dim)
+        self.nlane = self.ngroups * self.vector_dim
+        nnpe = program.nnode_per_element
+        ncalls = self._ncalls = len(program.scatter_calls)
+
+        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
+        self._idx = aligned_empty((nnpe, self.nlane), dtype=np.int64)
+        self._idx[...] = conn3.reshape(self.nlane, nnpe).T
+        self._ccols = aligned_empty((3, self.nnode))
+        self._ccols[...] = mesh.coords.T
+        self._velocity_shape: Tuple[int, ...] = (self.nnode, 3)
+        if scenarios is not None and velocity_rank == "full":
+            self._velocity_shape = (int(scenarios), self.nnode, 3)
+        self._vcols = aligned_empty((3,) + self._velocity_shape[:-1])
+
+        signature = tuple(
+            (g, slot, comp)
+            for g in range(self.ngroups)
+            for (slot, comp) in program.scatter_calls
+        )
+        key = (program.variant, self.vector_dim, perm_key)
+        pattern = plan.scatter_pattern(key)
+        registry = get_registry()
+        if pattern is None:
+            trash = self.nnode * self.ncomp
+            active3 = np.stack([g.active for g in groups])  # (G, vd)
+            indices = np.empty(
+                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
+            )
+            for c, (slot, comp) in enumerate(program.scatter_calls):
+                icol = conn3[:, :, slot] * self.ncomp + comp
+                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
+            order = None
+            seed_ids = mesh.seed_element_ids
+            if seed_ids is not None:
+                lane_seed = np.concatenate(
+                    [seed_ids[g.element_ids] for g in groups]
+                )
+                order = seed_flush_order(
+                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
+                )
+            pattern = plan.store_scatter_pattern(
+                key, indices.reshape(-1), signature, order=order
+            )
+            registry.counter("scatter.pattern_builds").inc()
+        else:
+            if pattern.signature != signature:
+                raise RuntimeError(
+                    "scatter pattern mismatch: cached plan pattern does not "
+                    f"match the {what}'s call order"
+                )
+            registry.counter("scatter.pattern_reuses").inc()
+        self._pattern = pattern
+
+        shape = (self.ngroups, ncalls, self.vector_dim)
+        self._rhs_shape: Tuple[int, ...] = (self.nnode, self.ncomp)
+        if scenarios is None:
+            self._values = aligned_empty(shape)
+            self._values_flat = self._values.reshape(-1)
+        else:
+            self.S = int(scenarios)
+            self._rhs_shape = (self.S,) + self._rhs_shape
+            self._values = aligned_empty((self.S,) + shape)
+            self._values_flat = self._values.reshape(self.S, -1)
+            self._batch_indices = batch_flush_indices(
+                pattern, self.S, self.nnode, self.ncomp
+            )
+
+    @property
+    def report(self):
+        return self.program.report
+
+    def _resolve_cg(self, chunk_groups: Optional[int], nthreads: int) -> int:
+        """Explicit argument > the plan's autotuned winner (replay only) >
+        the arena budget."""
+        cg = chunk_groups
+        if cg is None and self._uses_tuned_chunk:
+            cg = self.plan.tuned_chunk_groups(self.program.variant)
+        if cg is None:
+            cg = self._default_cg(nthreads)
+        return max(1, min(int(cg), self.ngroups))
+
+    def _default_cg(self, nthreads: int) -> int:
+        return budget_chunk_groups(
+            self._lane_bytes, self.vector_dim, self.ngroups
+        )
+
+    def _profile(self, executor: str):
+        if not self.profiler.enabled:
+            return None
+        return getattr(self.profiler, self._profile_for)(
+            self.program, self.vector_dim, executor
+        )
+
+    def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
+        registry = get_registry()
+        prefix = self._span.partition(".")[0]
+        batch = "batch_" if self._values.ndim == 4 else ""
+        registry.counter(f"{prefix}.{batch}executions").inc()
+        if batch:
+            registry.counter(f"{prefix}.batch_scenarios").inc(self.S)
+        registry.counter(f"{prefix}.lanes_executed").inc(self.nlane)
+        if executor == "threads":
+            registry.counter("locality.chunks_executed").inc(nchunks)
+        if threaded:
+            registry.counter("locality.threaded_executions").inc()
+
+    def _chunks(self, cg: int) -> list:
+        """``[g0, g1)`` group ranges of a ``cg``-group chunking."""
+        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def _sweep(
+        self,
+        executor: str,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray],
+        chunk_groups: Optional[int],
+        num_threads: Optional[int] = None,
+        param_rows=None,
+    ) -> np.ndarray:
+        """One assembly sweep, accumulating into ``rhs`` in place.
+
+        Chunks compute into private slabs and write disjoint slices of
+        the deferred values buffer; the ``bincount`` flush runs serially
+        afterwards, so chunk size, thread count and scheduling order
+        cannot change a bit of the result.
+        """
+        from ..parallel import threads
+
+        velocity = self._check_velocity(velocity)
+        if rhs is None:
+            rhs = np.zeros(self._rhs_shape)
+        nthreads = 1
+        if executor == "threads":
+            nthreads = threads.resolve_num_threads(num_threads)
+        cg = self._resolve_cg(chunk_groups, nthreads)
+        nchunks = -(-self.ngroups // cg)
+        nslabs = min(nthreads, nchunks)
+        arena_bytes = self._lane_bytes * cg * self.vector_dim
+        with self.lock, self.tracer.span(
+            self._span + ("_chunked" if executor == "threads" else ""),
+            variant=self.program.variant,
+            scenarios=self.S,
+            vector_dim=self.vector_dim,
+            nlane=self.nlane,
+            chunks=nchunks,
+            threads=nthreads,
+            chunk_groups=cg,
+            arena_bytes=arena_bytes,
+        ):
+            self._refresh_inputs(velocity, param_rows)
+            profile = self._profile(executor)
+            tasks = self._tasks(cg, nslabs, profile)
+            if nslabs == 1:
+                for task in tasks:
+                    task()
+            else:
+                pool = threads.get_thread_pool(nthreads)
+                for future in [pool.submit(task) for task in tasks]:
+                    future.result()
+            self._flush(rhs, profile)
+            if profile is not None:
+                profile.finish_execution()
+        get_registry().gauge(f"arena.bytes.{self.program.variant}").set(
+            arena_bytes
+        )
+        self._count(nchunks, executor, nslabs > 1)
+        return rhs
+
+    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
+        velocity = np.asarray(velocity, dtype=np.float64)
+        if velocity.shape != self._velocity_shape:
+            raise ValueError(
+                f"velocity must be {self._velocity_shape}, "
+                f"got {velocity.shape}"
+            )
+        return velocity
+
+    def _refresh_inputs(self, velocity: np.ndarray, param_rows) -> None:
+        """Refresh the velocity columns: component-major, node-minor."""
+        np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
+
+    def _flush(self, rhs: np.ndarray, profile=None) -> None:
+        """Reduce the deferred scatter values into ``rhs`` -- the single
+        (per scenario: offset) ``bincount`` of :mod:`repro.fem.plan`."""
+        from ..fem.plan import flush_batch, flush_pattern
+
+        batched = self._values.ndim == 4
+        with self.tracer.span(
+            "scatter.flush_batch" if batched else "scatter.flush",
+            variant=self.program.variant,
+            scenarios=self.S,
+        ):
+            t0 = time.perf_counter()
+            if batched:
+                flush_batch(
+                    self._pattern, self._batch_indices, self._values_flat,
+                    rhs, self.nnode, self.ncomp,
+                )
+            else:
+                flush_pattern(
+                    self._pattern, self._values_flat, rhs, self.nnode,
+                    self.ncomp,
+                )
+            if profile is not None:
+                # values read + int64 index read + rhs accumulate traffic
+                moved = 2.0 * self._values_flat.nbytes + rhs.nbytes
+                profile.record_flush(time.perf_counter() - t0, moved)

@@ -64,6 +64,7 @@ import dataclasses
 import math
 import os
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -71,15 +72,16 @@ import numpy as np
 from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
 from ..obs.spans import NULL_TRACER, get_tracer
+from .arena import MeshBound, aligned_empty, check_aligned
 from .passes import UFUNC_NAMES as _UFUNC_NAMES
 from .passes import Front, assign_rows, front_end
 from .passes import is_scalar as _is_scalar
 from .passes import reads as _reads
 from .tape import (
+    BatchBound,
     TapeReport,
     _batch_counts,
     _check_velocity_only,
-    _eval_param_stage,
     _make_report,
     _record,
     batch_tape_cache_key,
@@ -87,7 +89,6 @@ from .tape import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_LANES",
     "MAX_FUSE_DEPTH",
     "BatchedCodegenProgram",
     "CodegenProgram",
@@ -101,10 +102,6 @@ __all__ = [
     "batched_generated_kernel",
     "generated_kernel",
 ]
-
-#: default lane count per generated-kernel chunk (ufunc bandwidth sweet
-#: spot on cache-resident slabs; chunk_groups = DEFAULT_CHUNK_LANES / vd)
-DEFAULT_CHUNK_LANES = 4096
 
 #: maximum fused-subtree depth inlined into one expression
 MAX_FUSE_DEPTH = 10
@@ -610,9 +607,7 @@ def generate_program(
                 variant.name, front, nrows, fused_ops=low.nfused
             ),
         )
-    registry = get_registry()
-    registry.counter("codegen.generates").inc()
-    registry.gauge(f"codegen.slab_rows.{variant.name}").set(nrows)
+    get_registry().counter("codegen.generates").inc()
     _maybe_dump(f"{variant.name}_vd{vd}.py", source)
     return program
 
@@ -730,16 +725,81 @@ def _load(source: str, filename: str) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-class GeneratedKernel:
+class _GeneratedBound:
+    """What the serial and batched generated kernels share on top of
+    their :class:`~repro.core.arena.MeshBound` base: the exec-compiled
+    module, the pinned invariants filled once by ``setup`` and the
+    per-``(chunk_groups, nslabs)`` cache of prebound chunk closures."""
+
+    #: generated kernels size their chunks from the arena budget alone
+    _uses_tuned_chunk = False
+
+    def _bind_module(self, filename: str) -> None:
+        program = self.program
+        if self.vector_dim != program.vector_dim:
+            raise ValueError(
+                f"program generated for vector_dim={program.vector_dim}, "
+                f"packing has {self.vector_dim}"
+            )
+        ns = _load(program.source, filename)
+        self._factory = ns["factory"]
+        self._factory_timed = ns["factory_timed"]
+        # run the hoisted setup once: coordinate gathers and
+        # loop-invariant arithmetic at full lane width (rank-1 for any
+        # S); the transient rows are freed immediately after.
+        self._pinned = aligned_empty((max(program.npinned, 1), self.nlane))
+        ns["setup"](
+            self._ccols, self._idx, self._pinned,
+            aligned_empty((max(program.nsetup_tmp, 1), self.nlane)),
+        )
+        #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
+        self._chunk_cache: Dict[Tuple[int, int], list] = {}
+
+    def _chunk_views(self, g0: int, g1: int) -> Tuple[list, list, int]:
+        """One chunk's gather-index and pinned slices and lane count."""
+        vd = self.vector_dim
+        lo, n = g0 * vd, (g1 - g0) * vd
+        GI = [self._idx[slot, lo:lo + n] for slot in self.program.gf_slots]
+        P = [self._pinned[k, lo:lo + n] for k in range(self.program.npinned)]
+        return GI, P, n
+
+    def _tasks(self, cg: int, nslabs: int, profile) -> list:
+        """One task per slab: chunk ``i`` runs on slab ``i % nslabs`` and
+        a slab's chunks run sequentially, so concurrent slabs never share
+        scratch rows.  Profiled closures are bound per sweep."""
+        if profile is not None:
+            per_slab = self._build_closures(cg, nslabs, profile)
+        else:
+            per_slab = self._chunk_cache.get((cg, nslabs))
+            if per_slab is None:
+                per_slab = self._build_closures(cg, nslabs)
+                self._chunk_cache[(cg, nslabs)] = per_slab
+        return [partial(_run_slab, kerns) for kerns in per_slab]
+
+    def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
+        super()._count(nchunks, executor, threaded)
+        get_registry().counter("codegen.chunks_executed").inc(nchunks)
+
+
+def _run_slab(kerns: list) -> None:
+    for kern in kerns:
+        kern()
+
+
+class GeneratedKernel(_GeneratedBound, MeshBound):
     """Executable generated module bound to one ``(plan, packing)`` pair.
 
-    Mirrors :class:`~repro.core.tape.CompiledTape`'s binding (same gather
-    index layout, same shared plan scatter pattern under the same key,
-    same group-major deferred values flush) but owns its values/velocity
-    buffers, so a coexisting compiled tape of the same configuration is
-    never mutated.  ``setup`` runs once here at full lane width; a sweep
-    then runs one prebound closure per chunk plus the serial flush.
+    Mirrors :class:`~repro.core.tape.CompiledTape`'s binding (the same
+    :class:`~repro.core.arena.MeshBound`: gather index layout, shared plan
+    scatter pattern, group-major deferred values flush) but owns its
+    values/velocity buffers, so a coexisting compiled tape of the same
+    configuration is never mutated.  ``setup`` runs once here at full lane
+    width; a sweep then runs one prebound closure per chunk plus the
+    serial flush.
     """
+
+    _span = "codegen.execute"
+    _profile_for = "for_codegen"
 
     def __init__(
         self,
@@ -749,179 +809,30 @@ class GeneratedKernel:
         perm_key=None,
         tracer=NULL_TRACER,
     ) -> None:
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        if self.vector_dim != program.vector_dim:
-            raise ValueError(
-                f"program generated for vector_dim={program.vector_dim}, "
-                f"packing has {self.vector_dim}"
-            )
-        nlane = self.ngroups * self.vector_dim
-        self.nlane = nlane
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
-        conn_all = conn3.reshape(nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        self._vcols = np.empty((3, self.nnode))
-
-        # -- shared scatter index pattern (same key/shape as the tape) ---
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        trash = self.nnode * self.ncomp
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
+        super().__init__(
+            program, plan, packing, perm_key, tracer, "generated kernel"
         )
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
+        self._bind_module(f"<codegen:{program.variant}:vd{self.vector_dim}>")
+        self._lane_bytes = 8 * max(program.nslab, 1)
 
-            active3 = np.stack([g.active for g in groups])  # (G, vd)
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does "
-                    "not match the generated kernel's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- own deferred values buffer + pinned invariants --------------
-        self._values = np.empty((self.ngroups, ncalls, self.vector_dim))
-        self._values_flat = self._values.reshape(-1)
-        self._pinned = np.empty((max(program.npinned, 1), nlane))
-
-        ns = _load(
-            program.source,
-            f"<codegen:{program.variant}:vd{self.vector_dim}>",
-        )
-        self._factory = ns["factory"]
-        self._factory_timed = ns["factory_timed"]
-
-        # run the hoisted setup once: coordinate gathers and
-        # loop-invariant arithmetic at full lane width; the transient
-        # rows are freed immediately after.
-        ns["setup"](
-            self._ccols, self._idx, self._pinned,
-            np.empty((max(program.nsetup_tmp, 1), nlane)),
-        )
-
-        #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
-        self._chunk_cache: Dict[Tuple[int, int], list] = {}
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
-
-    # -- chunk closures ---------------------------------------------------
-    def _resolve_cg(self, chunk_groups: Optional[int]) -> int:
-        if chunk_groups is None:
-            chunk_groups = max(1, DEFAULT_CHUNK_LANES // self.vector_dim)
-        return max(1, min(int(chunk_groups), self.ngroups))
-
-    def _build_closures(
-        self, cg: int, nslabs: int, profile=None
-    ) -> List[list]:
-        """Bind one closure per chunk; chunk ``i`` runs on slab
-        ``i % nslabs``, and each slab's chunks run sequentially in one
-        pool task, so concurrent slabs never share scratch rows."""
-        vd = self.vector_dim
+    def _build_closures(self, cg: int, nslabs: int, profile=None) -> List[list]:
         program = self.program
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        nslabs = max(1, min(nslabs, len(chunks)))
-        slabs = np.empty((nslabs, max(program.nslab, 1), cg * vd))
+        slabs = aligned_empty(
+            (nslabs, max(program.nslab, 1), cg * self.vector_dim)
+        )
         per_slab: List[list] = [[] for _ in range(nslabs)]
         factory = self._factory if profile is None else self._factory_timed
-        for i, (g0, g1) in enumerate(chunks):
+        for i, (g0, g1) in enumerate(self._chunks(cg)):
             s = i % nslabs
-            lo = g0 * vd
-            n = (g1 - g0) * vd
-            GI = [self._idx[slot][lo:lo + n] for slot in program.gf_slots]
-            P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
+            GI, P, n = self._chunk_views(g0, g1)
             SV = [self._values[g0:g1, c, :] for c in range(self._ncalls)]
             B = [slabs[s, r, :n] for r in range(program.nslab)]
-            if profile is None:
-                kern = factory(self._vcols, GI, P, SV, B)
-            else:
-                kern = factory(
-                    self._vcols, GI, P, SV, B,
-                    time.perf_counter, profile.record, n,
-                )
-            per_slab[s].append(kern)
-        return per_slab
-
-    def _closures(self, cg: int, nslabs: int) -> List[list]:
-        key = (cg, nslabs)
-        per_slab = self._chunk_cache.get(key)
-        if per_slab is None:
-            per_slab = self._build_closures(cg, nslabs)
-            self._chunk_cache[key] = per_slab
-        return per_slab
-
-    # -- execution --------------------------------------------------------
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape != (self.nnode, 3):
-            raise ValueError(
-                f"velocity must be ({self.nnode}, 3), got {velocity.shape}"
+            check_aligned([*GI, *P, *SV, *B], self.vector_dim)
+            timing = () if profile is None else (
+                time.perf_counter, profile.record, n,
             )
-        return velocity
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_pattern
-
-        with self.tracer.span("scatter.flush", variant=self.program.variant):
-            t0 = time.perf_counter()
-            flush_pattern(
-                self._pattern, self._values_flat, rhs, self.nnode, self.ncomp
-            )
-            if profile is not None:
-                moved = 2.0 * self._values_flat.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    @staticmethod
-    def _run_slab(kerns: list) -> None:
-        for kern in kerns:
-            kern()
+            per_slab[s].append(factory(self._vcols, GI, P, SV, B, *timing))
+        return per_slab
 
     def execute(
         self,
@@ -930,37 +841,7 @@ class GeneratedKernel:
         chunk_groups: Optional[int] = None,
     ) -> np.ndarray:
         """Assemble the momentum RHS, accumulating into ``rhs`` in place."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        cg = self._resolve_cg(chunk_groups)
-        with self.tracer.span(
-            "codegen.execute",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunk_groups=cg,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            if self.profiler.enabled:
-                profile = self.profiler.for_codegen(
-                    self.program, self.vector_dim, "serial"
-                )
-                per_slab = self._build_closures(cg, 1, profile=profile)
-                self._run_slab(per_slab[0])
-                self._flush(rhs, profile)
-                profile.finish_execution()
-                nchunks = len(per_slab[0])
-            else:
-                per_slab = self._closures(cg, 1)
-                self._run_slab(per_slab[0])
-                self._flush(rhs)
-                nchunks = len(per_slab[0])
-        registry = get_registry()
-        registry.counter("codegen.executions").inc()
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(nchunks)
-        return rhs
+        return self._sweep("serial", velocity, rhs, chunk_groups)
 
     def execute_chunked(
         self,
@@ -970,58 +851,13 @@ class GeneratedKernel:
         chunk_groups: Optional[int] = None,
     ) -> np.ndarray:
         """Assemble on a thread pool: one task per slab, chunks of one
-        slab running sequentially.  Scatter values land in disjoint
-        chunk slices and the flush runs serially afterwards, so the
-        result is bitwise identical to :meth:`execute` for any thread
-        count or schedule (numpy ufuncs drop the GIL, so slabs overlap).
+        slab running sequentially.  Bitwise identical to :meth:`execute`
+        for any thread count or schedule (numpy ufuncs drop the GIL, so
+        slabs overlap).
         """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = self._resolve_cg(chunk_groups)
-        nchunks = (self.ngroups + cg - 1) // cg
-        threaded = nthreads > 1 and nchunks > 1
-        nslabs = min(nthreads, nchunks) if threaded else 1
-        with self.tracer.span(
-            "codegen.execute_chunked",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunks=nchunks,
-            threads=nthreads,
-            chunk_groups=cg,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            profile = None
-            if self.profiler.enabled:
-                profile = self.profiler.for_codegen(
-                    self.program, self.vector_dim, "threads"
-                )
-                per_slab = self._build_closures(cg, nslabs, profile=profile)
-            else:
-                per_slab = self._closures(cg, nslabs)
-            if len(per_slab) == 1:
-                self._run_slab(per_slab[0])
-            else:
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_slab, kerns)
-                    for kerns in per_slab
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("codegen.executions").inc()
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(nchunks)
-        if len(per_slab) > 1:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
+        return self._sweep(
+            "threads", velocity, rhs, chunk_groups, num_threads
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1051,8 +887,8 @@ class ElementalGeneratedKernel:
         self._fn_timed = ns["elemental_timed"]
 
     def _bind(self, n: int) -> None:
-        slab = np.empty((max(self.program.nslab, 1), n))
-        self._rows = [slab[r] for r in range(self.program.nslab)]
+        # one allocation per row, like ElementalTape: any n stays aligned
+        self._rows = [aligned_empty(n) for _ in range(self.program.nslab)]
         self._n = n
 
     def __call__(self, xel: np.ndarray, uel: np.ndarray) -> np.ndarray:
@@ -1386,27 +1222,25 @@ def generate_batched_program(
                 fused_ops=low.nfused, **_batch_counts(front, S),
             ),
         )
-    registry = get_registry()
-    registry.counter("codegen.generates").inc()
-    registry.gauge(f"codegen.batch_full_rows.{variant.name}").set(nslab_full)
+    get_registry().counter("codegen.generates").inc()
     _maybe_dump(f"{variant.name}_vd{vd}_S{S}.py", source)
     return program
 
 
-class BatchedGeneratedKernel:
+class BatchedGeneratedKernel(_GeneratedBound, BatchBound):
     """Executable batched generated module bound to one plan/packing pair.
 
     Mirrors :class:`~repro.core.tape.BatchedTape`'s binding -- same gather
     index layout, same *serial* scatter pattern key (the batched flush
     tiles it per scenario via
     :func:`~repro.fem.plan.batch_flush_indices`), same ``(S, 1)``
-    parameter rows refreshed from :attr:`param_rows` every execute -- and
-    :class:`GeneratedKernel`'s chunked closure execution: one prebound
-    zero-argument kernel per chunk, slab-striped across threads.
+    parameter rows refreshed every sweep -- and :class:`GeneratedKernel`'s
+    chunked closure execution: one prebound zero-argument kernel per
+    chunk, slab-striped across threads.
     """
 
-    #: target bytes per arena slab for the default chunk size
-    TARGET_SLAB_BYTES = 8 << 20
+    _span = "codegen.execute_batch"
+    _profile_for = "for_batch_codegen"
 
     def __init__(
         self,
@@ -1416,262 +1250,54 @@ class BatchedGeneratedKernel:
         perm_key=None,
         tracer=NULL_TRACER,
     ) -> None:
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        self.S = program.scenarios
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        if self.vector_dim != program.vector_dim:
-            raise ValueError(
-                f"program generated for vector_dim={program.vector_dim}, "
-                f"packing has {self.vector_dim}"
-            )
-        nlane = self.ngroups * self.vector_dim
-        self.nlane = nlane
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])
-        conn_all = conn3.reshape(nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        if program.velocity_rank == "full":
-            self._vcols = np.empty((3, self.S, self.nnode))
-        else:
-            self._vcols = np.empty((3, self.nnode))
-
-        # -- scatter pattern: shared with the serial tape/kernel ---------
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
+        super().__init__(
+            program, plan, packing, perm_key, tracer,
+            "batched generated kernel",
         )
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            trash = self.nnode * self.ncomp
-            active3 = np.stack([g.active for g in groups])
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does "
-                    "not match the batched generated kernel's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- persistent buffers ------------------------------------------
-        from ..fem.plan import batch_flush_indices
-
-        self._batch_indices = batch_flush_indices(
-            pattern, self.S, self.nnode, self.ncomp
+        self._bind_module(
+            f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>"
         )
-        self._values = np.empty(
-            (self.S, self.ngroups, ncalls, self.vector_dim)
-        )
-        self._values2d = self._values.reshape(self.S, -1)
-        self._Q = [np.empty((self.S, 1)) for _ in range(program.nq)]
-        #: current per-scenario parameter rows (name -> (S, 1) array);
-        #: refreshed by the plan wrapper on every cache hit
-        self.param_rows: Dict[str, np.ndarray] = {}
-        self._pinned = np.empty((max(program.npinned, 1), nlane))
-
-        ns = _load(
-            program.source,
-            f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>",
-        )
-        self._factory = ns["factory"]
-        self._factory_timed = ns["factory_timed"]
-
-        # run the hoisted setup once: rank-1 geometry at full lane width
-        ns["setup"](
-            self._ccols, self._idx, self._pinned,
-            np.empty((max(program.nsetup_tmp, 1), nlane)),
+        self._lane_bytes = 8 * (
+            max(program.nslab_vec, 1) + self.S * max(program.nslab_full, 1)
         )
 
-        self._chunk_cache: Dict[Tuple[int, int], list] = {}
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
-
-    # -- chunk closures ---------------------------------------------------
-    def _default_chunk_groups(self) -> int:
-        per_lane = 8 * (
-            self.program.nslab_vec + 1
-            + (self.program.nslab_full + 1) * self.S
-        )
-        cg = self.TARGET_SLAB_BYTES // max(per_lane * self.vector_dim, 1)
-        return max(1, min(int(cg), self.ngroups))
-
-    def _resolve_cg(self, chunk_groups: Optional[int]) -> int:
-        if chunk_groups is not None:
-            return max(1, min(int(chunk_groups), self.ngroups))
-        return self._default_chunk_groups()
-
-    def _build_closures(
-        self, cg: int, nslabs: int, profile=None
-    ) -> List[list]:
-        vd = self.vector_dim
+    def _build_closures(self, cg: int, nslabs: int, profile=None) -> List[list]:
         S = self.S
         program = self.program
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        nslabs = max(1, min(nslabs, len(chunks)))
-        slabs_v = np.empty(
-            (nslabs, max(program.nslab_vec, 1), cg * vd)
-        )
-        slabs_f = np.empty(
-            (nslabs, max(program.nslab_full, 1), S * cg * vd)
-        )
+        cgw = cg * self.vector_dim
+        slabs_v = aligned_empty((nslabs, max(program.nslab_vec, 1), cgw))
+        slabs_f = aligned_empty((nslabs, max(program.nslab_full, 1), S * cgw))
         per_slab: List[list] = [[] for _ in range(nslabs)]
         factory = self._factory if profile is None else self._factory_timed
-        for i, (g0, g1) in enumerate(chunks):
+        for i, (g0, g1) in enumerate(self._chunks(cg)):
             s = i % nslabs
-            lo = g0 * vd
-            n = (g1 - g0) * vd
-            GI = [self._idx[slot][lo:lo + n] for slot in program.gf_slots]
-            P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
+            GI, P, n = self._chunk_views(g0, g1)
             SV = [self._values[:, g0:g1, c, :] for c in range(self._ncalls)]
             BV = [slabs_v[s, r, :n] for r in range(program.nslab_vec)]
             BF = [
                 slabs_f[s, r, :S * n].reshape(S, n)
                 for r in range(program.nslab_full)
             ]
-            if profile is None:
-                kern = factory(self._vcols, GI, P, self._Q, SV, BV, BF)
-            else:
-                kern = factory(
-                    self._vcols, GI, P, self._Q, SV, BV, BF,
-                    time.perf_counter, profile.record, n, S * n,
-                )
-            per_slab[s].append(kern)
-        return per_slab
-
-    def _closures(self, cg: int, nslabs: int) -> List[list]:
-        key = (cg, nslabs)
-        per_slab = self._chunk_cache.get(key)
-        if per_slab is None:
-            per_slab = self._build_closures(cg, nslabs)
-            self._chunk_cache[key] = per_slab
-        return per_slab
-
-    # -- execution --------------------------------------------------------
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if self.program.velocity_rank == "full":
-            want = (self.S, self.nnode, 3)
-        else:
-            want = (self.nnode, 3)
-        if velocity.shape != want:
-            raise ValueError(
-                f"velocity must be {want} for velocity_rank="
-                f"{self.program.velocity_rank!r}, got {velocity.shape}"
+            check_aligned([*GI, *P, *SV, *BV, *BF], self.vector_dim)
+            timing = () if profile is None else (
+                time.perf_counter, profile.record, n, S * n,
             )
-        return velocity
-
-    def _refresh_inputs(self, velocity: np.ndarray) -> None:
-        if self.program.velocity_rank == "full":
-            np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
-        else:
-            np.copyto(self._vcols, velocity.T)
-        _eval_param_stage(self.program, self.param_rows, self._Q)
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_batch
-
-        with self.tracer.span(
-            "scatter.flush_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-        ):
-            t0 = time.perf_counter()
-            flush_batch(
-                self._pattern, self._batch_indices, self._values2d, rhs,
-                self.nnode, self.ncomp,
+            per_slab[s].append(
+                factory(self._vcols, GI, P, self._Q, SV, BV, BF, *timing)
             )
-            if profile is not None:
-                moved = 2.0 * self._values2d.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    @staticmethod
-    def _run_slab(kerns: list) -> None:
-        for kern in kerns:
-            kern()
+        return per_slab
 
     def execute(
         self,
         velocity: np.ndarray,
         rhs: Optional[np.ndarray] = None,
         chunk_groups: Optional[int] = None,
+        param_rows=None,
     ) -> np.ndarray:
         """Assemble all ``S`` scenario RHS vectors: ``(S, nnode, 3)``."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        cg = self._resolve_cg(chunk_groups)
-        with self.tracer.span(
-            "codegen.execute_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunk_groups=cg,
-        ):
-            self._refresh_inputs(velocity)
-            if self.profiler.enabled:
-                profile = self.profiler.for_batch_codegen(
-                    self.program, self.vector_dim, "serial"
-                )
-                per_slab = self._build_closures(cg, 1, profile=profile)
-                self._run_slab(per_slab[0])
-                self._flush(rhs, profile)
-                profile.finish_execution()
-            else:
-                per_slab = self._closures(cg, 1)
-                self._run_slab(per_slab[0])
-                self._flush(rhs)
-        registry = get_registry()
-        registry.counter("codegen.batch_executions").inc()
-        registry.counter("codegen.batch_scenarios").inc(self.S)
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(len(per_slab[0]))
-        return rhs
+        return self._sweep(
+            "serial", velocity, rhs, chunk_groups, param_rows=param_rows
+        )
 
     def execute_chunked(
         self,
@@ -1679,61 +1305,12 @@ class BatchedGeneratedKernel:
         rhs: Optional[np.ndarray] = None,
         num_threads: Optional[int] = None,
         chunk_groups: Optional[int] = None,
+        param_rows=None,
     ) -> np.ndarray:
-        """Threaded batched assembly; bitwise identical to :meth:`execute`.
-
-        Chunks write disjoint slices of the shared values buffer and the
-        offset-``bincount`` flush runs serially afterwards, so thread
-        count and scheduling order cannot change a bit.
-        """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = self._resolve_cg(chunk_groups)
-        nchunks = -(-self.ngroups // cg)
-        threaded = nthreads > 1 and nchunks > 1
-        nslabs = min(nthreads, nchunks) if threaded else 1
-        with self.tracer.span(
-            "codegen.execute_batch_chunked",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            chunks=nchunks,
-            threads=nthreads,
-        ):
-            self._refresh_inputs(velocity)
-            profile = None
-            if self.profiler.enabled:
-                profile = self.profiler.for_batch_codegen(
-                    self.program, self.vector_dim,
-                    "threads" if threaded else "serial",
-                )
-                per_slab = self._build_closures(cg, nslabs, profile=profile)
-            else:
-                per_slab = self._closures(cg, nslabs)
-            if len(per_slab) == 1:
-                self._run_slab(per_slab[0])
-            else:
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_slab, kerns)
-                    for kerns in per_slab
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("codegen.batch_executions").inc()
-        registry.counter("codegen.batch_scenarios").inc(self.S)
-        registry.counter("codegen.lanes_executed").inc(self.nlane)
-        registry.counter("codegen.chunks_executed").inc(nchunks)
-        if len(per_slab) > 1:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
+        """Threaded batched assembly; bitwise identical to :meth:`execute`."""
+        return self._sweep(
+            "threads", velocity, rhs, chunk_groups, num_threads, param_rows
+        )
 
 
 def batched_generated_kernel(
@@ -1751,8 +1328,8 @@ def batched_generated_kernel(
     Keyed like :func:`~repro.core.tape.batched_tape` (variant, group
     size, permutation, batch shape/constants/flags, velocity rank) but in
     the plan's codegen store.  The varying parameter *values* live
-    outside the kernel: they are refreshed from ``batch`` on every call,
-    so sweeping a campaign over new values re-generates nothing.
+    outside the kernel: every sweep takes them as its ``param_rows``
+    argument, so sweeping a campaign over new values re-generates nothing.
     """
     key = batch_tape_cache_key(
         variant_name, vector_dim, permutation, batch, velocity_rank
@@ -1777,7 +1354,6 @@ def batched_generated_kernel(
         registry.counter("codegen.batch_compiles").inc()
     else:
         registry.counter("codegen.batch_cache_hits").inc()
-    kern.param_rows = batch.param_rows()
     if tracer is not None:
         kern.tracer = tracer
     kern.profiler = profiler if profiler is not None else NULL_PROFILER

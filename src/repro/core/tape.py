@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -66,6 +67,7 @@ import numpy as np
 from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
 from ..obs.spans import NULL_TRACER, get_tracer
+from .arena import MeshBound, aligned_empty, check_aligned
 from .dsl import Backend, KernelContext, Temp, Value
 from .passes import (
     UFUNC_NAMES,
@@ -556,9 +558,7 @@ def record_program(
             variant_name, kernel_params, nnode_per_element
         )
         program = compile_tape(recorder, variant.name, params_key)
-    registry = get_registry()
-    registry.counter("tape.records").inc()
-    registry.gauge(f"tape.buffers_live.{variant.name}").set(program.nbufs)
+    get_registry().counter("tape.records").inc()
     return program
 
 
@@ -616,22 +616,20 @@ def _replay_timed(ops, R, mask, coord, field, scatter, profile, n) -> None:
 # ---------------------------------------------------------------------------
 
 
-class CompiledTape:
+class CompiledTape(MeshBound):
     """Executable tape bound to one ``(plan, packing)`` pair.
 
     All element groups are stacked into one ``L = ngroups * vector_dim``
     lane axis; each tape op is a single ufunc call over the whole mesh.
-    Scatter values land in a preallocated ``(ngroups, ncalls, vector_dim)``
-    buffer whose C-order flattening reproduces the per-group temporal
-    order of the interpreted :class:`~repro.fem.plan.ScatterAccumulator`,
-    so the final ``bincount`` flush is bit-identical to it (and hence to
-    the seed ``np.add.at`` path).
-
-    The scatter index pattern is shared with the accumulator through
-    ``plan`` under the same ``(variant, vector_dim, permutation)`` key;
-    an interpreted sweep and a compiled sweep of the same configuration
-    therefore build the pattern once between them.
+    Scatter values land in the binding's preallocated ``(ngroups, ncalls,
+    vector_dim)`` buffer (:class:`~repro.core.arena.MeshBound`), so the
+    final ``bincount`` flush is bit-identical to the interpreted
+    :class:`~repro.fem.plan.ScatterAccumulator` (and hence to the seed
+    ``np.add.at`` path).
     """
+
+    _span = "tape.execute"
+    _profile_for = "for_program"
 
     def __init__(
         self,
@@ -641,87 +639,15 @@ class CompiledTape:
         perm_key=None,
         tracer=NULL_TRACER,
     ):
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        nlane = self.ngroups * self.vector_dim
-        self.nlane = nlane
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
-        conn_all = conn3.reshape(nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        # velocity columns are refreshed (copied, not reallocated) per call
-        self._vcols = np.empty((3, self.nnode))
-
-        # -- shared scatter index pattern --------------------------------
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        trash = self.nnode * self.ncomp
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
-        )
         _check_velocity_only(program.ops, "compiled tape")
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            active3 = np.stack([g.active for g in groups])  # (G, vd)
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does not "
-                    "match the compiled tape's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- preallocated arena ------------------------------------------
-        self._arena = np.empty((max(program.nbufs, 1), nlane))
-        self._mask = np.empty(nlane, dtype=bool)
-        self._values = np.empty((self.ngroups, ncalls, self.vector_dim))
-        self._values_flat = self._values.reshape(-1)
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
+        super().__init__(
+            program, plan, packing, perm_key, tracer, "compiled tape"
+        )
+        # whole-mesh arena: one ufunc call per op (EXPERIMENTS.md "Arena
+        # placement" measures the L2-chunked alternative)
+        self._arena = aligned_empty((max(program.nbufs, 1), self.nlane))
+        self._mask = aligned_empty(self.nlane, dtype=bool)
+        self._lane_bytes = 8 * max(program.nbufs, 1) + 1
 
     def _execute_ops_slice(
         self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray,
@@ -732,17 +658,18 @@ class CompiledTape:
         Scatter values land in the chunk's rows of the shared
         ``self._values`` buffer -- disjoint slices per chunk, so
         concurrent chunk executions never write the same memory.  All
-        other shared state (gather indices, velocity columns) is read-only during a sweep, which is what makes the
-        threaded executor race-free.  With ``profile`` the identical op
-        stream runs through :func:`_replay_timed`.
+        other shared state (gather indices, velocity columns) is
+        read-only during a sweep, which is what makes the threaded
+        executor race-free.  With ``profile`` the identical op stream
+        runs through :func:`_replay_timed`.
         """
         vd = self.vector_dim
         n = (g1 - g0) * vd
-        lanes = slice(g0 * vd, g0 * vd + n)
         rows = [arena[r, :n] for r in range(self.program.nbufs)]
         ccols, vcols = self._ccols, self._vcols
-        idx = [i[lanes] for i in self._idx]
+        idx = self._idx[:, g0 * vd:g0 * vd + n]
         values = self._values[g0:g1]
+        check_aligned([*rows[:1], mask, idx, values], vd)
 
         def coord(slot, comp, out):
             np.take(ccols[comp], idx[slot], out=out)
@@ -765,64 +692,47 @@ class CompiledTape:
                 profile, n,
             )
 
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_pattern
-
-        with self.tracer.span("scatter.flush", variant=self.program.variant):
-            t0 = time.perf_counter()
-            flush_pattern(
-                self._pattern, self._values_flat, rhs, self.nnode, self.ncomp
-            )
-            if profile is not None:
-                # values read + int64 index read + rhs accumulate traffic
-                moved = 2.0 * self._values_flat.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape != (self.nnode, 3):
-            raise ValueError(
-                f"velocity must be ({self.nnode}, 3), got {velocity.shape}"
-            )
-        return velocity
-
-    def execute(
-        self, velocity: np.ndarray, rhs: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Assemble the momentum RHS, accumulating into ``rhs`` in place."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        with self.tracer.span(
-            "tape.execute",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            if self.profiler.enabled:
-                profile = self.profiler.for_program(
-                    self.program, self.vector_dim, "serial"
-                )
-                self._execute_ops_slice(
-                    0, self.ngroups, self._arena, self._mask, profile
-                )
-                self._flush(rhs, profile)
-                profile.finish_execution()
-            else:
-                self._execute_ops_slice(0, self.ngroups, self._arena, self._mask)
-                self._flush(rhs)
-        registry = get_registry()
-        registry.counter("tape.executions").inc()
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        return rhs
-
     def _run_chunk(self, g0: int, g1: int, slabs, profile=None) -> None:
         arena, mask = slabs.acquire()
         try:
             self._execute_ops_slice(g0, g1, arena, mask, profile)
         finally:
             slabs.release(arena, mask)
+
+    def _default_cg(self, nthreads: int) -> int:
+        """The arena budget, with the threaded executor's load-balance
+        term."""
+        from ..parallel.threads import default_chunk_groups
+
+        return default_chunk_groups(
+            self.program.nbufs, self.vector_dim, self.ngroups, nthreads
+        )
+
+    def _tasks(self, cg: int, nslabs: int, profile) -> list:
+        """One task per chunk: sequential chunks replay in the tape's own
+        arena, concurrent ones in per-thread slabs."""
+        if nslabs == 1:
+            return [
+                partial(self._execute_ops_slice, g0, g1, self._arena,
+                        self._mask, profile)
+                for g0, g1 in self._chunks(cg)
+            ]
+        from ..parallel.threads import SlabPool
+
+        slabs = SlabPool(
+            max(self.program.nbufs, 1), cg * self.vector_dim, nslabs
+        )
+        return [
+            partial(self._run_chunk, g0, g1, slabs, profile)
+            for g0, g1 in self._chunks(cg)
+        ]
+
+    def execute(
+        self, velocity: np.ndarray, rhs: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Assemble the momentum RHS, accumulating into ``rhs`` in place:
+        one ufunc call per op over the whole mesh."""
+        return self._sweep("serial", velocity, rhs, self.ngroups)
 
     def execute_chunked(
         self,
@@ -842,69 +752,12 @@ class CompiledTape:
         :meth:`execute` regardless of thread count or scheduling order.
 
         ``chunk_groups`` resolves explicit argument > the plan's autotuned
-        winner (:func:`repro.core.autotune.autotune_chunk_groups`) > a
-        cache-footprint heuristic; ``num_threads`` defaults to the CPU
-        count.
+        winner (:func:`repro.core.autotune.autotune_chunk_groups`) > the
+        arena budget; ``num_threads`` defaults to the CPU count.
         """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = chunk_groups
-        if cg is None:
-            cg = self.plan.tuned_chunk_groups(self.program.variant)
-        if cg is None:
-            cg = _threads.default_chunk_groups(
-                self.program.nbufs, self.vector_dim, self.ngroups, nthreads
-            )
-        cg = max(1, min(int(cg), self.ngroups))
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        with self.tracer.span(
-            "tape.execute_chunked",
-            variant=self.program.variant,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunks=len(chunks),
-            threads=nthreads,
-            chunk_groups=cg,
-        ):
-            np.copyto(self._vcols, velocity.T)
-            profile = None
-            if self.profiler.enabled:
-                profile = self.profiler.for_program(
-                    self.program, self.vector_dim, "threads"
-                )
-            threaded = nthreads > 1 and len(chunks) > 1
-            if not threaded:
-                for g0, g1 in chunks:
-                    self._execute_ops_slice(
-                        g0, g1, self._arena, self._mask, profile
-                    )
-            else:
-                slabs = _threads.SlabPool(
-                    max(self.program.nbufs, 1),
-                    cg * self.vector_dim,
-                    min(nthreads, len(chunks)),
-                )
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_chunk, g0, g1, slabs, profile)
-                    for g0, g1 in chunks
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("tape.executions").inc()
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        registry.counter("locality.chunks_executed").inc(len(chunks))
-        if threaded:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
+        return self._sweep(
+            "threads", velocity, rhs, chunk_groups, num_threads
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +785,10 @@ class ElementalTape:
         self._mask: Optional[np.ndarray] = None
 
     def _bind(self, n: int) -> None:
-        self._rows = list(np.empty((self.program.nbufs, n)))
-        self._mask = np.empty(n, dtype=bool)
+        # one allocation per row: a worker's chunk length is arbitrary,
+        # so rows of a 2-D arena would not start on a cache line
+        self._rows = [aligned_empty(n) for _ in range(self.program.nbufs)]
+        self._mask = aligned_empty(n, dtype=bool)
         self._n = n
 
     def __call__(self, xel: np.ndarray, uel: np.ndarray) -> np.ndarray:
@@ -1107,7 +962,27 @@ def record_batch_program(
     return program
 
 
-class BatchedTape:
+class BatchBound(MeshBound):
+    """:class:`MeshBound` plus a batched program's ``(S, 1)`` scenario-row
+    stage: persistent rows ``_Q``, re-evaluated on every sweep from the
+    ``param_rows`` (varying name -> ``(S, 1)`` array,
+    :meth:`~repro.core.batch.ScenarioBatch.param_rows`) the call carries.
+    The values travel with the call, inside the kernel's lock, because
+    batches that differ only in them share one plan-cached kernel."""
+
+    def __init__(self, program, plan, packing, perm_key, tracer, what):
+        super().__init__(
+            program, plan, packing, perm_key, tracer, what,
+            scenarios=program.scenarios, velocity_rank=program.velocity_rank,
+        )
+        self._Q = [aligned_empty((self.S, 1)) for _ in range(program.nq)]
+
+    def _refresh_inputs(self, velocity: np.ndarray, param_rows) -> None:
+        super()._refresh_inputs(velocity, param_rows)
+        _eval_param_stage(self.program, param_rows or {}, self._Q)
+
+
+class BatchedTape(BatchBound):
     """Replay a :class:`BatchTapeProgram` over ``S`` scenarios at once.
 
     Shares the serial tape's gather indices, coordinate columns and
@@ -1120,14 +995,14 @@ class BatchedTape:
     bit-identical per scenario to the serial flush.
 
     Execution is chunked over element groups (like the generated kernels)
-    so the ``(S, lanes)`` arena stays cache-sized; every chunk's operand
-    arrays are resolved once into prebound op tuples, cached per
-    ``(chunk_groups, nslabs)``, so steady-state replay does no Python-
-    level ref resolution.
+    so the ``(S, lanes)`` arena fits the one L2 budget of
+    :mod:`repro.core.arena`; every chunk's operand arrays are resolved
+    once into prebound op tuples, cached per ``(chunk_groups, nslabs)``,
+    so steady-state replay does no Python-level ref resolution.
     """
 
-    #: target bytes per arena slab for the default chunk size
-    TARGET_SLAB_BYTES = 8 << 20
+    _span = "tape.execute_batch"
+    _profile_for = "for_batch_program"
 
     def __init__(
         self,
@@ -1137,117 +1012,15 @@ class BatchedTape:
         perm_key=None,
         tracer=NULL_TRACER,
     ):
-        self.program = program
-        self.plan = plan
-        self.packing = packing
-        self.tracer = tracer
-        self.profiler = NULL_PROFILER
-        self.S = program.scenarios
-        mesh = plan.mesh
-        self.nnode = int(mesh.nnode)
-        self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
-        self.vector_dim = int(packing.vector_dim)
-        self.nlane = self.ngroups * self.vector_dim
-        nnpe = program.nnode_per_element
-
-        conn3 = np.stack([g.connectivity for g in groups])
-        conn_all = conn3.reshape(self.nlane, nnpe)
-        self._idx = [
-            np.ascontiguousarray(conn_all[:, s], dtype=np.int64)
-            for s in range(nnpe)
-        ]
-        self._ccols = [
-            np.ascontiguousarray(mesh.coords[:, c]) for c in range(3)
-        ]
-        if program.velocity_rank == "full":
-            self._vcols = np.empty((3, self.S, self.nnode))
-        else:
-            self._vcols = np.empty((3, self.nnode))
-
-        # -- scatter pattern: shared with the serial tape ----------------
-        ncalls = len(program.scatter_calls)
-        self._ncalls = ncalls
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
+        super().__init__(
+            program, plan, packing, perm_key, tracer, "batched tape"
         )
-        key = (program.variant, self.vector_dim, perm_key)
-        pattern = plan.scatter_pattern(key)
-        registry = get_registry()
-        if pattern is None:
-            from ..fem.plan import seed_flush_order
-
-            trash = self.nnode * self.ncomp
-            active3 = np.stack([g.active for g in groups])
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
-            for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
-                order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
-            registry.counter("scatter.pattern_builds").inc()
-        else:
-            if pattern.signature != signature:
-                raise RuntimeError(
-                    "scatter pattern mismatch: cached plan pattern does "
-                    "not match the batched tape's call order"
-                )
-            registry.counter("scatter.pattern_reuses").inc()
-        self._pattern = pattern
-
-        # -- persistent buffers ------------------------------------------
-        from ..fem.plan import batch_flush_indices
-
-        self._batch_indices = batch_flush_indices(
-            pattern, self.S, self.nnode, self.ncomp
-        )
-        self._values = np.empty(
-            (self.S, self.ngroups, ncalls, self.vector_dim)
-        )
-        self._values2d = self._values.reshape(self.S, -1)
-        self._Q = [np.empty((self.S, 1)) for _ in range(program.nq)]
-        #: current per-scenario parameter rows (name -> (S, 1) array);
-        #: refreshed by the plan wrapper on every cache hit
-        self.param_rows: Dict[str, np.ndarray] = {}
         self._closure_cache: Dict[tuple, list] = {}
-
-    @property
-    def report(self) -> TapeReport:
-        return self.program.report
-
-    # -- chunk planning ---------------------------------------------------
-
-    def _default_chunk_groups(self) -> int:
-        """Largest chunk whose two arena slabs fit the byte target."""
-        per_lane = 8 * (
-            self.program.nbufs_vec + 1
-            + (self.program.nbufs_full + 1) * self.S
+        # rank-1 + (S, lanes) rows and their masks
+        self._lane_bytes = (
+            8 * max(program.nbufs_vec, 1) + 1
+            + self.S * (8 * max(program.nbufs_full, 1) + 1)
         )
-        cg = self.TARGET_SLAB_BYTES // max(per_lane * self.vector_dim, 1)
-        return max(1, min(int(cg), self.ngroups))
-
-    def _resolve_cg(self, chunk_groups) -> int:
-        if chunk_groups is not None:
-            return max(1, min(int(chunk_groups), self.ngroups))
-        cg = self.plan.tuned_chunk_groups(self.program.variant)
-        if cg is not None:
-            return max(1, min(int(cg), self.ngroups))
-        return self._default_chunk_groups()
 
     def _bind_chunk(self, g0: int, g1: int, slab) -> Tuple[list, list]:
         """Resolve one chunk's ops to prebound ``(code, arrays...)``.
@@ -1325,6 +1098,17 @@ class BatchedTape:
                 else:
                     ops.append((5, dst, arr(src).reshape(nrows, vd)))
                 nlanes.append(S * n)
+        # everything a chunk computes in, reads lanes from or writes to
+        # (gather *sources* are node-indexed columns, not lane buffers)
+        check_aligned(
+            (
+                a
+                for op in ops
+                for a in op[2 if op[0] in (3, 4) else 1:]
+                if isinstance(a, np.ndarray)
+            ),
+            vd,
+        )
         return ops, nlanes
 
     def _closures(self, cg: int, nslabs: int) -> list:
@@ -1332,24 +1116,23 @@ class BatchedTape:
         cached = self._closure_cache.get((cg, nslabs))
         if cached is not None:
             return cached
-        bounds = list(range(0, self.ngroups, cg)) + [self.ngroups]
-        chunks = list(zip(bounds[:-1], bounds[1:]))
-        nslabs = max(1, min(nslabs, len(chunks)))
         cgw = cg * self.vector_dim
         S = self.S
         slabs = [
             (
-                np.empty((max(self.program.nbufs_vec, 1), cgw)),
-                np.empty((max(self.program.nbufs_full, 1), S * cgw)),
-                np.empty(cgw, dtype=bool),
-                np.empty(S * cgw, dtype=bool),
-                np.empty((S, 1), dtype=bool),
+                aligned_empty((max(self.program.nbufs_vec, 1), cgw)),
+                aligned_empty((max(self.program.nbufs_full, 1), S * cgw)),
+                aligned_empty(cgw, dtype=bool),
+                aligned_empty(S * cgw, dtype=bool),
+                aligned_empty((S, 1), dtype=bool),
             )
             for _ in range(nslabs)
         ]
         per_slab: List[list] = [[] for _ in range(nslabs)]
-        for i, (g0, g1) in enumerate(chunks):
-            per_slab[i % nslabs].append(self._bind_chunk(g0, g1, slabs[i % nslabs]))
+        for i, (g0, g1) in enumerate(self._chunks(cg)):
+            per_slab[i % nslabs].append(
+                self._bind_chunk(g0, g1, slabs[i % nslabs])
+            )
         self._closure_cache[(cg, nslabs)] = per_slab
         return per_slab
 
@@ -1393,84 +1176,25 @@ class BatchedTape:
             for ops, nlanes in chunks:
                 self._run_ops_timed(ops, nlanes, profile)
 
+    def _tasks(self, cg: int, nslabs: int, profile) -> list:
+        return [
+            partial(self._run_slab, chunks, profile)
+            for chunks in self._closures(cg, nslabs)
+        ]
+
     # -- public API -------------------------------------------------------
-
-    def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if self.program.velocity_rank == "full":
-            want = (self.S, self.nnode, 3)
-        else:
-            want = (self.nnode, 3)
-        if velocity.shape != want:
-            raise ValueError(
-                f"velocity must be {want} for velocity_rank="
-                f"{self.program.velocity_rank!r}, got {velocity.shape}"
-            )
-        return velocity
-
-    def _refresh_inputs(self, velocity: np.ndarray) -> None:
-        if self.program.velocity_rank == "full":
-            np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
-        else:
-            np.copyto(self._vcols, velocity.T)
-        _eval_param_stage(self.program, self.param_rows, self._Q)
-
-    def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        from ..fem.plan import flush_batch
-
-        with self.tracer.span(
-            "scatter.flush_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-        ):
-            t0 = time.perf_counter()
-            flush_batch(
-                self._pattern, self._batch_indices, self._values2d, rhs,
-                self.nnode, self.ncomp,
-            )
-            if profile is not None:
-                moved = 2.0 * self._values2d.nbytes + rhs.nbytes
-                profile.record_flush(time.perf_counter() - t0, moved)
-
-    def _profile(self):
-        if not self.profiler.enabled:
-            return None
-        return self.profiler.for_batch_program(
-            self.program, self.vector_dim,
-            "threads" if getattr(self, "_threaded", False) else "serial",
-        )
 
     def execute(
         self,
         velocity: np.ndarray,
         rhs: Optional[np.ndarray] = None,
         chunk_groups: Optional[int] = None,
+        param_rows=None,
     ) -> np.ndarray:
         """Assemble all ``S`` scenario RHS vectors: ``(S, nnode, 3)``."""
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        cg = self._resolve_cg(chunk_groups)
-        self._threaded = False
-        with self.tracer.span(
-            "tape.execute_batch",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-        ):
-            self._refresh_inputs(velocity)
-            profile = self._profile()
-            per_slab = self._closures(cg, 1)
-            self._run_slab(per_slab[0], profile)
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("tape.batch_executions").inc()
-        registry.counter("tape.batch_scenarios").inc(self.S)
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        return rhs
+        return self._sweep(
+            "serial", velocity, rhs, chunk_groups, param_rows=param_rows
+        )
 
     def execute_chunked(
         self,
@@ -1478,56 +1202,12 @@ class BatchedTape:
         rhs: Optional[np.ndarray] = None,
         num_threads: Optional[int] = None,
         chunk_groups: Optional[int] = None,
+        param_rows=None,
     ) -> np.ndarray:
-        """Threaded batched assembly; bitwise identical to :meth:`execute`.
-
-        Chunks write disjoint slices of the shared values buffer and the
-        offset-``bincount`` flush runs serially afterwards, so thread
-        count and scheduling order cannot change a bit.
-        """
-        from ..parallel import threads as _threads
-
-        velocity = self._check_velocity(velocity)
-        if rhs is None:
-            rhs = np.zeros((self.S, self.nnode, self.ncomp))
-        nthreads = _threads.resolve_num_threads(num_threads)
-        cg = self._resolve_cg(chunk_groups)
-        nchunks = -(-self.ngroups // cg)
-        threaded = nthreads > 1 and nchunks > 1
-        self._threaded = threaded
-        with self.tracer.span(
-            "tape.execute_batch_chunked",
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            chunks=nchunks,
-            threads=nthreads,
-        ):
-            self._refresh_inputs(velocity)
-            profile = self._profile()
-            per_slab = self._closures(
-                cg, min(nthreads, nchunks) if threaded else 1
-            )
-            if not threaded:
-                self._run_slab(per_slab[0], profile)
-            else:
-                pool = _threads.get_thread_pool(nthreads)
-                for future in [
-                    pool.submit(self._run_slab, chunks, profile)
-                    for chunks in per_slab
-                ]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
-        registry = get_registry()
-        registry.counter("tape.batch_executions").inc()
-        registry.counter("tape.batch_scenarios").inc(self.S)
-        registry.counter("tape.lanes_executed").inc(self.nlane)
-        registry.counter("locality.chunks_executed").inc(nchunks)
-        if threaded:
-            registry.counter("locality.threaded_executions").inc()
-        return rhs
+        """Threaded batched assembly; bitwise identical to :meth:`execute`."""
+        return self._sweep(
+            "threads", velocity, rhs, chunk_groups, num_threads, param_rows
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1628,9 +1308,9 @@ def batched_tape(
     Keyed on everything baked into the recording -- variant, group size,
     permutation, batch size, *which* parameters vary, every folded
     constant and flag, and the velocity rank.  The varying parameter
-    *values* live outside the tape: they are refreshed from ``batch`` on
-    every call, so sweeping a campaign over new values of the same
-    parameters re-records nothing.
+    *values* live outside the tape: every sweep takes them as its
+    ``param_rows`` argument, so sweeping a campaign over new values of
+    the same parameters re-records nothing.
     """
     key = batch_tape_cache_key(
         variant_name, vector_dim, permutation, batch, velocity_rank
@@ -1653,7 +1333,6 @@ def batched_tape(
         registry.counter("tape.batch_compiles").inc()
     else:
         registry.counter("tape.batch_cache_hits").inc()
-    tape.param_rows = batch.param_rows()
     if tracer is not None:
         tape.tracer = tracer
     tape.profiler = profiler if profiler is not None else NULL_PROFILER

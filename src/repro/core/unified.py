@@ -17,6 +17,7 @@ original code could handle" made explicit.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -551,17 +552,20 @@ class UnifiedAssembler:
                         tracer=self.tracer,
                         profiler=self.profiler if self.profile else None,
                     )
+                # the kernel is plan-cached and shared by every job on
+                # the mesh: this batch's parameter values travel with the
+                # call, inside the kernel's lock
+                sweep = runner.execute
                 if self.executor == "threads":
-                    rhs = runner.execute_chunked(
-                        velocity,
-                        rhs,
-                        num_threads=self.num_threads,
-                        chunk_groups=self.chunk_groups,
+                    sweep = partial(
+                        runner.execute_chunked, num_threads=self.num_threads
                     )
-                else:
-                    rhs = runner.execute(
-                        velocity, rhs, chunk_groups=self.chunk_groups
-                    )
+                rhs = sweep(
+                    velocity,
+                    rhs,
+                    chunk_groups=self.chunk_groups,
+                    param_rows=batch.param_rows(),
+                )
             if self.fault_plan is not None:
                 for s in range(S):
                     self.fault_plan.corrupt("assembler", rhs[s])

@@ -369,7 +369,9 @@ class ScatterAccumulator:
             self._active_chunks: list = []
             self._vector_dim = 0
         else:
-            self._values = np.empty(self._pattern.length, dtype=np.float64)
+            from ..core.arena import aligned_empty
+
+            self._values = aligned_empty(self._pattern.length)
         self._pos = 0
 
     def begin_group(self, group: ElementGroup) -> None:

@@ -18,9 +18,9 @@ This module owns the thread-level plumbing used by
   queue so each in-flight chunk owns private scratch memory sized to
   stay cache-resident.
 * :func:`default_chunk_groups` -- the chunk-size heuristic: the largest
-  chunk whose arena slab fits the per-thread share of
-  :data:`TARGET_SLAB_BYTES`, while still producing enough chunks to keep
-  every thread busy.
+  chunk whose arena slab fits the one L2 budget
+  (:data:`repro.core.arena.ARENA_BUDGET_BYTES`), while still producing
+  enough chunks to keep every thread busy.
 
 Determinism: threads only ever *compute* into private slabs and write
 disjoint slices of the tape's shared scatter-values buffer; the single
@@ -39,22 +39,16 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.arena import aligned_empty, budget_chunk_groups
 from ..obs.metrics import get_registry
 
 __all__ = [
-    "TARGET_SLAB_BYTES",
     "SlabPool",
     "default_chunk_groups",
     "get_thread_pool",
     "resolve_num_threads",
     "shutdown_thread_pools",
 ]
-
-#: Target footprint of one thread's arena slab.  Sized for a mid-level
-#: cache share: big enough that per-op numpy dispatch overhead stays
-#: amortized (hundreds of lanes per ufunc call), small enough that a
-#: slab does not thrash a per-core L2.
-TARGET_SLAB_BYTES = 4 * 1024 * 1024
 
 _pools: Dict[int, ThreadPoolExecutor] = {}
 _pools_lock = threading.Lock()
@@ -106,18 +100,17 @@ def default_chunk_groups(
     slab) cache-resident and balance load, while large chunks amortize
     the per-op numpy dispatch overhead that grows linearly with the
     number of chunks.  The heuristic takes the largest chunk whose slab
-    fits :data:`TARGET_SLAB_BYTES`, then shrinks it if needed so the
-    sweep yields at least ``2 * num_threads`` chunks (load balancing
-    headroom), but never below one group.
+    fits the arena budget (:func:`repro.core.arena.budget_chunk_groups`),
+    then shrinks it if needed so the sweep yields at least
+    ``2 * num_threads`` chunks (load balancing headroom), but never below
+    one group.
     """
-    nbufs = max(1, int(nbufs))
-    vector_dim = max(1, int(vector_dim))
     ngroups = max(1, int(ngroups))
-    num_threads = max(1, int(num_threads))
-    lanes_budget = max(vector_dim, TARGET_SLAB_BYTES // (nbufs * 8))
-    by_cache = max(1, lanes_budget // vector_dim)
-    by_balance = max(1, ngroups // (2 * num_threads))
-    return max(1, min(by_cache, by_balance, ngroups))
+    by_cache = budget_chunk_groups(
+        8 * max(1, int(nbufs)), max(1, int(vector_dim)), ngroups
+    )
+    by_balance = max(1, ngroups // (2 * max(1, int(num_threads))))
+    return min(by_cache, by_balance)
 
 
 class SlabPool:
@@ -140,8 +133,8 @@ class SlabPool:
         for _ in range(self.count):
             self._queue.put(
                 (
-                    np.empty((self.nbufs, self.lanes)),
-                    np.empty(self.lanes, dtype=bool),
+                    aligned_empty((self.nbufs, self.lanes)),
+                    aligned_empty(self.lanes, dtype=bool),
                 )
             )
         get_registry().counter("locality.slab_bytes_allocated").inc(

@@ -1,0 +1,238 @@
+"""Lane memory has one owner: aligned placement and one L2 budget.
+
+``repro.core.arena`` promises that every buffer a kernel computes in or
+binds starts on a cache line, that one constant sizes every executor's
+chunk, and that neither placement nor chunk boundaries can change a bit
+of the result.  An unaligned buffer is a 30% slowdown nobody would see in
+a correctness test, so it is asserted here, white-box, for every variant
+x back end x batch size.
+"""
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    ElementalGeneratedKernel,
+    ElementalTape,
+    ScenarioBatch,
+    arena,
+    batched_generated_kernel,
+    batched_tape,
+    compiled_tape,
+    generate_elemental_program,
+    generated_kernel,
+    record_program,
+    variant_names,
+)
+from repro.core.arena import (
+    ALIGNMENT,
+    ARENA_BUDGET_BYTES,
+    aligned_empty,
+    budget_chunk_groups,
+)
+from repro.fem import box_tet_mesh, get_plan
+from repro.parallel.threads import SlabPool
+from repro.physics import AssemblyParams
+
+VD = 16
+
+
+def _aligned(a: np.ndarray) -> bool:
+    return a.ctypes.data % ALIGNMENT == 0
+
+
+# -- the allocator -------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.one_of(
+        st.integers(0, 300),
+        st.lists(st.integers(0, 9), min_size=1, max_size=3).map(tuple),
+    ),
+    dtype=st.sampled_from([np.float64, np.bool_, np.int64]),
+)
+def test_aligned_empty_contract(shape, dtype):
+    a = aligned_empty(shape, dtype)
+    want = (shape,) if isinstance(shape, int) else shape
+    assert a.shape == want and a.dtype == np.dtype(dtype)
+    assert _aligned(a)
+    assert a.flags.c_contiguous and a.flags.writeable
+    # the view is the only reference to its over-allocated parent
+    gc.collect()
+    a[...] = 1
+    assert (a == 1).all()
+
+
+def test_default_dtype_and_the_single_budget():
+    assert aligned_empty(3).dtype == np.float64
+    assert ARENA_BUDGET_BYTES == 2 << 20
+    # largest chunk that fits, clamped to [1, ngroups]
+    assert budget_chunk_groups(1024, 16, 10**6) == (2 << 20) // (1024 * 16)
+    assert budget_chunk_groups(1024, 16, 5) == 5
+    assert budget_chunk_groups(10**9, 16, 5) == 1
+
+
+def test_slab_pool_and_elemental_rows_are_aligned():
+    arena_rows, mask = SlabPool(nbufs=3, lanes=48, count=1).acquire()
+    assert all(_aligned(r) for r in arena_rows) and _aligned(mask)
+    # pool workers see arbitrary chunk lengths: every row still starts a line
+    xel = np.random.default_rng(0).standard_normal((13, 4, 3))
+    tape = ElementalTape(record_program("RS", AssemblyParams().as_kernel_params()))
+    gen = ElementalGeneratedKernel(
+        generate_elemental_program("RS", AssemblyParams().as_kernel_params())
+    )
+    assert np.array_equal(tape(xel, 0.1 * xel), gen(xel, 0.1 * xel))
+    assert all(_aligned(r) for r in tape._rows) and _aligned(tape._mask)
+    assert all(_aligned(r) for r in gen._rows)
+
+
+# -- every executor: placement, budget, chunk-size independence ----------------
+
+
+def _forcing_batch(size):
+    return ScenarioBatch([
+        AssemblyParams(body_force=(0.0, 0.0, 0.1 * (s + 1)))
+        for s in range(size)
+    ])
+
+
+def _bind(plan, variant, backend, S):
+    """(kernel, sweep(chunk_groups) -> rhs) for one cell of the matrix."""
+    rng = np.random.default_rng(7)
+    u = 0.1 * rng.standard_normal((plan.mesh.nnode, 3))
+    if S == 1:
+        kp = AssemblyParams(body_force=(0.05, -0.1, 0.2)).as_kernel_params()
+        make = compiled_tape if backend == "replay" else generated_kernel
+        kern = make(plan, variant, VD, kernel_params=kp)
+        return kern, lambda cg: kern.execute_chunked(
+            u, num_threads=1, chunk_groups=cg
+        )
+    batch = _forcing_batch(S)
+    make = batched_tape if backend == "replay" else batched_generated_kernel
+    kern = make(plan, variant, VD, batch)
+    return kern, lambda cg: kern.execute(
+        u, chunk_groups=cg, param_rows=batch.param_rows()
+    )
+
+
+def _lane_arrays(kern, cg):
+    """Every array the chunks of a ``cg``-group sweep compute in, read
+    lanes from or write to (gather *sources* are node-indexed columns)."""
+    if hasattr(kern, "_arena"):  # CompiledTape binds its chunks per call
+        yield from kern._arena
+        yield kern._mask
+        for g0, g1 in kern._chunks(cg):
+            yield kern._arena[0, :(g1 - g0) * VD]
+            yield kern._idx[:, g0 * VD:g1 * VD]
+            yield kern._values[g0:g1]
+        return
+    if hasattr(kern, "_closure_cache"):  # BatchedTape: prebound op tuples
+        for ops, _ in kern._closures(cg, 1)[0]:
+            for op in ops:
+                for a in op[2 if op[0] in (3, 4) else 1:]:
+                    if isinstance(a, np.ndarray):
+                        yield a
+        return
+    for task in kern._tasks(cg, 1, None):  # generated: closure cells
+        for closure in task.args[0]:
+            cells = zip(closure.__code__.co_freevars, closure.__closure__)
+            for name, cell in cells:
+                if not name.startswith("vc"):
+                    yield cell.cell_contents
+
+
+@pytest.fixture(scope="module")
+def plan():
+    # 30 groups of 16: not a multiple of the 7-group chunk below
+    return get_plan(box_tet_mesh(4, 4, 5))
+
+
+@pytest.mark.parametrize("S", [1, 4, 16])
+@pytest.mark.parametrize("backend", ["replay", "codegen"])
+@pytest.mark.parametrize("variant", variant_names())
+def test_every_executor_is_aligned_budgeted_and_chunk_independent(
+    plan, monkeypatch, variant, backend, S
+):
+    kern, sweep = _bind(plan, variant, backend, S)
+    assert kern.ngroups == 30
+    # seven groups' worth of this kernel's rows (and a bit): the one
+    # budget rule must answer 7, leaving a partial last chunk of 2
+    group_bytes = kern._lane_bytes * VD
+    monkeypatch.setattr(arena, "ARENA_BUDGET_BYTES", 7 * group_bytes + 5)
+    cg = kern._resolve_cg(None, 1)
+    assert cg == 7
+    assert cg * group_bytes <= arena.ARENA_BUDGET_BYTES < (cg + 1) * group_bytes
+
+    for chunk in (1, cg, kern.ngroups):
+        arrays = list(_lane_arrays(kern, chunk))
+        assert len(arrays) > 10
+        assert all(_aligned(a) for a in arrays)
+
+    default = sweep(None)
+    assert np.isfinite(default).all() and np.abs(default).max() > 0
+    for chunk in (1, cg, kern.ngroups):
+        assert np.array_equal(sweep(chunk), default)
+
+
+def test_real_budget_bounds_the_benchmark_shaped_kernels():
+    """With the real constant: the arena fits it, one more group would
+    not, and the sweep needs more than one chunk."""
+    plan = get_plan(box_tet_mesh(8, 8, 8))
+    kp = AssemblyParams().as_kernel_params()
+    for kern in (
+        generated_kernel(plan, "B", VD, kernel_params=kp),
+        batched_generated_kernel(plan, "B", VD, _forcing_batch(16)),
+    ):
+        cg = kern._resolve_cg(None, 1)
+        group_bytes = kern._lane_bytes * VD
+        assert 1 < cg < kern.ngroups
+        assert cg * group_bytes <= ARENA_BUDGET_BYTES < (cg + 1) * group_bytes
+
+
+# -- one lock per bound kernel ----------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["replay", "codegen"])
+def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend):
+    """More threads than cores hammer the two plan-cached kernels of a
+    mesh, each with its own velocity and forcing values; every caller
+    gets exactly its serial answer (a lost buffer update would not)."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    kp = AssemblyParams(body_force=(0.05, -0.1, 0.2)).as_kernel_params()
+    if backend == "replay":
+        serial = compiled_tape(plan, "RS", VD, kernel_params=kp)
+        batched = batched_tape(plan, "RS", VD, _forcing_batch(4))
+    else:
+        serial = generated_kernel(plan, "RS", VD, kernel_params=kp)
+        batched = batched_generated_kernel(plan, "RS", VD, _forcing_batch(4))
+    rng = np.random.default_rng(3)
+    fields = [0.1 * rng.standard_normal((plan.mesh.nnode, 3)) for _ in range(6)]
+    rows = [
+        {"force_z": np.full((4, 1), 0.01 * (i + 1))} for i in range(6)
+    ]
+
+    def call(i):
+        return (
+            serial.execute(fields[i]),
+            batched.execute(fields[i], param_rows=rows[i]),
+        )
+
+    want = [call(i) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(call, list(range(6)) * 5, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 30
+    for k, (one, many) in enumerate(got):
+        assert np.array_equal(one, want[k % 6][0])
+        assert np.array_equal(many, want[k % 6][1])

@@ -8,6 +8,7 @@ from repro.core import (
     autotune_chunk_groups,
     compiled_tape,
 )
+from repro.core.arena import ARENA_BUDGET_BYTES
 from repro.fem import box_tet_mesh, get_plan
 from repro.parallel import default_chunk_groups, resolve_num_threads
 from repro.parallel.threads import SlabPool
@@ -34,10 +35,16 @@ def test_default_chunk_groups_bounds():
     # never more groups than exist, never below one
     assert default_chunk_groups(10, 64, 7, 4) <= 7
     assert default_chunk_groups(10**6, 4096, 100, 64) >= 1
-    # cache pressure shrinks the chunk as buffers grow
+    # cache pressure shrinks the chunk as buffers grow: the slab is the
+    # largest that fits the one arena budget ...
     small = default_chunk_groups(4, 64, 10**6, 1)
     large = default_chunk_groups(400, 64, 10**6, 1)
-    assert large <= small
+    assert large < small
+    for nbufs, cg in ((4, small), (400, large)):
+        assert nbufs * cg * 64 * 8 <= ARENA_BUDGET_BYTES
+        assert nbufs * (cg + 1) * 64 * 8 > ARENA_BUDGET_BYTES
+    # ... unless load balance wants more chunks than that
+    assert default_chunk_groups(4, 64, 1000, 4) == 1000 // 8
 
 
 def test_slab_pool_recycles_buffers():

@@ -182,30 +182,29 @@ def test_warm_mesh_different_physics_reuses_plan():
         handle.stop()
 
 
-def test_campaigns_share_one_pressure_hierarchy_per_warm_mesh():
-    """Two concurrent campaigns on one mesh both match the direct library
-    (the shared hierarchy is immutable, V-cycle temporaries belong to each
-    solve), and a campaign on the warm mesh builds no hierarchy."""
+def _concurrent_campaigns_match_direct(mode):
+    """Two concurrent campaigns on one mesh both match the direct library,
+    and a campaign on the warm mesh builds no hierarchy.  The jobs differ
+    in velocity *and* forcing values, so in the compiled modes they share
+    one batched kernel and nothing else."""
     from repro.fem.meshgen import box_tet_mesh
     from repro.physics.fractional_step import BatchCampaign
     from repro.physics.momentum import AssemblyParams
 
     mesh_spec = {"nx": 5, "ny": 5, "nz": 5}  # 216 nodes: a multi-level hierarchy
-    scenarios = [{"body_force": (0.0, 0.0, 0.01)}, {"body_force": (0.0, 0.0, 0.02)}]
 
-    # interpreted assembly: compiled tapes and generated kernels replay in
-    # buffers owned by the plan-cached kernel, so two jobs on one mesh race
-    # there whatever the pressure path does (ROADMAP item 4)
-    mode = "interpreted"
+    def scenarios(seed):
+        return [{"body_force": (0.0, 0.0, 1e-3 * seed * k)} for k in (1, 2)]
 
     def request(seed):
         return {"kind": "campaign", "mesh": mesh_spec, "steps": 2, "dt": 1e-3,
-                "scenarios": scenarios, "mode": mode, "velocity_seed": seed}
+                "scenarios": scenarios(seed), "mode": mode,
+                "velocity_seed": seed}
 
     def direct_sha(seed):
         mesh = box_tet_mesh(5, 5, 5)
         campaign = BatchCampaign(
-            mesh, [AssemblyParams(**s) for s in scenarios], mode=mode
+            mesh, [AssemblyParams(**s) for s in scenarios(seed)], mode=mode
         )
         campaign.set_velocities(
             0.1 * np.random.default_rng(seed).standard_normal((mesh.nnode, 3))
@@ -222,6 +221,7 @@ def test_campaigns_share_one_pressure_hierarchy_per_warm_mesh():
             done = client.wait(job_id, timeout=120)
             assert done["state"] == "done"
             assert done["result"]["sha256"] == direct_sha(seed)
+            assert not done["result"].get("detached")
         builds = _count("pressure.hierarchy_builds")
         # the racing first builds may both run (wasted, not wrong work);
         # direct_sha built two more on its own cold meshes
@@ -231,6 +231,19 @@ def test_campaigns_share_one_pressure_hierarchy_per_warm_mesh():
         assert third["result"]["sha256"] == direct_sha(23)
     finally:
         handle.stop()
+
+
+def test_campaigns_share_one_pressure_hierarchy_per_warm_mesh():
+    """The shared hierarchy is immutable and V-cycle temporaries belong to
+    each solve."""
+    _concurrent_campaigns_match_direct("interpreted")
+
+
+@pytest.mark.parametrize("mode", ["compiled", "codegen"])
+def test_concurrent_campaigns_serialize_on_the_shared_kernel(mode):
+    """A plan-cached tape / generated kernel replays in buffers it owns;
+    its lock makes two jobs on one mesh take turns instead of racing."""
+    _concurrent_campaigns_match_direct(mode)
 
 
 def test_identical_inflight_submissions_coalesce():
@@ -359,12 +372,15 @@ def test_drained_checkpoint_is_restartable(tmp_path):
     config = ServerConfig(workers=1, checkpoint_dir=str(tmp_path))
     server, handle, client = _serve(config)
     try:
+        steps_before = _count("fstep.batch_steps")
         sub = client.submit({
             "kind": "campaign", "mesh": MESH, "steps": 900, "dt": 5e-3,
             "mode": "compiled", "velocity_seed": 8,
         })
+        # a drain that lands while the job is still building its campaign
+        # checkpoints at step 0, legitimately: wait for a finished step
         deadline = time.monotonic() + 30
-        while client.status(sub["job_id"])["state"] == "queued":
+        while _count("fstep.batch_steps") == steps_before:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         client.drain()
