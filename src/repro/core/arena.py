@@ -158,16 +158,16 @@ class MeshBound:
         mesh = plan.mesh
         self.nnode = int(mesh.nnode)
         self.ncomp = 3
-        groups = packing.groups()
-        self.ngroups = len(groups)
+        self.ngroups = packing.ngroups
         self.vector_dim = int(packing.vector_dim)
         self.nlane = self.ngroups * self.vector_dim
         nnpe = program.nnode_per_element
         ncalls = self._ncalls = len(program.scatter_calls)
 
-        conn3 = np.stack([g.connectivity for g in groups])  # (G, vd, nnpe)
+        lane_ids, active = packing.lane_order()
+        conn = mesh.connectivity[lane_ids]  # (nlane, nnpe)
         self._idx = aligned_empty((nnpe, self.nlane), dtype=np.int64)
-        self._idx[...] = conn3.reshape(self.nlane, nnpe).T
+        self._idx[...] = conn.T
         self._ccols = aligned_empty((3, self.nnode))
         self._ccols[...] = mesh.coords.T
         self._velocity_shape: Tuple[int, ...] = (self.nnode, 3)
@@ -175,31 +175,23 @@ class MeshBound:
             self._velocity_shape = (int(scenarios), self.nnode, 3)
         self._vcols = aligned_empty((3,) + self._velocity_shape[:-1])
 
-        signature = tuple(
-            (g, slot, comp)
-            for g in range(self.ngroups)
-            for (slot, comp) in program.scatter_calls
-        )
+        signature = (self.ngroups, tuple(program.scatter_calls))
         key = (program.variant, self.vector_dim, perm_key)
         pattern = plan.scatter_pattern(key)
         registry = get_registry()
         if pattern is None:
             trash = self.nnode * self.ncomp
-            active3 = np.stack([g.active for g in groups])  # (G, vd)
             indices = np.empty(
                 (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
             )
             for c, (slot, comp) in enumerate(program.scatter_calls):
-                icol = conn3[:, :, slot] * self.ncomp + comp
-                np.copyto(indices[:, c, :], np.where(active3, icol, trash))
+                icol = np.where(active, conn[:, slot] * self.ncomp + comp, trash)
+                indices[:, c, :] = icol.reshape(self.ngroups, self.vector_dim)
             order = None
             seed_ids = mesh.seed_element_ids
             if seed_ids is not None:
-                lane_seed = np.concatenate(
-                    [seed_ids[g.element_ids] for g in groups]
-                )
                 order = seed_flush_order(
-                    lane_seed, active3.reshape(-1), ncalls, self.vector_dim
+                    seed_ids[lane_ids], active, ncalls, self.vector_dim
                 )
             pattern = plan.store_scatter_pattern(
                 key, indices.reshape(-1), signature, order=order

@@ -31,10 +31,13 @@ lowerings of :mod:`repro.core.tape` consume -- and 5-6 are this back end:
    emitted as ``where(greater(x, t), a, b)`` expressions, which evaluate
    their arguments before the destination is written -- no aliasing
    protection needed anywhere.
-6. **Statement liveness** assigns the surviving statement outputs to a
-   small slab of reusable rows (LIFO free list, dying operands released
-   before the output is placed so in-place ``out=`` aliasing happens
-   naturally).
+6. **Row allocation**: every ufunc call of every statement -- fused
+   sub-expressions and statement roots alike -- is one step of
+   :func:`~repro.core.passes.assign_rows`, in the order Python runs the
+   calls.  One LIFO free list per rank pool serves them all; dying
+   operands are released before the output is placed, so a call lands in
+   place on an operand's row (``add(a, b, out=a)``) and a chunk's slab
+   holds only the values that are live at once.
 
 Bit-identity contract
 ---------------------
@@ -165,25 +168,18 @@ class _Stmt:
     """One emitted statement: a non-fused root op plus its inlined tree."""
 
     op: tuple
-    leaves: List[int]  # non-fused vector refs actually read (w/ dups)
-    tree: List[tuple]  # root + fused constituents (for cost accounting)
+    tree: List[tuple]  # fused constituents then the root, in call order
 
 
 def _collect(
-    op: tuple,
-    prod: Dict[int, tuple],
-    fused: Set[int],
-    leaves: List[int],
-    tree: List[tuple],
+    op: tuple, prod: Dict[int, tuple], fused: Set[int], tree: List[tuple]
 ) -> None:
-    tree.append(op)
+    """Append ``op``'s fused subtree in the order Python evaluates the
+    emitted expression: operands left to right, then the call itself."""
     for r in _reads(op):
-        if _is_scalar(r):
-            continue
-        if r in fused:
-            _collect(prod[r], prod, fused, leaves, tree)
-        else:
-            leaves.append(r)
+        if not _is_scalar(r) and r in fused:
+            _collect(prod[r], prod, fused, tree)
+    tree.append(op)
 
 
 def _statements(
@@ -193,10 +189,9 @@ def _statements(
     for op in sched:
         if op[0] != "sc" and op[-1] in fused:
             continue
-        leaves: List[int] = []
         tree: List[tuple] = []
-        _collect(op, prod, fused, leaves, tree)
-        stmts.append(_Stmt(op=op, leaves=leaves, tree=tree))
+        _collect(op, prod, fused, tree)
+        stmts.append(_Stmt(op=op, tree=tree))
     return stmts
 
 
@@ -205,22 +200,36 @@ def _stmt_rows(
     external: Set[int],
     pool_of: Callable[[int], str] = lambda r: "vec",
 ) -> Tuple[Dict[int, int], Dict[str, int]]:
-    """Statement-level :func:`~repro.core.passes.assign_rows`.
+    """Rows of every value the statements write, fused nodes included:
+    one :func:`~repro.core.passes.assign_rows` step per ufunc call, in
+    call order.
 
-    No row is ever held: every emitted form either is an elementwise
-    ufunc over direct operands or (``where`` selects, fused
-    sub-expressions) fully evaluates its arguments into temporaries
-    before the destination is written.
+    A step reads its operand rows when its call runs (a name or a nested
+    ``out=`` call only hands over the row; the values are read by the
+    consuming call), so a row stays live until then and a sibling
+    subtree evaluated in between cannot be placed on it; dying operands
+    are released before the output is placed, so a parent lands in place
+    on a child's row (``add(a, b, out=a)``: the exact-overlap elementwise
+    case).  A fused ``where(...)`` select owns no row -- it returns a
+    fresh array, which is also why a root select may alias its operands
+    -- and reads its operand rows at its own step (its ``greater`` runs
+    earlier still).  No row is ever held.
     """
+    rowless = external | {
+        op[-1] for st in stmts for op in st.tree[:-1] if op[0] == "sel"
+    }
     return assign_rows(
         [
             (
-                [r for r in st.leaves if r not in external],
-                None if st.op[0] == "sc" or st.op[-1] in external
-                else st.op[-1],
+                [
+                    r for r in _reads(op)
+                    if not _is_scalar(r) and r not in rowless
+                ],
+                None if op[0] == "sc" or op[-1] in rowless else op[-1],
                 None,
             )
             for st in stmts
+            for op in st.tree
         ],
         pool_of,
     )
@@ -241,58 +250,13 @@ def _lit(x) -> str:
     return f"float({str(f)!r})"
 
 
-def _expr(
-    r,
-    prod: Dict[int, tuple],
-    fused: Set[int],
-    name_of: Callable[[int], str],
-    scratch: Optional[List[int]] = None,
-) -> str:
-    """Render a ref as an expression, inlining fused producers.
-
-    With ``scratch`` (a one-element counter), fused binary/unary nodes
-    write into dedicated scratch rows via ``out=`` -- ufuncs return their
-    ``out`` array, so the calls still compose as expressions but stop
-    allocating a temporary per node.  Scratch rows are unique within one
-    statement (the counter resets per statement), so sibling subtrees can
-    never clobber each other before the parent reads them; values are
-    identical either way, so bit-identity is untouched.  Fused selects
-    stay ``where(...)`` (no ``out=`` support; it allocates regardless).
-    """
-    if _is_scalar(r):
-        return _lit(r)
-    if r in fused:
-        op = prod[r]
-        tag = op[0]
-        out = ""
-        if scratch is not None and tag in ("bin", "un"):
-            out = f", out=t{scratch[0]}"
-            scratch[0] += 1
-        if tag == "bin":
-            return (
-                f"{_UFUNC_NAMES[op[1]]}"
-                f"({_expr(op[2], prod, fused, name_of, scratch)}, "
-                f"{_expr(op[3], prod, fused, name_of, scratch)}{out})"
-            )
-        if tag == "un":
-            return (
-                f"{_UFUNC_NAMES[op[1]]}"
-                f"({_expr(op[2], prod, fused, name_of, scratch)}{out})"
-            )
-        # sel: pure selection, arguments evaluated before any write
-        return (
-            f"where(greater({_expr(op[1], prod, fused, name_of, scratch)}, "
-            f"{_lit(op[4])}), {_expr(op[2], prod, fused, name_of, scratch)}, "
-            f"{_expr(op[3], prod, fused, name_of, scratch)})"
-        )
-    return name_of(r)
-
-
-def _render_arith(
+def _call(
     op: tuple, ex: Callable[[object], str], name_of: Callable[[int], str]
 ) -> str:
-    """One bin/un/sel statement writing its row; ``ex`` renders operands
-    (inlining fused producers)."""
+    """The numpy call computing one bin/un/sel op; ``ex`` renders its
+    operands.  Ufuncs write their row through ``out=`` and return it, so
+    nested calls compose as expressions without allocating; selects are
+    pure selection into a fresh array (``where`` has no ``out=``)."""
     tag = op[0]
     if tag == "bin":
         return (
@@ -302,9 +266,33 @@ def _render_arith(
     if tag == "un":
         return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, out={name_of(op[3])})"
     return (
-        f"copyto({name_of(op[5])}, where(greater({ex(op[1])}, "
-        f"{_lit(op[4])}), {ex(op[2])}, {ex(op[3])}))"
+        f"where(greater({ex(op[1])}, {_lit(op[4])}), "
+        f"{ex(op[2])}, {ex(op[3])})"
     )
+
+
+def _expr(
+    r,
+    prod: Dict[int, tuple],
+    fused: Set[int],
+    name_of: Callable[[int], str],
+) -> str:
+    """Render a ref as an expression: a literal, a row name, or -- for a
+    fused producer -- its call, writing the row :func:`_stmt_rows` gave
+    it."""
+    if _is_scalar(r):
+        return _lit(r)
+    if r not in fused:
+        return name_of(r)
+    return _call(prod[r], lambda q: _expr(q, prod, fused, name_of), name_of)
+
+
+def _render_arith(
+    op: tuple, ex: Callable[[object], str], name_of: Callable[[int], str]
+) -> str:
+    """One bin/un/sel statement writing its row."""
+    call = _call(op, ex, name_of)
+    return f"copyto({name_of(op[5])}, {call})" if op[0] == "sel" else call
 
 
 def _emit_block(lines: List[str], stmts: List[str], indent: str,
@@ -318,7 +306,6 @@ def _emit_block(lines: List[str], stmts: List[str], indent: str,
         for s in stmts:
             lines.append(f"{indent}{s}")
         return
-    # timer binding must not collide with scratch rows t0, t1, ...
     for i, s in enumerate(stmts):
         lines.append(f"{indent}_t = clock()")
         lines.append(f"{indent}{s}")
@@ -550,19 +537,12 @@ def generate_program(
         def name(r: int) -> str:
             return f"p{pin_index[r]}" if r in pin_index else f"b{body_rows[r]}"
 
-        # Body statements route fused bin/un nodes into scratch rows
-        # (``out=t{k}``): no per-node allocation on the hot path.  The
-        # counter resets per statement, so scratch rows are shared across
-        # statements but unique within one (no sibling clobbering).
+        def ex(r):
+            return _expr(r, prod, fused, name)
+
         body_lines: List[str] = []
-        nscratch = 0
         for st in low.body_stmts:
             op = st.op
-            ctr = [0]
-
-            def ex(r):
-                return _expr(r, prod, fused, name, ctr)
-
             if op[0] == "gf":
                 line = (
                     f"take(vc{op[3]}, gi{gi_index[op[2]]}, out={name(op[4])})"
@@ -574,18 +554,15 @@ def generate_program(
             else:
                 line = f"copyto(s{op[1]}, {ex(op[4])}.reshape(-1, {vd}))"
             body_lines.append(line)
-            nscratch = max(nscratch, ctr[0])
-        nrows = nslab + nscratch
 
         source = _module(
             f"# variant={variant.name} vector_dim={vd} "
-            f"stmts={len(low.body_stmts)} slab_rows={nrows} "
-            f"(scratch={nscratch}) pinned={len(pin_index)} fused={low.nfused}",
+            f"stmts={len(low.body_stmts)} rows=vec:{nslab} "
+            f"pinned={len(pin_index)} fused={low.nfused}",
             low.setup_lines, "VC, GI, P, SV, B", "clock, rec, n",
             low.prologue()
             + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
-            + [f"b{r} = B[{r}]" for r in range(nslab)]
-            + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)],
+            + [f"b{r} = B[{r}]" for r in range(nslab)],
             lambda lines, timed: _emit_block(
                 lines, body_lines, "        ", timed
             ),
@@ -601,10 +578,10 @@ def generate_program(
             vc_comps=tuple(low.vc_comps),
             npinned=len(pin_index),
             nsetup_tmp=low.nsetup_tmp,
-            nslab=nrows,
+            nslab=nslab,
             stmt_costs=_stmt_costs(low.body_stmts),
             report=_make_report(
-                variant.name, front, nrows, fused_ops=low.nfused
+                variant.name, front, nslab, fused_ops=low.nfused
             ),
         )
     get_registry().counter("codegen.generates").inc()
@@ -635,15 +612,12 @@ def generate_elemental_program(
         def name(r: int) -> str:
             return f"b{rows[r]}"
 
+        def ex(r):
+            return _expr(r, prod, fused, name)
+
         stmt_lines: List[str] = []
-        nscratch = 0
         for st in stmts:
             op = st.op
-            ctr = [0]
-
-            def ex(r):
-                return _expr(r, prod, fused, name, ctr)
-
             if op[0] == "gc":
                 line = f"copyto({name(op[3])}, x{op[1]}{op[2]})"
             elif op[0] == "gf":
@@ -654,8 +628,6 @@ def generate_elemental_program(
             else:
                 line = _render_arith(op, ex, name)
             stmt_lines.append(line)
-            nscratch = max(nscratch, ctr[0])
-        nrows = nslab + nscratch
         ops = front.ops
         x_keys = sorted({(op[1], op[2]) for op in ops if op[0] == "gc"})
         u_keys = sorted({(op[2], op[3]) for op in ops if op[0] == "gf"})
@@ -665,12 +637,11 @@ def generate_elemental_program(
             + [f"u{s}{c} = U[:, {s}, {c}]" for s, c in u_keys]
             + [f"r{s}{c} = R[:, {s}, {c}]" for s, c in r_keys]
             + [f"b{r} = B[{r}]" for r in range(nslab)]
-            + [f"t{k} = B[{nslab + k}]" for k in range(nscratch)]
         )
         lines: List[str] = [
             "# generated by repro.core.codegen -- do not edit",
             f"# variant={variant.name} elemental "
-            f"stmts={len(stmts)} slab_rows={nrows} fused={len(fused)}",
+            f"stmts={len(stmts)} rows=vec:{nslab} fused={len(fused)}",
         ]
         for sig, timed in (("elemental(X, U, R, B)", False),
                            ("elemental_timed(X, U, R, B, clock, rec, n)", True)):
@@ -684,10 +655,10 @@ def generate_elemental_program(
             params_key=tuple(sorted(kernel_params.items())),
             nnode_per_element=nnode_per_element,
             source=source,
-            nslab=nrows,
+            nslab=nslab,
             stmt_costs=_stmt_costs(stmts),
             report=_make_report(
-                variant.name, front, nrows, fused_ops=len(fused)
+                variant.name, front, nslab, fused_ops=len(fused)
             ),
         )
     get_registry().counter("codegen.generates").inc()
@@ -766,7 +737,7 @@ class _GeneratedBound:
     def _tasks(self, cg: int, nslabs: int, profile) -> list:
         """One task per slab: chunk ``i`` runs on slab ``i % nslabs`` and
         a slab's chunks run sequentially, so concurrent slabs never share
-        scratch rows.  Profiled closures are bound per sweep."""
+        rows.  Profiled closures are bound per sweep."""
         if profile is not None:
             per_slab = self._build_closures(cg, nslabs, profile)
         else:
@@ -965,8 +936,8 @@ def generated_kernel(
 # this back end adds two batch-specific twists:
 #
 # * slab rows are assigned from two pools -- rank-1 rows BV and (S, n)
-#   rows BF -- and fused scratch rows are drawn per pool from the fused
-#   op's *own* rank, so shared geometry arithmetic runs once per batch at
+#   rows BF -- and every value, fused or not, draws from the pool of
+#   its *own* rank, so shared geometry arithmetic runs once per batch at
 #   rank-1;
 # * scatters reshape by source rank: scalars fill, srow rows broadcast as
 #   (S, 1, 1), vec sources broadcast a (cg, vd) block over all scenarios
@@ -974,44 +945,6 @@ def generated_kernel(
 #
 # The hoisted setup is *identical* to the serial emission (invariants are
 # geometry-only, hence rank-1).
-
-
-def _expr_batch(
-    r,
-    prod: Dict[int, tuple],
-    fused: Set[int],
-    name_of: Callable[[int], str],
-    rank_of: Callable[[int], str],
-    scratch: Optional[Dict[str, int]],
-) -> str:
-    """Rank-aware :func:`_expr`: fused bin/un nodes write ``out=`` scratch
-    rows drawn from the pool of the node's *own* rank (``tv*`` rank-1,
-    ``tf*`` full), so a shared-geometry subtree inside a per-scenario
-    statement still computes once per batch."""
-    if _is_scalar(r):
-        return _lit(r)
-    if r in fused:
-        op = prod[r]
-        tag = op[0]
-        out = ""
-        if scratch is not None and tag in ("bin", "un"):
-            pool = rank_of(r)
-            prefix = "tv" if pool == "vec" else "tf"
-            out = f", out={prefix}{scratch[pool]}"
-            scratch[pool] += 1
-
-        def ex(q):
-            return _expr_batch(q, prod, fused, name_of, rank_of, scratch)
-
-        if tag == "bin":
-            return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}, {ex(op[3])}{out})"
-        if tag == "un":
-            return f"{_UFUNC_NAMES[op[1]]}({ex(op[2])}{out})"
-        return (
-            f"where(greater({ex(op[1])}, {_lit(op[4])}), "
-            f"{ex(op[2])}, {ex(op[3])})"
-        )
-    return name_of(r)
 
 
 def _stmt_costs_batch(
@@ -1127,7 +1060,7 @@ def generate_batched_program(
         body_rows, n = _stmt_rows(
             low.body_stmts, front.external(), rank.__getitem__
         )
-        nslab_v, nslab_f = n.get("vec", 0), n.get("full", 0)
+        nslab_vec, nslab_full = n.get("vec", 0), n.get("full", 0)
         gi_index = {slot: k for k, slot in enumerate(low.gf_slots)}
 
         def name(r: int) -> str:
@@ -1137,21 +1070,16 @@ def generate_batched_program(
                 return f"q{q_of[r]}"
             return f"{'bv' if rank[r] == 'vec' else 'bf'}{body_rows[r]}"
 
+        def ex(r):
+            return _expr(r, prod, fused, name)
+
         gather = "take(vc{c}, gi{k}, axis=1, out={dst})" \
             if velocity_rank == "full" else "take(vc{c}, gi{k}, out={dst})"
         body_lines: List[str] = []
         lanevars: List[str] = []
-        nscratch = {"vec": 0, "full": 0}
         for st in low.body_stmts:
             op = st.op
             tag = op[0]
-            ctr = {"vec": 0, "full": 0}
-
-            def ex(r):
-                return _expr_batch(
-                    r, prod, fused, name, rank.__getitem__, ctr
-                )
-
             if tag == "gf":
                 line = gather.format(
                     c=op[3], k=gi_index[op[2]], dst=name(op[4])
@@ -1176,25 +1104,19 @@ def generate_batched_program(
                 lanevars.append("ns")
             else:
                 lanevars.append("n")
-            nscratch["vec"] = max(nscratch["vec"], ctr["vec"])
-            nscratch["full"] = max(nscratch["full"], ctr["full"])
 
-        nslab_vec = nslab_v + nscratch["vec"]
-        nslab_full = nslab_f + nscratch["full"]
         source = _module(
             f"# variant={variant.name} vector_dim={vd} scenarios={S} "
             f"velocity_rank={velocity_rank} stmts={len(low.body_stmts)} "
-            f"rows_vec={nslab_vec} rows_full={nslab_full} "
+            f"rows=vec:{nslab_vec},full:{nslab_full} "
             f"param_ops={len(front.param_ops)} pinned={len(pin_index)} "
             f"fused={low.nfused}",
             low.setup_lines, "VC, GI, P, Q, SV, BV, BF", "clock, rec, n, ns",
             low.prologue()
             + [f"q{k} = Q[{k}]" for k in range(len(q_of))]
             + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
-            + [f"bv{r} = BV[{r}]" for r in range(nslab_v)]
-            + [f"tv{k} = BV[{nslab_v + k}]" for k in range(nscratch["vec"])]
-            + [f"bf{r} = BF[{r}]" for r in range(nslab_f)]
-            + [f"tf{k} = BF[{nslab_f + k}]" for k in range(nscratch["full"])],
+            + [f"bv{r} = BV[{r}]" for r in range(nslab_vec)]
+            + [f"bf{r} = BF[{r}]" for r in range(nslab_full)],
             lambda lines, timed: _emit_block(
                 lines, body_lines, "        ", timed, lanevars
             ),

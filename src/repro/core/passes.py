@@ -11,8 +11,9 @@ remaining passes once, and every lowering -- ``compile_tape``,
 ``compile_batch_tape``, ``generate_program``, ``generate_batched_program``
 and ``generate_elemental_program`` -- consumes the same :class:`Front`.
 The replay back ends add op-level liveness and opcode lowering, the
-source back ends add fusion, statement-level liveness and emission; both
-allocate rows with :func:`assign_rows`.
+source back ends add fusion, call-level liveness (one step per ufunc call
+of a fused statement) and emission; both allocate every row they write
+with :func:`assign_rows`.
 
 SSA op forms (last element of a value op is its id; refs are value ids
 or folded ``np.float64`` scalars)::

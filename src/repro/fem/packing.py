@@ -19,7 +19,7 @@ trick Alya uses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -173,6 +173,17 @@ class ElementPacking:
     def groups(self) -> List[ElementGroup]:
         """Materialize all groups (convenience for small meshes)."""
         return list(self)
+
+    def lane_order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(element_ids, active)`` of all ``ngroups * vector_dim`` lanes
+        at once: the concatenation of every group's ``element_ids`` and
+        ``active`` (padding lanes repeat the last element, inactive)
+        without building the groups."""
+        nelem = self.mesh.nelem
+        ids = np.empty(self.ngroups * self.vector_dim, dtype=np.int64)
+        ids[:nelem] = self._order
+        ids[nelem:] = self._order[-1:]
+        return ids, np.arange(ids.shape[0]) < nelem
 
 
 def scatter_add(

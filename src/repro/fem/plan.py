@@ -188,9 +188,24 @@ class _ScatterPattern:
     """
 
     indices: np.ndarray  # (total,) flattened (node*ncomp + comp) + trash bin
-    signature: Tuple[Tuple[int, int, int], ...]  # (group, slot, comp) per call
+    signature: Tuple[int, tuple]  # see compact_signature
     length: int
     order: Optional[np.ndarray] = None  # flush permutation (seed order)
+
+
+def compact_signature(calls: list) -> Tuple[int, tuple]:
+    """``(ngroups, per-group (slot, comp) calls)`` of a sweep's
+    call-by-call ``(group, slot, comp)`` list -- what a mesh-bound kernel
+    writes down directly from its program.  A list that is not the same
+    calls for groups ``0 .. ngroups - 1`` in order keeps its full form,
+    which equals no regular sweep's."""
+    ngroups = calls[-1][0] + 1 if calls else 0
+    per_group = tuple(
+        (slot, comp) for _, slot, comp in calls[: len(calls) // max(ngroups, 1)]
+    )
+    if calls != [(g, s, c) for g in range(ngroups) for s, c in per_group]:
+        per_group = tuple(calls)
+    return ngroups, per_group
 
 
 def seed_flush_order(
@@ -417,19 +432,19 @@ class ScatterAccumulator:
                 indices = np.zeros(0, dtype=np.int64)
                 values = np.zeros(0, dtype=np.float64)
             order = None
+            signature = compact_signature(self._signature)
             if self._lane_seed_chunks and self._signature:
-                ngroups = self._signature[-1][0] + 1
                 order = seed_flush_order(
                     np.concatenate(self._lane_seed_chunks),
                     np.concatenate(self._active_chunks),
-                    len(self._signature) // ngroups,
+                    len(self._signature) // signature[0],
                     self._vector_dim,
                 )
             if order is not None:
                 indices = np.ascontiguousarray(indices[order])
             pattern = _ScatterPattern(
                 indices=_readonly(indices),
-                signature=tuple(self._signature),
+                signature=signature,
                 length=int(indices.shape[0]),
                 order=order,
             )
@@ -438,7 +453,7 @@ class ScatterAccumulator:
         else:
             pattern = self._pattern
             if self._pos != pattern.length or (
-                tuple(self._signature) != pattern.signature
+                compact_signature(self._signature) != pattern.signature
             ):
                 raise RuntimeError(
                     "scatter pattern mismatch: kernel call order changed "
@@ -574,7 +589,7 @@ class AssemblyPlan:
         self,
         key: Tuple,
         indices: np.ndarray,
-        signature: Tuple[Tuple[int, int, int], ...],
+        signature: Tuple[int, tuple],
         order: Optional[np.ndarray] = None,
     ) -> _ScatterPattern:
         """Register a sweep's scatter index pattern and return it.
@@ -593,7 +608,7 @@ class AssemblyPlan:
             indices = np.ascontiguousarray(indices[order])
         pattern = _ScatterPattern(
             indices=_readonly(indices),
-            signature=tuple(signature),
+            signature=signature,
             length=int(indices.shape[0]),
             order=order,
         )

@@ -153,41 +153,46 @@ def _pen_rules() -> Dict[int, QuadratureRule]:
             for (xx, ww) in zip(x, w):
                 pts.append([tp[0], tp[1], xx])
                 wts.append(tw * ww)
+        # the 3-point triangle rule is degree 2; a 1-point Gauss line is
+        # degree 1 (it integrates z**2 as 0)
         rules[3 * n1d] = QuadratureRule(
-            "PEN06", np.array(pts), np.array(wts), degree=2 if n1d == 1 else 2
+            "PEN06", np.array(pts), np.array(wts), degree=min(2, 2 * n1d - 1)
         )
     return rules
+
+
+#: 2-point Gauss-Jacobi (alpha=2, beta=0) nodes and weights on [-1, 1]:
+#: ``scipy.special.roots_jacobi(2, 2.0, 0.0)`` written out (and checked
+#: against it in the tests), so that importing the catalogue does not
+#: import ``scipy.special``.
+_GAUSS_JACOBI_20 = (
+    np.array([-0.754970354689117, 0.08830368802245062]),
+    np.array([1.860379610028064, 0.8062870566386026]),
+)
 
 
 def _pyr_rules() -> Dict[int, QuadratureRule]:
     # Conical product rule: Gauss-Legendre in (s, t), Gauss-Jacobi (alpha=2)
     # in u direction to absorb the (1-u)^2 volume factor.
-    rules: Dict[int, QuadratureRule] = {}
-    for n1d in (2,):
-        x, w = _gauss_legendre_1d(n1d)
-        # Gauss-Jacobi with weight (1-u)^2 on [0, 1]: use roots of Jacobi
-        # P_n^(2,0) mapped from [-1,1].
-        from scipy.special import roots_jacobi
-
-        xj, wj = roots_jacobi(n1d, 2.0, 0.0)
-        uj = 0.5 * (xj + 1.0)
-        # weight: integral of (1-u)^2 over [0,1] is 1/3; roots_jacobi weights
-        # integrate f(x)(1-x)^2 on [-1,1]; mapping gives factor (1/2)^3.
-        wu = wj * 0.125
-        pts = []
-        wts = []
-        # Volume integral: int_0^1 du (1-u)^2 int_{[-1,1]^2} dxs dxt
-        # f(xs (1-u), xt (1-u), u); the (1-u)^2 factor is the Jacobi weight.
-        for (u, wuu) in zip(uj, wu):
-            scale = 1.0 - u
-            for (xs, ws) in zip(x, w):
-                for (xt, wt) in zip(x, w):
-                    pts.append([xs * scale, xt * scale, u])
-                    wts.append(ws * wt * wuu)
-        rules[4 * n1d] = QuadratureRule(
-            "PYR05", np.array(pts), np.array(wts), degree=2
-        )
-    return rules
+    x, w = _gauss_legendre_1d(2)
+    # Gauss-Jacobi with weight (1-u)^2 on [0, 1]: roots of Jacobi
+    # P_2^(2,0) mapped from [-1,1].
+    xj, wj = _GAUSS_JACOBI_20
+    uj = 0.5 * (xj + 1.0)
+    # weight: integral of (1-u)^2 over [0,1] is 1/3; roots_jacobi weights
+    # integrate f(x)(1-x)^2 on [-1,1]; mapping gives factor (1/2)^3.
+    wu = wj * 0.125
+    pts = []
+    wts = []
+    # Volume integral: int_0^1 du (1-u)^2 int_{[-1,1]^2} dxs dxt
+    # f(xs (1-u), xt (1-u), u); the (1-u)^2 factor is the Jacobi weight.
+    for (u, wuu) in zip(uj, wu):
+        scale = 1.0 - u
+        for (xs, ws) in zip(x, w):
+            for (xt, wt) in zip(x, w):
+                pts.append([xs * scale, xt * scale, u])
+                wts.append(ws * wt * wuu)
+    return {8: QuadratureRule("PYR05", np.array(pts), np.array(wts), degree=2)}
 
 
 _CATALOGUE: Dict[str, Dict[int, QuadratureRule]] = {

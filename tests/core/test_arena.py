@@ -182,7 +182,7 @@ def test_every_executor_is_aligned_budgeted_and_chunk_independent(
 def test_real_budget_bounds_the_benchmark_shaped_kernels():
     """With the real constant: the arena fits it, one more group would
     not, and the sweep needs more than one chunk."""
-    plan = get_plan(box_tet_mesh(8, 8, 8))
+    plan = get_plan(box_tet_mesh(10, 10, 10))  # 375 groups > one B chunk
     kp = AssemblyParams().as_kernel_params()
     for kern in (
         generated_kernel(plan, "B", VD, kernel_params=kp),

@@ -1,0 +1,165 @@
+"""Row allocation of the generated kernels.
+
+Every row a generated kernel writes -- statement outputs and fused
+sub-expressions alike -- comes from ``passes.assign_rows``, one step per
+ufunc call in the order Python runs the calls.  Three things are held
+here: no call overwrites a value a later call still reads (white-box,
+over the very steps and rows the generators used), the results keep
+every bit including the sign of zero, and the row counts stay at the
+level the chunk sizes of the benchmark workloads were measured with.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from repro.core import (
+    ScenarioBatch,
+    UnifiedAssembler,
+    codegen,
+    generate_batched_program,
+    generate_elemental_program,
+    generate_program,
+    variant_names,
+)
+from repro.fem import box_tet_mesh
+from repro.physics import AssemblyParams
+
+VD = 16
+#: slab rows of one chunk at vector_dim 16 (B/P were 93, the RS family 50,
+#: while fused nodes drew private scratch rows)
+ROW_CEILING = {"B": 63, "P": 63, "RS": 37, "RSP": 37, "RSPR": 37}
+
+
+def _forcing_batch(size):
+    return ScenarioBatch([
+        AssemblyParams(body_force=(0.0, 0.0, 0.1 * (s + 1)))
+        for s in range(size)
+    ])
+
+
+def _generate(form, variant):
+    if form == "serial":
+        return generate_program(variant, VD, AssemblyParams().as_kernel_params())
+    if form == "elemental":
+        return generate_elemental_program(
+            variant, AssemblyParams().as_kernel_params()
+        )
+    return generate_batched_program(
+        variant, VD, _forcing_batch(4), velocity_rank=form
+    )
+
+
+# -- liveness oracle -----------------------------------------------------------
+
+
+def _assert_rows_are_live_when_read(steps, pool_of, row_of):
+    """Replay the steps on a model of the slab: a call must find each
+    operand's row still holding that operand.  A write onto a value a
+    later step reads would trip the later read; a write onto a row this
+    very step reads is the in-place ``out=`` case and the only aliasing
+    the model allows."""
+    holds = {}
+    nwrites = 0
+    for j, (reads, out, _) in enumerate(steps):
+        for r in reads:
+            assert holds.get((pool_of(r), row_of[r])) == r, (
+                f"step {j} reads value {r} from a row that holds "
+                f"{holds.get((pool_of(r), row_of[r]))}"
+            )
+        if out is not None:
+            holds[(pool_of(out), row_of[out])] = out
+            nwrites += 1
+    return nwrites
+
+
+@pytest.mark.parametrize("form", ["serial", "vec", "full", "elemental"])
+@pytest.mark.parametrize("variant", variant_names())
+def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form):
+    assign_rows = codegen.assign_rows
+    calls = []
+
+    def recording_assign_rows(steps, pool_of):
+        row_of, nrows = assign_rows(steps, pool_of)
+        calls.append((steps, pool_of, row_of, nrows))
+        return row_of, nrows
+
+    monkeypatch.setattr(codegen, "assign_rows", recording_assign_rows)
+    _generate(form, variant)
+    # setup + body for the mesh-bound forms, body alone for pool workers
+    assert len(calls) == (1 if form == "elemental" else 2)
+    for steps, pool_of, row_of, nrows in calls:
+        nwrites = _assert_rows_are_live_when_read(steps, pool_of, row_of)
+        # rows are reused: far fewer rows than values written
+        assert sum(nrows.values()) < nwrites
+
+
+def test_a_parent_lands_on_its_childs_row_and_private_scratch_is_gone():
+    for program in (_generate("serial", "RSP"), _generate("full", "B"),
+                    _generate("elemental", "RS")):
+        source = program.source
+        # multiply(.., out=b7), out=b7): the enclosing call writes in place
+        assert re.search(r"out=(b[vf]?\d+)\), out=\1\)", source)
+        assert not re.search(r"\bt[vf]?\d+\b", source)
+        assert "scratch" not in source
+
+
+# -- every bit, the sign of zero included ---------------------------------------
+
+
+def _signed_zero_velocity(mesh):
+    u = 0.1 * np.random.default_rng(3).standard_normal((mesh.nnode, 3))
+    u[::3] = 0.0
+    u[1::5] = -0.0
+    u[2::7, 1] = -0.0
+    assert np.signbit(u[u == 0.0]).any() and not np.signbit(u[u == 0.0]).all()
+    return u
+
+
+@pytest.mark.parametrize("S", [1, 4, 16])
+@pytest.mark.parametrize("variant", variant_names())
+def test_generated_replay_and_interpreted_agree_to_the_byte(variant, S):
+    """``tobytes`` equality: ``array_equal`` cannot tell ``-0.0`` from
+    ``0.0``, and a rewritten operand order or a folded ``0.0 + x`` can."""
+    mesh = box_tet_mesh(3, 3, 3)
+    u = _signed_zero_velocity(mesh)
+    batch = _forcing_batch(S)
+    want = np.stack([
+        UnifiedAssembler(
+            mesh, batch[s], vector_dim=VD, mode="interpreted"
+        ).assemble(variant, u)
+        for s in range(S)
+    ])
+    for mode in ("codegen", "compiled"):
+        asm = UnifiedAssembler(mesh, batch[0], vector_dim=VD, mode=mode)
+        if S == 1:
+            got = asm.assemble(variant, u)[None]
+        else:
+            got = asm.run_batch(variant, batch, u)
+        assert got.tobytes() == want.tobytes(), (variant, S, mode)
+
+
+# -- row ceilings ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", variant_names())
+def test_slab_rows_stay_under_the_measured_ceiling(variant):
+    """A pressure regression fails here instead of shrinking every chunk."""
+    ceiling = ROW_CEILING[variant]
+    serial = _generate("serial", variant)
+    assert serial.nslab <= ceiling
+    assert serial.report.buffers_live == serial.nslab
+    for rank in ("vec", "full"):
+        batched = _generate(rank, variant)
+        # the per-scenario forcing of the batch costs a few rows more
+        assert batched.nslab_vec + batched.nslab_full <= ceiling + 8
+        if rank == "vec":
+            assert batched.nslab_vec <= ceiling and batched.nslab_full <= 8
+        assert batched.report.buffers_live == (
+            batched.nslab_vec + batched.nslab_full
+        )
+        assert f"rows=vec:{batched.nslab_vec},full:{batched.nslab_full} " in (
+            batched.source
+        )
+    assert f" rows=vec:{serial.nslab} " in serial.source

@@ -111,3 +111,15 @@ def test_any_vector_dim_covers_mesh(vdim):
     seen = np.concatenate([g.element_ids[g.active] for g in p])
     assert np.array_equal(np.sort(seen), np.arange(mesh.nelem))
     assert sum(g.nactive for g in p) == mesh.nelem
+    # the one-shot lane order is the groups', concatenated
+    ids, active = p.lane_order()
+    assert np.array_equal(ids, np.concatenate([g.element_ids for g in p]))
+    assert np.array_equal(active, np.concatenate([g.active for g in p]))
+
+
+def test_lane_order_follows_the_permutation(medium_mesh):
+    perm = np.random.default_rng(1).permutation(medium_mesh.nelem)
+    p = ElementPacking(medium_mesh, vector_dim=37, permutation=perm)
+    ids, active = p.lane_order()
+    assert np.array_equal(ids, np.concatenate([g.element_ids for g in p]))
+    assert np.array_equal(ids[active], perm) and not active[-p.npad:].any()

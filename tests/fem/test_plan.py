@@ -404,6 +404,35 @@ def test_accumulator_rejects_out_of_order_reuse(small_mesh):
         acc2.finalize(np.zeros((small_mesh.nnode, 3)))
 
 
+def test_interpreted_and_bound_sweeps_write_the_same_signature(small_mesh):
+    """A mesh-bound kernel writes ``(ngroups, calls)`` down from its
+    program; the accumulator reduces its call-by-call list to the same
+    form, so either may build the pattern the other reuses -- and a
+    sweep whose groups disagree equals neither."""
+    from repro.fem.plan import compact_signature
+    from repro.physics import AssemblyParams
+
+    u = np.zeros((small_mesh.nnode, 3))
+    for first, second in (("interpreted", "codegen"), ("compiled", "interpreted")):
+        plan = AssemblyPlan(small_mesh)
+        for mode in (first, second):
+            asm = UnifiedAssembler(
+                small_mesh, AssemblyParams(), vector_dim=16, mode=mode
+            )
+            asm.plan = plan
+            asm.packing = plan.packing(16)
+            asm.assemble("RS", u)
+        (pattern,) = plan._patterns.values()
+        ngroups, calls = pattern.signature
+        assert ngroups == plan.packing(16).ngroups and len(calls) == 12
+
+    regular = [(g, s, c) for g in range(3) for s, c in ((0, 0), (1, 2))]
+    assert compact_signature(regular) == (3, ((0, 0), (1, 2)))
+    assert compact_signature([]) == (0, ())
+    swapped = regular[:4] + [regular[5], regular[4]]
+    assert compact_signature(swapped) == (3, tuple(swapped))
+
+
 # -- plan lifetime ------------------------------------------------------------------
 
 

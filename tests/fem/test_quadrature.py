@@ -113,3 +113,87 @@ def test_unknown_rule_raises():
         rule_for("TET04", 7)
     with pytest.raises(KeyError, match="catalogue"):
         rule_for("TRI03")
+
+
+def _line(n):
+    """int_{-1}^{1} x^n dx"""
+    return 0.0 if n % 2 else 2.0 / (n + 1)
+
+
+def _monomial_integral(name, i, j, k):
+    """Exact ``int s^i t^j u^k`` over the reference element."""
+    from math import factorial
+
+    if name == "TET04":
+        return _monomial_integral_tet(i, j, k)
+    if name == "HEX08":
+        return _line(i) * _line(j) * _line(k)
+    if name == "PEN06":  # unit triangle x [-1, 1]
+        return factorial(i) * factorial(j) / factorial(i + j + 2) * _line(k)
+    # PYR05: square [-1, 1]^2 shrinking linearly to the apex u = 1, so
+    # int = int_0^1 (1 - u)^(i + j + 2) u^k du * line(i) * line(j)
+    return (
+        factorial(i + j + 2) * factorial(k) / factorial(i + j + k + 3)
+        * _line(i) * _line(j)
+    )
+
+
+@pytest.mark.parametrize("name,ngauss", ALL)
+def test_every_rule_is_exact_up_to_its_stated_degree(name, ngauss):
+    rule = rule_for(name, ngauss)
+    s, t, u = rule.points.T
+    for i in range(rule.degree + 1):
+        for j in range(rule.degree + 1 - i):
+            for k in range(rule.degree + 1 - i - j):
+                got = float((s**i * t**j * u**k * rule.weights).sum())
+                assert got == pytest.approx(
+                    _monomial_integral(name, i, j, k), rel=1e-10, abs=1e-14
+                ), (i, j, k)
+
+
+def test_three_point_prism_rule_is_degree_one():
+    """Its Gauss line has one point: ``z**2`` integrates to 0, not 1/3."""
+    rule = rule_for("PEN06", 3)
+    assert rule.degree == 1
+    assert float((rule.points[:, 2] ** 2 * rule.weights).sum()) == 0.0
+    assert rule_for("PEN06", 6).degree == 2
+
+
+def test_gauss_jacobi_literals_match_scipy():
+    from scipy.special import roots_jacobi
+
+    from repro.fem.quadrature import _GAUSS_JACOBI_20
+
+    x, w = roots_jacobi(2, 2.0, 0.0)
+    np.testing.assert_allclose(_GAUSS_JACOBI_20[0], x, rtol=4e-16, atol=0)
+    np.testing.assert_allclose(_GAUSS_JACOBI_20[1], w, rtol=4e-16, atol=0)
+
+
+def test_import_and_a_codegen_sweep_load_no_scipy_special():
+    """``scipy.special`` drags in ``numpy.f2py`` and friends: 0.13 s and
+    5 MB of every process, pool worker and server spawn."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys, numpy as np, repro\n"
+        "from repro.core import UnifiedAssembler\n"
+        "from repro.fem import box_tet_mesh\n"
+        "from repro.physics import AssemblyParams\n"
+        "assert 'scipy.special' not in sys.modules, 'at import'\n"
+        "mesh = box_tet_mesh(2, 2, 2)\n"
+        "rhs = UnifiedAssembler(mesh, AssemblyParams(), mode='codegen')"
+        ".assemble('RSP', np.ones((mesh.nnode, 3)))\n"
+        "assert np.isfinite(rhs).all()\n"
+        "assert 'scipy.special' not in sys.modules, 'after a sweep'\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
