@@ -34,6 +34,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import ScenarioBatch, UnifiedAssembler, variant_names  # noqa: E402
+from repro.core.codegen import batched_generated_kernel  # noqa: E402
 from repro.fem import box_tet_mesh  # noqa: E402
 from repro.physics import AssemblyParams  # noqa: E402
 
@@ -199,9 +200,24 @@ def main(argv=None):
                 )
                 for s in range(size)
             )
+            native = ""
+            if mode == "codegen":
+                # the C form of the batched kernel: build now, adopt on the
+                # next sweep, serve the one after
+                kern = batched_generated_kernel(asm.plan, variant, vd, batch)
+                native = ", native no compiler"
+                if kern.build_native(wait=True):
+                    asm.run_batch(variant, batch, velocity)
+                    ok = kern._native.state == "adopted" and np.array_equal(
+                        asm.run_batch(variant, batch, velocity), rhs
+                    )
+                    native = ", native " + (
+                        "OK" if ok else f"MISMATCH ({kern._native.state})"
+                    )
+                    same &= ok
             print(
                 f"batch {variant:>5s}/{mode} S={size}: bitwise "
-                f"{'OK' if same else 'MISMATCH'}"
+                f"{'OK' if same else 'MISMATCH'}{native}"
             )
             failed |= not same
     if not failed:

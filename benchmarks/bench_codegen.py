@@ -228,10 +228,20 @@ def main(argv=None):
             get_plan(mesh), variant, vd,
             kernel_params=params.as_kernel_params(),
         )
+        # the C form: build now, adopt on the next sweep, serve the one after
+        native = "no compiler"
+        if kern.build_native(wait=True):
+            gen.assemble(variant, velocity)
+            served = gen.assemble(variant, velocity)
+            ok = kern._native.state == "adopted" and np.array_equal(
+                served, interp.assemble(variant, velocity)
+            )
+            native = "OK" if ok else f"MISMATCH ({kern._native.state})"
+            same &= ok
         report = kern.program.report
         print(
             f"codegen {variant:>5s}: bitwise "
-            f"{'OK' if same else 'MISMATCH'} "
+            f"{'OK' if same else 'MISMATCH'}, native {native} "
             f"({report.fused_ops} fused, {report.hoisted_ops} hoisted, "
             f"{report.buffers_live} slab rows)"
         )

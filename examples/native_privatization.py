@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""The paper's B -> P column, measured: every variant's generated kernel as
+one C lane loop with its rows privatized into scalars vs. kept as arena rows.
+
+Run:  python examples/native_privatization.py [n]      (mesh n^3 cells, default 24)
+"""
+import sys
+import time
+
+import numpy as np
+
+from repro.core import UnifiedAssembler, native, variant_names
+from repro.core.codegen import _lower_mesh, generated_kernel
+from repro.core.passes import front_end
+from repro.core.tape import _record
+from repro.fem import box_tet_mesh
+from repro.physics import AssemblyParams
+
+VD, REPEATS = 16, 15
+n = int(sys.argv[1]) if len(sys.argv) > 1 else 24
+mesh, params = box_tet_mesh(n, n, n), AssemblyParams(body_force=(0.05, -0.1, 0.2))
+asm = UnifiedAssembler(mesh, params, mode="codegen", vector_dim=VD)
+u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
+print(f"{mesh.nelem} tets, vector_dim {VD}; kernel call only (no flush), best of {REPEATS}")
+print(f"{'variant':8s} {'rows':>5s} {'private ms':>11s} {'rows ms':>9s} {'private : rows':>15s}")
+for name in variant_names():
+    want = asm.assemble(name, u)  # binds the kernel and refreshes its inputs
+    kern = generated_kernel(asm.plan, name, VD, kernel_params=params.as_kernel_params())
+    front = front_end(_record(name, params.as_kernel_params(), 4)[1], hoist=True)
+    low, arena, best = _lower_mesh(front), np.empty((kern.program.nslab, VD)), {}
+    calls = {}
+    for storage in ("private", "rows"):
+        source = native.emit_c(low, front, vector_dim=VD, storage=storage)
+        proc = native.build(source)
+        if proc is None or proc.wait() != 0:
+            sys.exit("no working C compiler ($CC or cc)")
+        args = (*kern._native._args[:-1], arena.ctypes.data)
+        calls[storage] = (native.load(source), args)
+    for storage in ("private", "rows") * REPEATS:  # interleaved: the host drifts
+        fn, args = calls[storage]
+        t0 = time.perf_counter()
+        fn(0, kern.ngroups, *args)
+        best[storage] = min(best.get(storage, 1.0), time.perf_counter() - t0)
+        got = np.zeros_like(want)
+        kern._flush(got)
+        assert got.tobytes() == want.tobytes(), (name, storage)
+    print(f"{name:8s} {kern.program.nslab:5d} {best['private'] * 1e3:11.2f} "
+          f"{best['rows'] * 1e3:9.2f} {best['rows'] / best['private']:14.2f}x")

@@ -58,7 +58,10 @@ source in every pool worker and the module-level code cache
 (:data:`_CODE_CACHE`) guarantees a cache hit never re-``exec``\\ s.
 
 Set ``REPRO_CODEGEN_DUMP=<dir>`` to dump every generated module to
-``<dir>/<variant>_vd<N>.py`` / ``<dir>/<variant>_elemental.py``.
+``<dir>/<variant>_vd<N>.py`` / ``<dir>/<variant>_elemental.py``.  A
+mesh-wide program also carries its statements printed as one C lane loop
+(:mod:`repro.core.native`, dumped as ``.c``): once a compiler has built it
+and one real sweep matched the Python form bitwise, it serves the sweeps.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import sys
 import time
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -104,6 +108,7 @@ __all__ = [
     "generate_elemental_program",
     "batched_generated_kernel",
     "generated_kernel",
+    "stop_builds",
 ]
 
 #: maximum fused-subtree depth inlined into one expression
@@ -314,26 +319,6 @@ def _emit_block(lines: List[str], stmts: List[str], indent: str,
         )
 
 
-def _op_cost(op: tuple) -> Tuple[float, float, float]:
-    """Per-lane (bytes read, bytes written, flops) of one SSA op --
-    mirrors :func:`repro.obs.profiler.op_costs_from_program`."""
-    tag = op[0]
-    if tag == "bin":
-        nvec = sum(1 for r in (op[2], op[3]) if not _is_scalar(r))
-        return (nvec * 8.0, 8.0, 1.0)
-    if tag == "un":
-        nvec = 0 if _is_scalar(op[2]) else 1
-        return (nvec * 8.0, 8.0, 1.0)
-    if tag == "sel":
-        nvec = sum(1 for r in (op[1], op[2], op[3]) if not _is_scalar(r))
-        return (nvec * 8.0 + 1.0, 9.0, 1.0)
-    if tag in ("gc", "gf"):
-        return (16.0, 8.0, 0.0)
-    # sc
-    nvec = 0 if _is_scalar(op[4]) else 1
-    return (nvec * 8.0, 8.0, 0.0)
-
-
 _ROOT_KINDS = {"bin": "bin", "un": "un", "sel": "sel",
                "gc": "gather", "gf": "gather", "sc": "scatter"}
 
@@ -351,25 +336,58 @@ def _root_label(op: tuple) -> str:
     return f"rhs[{op[2]},{op[3]}]"
 
 
-def _stmt_costs(stmts: List[_Stmt]) -> Tuple[tuple, ...]:
-    """Per-statement ``(kind, label, rb, wb, fl)`` profiler cost slots.
+def _stmt_costs(
+    stmts: List[_Stmt],
+    rank: Dict[int, str],
+    q_refs: Set[int] = frozenset(),
+    scenarios: int = 1,
+) -> Tuple[tuple, ...]:
+    """Per-statement ``(kind, label, rb, wb, fl)`` profiler cost slots, in
+    units of the *root's* lanes.  A fused statement reports the summed
+    bytes/FLOPs of its constituent ops, labelled ``<root>+<k>`` for ``k``
+    inlined ops (a serial program is the all-``vec``, ``S = 1`` case).
 
-    A fused statement reports the *summed* bytes/FLOPs of its constituent
-    ops (the ISSUE's attribution contract), labelled ``<root>+<k>`` for
-    ``k`` inlined ops.
+    The timed kernel records ``S * n`` lanes for full-rank statements and
+    ``n`` for rank-1 ones; a rank-1 op fused inside a full-rank statement
+    still executes only ``n`` lanes, so its per-lane contribution scales
+    by ``1/S`` to keep total bytes honest.  Reads of ``(S, 1)`` parameter
+    rows count zero bytes, like folded scalars (cache-resident).
     """
+
+    def cheap(ref) -> bool:
+        return _is_scalar(ref) or ref in q_refs
+
     costs: List[tuple] = []
     for st in stmts:
+        root = st.op
+        root_full = root[0] == "sc" or rank.get(root[-1]) == "full"
         rb = wb = fl = 0.0
         for op in st.tree:
-            orb, owb, ofl = _op_cost(op)
-            rb += orb
-            wb += owb
-            fl += ofl
-        label = _root_label(st.op)
+            tag = op[0]
+            if tag == "bin":
+                nv = sum(1 for r in (op[2], op[3]) if not cheap(r))
+                orb, owb, ofl = nv * 8.0, 8.0, 1.0
+            elif tag == "un":
+                orb = 0.0 if cheap(op[2]) else 8.0
+                owb, ofl = 8.0, 1.0
+            elif tag == "sel":
+                nv = sum(1 for r in (op[1], op[2], op[3]) if not cheap(r))
+                orb, owb, ofl = nv * 8.0 + 1.0, 9.0, 1.0
+            elif tag in ("gc", "gf"):
+                orb, owb, ofl = 16.0, 8.0, 0.0
+            else:  # sc
+                orb = 0.0 if cheap(op[4]) else 8.0
+                owb, ofl = 8.0, 0.0
+            scale = 1.0
+            if root_full and tag != "sc" and rank.get(op[-1]) == "vec":
+                scale = 1.0 / scenarios
+            rb += orb * scale
+            wb += owb * scale
+            fl += ofl * scale
+        label = _root_label(root)
         if len(st.tree) > 1:
             label += f"+{len(st.tree) - 1}"
-        costs.append((_ROOT_KINDS[st.op[0]], label, rb, wb, fl))
+        costs.append((_ROOT_KINDS[root[0]], label, rb, wb, fl))
     return tuple(costs)
 
 
@@ -406,6 +424,7 @@ class CodegenProgram:
     nslab: int
     stmt_costs: Tuple[tuple, ...]
     report: TapeReport
+    c_source: str = ""  # the same statements as one C lane loop (native.py)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -425,13 +444,17 @@ class ElementalCodegenProgram:
     report: TapeReport
 
 
-def _maybe_dump(filename: str, source: str) -> None:
+def _maybe_dump(stem: str, program) -> None:
+    """Write ``<stem>.py`` and, for a mesh-wide program, ``<stem>.c``."""
     outdir = os.environ.get("REPRO_CODEGEN_DUMP")
     if not outdir:
         return
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, filename), "w", encoding="utf-8") as fh:
-        fh.write(source)
+    for ext, text in ((".py", program.source),
+                      (".c", getattr(program, "c_source", ""))):
+        if text:
+            with open(os.path.join(outdir, stem + ext), "w", encoding="utf-8") as fh:
+                fh.write(text)
     get_registry().counter("codegen.dumps").inc()
 
 
@@ -445,6 +468,8 @@ class _MeshLowering:
     nfused: int
     body_fused: Set[int]
     body_stmts: List[_Stmt]
+    body_rows: Dict[int, int]  # value id -> row in its rank's pool
+    nrows: Dict[str, int]  # rows per pool ("vec", "full")
     setup_lines: List[str]
     nsetup_tmp: int
     gf_slots: List[int]
@@ -480,11 +505,17 @@ def _lower_mesh(front: Front) -> _MeshLowering:
                 op, lambda r: _expr(r, prod, setup_fused, name), name
             ))
     gathers = [op for op in front.body if op[0] == "gf"]
+    body_stmts = _statements(front.body, prod, body_fused)
+    body_rows, nrows = _stmt_rows(
+        body_stmts, front.external(), front.rank.__getitem__
+    )
     return _MeshLowering(
         pin_index=pin_index,
         nfused=len(setup_fused) + len(body_fused),
         body_fused=body_fused,
-        body_stmts=_statements(front.body, prod, body_fused),
+        body_stmts=body_stmts,
+        body_rows=body_rows,
+        nrows=nrows,
         setup_lines=setup_lines,
         nsetup_tmp=n.get("vec", 0),
         gf_slots=sorted({op[2] for op in gathers}),
@@ -518,6 +549,8 @@ def generate_program(
     nnode_per_element: int = 4,
 ) -> CodegenProgram:
     """Lower one variant to a mesh-wide generated source module."""
+    from . import native
+
     kernel_params = dict(kernel_params or {})
     vd = int(vector_dim)
     with get_tracer().span(
@@ -530,8 +563,7 @@ def generate_program(
         front = front_end(recorder, hoist=True)
         low = _lower_mesh(front)
         prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
-        body_rows, n = _stmt_rows(low.body_stmts, set(pin_index))
-        nslab = n.get("vec", 0)
+        body_rows, nslab = low.body_rows, low.nrows.get("vec", 0)
         gi_index = {slot: k for k, slot in enumerate(low.gf_slots)}
 
         def name(r: int) -> str:
@@ -544,9 +576,7 @@ def generate_program(
         for st in low.body_stmts:
             op = st.op
             if op[0] == "gf":
-                line = (
-                    f"take(vc{op[3]}, gi{gi_index[op[2]]}, out={name(op[4])})"
-                )
+                line = f"take(vc{op[3]}, gi{gi_index[op[2]]}, out={name(op[4])})"
             elif op[0] != "sc":
                 line = _render_arith(op, ex, name)
             elif _is_scalar(op[4]):
@@ -555,11 +585,13 @@ def generate_program(
                 line = f"copyto(s{op[1]}, {ex(op[4])}.reshape(-1, {vd}))"
             body_lines.append(line)
 
-        source = _module(
-            f"# variant={variant.name} vector_dim={vd} "
+        header = (
+            f"variant={variant.name} vector_dim={vd} "
             f"stmts={len(low.body_stmts)} rows=vec:{nslab} "
-            f"pinned={len(pin_index)} fused={low.nfused}",
-            low.setup_lines, "VC, GI, P, SV, B", "clock, rec, n",
+            f"pinned={len(pin_index)} fused={low.nfused}"
+        )
+        source = _module(
+            "# " + header, low.setup_lines, "VC, GI, P, SV, B", "clock, rec, n",
             low.prologue()
             + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
             + [f"b{r} = B[{r}]" for r in range(nslab)],
@@ -579,13 +611,14 @@ def generate_program(
             npinned=len(pin_index),
             nsetup_tmp=low.nsetup_tmp,
             nslab=nslab,
-            stmt_costs=_stmt_costs(low.body_stmts),
+            stmt_costs=_stmt_costs(low.body_stmts, front.rank),
             report=_make_report(
                 variant.name, front, nslab, fused_ops=low.nfused
             ),
+            c_source=native.emit_c(low, front, vector_dim=vd, header=header),
         )
     get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_vd{vd}.py", source)
+    _maybe_dump(f"{variant.name}_vd{vd}", program)
     return program
 
 
@@ -656,13 +689,13 @@ def generate_elemental_program(
             nnode_per_element=nnode_per_element,
             source=source,
             nslab=nslab,
-            stmt_costs=_stmt_costs(stmts),
+            stmt_costs=_stmt_costs(stmts, front.rank),
             report=_make_report(
                 variant.name, front, nslab, fused_ops=len(fused)
             ),
         )
     get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_elemental.py", source)
+    _maybe_dump(f"{variant.name}_elemental", program)
     return program
 
 
@@ -725,6 +758,9 @@ class _GeneratedBound:
         )
         #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
         self._chunk_cache: Dict[Tuple[int, int], list] = {}
+        from .native import NativeForm
+
+        self._native = NativeForm(self)
 
     def _chunk_views(self, g0: int, g1: int) -> Tuple[list, list, int]:
         """One chunk's gather-index and pinned slices and lane count."""
@@ -735,6 +771,20 @@ class _GeneratedBound:
         return GI, P, n
 
     def _tasks(self, cg: int, nslabs: int, profile) -> list:
+        """The adopted C form's calls (:mod:`repro.core.native`; profiled
+        sweeps stay on the Python source), else the Python form's."""
+        tasks = None if profile is not None else self._native.sweep_tasks(
+            self, nslabs, partial(self._python_tasks, cg, nslabs)
+        )
+        span = self.tracer.current
+        if span is not None:
+            span.attributes.update(
+                {"native": False} if tasks is None
+                else {"native": True, "chunks": 0, "arena_bytes": 0}
+            )
+        return self._python_tasks(cg, nslabs, profile) if tasks is None else tasks
+
+    def _python_tasks(self, cg: int, nslabs: int, profile=None) -> list:
         """One task per slab: chunk ``i`` runs on slab ``i % nslabs`` and
         a slab's chunks run sequentially, so concurrent slabs never share
         rows.  Profiled closures are bound per sweep."""
@@ -745,16 +795,62 @@ class _GeneratedBound:
             if per_slab is None:
                 per_slab = self._build_closures(cg, nslabs)
                 self._chunk_cache[(cg, nslabs)] = per_slab
-        return [partial(_run_slab, kerns) for kerns in per_slab]
+        return [partial(_run_slab, kerns, self._native) for kerns in per_slab]
+
+    def build_native(self, wait: bool = True) -> bool:
+        """Build the C form now instead of after ``BUILD_AFTER_S`` of
+        sweeps; the next sweep adopts it.  ``False``: no compiler."""
+        with self.lock:
+            return self._native.build(wait)
 
     def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
         super()._count(nchunks, executor, threaded)
         get_registry().counter("codegen.chunks_executed").inc(nchunks)
 
+    def execute(
+        self,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        chunk_groups: Optional[int] = None,
+        param_rows=None,
+    ) -> np.ndarray:
+        """Assemble the momentum RHS -- ``(nnode, 3)``, or ``(S, nnode,
+        3)`` for a batch, whose varying values ``param_rows`` carries --
+        accumulating into ``rhs`` in place."""
+        return self._sweep(
+            "serial", velocity, rhs, chunk_groups, param_rows=param_rows
+        )
 
-def _run_slab(kerns: list) -> None:
+    def execute_chunked(
+        self,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        num_threads: Optional[int] = None,
+        chunk_groups: Optional[int] = None,
+        param_rows=None,
+    ) -> np.ndarray:
+        """Assemble on a thread pool: one task per slab, chunks of one
+        slab running sequentially.  Bitwise identical to :meth:`execute`
+        for any thread count or schedule (numpy ufuncs and the C form
+        drop the GIL, so slabs overlap)."""
+        return self._sweep(
+            "threads", velocity, rhs, chunk_groups, num_threads, param_rows
+        )
+
+
+def _run_slab(kerns: list, form) -> None:
+    t0 = time.perf_counter()
     for kern in kerns:
         kern()
+    form.spent += time.perf_counter() - t0
+
+
+def stop_builds() -> None:
+    """Terminate pending compiler children (the server's drain), without
+    importing the native module when nothing ever loaded it."""
+    native = sys.modules.get(__package__ + ".native")
+    if native is not None:
+        native.stop_builds()
 
 
 class GeneratedKernel(_GeneratedBound, MeshBound):
@@ -804,31 +900,6 @@ class GeneratedKernel(_GeneratedBound, MeshBound):
             )
             per_slab[s].append(factory(self._vcols, GI, P, SV, B, *timing))
         return per_slab
-
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble the momentum RHS, accumulating into ``rhs`` in place."""
-        return self._sweep("serial", velocity, rhs, chunk_groups)
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble on a thread pool: one task per slab, chunks of one
-        slab running sequentially.  Bitwise identical to :meth:`execute`
-        for any thread count or schedule (numpy ufuncs drop the GIL, so
-        slabs overlap).
-        """
-        return self._sweep(
-            "threads", velocity, rhs, chunk_groups, num_threads
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +955,32 @@ class ElementalGeneratedKernel:
 # ---------------------------------------------------------------------------
 
 
+def _plan_cached(plan, key, vector_dim, permutation, make, tracer,
+                 profiler, **batch):
+    """The kernel under ``key`` in the plan's codegen store, built by
+    ``make(packing)`` on a miss (``batch``: the extra span attributes of
+    a batched kernel).  Mesh reorientation (any ``mesh._version`` bump)
+    invalidates the plan and with it every generated kernel."""
+    kern, event = plan.cached_codegen(key), "cache_hits"
+    if kern is None:
+        event = "compiles"
+        with get_tracer().span(
+            "codegen.compile_batch" if batch else "codegen.compile",
+            variant=key[0], vector_dim=int(vector_dim), **batch,
+        ):
+            kern = make(plan.packing(int(vector_dim), permutation=permutation))
+        plan.store_codegen(key, kern)
+    get_registry().counter(
+        f"codegen.{'batch_' if batch else ''}{event}"
+    ).inc()
+    if tracer is not None:
+        kern.tracer = tracer
+    # Always (re)set the profiler -- generated kernels are plan-cached and
+    # shared across assemblers, like compiled tapes.
+    kern.profiler = profiler if profiler is not None else NULL_PROFILER
+    return kern
+
+
 def generated_kernel(
     plan,
     variant_name: str,
@@ -893,34 +990,19 @@ def generated_kernel(
     tracer=None,
     profiler=None,
 ) -> GeneratedKernel:
-    """The plan-cached :class:`GeneratedKernel` for one configuration.
-
-    Cached next to the compiled tapes under the same
-    :func:`~repro.core.tape.tape_cache_key`; mesh reorientation
-    (``fix_orientation`` / any ``mesh._version`` bump) invalidates the
-    plan and with it every generated kernel, forcing regeneration.
-    """
+    """The plan-cached :class:`GeneratedKernel` for one configuration,
+    stored next to the compiled tapes under the same
+    :func:`~repro.core.tape.tape_cache_key`."""
     kernel_params = dict(kernel_params or {})
     key = tape_cache_key(variant_name, vector_dim, permutation, kernel_params)
-    kern = plan.cached_codegen(key)
-    registry = get_registry()
-    if kern is None:
-        with get_tracer().span(
-            "codegen.compile", variant=key[0], vector_dim=int(vector_dim)
-        ):
-            program = generate_program(key[0], int(vector_dim), kernel_params)
-            packing = plan.packing(int(vector_dim), permutation=permutation)
-            kern = GeneratedKernel(program, plan, packing, perm_key=key[2])
-        plan.store_codegen(key, kern)
-        registry.counter("codegen.compiles").inc()
-    else:
-        registry.counter("codegen.cache_hits").inc()
-    if tracer is not None:
-        kern.tracer = tracer
-    # Always (re)set the profiler -- generated kernels are plan-cached and
-    # shared across assemblers, like compiled tapes.
-    kern.profiler = profiler if profiler is not None else NULL_PROFILER
-    return kern
+    return _plan_cached(
+        plan, key, vector_dim, permutation,
+        lambda packing: GeneratedKernel(
+            generate_program(key[0], int(vector_dim), kernel_params),
+            plan, packing, perm_key=key[2],
+        ),
+        tracer, profiler,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -945,58 +1027,6 @@ def generated_kernel(
 #
 # The hoisted setup is *identical* to the serial emission (invariants are
 # geometry-only, hence rank-1).
-
-
-def _stmt_costs_batch(
-    stmts: List[_Stmt],
-    rank: Dict[int, str],
-    q_refs: Set[int],
-    scenarios: int,
-) -> Tuple[tuple, ...]:
-    """Per-statement profiler cost slots in units of the *root's* lanes.
-
-    The timed kernel records ``S * n`` lanes for full-rank statements and
-    ``n`` for rank-1 ones; a rank-1 op fused inside a full-rank statement
-    still executes only ``n`` lanes, so its per-lane contribution scales
-    by ``1/S`` to keep total bytes honest.  Reads of ``(S, 1)`` parameter
-    rows count zero bytes, like folded scalars (cache-resident).
-    """
-
-    def cheap(ref) -> bool:
-        return _is_scalar(ref) or ref in q_refs
-
-    costs: List[tuple] = []
-    for st in stmts:
-        root = st.op
-        root_full = root[0] == "sc" or rank.get(root[-1]) == "full"
-        rb = wb = fl = 0.0
-        for op in st.tree:
-            tag = op[0]
-            if tag == "bin":
-                nv = sum(1 for r in (op[2], op[3]) if not cheap(r))
-                orb, owb, ofl = nv * 8.0, 8.0, 1.0
-            elif tag == "un":
-                orb = 0.0 if cheap(op[2]) else 8.0
-                owb, ofl = 8.0, 1.0
-            elif tag == "sel":
-                nv = sum(1 for r in (op[1], op[2], op[3]) if not cheap(r))
-                orb, owb, ofl = nv * 8.0 + 1.0, 9.0, 1.0
-            elif tag in ("gc", "gf"):
-                orb, owb, ofl = 16.0, 8.0, 0.0
-            else:  # sc
-                orb = 0.0 if cheap(op[4]) else 8.0
-                owb, ofl = 8.0, 0.0
-            scale = 1.0
-            if root_full and tag != "sc" and rank.get(op[-1]) == "vec":
-                scale = 1.0 / scenarios
-            rb += orb * scale
-            wb += owb * scale
-            fl += ofl * scale
-        label = _root_label(root)
-        if len(st.tree) > 1:
-            label += f"+{len(st.tree) - 1}"
-        costs.append((_ROOT_KINDS[root[0]], label, rb, wb, fl))
-    return tuple(costs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1030,6 +1060,7 @@ class BatchedCodegenProgram:
     nslab_full: int
     stmt_costs: Tuple[tuple, ...]
     report: TapeReport
+    c_source: str = ""
 
 
 def generate_batched_program(
@@ -1040,6 +1071,8 @@ def generate_batched_program(
     nnode_per_element: int = 4,
 ) -> BatchedCodegenProgram:
     """Lower one variant to a scenario-batched generated source module."""
+    from . import native
+
     vd = int(vector_dim)
     S = int(batch.size)
     with get_tracer().span(
@@ -1057,9 +1090,7 @@ def generate_batched_program(
         low = _lower_mesh(front)
         prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
         rank, q_of = front.rank, front.q_of
-        body_rows, n = _stmt_rows(
-            low.body_stmts, front.external(), rank.__getitem__
-        )
+        body_rows, n = low.body_rows, low.nrows
         nslab_vec, nslab_full = n.get("vec", 0), n.get("full", 0)
         gi_index = {slot: k for k, slot in enumerate(low.gf_slots)}
 
@@ -1105,13 +1136,15 @@ def generate_batched_program(
             else:
                 lanevars.append("n")
 
-        source = _module(
-            f"# variant={variant.name} vector_dim={vd} scenarios={S} "
+        header = (
+            f"variant={variant.name} vector_dim={vd} scenarios={S} "
             f"velocity_rank={velocity_rank} stmts={len(low.body_stmts)} "
             f"rows=vec:{nslab_vec},full:{nslab_full} "
             f"param_ops={len(front.param_ops)} pinned={len(pin_index)} "
-            f"fused={low.nfused}",
-            low.setup_lines, "VC, GI, P, Q, SV, BV, BF", "clock, rec, n, ns",
+            f"fused={low.nfused}"
+        )
+        source = _module(
+            "# " + header, low.setup_lines, "VC, GI, P, Q, SV, BV, BF", "clock, rec, n, ns",
             low.prologue()
             + [f"q{k} = Q[{k}]" for k in range(len(q_of))]
             + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
@@ -1138,14 +1171,18 @@ def generate_batched_program(
             nsetup_tmp=low.nsetup_tmp,
             nslab_vec=nslab_vec,
             nslab_full=nslab_full,
-            stmt_costs=_stmt_costs_batch(low.body_stmts, rank, set(q_of), S),
+            stmt_costs=_stmt_costs(low.body_stmts, rank, set(q_of), S),
             report=_make_report(
                 variant.name, front, nslab_vec + nslab_full,
                 fused_ops=low.nfused, **_batch_counts(front, S),
             ),
+            c_source=native.emit_c(
+                low, front, vector_dim=vd, scenarios=S,
+                full_velocity=velocity_rank == "full", header=header,
+            ),
         )
     get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_vd{vd}_S{S}.py", source)
+    _maybe_dump(f"{variant.name}_vd{vd}_S{S}", program)
     return program
 
 
@@ -1209,31 +1246,6 @@ class BatchedGeneratedKernel(_GeneratedBound, BatchBound):
             )
         return per_slab
 
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-        param_rows=None,
-    ) -> np.ndarray:
-        """Assemble all ``S`` scenario RHS vectors: ``(S, nnode, 3)``."""
-        return self._sweep(
-            "serial", velocity, rhs, chunk_groups, param_rows=param_rows
-        )
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-        param_rows=None,
-    ) -> np.ndarray:
-        """Threaded batched assembly; bitwise identical to :meth:`execute`."""
-        return self._sweep(
-            "threads", velocity, rhs, chunk_groups, num_threads, param_rows
-        )
-
 
 def batched_generated_kernel(
     plan,
@@ -1256,27 +1268,13 @@ def batched_generated_kernel(
     key = batch_tape_cache_key(
         variant_name, vector_dim, permutation, batch, velocity_rank
     )
-    kern = plan.cached_codegen(key)
-    registry = get_registry()
-    if kern is None:
-        with get_tracer().span(
-            "codegen.compile_batch",
-            variant=key[0],
-            vector_dim=int(vector_dim),
-            scenarios=batch.size,
-        ):
-            program = generate_batched_program(
+    return _plan_cached(
+        plan, key, vector_dim, permutation,
+        lambda packing: BatchedGeneratedKernel(
+            generate_batched_program(
                 key[0], int(vector_dim), batch, velocity_rank=velocity_rank
-            )
-            packing = plan.packing(int(vector_dim), permutation=permutation)
-            kern = BatchedGeneratedKernel(
-                program, plan, packing, perm_key=key[2]
-            )
-        plan.store_codegen(key, kern)
-        registry.counter("codegen.batch_compiles").inc()
-    else:
-        registry.counter("codegen.batch_cache_hits").inc()
-    if tracer is not None:
-        kern.tracer = tracer
-    kern.profiler = profiler if profiler is not None else NULL_PROFILER
-    return kern
+            ),
+            plan, packing, perm_key=key[2],
+        ),
+        tracer, profiler, scenarios=batch.size,
+    )

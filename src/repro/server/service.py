@@ -200,8 +200,8 @@ class CampaignServer:
         results and checkpoint paths (and get typed ``draining``
         rejections for new work); :meth:`shutdown` closes it.
         Idempotent; returns a summary for the ``/drain`` response.  On
-        return there are **no** live worker tasks or executor threads --
-        the no-leak tests assert exactly that.
+        return there are **no** live worker tasks, executor threads or
+        compiler children -- the no-leak tests assert exactly that.
         """
         self.admission.start_draining()
         rejected = []
@@ -233,6 +233,10 @@ class CampaignServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        # no compiler child a generated kernel started outlives the drain
+        from ..core.codegen import stop_builds
+
+        stop_builds()
         self._drained.set()
         return {
             "draining": True,

@@ -12,6 +12,16 @@ from repro.fem import box_tet_mesh, bolund_like_mesh, perturbed_box_mesh
 from repro.physics import AssemblyParams
 
 
+@pytest.fixture(scope="session", autouse=True)
+def native_cache(tmp_path_factory):
+    """Point the generated kernels' C-form cache (``repro.core.native``)
+    at a directory of this test session: no test reads or writes the
+    user's ``~/.cache/repro``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def small_mesh():
     return box_tet_mesh(3, 3, 3)

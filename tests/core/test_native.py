@@ -1,0 +1,384 @@
+"""The C form of the generated kernels (``repro.core.native``).
+
+Exactness is tested op by op, not inferred; the kernel-level tests hold
+the C form to the same ``.tobytes()`` oracle as every other back end, on
+fields containing both zeros; the lifecycle tests pin adoption, rejection,
+the no-compiler path and the cache's trust rules.
+"""
+
+import ctypes
+import dataclasses
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core import UnifiedAssembler, variant_names
+from repro.core import native
+from repro.core.passes import UFUNC_NAMES
+from repro.fem import box_tet_mesh
+from repro.obs import Tracer
+from repro.obs.metrics import get_registry
+from repro.physics import AssemblyParams
+
+PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
+VD = 16
+
+
+def _count(name):
+    entry = get_registry().snapshot().get(f"codegen.native_{name}")
+    return 0.0 if entry is None else entry["value"]
+
+
+def _compile(source):
+    """Build ``source`` now; the loaded library, or None without a compiler."""
+    if "void kernel(" not in source:
+        source += "void kernel(void) {}\n"  # the symbol ``native.load`` binds
+    proc = native.build(source)
+    if proc is None or proc.wait() != 0 or native.load(source) is None:
+        return None
+    return ctypes.CDLL(native.so_path(source))
+
+
+@pytest.fixture(scope="module")
+def cc():
+    if _compile("void kernel(void) {}\n") is None:
+        pytest.skip("no working C compiler ($CC or cc)")
+
+
+def _field(shape, seed=0):
+    u = 0.1 * np.random.default_rng(seed).standard_normal(shape)
+    u[..., ::7, :] = 0.0
+    u[..., 3::11, 1] = -0.0
+    return u
+
+
+def _only_kernel(asm):
+    (kern,) = asm.plan._codegen.values()
+    return kern
+
+
+# -- (a) op templates and literals against numpy, bit for bit ----------------
+
+SPECIALS = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.1125369292536007e-308,
+    2.2250738585072014e-308, 1.0, -1.0, 0.1, -3.0, 8.0, 1.7976931348623157e308,
+])
+
+
+def test_every_c_op_matches_its_numpy_ufunc_bitwise(cc):
+    ufuncs = {op: getattr(np, name) for op, name in UFUNC_NAMES.items()}
+    assert set(ufuncs) - set(native.C_OPS) == {"cbrt"}
+    a, b = (m.ravel().copy() for m in np.meshgrid(SPECIALS, SPECIALS))
+    loop = ("void op_{name}(long long n, const double *a, const double *b, "
+            "double *o)\n{{ for (long long i = 0; i < n; ++i) o[i] = {expr}; }}\n")
+    source = "double sqrt(double);\n" + "".join(
+        loop.format(name=name, expr=tmpl.format(a="a[i]", b="b[i]"))
+        for name, tmpl in native.C_OPS.items()
+    ) + loop.format(name="select", expr="a[i] > (0x1p-1) ? a[i] : b[i]")
+    lib = _compile(source)
+    ptr = ctypes.c_void_p
+
+    def run(name):
+        out = np.empty_like(a)
+        fn = getattr(lib, "op_" + name)
+        fn.argtypes, fn.restype = [ctypes.c_longlong, ptr, ptr, ptr], None
+        fn(a.size, a.ctypes.data, b.ctypes.data, out.ctypes.data)
+        return out
+
+    with np.errstate(all="ignore"):
+        for name in native.C_OPS:
+            want = ufuncs[name](a, b) if ufuncs[name].nin == 2 else ufuncs[name](a)
+            assert run(name).tobytes() == want.tobytes(), name
+        want = np.where(np.greater(a, 0.5), a, b)
+    assert run("select").tobytes() == want.tobytes()
+
+
+def test_a_body_with_an_irreproducible_op_gets_no_c_form():
+    """libm's cbrt is an ulp off numpy's (0.1 -> ...cff2 vs ...cff3): no
+    template, and a kernel whose per-sweep body used it stays on Python."""
+    from types import SimpleNamespace as NS
+
+    stmt = NS(op=("un", "cbrt", 0, 1), tree=[("un", "cbrt", 0, 1)])
+    low = NS(body_stmts=[stmt], body_rows={1: 0})
+    front = NS(rank={0: "vec", 1: "vec"}, q_of={}, pinned=[], scatter_calls=())
+    assert native.emit_c(low, front, vector_dim=8) == ""
+
+
+def test_literals_are_bit_exact(cc):
+    values = np.concatenate([SPECIALS, np.random.default_rng(1).standard_normal(32)])
+    body = "".join(f"  o[{i}] = {native._lit(v)};\n" for i, v in enumerate(values))
+    lib = _compile(f"void fill(double *o)\n{{\n{body}}}\n")
+    out = np.empty_like(values)
+    lib.fill.argtypes, lib.fill.restype = [ctypes.c_void_p], None
+    lib.fill(out.ctypes.data)
+    assert out.tobytes() == values.tobytes()
+
+
+# -- (b) every variant x batch shape x executor against the interpreter ------
+
+def _forcing(size):
+    return [dataclasses.replace(PARAMS, body_force=(0.05, -0.1, 0.1 * (s + 1)))
+            for s in range(size)]
+
+
+@pytest.mark.parametrize("shape", ["serial", "shared", "per_scenario"])
+@pytest.mark.parametrize("variant", variant_names())
+def test_native_is_bitwise_the_interpreter(cc, variant, shape):
+    mesh = box_tet_mesh(3, 3, 3)
+    batch = None if shape == "serial" else _forcing(4)
+    lead = (4,) if shape == "per_scenario" else ()
+    u = _field(lead + (mesh.nnode, 3))
+
+    def sweep(asm):
+        if batch is None:
+            return asm.assemble(variant, u)
+        return asm.run_batch(variant, batch, u)
+
+    oracle = sweep(UnifiedAssembler(mesh, PARAMS, mode="interpreted", vector_dim=VD))
+    for executor in ("serial", "threads"):
+        asm = UnifiedAssembler(
+            mesh, PARAMS, mode="codegen", vector_dim=VD, executor=executor,
+            num_threads=2, chunk_groups=3,
+        )
+        python_form = sweep(asm)
+        kern = _only_kernel(asm)
+        assert kern.build_native(wait=True)
+        sweep(asm)  # the adoption sweep (both executors share the kernel)
+        assert kern._native.state == "adopted"
+        served = sweep(asm)
+        assert served.tobytes() == python_form.tobytes() == oracle.tobytes()
+
+
+def test_rows_storage_is_the_same_function(cc):
+    """The un-privatized form (measurement only) computes the same bits."""
+    from repro.core.codegen import _lower_mesh
+    from repro.core.passes import front_end
+    from repro.core.tape import _record
+
+    mesh = box_tet_mesh(3, 3, 3)
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
+    want = asm.assemble("RSP", _field((mesh.nnode, 3)))
+    kern = _only_kernel(asm)
+    front = front_end(_record("RSP", PARAMS.as_kernel_params(), 4)[1], hoist=True)
+    low = _lower_mesh(front)
+    assert native.emit_c(low, front, vector_dim=VD).splitlines()[2:] == \
+        kern.program.c_source.splitlines()[2:]
+    source = native.emit_c(low, front, vector_dim=VD, storage="rows")
+    assert "v0[l]" in source and "v0[l]" not in kern.program.c_source
+    assert _compile(source) is not None
+    arena = np.empty((kern.program.nslab, VD))
+    native.load(source)(0, kern.ngroups, *kern._native._args[:-1], arena.ctypes.data)
+    got = np.zeros_like(want)
+    kern._flush(got)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(KeyError):
+        native.emit_c(low, front, vector_dim=VD, storage="registers")
+
+
+# -- (c) a wrong template is rejected at adoption -----------------------------
+
+def test_wrong_template_is_rejected_at_adoption(cc, monkeypatch):
+    monkeypatch.setitem(native.C_OPS, "add", native.C_OPS["sub"])
+    mesh = box_tet_mesh(3, 3, 3)
+    tracer = Tracer()
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD, tracer=tracer)
+    u = _field((mesh.nnode, 3))
+    want = asm.assemble("RSP", u)
+    kern = _only_kernel(asm)
+    before = _count("rejected"), _count("adopted")
+    assert kern.build_native(wait=True)
+    assert asm.assemble("RSP", u).tobytes() == want.tobytes()
+    assert kern._native.state == "rejected"
+    assert (_count("rejected"), _count("adopted")) == (before[0] + 1, before[1])
+    assert [s.name for s in tracer.finished].count("NativeRejected") == 1
+
+    def never(*args):
+        raise AssertionError("a rejected C function was called")
+
+    kern._native._fn = never
+    for _ in range(3):
+        assert asm.assemble("RSP", u).tobytes() == want.tobytes()
+    assert not kern.build_native()  # and it is never rebuilt
+
+
+# -- (d) no compiler ------------------------------------------------------------
+
+def test_without_a_compiler_codegen_serves_from_python(monkeypatch):
+    monkeypatch.setenv("CC", "/bin/false")
+    spawned = []
+    real = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        spawned.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(native.subprocess, "Popen", popen)
+    mesh = box_tet_mesh(3, 3, 3)
+    u = _field((mesh.nnode, 3))
+    want = UnifiedAssembler(
+        mesh, PARAMS, mode="interpreted", vector_dim=VD
+    ).assemble("RS", u)
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
+    for _ in range(3):  # short-lived: below the build threshold, nobody forks
+        assert asm.assemble("RS", u).tobytes() == want.tobytes()
+    assert spawned == []
+    kern = _only_kernel(asm)
+    assert kern._native.state == "python"
+
+    # past the threshold the one attempt fails and is never repeated
+    monkeypatch.setattr(native, "BUILD_AFTER_S", 0.0)
+    failed = _count("build_failed")
+    for _ in range(4):
+        assert asm.assemble("RS", u).tobytes() == want.tobytes()
+        if kern._native._proc is not None:
+            kern._native._proc.wait()
+    assert len(spawned) == 1 and kern._native.state == "rejected"
+    assert _count("build_failed") == failed + 1
+    again = UnifiedAssembler(box_tet_mesh(3, 3, 3), PARAMS, mode="codegen",
+                             vector_dim=VD)
+    for _ in range(3):
+        again.assemble("RS", u)
+    assert len(spawned) == 1
+
+
+# -- (e) cache: hit in a fresh process, untrusted files refused ---------------
+
+HIT_SCRIPT = """
+import subprocess, sys
+import numpy as np
+from repro.core import UnifiedAssembler, native
+from repro.fem import box_tet_mesh
+from repro.obs.metrics import get_registry
+from repro.physics import AssemblyParams
+
+def boom(*a, **k):
+    raise SystemExit("a cache hit spawned a process")
+native.subprocess.Popen = boom
+mesh = box_tet_mesh(3, 3, 3)
+asm = UnifiedAssembler(mesh, AssemblyParams(body_force=(0.05, -0.1, 0.2)),
+                       mode="codegen", vector_dim=16)
+u = np.ones((mesh.nnode, 3))
+asm.assemble("RSPR", u); asm.assemble("RSPR", u)
+snap = get_registry().snapshot()
+print(*(int(snap.get("codegen.native_" + k, {"value": 0})["value"])
+        for k in ("cache_hits", "adopted", "builds")))
+"""
+
+
+def test_second_bind_in_a_fresh_process_is_a_hit(cc):
+    mesh = box_tet_mesh(3, 3, 3)
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
+    asm.assemble("RSPR", np.ones((mesh.nnode, 3)))
+    assert _only_kernel(asm).build_native(wait=True)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", HIT_SCRIPT], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "0"]
+
+
+@pytest.mark.parametrize("tamper", ["world_writable", "foreign_owner"])
+def test_untrusted_cache_file_is_refused_and_rebuilt(cc, tamper):
+    if tamper == "foreign_owner" and os.getuid() != 0:
+        pytest.skip("needs root to give the file away")
+    mesh = box_tet_mesh(3, 3, 3)
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=8)
+    asm.assemble("RS", np.ones((mesh.nnode, 3)))
+    kern = _only_kernel(asm)
+    assert kern.build_native(wait=True)
+    so = native.so_path(kern.program.c_source)
+    if tamper == "world_writable":
+        os.chmod(so, 0o666)
+    else:
+        os.chown(so, 12345, -1)
+    hits, builds = _count("cache_hits"), _count("builds")
+    other = UnifiedAssembler(box_tet_mesh(3, 3, 3), PARAMS, mode="codegen",
+                             vector_dim=8)
+    other.assemble("RS", np.ones((mesh.nnode, 3)))
+    fresh = _only_kernel(other)
+    assert fresh._native.state == "python" and _count("cache_hits") == hits
+    assert fresh.build_native(wait=True)
+    assert _count("builds") == builds + 1
+    st = os.stat(so)
+    assert st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def test_unloadable_cache_file_is_removed_and_missed(cc):
+    source = "/* not a shared object */ void kernel(void) {}\n"
+    so = native.so_path(source)
+    os.makedirs(os.path.dirname(so), mode=0o700, exist_ok=True)
+    with open(so, "w") as fh:
+        fh.write("garbage")
+    assert native.load(source) is None and not os.path.exists(so)
+
+
+def test_a_finished_build_nobody_loaded_is_kept_at_exit(cc):
+    """A process that exits between its build and its next sweep leaves the
+    next process a hit, not a temp file."""
+    source = "/* built, never loaded */ void kernel(void) {}\n"
+    so = native.so_path(source)
+    assert native.build(source).wait() == 0 and not os.path.exists(so)
+    native.stop_builds()
+    assert os.path.exists(so) and not os.path.exists(f"{so}.{os.getpid()}")
+
+
+# -- observability and import hygiene ----------------------------------------
+
+def test_execute_span_says_which_form_served(cc):
+    mesh = box_tet_mesh(3, 3, 3)
+    tracer = Tracer()
+    # a group size no other test builds: the first bind is a cache miss
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=24, tracer=tracer)
+    u = _field((mesh.nnode, 3))
+    asm.assemble("RSP", u)
+    assert _only_kernel(asm).build_native(wait=True)
+    asm.assemble("RSP", u)
+    asm.assemble("RSP", u)
+    spans = [s for s in tracer.finished if s.name == "codegen.execute"]
+    assert [s.attributes["native"] for s in spans] == [False, True, True]
+    assert spans[0].attributes["chunks"] >= 1 and spans[0].attributes["arena_bytes"] > 0
+    assert spans[2].attributes["chunks"] == 0 and spans[2].attributes["arena_bytes"] == 0
+    assert [s.name for s in tracer.finished].count("NativeAdopted") == 1
+
+
+def test_profiled_sweeps_stay_on_the_python_source(cc):
+    mesh = box_tet_mesh(3, 3, 3)
+    u = _field((mesh.nnode, 3))
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
+    want = asm.assemble("RSP", u)
+    kern = _only_kernel(asm)
+    assert kern.build_native(wait=True)
+    asm.assemble("RSP", u)
+    kern._native._fn = None  # a profiled sweep must not need it
+    profiled = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD, profile=True)
+    assert profiled.assemble("RSP", u).tobytes() == want.tobytes()
+    profile = next(iter(profiled.profiler.profiles.values()))
+    assert profile.executions == 1
+
+
+def test_dump_writes_the_c_file_beside_the_python_one(tmp_path, monkeypatch):
+    from repro.core.codegen import generate_program
+
+    monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path))
+    generate_program("RS", 8, kernel_params=PARAMS.as_kernel_params())
+    py, c = ((tmp_path / f"RS_vd8.{ext}").read_text().splitlines()
+             for ext in ("py", "c"))
+    assert py[1].startswith("# variant=RS") and "rows=vec:" in py[1]
+    assert c[1] == f"/* {py[1][2:]} storage=private */"
+    assert any("#pragma omp simd" in line for line in c)
+
+
+def test_cold_import_does_not_touch_the_native_module(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), XDG_CACHE_HOME=str(tmp_path))
+    code = ("import sys, repro; assert 'repro.core.native' not in sys.modules; "
+            "import repro.core.codegen as c; c.stop_builds(); "
+            "assert 'repro.core.native' not in sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert os.listdir(tmp_path) == []

@@ -34,6 +34,16 @@ def _count(name):
 MESH = {"nx": 2, "ny": 2, "nz": 2}
 
 
+def _process_state(pid):
+    """The kernel's one-letter state of ``pid`` (``Z``: exited, not yet
+    reaped by its new parent), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return None
+
+
 def _serve(config=None, fault_plan=None):
     server = CampaignServer(config or ServerConfig(workers=1),
                             fault_plan=fault_plan)
@@ -333,12 +343,24 @@ def test_deadline_exceeded_is_typed_and_cancels_cleanly():
 # integration: drain
 # ---------------------------------------------------------------------------
 
-def test_drain_checkpoints_inflight_campaign_and_rejects_new(tmp_path):
+def test_drain_checkpoints_inflight_campaign_and_rejects_new(
+    tmp_path, monkeypatch
+):
     import os
 
+    from repro.core import native
+
+    # a compiler that never finishes: the child a generated kernel's
+    # background build would leave behind if the drain did not reap it
+    slow_cc = tmp_path / "slow-cc"
+    slow_cc.write_text(f"#!/bin/sh\nsleep 60 &\necho $! > {tmp_path}/cc1.pid\nwait\n")
+    slow_cc.chmod(0o755)
+    monkeypatch.setenv("CC", str(slow_cc))
     config = ServerConfig(workers=1, checkpoint_dir=str(tmp_path))
     server, handle, client = _serve(config)
     try:
+        build = native.build("/* pending at drain */ void kernel(void) {}\n")
+        assert build is not None and build.poll() is None
         sub = client.submit({
             "kind": "campaign", "mesh": MESH, "steps": 900, "dt": 5e-3,
             "mode": "compiled", "velocity_seed": 7,
@@ -360,6 +382,13 @@ def test_drain_checkpoints_inflight_campaign_and_rejects_new(tmp_path):
             client.submit({"kind": "assemble", "mesh": MESH,
                            "velocity_seed": 123})
         assert err.value.code == "draining"
+        # no orphan compiler: the driver and the child it forked are gone
+        assert build.poll() is not None
+        cc1 = int((tmp_path / "cc1.pid").read_text())
+        deadline = time.monotonic() + 10
+        while _process_state(cc1) not in (None, "Z"):
+            assert time.monotonic() < deadline, "the compiler's child survived"
+            time.sleep(0.01)
     finally:
         handle.stop()
 
