@@ -203,16 +203,23 @@ def main(argv=None):
             native = ""
             if mode == "codegen":
                 # the C form of the batched kernel: build now, adopt on the
-                # next sweep, serve the one after
+                # next sweep, serve the ones after -- scattering immediately
+                # when one call covers the mesh, deferred under threads
                 kern = batched_generated_kernel(asm.plan, variant, vd, batch)
                 native = ", native no compiler"
                 if kern.build_native(wait=True):
                     asm.run_batch(variant, batch, velocity)
-                    ok = kern._native.state == "adopted" and np.array_equal(
-                        asm.run_batch(variant, batch, velocity), rhs
+                    ok = kern._native.state == "adopted"
+                    threaded = UnifiedAssembler(
+                        mesh, batch[0], vector_dim=vd, mode=mode,
+                        executor="threads", num_threads=2, chunk_groups=1,
                     )
+                    for runner, scatter in ((asm, "fused"), (threaded, "deferred")):
+                        served = runner.run_batch(variant, batch, velocity)
+                        ok &= np.array_equal(served, rhs) and kern._scatter == scatter
                     native = ", native " + (
-                        "OK" if ok else f"MISMATCH ({kern._native.state})"
+                        "OK" if ok
+                        else f"MISMATCH ({kern._native.state}, {kern._scatter})"
                     )
                     same &= ok
             print(

@@ -228,15 +228,22 @@ def main(argv=None):
             get_plan(mesh), variant, vd,
             kernel_params=params.as_kernel_params(),
         )
-        # the C form: build now, adopt on the next sweep, serve the one after
+        # the C form: build now, adopt on the next sweep, serve the ones
+        # after -- scattering immediately when one call covers the mesh,
+        # deferred when the threaded executor has several in flight
         native = "no compiler"
         if kern.build_native(wait=True):
             gen.assemble(variant, velocity)
-            served = gen.assemble(variant, velocity)
-            ok = kern._native.state == "adopted" and np.array_equal(
-                served, interp.assemble(variant, velocity)
+            ok = kern._native.state == "adopted"
+            want = interp.assemble(variant, velocity)
+            threaded = UnifiedAssembler(
+                mesh, params, vector_dim=vd, mode="codegen",
+                executor="threads", num_threads=2, chunk_groups=1,
             )
-            native = "OK" if ok else f"MISMATCH ({kern._native.state})"
+            for asm, scatter in ((gen, "fused"), (threaded, "deferred")):
+                served = asm.assemble(variant, velocity)
+                ok &= np.array_equal(served, want) and kern._scatter == scatter
+            native = "OK" if ok else f"MISMATCH ({kern._native.state}, {kern._scatter})"
             same &= ok
         report = kern.program.report
         print(

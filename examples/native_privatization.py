@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""The paper's B -> P column, measured: every variant's generated kernel as
-one C lane loop with its rows privatized into scalars vs. kept as arena rows.
+"""The paper's B -> P column and its second R, measured: every variant's
+generated kernel as one C function -- rows privatized into scalars vs. kept
+as arena rows (kernel call only), and the whole sweep with each group's local
+RHS scattered immediately vs. deferred to a values buffer and one bincount.
 
 Run:  python examples/native_privatization.py [n]      (mesh n^3 cells, default 24)
 """
@@ -21,8 +23,9 @@ n = int(sys.argv[1]) if len(sys.argv) > 1 else 24
 mesh, params = box_tet_mesh(n, n, n), AssemblyParams(body_force=(0.05, -0.1, 0.2))
 asm = UnifiedAssembler(mesh, params, mode="codegen", vector_dim=VD)
 u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
-print(f"{mesh.nelem} tets, vector_dim {VD}; kernel call only (no flush), best of {REPEATS}")
-print(f"{'variant':8s} {'rows':>5s} {'private ms':>11s} {'rows ms':>9s} {'private : rows':>15s}")
+print(f"{mesh.nelem} tets, vector_dim {VD}; best of {REPEATS}, interleaved")
+print(f"{'variant':8s} {'rows':>5s} {'private ms':>11s} {'rows ms':>9s} {'private : rows':>15s}"
+      f" {'fused ms':>9s} {'deferred ms':>12s} {'deferred : fused':>17s}")
 for name in variant_names():
     want = asm.assemble(name, u)  # binds the kernel and refreshes its inputs
     kern = generated_kernel(asm.plan, name, VD, kernel_params=params.as_kernel_params())
@@ -34,7 +37,8 @@ for name in variant_names():
         proc = native.build(source)
         if proc is None or proc.wait() != 0:
             sys.exit("no working C compiler ($CC or cc)")
-        args = (*kern._native._args[:-1], arena.ctypes.data)
+        # deferred placement: SV is the values buffer, B the arena, no accumulator
+        args = (*kern._native._args, kern._values.ctypes.data, arena.ctypes.data, None)
         calls[storage] = (native.load(source), args)
     for storage in ("private", "rows") * REPEATS:  # interleaved: the host drifts
         fn, args = calls[storage]
@@ -44,5 +48,18 @@ for name in variant_names():
         got = np.zeros_like(want)
         kern._flush(got)
         assert got.tobytes() == want.tobytes(), (name, storage)
+    assert kern.build_native(wait=True) and asm.assemble(name, u).tobytes() == want.tobytes()
+    # the adopted C function in its two placements, one call over the mesh each:
+    # scatter immediately, or store to the values buffer one bincount reduces
+    for placement in ("fused", "deferred") * REPEATS:
+        t0, kern._scatter = time.perf_counter(), placement
+        for task in kern._native._tasks(kern, 1):
+            task()
+        got = np.zeros_like(want)
+        kern._flush(got)
+        best[placement] = min(best.get(placement, 1.0), time.perf_counter() - t0)
+        assert got.tobytes() == want.tobytes(), (name, placement)
     print(f"{name:8s} {kern.program.nslab:5d} {best['private'] * 1e3:11.2f} "
-          f"{best['rows'] * 1e3:9.2f} {best['rows'] / best['private']:14.2f}x")
+          f"{best['rows'] * 1e3:9.2f} {best['rows'] / best['private']:14.2f}x"
+          f" {best['fused'] * 1e3:9.2f} {best['deferred'] * 1e3:12.2f}"
+          f" {best['deferred'] / best['fused']:16.2f}x")

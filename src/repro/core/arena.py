@@ -112,7 +112,9 @@ class MeshBound:
     configuration build the pattern once between them.  ``scenarios=None``
     is the serial layout (values ``(ngroups, ncalls, vector_dim)``, whose
     C-order flattening reproduces the accumulator's group-major temporal
-    order); a batch adds a leading ``S`` axis and the tiled flush indices.
+    order); a batch adds a leading ``S`` axis.  ``_scatter == "fused"``
+    marks a sweep whose kernel (:mod:`repro.core.native`) already reduced
+    into ``_acc``; ``_values`` is allocated by its first deferred sweep.
 
     A bound kernel replays in buffers it owns, and the plan hands the same
     kernel to every caller on the mesh: ``lock`` is held for the span of
@@ -135,6 +137,8 @@ class MeshBound:
     #: scenarios per sweep; serial kernels are the ``S = 1`` case without
     #: the leading axis
     S = 1
+    #: where this sweep's scatter values went, and the fused accumulator
+    _scatter, _acc = "deferred", None
 
     def __init__(
         self,
@@ -147,7 +151,7 @@ class MeshBound:
         scenarios: Optional[int] = None,
         velocity_rank: str = "vec",
     ) -> None:
-        from ..fem.plan import batch_flush_indices, seed_flush_order
+        from ..fem.plan import seed_flush_order
 
         self.program = program
         self.plan = plan
@@ -175,15 +179,14 @@ class MeshBound:
             self._velocity_shape = (int(scenarios), self.nnode, 3)
         self._vcols = aligned_empty((3,) + self._velocity_shape[:-1])
 
+        shape = (self.ngroups, ncalls, self.vector_dim)  # of a sweep's values
         signature = (self.ngroups, tuple(program.scatter_calls))
         key = (program.variant, self.vector_dim, perm_key)
         pattern = plan.scatter_pattern(key)
         registry = get_registry()
         if pattern is None:
             trash = self.nnode * self.ncomp
-            indices = np.empty(
-                (self.ngroups, ncalls, self.vector_dim), dtype=np.int64
-            )
+            indices = np.empty(shape, dtype=np.int64)
             for c, (slot, comp) in enumerate(program.scatter_calls):
                 icol = np.where(active, conn[:, slot] * self.ncomp + comp, trash)
                 indices[:, c, :] = icol.reshape(self.ngroups, self.vector_dim)
@@ -206,19 +209,20 @@ class MeshBound:
             registry.counter("scatter.pattern_reuses").inc()
         self._pattern = pattern
 
-        shape = (self.ngroups, ncalls, self.vector_dim)
+        self._sv: Optional[np.ndarray] = None
+        self._values_shape: Tuple[int, ...] = shape
         self._rhs_shape: Tuple[int, ...] = (self.nnode, self.ncomp)
-        if scenarios is None:
-            self._values = aligned_empty(shape)
-            self._values_flat = self._values.reshape(-1)
-        else:
+        if scenarios is not None:
             self.S = int(scenarios)
             self._rhs_shape = (self.S,) + self._rhs_shape
-            self._values = aligned_empty((self.S,) + shape)
-            self._values_flat = self._values.reshape(self.S, -1)
-            self._batch_indices = batch_flush_indices(
-                pattern, self.S, self.nnode, self.ncomp
-            )
+            self._values_shape = (self.S,) + shape
+
+    @property
+    def _values(self) -> np.ndarray:
+        """The deferred scatter values, allocated by their first reader."""
+        if self._sv is None:
+            self._sv = aligned_empty(self._values_shape)
+        return self._sv
 
     @property
     def report(self):
@@ -249,7 +253,7 @@ class MeshBound:
     def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
         registry = get_registry()
         prefix = self._span.partition(".")[0]
-        batch = "batch_" if self._values.ndim == 4 else ""
+        batch = "batch_" if len(self._rhs_shape) == 3 else ""
         registry.counter(f"{prefix}.{batch}executions").inc()
         if batch:
             registry.counter(f"{prefix}.batch_scenarios").inc(self.S)
@@ -336,28 +340,25 @@ class MeshBound:
         np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
 
     def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        """Reduce the deferred scatter values into ``rhs`` -- the single
-        (per scenario: offset) ``bincount`` of :mod:`repro.fem.plan`."""
+        """Reduce this sweep's scatter values into ``rhs``: the (per
+        scenario) ``bincount`` of :mod:`repro.fem.plan`, or the accumulator
+        a fused sweep reduced into -- ``(0 + contributions) + rhs`` both."""
         from ..fem.plan import flush_batch, flush_pattern
 
-        batched = self._values.ndim == 4
-        with self.tracer.span(
-            "scatter.flush_batch" if batched else "scatter.flush",
-            variant=self.program.variant,
-            scenarios=self.S,
-        ):
+        batched = len(self._rhs_shape) == 3
+        name = "scatter.flush_batch" if batched else "scatter.flush"
+        with self.tracer.span(name, variant=self.program.variant, scenarios=self.S):
             t0 = time.perf_counter()
-            if batched:
-                flush_batch(
-                    self._pattern, self._batch_indices, self._values_flat,
-                    rhs, self.nnode, self.ncomp,
-                )
-            else:
-                flush_pattern(
-                    self._pattern, self._values_flat, rhs, self.nnode,
-                    self.ncomp,
-                )
+            if self._scatter == "fused":
+                rhs += self._acc
+                counter = get_registry().counter
+                counter("scatter.fused_sweeps").inc()
+                counter("scatter.values_reduced").inc(math.prod(self._values_shape))
+                return
+            flush = flush_batch if batched else flush_pattern
+            values = self._values.reshape(*self._values_shape[:-3], -1)
+            flush(self._pattern, values, rhs, self.nnode, self.ncomp)
             if profile is not None:
                 # values read + int64 index read + rhs accumulate traffic
-                moved = 2.0 * self._values_flat.nbytes + rhs.nbytes
+                moved = 2.0 * values.nbytes + rhs.nbytes
                 profile.record_flush(time.perf_counter() - t0, moved)

@@ -772,7 +772,8 @@ class _GeneratedBound:
 
     def _tasks(self, cg: int, nslabs: int, profile) -> list:
         """The adopted C form's calls (:mod:`repro.core.native`; profiled
-        sweeps stay on the Python source), else the Python form's."""
+        sweeps stay on the Python source, deferred), else the Python form's."""
+        self._scatter = "deferred"
         tasks = None if profile is not None else self._native.sweep_tasks(
             self, nslabs, partial(self._python_tasks, cg, nslabs)
         )
@@ -780,7 +781,8 @@ class _GeneratedBound:
         if span is not None:
             span.attributes.update(
                 {"native": False} if tasks is None
-                else {"native": True, "chunks": 0, "arena_bytes": 0}
+                else {"native": True, "chunks": 0, "arena_bytes": 0},
+                scatter=self._scatter,
             )
         return self._python_tasks(cg, nslabs, profile) if tasks is None else tasks
 
@@ -1190,9 +1192,7 @@ class BatchedGeneratedKernel(_GeneratedBound, BatchBound):
     """Executable batched generated module bound to one plan/packing pair.
 
     Mirrors :class:`~repro.core.tape.BatchedTape`'s binding -- same gather
-    index layout, same *serial* scatter pattern key (the batched flush
-    tiles it per scenario via
-    :func:`~repro.fem.plan.batch_flush_indices`), same ``(S, 1)``
+    index layout, same *serial* scatter pattern key, same ``(S, 1)``
     parameter rows refreshed every sweep -- and :class:`GeneratedKernel`'s
     chunked closure execution: one prebound zero-argument kernel per
     chunk, slab-striped across threads.

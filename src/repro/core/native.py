@@ -1,4 +1,4 @@
-"""The paper's P step on real hardware: a generated kernel as one C lane loop.
+"""The paper's P and second R on real hardware: a generated kernel as one C function.
 
 :mod:`repro.core.codegen` schedules a kernel into statements, each a
 post-order tree of ufunc calls whose rows :func:`~repro.core.passes.assign_rows`
@@ -8,6 +8,7 @@ function -- element groups outer, ``#pragma omp simd`` lanes inner -- in
 which every row is a ``double`` declared inside the lane loop: the paper's
 privatization, the row count being the register column (``storage="rows"``
 indexes rows ``[l]`` in a caller's arena instead, to measure B -> P only).
+Handed an accumulator, it also scatters each group's local RHS immediately.
 
 The C form is a substrate of ``mode="codegen"``, not a mode.  A
 :class:`NativeForm` rides on a bound generated kernel and moves ``python
@@ -15,12 +16,12 @@ The C form is a substrate of ``mode="codegen"``, not a mode.  A
 cache directory loads at bind; on a miss ``cc`` starts as a child process
 only once the kernel's own Python-form sweeps have cost about one build
 (:data:`BUILD_AFTER_S`) and is polled at sweep start, never waited for.
-The first sweep after a load runs both forms on that sweep's input and
-compares the flushed results bit for bit: equal, the C function serves from
-then on; different, or build/load failed, the kernel stays on the Python
-form for good, counted and traced.  Flags are value-preserving (``+ - * /
-sqrt`` stay IEEE-exact), :data:`C_OPS` spells the rest like numpy's ufuncs,
-literals are hex floats (no decimal parse).
+The first sweep after a load runs both forms, C in both scatter placements,
+on that sweep's input and compares the flushed results bit for bit: equal,
+the C function serves from then on; different, or build/load failed, the
+kernel stays on the Python form for good, counted and traced.  Flags keep
+values (``+ - * / sqrt`` stay IEEE-exact), :data:`C_OPS` spells the rest
+like numpy's ufuncs, literals are hex floats (no decimal parse).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs.metrics import get_registry
+from .arena import aligned_empty
 from .passes import is_scalar, reads
 
 __all__ = ["BUILD_AFTER_S", "C_OPS", "FLAGS", "NativeForm", "build", "emit_c", "load", "stop_builds"]
@@ -142,14 +144,30 @@ def emit_c(low, front, *, vector_dim: int, scenarios: int = 1,
             "#pragma omp simd", f"for (int l = 0; l < {lb}; ++l) {{",
             *("  " + b for b in local + body), "}")]
 
+    # the second R: given an accumulator, ``sv`` is a group-sized scratch that a
+    # *scalar* loop adds to it after the group's last lane block in ``scatter_calls``
+    # order -- per bin the deferred flush's (group, call, lane) order.  Calls of one
+    # node slot share a loop while their components (bins) differ; padding is skipped.
+    nsv, back, runs = len(front.scatter_calls) * vd, vd - lb, []
+    for c, (slot, comp) in enumerate(front.scatter_calls):
+        if not runs or runs[-1][0] != slot or comp in runs[-1][1]:
+            runs.append((slot, {}))
+        runs[-1][1][comp] = c
+    last = f" && b % {vd // lb} == {vd // lb - 1}" * (lb < vd)  # a group's last block
+    scatter = [f"if (OUT{last}) {{", *(ln for slot, calls in runs for ln in (
+        f"  for (int l = 0; l < {vd} && g * {vd} + l < nelem; ++l) {{",
+        f"    double *o = OUT + (s * nnode + gi[{slot} * nlane + l - {back}]) * 3;",
+        *(f"    o[{comp}] += sv[{c * vd - back} + l];" for comp, c in calls.items()),
+        "  }")), "}"]
+
     return "\n".join([
         "/* generated by repro.core.native -- do not edit */",
         f"/* {header} storage={storage} */",
         "double sqrt(double);", "typedef long long i64;",
         "typedef const double *restrict in;", "",
-        "void kernel(i64 g0, i64 g1, i64 nnode, i64 nlane, i64 ngroups, in vc,",
-        "            const i64 *restrict GI, in P, const double *const *restrict q,",
-        "            double *restrict SV, double *restrict B)", "{",
+        "void kernel(i64 g0, i64 g1, i64 nnode, i64 nlane, i64 ngroups, i64 nelem,",
+        "            in vc, const i64 *restrict GI, in P, const double *const *restrict q,",
+        "            double *restrict SV, double *restrict B, double *restrict OUT)", "{",
         *("  " + a for a in arena),
         f"  for (i64 b = g0 * {vd // lb}; b < g1 * {vd // lb}; ++b) {{",
         f"    const i64 g = b / {vd // lb}, lane = b * {lb}, *restrict gi = GI + lane;",
@@ -157,9 +175,10 @@ def emit_c(low, front, *, vector_dim: int, scenarios: int = 1,
         *(f"    double x{r}[{lb}];" for r in stash),
         *(lane_loop(phases[True], "    ") if made else []),
         f"    for (i64 s = 0; s < {S}; ++s) {{",
-        f"      double *restrict sv = SV + (s * ngroups + g) * "
-        f"{len(front.scatter_calls) * vd} + (lane - g * {vd});",
+        f"      double *restrict sv = SV + (OUT ? s : s * ngroups + g) * {nsv}"
+        f" + (lane - g * {vd});",
         *lane_loop(phases[False], "      "),
+        *("      " + ln for ln in scatter),
         "    }", "  }", "}", "",
     ])
 
@@ -263,7 +282,7 @@ def load(source: str):
         with suppress(OSError):
             os.unlink(so)
         return None
-    fn.argtypes, fn.restype = [ctypes.c_longlong] * 5 + [ctypes.c_void_p] * 6, None
+    fn.argtypes, fn.restype = [ctypes.c_longlong] * 6 + [ctypes.c_void_p] * 7, None
     return fn
 
 
@@ -275,16 +294,18 @@ class NativeForm:
         self.spent = 0.0  # seconds this kernel's Python-form chunks have run
         self.state = "python" if self.source else "rejected"
         self._proc: Optional[subprocess.Popen] = None
-        # the kernel never reallocates these buffers: addresses bind once
+        # the kernel never reallocates these buffers: addresses bind once; SV/OUT
+        # travel with each call (``_w``: a fused sweep's SV, one group's values)
         rows = getattr(kern, "_Q", ())
         self._q = (ctypes.c_void_p * (len(rows) or 1))(*[a.ctypes.data for a in rows])
-        bufs = (kern._vcols, kern._idx, kern._pinned, kern._values)
+        bufs = (kern._vcols, kern._idx, kern._pinned)
         if not all(a.flags.c_contiguous and a.itemsize == 8 for a in bufs):
             raise AssertionError("native form binds contiguous 8-byte buffers")
         self._args = (
-            kern.nnode, kern.nlane, kern.ngroups, kern._vcols.ctypes.data,
-            kern._idx.ctypes.data, kern._pinned.ctypes.data,
-            ctypes.addressof(self._q), kern._values.ctypes.data, None)
+            kern.nnode, kern.nlane, kern.ngroups, int(kern.plan.mesh.nelem),
+            kern._vcols.ctypes.data, kern._idx.ctypes.data,
+            kern._pinned.ctypes.data, ctypes.addressof(self._q))
+        self._w = aligned_empty(math.prod(kern._values_shape) // kern.ngroups)
         self._fn = load(self.source) if self.source else None
         if self._fn is not None:
             self.state = "loaded"
@@ -306,45 +327,58 @@ class NativeForm:
         return self.state in ("loaded", "adopted")
 
     def _tasks(self, kern, n: int) -> list:
-        """``n`` calls over contiguous group ranges (ctypes drops the GIL)."""
+        """``n`` calls over contiguous group ranges (ctypes drops the GIL);
+        a fused sweep's one call scatters too, into ``_acc`` zeroed here."""
+        if kern._scatter == "fused":
+            kern._acc.fill(0.0)
+            tail = (self._w.ctypes.data, None, kern._acc.ctypes.data)
+        else:
+            tail = (kern._values.ctypes.data, None, None)
         cuts = [kern.ngroups * i // n for i in range(n + 1)]
-        return [functools.partial(self._fn, g0, g1, *self._args)
+        return [functools.partial(self._fn, g0, g1, *self._args, *tail)
                 for g0, g1 in zip(cuts[:-1], cuts[1:]) if g1 > g0]
 
     def sweep_tasks(self, kern, nslabs: int, python_tasks):
-        """At sweep start: this sweep's tasks when the C form serves it,
-        ``None`` to stay on the Python form."""
+        """At sweep start: this sweep's tasks when the C form serves it (fused: one
+        call covers the mesh, placement verified), else ``None``: the Python form."""
         if self.state == "adopted":
+            if nslabs == 1 and kern._acc is not None:
+                kern._scatter = "fused"
             return self._tasks(kern, nslabs)
         if self.state == "building" or (
                 self.state == "python" and self.spent > BUILD_AFTER_S):
             self.build()
-        if self.state != "loaded":
-            return None
-        return self._adopt(kern, python_tasks)
+        return self._adopt(kern, python_tasks) if self.state == "loaded" else None
 
     def _adopt(self, kern, python_tasks) -> list:
-        """Run both forms on this sweep's input; the C form serves later
-        sweeps only if the flushed results agree bit for bit (NaNs by
-        mask).  The Python form runs last, so the values buffer the
-        caller flushes is its result either way."""
+        """Run the Python form, then the C function in each placement it would
+        serve (fused unless the pattern replays a seed order), on this sweep's
+        input: it serves only if every flushed result agrees bit for bit (NaNs by
+        mask).  The caller flushes the last run: C's, or on rejection Python's."""
         from ..resilience.ladders import record_escalation
 
-        def flushed(tasks: list):
-            for task in tasks:
+        def flushed(placement: str, tasks=lambda: self._tasks(kern, 1)) -> bytes:
+            kern._scatter = placement
+            for task in tasks():
                 task()
             out = np.zeros(kern._rhs_shape)
             kern._flush(out)
-            return out.view(np.int64), np.isnan(out)
+            out[np.isnan(out)] = np.nan
+            return out.tobytes()
 
-        got, got_nan = flushed(self._tasks(kern, 1))
-        ref, ref_nan = flushed(python_tasks())
-        same = bool(((got == ref) | (got_nan & ref_nan)).all())
+        ref = flushed("deferred", python_tasks)
+        fused = kern._pattern.order is None
+        kern._acc = aligned_empty(kern._rhs_shape) if fused else None
+        same = flushed("deferred") == ref and (not fused or flushed("fused") == ref)
         self.state = "adopted" if same else "rejected"
         if same:
-            kern._chunk_cache.clear()  # the Python form's slabs
+            kern._chunk_cache.clear()  # the Python form's slabs ...
+            if fused:
+                kern._sv = None  # ... and the values only a deferred sweep reads
+        else:
+            kern._scatter, kern._acc = "deferred", None
         record_escalation(
             "NativeAdopted" if same else "NativeRejected",
             f"codegen.native_{self.state}", kern.tracer, None,
             variant=kern.program.variant, scenarios=kern.S)
-        return []
+        return [] if same else python_tasks()

@@ -15,8 +15,7 @@ the Python analogue of P:
 * :func:`compile_tape` takes the shared front end of
   :mod:`repro.core.passes` (DCE backwards from the scatter calls, a
   depth-first schedule), runs a linear-scan liveness analysis and
-  assigns every
-  surviving intermediate to a small pool of preallocated lane-width
+  assigns every surviving intermediate to a small pool of preallocated lane-width
   buffers -- the numpy analog of registers.  The resulting
   :class:`TapeReport` reports "buffers live" the way
   :class:`~repro.core.dsl.TracingBackend` reports register pressure.
@@ -990,9 +989,9 @@ class BatchedTape(BatchBound):
     once.  Rank-1 (``vec``) ops run once per batch over the stacked lane
     axis; only ``full`` ops -- chains downstream of a varying parameter
     or of per-scenario velocities -- run over ``(S, lanes)``.  Scatter
-    values land in an ``(S, ngroups, ncalls, vector_dim)`` buffer flushed
-    by **one** offset ``bincount`` (:func:`repro.fem.plan.flush_batch`),
-    bit-identical per scenario to the serial flush.
+    values land in an ``(S, ngroups, ncalls, vector_dim)`` buffer that
+    :func:`repro.fem.plan.flush_batch` reduces scenario by scenario over
+    that pattern: the serial flush's bits.
 
     Execution is chunked over element groups (like the generated kernels)
     so the ``(S, lanes)`` arena fits the one L2 budget of

@@ -51,7 +51,6 @@ __all__ = [
     "segment_scatter",
     "flush_pattern",
     "flush_batch",
-    "batch_flush_indices",
     "seed_flush_order",
     "ScatterPlan",
     "GeometryCache",
@@ -285,60 +284,21 @@ def flush_pattern(
     rhs += out[:trash].reshape(nnode, ncomp)
 
 
-def batch_flush_indices(
-    pattern: _ScatterPattern, scenarios: int, nnode: int, ncomp: int = 3
-) -> np.ndarray:
-    """Offset scatter indices for an ``S``-scenario batched flush.
-
-    Scenario ``s`` reduces into bins ``[s * stride, (s + 1) * stride)``
-    with ``stride = nnode * ncomp + 1`` (each scenario keeps its own
-    trash bin for padding lanes), so one ``bincount`` over the tiled
-    indices reduces all scenarios at once.  Built once per batched tape
-    and reused every flush.
-    """
-    stride = int(nnode) * int(ncomp) + 1
-    offsets = (np.arange(int(scenarios), dtype=np.int64) * stride)
-    return _readonly(
-        (pattern.indices[None, :] + offsets[:, None]).reshape(-1)
-    )
-
-
 def flush_batch(
     pattern: _ScatterPattern,
-    batch_indices: np.ndarray,
     values2d: np.ndarray,
     rhs: np.ndarray,
     nnode: int,
     ncomp: int = 3,
 ) -> None:
     """Reduce a batched sweep's ``(S, length)`` values into ``(S, nnode,
-    ncomp)`` -- one ``bincount``, bit-identical per scenario.
-
-    ``batch_indices`` comes from :func:`batch_flush_indices` for the same
-    pattern and ``S = values2d.shape[0]``.  Within each scenario's bin
-    range the weights appear in exactly the buffer order the serial
-    :func:`flush_pattern` would have reduced, so every scenario's RHS
-    matches its serial solve to the last bit.  Patterns carrying a
-    seed-order permutation (reordered meshes) gather each scenario's
-    values through it first, same as the serial flush.
-    """
-    registry = get_registry()
-    registry.counter("scatter.bincount_calls").inc()
-    registry.counter("scatter.values_reduced").inc(values2d.size)
-    registry.counter("scatter.batch_flushes").inc()
-    if pattern.order is not None:
-        values2d = values2d[:, pattern.order]
-        registry.counter("scatter.seed_order_flushes").inc()
-    S = values2d.shape[0]
-    trash = int(nnode) * int(ncomp)
-    stride = trash + 1
-    out = np.bincount(
-        batch_indices, weights=values2d.reshape(-1),
-        minlength=S * stride,
-    )
-    rhs += out[: S * stride].reshape(S, stride)[:, :trash].reshape(
-        S, nnode, ncomp
-    )
+    ncomp)``: one :func:`flush_pattern` per scenario over the one shared
+    pattern, so every scenario's bins see exactly the sequence its serial
+    solve would reduce (seed-order gather included) and no ``S``-times
+    tiled copy of the indices exists."""
+    get_registry().counter("scatter.batch_flushes").inc()
+    for values, out in zip(values2d, rhs):
+        flush_pattern(pattern, values, out, nnode, ncomp)
 
 
 class ScatterAccumulator:

@@ -23,6 +23,18 @@ def native_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def cc(native_cache):
+    """Skip unless ``$CC`` / ``cc`` builds and loads a shared object (the
+    C form of the generated kernels, ``repro.core.native``)."""
+    from repro.core import native
+
+    source = "void kernel(void) {}\n"
+    proc = native.build(source)
+    if proc is None or proc.wait() != 0 or native.load(source) is None:
+        pytest.skip("no working C compiler ($CC or cc)")
+
+
+@pytest.fixture(scope="session")
 def small_mesh():
     return box_tet_mesh(3, 3, 3)
 

@@ -138,7 +138,7 @@ def _lane_arrays(kern, cg):
                     if isinstance(a, np.ndarray):
                         yield a
         return
-    for task in kern._tasks(cg, 1, None):  # generated: closure cells
+    for task in kern._python_tasks(cg, 1):  # generated: closure cells
         for closure in task.args[0]:
             cells = zip(closure.__code__.co_freevars, closure.__closure__)
             for name, cell in cells:
@@ -197,11 +197,13 @@ def test_real_budget_bounds_the_benchmark_shaped_kernels():
 # -- one lock per bound kernel ----------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["replay", "codegen"])
-def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend):
+@pytest.mark.parametrize("backend", ["replay", "codegen", "native"])
+def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend, request):
     """More threads than cores hammer the two plan-cached kernels of a
     mesh, each with its own velocity and forcing values; every caller
-    gets exactly its serial answer (a lost buffer update would not)."""
+    gets exactly its serial answer (a lost buffer update would not).
+    ``native``: the generated kernels' C form adopted, so the shared state
+    is the accumulator each sweep scatters into."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -210,6 +212,9 @@ def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend):
         serial = compiled_tape(plan, "RS", VD, kernel_params=kp)
         batched = batched_tape(plan, "RS", VD, _forcing_batch(4))
     else:
+        if backend == "native":  # kernels of its own: adoption is for good
+            request.getfixturevalue("cc")
+            plan = get_plan(box_tet_mesh(4, 4, 5))
         serial = generated_kernel(plan, "RS", VD, kernel_params=kp)
         batched = batched_generated_kernel(plan, "RS", VD, _forcing_batch(4))
     rng = np.random.default_rng(3)
@@ -225,6 +230,10 @@ def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend):
         )
 
     want = [call(i) for i in range(6)]
+    if backend == "native":
+        assert serial.build_native(wait=True) and batched.build_native(wait=True)
+        assert all(np.array_equal(a, b) for a, b in zip(call(0), want[0]))
+        assert serial._acc is not None and batched._acc is not None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -3,14 +3,17 @@
 Exactness is tested op by op, not inferred; the kernel-level tests hold
 the C form to the same ``.tobytes()`` oracle as every other back end, on
 fields containing both zeros; the lifecycle tests pin adoption, rejection,
-the no-compiler path and the cache's trust rules.
+the no-compiler path and the cache's trust rules; section (f) holds the
+immediate scatter to the order of the deferred flush.
 """
 
 import ctypes
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +30,8 @@ PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
 VD = 16
 
 
-def _count(name):
-    entry = get_registry().snapshot().get(f"codegen.native_{name}")
+def _count(name, prefix="codegen.native_"):
+    entry = get_registry().snapshot().get(prefix + name)
     return 0.0 if entry is None else entry["value"]
 
 
@@ -40,12 +43,6 @@ def _compile(source):
     if proc is None or proc.wait() != 0 or native.load(source) is None:
         return None
     return ctypes.CDLL(native.so_path(source))
-
-
-@pytest.fixture(scope="module")
-def cc():
-    if _compile("void kernel(void) {}\n") is None:
-        pytest.skip("no working C compiler ($CC or cc)")
 
 
 def _field(shape, seed=0):
@@ -170,7 +167,8 @@ def test_rows_storage_is_the_same_function(cc):
     assert "v0[l]" in source and "v0[l]" not in kern.program.c_source
     assert _compile(source) is not None
     arena = np.empty((kern.program.nslab, VD))
-    native.load(source)(0, kern.ngroups, *kern._native._args[:-1], arena.ctypes.data)
+    native.load(source)(0, kern.ngroups, *kern._native._args,
+                        kern._values.ctypes.data, arena.ctypes.data, None)
     got = np.zeros_like(want)
     kern._flush(got)
     assert got.tobytes() == want.tobytes()
@@ -326,6 +324,184 @@ def test_a_finished_build_nobody_loaded_is_kept_at_exit(cc):
     assert os.path.exists(so) and not os.path.exists(f"{so}.{os.getpid()}")
 
 
+# -- (f) the immediate scatter: order, placement, memory ----------------------
+
+def _wide_field(shape, seed=0):
+    """Magnitudes 1e-8 .. 1e8 and both zeros: summing a bin's contributions
+    in any other order flips low bits somewhere."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    u[..., ::7, :] = 0.0
+    u[..., 3::11, 1] = -0.0
+    return u
+
+
+def _bound(mesh, variant, shape, vd):
+    """``(kernel, sweep(u, rhs=None))`` of one cell, at the kernel layer: a
+    sweep there can be handed a non-zero ``rhs``."""
+    from repro.core import ScenarioBatch, batched_generated_kernel, generated_kernel
+    from repro.fem import get_plan
+
+    if shape == "serial":
+        kern = generated_kernel(
+            get_plan(mesh), variant, vd, kernel_params=PARAMS.as_kernel_params())
+        return kern, kern.execute
+    batch = ScenarioBatch(_forcing(4))
+    kern = batched_generated_kernel(
+        get_plan(mesh), variant, vd, batch,
+        velocity_rank="full" if shape == "per_scenario" else "vec")
+    return kern, lambda u, rhs=None: kern.execute(u, rhs, param_rows=batch.param_rows())
+
+
+def _interpreted(mesh, variant, shape, vd, u):
+    asm = UnifiedAssembler(mesh, PARAMS, mode="interpreted", vector_dim=vd)
+    if shape == "serial":
+        return asm.assemble(variant, u)
+    return asm.run_batch(variant, _forcing(4), u)
+
+
+@pytest.mark.parametrize("vd", [8, 16, 64, 1024])
+@pytest.mark.parametrize("shape", ["serial", "shared", "per_scenario"])
+@pytest.mark.parametrize("variant", variant_names())
+def test_fused_scatter_is_bitwise_the_interpreter(cc, variant, shape, vd):
+    """Padding lanes at every group size (64: a batch's two lane blocks per
+    group; 1024: one group, mostly padding), a field whose sums are order
+    sensitive, and a non-zero ``rhs`` on entry."""
+    mesh = box_tet_mesh(3, 3, 3)
+    assert mesh.nelem % vd
+    u = _wide_field(((4,) if shape == "per_scenario" else ()) + (mesh.nnode, 3))
+    oracle = _interpreted(mesh, variant, shape, vd, u)
+    assert np.isfinite(oracle).all()
+    kern, sweep = _bound(mesh, variant, shape, vd)
+    assert sweep(u).tobytes() == oracle.tobytes()
+    assert kern.build_native(wait=True)
+    assert sweep(u).tobytes() == oracle.tobytes()  # adoption: both placements ran
+    assert kern._native.state == "adopted"
+    # padding lanes are never visited: the accumulator has no bin to absorb them
+    assert kern._acc.shape == oracle.shape and kern._sv is None
+    fused = _count("scatter.fused_sweeps", prefix="")
+    assert sweep(u).tobytes() == oracle.tobytes()
+    entry = _wide_field(oracle.shape, seed=5)
+    assert sweep(u, entry.copy()).tobytes() == (entry + oracle).tobytes()
+    assert _count("scatter.fused_sweeps", prefix="") == fused + 2
+    assert kern._sv is None
+
+
+def _reversed_lanes(source):
+    return re.sub(r"for \(int l = 0; l < (\d+) && (g \* \d+ \+ l < nelem); \+\+l\)",
+                  r"for (int l = \1 - 1; l >= 0; --l) if (\2)", source)
+
+
+def _swapped_calls(source):
+    """The scatter loops of node slots 0 and 1 trade places."""
+    one, two = re.findall(r"^ +for \(int l = 0; l < \d+ &&.*?^ +}\n", source,
+                          re.S | re.M)[:2]
+    return source.replace(one, "@").replace(two, one).replace("@", two)
+
+
+@pytest.mark.parametrize("wrong", [_reversed_lanes, _swapped_calls])
+def test_a_wrong_scatter_order_is_rejected_at_adoption(cc, monkeypatch, wrong):
+    """Same values, same bins, another order within a bin: the deferred
+    placement still agrees, the fused one does not, and nothing is served."""
+    emit = native.emit_c
+
+    def wrong_emit(*args, **kwargs):
+        source = emit(*args, **kwargs)
+        assert wrong(source) != source
+        return wrong(source)
+
+    monkeypatch.setattr(native, "emit_c", wrong_emit)
+    mesh = box_tet_mesh(3, 3, 3)
+    u = _wide_field((mesh.nnode, 3))
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
+    want = asm.assemble("RSP", u)
+    kern = _only_kernel(asm)
+    rejected = _count("rejected")
+    assert kern.build_native(wait=True)
+    for _ in range(3):
+        assert asm.assemble("RSP", u).tobytes() == want.tobytes()
+    assert kern._native.state == "rejected" and kern._acc is None
+    assert _count("rejected") == rejected + 1
+    # the order was the only thing wrong with it
+    kern._scatter = "deferred"
+    for task in kern._native._tasks(kern, 1):
+        task()
+    got = np.zeros_like(want)
+    kern._flush(got)
+    assert got.tobytes() == want.tobytes()
+
+
+def _last_sweep(tracer):
+    return [s for s in tracer.finished if s.name.startswith("codegen.execute")][-1]
+
+
+def test_threaded_profiled_and_reordered_sweeps_stay_deferred(cc):
+    """Several calls in flight, a per-statement profile and a seed-order
+    replay keep the deferred buffer: released at adoption, re-created once."""
+    mesh = box_tet_mesh(3, 3, 3)
+    u = _wide_field((mesh.nnode, 3))
+    want = _interpreted(mesh, "RSP", "serial", VD, u)
+    tracer = Tracer()
+    serial, threaded, profiled = (
+        UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD, tracer=tracer, **kw)
+        for kw in ({}, dict(executor="threads", num_threads=2, chunk_groups=3),
+                   dict(profile=True)))
+    assert threaded.assemble("RSP", u).tobytes() == want.tobytes()
+    kern = _only_kernel(serial)
+    assert kern.build_native(wait=True)
+    serial.assemble("RSP", u)
+    assert kern._native.state == "adopted" and kern._sv is None
+    values = None
+    for asm, native_form, scatter in (
+            (threaded, True, "deferred"), (serial, True, "fused"),
+            (profiled, False, "deferred"), (serial, True, "fused"),
+            (threaded, True, "deferred")):
+        assert asm.assemble("RSP", u).tobytes() == want.tobytes()
+        attrs = _last_sweep(tracer).attributes
+        assert (attrs["native"], attrs["scatter"]) == (native_form, scatter)
+        assert kern._sv is not None and kern._sv.ctypes.data % 64 == 0
+        values = values if values is not None else kern._sv
+        assert kern._sv is values
+
+    shuffled = mesh.reordered().mesh
+    assert shuffled.seed_element_ids is not None
+    us = _wide_field((shuffled.nnode, 3), seed=2)
+    oracle = _interpreted(shuffled, "RSP", "serial", VD, us)
+    asm = UnifiedAssembler(shuffled, PARAMS, mode="codegen", vector_dim=VD, tracer=tracer)
+    asm.assemble("RSP", us)
+    kern = _only_kernel(asm)
+    assert kern._pattern.order is not None and kern.build_native(wait=True)
+    for _ in range(2):
+        assert asm.assemble("RSP", us).tobytes() == oracle.tobytes()
+    attrs = _last_sweep(tracer).attributes
+    assert (attrs["native"], attrs["scatter"]) == (True, "deferred")
+    assert kern._native.state == "adopted" and kern._acc is None and kern._sv is not None
+
+
+def test_a_steady_state_fused_sweep_allocates_only_its_result(cc):
+    """No per-sweep buffer at the sweep layer: what one fused sweep
+    allocates, at its peak, is the ``rhs`` it returns (plus call overhead)."""
+    mesh = box_tet_mesh(6, 6, 6)
+    kern, sweep = _bound(mesh, "RSP", "serial", VD)
+    u = _field((mesh.nnode, 3))
+    sweep(u)
+    assert kern.build_native(wait=True)
+    for _ in range(3):
+        sweep(u)
+    assert kern._native.state == "adopted"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rhs = sweep(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= rhs.nbytes + 4096
+    # the deferred buffer, had the sweep re-created it, is what the guard sees
+    assert kern._sv is None and np.prod(kern._values_shape) * 8 > 4 * rhs.nbytes
+
+
 # -- observability and import hygiene ----------------------------------------
 
 def test_execute_span_says_which_form_served(cc):
@@ -340,6 +516,7 @@ def test_execute_span_says_which_form_served(cc):
     asm.assemble("RSP", u)
     spans = [s for s in tracer.finished if s.name == "codegen.execute"]
     assert [s.attributes["native"] for s in spans] == [False, True, True]
+    assert [s.attributes["scatter"] for s in spans] == ["deferred", "fused", "fused"]
     assert spans[0].attributes["chunks"] >= 1 and spans[0].attributes["arena_bytes"] > 0
     assert spans[2].attributes["chunks"] == 0 and spans[2].attributes["arena_bytes"] == 0
     assert [s.name for s in tracer.finished].count("NativeAdopted") == 1

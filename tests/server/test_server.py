@@ -249,11 +249,32 @@ def test_campaigns_share_one_pressure_hierarchy_per_warm_mesh():
     _concurrent_campaigns_match_direct("interpreted")
 
 
-@pytest.mark.parametrize("mode", ["compiled", "codegen"])
-def test_concurrent_campaigns_serialize_on_the_shared_kernel(mode):
+@pytest.mark.parametrize("mode", ["compiled", "codegen", "native"])
+def test_concurrent_campaigns_serialize_on_the_shared_kernel(mode, request):
     """A plan-cached tape / generated kernel replays in buffers it owns;
-    its lock makes two jobs on one mesh take turns instead of racing."""
-    _concurrent_campaigns_match_direct(mode)
+    its lock makes two jobs on one mesh take turns instead of racing.
+    ``native`` is ``codegen`` with the kernels' C form built beforehand:
+    every bind is a cache hit, adopted on its first sweep, and the jobs
+    share the accumulator their fused sweeps scatter into."""
+    if mode != "native":
+        return _concurrent_campaigns_match_direct(mode)
+    request.getfixturevalue("cc")
+    from repro.fem.meshgen import box_tet_mesh
+    from repro.physics.fractional_step import BatchCampaign
+    from repro.physics.momentum import AssemblyParams
+
+    warm = BatchCampaign(
+        box_tet_mesh(5, 5, 5),
+        [AssemblyParams(body_force=(0.0, 0.0, 1e-3 * k)) for k in (1, 2)],
+        mode="codegen",
+    )
+    warm.run(1, dt=1e-3)
+    kernels = list(warm.assembler.plan._codegen.values())
+    assert kernels and all(kern.build_native(wait=True) for kern in kernels)
+    before = _count("codegen.native_adopted"), _count("scatter.fused_sweeps")
+    _concurrent_campaigns_match_direct("codegen")
+    assert _count("codegen.native_adopted") > before[0]
+    assert _count("scatter.fused_sweeps") > before[1]
 
 
 def test_identical_inflight_submissions_coalesce():
