@@ -13,10 +13,9 @@ each kernel variant:
   the inverse node permutation and must be bitwise identical to the
   seed-order RHS (compiled *and* interpreted), and two threaded runs
   must agree bitwise -- these assertions are unconditional;
-* the **speedup floor** (>=1.3x for RSP/RSPR, reordered+threaded vs seed
-  serial) is asserted only on multi-core machines: a single-core runner
-  serializes the thread pool and pays chunking overhead with nothing to
-  overlap.
+* the **ratios** (reordered and reordered+threaded vs seed serial) are
+  printed and recorded, not gated: the end-to-end benchmark's traced
+  child reports the same comparison as ``parallel.threads_speedup``.
 
 Rows land in ``BENCH_variants.json`` via ``bench_extra`` and in a
 dedicated ``BENCH_locality.json`` (same directory rules: the
@@ -51,9 +50,6 @@ VARIANTS = ("B", "P", "RS", "RSP", "RSPR")
 STRATEGY = "hilbert+rcm"
 VECTOR_DIM = 1024  # the bench suite's tuned CPU group size
 REPEATS = 3
-#: variants the acceptance floor applies to (the bandwidth-bound ones)
-SPEEDUP_VARIANTS = ("RSP", "RSPR")
-SPEEDUP_FLOOR = 1.3
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -183,7 +179,7 @@ def locality_results(bench_mesh, bench_params, bench_velocity, bench_extra):
 
 
 def test_locality_bitwise_and_speedup(locality_results, capsys):
-    """Bitwise contracts held during collection; report + gate the ratios."""
+    """Bitwise contracts held during collection; report the ratios."""
     by_cfg = {
         (r["variant"], r["ordering"], r["executor"]): r
         for r in locality_results
@@ -203,16 +199,6 @@ def test_locality_bitwise_and_speedup(locality_results, capsys):
             )
     for row in by_cfg.values():
         assert row["bitwise_mapped_identical"]
-    if (os.cpu_count() or 1) >= 2:
-        for variant in SPEEDUP_VARIANTS:
-            best = max(
-                by_cfg[(variant, STRATEGY, ex)]["speedup_vs_seed_serial"]
-                for ex in ("serial", "threads")
-            )
-            assert best >= SPEEDUP_FLOOR, (
-                f"{variant}: locality layer reached only {best:.2f}x "
-                f"(floor {SPEEDUP_FLOOR}x)"
-            )
 
 
 def test_locality_gather_bandwidth_reported(locality_results):

@@ -30,7 +30,7 @@ for name in variant_names():
     want = asm.assemble(name, u)  # binds the kernel and refreshes its inputs
     kern = generated_kernel(asm.plan, name, VD, kernel_params=params.as_kernel_params())
     front = front_end(_record(name, params.as_kernel_params(), 4)[1], hoist=True)
-    low, arena, best = _lower_mesh(front), np.empty((kern.program.nslab, VD)), {}
+    low, arena, best = _lower_mesh(front), np.empty((kern.program.nslab_vec, VD)), {}
     calls = {}
     for storage in ("private", "rows"):
         source = native.emit_c(low, front, vector_dim=VD, storage=storage)
@@ -59,7 +59,7 @@ for name in variant_names():
         kern._flush(got)
         best[placement] = min(best.get(placement, 1.0), time.perf_counter() - t0)
         assert got.tobytes() == want.tobytes(), (name, placement)
-    print(f"{name:8s} {kern.program.nslab:5d} {best['private'] * 1e3:11.2f} "
+    print(f"{name:8s} {kern.program.nslab_vec:5d} {best['private'] * 1e3:11.2f} "
           f"{best['rows'] * 1e3:9.2f} {best['rows'] / best['private']:14.2f}x"
           f" {best['fused'] * 1e3:9.2f} {best['deferred'] * 1e3:12.2f}"
           f" {best['deferred'] / best['fused']:16.2f}x")

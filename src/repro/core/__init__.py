@@ -25,28 +25,16 @@ from .restructured import (
 )
 from .variants import VARIANTS, Variant, get_variant, variant_names
 from .tape import (
-    BatchTapeProgram,
-    BatchedTape,
     CompiledTape,
-    ElementalTape,
     RecordingBackend,
     TapeProgram,
     TapeReport,
-    batched_tape,
     compiled_tape,
-    record_batch_program,
     record_program,
 )
 from .codegen import (
-    BatchedCodegenProgram,
-    BatchedGeneratedKernel,
     CodegenProgram,
-    ElementalCodegenProgram,
-    ElementalGeneratedKernel,
     GeneratedKernel,
-    batched_generated_kernel,
-    generate_batched_program,
-    generate_elemental_program,
     generate_program,
     generated_kernel,
 )
@@ -59,9 +47,7 @@ from .unified import (
 )
 from .autotune import (
     DEFAULT_CANDIDATES,
-    DEFAULT_CHUNK_CANDIDATES,
     AutotuneResult,
-    autotune_chunk_groups,
     autotune_vector_dim,
     write_autotune_report,
 )
@@ -75,19 +61,14 @@ __all__ = [
     "make_specialized_kernel", "rs_kernel", "rsp_kernel", "rspr_kernel",
     "SPEC_DENSITY", "SPEC_VISCOSITY", "SPEC_VREMAN_C",
     "VARIANTS", "Variant", "get_variant", "variant_names",
-    "BatchTapeProgram", "BatchedTape", "CompiledTape", "ElementalTape",
-    "RecordingBackend", "TapeProgram", "TapeReport", "batched_tape",
-    "compiled_tape", "record_batch_program", "record_program",
-    "BatchedCodegenProgram", "BatchedGeneratedKernel", "CodegenProgram",
-    "ElementalCodegenProgram", "ElementalGeneratedKernel",
-    "GeneratedKernel", "batched_generated_kernel",
-    "generate_batched_program", "generate_elemental_program",
-    "generate_program", "generated_kernel",
+    "CompiledTape", "RecordingBackend", "TapeProgram", "TapeReport",
+    "compiled_tape", "record_program",
+    "CodegenProgram", "GeneratedKernel", "generate_program",
+    "generated_kernel",
     "ScenarioBatch",
     "CPU_VECTOR_DIM", "GPU_VECTOR_DIM", "SpecializationError",
     "UnifiedAssembler",
-    "DEFAULT_CANDIDATES", "DEFAULT_CHUNK_CANDIDATES", "AutotuneResult",
-    "autotune_chunk_groups", "autotune_vector_dim",
+    "DEFAULT_CANDIDATES", "AutotuneResult", "autotune_vector_dim",
     "write_autotune_report",
     "OptimizationStudy", "PAPER_NELEM",
 ]

@@ -19,13 +19,15 @@ decide how fast a ufunc streams through them:
   rows must fit the per-core L2, and :func:`budget_chunk_groups` is the
   one rule that turns a program's bytes per lane into ``chunk_groups``.
 
-:class:`MeshBound` is the part the four mesh-wide executors
-(:class:`~repro.core.tape.CompiledTape`, :class:`~repro.core.tape.BatchedTape`,
-:class:`~repro.core.codegen.GeneratedKernel`,
-:class:`~repro.core.codegen.BatchedGeneratedKernel`) share: the gather
-indices, coordinate / velocity columns, deferred scatter values and the
-plan's scatter pattern of one ``(plan, packing)`` pair, plus the lock that
-makes a plan-cached kernel safe to call from two jobs.
+:class:`MeshBound` is the part the two bound kernels
+(:class:`~repro.core.tape.CompiledTape`,
+:class:`~repro.core.codegen.GeneratedKernel`) share: the gather indices,
+coordinate / velocity columns, ``(S, 1)`` scenario rows, deferred scatter
+values and the plan's scatter pattern of one ``(plan, packing)`` pair,
+plus the lock that makes a plan-cached kernel safe to call from two jobs.
+How many scenarios a kernel sweeps and whose elements it sweeps (a
+solver's mesh, or a pool worker's chunk as a mesh of disjoint elements)
+are arguments of this binding, not kinds of kernel.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
+from ..obs.spans import NULL_TRACER, get_tracer
+from .passes import is_scalar
 
 __all__ = [
     "ALIGNMENT",
@@ -47,6 +51,7 @@ __all__ = [
     "aligned_empty",
     "budget_chunk_groups",
     "check_aligned",
+    "plan_cached",
 ]
 
 #: cache-line size: the alignment of every lane buffer
@@ -100,6 +105,27 @@ def budget_chunk_groups(lane_bytes: int, vector_dim: int, ngroups: int) -> int:
     return max(1, min(cg, int(ngroups)))
 
 
+def plan_cached(plan, store: str, key, vector_dim, permutation, batch, make):
+    """The bound kernel under ``key`` in the plan's ``store`` (``"tape"``
+    or ``"codegen"``), built by ``make(packing)`` on a miss.  Mesh
+    reorientation (any ``mesh._version`` bump) invalidates the plan and
+    with it every kernel."""
+    kern, event = getattr(plan, f"cached_{store}")(key), "cache_hits"
+    batched = batch is not None
+    if kern is None:
+        event = "compiles"
+        with get_tracer().span(
+            f"{store}.compile" + "_batch" * batched,
+            variant=key[0],
+            vector_dim=int(vector_dim),
+            scenarios=batch.size if batched else 1,
+        ):
+            kern = make(plan.packing(int(vector_dim), permutation=permutation))
+        getattr(plan, f"store_{store}")(key, kern)
+    get_registry().counter(f"{store}.{'batch_' * batched}{event}").inc()
+    return kern
+
+
 class MeshBound:
     """A kernel bound to one ``(plan, packing)`` pair.
 
@@ -109,62 +135,63 @@ class MeshBound:
     the deferred scatter values and the scatter index pattern shared
     through ``plan`` under the ``(variant, vector_dim, permutation)`` key,
     so an interpreted, a compiled and a generated sweep of one
-    configuration build the pattern once between them.  ``scenarios=None``
-    is the serial layout (values ``(ngroups, ncalls, vector_dim)``, whose
-    C-order flattening reproduces the accumulator's group-major temporal
-    order); a batch adds a leading ``S`` axis.  ``_scatter == "fused"``
-    marks a sweep whose kernel (:mod:`repro.core.native`) already reduced
-    into ``_acc``; ``_values`` is allocated by its first deferred sweep.
+    configuration build the pattern once between them.  A serial binding
+    (``batched=False``) has no scenario axis: values ``(ngroups, ncalls,
+    vector_dim)``, whose C-order flattening reproduces the accumulator's
+    group-major temporal order, and an ``(nnode, 3)`` RHS; a batch adds a
+    leading ``S`` axis to both (``S = 1`` included -- the same memory, one
+    more dimension).  ``_scatter == "fused"`` marks a sweep whose kernel
+    (:mod:`repro.core.native`) already reduced into ``_acc``; ``_values``
+    is allocated by its first deferred sweep.
+
+    The program's ``(S, 1)`` scenario-row stage lives here too:
+    persistent rows ``_Q``, re-evaluated on every sweep from the
+    ``param_rows`` (varying name -> ``(S, 1)`` array,
+    :meth:`~repro.core.batch.ScenarioBatch.param_rows`) the call carries
+    (none for a program without varying parameters).
 
     A bound kernel replays in buffers it owns, and the plan hands the same
     kernel to every caller on the mesh: ``lock`` is held for the span of
     a sweep (input refresh to flush), so concurrent jobs serialize on the
-    kernel instead of corrupting each other.
+    kernel instead of corrupting each other.  Everything that belongs to
+    one call -- ``param_rows``, ``tracer``, ``profiler`` -- travels with
+    the call and is installed only under the lock.
 
     Subclasses supply the back end of :meth:`_sweep`: ``_span`` (span
-    name; its prefix names the counters), ``_profile_for`` (the
-    :class:`~repro.obs.profiler.TapeProfiler` factory method),
-    ``_lane_bytes`` (arena bytes per lane of one slab) and
+    name; its prefix names the counters), ``_mode`` (the profile's mode),
+    ``_lane_bytes`` (arena bytes per lane of one slab),
+    ``_default_cg(nthreads)`` (the chunk size nobody asked for) and
     ``_tasks(cg, nslabs, profile)`` -- zero-argument callables covering
-    the mesh: one per chunk, or one per slab of sequential chunks.
+    the mesh, one per slab of sequential chunks.
     """
 
     _span = ""
-    _profile_for = ""
+    _mode = ""
     _lane_bytes = 0
-    #: whether the default chunk size consults the plan's autotuned winner
-    _uses_tuned_chunk = True
-    #: scenarios per sweep; serial kernels are the ``S = 1`` case without
-    #: the leading axis
-    S = 1
     #: where this sweep's scatter values went, and the fused accumulator
     _scatter, _acc = "deferred", None
 
     def __init__(
-        self,
-        program,
-        plan,
-        packing,
-        perm_key,
-        tracer,
-        what: str,
-        scenarios: Optional[int] = None,
-        velocity_rank: str = "vec",
+        self, program, plan, packing, perm_key=None, batched: bool = False
     ) -> None:
         from ..fem.plan import seed_flush_order
 
         self.program = program
         self.plan = plan
         self.packing = packing
-        self.tracer = tracer
+        self.tracer = NULL_TRACER
         self.profiler = NULL_PROFILER
         self.lock = threading.Lock()
+        #: whether sweeps carry a scenario axis (names the telemetry too)
+        self.batched = bool(batched)
         mesh = plan.mesh
         self.nnode = int(mesh.nnode)
         self.ncomp = 3
         self.ngroups = packing.ngroups
         self.vector_dim = int(packing.vector_dim)
         self.nlane = self.ngroups * self.vector_dim
+        #: scenarios per sweep; a serial binding is ``S = 1`` without the axis
+        self.S = int(program.scenarios)
         nnpe = program.nnode_per_element
         ncalls = self._ncalls = len(program.scatter_calls)
 
@@ -174,10 +201,7 @@ class MeshBound:
         self._idx[...] = conn.T
         self._ccols = aligned_empty((3, self.nnode))
         self._ccols[...] = mesh.coords.T
-        self._velocity_shape: Tuple[int, ...] = (self.nnode, 3)
-        if scenarios is not None and velocity_rank == "full":
-            self._velocity_shape = (int(scenarios), self.nnode, 3)
-        self._vcols = aligned_empty((3,) + self._velocity_shape[:-1])
+        self._Q = [aligned_empty((self.S, 1)) for _ in range(program.nq)]
 
         shape = (self.ngroups, ncalls, self.vector_dim)  # of a sweep's values
         signature = (self.ngroups, tuple(program.scatter_calls))
@@ -204,18 +228,19 @@ class MeshBound:
             if pattern.signature != signature:
                 raise RuntimeError(
                     "scatter pattern mismatch: cached plan pattern does not "
-                    f"match the {what}'s call order"
+                    f"match the {type(self).__name__}'s call order"
                 )
             registry.counter("scatter.pattern_reuses").inc()
         self._pattern = pattern
 
         self._sv: Optional[np.ndarray] = None
-        self._values_shape: Tuple[int, ...] = shape
-        self._rhs_shape: Tuple[int, ...] = (self.nnode, self.ncomp)
-        if scenarios is not None:
-            self.S = int(scenarios)
-            self._rhs_shape = (self.S,) + self._rhs_shape
-            self._values_shape = (self.S,) + shape
+        axis = (self.S,) if batched else ()
+        self._values_shape: Tuple[int, ...] = axis + shape
+        self._rhs_shape: Tuple[int, ...] = axis + (self.nnode, self.ncomp)
+        self._velocity_shape: Tuple[int, ...] = (self.nnode, 3)
+        if program.velocity_rank == "full":
+            self._velocity_shape = axis + self._velocity_shape
+        self._vcols = aligned_empty((3,) + self._velocity_shape[:-1])
 
     @property
     def _values(self) -> np.ndarray:
@@ -229,33 +254,22 @@ class MeshBound:
         return self.program.report
 
     def _resolve_cg(self, chunk_groups: Optional[int], nthreads: int) -> int:
-        """Explicit argument > the plan's autotuned winner (replay only) >
-        the arena budget."""
-        cg = chunk_groups
-        if cg is None and self._uses_tuned_chunk:
-            cg = self.plan.tuned_chunk_groups(self.program.variant)
-        if cg is None:
-            cg = self._default_cg(nthreads)
+        """Explicit argument > the back end's default, clamped to the mesh."""
+        cg = self._default_cg(nthreads) if chunk_groups is None else chunk_groups
         return max(1, min(int(cg), self.ngroups))
 
-    def _default_cg(self, nthreads: int) -> int:
+    def _budget_cg(self) -> int:
         return budget_chunk_groups(
             self._lane_bytes, self.vector_dim, self.ngroups
-        )
-
-    def _profile(self, executor: str):
-        if not self.profiler.enabled:
-            return None
-        return getattr(self.profiler, self._profile_for)(
-            self.program, self.vector_dim, executor
         )
 
     def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
         registry = get_registry()
         prefix = self._span.partition(".")[0]
-        batch = "batch_" if len(self._rhs_shape) == 3 else ""
-        registry.counter(f"{prefix}.{batch}executions").inc()
-        if batch:
+        registry.counter(
+            f"{prefix}.{'batch_' * self.batched}executions"
+        ).inc()
+        if self.batched:
             registry.counter(f"{prefix}.batch_scenarios").inc(self.S)
         registry.counter(f"{prefix}.lanes_executed").inc(self.nlane)
         if executor == "threads":
@@ -276,6 +290,8 @@ class MeshBound:
         chunk_groups: Optional[int],
         num_threads: Optional[int] = None,
         param_rows=None,
+        tracer=None,
+        profiler=None,
     ) -> np.ndarray:
         """One assembly sweep, accumulating into ``rhs`` in place.
 
@@ -296,35 +312,81 @@ class MeshBound:
         nchunks = -(-self.ngroups // cg)
         nslabs = min(nthreads, nchunks)
         arena_bytes = self._lane_bytes * cg * self.vector_dim
-        with self.lock, self.tracer.span(
-            self._span + ("_chunked" if executor == "threads" else ""),
-            variant=self.program.variant,
-            scenarios=self.S,
-            vector_dim=self.vector_dim,
-            nlane=self.nlane,
-            chunks=nchunks,
-            threads=nthreads,
-            chunk_groups=cg,
-            arena_bytes=arena_bytes,
-        ):
-            self._refresh_inputs(velocity, param_rows)
-            profile = self._profile(executor)
-            tasks = self._tasks(cg, nslabs, profile)
-            if nslabs == 1:
-                for task in tasks:
-                    task()
-            else:
-                pool = threads.get_thread_pool(nthreads)
-                for future in [pool.submit(task) for task in tasks]:
-                    future.result()
-            self._flush(rhs, profile)
-            if profile is not None:
-                profile.finish_execution()
+        with self.lock:
+            # this caller's, for this sweep: the kernel is shared
+            self.tracer = NULL_TRACER if tracer is None else tracer
+            self.profiler = NULL_PROFILER if profiler is None else profiler
+            with self.tracer.span(
+                self._span + "_batch" * self.batched
+                + "_chunked" * (executor == "threads"),
+                variant=self.program.variant,
+                scenarios=self.S,
+                vector_dim=self.vector_dim,
+                nlane=self.nlane,
+                chunks=nchunks,
+                threads=nthreads,
+                chunk_groups=cg,
+                arena_bytes=arena_bytes,
+            ):
+                self._refresh_inputs(velocity, param_rows)
+                profile = None
+                if self.profiler.enabled:
+                    profile = self.profiler.for_program(
+                        self.program, self.vector_dim, self._mode, executor
+                    )
+                tasks = self._tasks(cg, nslabs, profile)
+                if nslabs == 1:
+                    for task in tasks:
+                        task()
+                else:
+                    pool = threads.get_thread_pool(nthreads)
+                    for future in [pool.submit(task) for task in tasks]:
+                        future.result()
+                self._flush(rhs, profile)
+                if profile is not None:
+                    profile.finish_execution()
         get_registry().gauge(f"arena.bytes.{self.program.variant}").set(
             arena_bytes
         )
         self._count(nchunks, executor, nslabs > 1)
         return rhs
+
+    def execute(
+        self,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        chunk_groups: Optional[int] = None,
+        param_rows=None,
+        tracer=None,
+        profiler=None,
+    ) -> np.ndarray:
+        """Assemble the momentum RHS -- ``(nnode, 3)``, or ``(S, nnode,
+        3)`` for a batch, whose varying values ``param_rows`` carries --
+        accumulating into ``rhs`` in place."""
+        return self._sweep(
+            "serial", velocity, rhs, chunk_groups, None, param_rows,
+            tracer, profiler,
+        )
+
+    def execute_chunked(
+        self,
+        velocity: np.ndarray,
+        rhs: Optional[np.ndarray] = None,
+        num_threads: Optional[int] = None,
+        chunk_groups: Optional[int] = None,
+        param_rows=None,
+        tracer=None,
+        profiler=None,
+    ) -> np.ndarray:
+        """Assemble on a thread pool: one task per slab, chunks of one
+        slab running sequentially in its private rows (numpy ufuncs and
+        the C form drop the GIL, so slabs overlap).  Bitwise identical to
+        :meth:`execute` for any thread count or schedule; ``num_threads``
+        defaults to the CPU count."""
+        return self._sweep(
+            "threads", velocity, rhs, chunk_groups, num_threads, param_rows,
+            tracer, profiler,
+        )
 
     def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
         velocity = np.asarray(velocity, dtype=np.float64)
@@ -336,8 +398,30 @@ class MeshBound:
         return velocity
 
     def _refresh_inputs(self, velocity: np.ndarray, param_rows) -> None:
-        """Refresh the velocity columns: component-major, node-minor."""
+        """Refresh the velocity columns (component-major, node-minor) and
+        evaluate the ``(S, 1)`` scenario-row stage in place: elementwise
+        ``np.float64`` ufuncs over per-scenario rows, each row computing
+        exactly the scalar chain a recording that folded the parameter
+        would have folded for that scenario."""
         np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
+        Q = self._Q
+
+        def ref(r):
+            return r if is_scalar(r) else Q[r]
+
+        for op in self.program.param_ops:
+            tag = op[0]
+            if tag == "rp":
+                np.copyto(Q[op[2]], param_rows[op[1]])
+            elif tag == "bin":
+                getattr(np, op[1])(ref(op[2]), ref(op[3]), out=Q[op[4]])
+            elif tag == "un":
+                getattr(np, op[1])(ref(op[2]), out=Q[op[3]])
+            else:  # sel: x is srow (scalar x folds at record time)
+                _, x, a, b, thresh, out = op
+                m = np.greater(Q[x], thresh)
+                Q[out][...] = ref(b)
+                np.copyto(Q[out], ref(a), where=m)
 
     def _flush(self, rhs: np.ndarray, profile=None) -> None:
         """Reduce this sweep's scatter values into ``rhs``: the (per
@@ -345,8 +429,7 @@ class MeshBound:
         a fused sweep reduced into -- ``(0 + contributions) + rhs`` both."""
         from ..fem.plan import flush_batch, flush_pattern
 
-        batched = len(self._rhs_shape) == 3
-        name = "scatter.flush_batch" if batched else "scatter.flush"
+        name = "scatter.flush_batch" if self.batched else "scatter.flush"
         with self.tracer.span(name, variant=self.program.variant, scenarios=self.S):
             t0 = time.perf_counter()
             if self._scatter == "fused":
@@ -355,7 +438,7 @@ class MeshBound:
                 counter("scatter.fused_sweeps").inc()
                 counter("scatter.values_reduced").inc(math.prod(self._values_shape))
                 return
-            flush = flush_batch if batched else flush_pattern
+            flush = flush_batch if self.batched else flush_pattern
             values = self._values.reshape(*self._values_shape[:-3], -1)
             flush(self._pattern, values, rhs, self.nnode, self.ncomp)
             if profile is not None:

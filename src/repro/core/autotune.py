@@ -34,9 +34,7 @@ from .unified import UnifiedAssembler
 
 __all__ = [
     "DEFAULT_CANDIDATES",
-    "DEFAULT_CHUNK_CANDIDATES",
     "AutotuneResult",
-    "autotune_chunk_groups",
     "autotune_vector_dim",
     "write_autotune_report",
 ]
@@ -45,20 +43,10 @@ __all__ = [
 #: choice of 16 up through whole-mesh-at-once territory.
 DEFAULT_CANDIDATES: Tuple[int, ...] = (8, 16, 32, 64, 256, 1024, 4096)
 
-#: Default chunk-size sweep for the threaded executor, in element groups
-#: per chunk.  Small chunks balance load; large chunks amortize per-op
-#: numpy dispatch.
-DEFAULT_CHUNK_CANDIDATES: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
-
 
 @dataclasses.dataclass(frozen=True)
 class AutotuneResult:
-    """Outcome of one parameter sweep for one variant.
-
-    ``parameter`` names the knob that was swept: ``"vector_dim"`` for the
-    classic group-size sweep, ``"chunk_groups"`` for the threaded
-    executor's chunk-size sweep.
-    """
+    """Outcome of one ``VECTOR_DIM`` sweep for one variant."""
 
     variant: str
     mode: str
@@ -67,7 +55,6 @@ class AutotuneResult:
     wall_seconds: Tuple[float, ...]  # best-of-``repeats`` per candidate
     winner: int
     repeats: int
-    parameter: str = "vector_dim"
 
     @property
     def best_seconds(self) -> float:
@@ -78,7 +65,6 @@ class AutotuneResult:
             "variant": self.variant,
             "mode": self.mode,
             "nelem": self.nelem,
-            "parameter": self.parameter,
             "candidates": list(self.candidates),
             "wall_seconds": list(self.wall_seconds),
             "winner": self.winner,
@@ -194,90 +180,6 @@ def autotune_vector_dim(
     return result
 
 
-def autotune_chunk_groups(
-    mesh: TetMesh,
-    variant: str = "RSP",
-    params=None,
-    candidates: Optional[Sequence[int]] = None,
-    repeats: int = 3,
-    timer: Optional[Callable[[], float]] = None,
-    velocity: Optional[np.ndarray] = None,
-    vector_dim: Optional[int] = None,
-    num_threads: Optional[int] = None,
-    mode: str = "compiled",
-    tracer=None,
-    persist: bool = True,
-) -> AutotuneResult:
-    """Sweep the threaded executor's chunk size for ``variant`` on ``mesh``.
-
-    Complements :func:`autotune_vector_dim`: with the group size fixed
-    (explicit ``vector_dim`` or the plan's tuned winner), this times
-    the chunked executor (``mode="compiled"`` tape replay or
-    ``mode="codegen"`` generated kernels) at each
-    candidate ``chunk_groups`` and persists the fastest via
-    :meth:`~repro.fem.plan.AssemblyPlan.set_tuned_chunk_groups`, where
-    threaded assemblers constructed without an explicit ``chunk_groups``
-    pick it up.  Same determinism contract as the vector-dim sweep:
-    injectable ``timer``, best-of-``repeats``, ties break toward the
-    smaller chunk.
-    """
-    from ..physics.momentum import AssemblyParams
-
-    if params is None:
-        params = AssemblyParams()
-    if timer is None:
-        timer = time.perf_counter
-    if candidates is None:
-        candidates = DEFAULT_CHUNK_CANDIDATES
-    cand = tuple(int(c) for c in candidates)
-    if not cand:
-        raise ValueError("autotune needs at least one candidate chunk_groups")
-    if velocity is None:
-        velocity = np.zeros((mesh.nnode, 3))
-    variant = variant.upper()
-
-    walls: List[float] = []
-    with get_tracer().span(
-        "tape.autotune_chunks", variant=variant, candidates=len(cand)
-    ):
-        for cg in cand:
-            kwargs = dict(
-                vector_dim=vector_dim,
-                mode=mode,
-                executor="threads",
-                num_threads=num_threads,
-                chunk_groups=cg,
-            )
-            if tracer is not None:
-                kwargs["tracer"] = tracer
-            asm = UnifiedAssembler(mesh, params, **kwargs)
-            asm.assemble(variant, velocity)  # warm: record/compile/cache
-            best = None
-            for _ in range(max(1, int(repeats))):
-                t0 = timer()
-                asm.assemble(variant, velocity)
-                dt = timer() - t0
-                best = dt if best is None else min(best, dt)
-            walls.append(float(best))
-
-    # Deterministic winner: smallest time, then smallest chunk size.
-    winner = min(zip(walls, cand))[1]
-    result = AutotuneResult(
-        variant=variant,
-        mode=mode,
-        nelem=int(mesh.nelem),
-        candidates=cand,
-        wall_seconds=tuple(walls),
-        winner=winner,
-        repeats=max(1, int(repeats)),
-        parameter="chunk_groups",
-    )
-    get_registry().counter("tape.autotune_runs").inc()
-    if persist:
-        get_plan(mesh).set_tuned_chunk_groups(variant, winner)
-    return result
-
-
 def write_autotune_report(
     results: Sequence[AutotuneResult], path
 ) -> Dict[str, object]:
@@ -285,14 +187,7 @@ def write_autotune_report(
     doc = {
         "schema": "repro-autotune/1",
         "results": [r.to_dict() for r in results],
-        "winners": {
-            (
-                r.variant
-                if r.parameter == "vector_dim"
-                else f"{r.variant}:{r.parameter}"
-            ): r.winner
-            for r in results
-        },
+        "winners": {r.variant: r.winner for r in results},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -52,16 +52,21 @@ by the same shared plan pattern as the compiled tape.  Scalar literals are
 embedded via ``repr(float(x))`` -- shortest round-trip repr is exact for
 float64 -- with non-finite values spelled ``float('inf')`` etc.
 
-Generated source is fully deterministic (all set iterations are sorted),
-so a pickled :class:`ElementalCodegenProgram` rebuilds byte-identical
-source in every pool worker and the module-level code cache
-(:data:`_CODE_CACHE`) guarantees a cache hit never re-``exec``\\ s.
+One :class:`CodegenProgram`, one :func:`generate_program` and one
+:class:`GeneratedKernel` serve every caller: a scenario batch is the same
+lowering with some parameters left symbolic (``S = 1`` the degenerate
+batch, every value rank-1), and a pool worker binds the pickled program
+to its chunk as a mesh of disjoint elements
+(:mod:`repro.parallel.runner`).  Generated source is fully deterministic
+(all set iterations are sorted), so the pickled program carries
+byte-identical source into every pool worker and the module-level code
+cache (:data:`_CODE_CACHE`) guarantees a cache hit never re-``exec``\\ s.
 
 Set ``REPRO_CODEGEN_DUMP=<dir>`` to dump every generated module to
-``<dir>/<variant>_vd<N>.py`` / ``<dir>/<variant>_elemental.py``.  A
-mesh-wide program also carries its statements printed as one C lane loop
-(:mod:`repro.core.native`, dumped as ``.c``): once a compiler has built it
-and one real sweep matched the Python form bitwise, it serves the sweeps.
+``<dir>/<variant>_vd<N>[_S<S>].py``.  A program also carries its
+statements printed as one C lane loop (:mod:`repro.core.native`, dumped
+as ``.c``): once a compiler has built it and one real sweep matched the
+Python form bitwise, it serves the sweeps.
 """
 
 from __future__ import annotations
@@ -77,36 +82,25 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..obs.metrics import get_registry
-from ..obs.profiler import NULL_PROFILER
-from ..obs.spans import NULL_TRACER, get_tracer
-from .arena import MeshBound, aligned_empty, check_aligned
+from ..obs.spans import get_tracer
+from .arena import MeshBound, aligned_empty, check_aligned, plan_cached
 from .passes import UFUNC_NAMES as _UFUNC_NAMES
 from .passes import Front, assign_rows, front_end
 from .passes import is_scalar as _is_scalar
 from .passes import reads as _reads
 from .tape import (
-    BatchBound,
     TapeReport,
-    _batch_counts,
-    _check_velocity_only,
     _make_report,
     _record,
-    batch_tape_cache_key,
+    _recording_args,
     tape_cache_key,
 )
 
 __all__ = [
     "MAX_FUSE_DEPTH",
-    "BatchedCodegenProgram",
     "CodegenProgram",
-    "ElementalCodegenProgram",
-    "BatchedGeneratedKernel",
     "GeneratedKernel",
-    "ElementalGeneratedKernel",
-    "generate_batched_program",
     "generate_program",
-    "generate_elemental_program",
-    "batched_generated_kernel",
     "generated_kernel",
     "stop_builds",
 ]
@@ -303,7 +297,7 @@ def _render_arith(
 def _emit_block(lines: List[str], stmts: List[str], indent: str,
                 timed: bool, lanevars: Optional[List[str]] = None) -> None:
     """Append ``stmts``; the timed form records each statement's seconds
-    over its lane count (``lanevars[i]``, default ``n``)."""
+    over its lane count (``lanevars[i]``: ``n`` rank-1, ``ns`` full)."""
     if not stmts:
         lines.append(f"{indent}pass")
         return
@@ -314,9 +308,7 @@ def _emit_block(lines: List[str], stmts: List[str], indent: str,
     for i, s in enumerate(stmts):
         lines.append(f"{indent}_t = clock()")
         lines.append(f"{indent}{s}")
-        lines.append(
-            f"{indent}rec({i}, clock() - _t, {lanevars[i] if lanevars else 'n'})"
-        )
+        lines.append(f"{indent}rec({i}, clock() - _t, {lanevars[i]})")
 
 
 _ROOT_KINDS = {"bin": "bin", "un": "un", "sel": "sel",
@@ -337,10 +329,7 @@ def _root_label(op: tuple) -> str:
 
 
 def _stmt_costs(
-    stmts: List[_Stmt],
-    rank: Dict[int, str],
-    q_refs: Set[int] = frozenset(),
-    scenarios: int = 1,
+    stmts: List[_Stmt], rank: Dict[int, str], q_refs: Set[int], scenarios: int
 ) -> Tuple[tuple, ...]:
     """Per-statement ``(kind, label, rb, wb, fl)`` profiler cost slots, in
     units of the *root's* lanes.  A fused statement reports the summed
@@ -392,66 +381,76 @@ def _stmt_costs(
 
 
 # ---------------------------------------------------------------------------
-# Programs
+# The program
 # ---------------------------------------------------------------------------
+#
+# A recording keeps a batch's varying runtime parameters symbolic as
+# ("rp", name, out) ops, giving every SSA value a rank on the lattice
+# srow (S, 1) < {vec (lanes,), full (S, lanes)}; a serial recording is
+# the all-vec case.  The shared front end (repro.core.passes.front_end)
+# infers the ranks and peels the all-srow prefix into a tiny
+# Python-evaluated parameter stage (MeshBound evaluates it into
+# persistent (S, 1) rows Q); this back end adds two rank-aware twists:
+#
+# * slab rows are assigned from two pools -- rank-1 rows BV and (S, n)
+#   rows BF -- and every value, fused or not, draws from the pool of
+#   its *own* rank, so shared geometry arithmetic runs once per batch at
+#   rank-1;
+# * scatters reshape by source rank: scalars fill, srow rows broadcast as
+#   (S, 1, 1), vec sources broadcast a (cg, vd) block over all scenarios
+#   and full sources land per scenario as (S, cg, vd).
+#
+# The hoisted setup is geometry-only, hence rank-1 for any S.
 
 
 @dataclasses.dataclass(frozen=True)
 class CodegenProgram:
-    """A generated, picklable mesh-wide kernel module.
+    """A generated, picklable kernel module.
 
     ``source`` defines three functions: ``setup(C, I, P, T)`` (run once at
     bind time: coordinate gathers and loop-invariant arithmetic at full
-    lane width), ``factory(VC, GI, P, SV, B)`` (returns a zero-argument
-    per-chunk closure over prebound chunk views; ``SV[c]`` is scatter call
-    ``c``'s slice of the deferred values buffer) and
-    ``factory_timed(...)`` (the profiled twin, one clock read per
-    statement).  Re-compilation in a pool worker is exact: the emission
-    is deterministic, so equal configurations produce equal source
-    strings and hit the module-level code cache.
+    lane width), ``factory(VC, GI, P, Q, SV, BV, BF)`` (returns a
+    zero-argument per-chunk closure over prebound chunk views; ``SV[c]``
+    is scatter call ``c``'s slice of the deferred values buffer) and the
+    profiled twin ``factory_timed(..., clock, rec, n, ns)`` (one clock
+    read per statement; ``n``/``ns`` are the chunk's rank-1 / full lane
+    counts).  ``param_ops`` is the Python-evaluated ``(S, 1)``
+    scenario-row stage in the exact :class:`~repro.core.tape.TapeProgram`
+    format.  A serial recording is the ``scenarios = 1``,
+    ``velocity_rank = "vec"`` case: no ``Q`` rows, ``nslab_full = 0``.
+    Re-compilation in a pool worker is exact: the emission is
+    deterministic, so equal configurations produce equal source strings
+    and hit the module-level code cache.
     """
 
     variant: str
-    params_key: Tuple
+    params_key: tuple  # kernel params, or a batch's cache_key()
+    scenarios: int
+    velocity_rank: str
     vector_dim: int
     nnode_per_element: int
     source: str
+    param_ops: Tuple[tuple, ...]
+    nq: int
     scatter_calls: Tuple[Tuple[int, int], ...]
     gf_slots: Tuple[int, ...]
     vc_comps: Tuple[int, ...]
     npinned: int
     nsetup_tmp: int
-    nslab: int
+    nslab_vec: int
+    nslab_full: int
     stmt_costs: Tuple[tuple, ...]
     report: TapeReport
     c_source: str = ""  # the same statements as one C lane loop (native.py)
 
 
-@dataclasses.dataclass(frozen=True)
-class ElementalCodegenProgram:
-    """Generated worker-side module: ``elemental(X, U, R, B)`` accumulates
-    ``(n, nnode_per_element, 3)`` contributions exactly like
-    :class:`~repro.core.tape.ElementalTape` (no hoisting -- workers see
-    new coordinates on every call), plus the profiled twin
-    ``elemental_timed``."""
-
-    variant: str
-    params_key: Tuple
-    nnode_per_element: int
-    source: str
-    nslab: int
-    stmt_costs: Tuple[tuple, ...]
-    report: TapeReport
-
-
-def _maybe_dump(stem: str, program) -> None:
-    """Write ``<stem>.py`` and, for a mesh-wide program, ``<stem>.c``."""
+def _maybe_dump(stem: str, program: CodegenProgram) -> None:
+    """Write ``<stem>.py`` and, when the program has a C form, ``<stem>.c``."""
     outdir = os.environ.get("REPRO_CODEGEN_DUMP")
     if not outdir:
         return
     os.makedirs(outdir, exist_ok=True)
-    for ext, text in ((".py", program.source),
-                      (".c", getattr(program, "c_source", ""))):
+    for ext, text in ((".py", program.source), (".c", program.c_source)):
         if text:
             with open(os.path.join(outdir, stem + ext), "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -460,9 +459,9 @@ def _maybe_dump(stem: str, program) -> None:
 
 @dataclasses.dataclass
 class _MeshLowering:
-    """What the serial and batched mesh-wide emitters share: fusion and
-    statements of both partitions plus the emitted ``setup`` block (the
-    invariants are geometry-only, hence rank-1 -- identical for any S)."""
+    """Fusion and statements of both partitions plus the emitted ``setup``
+    block (the invariants are geometry-only, hence rank-1 -- identical
+    for any S)."""
 
     pin_index: Dict[int, int]
     nfused: int
@@ -474,13 +473,6 @@ class _MeshLowering:
     nsetup_tmp: int
     gf_slots: List[int]
     vc_comps: List[int]
-
-    def prologue(self) -> List[str]:
-        return (
-            [f"vc{c} = VC[{c}]" for c in self.vc_comps]
-            + [f"gi{k} = GI[{k}]" for k in range(len(self.gf_slots))]
-            + [f"p{k} = P[{k}]" for k in range(len(self.pin_index))]
-        )
 
 
 def _lower_mesh(front: Front) -> _MeshLowering:
@@ -523,21 +515,21 @@ def _lower_mesh(front: Front) -> _MeshLowering:
     )
 
 
-def _module(header: str, setup_lines: List[str], args: str, timed_args: str,
-            prologue: List[str], emit_body: Callable[[List[str], bool], None],
-            ) -> str:
+def _module(header: str, setup_lines: List[str], prologue: List[str],
+            body_lines: List[str], lanevars: List[str]) -> str:
     """Assemble ``setup`` / ``factory`` / ``factory_timed`` source."""
+    args = "VC, GI, P, Q, SV, BV, BF"
     lines = [
         "# generated by repro.core.codegen -- do not edit", header, "", "",
         "def setup(C, I, P, T):",
     ]
     _emit_block(lines, setup_lines, "    ", timed=False)
     for sig, timed in ((f"factory({args})", False),
-                       (f"factory_timed({args}, {timed_args})", True)):
+                       (f"factory_timed({args}, clock, rec, n, ns)", True)):
         lines += ["", "", f"def {sig}:"]
         lines += [f"    {p}" for p in prologue]
         lines += ["", "    def kernel():"]
-        emit_body(lines, timed)
+        _emit_block(lines, body_lines, "        ", timed, lanevars)
         lines += ["", "    return kernel"]
     return "\n".join(lines) + "\n"
 
@@ -547,547 +539,25 @@ def generate_program(
     vector_dim: int,
     kernel_params: Optional[Dict[str, float]] = None,
     nnode_per_element: int = 4,
-) -> CodegenProgram:
-    """Lower one variant to a mesh-wide generated source module."""
-    from . import native
-
-    kernel_params = dict(kernel_params or {})
-    vd = int(vector_dim)
-    with get_tracer().span(
-        "codegen.generate", variant=variant_name.upper(), vector_dim=vd
-    ):
-        variant, recorder = _record(
-            variant_name, kernel_params, nnode_per_element
-        )
-        _check_velocity_only(recorder.ops, "generated kernel")
-        front = front_end(recorder, hoist=True)
-        low = _lower_mesh(front)
-        prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
-        body_rows, nslab = low.body_rows, low.nrows.get("vec", 0)
-        gi_index = {slot: k for k, slot in enumerate(low.gf_slots)}
-
-        def name(r: int) -> str:
-            return f"p{pin_index[r]}" if r in pin_index else f"b{body_rows[r]}"
-
-        def ex(r):
-            return _expr(r, prod, fused, name)
-
-        body_lines: List[str] = []
-        for st in low.body_stmts:
-            op = st.op
-            if op[0] == "gf":
-                line = f"take(vc{op[3]}, gi{gi_index[op[2]]}, out={name(op[4])})"
-            elif op[0] != "sc":
-                line = _render_arith(op, ex, name)
-            elif _is_scalar(op[4]):
-                line = f"s{op[1]}[...] = {_lit(op[4])}"
-            else:
-                line = f"copyto(s{op[1]}, {ex(op[4])}.reshape(-1, {vd}))"
-            body_lines.append(line)
-
-        header = (
-            f"variant={variant.name} vector_dim={vd} "
-            f"stmts={len(low.body_stmts)} rows=vec:{nslab} "
-            f"pinned={len(pin_index)} fused={low.nfused}"
-        )
-        source = _module(
-            "# " + header, low.setup_lines, "VC, GI, P, SV, B", "clock, rec, n",
-            low.prologue()
-            + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
-            + [f"b{r} = B[{r}]" for r in range(nslab)],
-            lambda lines, timed: _emit_block(
-                lines, body_lines, "        ", timed
-            ),
-        )
-        program = CodegenProgram(
-            variant=variant.name,
-            params_key=tuple(sorted(kernel_params.items())),
-            vector_dim=vd,
-            nnode_per_element=nnode_per_element,
-            source=source,
-            scatter_calls=front.scatter_calls,
-            gf_slots=tuple(low.gf_slots),
-            vc_comps=tuple(low.vc_comps),
-            npinned=len(pin_index),
-            nsetup_tmp=low.nsetup_tmp,
-            nslab=nslab,
-            stmt_costs=_stmt_costs(low.body_stmts, front.rank),
-            report=_make_report(
-                variant.name, front, nslab, fused_ops=low.nfused
-            ),
-            c_source=native.emit_c(low, front, vector_dim=vd, header=header),
-        )
-    get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_vd{vd}", program)
-    return program
-
-
-def generate_elemental_program(
-    variant_name: str,
-    kernel_params: Optional[Dict[str, float]] = None,
-    nnode_per_element: int = 4,
-) -> ElementalCodegenProgram:
-    """Lower one variant to the worker-side elemental source module."""
-    kernel_params = dict(kernel_params or {})
-    with get_tracer().span(
-        "codegen.generate_elemental", variant=variant_name.upper()
-    ):
-        variant, recorder = _record(
-            variant_name, kernel_params, nnode_per_element
-        )
-        front = front_end(recorder, hoist=False)
-        prod = front.prod
-        fused = _fuse(front.body, exclude=set())
-        stmts = _statements(front.body, prod, fused)
-        rows, n = _stmt_rows(stmts, set())
-        nslab = n.get("vec", 0)
-
-        def name(r: int) -> str:
-            return f"b{rows[r]}"
-
-        def ex(r):
-            return _expr(r, prod, fused, name)
-
-        stmt_lines: List[str] = []
-        for st in stmts:
-            op = st.op
-            if op[0] == "gc":
-                line = f"copyto({name(op[3])}, x{op[1]}{op[2]})"
-            elif op[0] == "gf":
-                line = f"copyto({name(op[4])}, u{op[2]}{op[3]})"
-            elif op[0] == "sc":
-                rname = f"r{op[2]}{op[3]}"
-                line = f"add({rname}, {ex(op[4])}, out={rname})"
-            else:
-                line = _render_arith(op, ex, name)
-            stmt_lines.append(line)
-        ops = front.ops
-        x_keys = sorted({(op[1], op[2]) for op in ops if op[0] == "gc"})
-        u_keys = sorted({(op[2], op[3]) for op in ops if op[0] == "gf"})
-        r_keys = sorted({(op[2], op[3]) for op in ops if op[0] == "sc"})
-        prologue = (
-            [f"x{s}{c} = X[:, {s}, {c}]" for s, c in x_keys]
-            + [f"u{s}{c} = U[:, {s}, {c}]" for s, c in u_keys]
-            + [f"r{s}{c} = R[:, {s}, {c}]" for s, c in r_keys]
-            + [f"b{r} = B[{r}]" for r in range(nslab)]
-        )
-        lines: List[str] = [
-            "# generated by repro.core.codegen -- do not edit",
-            f"# variant={variant.name} elemental "
-            f"stmts={len(stmts)} rows=vec:{nslab} fused={len(fused)}",
-        ]
-        for sig, timed in (("elemental(X, U, R, B)", False),
-                           ("elemental_timed(X, U, R, B, clock, rec, n)", True)):
-            lines += ["", "", f"def {sig}:"]
-            lines += [f"    {p}" for p in prologue]
-            _emit_block(lines, stmt_lines, "    ", timed)
-        source = "\n".join(lines) + "\n"
-
-        program = ElementalCodegenProgram(
-            variant=variant.name,
-            params_key=tuple(sorted(kernel_params.items())),
-            nnode_per_element=nnode_per_element,
-            source=source,
-            nslab=nslab,
-            stmt_costs=_stmt_costs(stmts, front.rank),
-            report=_make_report(
-                variant.name, front, nslab, fused_ops=len(fused)
-            ),
-        )
-    get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_elemental", program)
-    return program
-
-
-# ---------------------------------------------------------------------------
-# exec-compilation (module-level source cache)
-# ---------------------------------------------------------------------------
-
-
-def _load(source: str, filename: str) -> Dict[str, object]:
-    """Exec a generated module into a fresh namespace.
-
-    The compiled code object is cached on the exact source string, so a
-    plan-cache hit (or a worker re-shipping the same program) never pays
-    ``compile`` twice in one process.
-    """
-    registry = get_registry()
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source, filename, "exec")
-        _CODE_CACHE[source] = code
-        registry.counter("codegen.source_compiles").inc()
-    else:
-        registry.counter("codegen.source_reuses").inc()
-    ns = dict(_NAMESPACE)
-    exec(code, ns)
-    return ns
-
-
-# ---------------------------------------------------------------------------
-# Mesh-wide executor
-# ---------------------------------------------------------------------------
-
-
-class _GeneratedBound:
-    """What the serial and batched generated kernels share on top of
-    their :class:`~repro.core.arena.MeshBound` base: the exec-compiled
-    module, the pinned invariants filled once by ``setup`` and the
-    per-``(chunk_groups, nslabs)`` cache of prebound chunk closures."""
-
-    #: generated kernels size their chunks from the arena budget alone
-    _uses_tuned_chunk = False
-
-    def _bind_module(self, filename: str) -> None:
-        program = self.program
-        if self.vector_dim != program.vector_dim:
-            raise ValueError(
-                f"program generated for vector_dim={program.vector_dim}, "
-                f"packing has {self.vector_dim}"
-            )
-        ns = _load(program.source, filename)
-        self._factory = ns["factory"]
-        self._factory_timed = ns["factory_timed"]
-        # run the hoisted setup once: coordinate gathers and
-        # loop-invariant arithmetic at full lane width (rank-1 for any
-        # S); the transient rows are freed immediately after.
-        self._pinned = aligned_empty((max(program.npinned, 1), self.nlane))
-        ns["setup"](
-            self._ccols, self._idx, self._pinned,
-            aligned_empty((max(program.nsetup_tmp, 1), self.nlane)),
-        )
-        #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
-        self._chunk_cache: Dict[Tuple[int, int], list] = {}
-        from .native import NativeForm
-
-        self._native = NativeForm(self)
-
-    def _chunk_views(self, g0: int, g1: int) -> Tuple[list, list, int]:
-        """One chunk's gather-index and pinned slices and lane count."""
-        vd = self.vector_dim
-        lo, n = g0 * vd, (g1 - g0) * vd
-        GI = [self._idx[slot, lo:lo + n] for slot in self.program.gf_slots]
-        P = [self._pinned[k, lo:lo + n] for k in range(self.program.npinned)]
-        return GI, P, n
-
-    def _tasks(self, cg: int, nslabs: int, profile) -> list:
-        """The adopted C form's calls (:mod:`repro.core.native`; profiled
-        sweeps stay on the Python source, deferred), else the Python form's."""
-        self._scatter = "deferred"
-        tasks = None if profile is not None else self._native.sweep_tasks(
-            self, nslabs, partial(self._python_tasks, cg, nslabs)
-        )
-        span = self.tracer.current
-        if span is not None:
-            span.attributes.update(
-                {"native": False} if tasks is None
-                else {"native": True, "chunks": 0, "arena_bytes": 0},
-                scatter=self._scatter,
-            )
-        return self._python_tasks(cg, nslabs, profile) if tasks is None else tasks
-
-    def _python_tasks(self, cg: int, nslabs: int, profile=None) -> list:
-        """One task per slab: chunk ``i`` runs on slab ``i % nslabs`` and
-        a slab's chunks run sequentially, so concurrent slabs never share
-        rows.  Profiled closures are bound per sweep."""
-        if profile is not None:
-            per_slab = self._build_closures(cg, nslabs, profile)
-        else:
-            per_slab = self._chunk_cache.get((cg, nslabs))
-            if per_slab is None:
-                per_slab = self._build_closures(cg, nslabs)
-                self._chunk_cache[(cg, nslabs)] = per_slab
-        return [partial(_run_slab, kerns, self._native) for kerns in per_slab]
-
-    def build_native(self, wait: bool = True) -> bool:
-        """Build the C form now instead of after ``BUILD_AFTER_S`` of
-        sweeps; the next sweep adopts it.  ``False``: no compiler."""
-        with self.lock:
-            return self._native.build(wait)
-
-    def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
-        super()._count(nchunks, executor, threaded)
-        get_registry().counter("codegen.chunks_executed").inc(nchunks)
-
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-        param_rows=None,
-    ) -> np.ndarray:
-        """Assemble the momentum RHS -- ``(nnode, 3)``, or ``(S, nnode,
-        3)`` for a batch, whose varying values ``param_rows`` carries --
-        accumulating into ``rhs`` in place."""
-        return self._sweep(
-            "serial", velocity, rhs, chunk_groups, param_rows=param_rows
-        )
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-        param_rows=None,
-    ) -> np.ndarray:
-        """Assemble on a thread pool: one task per slab, chunks of one
-        slab running sequentially.  Bitwise identical to :meth:`execute`
-        for any thread count or schedule (numpy ufuncs and the C form
-        drop the GIL, so slabs overlap)."""
-        return self._sweep(
-            "threads", velocity, rhs, chunk_groups, num_threads, param_rows
-        )
-
-
-def _run_slab(kerns: list, form) -> None:
-    t0 = time.perf_counter()
-    for kern in kerns:
-        kern()
-    form.spent += time.perf_counter() - t0
-
-
-def stop_builds() -> None:
-    """Terminate pending compiler children (the server's drain), without
-    importing the native module when nothing ever loaded it."""
-    native = sys.modules.get(__package__ + ".native")
-    if native is not None:
-        native.stop_builds()
-
-
-class GeneratedKernel(_GeneratedBound, MeshBound):
-    """Executable generated module bound to one ``(plan, packing)`` pair.
-
-    Mirrors :class:`~repro.core.tape.CompiledTape`'s binding (the same
-    :class:`~repro.core.arena.MeshBound`: gather index layout, shared plan
-    scatter pattern, group-major deferred values flush) but owns its
-    values/velocity buffers, so a coexisting compiled tape of the same
-    configuration is never mutated.  ``setup`` runs once here at full lane
-    width; a sweep then runs one prebound closure per chunk plus the
-    serial flush.
-    """
-
-    _span = "codegen.execute"
-    _profile_for = "for_codegen"
-
-    def __init__(
-        self,
-        program: CodegenProgram,
-        plan,
-        packing,
-        perm_key=None,
-        tracer=NULL_TRACER,
-    ) -> None:
-        super().__init__(
-            program, plan, packing, perm_key, tracer, "generated kernel"
-        )
-        self._bind_module(f"<codegen:{program.variant}:vd{self.vector_dim}>")
-        self._lane_bytes = 8 * max(program.nslab, 1)
-
-    def _build_closures(self, cg: int, nslabs: int, profile=None) -> List[list]:
-        program = self.program
-        slabs = aligned_empty(
-            (nslabs, max(program.nslab, 1), cg * self.vector_dim)
-        )
-        per_slab: List[list] = [[] for _ in range(nslabs)]
-        factory = self._factory if profile is None else self._factory_timed
-        for i, (g0, g1) in enumerate(self._chunks(cg)):
-            s = i % nslabs
-            GI, P, n = self._chunk_views(g0, g1)
-            SV = [self._values[g0:g1, c, :] for c in range(self._ncalls)]
-            B = [slabs[s, r, :n] for r in range(program.nslab)]
-            check_aligned([*GI, *P, *SV, *B], self.vector_dim)
-            timing = () if profile is None else (
-                time.perf_counter, profile.record, n,
-            )
-            per_slab[s].append(factory(self._vcols, GI, P, SV, B, *timing))
-        return per_slab
-
-
-# ---------------------------------------------------------------------------
-# Elemental executor (multiprocess workers)
-# ---------------------------------------------------------------------------
-
-
-class ElementalGeneratedKernel:
-    """Run a generated elemental module against packed per-element arrays.
-
-    Drop-in for :class:`~repro.core.tape.ElementalTape`: same
-    ``(n, nnode_per_element, 3)`` output, same ``+=`` accumulation order,
-    same lazy slab rebinding across chunk sizes, same ``profile``
-    attribute contract.
-    """
-
-    def __init__(self, program: ElementalCodegenProgram) -> None:
-        self.program = program
-        #: set to a :class:`repro.obs.profiler.TapeProfile` to time stmts
-        self.profile = None
-        self._n = -1
-        self._rows: Optional[List[np.ndarray]] = None
-        ns = _load(
-            program.source, f"<codegen:{program.variant}:elemental>"
-        )
-        self._fn = ns["elemental"]
-        self._fn_timed = ns["elemental_timed"]
-
-    def _bind(self, n: int) -> None:
-        # one allocation per row, like ElementalTape: any n stays aligned
-        self._rows = [aligned_empty(n) for _ in range(self.program.nslab)]
-        self._n = n
-
-    def __call__(self, xel: np.ndarray, uel: np.ndarray) -> np.ndarray:
-        n = xel.shape[0]
-        if n != self._n:
-            self._bind(n)
-        nnpe = self.program.nnode_per_element
-        out_rhs = np.zeros((n, nnpe, 3))
-        if self.profile is not None:
-            self._fn_timed(
-                xel, uel, out_rhs, self._rows,
-                time.perf_counter, self.profile.record, n,
-            )
-            self.profile.finish_execution()
-        else:
-            self._fn(xel, uel, out_rhs, self._rows)
-        return out_rhs
-
-
-# ---------------------------------------------------------------------------
-# Plan-level cache
-# ---------------------------------------------------------------------------
-
-
-def _plan_cached(plan, key, vector_dim, permutation, make, tracer,
-                 profiler, **batch):
-    """The kernel under ``key`` in the plan's codegen store, built by
-    ``make(packing)`` on a miss (``batch``: the extra span attributes of
-    a batched kernel).  Mesh reorientation (any ``mesh._version`` bump)
-    invalidates the plan and with it every generated kernel."""
-    kern, event = plan.cached_codegen(key), "cache_hits"
-    if kern is None:
-        event = "compiles"
-        with get_tracer().span(
-            "codegen.compile_batch" if batch else "codegen.compile",
-            variant=key[0], vector_dim=int(vector_dim), **batch,
-        ):
-            kern = make(plan.packing(int(vector_dim), permutation=permutation))
-        plan.store_codegen(key, kern)
-    get_registry().counter(
-        f"codegen.{'batch_' if batch else ''}{event}"
-    ).inc()
-    if tracer is not None:
-        kern.tracer = tracer
-    # Always (re)set the profiler -- generated kernels are plan-cached and
-    # shared across assemblers, like compiled tapes.
-    kern.profiler = profiler if profiler is not None else NULL_PROFILER
-    return kern
-
-
-def generated_kernel(
-    plan,
-    variant_name: str,
-    vector_dim: int,
-    permutation: Optional[np.ndarray] = None,
-    kernel_params: Optional[Dict[str, float]] = None,
-    tracer=None,
-    profiler=None,
-) -> GeneratedKernel:
-    """The plan-cached :class:`GeneratedKernel` for one configuration,
-    stored next to the compiled tapes under the same
-    :func:`~repro.core.tape.tape_cache_key`."""
-    kernel_params = dict(kernel_params or {})
-    key = tape_cache_key(variant_name, vector_dim, permutation, kernel_params)
-    return _plan_cached(
-        plan, key, vector_dim, permutation,
-        lambda packing: GeneratedKernel(
-            generate_program(key[0], int(vector_dim), kernel_params),
-            plan, packing, perm_key=key[2],
-        ),
-        tracer, profiler,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Scenario-batched codegen
-# ---------------------------------------------------------------------------
-#
-# A batched recording (BatchRecordingBackend) keeps varying runtime
-# parameters symbolic as ("rp", name, out) ops, giving every SSA value a
-# rank on the lattice srow (S, 1) < {vec (lanes,), full (S, lanes)}.  The
-# shared front end (repro.core.passes.front_end) infers the ranks and
-# peels the all-srow prefix into a tiny Python-evaluated parameter stage
-# (evaluated by tape._eval_param_stage into persistent (S, 1) rows Q);
-# this back end adds two batch-specific twists:
-#
-# * slab rows are assigned from two pools -- rank-1 rows BV and (S, n)
-#   rows BF -- and every value, fused or not, draws from the pool of
-#   its *own* rank, so shared geometry arithmetic runs once per batch at
-#   rank-1;
-# * scatters reshape by source rank: scalars fill, srow rows broadcast as
-#   (S, 1, 1), vec sources broadcast a (cg, vd) block over all scenarios
-#   and full sources land per scenario as (S, cg, vd).
-#
-# The hoisted setup is *identical* to the serial emission (invariants are
-# geometry-only, hence rank-1).
-
-
-@dataclasses.dataclass(frozen=True)
-class BatchedCodegenProgram:
-    """A generated, picklable scenario-batched kernel module.
-
-    ``source`` defines ``setup(C, I, P, T)`` (byte-identical emission to
-    the serial module -- invariants are rank-1), ``factory(VC, GI, P, Q,
-    SV, BV, BF)`` and the profiled twin ``factory_timed(..., clock, rec,
-    n, ns)`` where ``n``/``ns`` are the chunk's rank-1 / full lane
-    counts.  ``param_ops`` is the Python-evaluated ``(S, 1)`` scenario-row
-    stage in the exact :class:`~repro.core.tape.BatchTapeProgram` format,
-    refreshed every execute by :func:`~repro.core.tape._eval_param_stage`.
-    """
-
-    variant: str
-    batch_key: tuple
-    scenarios: int
-    velocity_rank: str
-    vector_dim: int
-    nnode_per_element: int
-    source: str
-    param_ops: Tuple[tuple, ...]
-    nq: int
-    scatter_calls: Tuple[Tuple[int, int], ...]
-    gf_slots: Tuple[int, ...]
-    vc_comps: Tuple[int, ...]
-    npinned: int
-    nsetup_tmp: int
-    nslab_vec: int
-    nslab_full: int
-    stmt_costs: Tuple[tuple, ...]
-    report: TapeReport
-    c_source: str = ""
-
-
-def generate_batched_program(
-    variant_name: str,
-    vector_dim: int,
-    batch,
+    batch=None,
     velocity_rank: str = "vec",
-    nnode_per_element: int = 4,
-) -> BatchedCodegenProgram:
-    """Lower one variant to a scenario-batched generated source module."""
+) -> CodegenProgram:
+    """Lower one variant to a generated source module; with ``batch`` (a
+    :class:`~repro.core.batch.ScenarioBatch`) to a scenario-batched one,
+    its varying parameters symbolic and, for ``velocity_rank="full"``,
+    its velocities per scenario."""
     from . import native
 
     vd = int(vector_dim)
-    S = int(batch.size)
+    params, varying, key, S = _recording_args(kernel_params, batch)
+    batched = batch is not None
     with get_tracer().span(
-        "codegen.generate_batch",
-        variant=variant_name.upper(),
-        vector_dim=vd,
-        scenarios=S,
+        "codegen.generate" + "_batch" * batched,
+        variant=variant_name.upper(), vector_dim=vd, scenarios=S,
     ):
         variant, recorder = _record(
-            variant_name, batch.recording_params(), nnode_per_element,
-            varying=batch.varying,
+            variant_name, params, nnode_per_element, varying
         )
-        _check_velocity_only(recorder.ops, "batched generated kernel")
         front = front_end(recorder, velocity_rank, hoist=True)
         low = _lower_mesh(front)
         prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
@@ -1146,19 +616,19 @@ def generate_batched_program(
             f"fused={low.nfused}"
         )
         source = _module(
-            "# " + header, low.setup_lines, "VC, GI, P, Q, SV, BV, BF", "clock, rec, n, ns",
-            low.prologue()
+            "# " + header, low.setup_lines,
+            [f"vc{c} = VC[{c}]" for c in low.vc_comps]
+            + [f"gi{k} = GI[{k}]" for k in range(len(low.gf_slots))]
+            + [f"p{k} = P[{k}]" for k in range(len(pin_index))]
             + [f"q{k} = Q[{k}]" for k in range(len(q_of))]
             + [f"s{j} = SV[{j}]" for j in range(len(front.scatter_calls))]
             + [f"bv{r} = BV[{r}]" for r in range(nslab_vec)]
             + [f"bf{r} = BF[{r}]" for r in range(nslab_full)],
-            lambda lines, timed: _emit_block(
-                lines, body_lines, "        ", timed, lanevars
-            ),
+            body_lines, lanevars,
         )
-        program = BatchedCodegenProgram(
+        program = CodegenProgram(
             variant=variant.name,
-            batch_key=tuple(batch.cache_key()),
+            params_key=key,
             scenarios=S,
             velocity_rank=velocity_rank,
             vector_dim=vd,
@@ -1175,8 +645,7 @@ def generate_batched_program(
             nslab_full=nslab_full,
             stmt_costs=_stmt_costs(low.body_stmts, rank, set(q_of), S),
             report=_make_report(
-                variant.name, front, nslab_vec + nslab_full,
-                fused_ops=low.nfused, **_batch_counts(front, S),
+                variant.name, front, nslab_vec + nslab_full, S, low.nfused
             ),
             c_source=native.emit_c(
                 low, front, vector_dim=vd, scenarios=S,
@@ -1184,60 +653,131 @@ def generate_batched_program(
             ),
         )
     get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_vd{vd}_S{S}", program)
+    _maybe_dump(f"{variant.name}_vd{vd}" + f"_S{S}" * batched, program)
     return program
 
 
-class BatchedGeneratedKernel(_GeneratedBound, BatchBound):
-    """Executable batched generated module bound to one plan/packing pair.
+# ---------------------------------------------------------------------------
+# exec-compilation (module-level source cache)
+# ---------------------------------------------------------------------------
 
-    Mirrors :class:`~repro.core.tape.BatchedTape`'s binding -- same gather
-    index layout, same *serial* scatter pattern key, same ``(S, 1)``
-    parameter rows refreshed every sweep -- and :class:`GeneratedKernel`'s
-    chunked closure execution: one prebound zero-argument kernel per
-    chunk, slab-striped across threads.
+
+def _load(source: str, filename: str) -> Dict[str, object]:
+    """Exec a generated module into a fresh namespace.
+
+    The compiled code object is cached on the exact source string, so a
+    plan-cache hit (or a worker re-shipping the same program) never pays
+    ``compile`` twice in one process.
+    """
+    registry = get_registry()
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        code = compile(source, filename, "exec")
+        _CODE_CACHE[source] = code
+        registry.counter("codegen.source_compiles").inc()
+    else:
+        registry.counter("codegen.source_reuses").inc()
+    ns = dict(_NAMESPACE)
+    exec(code, ns)
+    return ns
+
+
+# ---------------------------------------------------------------------------
+# The bound kernel
+# ---------------------------------------------------------------------------
+
+
+def _run_slab(kerns: list, form) -> None:
+    t0 = time.perf_counter()
+    for kern in kerns:
+        kern()
+    form.spent += time.perf_counter() - t0
+
+
+def stop_builds(source: Optional[str] = None) -> None:
+    """Terminate pending compiler children -- all of them (the server's
+    drain) or ``source``'s -- without importing the native module when
+    nothing ever loaded it."""
+    native = sys.modules.get(__package__ + ".native")
+    if native is not None:
+        native.stop_builds(source)
+
+
+class GeneratedKernel(MeshBound):
+    """Executable generated module bound to one ``(plan, packing)`` pair.
+
+    Mirrors :class:`~repro.core.tape.CompiledTape`'s binding (the same
+    :class:`~repro.core.arena.MeshBound`: gather index layout, shared plan
+    scatter pattern, ``(S, 1)`` parameter rows refreshed every sweep,
+    group-major deferred values flush) but owns its values/velocity
+    buffers, so a coexisting compiled tape of the same configuration is
+    never mutated.  ``setup`` runs once here at full lane width, filling
+    the pinned invariants; a sweep then runs one prebound zero-argument
+    closure per chunk (cached per ``(chunk_groups, nslabs)``,
+    slab-striped across threads) plus the serial flush -- or, once
+    adopted, the C form (:mod:`repro.core.native`).
     """
 
-    _span = "codegen.execute_batch"
-    _profile_for = "for_batch_codegen"
+    _span = "codegen.execute"
+    _mode = "codegen"
 
     def __init__(
-        self,
-        program: BatchedCodegenProgram,
-        plan,
-        packing,
-        perm_key=None,
-        tracer=NULL_TRACER,
+        self, program: CodegenProgram, plan, packing, perm_key=None,
+        batched: bool = False,
     ) -> None:
-        super().__init__(
-            program, plan, packing, perm_key, tracer,
-            "batched generated kernel",
+        super().__init__(program, plan, packing, perm_key, batched)
+        if self.vector_dim != program.vector_dim:
+            raise ValueError(
+                f"program generated for vector_dim={program.vector_dim}, "
+                f"packing has {self.vector_dim}"
+            )
+        ns = _load(
+            program.source,
+            f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>",
         )
-        self._bind_module(
-            f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>"
+        self._factory = ns["factory"]
+        self._factory_timed = ns["factory_timed"]
+        # run the hoisted setup once: coordinate gathers and
+        # loop-invariant arithmetic at full lane width (rank-1 for any
+        # S); the transient rows are freed immediately after.
+        self._pinned = aligned_empty((max(program.npinned, 1), self.nlane))
+        ns["setup"](
+            self._ccols, self._idx, self._pinned,
+            aligned_empty((max(program.nsetup_tmp, 1), self.nlane)),
         )
+        #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
+        self._chunk_cache: Dict[Tuple[int, int], list] = {}
         self._lane_bytes = 8 * (
-            max(program.nslab_vec, 1) + self.S * max(program.nslab_full, 1)
+            program.nslab_vec + self.S * program.nslab_full
         )
+        from .native import NativeForm
+
+        self._native = NativeForm(self)
+
+    def _default_cg(self, nthreads: int) -> int:
+        """A chunk is one call whatever its size: always the arena budget."""
+        return self._budget_cg()
 
     def _build_closures(self, cg: int, nslabs: int, profile=None) -> List[list]:
         S = self.S
         program = self.program
-        cgw = cg * self.vector_dim
-        slabs_v = aligned_empty((nslabs, max(program.nslab_vec, 1), cgw))
-        slabs_f = aligned_empty((nslabs, max(program.nslab_full, 1), S * cgw))
+        vd = self.vector_dim
+        slabs_v = aligned_empty((nslabs, program.nslab_vec, cg * vd))
+        slabs_f = aligned_empty((nslabs, program.nslab_full, S * cg * vd))
         per_slab: List[list] = [[] for _ in range(nslabs)]
         factory = self._factory if profile is None else self._factory_timed
         for i, (g0, g1) in enumerate(self._chunks(cg)):
             s = i % nslabs
-            GI, P, n = self._chunk_views(g0, g1)
-            SV = [self._values[:, g0:g1, c, :] for c in range(self._ncalls)]
+            lo, n = g0 * vd, (g1 - g0) * vd
+            GI = [self._idx[slot, lo:lo + n] for slot in program.gf_slots]
+            P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
+            SV = [self._values[..., g0:g1, c, :] for c in range(self._ncalls)]
             BV = [slabs_v[s, r, :n] for r in range(program.nslab_vec)]
             BF = [
                 slabs_f[s, r, :S * n].reshape(S, n)
                 for r in range(program.nslab_full)
             ]
-            check_aligned([*GI, *P, *SV, *BV, *BF], self.vector_dim)
+            check_aligned([*GI, *P, *SV, *BV, *BF], vd)
             timing = () if profile is None else (
                 time.perf_counter, profile.record, n, S * n,
             )
@@ -1246,35 +786,69 @@ class BatchedGeneratedKernel(_GeneratedBound, BatchBound):
             )
         return per_slab
 
+    def _tasks(self, cg: int, nslabs: int, profile) -> list:
+        """The adopted C form's calls (:mod:`repro.core.native`; profiled
+        sweeps stay on the Python source, deferred), else the Python form's."""
+        self._scatter = "deferred"
+        tasks = None if profile is not None else self._native.sweep_tasks(
+            self, nslabs, partial(self._python_tasks, cg, nslabs)
+        )
+        span = self.tracer.current
+        if span is not None:
+            span.attributes.update(
+                {"native": False} if tasks is None
+                else {"native": True, "chunks": 0, "arena_bytes": 0},
+                scatter=self._scatter,
+            )
+        return self._python_tasks(cg, nslabs, profile) if tasks is None else tasks
 
-def batched_generated_kernel(
+    def _python_tasks(self, cg: int, nslabs: int, profile=None) -> list:
+        """One task per slab: chunk ``i`` runs on slab ``i % nslabs`` and
+        a slab's chunks run sequentially, so concurrent slabs never share
+        rows.  Profiled closures are bound per sweep."""
+        if profile is not None:
+            per_slab = self._build_closures(cg, nslabs, profile)
+        else:
+            per_slab = self._chunk_cache.get((cg, nslabs))
+            if per_slab is None:
+                per_slab = self._build_closures(cg, nslabs)
+                self._chunk_cache[(cg, nslabs)] = per_slab
+        return [partial(_run_slab, kerns, self._native) for kerns in per_slab]
+
+    def build_native(self, wait: bool = True) -> bool:
+        """Build the C form now instead of after ``BUILD_AFTER_S`` of
+        sweeps; the next sweep adopts it.  ``False``: no compiler."""
+        with self.lock:
+            return self._native.build(wait)
+
+    def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
+        super()._count(nchunks, executor, threaded)
+        get_registry().counter("codegen.chunks_executed").inc(nchunks)
+
+
+def generated_kernel(
     plan,
     variant_name: str,
     vector_dim: int,
-    batch,
     permutation: Optional[np.ndarray] = None,
+    kernel_params: Optional[Dict[str, float]] = None,
+    batch=None,
     velocity_rank: str = "vec",
-    tracer=None,
-    profiler=None,
-) -> BatchedGeneratedKernel:
-    """The plan-cached :class:`BatchedGeneratedKernel` for one batch.
-
-    Keyed like :func:`~repro.core.tape.batched_tape` (variant, group
-    size, permutation, batch shape/constants/flags, velocity rank) but in
-    the plan's codegen store.  The varying parameter *values* live
-    outside the kernel: every sweep takes them as its ``param_rows``
-    argument, so sweeping a campaign over new values re-generates nothing.
-    """
-    key = batch_tape_cache_key(
-        variant_name, vector_dim, permutation, batch, velocity_rank
+) -> GeneratedKernel:
+    """The plan-cached :class:`GeneratedKernel` for one configuration,
+    stored next to the compiled tapes under the same
+    :func:`~repro.core.tape.tape_cache_key`."""
+    key = tape_cache_key(
+        variant_name, vector_dim, permutation, kernel_params, batch,
+        velocity_rank,
     )
-    return _plan_cached(
-        plan, key, vector_dim, permutation,
-        lambda packing: BatchedGeneratedKernel(
-            generate_batched_program(
-                key[0], int(vector_dim), batch, velocity_rank=velocity_rank
+    return plan_cached(
+        plan, "codegen", key, vector_dim, permutation, batch,
+        lambda packing: GeneratedKernel(
+            generate_program(
+                key[0], int(vector_dim), kernel_params, batch=batch,
+                velocity_rank=velocity_rank,
             ),
-            plan, packing, perm_key=key[2],
+            plan, packing, perm_key=key[2], batched=batch is not None,
         ),
-        tracer, profiler, scenarios=batch.size,
     )

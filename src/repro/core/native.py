@@ -255,12 +255,12 @@ def _install(so: str, proc: subprocess.Popen) -> None:
         os.replace(tmp, so)
 
 
-def stop_builds() -> None:
-    """``atexit`` and the server's drain: no orphan compiler (its group is
-    terminated; ``cc`` removes its partial output), finished builds kept."""
+def stop_builds(source: Optional[str] = None) -> None:
+    """``atexit`` / the server's drain, or (``source``'s only) a pool worker's task: no orphan
+    compiler (its group is terminated; ``cc`` removes partial output), finished builds kept."""
     with _LOCK:
         for so, proc in _BUILDS.items():
-            if proc.poll() is None:
+            if proc.poll() is None and (source is None or so == so_path(source)):
                 with suppress(OSError):
                     os.killpg(proc.pid, signal.SIGTERM)
                 proc.wait()
@@ -296,7 +296,7 @@ class NativeForm:
         self._proc: Optional[subprocess.Popen] = None
         # the kernel never reallocates these buffers: addresses bind once; SV/OUT
         # travel with each call (``_w``: a fused sweep's SV, one group's values)
-        rows = getattr(kern, "_Q", ())
+        rows = kern._Q
         self._q = (ctypes.c_void_p * (len(rows) or 1))(*[a.ctypes.data for a in rows])
         bufs = (kern._vcols, kern._idx, kern._pinned)
         if not all(a.flags.c_contiguous and a.itemsize == 8 for a in bufs):

@@ -5,15 +5,16 @@
     record + number -> DCE -> rank -> [hoist] -> schedule -> { liveness + replay
     (tape recorders)   `--------- front_end -----------'     | fuse + rows + emit }
 
-The recorders of :mod:`repro.core.tape` value-number ops as the kernel
+The recorder of :mod:`repro.core.tape` value-numbers ops as the kernel
 issues them (CSE happens *while* recording); :func:`front_end` runs the
-remaining passes once, and every lowering -- ``compile_tape``,
-``compile_batch_tape``, ``generate_program``, ``generate_batched_program``
-and ``generate_elemental_program`` -- consumes the same :class:`Front`.
-The replay back ends add op-level liveness and opcode lowering, the
-source back ends add fusion, call-level liveness (one step per ufunc call
-of a fused statement) and emission; both allocate every row they write
-with :func:`assign_rows`.
+remaining passes once, and both lowerings -- ``tape.compile_tape`` and
+``codegen.generate_program`` -- consume the same :class:`Front`, whether
+the recording is serial (every value rank-1, no parameter stage), a
+scenario batch, or shipped to a pool worker afterwards.  The replay back
+end adds op-level liveness and opcode lowering, the source back end adds
+fusion, call-level liveness (one step per ufunc call of a fused
+statement) and emission; both allocate every row they write with
+:func:`assign_rows`.
 
 SSA op forms (last element of a value op is its id; refs are value ids
 or folded ``np.float64`` scalars)::
@@ -25,9 +26,9 @@ or folded ``np.float64`` scalars)::
 
 Every pass preserves bits: DCE and scheduling only drop or reorder pure
 SSA definitions (scatters keep their call order, so the deferred values
-buffer and the elemental ``+=`` order are unchanged); hoisting (mesh-bound
-generated kernels only) evaluates coordinate-only values once per bind
-instead of once per sweep, from the same inputs.
+buffer reduces every bin in the same order); hoisting (generated kernels
+only) evaluates coordinate-only values once per bind instead of once per
+sweep, from the same inputs.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ class Front:
     scheduled per-sweep partition holding every scatter in call order,
     ``param_ops`` the lowered ``(S, 1)`` scenario-row stage of a batched
     recording (values ``q_of``), in the format
-    :func:`repro.core.tape._eval_param_stage` evaluates.
+    :class:`repro.core.arena.MeshBound` evaluates before every sweep.
     """
 
     ops: List[tuple]  # live ops in recorded order
@@ -263,10 +264,9 @@ def front_end(recorder, velocity_rank: str = "vec", *, hoist: bool) -> Front:
     """DCE, rank inference, param-stage peeling, invariant hoisting and
     depth-first scheduling of one recording.
 
-    ``hoist`` is on for the mesh-bound generated kernels, whose
-    ``setup()`` fills pinned rows once per bind.  The replay lowerings
-    and the pool-worker kernels (new coordinates on every call) keep
-    everything in the body.
+    ``hoist`` is on for the generated kernels, whose ``setup()`` fills
+    pinned rows once per bind; the replay lowering keeps everything in
+    the body.
     """
     if velocity_rank not in ("vec", "full"):
         raise ValueError(

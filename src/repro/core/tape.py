@@ -11,24 +11,27 @@ the Python analogue of P:
   tape of the vector operations the kernel would have executed.  Because
   the kernels are straight-line code whose control flow depends only on
   runtime *flags* (baked into the tape) and never on lane data, a single
-  recording is valid for every element group of every assembly.
+  recording is valid for every element group of every assembly.  Runtime
+  parameters named in ``varying`` (a scenario batch's) stay symbolic
+  per-scenario ``(S, 1)`` rows; a serial recording has none.
 * :func:`compile_tape` takes the shared front end of
-  :mod:`repro.core.passes` (DCE backwards from the scatter calls, a
-  depth-first schedule), runs a linear-scan liveness analysis and
-  assigns every surviving intermediate to a small pool of preallocated lane-width
-  buffers -- the numpy analog of registers.  The resulting
-  :class:`TapeReport` reports "buffers live" the way
-  :class:`~repro.core.dsl.TracingBackend` reports register pressure.
-* :class:`CompiledTape` replays the tape over **all element groups at
-  once** (lanes stacked) with in-place ``out=`` ufunc calls into the
-  arena, and ends with the same single-``bincount`` flush the deferred
-  :class:`~repro.fem.plan.ScatterAccumulator` uses.  Steady-state
-  time-stepping therefore does zero Python-level array allocation in the
-  momentum RHS.
-* :class:`ElementalTape` is the picklable flavour the multiprocess runner
-  ships to workers: the same compiled program, executed against packed
-  per-element coordinate/velocity arrays, producing ``(n, 4, 3)``
-  elemental contributions.
+  :mod:`repro.core.passes` (DCE backwards from the scatter calls, rank
+  inference, a depth-first schedule), runs a linear-scan liveness
+  analysis and assigns every surviving intermediate to a small pool of
+  preallocated lane-width buffers per rank -- the numpy analog of
+  registers.  The resulting :class:`TapeReport` reports "buffers live"
+  the way :class:`~repro.core.dsl.TracingBackend` reports register
+  pressure.
+* :class:`CompiledTape` replays the one :class:`TapeProgram` over chunks
+  of element groups (lanes stacked) with in-place ``out=`` ufunc calls
+  into the arena, and ends with the same single-``bincount`` flush the
+  deferred :class:`~repro.fem.plan.ScatterAccumulator` uses.  How many
+  scenarios it sweeps and whose elements (a solver's mesh, or a pool
+  worker's chunk bound as a mesh of disjoint elements by
+  :mod:`repro.parallel.runner`, which ships the pickled program) are
+  arguments of the binding: ``S = 1`` is the degenerate batch, every op
+  rank-1.  Steady-state time-stepping does zero Python-level array
+  allocation in the momentum RHS.
 
 Bit-identity contract
 ---------------------
@@ -39,19 +42,22 @@ interpreted ``NumpyBackend`` path.  This holds because
   all groups' lanes stacked in one array gives the same per-lane bits as
   per-group evaluation;
 * scalar folding at record time uses the *same* numpy-scalar arithmetic
-  ``NumpyBackend`` would have used (``np.float64`` throughout);
+  ``NumpyBackend`` would have used (``np.float64`` throughout), and a
+  scenario row computes per scenario exactly the chain a serial
+  recording would have folded;
 * value numbering merges only ops with the identical tag and identical
   operands (same SSA ids, same scalar *bits*), and gathers and
   ``select_gt`` are pure selection, so CSE and predicated replay
   preserve bits; and
-* scatter values are laid out ``(ngroups, ncalls, nlane)`` so that their
-  C-order flattening reproduces the accumulator's group-major temporal
-  order -- the same ``bincount`` input order, hence the same rounding.
+* scatter values are laid out ``([S,] ngroups, ncalls, nlane)`` so that
+  their C-order flattening reproduces the accumulator's group-major
+  temporal order -- the same ``bincount`` input order, hence the same
+  rounding.
 
 Tapes are cached on the :class:`~repro.fem.plan.AssemblyPlan` keyed by
-``(variant, vector_dim, permutation, params)``; plans themselves are
-invalidated on mesh reorientation, so a tape can never outlive the mesh
-version it was recorded against.
+:func:`tape_cache_key`; plans themselves are invalidated on mesh
+reorientation, so a tape can never outlive the mesh version it was
+recorded against.
 """
 
 from __future__ import annotations
@@ -64,9 +70,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..obs.metrics import get_registry
-from ..obs.profiler import NULL_PROFILER
-from ..obs.spans import NULL_TRACER, get_tracer
-from .arena import MeshBound, aligned_empty, check_aligned
+from ..obs.spans import get_tracer
+from .arena import MeshBound, aligned_empty, check_aligned, plan_cached
 from .dsl import Backend, KernelContext, Temp, Value
 from .passes import (
     UFUNC_NAMES,
@@ -82,19 +87,13 @@ from .variants import get_variant
 
 __all__ = [
     "RecordingBackend",
-    "BatchRecordingBackend",
     "TapeReport",
     "TapeProgram",
-    "BatchTapeProgram",
     "CompiledTape",
-    "BatchedTape",
-    "ElementalTape",
+    "compile_tape",
     "record_program",
-    "record_batch_program",
     "compiled_tape",
-    "batched_tape",
     "tape_cache_key",
-    "batch_tape_cache_key",
 ]
 
 #: scalar reference on the tape (folded constant); vector refs are ints
@@ -131,10 +130,21 @@ class RecordingBackend(Backend):
     recomputed to the same bits.  Scalar arithmetic is folded at record
     time with the identical numpy-scalar operations the numpy backend
     would have executed, so folding cannot change a single bit either.
+
+    Runtime parameters named in ``varying`` (the columns of a scenario
+    batch that actually differ) are *not* folded: they become symbolic
+    ``("rp", name, out)`` ops (value-numbered, so one per name) whose
+    value at execution time is a per-scenario ``(S, 1)`` row.  Any op
+    downstream of one is then computed for all ``S`` scenarios at once,
+    while the (usually dominant) geometry/velocity chains stay at rank-1
+    and are computed once per batch.  Every other parameter folds, and
+    runtime *flags* specialize Python control flow (which is why a batch
+    must be flag-uniform).
     """
 
-    def __init__(self, ctx: KernelContext) -> None:
+    def __init__(self, ctx: KernelContext, varying=()) -> None:
         self.ctx = ctx
+        self.varying = frozenset(varying)
         self.nlane = ctx.nlane
         self.ops: List[tuple] = []
         self.scatter_calls: List[Tuple[int, int]] = []
@@ -244,6 +254,8 @@ class RecordingBackend(Backend):
 
     # -- parameters ------------------------------------------------------
     def runtime_param(self, name: str) -> Value:
+        if name in self.varying:
+            return self._emit("rp", name)
         return self.const(self.ctx.params[name])
 
     def runtime_flag(self, name: str) -> int:
@@ -256,32 +268,6 @@ class RecordingBackend(Backend):
 
     def note_value_death(self) -> None:
         pass
-
-
-class BatchRecordingBackend(RecordingBackend):
-    """Recording backend for scenario-batched tapes.
-
-    Identical to :class:`RecordingBackend` except that runtime parameters
-    named in ``varying`` are *not* folded into scalar constants: they
-    become symbolic ``("rp", name, out)`` ops (value-numbered, so one per
-    name) whose value at execution time is a per-scenario ``(S, 1)`` row.
-    Any op downstream of one is then computed for all ``S`` scenarios at
-    once, while the (usually dominant) geometry/velocity chains stay at
-    rank-1 and are computed once per batch.
-
-    Parameters *not* in ``varying`` fold exactly as a serial recording
-    folds them, and runtime *flags* still specialize Python control flow
-    (which is why a batch must be flag-uniform).
-    """
-
-    def __init__(self, ctx: KernelContext, varying) -> None:
-        super().__init__(ctx)
-        self.varying = frozenset(varying)
-
-    def runtime_param(self, name: str) -> Value:
-        if name not in self.varying:
-            return self.const(self.ctx.params[name])
-        return self._emit("rp", name)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +309,11 @@ class TapeReport:
     hoisted_ops: int = 0
     fused_ops: int = 0
     pinned_buffers: int = 0
-    # batched-tape statistics (zero / 1 for serial tapes): ops evaluated
-    # once per batch in the (S, 1) scenario-row stage, rank-1 lane ops
-    # shared by all scenarios, full-rank (S, lanes) ops, and the batch
-    # size.  vec_ops / full_ops is the work-retention ratio that carries
-    # the batched throughput win.
+    # per-rank statistics of the body: ops evaluated once per sweep in
+    # the (S, 1) scenario-row stage, rank-1 lane ops shared by all
+    # scenarios, full-rank (S, lanes) ops, and the batch size (a serial
+    # recording: 0 / every op / 0 / 1).  vec_ops / full_ops is the
+    # work-retention ratio that carries the batched throughput win.
     srow_ops: int = 0
     vec_ops: int = 0
     full_ops: int = 0
@@ -388,10 +374,12 @@ class TapeReport:
 
 
 def _make_report(
-    variant: str, front: Front, buffers_live: int, **extra
+    variant: str, front: Front, buffers_live: int, scenarios: int,
+    fused_ops: int = 0,
 ) -> TapeReport:
     """The :class:`TapeReport` of one lowering of ``front``."""
     tags = [op[0] for op in front.body]
+    ranks = [front.rank[op[-1]] for op in front.body if op[0] != "sc"]
     return TapeReport(
         variant=variant,
         ops_recorded=front.ops_recorded,
@@ -407,35 +395,40 @@ def _make_report(
         gather_ops=tags.count("gc") + tags.count("gf"),
         cse_removed=front.cse_removed,
         hoisted_ops=len(front.setup),
+        fused_ops=fused_ops,
         pinned_buffers=len(front.pinned),
-        **extra,
+        srow_ops=len(front.param_ops),
+        vec_ops=ranks.count("vec"),
+        full_ops=ranks.count("full"),
+        scenarios=int(scenarios),
     )
 
 
-def _batch_counts(front: Front, scenarios: int) -> Dict[str, int]:
-    """Batched-report extras: ops per rank of the per-sweep body."""
-    ranks = [front.rank[op[-1]] for op in front.body if op[0] != "sc"]
-    return {
-        "srow_ops": len(front.param_ops),
-        "vec_ops": ranks.count("vec"),
-        "full_ops": ranks.count("full"),
-        "scenarios": int(scenarios),
-    }
+def _recording_args(kernel_params, batch) -> tuple:
+    """``(params, varying names, cache identity, S)`` of one recording:
+    a serial caller's kernel params, or a batch's (whose varying columns
+    stay symbolic and whose identity is everything baked into the tape)."""
+    if batch is None:
+        params = dict(kernel_params or {})
+        return params, (), tuple(sorted(params.items())), 1
+    return (
+        batch.recording_params(), batch.varying, batch.cache_key(), batch.size
+    )
 
 
 def _record(
     variant_name: str,
     params: Dict[str, float],
     nnode_per_element: int,
-    varying=None,
+    varying=(),
 ):
     """Run a variant kernel once against a recording backend.
 
     The recording runs against a dummy single-lane context: kernels are
     straight-line code whose only data-dependent control flow reads the
     runtime flags in ``params``, so the captured tape is valid for any
-    element group of any mesh.  With ``varying`` (a batch's varying
-    parameter names) those parameters stay symbolic.
+    element group of any mesh.  Parameters named in ``varying`` stay
+    symbolic.  A bound kernel gathers one field, the velocity.
     """
     variant = get_variant(variant_name)
     ctx = KernelContext(
@@ -446,11 +439,14 @@ def _record(
         params=dict(params),
         nnode_per_element=nnode_per_element,
     )
-    if varying is None:
-        recorder = RecordingBackend(ctx)
-    else:
-        recorder = BatchRecordingBackend(ctx, varying)
+    recorder = RecordingBackend(ctx, varying)
     variant.kernel(recorder, ctx)
+    for op in recorder.ops:
+        if op[0] == "gf" and op[1] != "velocity":
+            raise ValueError(
+                f"variant {variant.name} gathers unknown field {op[1]!r}; "
+                "a bound kernel only binds 'velocity'"
+            )
     return variant, recorder
 
 
@@ -505,8 +501,16 @@ def _lower(ops: List[tuple], row) -> Tuple[tuple, ...]:
 class TapeProgram:
     """A compiled, picklable kernel tape.
 
-    ``ops`` use integer opcodes; every vector reference is a row index and
-    every scalar reference is a folded ``np.float64``:
+    The op stream is split in two: ``param_ops`` is the tiny
+    scenario-row stage (all-``srow`` chains, evaluated once per sweep by
+    :class:`~repro.core.arena.MeshBound` into ``nq`` persistent ``(S,
+    1)`` buffers ``Q``; empty when no parameter varies) and ``ops`` the
+    lane-wide body.  A serial recording is the ``scenarios = 1``,
+    ``velocity_rank = "vec"`` case: every body op rank-1, ``nbufs_full =
+    0``.  Body ops use integer opcodes and tagged operands: a folded
+    ``np.float64`` scalar, ``("q", k)`` for param row ``Q[k]``, ``("v",
+    row)`` for a rank-1 arena row or ``("f", row)`` for an ``(S, lanes)``
+    arena row:
 
     ==  ==========================================  =========================
     op  operands                                    semantics
@@ -518,317 +522,6 @@ class TapeProgram:
     4   ``(field, node_slot, component, out)``      field gather
     5   ``(call, node_slot, component, src)``       deferred RHS scatter
     ==  ==========================================  =========================
-    """
-
-    variant: str
-    params_key: Tuple[Tuple[str, float], ...]
-    ops: Tuple[tuple, ...]
-    nbufs: int
-    scatter_calls: Tuple[Tuple[int, int], ...]
-    report: TapeReport
-    nnode_per_element: int = 4
-
-
-def compile_tape(recorder: RecordingBackend, variant: str, params_key) -> TapeProgram:
-    """Lower a recorded tape: shared front end, liveness, arena rows."""
-    front = front_end(recorder, hoist=False)
-    rows, n = assign_rows(_replay_steps(front.body, ()))
-    nbufs = n.get("vec", 0)
-    return TapeProgram(
-        variant=variant,
-        params_key=tuple(params_key),
-        ops=_lower(front.body, rows.__getitem__),
-        nbufs=nbufs,
-        scatter_calls=front.scatter_calls,
-        report=_make_report(variant, front, nbufs),
-        nnode_per_element=recorder.ctx.nnode_per_element,
-    )
-
-
-def record_program(
-    variant_name: str,
-    kernel_params: Dict[str, float],
-    nnode_per_element: int = 4,
-) -> TapeProgram:
-    """Record a variant once and compile it to a :class:`TapeProgram`."""
-    params_key = tuple(sorted(kernel_params.items()))
-    with get_tracer().span("tape.record", variant=variant_name.upper()):
-        variant, recorder = _record(
-            variant_name, kernel_params, nnode_per_element
-        )
-        program = compile_tape(recorder, variant.name, params_key)
-    get_registry().counter("tape.records").inc()
-    return program
-
-
-def _replay(ops, R, mask, coord, field, scatter) -> None:
-    """Execute lowered ``ops`` in place over the row list ``R``.
-
-    ``coord(slot, comp, out)`` / ``field(slot, comp, out)`` /
-    ``scatter(call, slot, comp, src)`` are the executor's gather and
-    scatter bindings (mesh-wide index gathers and the deferred values
-    buffer, or packed per-element arrays and ``+=``).
-    """
-    ufuncs = _UFUNCS
-    for op in ops:
-        code = op[0]
-        if code == 0:
-            _, uf, a, b, out = op
-            ufuncs[uf](
-                a if is_scalar(a) else R[a],
-                b if is_scalar(b) else R[b],
-                out=R[out],
-            )
-        elif code == 1:
-            _, uf, a, out = op
-            ufuncs[uf](a if is_scalar(a) else R[a], out=R[out])
-        elif code == 2:
-            _, x, a, b, thresh, out = op
-            # mask first (x-aliasing safe), then b, then a-over-mask
-            np.greater(R[x], thresh, out=mask)
-            dst = R[out]
-            dst[...] = b if is_scalar(b) else R[b]
-            np.copyto(dst, a if is_scalar(a) else R[a], where=mask)
-        elif code == 3:
-            coord(op[1], op[2], R[op[3]])
-        elif code == 4:
-            field(op[2], op[3], R[op[4]])
-        else:  # code == 5
-            src = op[4]
-            scatter(op[1], op[2], op[3], src if is_scalar(src) else R[src])
-
-
-def _replay_timed(ops, R, mask, coord, field, scatter, profile, n) -> None:
-    """Profiled :func:`_replay`: the identical op stream into the
-    identical buffers (so results stay bitwise equal), one clock pair
-    around each op.  A separate loop, so the unprofiled hot path carries
-    no per-op branch -- the overhead-guard microbenchmark pins that."""
-    clock = time.perf_counter
-    for i in range(len(ops)):
-        t0 = clock()
-        _replay(ops[i:i + 1], R, mask, coord, field, scatter)
-        profile.record(i, clock() - t0, n)
-
-
-# ---------------------------------------------------------------------------
-# Stacked whole-mesh executor
-# ---------------------------------------------------------------------------
-
-
-class CompiledTape(MeshBound):
-    """Executable tape bound to one ``(plan, packing)`` pair.
-
-    All element groups are stacked into one ``L = ngroups * vector_dim``
-    lane axis; each tape op is a single ufunc call over the whole mesh.
-    Scatter values land in the binding's preallocated ``(ngroups, ncalls,
-    vector_dim)`` buffer (:class:`~repro.core.arena.MeshBound`), so the
-    final ``bincount`` flush is bit-identical to the interpreted
-    :class:`~repro.fem.plan.ScatterAccumulator` (and hence to the seed
-    ``np.add.at`` path).
-    """
-
-    _span = "tape.execute"
-    _profile_for = "for_program"
-
-    def __init__(
-        self,
-        program: TapeProgram,
-        plan,
-        packing,
-        perm_key=None,
-        tracer=NULL_TRACER,
-    ):
-        _check_velocity_only(program.ops, "compiled tape")
-        super().__init__(
-            program, plan, packing, perm_key, tracer, "compiled tape"
-        )
-        # whole-mesh arena: one ufunc call per op (EXPERIMENTS.md "Arena
-        # placement" measures the L2-chunked alternative)
-        self._arena = aligned_empty((max(program.nbufs, 1), self.nlane))
-        self._mask = aligned_empty(self.nlane, dtype=bool)
-        self._lane_bytes = 8 * max(program.nbufs, 1) + 1
-
-    def _execute_ops_slice(
-        self, g0: int, g1: int, arena: np.ndarray, mask: np.ndarray,
-        profile=None,
-    ) -> None:
-        """Replay the tape over groups ``[g0, g1)`` into ``arena``.
-
-        Scatter values land in the chunk's rows of the shared
-        ``self._values`` buffer -- disjoint slices per chunk, so
-        concurrent chunk executions never write the same memory.  All
-        other shared state (gather indices, velocity columns) is
-        read-only during a sweep, which is what makes the threaded
-        executor race-free.  With ``profile`` the identical op stream
-        runs through :func:`_replay_timed`.
-        """
-        vd = self.vector_dim
-        n = (g1 - g0) * vd
-        rows = [arena[r, :n] for r in range(self.program.nbufs)]
-        ccols, vcols = self._ccols, self._vcols
-        idx = self._idx[:, g0 * vd:g0 * vd + n]
-        values = self._values[g0:g1]
-        check_aligned([*rows[:1], mask, idx, values], vd)
-
-        def coord(slot, comp, out):
-            np.take(ccols[comp], idx[slot], out=out)
-
-        def field(slot, comp, out):
-            np.take(vcols[comp], idx[slot], out=out)
-
-        def scatter(call, slot, comp, src):
-            # deferred: (group, call, lane) layout, flushed once per sweep
-            if isinstance(src, np.ndarray):
-                np.copyto(values[:, call, :], src.reshape(-1, vd))
-            else:
-                values[:, call, :] = src
-
-        if profile is None:
-            _replay(self.program.ops, rows, mask[:n], coord, field, scatter)
-        else:
-            _replay_timed(
-                self.program.ops, rows, mask[:n], coord, field, scatter,
-                profile, n,
-            )
-
-    def _run_chunk(self, g0: int, g1: int, slabs, profile=None) -> None:
-        arena, mask = slabs.acquire()
-        try:
-            self._execute_ops_slice(g0, g1, arena, mask, profile)
-        finally:
-            slabs.release(arena, mask)
-
-    def _default_cg(self, nthreads: int) -> int:
-        """The arena budget, with the threaded executor's load-balance
-        term."""
-        from ..parallel.threads import default_chunk_groups
-
-        return default_chunk_groups(
-            self.program.nbufs, self.vector_dim, self.ngroups, nthreads
-        )
-
-    def _tasks(self, cg: int, nslabs: int, profile) -> list:
-        """One task per chunk: sequential chunks replay in the tape's own
-        arena, concurrent ones in per-thread slabs."""
-        if nslabs == 1:
-            return [
-                partial(self._execute_ops_slice, g0, g1, self._arena,
-                        self._mask, profile)
-                for g0, g1 in self._chunks(cg)
-            ]
-        from ..parallel.threads import SlabPool
-
-        slabs = SlabPool(
-            max(self.program.nbufs, 1), cg * self.vector_dim, nslabs
-        )
-        return [
-            partial(self._run_chunk, g0, g1, slabs, profile)
-            for g0, g1 in self._chunks(cg)
-        ]
-
-    def execute(
-        self, velocity: np.ndarray, rhs: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Assemble the momentum RHS, accumulating into ``rhs`` in place:
-        one ufunc call per op over the whole mesh."""
-        return self._sweep("serial", velocity, rhs, self.ngroups)
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-    ) -> np.ndarray:
-        """Assemble via cache-sized group chunks on a thread pool.
-
-        The lane axis is split into chunks of ``chunk_groups`` element
-        groups; each chunk replays the tape into a per-thread arena slab
-        (numpy ufuncs drop the GIL, so chunks genuinely overlap) and
-        writes its scatter values into a disjoint slice of the shared
-        values buffer.  The final ``bincount`` flush runs serially on the
-        full buffer afterwards, so the result is **bitwise identical** to
-        :meth:`execute` regardless of thread count or scheduling order.
-
-        ``chunk_groups`` resolves explicit argument > the plan's autotuned
-        winner (:func:`repro.core.autotune.autotune_chunk_groups`) > the
-        arena budget; ``num_threads`` defaults to the CPU count.
-        """
-        return self._sweep(
-            "threads", velocity, rhs, chunk_groups, num_threads
-        )
-
-
-# ---------------------------------------------------------------------------
-# Elemental executor (multiprocess workers)
-# ---------------------------------------------------------------------------
-
-
-class ElementalTape:
-    """Replay a :class:`TapeProgram` against packed per-element arrays.
-
-    This is the worker-side flavour: instead of mesh-wide gathers it reads
-    slices of the shared-memory-packed ``xel``/``uel`` arrays the
-    multiprocess runner already distributes, and instead of a deferred
-    global scatter it accumulates ``(n, nnode_per_element, 3)`` elemental
-    contributions (the parent performs the global reduction).  The arena
-    is lazily (re)bound to the chunk size and reused across repeats.
-    """
-
-    def __init__(self, program: TapeProgram) -> None:
-        self.program = program
-        #: set to a :class:`repro.obs.profiler.TapeProfile` to time ops
-        self.profile = None
-        self._n = -1
-        self._rows: Optional[List[np.ndarray]] = None
-        self._mask: Optional[np.ndarray] = None
-
-    def _bind(self, n: int) -> None:
-        # one allocation per row: a worker's chunk length is arbitrary,
-        # so rows of a 2-D arena would not start on a cache line
-        self._rows = [aligned_empty(n) for _ in range(self.program.nbufs)]
-        self._mask = aligned_empty(n, dtype=bool)
-        self._n = n
-
-    def __call__(self, xel: np.ndarray, uel: np.ndarray) -> np.ndarray:
-        n = xel.shape[0]
-        if n != self._n:
-            self._bind(n)
-        out_rhs = np.zeros((n, self.program.nnode_per_element, 3))
-
-        def coord(slot, comp, out):
-            np.copyto(out, xel[:, slot, comp])
-
-        def field(slot, comp, out):
-            np.copyto(out, uel[:, slot, comp])
-
-        def scatter(call, slot, comp, src):
-            out_rhs[:, slot, comp] += src
-
-        args = (self.program.ops, self._rows, self._mask, coord, field, scatter)
-        if self.profile is None:
-            _replay(*args)
-        else:
-            _replay_timed(*args, self.profile, n)
-            self.profile.finish_execution()
-        return out_rhs
-
-
-# ---------------------------------------------------------------------------
-# Scenario-batched compilation and execution
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class BatchTapeProgram:
-    """A compiled scenario-batched tape.
-
-    The op stream is split in two: ``param_ops`` is the tiny
-    scenario-row stage (all-``srow`` chains, evaluated once per execute
-    into ``nq`` persistent ``(S, 1)`` buffers ``Q``) and ``ops`` the
-    lane-wide body.  Body ops use the :class:`TapeProgram` opcodes with
-    tagged operands: a folded ``np.float64`` scalar, ``("q", k)`` for
-    param row ``Q[k]``, ``("v", row)`` for a rank-1 arena row or ``("f",
-    row)`` for an ``(S, lanes)`` arena row.
 
     Param-stage op forms (refs are ``np.float64`` scalars or ``Q``
     indices)::
@@ -840,7 +533,7 @@ class BatchTapeProgram:
     """
 
     variant: str
-    batch_key: tuple
+    params_key: tuple  # kernel params, or a batch's cache_key()
     scenarios: int
     velocity_rank: str
     param_ops: Tuple[tuple, ...]
@@ -853,55 +546,15 @@ class BatchTapeProgram:
     nnode_per_element: int = 4
 
 
-def _eval_param_stage(program, param_rows, Q) -> None:
-    """Evaluate the ``(S, 1)`` scenario-row stage in place.
-
-    Elementwise ``np.float64`` ufuncs over per-scenario rows -- each row
-    computes exactly the scalar chain a serial recording would have
-    folded for that scenario, so batched results stay bit-identical.
-    """
-    for op in program.param_ops:
-        tag = op[0]
-        if tag == "rp":
-            np.copyto(Q[op[2]], param_rows[op[1]])
-        elif tag == "bin":
-            _, uf, a, b, out = op
-            _UFUNCS[uf](
-                a if is_scalar(a) else Q[a],
-                b if is_scalar(b) else Q[b],
-                out=Q[out],
-            )
-        elif tag == "un":
-            _, uf, a, out = op
-            _UFUNCS[uf](a if is_scalar(a) else Q[a], out=Q[out])
-        else:  # sel: x is srow (scalar x folds at record time)
-            _, x, a, b, thresh, out = op
-            m = np.greater(Q[x], thresh)
-            dst = Q[out]
-            dst[...] = b if is_scalar(b) else Q[b]
-            np.copyto(dst, a if is_scalar(a) else Q[a], where=m)
-
-
-def _check_velocity_only(ops, what: str) -> None:
-    """Reject (SSA or lowered) field gathers a mesh-wide executor cannot
-    bind; pool workers read any field from their packed ``uel``."""
-    for op in ops:
-        if op[0] in ("gf", 4) and op[1] != "velocity":
-            raise ValueError(
-                f"{what} gathers unknown field {op[1]!r}; the mesh-wide "
-                "executor only binds 'velocity'"
-            )
-
-
-def compile_batch_tape(
-    recorder: BatchRecordingBackend,
+def compile_tape(
+    recorder: RecordingBackend,
     variant: str,
-    batch_key: tuple,
-    scenarios: int,
+    params_key: tuple,
+    scenarios: int = 1,
     velocity_rank: str = "vec",
-) -> BatchTapeProgram:
-    """Lower a batch-recorded tape: shared front end, two-pool liveness."""
-    _check_velocity_only(recorder.ops, "batched tape")
+) -> TapeProgram:
+    """Lower a recorded tape: shared front end, two-pool liveness, arena
+    rows."""
     front = front_end(recorder, velocity_rank, hoist=False)
     rank, q_of = front.rank, front.q_of
     rows, n = assign_rows(_replay_steps(front.body, q_of), rank.__getitem__)
@@ -912,9 +565,9 @@ def compile_batch_tape(
         return ("f" if rank[r] == "full" else "v", rows[r])
 
     nvec, nfull = n.get("vec", 0), n.get("full", 0)
-    return BatchTapeProgram(
+    return TapeProgram(
         variant=variant,
-        batch_key=tuple(batch_key),
+        params_key=tuple(params_key),
         scenarios=int(scenarios),
         velocity_rank=velocity_rank,
         param_ops=front.param_ops,
@@ -923,103 +576,95 @@ def compile_batch_tape(
         nbufs_vec=nvec,
         nbufs_full=nfull,
         scatter_calls=front.scatter_calls,
-        report=_make_report(
-            variant, front, nvec + nfull, **_batch_counts(front, scenarios)
-        ),
+        report=_make_report(variant, front, nvec + nfull, scenarios),
         nnode_per_element=recorder.ctx.nnode_per_element,
     )
 
 
-def record_batch_program(
+def record_program(
     variant_name: str,
-    batch,
-    velocity_rank: str = "vec",
+    kernel_params: Optional[Dict[str, float]] = None,
     nnode_per_element: int = 4,
-) -> BatchTapeProgram:
-    """Record a variant once for a scenario batch and compile it.
+    batch=None,
+    velocity_rank: str = "vec",
+) -> TapeProgram:
+    """Record a variant once and compile it to a :class:`TapeProgram`.
 
-    Like :func:`record_program`, but runtime parameters that vary across
-    the batch stay symbolic (per-scenario rows) instead of folding.
+    With ``batch`` (a :class:`~repro.core.batch.ScenarioBatch`) the
+    runtime parameters that vary across it stay symbolic per-scenario
+    rows instead of folding, and ``velocity_rank="full"`` records
+    per-scenario velocities.
     """
+    params, varying, key, scenarios = _recording_args(kernel_params, batch)
+    batched = batch is not None
     with get_tracer().span(
-        "tape.record_batch", variant=variant_name.upper(),
-        scenarios=batch.size,
+        "tape.record" + "_batch" * batched,
+        variant=variant_name.upper(), scenarios=scenarios,
     ):
         variant, recorder = _record(
-            variant_name, batch.recording_params(), nnode_per_element,
-            varying=batch.varying,
+            variant_name, params, nnode_per_element, varying
         )
-        program = compile_batch_tape(
-            recorder, variant.name, batch.cache_key(), batch.size,
-            velocity_rank,
+        program = compile_tape(
+            recorder, variant.name, key, scenarios, velocity_rank
         )
     registry = get_registry()
-    registry.counter("tape.batch_records").inc()
-    registry.gauge(f"tape.batch_full_ops.{variant.name}").set(
-        program.report.full_ops
-    )
+    registry.counter(f"tape.{'batch_' * batched}records").inc()
+    if batched:
+        registry.gauge(f"tape.batch_full_ops.{variant.name}").set(
+            program.report.full_ops
+        )
     return program
 
 
-class BatchBound(MeshBound):
-    """:class:`MeshBound` plus a batched program's ``(S, 1)`` scenario-row
-    stage: persistent rows ``_Q``, re-evaluated on every sweep from the
-    ``param_rows`` (varying name -> ``(S, 1)`` array,
-    :meth:`~repro.core.batch.ScenarioBatch.param_rows`) the call carries.
-    The values travel with the call, inside the kernel's lock, because
-    batches that differ only in them share one plan-cached kernel."""
-
-    def __init__(self, program, plan, packing, perm_key, tracer, what):
-        super().__init__(
-            program, plan, packing, perm_key, tracer, what,
-            scenarios=program.scenarios, velocity_rank=program.velocity_rank,
-        )
-        self._Q = [aligned_empty((self.S, 1)) for _ in range(program.nq)]
-
-    def _refresh_inputs(self, velocity: np.ndarray, param_rows) -> None:
-        super()._refresh_inputs(velocity, param_rows)
-        _eval_param_stage(self.program, param_rows or {}, self._Q)
+# ---------------------------------------------------------------------------
+# The bound kernel
+# ---------------------------------------------------------------------------
 
 
-class BatchedTape(BatchBound):
-    """Replay a :class:`BatchTapeProgram` over ``S`` scenarios at once.
+class CompiledTape(MeshBound):
+    """Executable tape bound to one ``(plan, packing)`` pair.
 
-    Shares the serial tape's gather indices, coordinate columns and
-    scatter index pattern (same plan key), so a batch pays plan setup
-    once.  Rank-1 (``vec``) ops run once per batch over the stacked lane
-    axis; only ``full`` ops -- chains downstream of a varying parameter
-    or of per-scenario velocities -- run over ``(S, lanes)``.  Scatter
-    values land in an ``(S, ngroups, ncalls, vector_dim)`` buffer that
-    :func:`repro.fem.plan.flush_batch` reduces scenario by scenario over
-    that pattern: the serial flush's bits.
+    Element groups are stacked into a lane axis and replayed chunk by
+    chunk, each tape op one ufunc call per chunk.  Rank-1 (``vec``) ops
+    run once per sweep over the chunk's lanes; only ``full`` ops --
+    chains downstream of a varying parameter or of per-scenario
+    velocities, none in a serial recording -- run over ``(S, lanes)``.
+    Scatter values land in the binding's preallocated ``([S,] ngroups,
+    ncalls, vector_dim)`` buffer (:class:`~repro.core.arena.MeshBound`),
+    which :mod:`repro.fem.plan` reduces (scenario by scenario) over the
+    one pattern the interpreted sweep of the configuration shares: the
+    final ``bincount`` flush is bit-identical to the interpreted
+    :class:`~repro.fem.plan.ScatterAccumulator` (and hence to the seed
+    ``np.add.at`` path).
 
-    Execution is chunked over element groups (like the generated kernels)
-    so the ``(S, lanes)`` arena fits the one L2 budget of
-    :mod:`repro.core.arena`; every chunk's operand arrays are resolved
-    once into prebound op tuples, cached per ``(chunk_groups, nslabs)``,
-    so steady-state replay does no Python-level ref resolution.
+    Every chunk's operand arrays are resolved once into prebound op
+    tuples, cached per ``(chunk_groups, nslabs)``, so steady-state replay
+    does no Python-level ref resolution.
     """
 
-    _span = "tape.execute_batch"
-    _profile_for = "for_batch_program"
+    _span = "tape.execute"
+    _mode = "compiled"
 
     def __init__(
-        self,
-        program: BatchTapeProgram,
-        plan,
-        packing,
-        perm_key=None,
-        tracer=NULL_TRACER,
+        self, program: TapeProgram, plan, packing, perm_key=None,
+        batched: bool = False,
     ):
-        super().__init__(
-            program, plan, packing, perm_key, tracer, "batched tape"
-        )
+        super().__init__(program, plan, packing, perm_key, batched)
         self._closure_cache: Dict[tuple, list] = {}
         # rank-1 + (S, lanes) rows and their masks
         self._lane_bytes = (
-            8 * max(program.nbufs_vec, 1) + 1
-            + self.S * (8 * max(program.nbufs_full, 1) + 1)
+            8 * program.nbufs_vec + 1
+            + self.S * (8 * program.nbufs_full + 1)
         )
+
+    def _default_cg(self, nthreads: int) -> int:
+        """A replayed chunk costs one ufunc dispatch per op: a rank-1-only
+        program on one thread takes the whole mesh as its chunk
+        (EXPERIMENTS.md "Arena placement"); ``(S, lanes)`` rows, or slabs
+        for several threads, take the arena budget."""
+        if nthreads == 1 and not self.program.nbufs_full:
+            return self.ngroups
+        return self._budget_cg()
 
     def _bind_chunk(self, g0: int, g1: int, slab) -> Tuple[list, list]:
         """Resolve one chunk's ops to prebound ``(code, arrays...)``.
@@ -1087,7 +732,7 @@ class BatchedTape(BatchBound):
                 nlanes.append(S * n if full else n)
             else:  # 5: scatter
                 _, call, slot, comp, src = op
-                dst = self._values[:, g0:g1, call, :]
+                dst = self._values[..., g0:g1, call, :]
                 if not isinstance(src, tuple):
                     ops.append((6, dst, src))
                 elif src[0] == "q":
@@ -1119,8 +764,8 @@ class BatchedTape(BatchBound):
         S = self.S
         slabs = [
             (
-                aligned_empty((max(self.program.nbufs_vec, 1), cgw)),
-                aligned_empty((max(self.program.nbufs_full, 1), S * cgw)),
+                aligned_empty((self.program.nbufs_vec, cgw)),
+                aligned_empty((self.program.nbufs_full, S * cgw)),
                 aligned_empty(cgw, dtype=bool),
                 aligned_empty(S * cgw, dtype=bool),
                 aligned_empty((S, 1), dtype=bool),
@@ -1181,33 +826,6 @@ class BatchedTape(BatchBound):
             for chunks in self._closures(cg, nslabs)
         ]
 
-    # -- public API -------------------------------------------------------
-
-    def execute(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        chunk_groups: Optional[int] = None,
-        param_rows=None,
-    ) -> np.ndarray:
-        """Assemble all ``S`` scenario RHS vectors: ``(S, nnode, 3)``."""
-        return self._sweep(
-            "serial", velocity, rhs, chunk_groups, param_rows=param_rows
-        )
-
-    def execute_chunked(
-        self,
-        velocity: np.ndarray,
-        rhs: Optional[np.ndarray] = None,
-        num_threads: Optional[int] = None,
-        chunk_groups: Optional[int] = None,
-        param_rows=None,
-    ) -> np.ndarray:
-        """Threaded batched assembly; bitwise identical to :meth:`execute`."""
-        return self._sweep(
-            "threads", velocity, rhs, chunk_groups, num_threads, param_rows
-        )
-
 
 # ---------------------------------------------------------------------------
 # Plan-level cache
@@ -1218,17 +836,23 @@ def tape_cache_key(
     variant_name: str,
     vector_dim: int,
     permutation: Optional[np.ndarray],
-    kernel_params: Dict[str, float],
+    kernel_params: Optional[Dict[str, float]] = None,
+    batch=None,
+    velocity_rank: str = "vec",
 ) -> tuple:
+    """Everything baked into one bound kernel: variant, group size,
+    permutation and the recording's identity -- the kernel params, or for
+    a batch its size, *which* parameters vary, every folded constant and
+    flag, and the velocity rank.  A batch's varying *values* live outside
+    the kernel (every sweep takes them as ``param_rows``), so sweeping a
+    campaign over new values of the same parameters re-records nothing."""
     perm_key = None if permutation is None else np.asarray(
         permutation, dtype=np.int64
     ).tobytes()
-    return (
-        variant_name.upper(),
-        int(vector_dim),
-        perm_key,
-        tuple(sorted(kernel_params.items())),
-    )
+    head = (variant_name.upper(), int(vector_dim), perm_key)
+    if batch is None:
+        return head + (tuple(sorted((kernel_params or {}).items())),)
+    return head + ("batch", batch.cache_key(), velocity_rank)
 
 
 def compiled_tape(
@@ -1237,102 +861,27 @@ def compiled_tape(
     vector_dim: int,
     permutation: Optional[np.ndarray] = None,
     kernel_params: Optional[Dict[str, float]] = None,
-    tracer=None,
-    profiler=None,
+    batch=None,
+    velocity_rank: str = "vec",
 ) -> CompiledTape:
     """The plan-cached :class:`CompiledTape` for one configuration.
 
-    Tapes are recorded once per ``(variant, vector_dim, permutation,
-    kernel params)`` and cached on the :class:`~repro.fem.plan.AssemblyPlan`;
-    mesh reorientation invalidates the plan (and with it every tape), so
-    the effective key is ``(variant, vector_dim, mesh version)`` as the
-    tape contract requires.
+    Tapes are recorded once per :func:`tape_cache_key` and cached on the
+    :class:`~repro.fem.plan.AssemblyPlan`; mesh reorientation invalidates
+    the plan (and with it every tape), so the effective key includes the
+    mesh version, as the tape contract requires.
     """
-    kernel_params = dict(kernel_params or {})
-    key = tape_cache_key(variant_name, vector_dim, permutation, kernel_params)
-    tape = plan.cached_tape(key)
-    registry = get_registry()
-    if tape is None:
-        with get_tracer().span(
-            "tape.compile", variant=key[0], vector_dim=int(vector_dim)
-        ):
-            program = record_program(key[0], kernel_params)
-            packing = plan.packing(int(vector_dim), permutation=permutation)
-            tape = CompiledTape(program, plan, packing, perm_key=key[2])
-        plan.store_tape(key, tape)
-        registry.counter("tape.compiles").inc()
-    else:
-        registry.counter("tape.cache_hits").inc()
-    if tracer is not None:
-        tape.tracer = tracer
-    # Always (re)set the profiler: tapes are plan-cached and shared across
-    # assemblers, so a stale profiler must never leak into an unprofiled
-    # sweep (unlike the tracer, which is additive and harmless to keep).
-    tape.profiler = profiler if profiler is not None else NULL_PROFILER
-    return tape
-
-
-def batch_tape_cache_key(
-    variant_name: str,
-    vector_dim: int,
-    permutation: Optional[np.ndarray],
-    batch,
-    velocity_rank: str,
-) -> tuple:
-    perm_key = None if permutation is None else np.asarray(
-        permutation, dtype=np.int64
-    ).tobytes()
-    return (
-        variant_name.upper(),
-        int(vector_dim),
-        perm_key,
-        "batch",
-        batch.cache_key(),
+    key = tape_cache_key(
+        variant_name, vector_dim, permutation, kernel_params, batch,
         velocity_rank,
     )
-
-
-def batched_tape(
-    plan,
-    variant_name: str,
-    vector_dim: int,
-    batch,
-    permutation: Optional[np.ndarray] = None,
-    velocity_rank: str = "vec",
-    tracer=None,
-    profiler=None,
-) -> BatchedTape:
-    """The plan-cached :class:`BatchedTape` for one batch configuration.
-
-    Keyed on everything baked into the recording -- variant, group size,
-    permutation, batch size, *which* parameters vary, every folded
-    constant and flag, and the velocity rank.  The varying parameter
-    *values* live outside the tape: every sweep takes them as its
-    ``param_rows`` argument, so sweeping a campaign over new values of
-    the same parameters re-records nothing.
-    """
-    key = batch_tape_cache_key(
-        variant_name, vector_dim, permutation, batch, velocity_rank
+    return plan_cached(
+        plan, "tape", key, vector_dim, permutation, batch,
+        lambda packing: CompiledTape(
+            record_program(
+                key[0], kernel_params, batch=batch,
+                velocity_rank=velocity_rank,
+            ),
+            plan, packing, perm_key=key[2], batched=batch is not None,
+        ),
     )
-    tape = plan.cached_tape(key)
-    registry = get_registry()
-    if tape is None:
-        with get_tracer().span(
-            "tape.compile_batch",
-            variant=key[0],
-            vector_dim=int(vector_dim),
-            scenarios=batch.size,
-        ):
-            program = record_batch_program(
-                key[0], batch, velocity_rank=velocity_rank
-            )
-            packing = plan.packing(int(vector_dim), permutation=permutation)
-            tape = BatchedTape(program, plan, packing, perm_key=key[2])
-        plan.store_tape(key, tape)
-        registry.counter("tape.batch_compiles").inc()
-    else:
-        registry.counter("tape.batch_cache_hits").inc()
-    if tracer is not None:
-        tape.tracer = tracer
-    tape.profiler = profiler if profiler is not None else NULL_PROFILER
-    return tape

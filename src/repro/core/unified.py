@@ -17,7 +17,6 @@ original code could handle" made explicit.
 from __future__ import annotations
 
 import dataclasses
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -141,18 +140,18 @@ class UnifiedAssembler:
         ``"threads"`` (compiled/codegen modes only) splits element groups
         into cache-sized chunks executed on a shared
         :class:`~concurrent.futures.ThreadPoolExecutor` with per-thread
-        arena slabs (:meth:`~repro.core.tape.CompiledTape.execute_chunked`
-        / :meth:`~repro.core.codegen.GeneratedKernel.execute_chunked`).
-        The threaded reduction order is fixed, so results stay bitwise
+        arena slabs
+        (:meth:`~repro.core.arena.MeshBound.execute_chunked`).  The
+        threaded reduction order is fixed, so results stay bitwise
         identical to the serial executor.
     num_threads:
         Thread count for ``executor="threads"``; defaults to the CPU
         count (``REPRO_NUM_THREADS`` overrides).
     chunk_groups:
-        Chunk size (element groups per chunk) for the threaded executor;
-        ``None`` resolves to the plan's autotuned winner
-        (:func:`repro.core.autotune.autotune_chunk_groups`) or a cache
-        heuristic.
+        Chunk size (element groups per chunk) of a compiled/codegen
+        sweep; ``None`` lets the kernel choose (the L2 arena budget of
+        :mod:`repro.core.arena`, or the whole mesh for a single-threaded
+        replay of a program without per-scenario rows).
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; an
         ``("assembler", "nan"/"inf")`` fault corrupts one lane of the
@@ -338,41 +337,9 @@ class UnifiedAssembler:
             executor=self.executor,
         ):
             if self.mode in ("compiled", "codegen"):
-                if self.mode == "codegen":
-                    from .codegen import generated_kernel
-
-                    runner = generated_kernel(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        permutation=self.permutation,
-                        kernel_params=self._kernel_params,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                else:
-                    runner = compiled_tape(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        permutation=self.permutation,
-                        kernel_params=self._kernel_params,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                if self.executor == "threads":
-                    rhs = runner.execute_chunked(
-                        velocity,
-                        rhs,
-                        num_threads=self.num_threads,
-                        chunk_groups=self.chunk_groups,
-                    )
-                elif self.mode == "codegen":
-                    rhs = runner.execute(
-                        velocity, rhs, chunk_groups=self.chunk_groups
-                    )
-                else:
-                    rhs = runner.execute(velocity, rhs)
+                rhs = self._sweep(
+                    self._kernel(variant.name, vector_dim), velocity, rhs
+                )
                 self._maybe_corrupt(rhs)
                 return rhs
             packing = (
@@ -404,6 +371,41 @@ class UnifiedAssembler:
                     acc.finalize(rhs)
             self._maybe_corrupt(rhs)
         return rhs
+
+    def _kernel(
+        self, variant_name: str, vector_dim: int, batch=None,
+        velocity_rank: str = "vec",
+    ):
+        """The plan-cached bound kernel of this assembler's mode."""
+        if self.mode == "codegen":
+            from .codegen import generated_kernel as make
+        else:
+            make = compiled_tape
+        return make(
+            self.plan,
+            variant_name,
+            vector_dim,
+            permutation=self.permutation,
+            kernel_params=self._kernel_params,
+            batch=batch,
+            velocity_rank=velocity_rank,
+        )
+
+    def _sweep(self, kern, velocity, rhs, param_rows=None) -> np.ndarray:
+        """One sweep of ``kern`` on this assembler's executor.  The kernel
+        is plan-cached and shared by every job on the mesh: this caller's
+        parameter values, tracer and profiler travel with the call,
+        inside the kernel's lock."""
+        kwargs = dict(
+            chunk_groups=self.chunk_groups,
+            param_rows=param_rows,
+            tracer=self.tracer,
+            profiler=self.profiler if self.profile else None,
+        )
+        if self.executor == "threads":
+            kwargs["num_threads"] = self.num_threads
+            return kern.execute_chunked(velocity, rhs, **kwargs)
+        return kern.execute(velocity, rhs, **kwargs)
 
     def _scenario_assembler(self, params: AssemblyParams) -> "UnifiedAssembler":
         """Serial assembler for one scenario's params (interpreted batches)."""
@@ -478,8 +480,8 @@ class UnifiedAssembler:
             scenarios) or per-scenario ``(S, nnode, 3)`` fields.
 
         In ``compiled`` / ``codegen`` modes all scenarios run through one
-        batched tape replay / generated kernel with ``(S, lanes)`` buffers
-        and a single scatter flush; ``interpreted`` mode is the reference
+        tape replay / generated kernel with ``(S, lanes)`` buffers and a
+        single scatter flush; ``interpreted`` mode is the reference
         serial loop.  Results are bit-identical per scenario to ``S``
         independent :meth:`assemble` calls with the same configuration.
 
@@ -526,45 +528,11 @@ class UnifiedAssembler:
                     v_s = velocity if velocity_rank == "vec" else velocity[s]
                     rhs[s] = sub.assemble(variant.name, v_s)
             else:
-                if self.mode == "codegen":
-                    from .codegen import batched_generated_kernel
-
-                    runner = batched_generated_kernel(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        batch,
-                        permutation=self.permutation,
-                        velocity_rank=velocity_rank,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                else:
-                    from .tape import batched_tape
-
-                    runner = batched_tape(
-                        self.plan,
-                        variant.name,
-                        vector_dim,
-                        batch,
-                        permutation=self.permutation,
-                        velocity_rank=velocity_rank,
-                        tracer=self.tracer,
-                        profiler=self.profiler if self.profile else None,
-                    )
-                # the kernel is plan-cached and shared by every job on
-                # the mesh: this batch's parameter values travel with the
-                # call, inside the kernel's lock
-                sweep = runner.execute
-                if self.executor == "threads":
-                    sweep = partial(
-                        runner.execute_chunked, num_threads=self.num_threads
-                    )
-                rhs = sweep(
+                rhs = self._sweep(
+                    self._kernel(variant.name, vector_dim, batch, velocity_rank),
                     velocity,
                     rhs,
-                    chunk_groups=self.chunk_groups,
-                    param_rows=batch.param_rows(),
+                    batch.param_rows(),
                 )
             if self.fault_plan is not None:
                 for s in range(S):

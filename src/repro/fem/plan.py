@@ -450,7 +450,6 @@ class AssemblyPlan:
         self._tapes: Dict[Tuple, object] = {}
         self._codegen: Dict[Tuple, object] = {}
         self._tuned_vector_dim: Dict[Tuple[str, str], int] = {}
-        self._tuned_chunk_groups: Dict[str, int] = {}
         get_registry().counter("plan.builds").inc()
 
     # -- cached geometry -------------------------------------------------
@@ -633,18 +632,6 @@ class AssemblyPlan:
         get_registry().gauge(
             f"tape.tuned_vector_dim.{variant.upper()}.{mode}"
         ).set(int(vector_dim))
-
-    # -- autotuned threaded chunk size ---------------------------------------
-    def tuned_chunk_groups(self, variant: str) -> Optional[int]:
-        """Autotuned threaded-executor chunk size (groups), if recorded."""
-        return self._tuned_chunk_groups.get(variant.upper())
-
-    def set_tuned_chunk_groups(self, variant: str, chunk_groups: int) -> None:
-        """Persist an autotuned threaded chunk size on the plan."""
-        self._tuned_chunk_groups[variant.upper()] = int(chunk_groups)
-        get_registry().gauge(
-            f"locality.tuned_chunk_groups.{variant.upper()}"
-        ).set(int(chunk_groups))
 
     # -- deferred DSL scatter ---------------------------------------------
     def accumulator(self, key: Tuple, ncomp: int = 3) -> ScatterAccumulator:

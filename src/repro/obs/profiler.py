@@ -4,10 +4,12 @@ The paper's performance argument is *measured*: LIKWID/Nsight counter
 groups (Tables I-II) and measured roofline placement (Figure 3) are what
 prove the restructured kernels reach the memory-bandwidth limit.  This
 module plays that role for the Python reproduction.  A
-:class:`TapeProfiler` attaches to the compiled-tape executors
-(:class:`repro.core.tape.CompiledTape` / ``ElementalTape``) and to the
-interpreted DSL path (:class:`repro.core.dsl.ProfilingNumpyBackend`) and
-records, **per tape op**:
+:class:`TapeProfiler` attaches to the bound kernels
+(:class:`repro.core.tape.CompiledTape`,
+:class:`repro.core.codegen.GeneratedKernel` -- mesh-wide or a pool
+worker's chunk) and to the interpreted DSL path
+(:class:`repro.core.dsl.ProfilingNumpyBackend`) and records, **per tape
+op**:
 
 * wall time (``perf_counter`` around the exact same ufunc call the
   unprofiled executor makes -- results stay bitwise identical);
@@ -64,22 +66,16 @@ PHASE_ORDER = ("gather", "compute", "select", "store", "scatter", "flush")
 
 
 def _is_vec(ref: Any) -> bool:
-    """A lowered tape operand is lane-wide iff it is an arena row index
-    (serial tapes) or a tagged arena row (batched tapes: ``("v", row)``
-    rank-1, ``("f", row)`` per-scenario).
-    Folded scalars and the tiny ``("q", k)`` scenario rows are
-    register/cache resident and cost no arena traffic."""
-    import numpy as np
-
-    if isinstance(ref, tuple):
-        return ref[0] != "q"
-    return isinstance(ref, (int, np.integer)) and not isinstance(ref, bool)
+    """A lowered tape operand is lane-wide iff it is a tagged arena row
+    (``("v", row)`` rank-1, ``("f", row)`` per-scenario).  Folded scalars
+    and the tiny ``("q", k)`` scenario rows are register/cache resident
+    and cost no arena traffic."""
+    return isinstance(ref, tuple) and ref[0] != "q"
 
 
 def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]:
     """Per-lane ``(kind, label, bytes_read, bytes_written, flops)`` for
-    every lowered per-sweep op of a :class:`repro.core.tape.TapeProgram`
-    or :class:`~repro.core.tape.BatchTapeProgram` (same opcodes).
+    every lowered per-sweep op of a :class:`repro.core.tape.TapeProgram`.
 
     The accounting mirrors what each executor op actually moves per lane:
 
@@ -94,10 +90,10 @@ def op_costs_from_program(program) -> List[Tuple[str, str, float, float, float]]
       into the deferred values buffer.
 
     Every arithmetic op costs 1 Flop per lane (the DSL has no fused op),
-    matching :data:`repro.core.dsl._FLOP_COST`.  For a batched program
-    lanes are *scenario-lanes*: the executor records ``n`` lanes for a
-    rank-1 (shared) op and ``S * n`` for a full-rank one, so
-    ``lanes * (rb + wb)`` stays the actual traffic either way.
+    matching :data:`repro.core.dsl._FLOP_COST`.  Lanes are
+    *scenario-lanes*: the kernel records ``n`` lanes for a rank-1
+    (shared) op and ``S * n`` for a full-rank one, so ``lanes * (rb +
+    wb)`` stays the actual traffic either way.
     """
     costs: List[Tuple[str, str, float, float, float]] = []
     for op in program.ops:
@@ -473,10 +469,10 @@ class TapeProfile:
 class TapeProfiler:
     """Collects :class:`TapeProfile` instances across executions.
 
-    One profiler serves any number of tapes/variants; executors ask for
-    their profile with :meth:`for_program` (compiled), :meth:`for_kernel`
-    (interpreted) or :meth:`for_elemental` (multiprocess workers), keyed
-    by ``(variant, vector_dim, mode, executor)``.
+    One profiler serves any number of kernels/variants; a bound kernel
+    asks for its profile with :meth:`for_program`, the interpreted path
+    with :meth:`for_kernel`, keyed by ``(variant, vector_dim, mode,
+    executor)``.
     """
 
     enabled = True
@@ -493,70 +489,42 @@ class TapeProfiler:
                 self.profiles[key] = prof
             return prof
 
-    def for_batch_program(
-        self, program, vector_dim: int, executor: str = "serial"
+    def for_program(
+        self, program, vector_dim: int, mode: str, executor: str = "serial"
     ) -> TapeProfile:
-        """Profile of a scenario-batched replay.
+        """Profile of one bound kernel's sweeps: op-level for a replayed
+        :class:`~repro.core.tape.TapeProgram` (``mode="compiled"``),
+        statement-level for a :class:`~repro.core.codegen.CodegenProgram`
+        (``mode="codegen"``), whose ``stmt_costs`` slots carry the
+        *summed* bytes/FLOPs of each fused statement's constituent ops --
+        phase attribution stays comparable with the replayed tape of the
+        same variant while the dispatch-overhead win shows up as fewer,
+        longer op rows.
 
-        Keyed ``(variant, vector_dim, "compiled", executor, S)`` -- the
-        batch size extends the serial key so S=1 and S=16 sweeps of the
-        same configuration accumulate separately.  The batched executor
-        records honest lane counts (``n`` for shared rank-1 ops,
+        Keyed ``(variant, vector_dim, mode, executor)``, extended by the
+        batch size when it is not 1 (:meth:`TapeProfile.key`) so S=1 and
+        S=16 sweeps of one configuration accumulate separately.  The
+        kernels record honest lane counts (``n`` for shared rank-1 ops,
         ``S * n`` for full-rank ones), and
         :meth:`TapeProfile.per_scenario_rows` divides back to one
         scenario's share.
         """
-        key = (
-            program.variant, int(vector_dim), "compiled", executor,
-            program.scenarios,
-        )
+        key = (program.variant, int(vector_dim), mode, executor)
+        if program.scenarios != 1:
+            key += (program.scenarios,)
         return self._get(
             key,
             lambda: TapeProfile(
                 program.variant,
                 vector_dim,
-                "compiled",
+                mode,
                 executor,
-                op_costs=op_costs_from_program(program),
+                op_costs=(
+                    list(program.stmt_costs) if mode == "codegen"
+                    else op_costs_from_program(program)
+                ),
                 report=program.report,
                 scenarios=program.scenarios,
-            ),
-        )
-
-    def for_batch_codegen(
-        self, program, vector_dim: int, executor: str = "serial"
-    ) -> TapeProfile:
-        """Statement-level profile of a batched generated kernel."""
-        key = (
-            program.variant, int(vector_dim), "codegen", executor,
-            program.scenarios,
-        )
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                vector_dim,
-                "codegen",
-                executor,
-                op_costs=list(program.stmt_costs),
-                report=program.report,
-                scenarios=program.scenarios,
-            ),
-        )
-
-    def for_program(
-        self, program, vector_dim: int, executor: str = "serial"
-    ) -> TapeProfile:
-        key = (program.variant, int(vector_dim), "compiled", executor)
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                vector_dim,
-                "compiled",
-                executor,
-                op_costs=op_costs_from_program(program),
-                report=program.report,
             ),
         )
 
@@ -565,45 +533,6 @@ class TapeProfiler:
         key = (variant, int(vector_dim), "interpreted", "serial")
         return self._get(
             key, lambda: TapeProfile(variant, vector_dim, "interpreted")
-        )
-
-    def for_elemental(self, program, nlane: int) -> TapeProfile:
-        key = (program.variant, int(nlane), "elemental", "worker")
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                nlane,
-                "elemental",
-                "worker",
-                op_costs=op_costs_from_program(program),
-                report=program.report,
-            ),
-        )
-
-    def for_codegen(
-        self, program, vector_dim: int, executor: str = "serial"
-    ) -> TapeProfile:
-        """Statement-level profile for a generated kernel.
-
-        ``program`` is a :class:`repro.core.codegen.CodegenProgram` or
-        ``ElementalCodegenProgram``; its ``stmt_costs`` slots carry the
-        *summed* bytes/FLOPs of each fused statement's constituent ops,
-        so phase attribution stays comparable with the replayed tape of
-        the same variant while the dispatch-overhead win shows up as
-        fewer, longer op rows.
-        """
-        key = (program.variant, int(vector_dim), "codegen", executor)
-        return self._get(
-            key,
-            lambda: TapeProfile(
-                program.variant,
-                vector_dim,
-                "codegen",
-                executor,
-                op_costs=list(program.stmt_costs),
-                report=program.report,
-            ),
         )
 
     # -- merge / export --------------------------------------------------
@@ -667,22 +596,10 @@ class NullProfiler:
     enabled = False
     profiles: Dict = {}
 
-    def for_program(self, program, vector_dim, executor="serial"):
+    def for_program(self, program, vector_dim, mode, executor="serial"):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
     def for_kernel(self, variant, vector_dim):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_elemental(self, program, nlane):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_codegen(self, program, vector_dim, executor="serial"):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_batch_program(self, program, vector_dim, executor="serial"):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_batch_codegen(self, program, vector_dim, executor="serial"):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
     def snapshot(self) -> List[Dict[str, Any]]:

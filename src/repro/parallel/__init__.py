@@ -25,8 +25,6 @@ from .shutdown import (
     release_shared_memory,
 )
 from .threads import (
-    SlabPool,
-    default_chunk_groups,
     get_thread_pool,
     resolve_num_threads,
     shutdown_thread_pools,
@@ -41,6 +39,5 @@ __all__ = [
     "assemble_partitioned",
     "SHM_PREFIX", "create_shared_memory", "install_shutdown_handler",
     "live_segment_names", "purge_shared_memory", "release_shared_memory",
-    "SlabPool", "default_chunk_groups", "get_thread_pool",
-    "resolve_num_threads", "shutdown_thread_pools",
+    "get_thread_pool", "resolve_num_threads", "shutdown_thread_pools",
 ]

@@ -17,6 +17,10 @@ velocities) with its workers through ``multiprocessing.shared_memory`` and
 keeps **one** persistent spawn pool alive across all measured worker
 counts: per measurement, only chunk *bounds* are pickled -- O(1) per task
 instead of O(nelem) -- so the scaling curve measures assembly, not IPC.
+In the ``compiled`` / ``codegen`` assembly modes the one other thing
+shipped is the picklable program a solver's mesh would bind; a worker
+binds it to its chunk as a mesh of disjoint elements
+(:func:`_chunk_kernel`), so there is no worker flavour of any kernel.
 
 Workers are *supervised*: every chunk is dispatched with ``apply_async``
 under a per-task deadline (:class:`WorkerPolicy`), so a crashed, hard-dead
@@ -214,6 +218,53 @@ class ScalingPoint:
     baseline_workers: int = 1
 
 
+def _chunk_program(assembly_mode: str, variant: str, params: AssemblyParams):
+    """The picklable program a runner ships to its workers: the very
+    program a solver's mesh would bind, at the paper's CPU group size
+    (``None``: workers run the vectorized reference)."""
+    from ..core.unified import CPU_VECTOR_DIM
+
+    if assembly_mode == "compiled":
+        from ..core.tape import record_program
+
+        return record_program(variant, params.as_kernel_params())
+    if assembly_mode == "codegen":
+        from ..core.codegen import generate_program
+
+        return generate_program(
+            variant, CPU_VECTOR_DIM, params.as_kernel_params()
+        )
+    return None
+
+
+def _chunk_kernel(program, xel: np.ndarray, vector_dim: Optional[int] = None):
+    """Bind a shipped program to a chunk of packed elements.
+
+    The chunk is a mesh of ``n`` disjoint tetrahedra -- node ``4e + a`` is
+    slot ``a`` of element ``e`` -- so the worker runs the same bound
+    kernel as everyone else (hoisted invariants, the arena budget, the C
+    form when a compiler exists) and, each node receiving exactly one
+    lane, the chunk's ``(4n, 3)`` RHS *is* the ``(n, 4, 3)`` elemental
+    result: per bin the flush adds the scatter calls in call order.  A
+    generated program carries its group size; a tape takes ``vector_dim``
+    (default: the paper's CPU choice).
+    """
+    from ..core.codegen import CodegenProgram, GeneratedKernel
+    from ..core.tape import CompiledTape
+    from ..core.unified import CPU_VECTOR_DIM
+
+    n = len(xel)
+    mesh = TetMesh(
+        xel.reshape(-1, 3), np.arange(4 * n).reshape(n, 4), validate=False
+    )
+    plan = get_plan(mesh)
+    if isinstance(program, CodegenProgram):
+        return GeneratedKernel(program, plan, plan.packing(program.vector_dim))
+    return CompiledTape(
+        program, plan, plan.packing(int(vector_dim or CPU_VECTOR_DIM))
+    )
+
+
 def _assemble_chunk(
     rank: int,
     xel: np.ndarray,
@@ -236,52 +287,45 @@ def _assemble_chunk(
     :meth:`~repro.obs.profiler.TapeProfiler.merge` and the existing
     :meth:`~repro.obs.metrics.MetricsRegistry.merge` reduction.
 
-    With a compiled :class:`~repro.core.tape.TapeProgram` the chunk runs
-    through an :class:`~repro.core.tape.ElementalTape` whose buffer arena
-    is bound once and reused across all repeats; with an
-    :class:`~repro.core.codegen.ElementalCodegenProgram` the worker
-    re-``exec``-compiles the generated source (deterministic emission, so
+    With a shipped program (:class:`~repro.core.tape.TapeProgram` or
+    :class:`~repro.core.codegen.CodegenProgram`) the chunk is bound once
+    by :func:`_chunk_kernel` and swept ``repeats`` times -- a generated
+    program re-``exec``-compiles in the worker (deterministic emission, so
     every rank compiles the identical module and hits the process-local
-    code cache) and runs the
-    :class:`~repro.core.codegen.ElementalGeneratedKernel`; otherwise the
-    vectorized reference :func:`~repro.physics.momentum.element_rhs` runs
-    (op-level profiling needs an op/statement cost table, so it covers
-    the compiled and codegen modes only).
+    code cache); otherwise the vectorized reference
+    :func:`~repro.physics.momentum.element_rhs` runs (op-level profiling
+    needs an op/statement cost table, so it covers the compiled and
+    codegen modes only).  A compiler child the kernel forked is
+    terminated before the task returns: pool workers exit through
+    ``os._exit``, past :mod:`repro.core.native`'s ``atexit`` hook.
     """
     tracer = Tracer(pid=rank) if traced else NULL_TRACER
-    tape = None
-    profiler = None
+    kern = profiler = None
     if program is not None:
-        from ..core.codegen import ElementalCodegenProgram
-
-        if isinstance(program, ElementalCodegenProgram):
-            from ..core.codegen import ElementalGeneratedKernel
-
-            tape = ElementalGeneratedKernel(program)
-        else:
-            from ..core.tape import ElementalTape
-
-            tape = ElementalTape(program)
+        kern = _chunk_kernel(program, xel)
         if profiled:
             from ..obs.profiler import TapeProfiler
 
             profiler = TapeProfiler()
-            if isinstance(program, ElementalCodegenProgram):
-                tape.profile = profiler.for_codegen(
-                    program, int(len(xel)), executor="worker"
-                )
-            else:
-                tape.profile = profiler.for_elemental(program, int(len(xel)))
     elem = None
     t0 = time.perf_counter()
-    with tracer.span("rank", rank=rank, nelem=int(len(xel)), repeats=repeats):
-        for rep in range(repeats):
-            with tracer.span("assemble_chunk", rep=rep):
-                if tape is not None:
-                    elem = tape(xel, uel)
-                else:
-                    elem = element_rhs(xel, uel, params)
-    seconds = time.perf_counter() - t0
+    try:
+        with tracer.span("rank", rank=rank, nelem=int(len(xel)), repeats=repeats):
+            for rep in range(repeats):
+                with tracer.span("assemble_chunk", rep=rep):
+                    if kern is not None:
+                        elem = kern.execute(
+                            uel.reshape(-1, 3), profiler=profiler
+                        ).reshape(xel.shape)
+                    else:
+                        elem = element_rhs(xel, uel, params)
+        seconds = time.perf_counter() - t0
+    finally:
+        c_source = getattr(program, "c_source", "")
+        if c_source:
+            from ..core.codegen import stop_builds
+
+            stop_builds(c_source)
     if elem is None:
         checksum = (0.0, 0.0, 0.0)
     else:
@@ -435,14 +479,15 @@ class MultiprocessRunner:
     record how much data stayed out of the pickle stream.
 
     ``assembly_mode="compiled"`` records the selected DSL ``variant``
-    once in the parent and ships the picklable tape program to every
-    worker, which replays it with a reusable buffer arena
-    (:class:`~repro.core.tape.ElementalTape`) instead of running the
-    reference einsum path.  ``assembly_mode="codegen"`` ships the
-    picklable :class:`~repro.core.codegen.ElementalCodegenProgram`
-    instead; each worker re-``exec``-compiles the identical generated
-    source once and runs the fused
-    :class:`~repro.core.codegen.ElementalGeneratedKernel`.
+    once in the parent and ships the picklable
+    :class:`~repro.core.tape.TapeProgram` to every worker, which binds it
+    to its chunk as a mesh of disjoint elements (:func:`_chunk_kernel`)
+    and replays it -- the same :class:`~repro.core.tape.CompiledTape` a
+    solver runs -- instead of the reference einsum path.
+    ``assembly_mode="codegen"`` ships the
+    :class:`~repro.core.codegen.CodegenProgram` instead; each worker
+    re-``exec``-compiles the identical generated source once and runs the
+    same :class:`~repro.core.codegen.GeneratedKernel`, C form included.
 
     Chunk dispatch is supervised (see :class:`WorkerPolicy`): worker
     crashes, hard deaths and hangs are detected by per-task deadlines,
@@ -458,7 +503,7 @@ class MultiprocessRunner:
     chunking, so each worker sweeps a spatially contiguous slab.
 
     ``profile=True`` (compiled and codegen modes) attaches op-level
-    software counters to every rank's elemental executor:
+    software counters to every rank's kernel:
     per-rank profiles return with the results and are folded into
     :attr:`profiler` (op detail) and the metrics registry (published
     ``profile.*`` counters, reduced through
@@ -829,19 +874,9 @@ class MultiprocessRunner:
                 registry.counter("locality.runner_reorders").inc()
         traced = bool(self.tracer.enabled)
         nelem = self.mesh.nelem
-        program = None
-        if self.assembly_mode == "compiled":
-            from ..core.tape import record_program
-
-            program = record_program(
-                self.variant, self.params.as_kernel_params()
-            )
-        elif self.assembly_mode == "codegen":
-            from ..core.codegen import generate_elemental_program
-
-            program = generate_elemental_program(
-                self.variant, self.params.as_kernel_params()
-            )
+        program = _chunk_program(
+            self.assembly_mode, self.variant, self.params
+        )
 
         x_shm = create_shared_memory(xall.nbytes)
         u_shm = create_shared_memory(uall.nbytes)

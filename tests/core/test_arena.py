@@ -1,14 +1,19 @@
-"""Lane memory has one owner: aligned placement and one L2 budget.
+"""Lane memory has one owner, and the kernel bound to it is one kernel.
 
 ``repro.core.arena`` promises that every buffer a kernel computes in or
-binds starts on a cache line, that one constant sizes every executor's
-chunk, and that neither placement nor chunk boundaries can change a bit
-of the result.  An unaligned buffer is a 30% slowdown nobody would see in
-a correctness test, so it is asserted here, white-box, for every variant
-x back end x batch size.
+binds starts on a cache line, that one constant sizes every chunk, and
+that neither placement nor chunk boundaries can change a bit of the
+result.  An unaligned buffer is a 30% slowdown nobody would see in a
+correctness test, so it is asserted here, white-box, for every variant x
+back end x batch size.  How many scenarios a kernel sweeps and whose
+elements are arguments of that one binding: the last section holds every
+cell of the axis to one oracle.
 """
 
+import dataclasses
+import functools
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -16,16 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    ElementalGeneratedKernel,
-    ElementalTape,
     ScenarioBatch,
+    UnifiedAssembler,
     arena,
-    batched_generated_kernel,
-    batched_tape,
     compiled_tape,
-    generate_elemental_program,
     generated_kernel,
-    record_program,
     variant_names,
 )
 from repro.core.arena import (
@@ -34,11 +34,14 @@ from repro.core.arena import (
     aligned_empty,
     budget_chunk_groups,
 )
-from repro.fem import box_tet_mesh, get_plan
-from repro.parallel.threads import SlabPool
+from repro.fem import TetMesh, box_tet_mesh, get_plan
+from repro.obs.profiler import TapeProfiler
+from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
 
 VD = 16
+PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
+KP = PARAMS.as_kernel_params()
 
 
 def _aligned(a: np.ndarray) -> bool:
@@ -77,20 +80,6 @@ def test_default_dtype_and_the_single_budget():
     assert budget_chunk_groups(10**9, 16, 5) == 1
 
 
-def test_slab_pool_and_elemental_rows_are_aligned():
-    arena_rows, mask = SlabPool(nbufs=3, lanes=48, count=1).acquire()
-    assert all(_aligned(r) for r in arena_rows) and _aligned(mask)
-    # pool workers see arbitrary chunk lengths: every row still starts a line
-    xel = np.random.default_rng(0).standard_normal((13, 4, 3))
-    tape = ElementalTape(record_program("RS", AssemblyParams().as_kernel_params()))
-    gen = ElementalGeneratedKernel(
-        generate_elemental_program("RS", AssemblyParams().as_kernel_params())
-    )
-    assert np.array_equal(tape(xel, 0.1 * xel), gen(xel, 0.1 * xel))
-    assert all(_aligned(r) for r in tape._rows) and _aligned(tape._mask)
-    assert all(_aligned(r) for r in gen._rows)
-
-
 # -- every executor: placement, budget, chunk-size independence ----------------
 
 
@@ -105,33 +94,19 @@ def _bind(plan, variant, backend, S):
     """(kernel, sweep(chunk_groups) -> rhs) for one cell of the matrix."""
     rng = np.random.default_rng(7)
     u = 0.1 * rng.standard_normal((plan.mesh.nnode, 3))
-    if S == 1:
-        kp = AssemblyParams(body_force=(0.05, -0.1, 0.2)).as_kernel_params()
-        make = compiled_tape if backend == "replay" else generated_kernel
-        kern = make(plan, variant, VD, kernel_params=kp)
-        return kern, lambda cg: kern.execute_chunked(
-            u, num_threads=1, chunk_groups=cg
-        )
-    batch = _forcing_batch(S)
-    make = batched_tape if backend == "replay" else batched_generated_kernel
-    kern = make(plan, variant, VD, batch)
-    return kern, lambda cg: kern.execute(
-        u, chunk_groups=cg, param_rows=batch.param_rows()
+    make = compiled_tape if backend == "replay" else generated_kernel
+    batch = _forcing_batch(S) if S > 1 else None
+    kern = make(plan, variant, VD, kernel_params=KP, batch=batch)
+    rows = batch.param_rows() if batch else None
+    return kern, lambda cg: kern.execute_chunked(
+        u, num_threads=1, chunk_groups=cg, param_rows=rows
     )
 
 
 def _lane_arrays(kern, cg):
     """Every array the chunks of a ``cg``-group sweep compute in, read
     lanes from or write to (gather *sources* are node-indexed columns)."""
-    if hasattr(kern, "_arena"):  # CompiledTape binds its chunks per call
-        yield from kern._arena
-        yield kern._mask
-        for g0, g1 in kern._chunks(cg):
-            yield kern._arena[0, :(g1 - g0) * VD]
-            yield kern._idx[:, g0 * VD:g1 * VD]
-            yield kern._values[g0:g1]
-        return
-    if hasattr(kern, "_closure_cache"):  # BatchedTape: prebound op tuples
+    if hasattr(kern, "_closure_cache"):  # CompiledTape: prebound op tuples
         for ops, _ in kern._closures(cg, 1)[0]:
             for op in ops:
                 for a in op[2 if op[0] in (3, 4) else 1:]:
@@ -164,9 +139,13 @@ def test_every_executor_is_aligned_budgeted_and_chunk_independent(
     # budget rule must answer 7, leaving a partial last chunk of 2
     group_bytes = kern._lane_bytes * VD
     monkeypatch.setattr(arena, "ARENA_BUDGET_BYTES", 7 * group_bytes + 5)
-    cg = kern._resolve_cg(None, 1)
+    cg = kern._resolve_cg(None, 2)
     assert cg == 7
     assert cg * group_bytes <= arena.ARENA_BUDGET_BYTES < (cg + 1) * group_bytes
+    # ... except one thread replaying a program without (S, lanes) rows,
+    # where a chunk is only another dispatch per op: the whole mesh
+    whole = backend == "replay" and S == 1
+    assert kern._resolve_cg(None, 1) == (kern.ngroups if whole else cg)
 
     for chunk in (1, cg, kern.ngroups):
         arrays = list(_lane_arrays(kern, chunk))
@@ -183,11 +162,8 @@ def test_real_budget_bounds_the_benchmark_shaped_kernels():
     """With the real constant: the arena fits it, one more group would
     not, and the sweep needs more than one chunk."""
     plan = get_plan(box_tet_mesh(10, 10, 10))  # 375 groups > one B chunk
-    kp = AssemblyParams().as_kernel_params()
-    for kern in (
-        generated_kernel(plan, "B", VD, kernel_params=kp),
-        batched_generated_kernel(plan, "B", VD, _forcing_batch(16)),
-    ):
+    for batch in (None, _forcing_batch(16)):
+        kern = generated_kernel(plan, "B", VD, kernel_params=KP, batch=batch)
         cg = kern._resolve_cg(None, 1)
         group_bytes = kern._lane_bytes * VD
         assert 1 < cg < kern.ngroups
@@ -201,38 +177,35 @@ def test_real_budget_bounds_the_benchmark_shaped_kernels():
 def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend, request):
     """More threads than cores hammer the two plan-cached kernels of a
     mesh, each with its own velocity and forcing values; every caller
-    gets exactly its serial answer (a lost buffer update would not).
+    gets exactly its serial answer (a lost buffer update would not), and
+    the one profiled caller's profile counts exactly its own sweeps.
     ``native``: the generated kernels' C form adopted, so the shared state
     is the accumulator each sweep scatters into."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    kp = AssemblyParams(body_force=(0.05, -0.1, 0.2)).as_kernel_params()
-    if backend == "replay":
-        serial = compiled_tape(plan, "RS", VD, kernel_params=kp)
-        batched = batched_tape(plan, "RS", VD, _forcing_batch(4))
-    else:
-        if backend == "native":  # kernels of its own: adoption is for good
-            request.getfixturevalue("cc")
-            plan = get_plan(box_tet_mesh(4, 4, 5))
-        serial = generated_kernel(plan, "RS", VD, kernel_params=kp)
-        batched = batched_generated_kernel(plan, "RS", VD, _forcing_batch(4))
+    make = compiled_tape if backend == "replay" else generated_kernel
+    if backend == "native":  # kernels of its own: adoption is for good
+        request.getfixturevalue("cc")
+        plan = get_plan(box_tet_mesh(4, 4, 5))
+    serial = make(plan, "RS", VD, kernel_params=KP)
+    batched = make(plan, "RS", VD, batch=_forcing_batch(4))
     rng = np.random.default_rng(3)
     fields = [0.1 * rng.standard_normal((plan.mesh.nnode, 3)) for _ in range(6)]
-    rows = [
-        {"force_z": np.full((4, 1), 0.01 * (i + 1))} for i in range(6)
-    ]
+    rows = [{"force_z": np.full((4, 1), 0.01 * (i + 1))} for i in range(6)]
+    profiler = TapeProfiler()
 
     def call(i):
+        mine = profiler if i == 0 else None
         return (
-            serial.execute(fields[i]),
-            batched.execute(fields[i], param_rows=rows[i]),
+            serial.execute(fields[i], profiler=mine),
+            batched.execute(fields[i], param_rows=rows[i], profiler=mine),
         )
 
     want = [call(i) for i in range(6)]
     if backend == "native":
         assert serial.build_native(wait=True) and batched.build_native(wait=True)
-        assert all(np.array_equal(a, b) for a, b in zip(call(0), want[0]))
+        assert all(np.array_equal(a, b) for a, b in zip(call(1), want[1]))
         assert serial._acc is not None and batched._acc is not None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -245,3 +218,84 @@ def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend, reque
     for k, (one, many) in enumerate(got):
         assert np.array_equal(one, want[k % 6][0])
         assert np.array_equal(many, want[k % 6][1])
+    # caller 0 swept each kernel once before the storm and five times in it
+    assert sorted(p.executions for p in profiler.profiles.values()) == [6, 6]
+
+
+# -- one program, one kernel: the binding axis -------------------------------------
+
+#: (binding, vector_dim); 1024: one group of the mesh, three of the chunk
+BINDINGS = [(b, VD) for b in ("serial", "one", "shared", "per_scenario", "worker")]
+BINDINGS += [("serial", 1024), ("worker", 1024)]
+
+
+def _binding(binding):
+    """``(mesh, batch, velocity rank, velocity)`` of one cell; a worker's
+    mesh is its chunk of 3,001 disjoint elements (``n % vd != 0``), and the
+    field holds both zeros, which only ``tobytes`` tells apart."""
+    mesh = box_tet_mesh(3, 3, 3)
+    if binding == "worker":
+        xel = get_plan(box_tet_mesh(8, 8, 8)).packed_coords()[:3001]
+        mesh = TetMesh(
+            xel.reshape(-1, 3), np.arange(4 * 3001).reshape(-1, 4), validate=False
+        )
+    batch = {"one": ScenarioBatch([PARAMS]), "shared": _forcing_batch(4),
+             "per_scenario": _forcing_batch(4)}.get(binding)
+    rank = "full" if binding == "per_scenario" else "vec"
+    shape = ((4,) if rank == "full" else ()) + (mesh.nnode, 3)
+    u = 0.1 * np.random.default_rng(3).standard_normal(shape)
+    u[..., ::3, :] = 0.0
+    u[..., 1::5, :] = -0.0
+    return mesh, batch, rank, u
+
+
+@functools.lru_cache(maxsize=None)
+def _interpreted(variant, binding, vd) -> bytes:
+    mesh, batch, _, u = _binding(binding)
+    asm = UnifiedAssembler(mesh, PARAMS, vector_dim=vd, mode="interpreted")
+    if batch is None:
+        return asm.assemble(variant, u).tobytes()
+    return asm.run_batch(variant, batch, u).tobytes()
+
+
+@pytest.mark.parametrize("form", ["compiled", "codegen", "native"])
+@pytest.mark.parametrize("variant", variant_names())
+def test_one_kernel_serves_every_binding_to_the_byte(
+    variant, form, monkeypatch, request
+):
+    """A serial call, a one-scenario batch, ``S = 4`` with shared and with
+    per-scenario velocities and a pool worker's chunk (the pickled program,
+    bound by the helper ``runner._assemble_chunk`` uses) run the one bound
+    kernel of their back end and equal ``mode="interpreted"`` -- for the
+    worker on the same chunk-as-a-mesh, whose ``(4n, 3)`` RHS *is* the
+    ``(n, 4, 3)`` elemental result."""
+    if form == "native":
+        request.getfixturevalue("cc")
+    elif form == "codegen":  # a cache key nobody built, nobody to build it
+        monkeypatch.setenv("CC", "/bin/false")
+    make = compiled_tape if form == "compiled" else generated_kernel
+    programs = {}
+    for binding, vd in BINDINGS:
+        mesh, batch, rank, u = _binding(binding)
+        if binding == "worker":  # ships what the serial cell of this vd ran
+            shipped = pickle.loads(pickle.dumps(programs["serial", vd]))
+            kern = _chunk_kernel(shipped, mesh.coords.reshape(-1, 4, 3), vd)
+        else:
+            kern = make(get_plan(mesh), variant, vd, kernel_params=KP,
+                        batch=batch, velocity_rank=rank)
+        programs[binding, vd] = kern.program
+        assert kern.batched == (batch is not None)
+        rows = batch.param_rows() if batch else None
+        want = _interpreted(variant, binding, vd)
+        assert kern.execute(u, param_rows=rows).tobytes() == want, (binding, vd)
+        if form == "native":
+            assert kern.build_native(wait=True)
+        for _ in range(2):  # native: the adoption sweep, then the C form alone
+            assert kern.execute(u, param_rows=rows).tobytes() == want, (binding, vd)
+        if form != "compiled":
+            assert kern._native.state == {"native": "adopted", "codegen": "python"}[form]
+    # a one-scenario batch records the serial program (same C below the header)
+    serial, one = programs["serial", VD], programs["one", VD]
+    assert dataclasses.replace(one, params_key=serial.params_key) == serial
+    if form != "compiled":
+        assert one.c_source.splitlines()[2:] == serial.c_source.splitlines()[2:] != []

@@ -8,6 +8,7 @@ size (including padded final groups), permutation, ordering and executor
 ``np.array_equal`` (not allclose) everywhere below.
 """
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -17,17 +18,13 @@ from hypothesis import strategies as st
 
 from repro.core import UnifiedAssembler, variant_names
 from repro.core.autotune import autotune_vector_dim
-from repro.core.codegen import (
-    ElementalGeneratedKernel,
-    generate_elemental_program,
-    generate_program,
-    generated_kernel,
-)
-from repro.core.tape import ElementalTape, record_program
+from repro.core.codegen import _CODE_CACHE, generate_program, generated_kernel
+from repro.core.tape import record_program
 from repro.fem import box_tet_mesh
 from repro.fem.plan import get_plan
 from repro.obs.metrics import get_registry
 from repro.obs.profiler import TapeProfiler
+from repro.parallel.runner import _chunk_kernel, _chunk_program
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
 
@@ -162,19 +159,25 @@ def test_codegen_invalidated_by_fix_orientation(params):
     assert np.array_equal(after, before)  # repaired orientation = original
 
 
+def _rebound(blob: bytes, xel: np.ndarray, u: np.ndarray):
+    """In a spawned process: what the shipped bytes exec and compute."""
+    kern = _chunk_kernel(pickle.loads(blob), xel)
+    return list(_CODE_CACHE), kern.execute(u).tobytes()
+
+
 def test_elemental_program_pickles_to_identical_source(params):
-    """Pool workers rebuild the exact module a parent generated."""
-    kp = params.as_kernel_params()
-    for variant in variant_names():
-        prog = generate_elemental_program(variant, kernel_params=kp)
-        clone = pickle.loads(pickle.dumps(prog))
-        assert clone.source == prog.source
-        kern = ElementalGeneratedKernel(clone)
-        tape = ElementalTape(record_program(variant, kp))
-        rng = np.random.default_rng(5)
-        xel = rng.standard_normal((23, 4, 3))
-        uel = rng.standard_normal((23, 4, 3))
-        assert np.array_equal(kern(xel, uel), tape(xel, uel))
+    """A pool worker binds the very program its parent generated: the pickle
+    carries the source it execs; the chunk's bytes are the parent's."""
+    rng = np.random.default_rng(5)
+    xel, u = rng.standard_normal((23, 4, 3)), rng.standard_normal((92, 3))
+    tape = _chunk_program("compiled", "RSP", params)
+    want = _chunk_kernel(tape, xel).execute(u).tobytes()
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        for program in (tape, _chunk_program("codegen", "RSP", params)):
+            assert _chunk_kernel(program, xel).execute(u).tobytes() == want
+            sources, got = pool.apply(_rebound, (pickle.dumps(program), xel, u))
+            assert got == want
+            assert sources == ([program.source] if program is not tape else [])
 
 
 def test_codegen_dump_flag_writes_source(params, tmp_path, monkeypatch):

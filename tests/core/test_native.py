@@ -166,7 +166,7 @@ def test_rows_storage_is_the_same_function(cc):
     source = native.emit_c(low, front, vector_dim=VD, storage="rows")
     assert "v0[l]" in source and "v0[l]" not in kern.program.c_source
     assert _compile(source) is not None
-    arena = np.empty((kern.program.nslab, VD))
+    arena = np.empty((kern.program.nslab_vec, VD))
     native.load(source)(0, kern.ngroups, *kern._native._args,
                         kern._values.ctypes.data, arena.ctypes.data, None)
     got = np.zeros_like(want)
@@ -240,6 +240,29 @@ def test_without_a_compiler_codegen_serves_from_python(monkeypatch):
     for _ in range(3):
         again.assemble("RS", u)
     assert len(spawned) == 1
+
+
+def test_a_pool_workers_chunk_task_leaves_no_compiler_behind(tmp_path, monkeypatch):
+    """Pool workers exit through ``os._exit``, past the ``atexit`` hook: the
+    chunk task terminates the build its own kernel forked -- and no other."""
+    from repro.fem import get_plan
+    from repro.parallel.runner import _assemble_chunk, _chunk_program
+
+    (tmp_path / "slowcc").write_text("#!/bin/sh\nexec sleep 60\n")
+    (tmp_path / "slowcc").chmod(0o700)
+    monkeypatch.setenv("CC", str(tmp_path / "slowcc"))
+    monkeypatch.setattr(native, "BUILD_AFTER_S", 0.0)
+    mesh = box_tet_mesh(3, 3, 3)
+    uel = _field((mesh.nnode, 3))[mesh.connectivity]
+    program = _chunk_program("codegen", "RS", PARAMS)
+    bystander, builds = native.build("void kernel(void) {} /* not mine */\n"), _count("builds")
+    try:
+        _assemble_chunk(0, get_plan(mesh).packed_coords(), uel, PARAMS, 3, False, program)
+        assert _count("builds") == builds + 1
+        mine = native._BUILDS[native.so_path(program.c_source)]
+        assert mine.poll() is not None and bystander.poll() is None
+    finally:
+        native.stop_builds()
 
 
 # -- (e) cache: hit in a fresh process, untrusted files refused ---------------
@@ -339,18 +362,15 @@ def _wide_field(shape, seed=0):
 def _bound(mesh, variant, shape, vd):
     """``(kernel, sweep(u, rhs=None))`` of one cell, at the kernel layer: a
     sweep there can be handed a non-zero ``rhs``."""
-    from repro.core import ScenarioBatch, batched_generated_kernel, generated_kernel
+    from repro.core import ScenarioBatch, generated_kernel
     from repro.fem import get_plan
 
-    if shape == "serial":
-        kern = generated_kernel(
-            get_plan(mesh), variant, vd, kernel_params=PARAMS.as_kernel_params())
-        return kern, kern.execute
-    batch = ScenarioBatch(_forcing(4))
-    kern = batched_generated_kernel(
-        get_plan(mesh), variant, vd, batch,
-        velocity_rank="full" if shape == "per_scenario" else "vec")
-    return kern, lambda u, rhs=None: kern.execute(u, rhs, param_rows=batch.param_rows())
+    batch = None if shape == "serial" else ScenarioBatch(_forcing(4))
+    kern = generated_kernel(
+        get_plan(mesh), variant, vd, kernel_params=PARAMS.as_kernel_params(),
+        batch=batch, velocity_rank="full" if shape == "per_scenario" else "vec")
+    rows = batch.param_rows() if batch else None
+    return kern, lambda u, rhs=None: kern.execute(u, rhs, param_rows=rows)
 
 
 def _interpreted(mesh, variant, shape, vd, u):

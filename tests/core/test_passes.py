@@ -1,7 +1,7 @@
 """The shared front end: one value-numbered, scheduled program per kernel.
 
-Every lowering -- compiled replay, generated source, their batched forms
-and the pool-worker (elemental) forms -- consumes the same
+Both lowerings -- compiled replay and generated source, serial, batched
+or shipped to a pool worker -- consume the same
 :func:`repro.core.passes.front_end` output, so the op accounting must
 agree everywhere and value numbering must merge only literally repeated
 work.  Bit-identity of the results is pinned by the hypothesis suites of
@@ -12,20 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
-from repro.core.codegen import (
-    generate_batched_program,
-    generate_elemental_program,
-    generate_program,
-    generated_kernel,
-)
+from repro.core.codegen import generate_program, generated_kernel
 from repro.core.dsl import KernelContext
 from repro.core.storage import Storage
-from repro.core.tape import (
-    RecordingBackend,
-    record_batch_program,
-    record_program,
-)
+from repro.core.tape import RecordingBackend, record_program
 from repro.fem import box_tet_mesh, get_plan
+from repro.parallel.runner import _chunk_program
 
 
 def _recorder():
@@ -49,28 +41,29 @@ def test_accounting_identity_and_equal_live_ops(params, variant):
         viscosity=np.array([1.0e-3, 2.0e-3, 3.0e-3]),
         body_force=params.body_force,
     )
-    serial = {
-        "compiled": record_program(variant, kp).report,
-        "codegen": generate_program(variant, 64, kernel_params=kp).report,
-        "elemental": generate_elemental_program(variant, kernel_params=kp).report,
-    }
-    batched = {
-        "compiled": record_batch_program(variant, batch).report,
-        "codegen": generate_batched_program(variant, 64, batch).report,
-    }
+    serial, batched = (
+        {"compiled": record_program(variant, kp, batch=b).report,
+         "codegen": generate_program(variant, 64, kp, batch=b).report}
+        for b in (None, batch)
+    )
+    serial["elemental"] = _chunk_program("codegen", variant, params).report
     for r in list(serial.values()) + list(batched.values()):
         assert r.ops_recorded == r.ops_live + r.dce_removed + r.cse_removed
         assert r.cse_removed > 0  # every kernel repeats some work
     assert len({r.ops_live for r in serial.values()}) == 1
     assert len({r.ops_live for r in batched.values()}) == 1
     assert len({r.cse_removed for r in serial.values()}) == 1
-    # only the mesh-bound generated kernels hoist (the same
-    # coordinate-only partition, serial and batched); replay tapes and
-    # pool-worker kernels run every live op per sweep
+    # the generated kernels hoist (the same coordinate-only partition,
+    # serial, batched or shipped to a pool worker); replay tapes run every
+    # live op per sweep
     assert serial["codegen"].hoisted_ops == batched["codegen"].hoisted_ops > 0
-    for r in (serial["compiled"], serial["elemental"], batched["compiled"]):
+    assert serial["elemental"].hoisted_ops == serial["codegen"].hoisted_ops
+    for r in (serial["compiled"], batched["compiled"]):
         assert r.hoisted_ops == r.pinned_buffers == 0
     assert batched["compiled"].scenarios == batched["codegen"].scenarios == 3
+    # a serial recording is the all-rank-1, S = 1 case of the one report
+    for r in serial.values():
+        assert (r.srow_ops, r.full_ops, r.scenarios) == (0, 0, 1) and r.vec_ops > 0
 
 
 def test_replay_arena_is_scheduled(params):

@@ -18,12 +18,11 @@ from repro.core import (
     ScenarioBatch,
     UnifiedAssembler,
     codegen,
-    generate_batched_program,
-    generate_elemental_program,
     generate_program,
     variant_names,
 )
 from repro.fem import box_tet_mesh
+from repro.parallel.runner import _chunk_program
 from repro.physics import AssemblyParams
 
 VD = 16
@@ -40,14 +39,12 @@ def _forcing_batch(size):
 
 
 def _generate(form, variant):
-    if form == "serial":
-        return generate_program(variant, VD, AssemblyParams().as_kernel_params())
-    if form == "elemental":
-        return generate_elemental_program(
-            variant, AssemblyParams().as_kernel_params()
-        )
-    return generate_batched_program(
-        variant, VD, _forcing_batch(4), velocity_rank=form
+    if form == "elemental":  # what a MultiprocessRunner ships to its workers
+        return _chunk_program("codegen", variant, AssemblyParams())
+    return generate_program(
+        variant, VD, AssemblyParams().as_kernel_params(),
+        batch=None if form == "serial" else _forcing_batch(4),
+        velocity_rank="full" if form == "full" else "vec",
     )
 
 
@@ -87,8 +84,7 @@ def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form)
 
     monkeypatch.setattr(codegen, "assign_rows", recording_assign_rows)
     _generate(form, variant)
-    # setup + body for the mesh-bound forms, body alone for pool workers
-    assert len(calls) == (1 if form == "elemental" else 2)
+    assert len(calls) == 2  # setup + body: pool workers hoist too
     for steps, pool_of, row_of, nrows in calls:
         nwrites = _assert_rows_are_live_when_read(steps, pool_of, row_of)
         # rows are reused: far fewer rows than values written
@@ -99,8 +95,8 @@ def test_a_parent_lands_on_its_childs_row_and_private_scratch_is_gone():
     for program in (_generate("serial", "RSP"), _generate("full", "B"),
                     _generate("elemental", "RS")):
         source = program.source
-        # multiply(.., out=b7), out=b7): the enclosing call writes in place
-        assert re.search(r"out=(b[vf]?\d+)\), out=\1\)", source)
+        # multiply(.., out=bv7), out=bv7): the enclosing call writes in place
+        assert re.search(r"out=(b[vf]\d+)\), out=\1\)", source)
         assert not re.search(r"\bt[vf]?\d+\b", source)
         assert "scratch" not in source
 
@@ -133,10 +129,7 @@ def test_generated_replay_and_interpreted_agree_to_the_byte(variant, S):
     ])
     for mode in ("codegen", "compiled"):
         asm = UnifiedAssembler(mesh, batch[0], vector_dim=VD, mode=mode)
-        if S == 1:
-            got = asm.assemble(variant, u)[None]
-        else:
-            got = asm.run_batch(variant, batch, u)
+        got = asm.run_batch(variant, batch, u)  # S = 1: the degenerate batch
         assert got.tobytes() == want.tobytes(), (variant, S, mode)
 
 
@@ -147,19 +140,13 @@ def test_generated_replay_and_interpreted_agree_to_the_byte(variant, S):
 def test_slab_rows_stay_under_the_measured_ceiling(variant):
     """A pressure regression fails here instead of shrinking every chunk."""
     ceiling = ROW_CEILING[variant]
-    serial = _generate("serial", variant)
-    assert serial.nslab <= ceiling
-    assert serial.report.buffers_live == serial.nslab
-    for rank in ("vec", "full"):
-        batched = _generate(rank, variant)
-        # the per-scenario forcing of the batch costs a few rows more
-        assert batched.nslab_vec + batched.nslab_full <= ceiling + 8
-        if rank == "vec":
-            assert batched.nslab_vec <= ceiling and batched.nslab_full <= 8
-        assert batched.report.buffers_live == (
-            batched.nslab_vec + batched.nslab_full
-        )
-        assert f"rows=vec:{batched.nslab_vec},full:{batched.nslab_full} " in (
-            batched.source
-        )
-    assert f" rows=vec:{serial.nslab} " in serial.source
+    for form in ("serial", "vec", "full"):
+        program = _generate(form, variant)
+        vec, full = program.nslab_vec, program.nslab_full
+        # the per-scenario forcing of a batch costs a few rows more
+        extra = 0 if form == "serial" else 8
+        assert vec + full <= ceiling + extra
+        if form != "full":
+            assert vec <= ceiling and full <= extra
+        assert program.report.buffers_live == vec + full
+        assert f" rows=vec:{vec},full:{full} " in program.source

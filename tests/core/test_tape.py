@@ -22,15 +22,11 @@ from repro.core.autotune import (
 )
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.storage import Storage, TempSpec
-from repro.core.tape import (
-    ElementalTape,
-    compiled_tape,
-    record_program,
-    tape_cache_key,
-)
+from repro.core.tape import compiled_tape, record_program, tape_cache_key
 from repro.fem import box_tet_mesh
 from repro.fem.plan import get_plan
 from repro.parallel import MultiprocessRunner
+from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
 from repro.physics.momentum import element_rhs
@@ -290,13 +286,16 @@ def test_autotune_result_to_dict():
 # -- elemental tape (multiprocess worker path) ---------------------------------
 
 
+def _elemental(program, xel, uel):
+    """A worker's sweep: the program bound to the chunk as a mesh."""
+    return _chunk_kernel(program, xel).execute(uel.reshape(-1, 3)).reshape(xel.shape)
+
+
 def test_elemental_tape_matches_element_rhs(small_mesh, params):
     program = record_program("RSP", params.as_kernel_params())
-    tape = ElementalTape(program)
-    plan = get_plan(small_mesh)
-    xel = plan.packed_coords()
+    xel = get_plan(small_mesh).packed_coords()
     uel = _velocity(small_mesh)[small_mesh.connectivity]
-    out = tape(xel, uel)
+    out = _elemental(program, xel, uel)
     ref = element_rhs(xel, uel, params)
     assert out.shape == ref.shape == (small_mesh.nelem, 4, 3)
     assert np.allclose(out, ref, atol=1e-14)
@@ -305,12 +304,11 @@ def test_elemental_tape_matches_element_rhs(small_mesh, params):
 def test_elemental_tape_chunking_consistent(small_mesh, params):
     """Chunked replay (runner-style) equals one-shot replay, bit for bit."""
     program = record_program("RS", params.as_kernel_params())
-    tape = ElementalTape(program)
-    plan = get_plan(small_mesh)
-    xel = plan.packed_coords()
+    xel = get_plan(small_mesh).packed_coords()
     uel = _velocity(small_mesh, 4)[small_mesh.connectivity]
-    whole = ElementalTape(program)(xel, uel)
-    parts = [tape(xel[s], uel[s]) for s in (slice(0, 50), slice(50, None))]
+    whole = _elemental(program, xel, uel)
+    cuts = (slice(0, 50), slice(50, None))
+    parts = [_elemental(program, xel[s], uel[s]) for s in cuts]
     assert np.array_equal(np.concatenate(parts), whole)
 
 

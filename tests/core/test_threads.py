@@ -1,17 +1,12 @@
-"""Threaded tape execution: determinism, chunking, and the chunk autotuner."""
+"""Threaded tape execution: determinism, chunking, the default chunk."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    UnifiedAssembler,
-    autotune_chunk_groups,
-    compiled_tape,
-)
-from repro.core.arena import ARENA_BUDGET_BYTES
+from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape
+from repro.core.arena import budget_chunk_groups
 from repro.fem import box_tet_mesh, get_plan
-from repro.parallel import default_chunk_groups, resolve_num_threads
-from repro.parallel.threads import SlabPool
+from repro.parallel import resolve_num_threads
 
 
 @pytest.fixture()
@@ -31,32 +26,18 @@ def test_resolve_num_threads_explicit_wins(monkeypatch):
     assert resolve_num_threads() >= 1
 
 
-def test_default_chunk_groups_bounds():
-    # never more groups than exist, never below one
-    assert default_chunk_groups(10, 64, 7, 4) <= 7
-    assert default_chunk_groups(10**6, 4096, 100, 64) >= 1
-    # cache pressure shrinks the chunk as buffers grow: the slab is the
-    # largest that fits the one arena budget ...
-    small = default_chunk_groups(4, 64, 10**6, 1)
-    large = default_chunk_groups(400, 64, 10**6, 1)
-    assert large < small
-    for nbufs, cg in ((4, small), (400, large)):
-        assert nbufs * cg * 64 * 8 <= ARENA_BUDGET_BYTES
-        assert nbufs * (cg + 1) * 64 * 8 > ARENA_BUDGET_BYTES
-    # ... unless load balance wants more chunks than that
-    assert default_chunk_groups(4, 64, 1000, 4) == 1000 // 8
-
-
-def test_slab_pool_recycles_buffers():
-    pool = SlabPool(nbufs=3, lanes=8, count=2)
-    a1 = pool.acquire()
-    a2 = pool.acquire()
-    assert a1[0].shape == (3, 8) and a1[1].shape == (8,)
-    pool.release(*a1)
-    a3 = pool.acquire()
-    assert a3[0] is a1[0]
-    pool.release(*a2)
-    pool.release(*a3)
+def test_default_chunk_groups_bounds(params):
+    """Nobody's ``chunk_groups=``: the kernel chooses from its program's
+    ranks, the thread count and the one arena budget (see ``test_arena``)."""
+    plan = get_plan(box_tet_mesh(10, 10, 10))  # 375 groups of 16
+    # S = 4, yet no (S, lanes) row: identical scenarios fold every parameter
+    shared = compiled_tape(plan, "B", 16, batch=ScenarioBatch([params] * 4))
+    budget = budget_chunk_groups(shared._lane_bytes, 16, 375)
+    assert shared.program.nbufs_full == 0 and 1 < budget < 375
+    assert shared._resolve_cg(None, 1) == 375  # one dispatch per op, not per chunk
+    assert shared._resolve_cg(None, 2) == budget  # slabs for the threads
+    # explicit wins, clamped to [1, ngroups]
+    assert [shared._resolve_cg(cg, 1) for cg in (0, 7, 10**6)] == [1, 7, 375]
 
 
 def test_unified_rejects_threads_outside_compiled(small_mesh, params):
@@ -109,41 +90,3 @@ def test_execute_chunked_direct_matches_execute(small_mesh, params, small_veloci
             small_velocity, num_threads=2, chunk_groups=cg
         )
         assert np.array_equal(out, base)
-
-
-# -- chunk autotuner ---------------------------------------------------------
-
-
-def test_autotune_chunk_groups_deterministic_with_stub_timer(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    rng = np.random.default_rng(0)
-    u = 0.1 * rng.standard_normal((mesh.nnode, 3))
-    # stub clock: candidate i takes (i+1) ticks -> first candidate wins
-    ticks = iter(range(10_000))
-    result = autotune_chunk_groups(
-        mesh,
-        "RS",
-        params,
-        candidates=(4, 2, 8),
-        repeats=2,
-        timer=lambda: next(ticks),
-        vector_dim=16,
-        num_threads=2,
-        velocity=u,
-    )
-    assert result.parameter == "chunk_groups"
-    assert result.mode == "compiled"
-    assert result.winner in (2, 4, 8)
-    assert len(result.wall_seconds) == 3
-    assert get_plan(mesh).tuned_chunk_groups("RS") == result.winner
-    # a threaded assembler without an explicit chunk size picks it up
-    asm = UnifiedAssembler(
-        mesh, params, vector_dim=16, mode="compiled", executor="threads"
-    )
-    serial = UnifiedAssembler(mesh, params, vector_dim=16, mode="compiled")
-    assert np.array_equal(asm.assemble("RS", u), serial.assemble("RS", u))
-
-
-def test_autotune_chunk_groups_requires_candidates(small_mesh, params):
-    with pytest.raises(ValueError, match="candidate"):
-        autotune_chunk_groups(small_mesh, "RS", params, candidates=())

@@ -12,16 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import UnifiedAssembler, variant_names
-from repro.core.tape import compiled_tape
+from repro.core import UnifiedAssembler, compiled_tape, generated_kernel, variant_names
 from repro.fem import box_tet_mesh, get_plan
 from repro.machine import gpu_roofline
 from repro.obs import (
-    NULL_PROFILER,
     MetricsRegistry,
     NullProfiler,
     TapeProfile,
     TapeProfiler,
+    Tracer,
     op_costs_from_program,
     profile_trace_events,
     write_flamegraph,
@@ -201,21 +200,25 @@ def test_op_costs_from_program(mesh, prof_params):
 
 
 def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
-    """Tapes are plan-cached and shared: a later unprofiled assembler must
-    reset the tape's profiler, not inherit the previous one."""
+    """Kernels are plan-cached and shared; a caller's profiler and tracer
+    travel with each call: a later unprofiled assembler inherits nothing,
+    nor do two callers that interleave lookup - lookup - sweep - sweep."""
     profiler = TapeProfiler()
     _assemble(mesh, prof_params, prof_velocity, "RS", 16,
               mode="compiled", profiler=profiler)
     prof = profiler.profiles[("RS", 16, "compiled", "serial")]
-    executions_before = prof.executions
     # same mesh + variant + vector_dim -> same cached tape, no profiler
     _assemble(mesh, prof_params, prof_velocity, "RS", 16, mode="compiled")
-    assert prof.executions == executions_before
-    tape = compiled_tape(
-        get_plan(mesh), "RS", 16,
-        kernel_params=prof_params.as_kernel_params(),
-    )
-    assert tape.profiler is NULL_PROFILER
+    assert prof.executions == 1
+    for make in (compiled_tape, generated_kernel):
+        profiler, tracer = TapeProfiler(), Tracer()
+        lookup = (get_plan(mesh), "RS", 16, None, prof_params.as_kernel_params())
+        mine, theirs = make(*lookup), make(*lookup)
+        assert mine is theirs
+        mine.execute(prof_velocity, tracer=tracer, profiler=profiler)
+        theirs.execute(prof_velocity)
+        assert [p.executions for p in profiler.profiles.values()] == [1]
+        assert [s.name for s in tracer.finished].count(mine._span) == 1
 
 
 def test_null_profiler_contract():
@@ -226,11 +229,9 @@ def test_null_profiler_contract():
     null.merge([])  # no-op
     null.publish(MetricsRegistry())  # no-op
     with pytest.raises(RuntimeError):
-        null.for_program(None, 8)
+        null.for_program(None, 8, "compiled")
     with pytest.raises(RuntimeError):
         null.for_kernel("RS", 8)
-    with pytest.raises(RuntimeError):
-        null.for_elemental(None, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -377,12 +377,12 @@ def test_runner_profiled_rank_folds_into_parent():
     runner.measure([1])
     # profiled chunk checksums match the unprofiled run bit-for-bit
     assert runner.chunk_checksums[1] == plain.chunk_checksums[1]
-    prof = runner.profiler.profiles[("RS", mesh.nelem, "elemental", "worker")]
+    prof = runner.profiler.profiles[("RS", 16, "compiled", "serial")]
     assert prof.executions == 1  # repeats=1, one rank
     assert prof.total_seconds > 0 and prof.total_bytes > 0
     snap = registry.snapshot()
-    assert snap["profile.executions.RS.elemental"]["value"] == 1
-    assert snap["profile.bytes.RS.elemental"]["value"] > 0
+    assert snap["profile.executions.RS.compiled"]["value"] == 1
+    assert snap["profile.bytes.RS.compiled"]["value"] > 0
 
 
 def test_runner_profile_requires_compiled_mode():
