@@ -22,12 +22,6 @@ read below the floor in most runs and were carried as an expected
 failure; they now read 0.95 .. 1.00x in eight of eight readings and are
 held to the same floor as the rest.
 
-A second microbench quantifies pure dispatch overhead: statements/sec of
-the RS generated kernel at ``vector_dim`` 32 vs 1024 (small groups pay
-per-call dispatch on every one of the ~100 statements per chunk; large
-groups amortize it).  Those rows land in ``BENCH_history.jsonl`` via the
-same session artifact writer.
-
 Runnable standalone (used by the CI codegen smoke step)::
 
     PYTHONPATH=src python benchmarks/bench_codegen.py --smoke
@@ -44,7 +38,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import UnifiedAssembler, variant_names  # noqa: E402
-from repro.core.codegen import generate_program, generated_kernel  # noqa: E402
+from repro.core.codegen import generated_kernel  # noqa: E402
 from repro.core.tape import record_program  # noqa: E402
 from repro.fem import box_tet_mesh, get_plan  # noqa: E402
 from repro.physics import AssemblyParams  # noqa: E402
@@ -128,39 +122,6 @@ def codegen_timings(mesh, params, velocity, variant, vector_dim=VECTOR_DIM,
     }
 
 
-def dispatch_rows(mesh, params, velocity, variant="RS", repeats=REPEATS):
-    """Statements/sec of the generated kernel at small vs large groups.
-
-    ``chunk_groups=1`` pins one element group per chunk, so the array
-    length each generated statement sees is exactly ``vector_dim`` --
-    at 32 lanes every statement is pure ufunc dispatch, at 1024 lanes
-    the dispatch cost is amortized over 32x the work.
-    """
-    rows = []
-    kp = params.as_kernel_params()
-    for vd in (32, 1024):
-        asm = UnifiedAssembler(
-            mesh, params, vector_dim=vd, mode="codegen", chunk_groups=1
-        )
-        asm.assemble(variant, velocity)  # warm
-        wall = _best_of(lambda: asm.assemble(variant, velocity), repeats)
-        program = generate_program(variant, vd, kernel_params=kp)
-        kern = generated_kernel(get_plan(mesh), variant, vd, kernel_params=kp)
-        stmts = len(program.stmt_costs) * kern.ngroups
-        rows.append({
-            "benchmark": "codegen_dispatch",
-            "variant": variant,
-            "mode": "codegen",
-            "nelem": int(mesh.nelem),
-            "vector_dim": int(vd),
-            "wall_ms": wall * 1e3,
-            "statements": stmts,
-            "ops_per_s": stmts / wall,
-            "melem_per_s": mesh.nelem / wall / 1e6,
-        })
-    return rows
-
-
 @pytest.mark.parametrize("variant", variant_names())
 def test_codegen_vs_replay(
     variant, bench_mesh, bench_params, bench_velocity, bench_tracer,
@@ -183,24 +144,6 @@ def test_codegen_vs_replay(
         )
     assert row["ops_live"] == row["replay_ops_live"]
     assert row["speedup"] > PARITY_FLOOR
-
-
-def test_dispatch_overhead_microbench(
-    bench_mesh, bench_params, bench_velocity, bench_extra, capsys,
-):
-    """Small groups are dispatch-bound: stmts/sec collapses at vd=32."""
-    rows = dispatch_rows(bench_mesh, bench_params, bench_velocity)
-    bench_extra.extend(rows)
-    small, large = rows
-    with capsys.disabled():
-        print(
-            f"\ncodegen dispatch RS: vd=32 {small['ops_per_s']:,.0f} stmt/s "
-            f"({small['wall_ms']:.1f} ms), vd=1024 "
-            f"{large['ops_per_s']:,.0f} stmt/s ({large['wall_ms']:.1f} ms)"
-        )
-    # more statements per second at the small group size (more, smaller
-    # chunks) but far more wall time: the per-statement dispatch floor
-    assert small["wall_ms"] > large["wall_ms"]
 
 
 def main(argv=None):

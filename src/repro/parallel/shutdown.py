@@ -24,6 +24,7 @@ single unlink is always the right one.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import secrets
 import signal
@@ -47,10 +48,43 @@ SHM_PREFIX = "repro"
 _lock = threading.Lock()
 _live: Dict[str, shared_memory.SharedMemory] = {}
 _atexit_registered = False
+#: main-thread sections that must not be cut in two, and the signals
+#: :func:`install_shutdown_handler`'s handler held back while inside one
+_held_depth = 0
+_held_signals: List[int] = []
 
 
 def _segment_name() -> str:
     return f"{SHM_PREFIX}_{os.getpid()}_{secrets.token_hex(4)}"
+
+
+@contextlib.contextmanager
+def _interrupts_held():
+    """Hold the shutdown signal back across a section that must not be cut
+    in two; its ``KeyboardInterrupt`` is raised when the section ends.
+
+    An interrupt between ``SharedMemory(create=True)`` and the registration
+    (or between the deregistration and the ``unlink``) leaves a segment that
+    outlives the process, and no ``try`` closes a window an asynchronous
+    exception can open between any two bytecodes.  The handler itself defers
+    (it runs on the main thread, between bytecodes: the counter needs no
+    lock).  ``pthread_sigmask`` on the main thread does not hold: the kernel
+    hands the signal to any thread that leaves it unblocked -- numpy's BLAS
+    workers -- and CPython runs the handler on the main thread all the same.
+    """
+    global _held_depth
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    _held_depth += 1
+    try:
+        yield
+    finally:
+        _held_depth -= 1
+        if not _held_depth and _held_signals:
+            signum = _held_signals.pop()
+            _held_signals.clear()
+            raise KeyboardInterrupt(f"signal {signum}")
 
 
 def create_shared_memory(size: int) -> shared_memory.SharedMemory:
@@ -60,12 +94,13 @@ def create_shared_memory(size: int) -> shared_memory.SharedMemory:
     :func:`release_shared_memory` deregisters it.
     """
     global _atexit_registered
-    shm = shared_memory.SharedMemory(create=True, name=_segment_name(), size=size)
-    with _lock:
-        _live[shm.name] = shm
-        if not _atexit_registered:
-            atexit.register(purge_shared_memory)
-            _atexit_registered = True
+    with _interrupts_held():
+        shm = shared_memory.SharedMemory(create=True, name=_segment_name(), size=size)
+        with _lock:
+            _live[shm.name] = shm
+            if not _atexit_registered:
+                atexit.register(purge_shared_memory)
+                _atexit_registered = True
     return shm
 
 
@@ -76,18 +111,19 @@ def release_shared_memory(shm: shared_memory.SharedMemory) -> None:
     resource tracker may have unlinked the segment already, and a cleanup
     path must never raise over already-clean state.
     """
-    with _lock:
-        _live.pop(shm.name, None)
-    try:
-        shm.close()
-    except BufferError:
-        # an exported ndarray view still holds the buffer; unlink below
-        # still removes the name so nothing leaks past process exit.
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
+    with _interrupts_held():
+        with _lock:
+            _live.pop(shm.name, None)
+        try:
+            shm.close()
+        except BufferError:
+            # an exported ndarray view still holds the buffer; unlink below
+            # still removes the name so nothing leaks past process exit.
+            pass
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
 
 
 def purge_shared_memory() -> List[str]:
@@ -133,7 +169,9 @@ def install_shutdown_handler(
     :class:`KeyboardInterrupt` instead reuses the exact unwinding path
     Ctrl-C already exercises: ``measure``/``run_batch`` terminate their
     pool and release shared memory in ``finally``, and the campaign
-    server drains.
+    server drains.  Inside :func:`create_shared_memory` and
+    :func:`release_shared_memory` the exception waits for the section to
+    end, so a segment is never left between existing and being registered.
 
     Only effective from the main thread (signal handlers are a
     main-thread affair); returns the previous handler so callers can
@@ -143,6 +181,9 @@ def install_shutdown_handler(
         return None
 
     def _raise_interrupt(_signum, _frame):
-        raise KeyboardInterrupt(f"signal {_signum}")
+        if _held_depth:
+            _held_signals.append(_signum)
+        else:
+            raise KeyboardInterrupt(f"signal {_signum}")
 
     return signal.signal(signum, _raise_interrupt)

@@ -50,7 +50,7 @@ from ..resilience.checkpoint import (
     save_checkpoint,
 )
 from .momentum import AssemblyParams, assemble_momentum_rhs, kernel_rhs_assembler
-from .pressure import PressureSolver
+from .pressure import PressureSolver, stacked_divergence
 
 __all__ = [
     "StepReport",
@@ -182,6 +182,74 @@ def cfl_time_step(
     if umax <= floor:
         return cfl * hmin
     return cfl * hmin / umax
+
+
+def _timing_breakdown(reports: Sequence["StepReport"]) -> Dict[str, float]:
+    ta = sum(r.assembly_seconds for r in reports)
+    tp = sum(r.pressure_seconds for r in reports)
+    return {
+        "assembly_seconds": ta,
+        "pressure_seconds": tp,
+        "assembly_fraction": ta / (ta + tp) if ta + tp else 0.0,
+    }
+
+
+def _max_divergence(plan, u: np.ndarray) -> np.ndarray:
+    """Max |div u| over elements of each field of a stack ``(S, nnode, 3)``."""
+    div = stacked_divergence(plan.p1_derivatives().elemental, u)
+    return np.abs(div).max(axis=0, initial=0.0)
+
+
+def _kinetic_energy(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Mass-weighted ``0.5 sum_m m |u|^2`` of each field of a stack."""
+    return 0.5 * (mass * (u**2).sum(axis=2)).sum(axis=1)
+
+
+def _finish_steps(solvers, u: np.ndarray, dt: float, umax_before):
+    """Pressure solve, projection, guards and step diagnostics of the stacked
+    predictors ``u`` ``(S, nnode, 3)`` of ``solvers`` (one mesh, one
+    :class:`PressureSolver`): one block solve and three block products per
+    stage instead of ``S``, every scenario byte-equal to its own one-scenario
+    call.  Mutates no solver.  Returns ``(outcomes, t_pressure)``: per scenario
+    ``(u, result, (max_velocity, max_divergence, kinetic_energy))`` or the
+    :class:`_StageFailure` of its tripped guard, and the solve's wall time per
+    scenario.
+    """
+    lead = solvers[0]
+    density = np.array([sv.params.density for sv in solvers])
+    with lead.tracer.span("pressure", columns=len(solvers)) as span:
+        t0 = time.perf_counter()
+        results = lead.pressure.solve(
+            u, density, dt, x0=np.stack([sv.pressure_field for sv in solvers])
+        )
+        t_pressure = (time.perf_counter() - t0) / len(solvers)
+        if span is not None:
+            span.attributes["iterations"] = [r.iterations for r in results]
+    p = np.stack([r.x for r in results], axis=1)
+    with lead.tracer.span("projection"):
+        gradp = lead.pressure.pressure_gradient(p).transpose(2, 0, 1)
+        u = u - (dt / density)[:, None, None] * gradp
+        for sv, field in zip(solvers, u):
+            sv._apply_bcs(field)
+    speed = np.linalg.norm(u, axis=2).max(axis=1, initial=0.0)
+    divergence = _max_divergence(lead._plan, u)
+    energy = _kinetic_energy(lead.mass, u)
+    outcomes = []
+    for j, sv in enumerate(solvers):
+        if not np.isfinite(p[:, j]).all():
+            outcomes.append(_StageFailure("pressure", "non-finite pressure field"))
+        elif not np.isfinite(u[j]).all():
+            outcomes.append(_StageFailure("projection", "non-finite corrected velocity"))
+        elif speed[j] > sv.blowup_factor * max(1.0, umax_before[j]):
+            outcomes.append(_StageFailure(
+                "projection",
+                f"velocity blow-up: max|u| {umax_before[j]:.3e} -> "
+                f"{speed[j]:.3e} (> {sv.blowup_factor:g}x)",
+            ))
+        else:
+            diagnostics = (float(speed[j]), float(divergence[j]), float(energy[j]))
+            outcomes.append((u[j], results[j], diagnostics))
+    return outcomes, t_pressure
 
 
 @dataclasses.dataclass
@@ -319,15 +387,11 @@ class FractionalStepSolver:
     def max_divergence(self, velocity: Optional[np.ndarray] = None) -> float:
         """Max |div u| over elements (projection-quality diagnostic)."""
         u = self.velocity if velocity is None else velocity
-        elemental = self._plan.p1_derivatives().elemental
-        div = sum(de @ u[:, i] for i, de in enumerate(elemental))
-        return float(np.abs(div).max()) if div.size else 0.0
+        return float(_max_divergence(self._plan, u[None])[0])
 
     def kinetic_energy(self) -> float:
         """Mass-weighted kinetic energy ``0.5 sum_m m |u|^2``."""
-        return float(
-            0.5 * (self.mass * (self.velocity**2).sum(axis=1)).sum()
-        )
+        return float(_kinetic_energy(self.mass, self.velocity[None])[0])
 
     # ------------------------------------------------------------------
     def _rk_coeffs(self) -> Tuple[float, ...]:
@@ -364,56 +428,21 @@ class FractionalStepSolver:
             raise _StageFailure("momentum", "non-finite predictor velocity")
         return u, t_assembly
 
-    def _attempt_step(
-        self, dt: float
-    ) -> Tuple[np.ndarray, np.ndarray, object, float, float]:
+    def _attempt_step(self, dt: float):
         """Compute one candidate step *without mutating solver state*.
 
-        Returns ``(u, p, pressure_result, t_assembly, t_pressure)``;
-        raises :class:`_StageFailure` when a stage guard trips, leaving
-        the solver untouched so the caller can roll back cheaply.
+        Returns ``(u, pressure_result, diagnostics, t_assembly,
+        t_pressure)``; raises :class:`_StageFailure` when a stage guard
+        trips, leaving the solver untouched so the caller can roll back
+        cheaply.
         """
         umax_before = self._umax()
         u, t_assembly = self._predict(dt)
-        u, p, result, t_pressure = self._finish_step(u, dt, umax_before)
-        return u, p, result, t_assembly, t_pressure
-
-    def _finish_step(
-        self, u: np.ndarray, dt: float, umax_before: float
-    ) -> Tuple[np.ndarray, np.ndarray, object, float]:
-        """Pressure solve + projection + guards from a predictor velocity.
-
-        Shared by the serial :meth:`_attempt_step` and the lockstep
-        :class:`BatchCampaign` (which replaces only the momentum
-        predictor with one batched assembly per RK sweep).  Does not
-        mutate solver state; raises :class:`_StageFailure` on a tripped
-        guard.
-        """
-        # -- pressure solve -----------------------------------------------
-        with self.tracer.span("pressure"):
-            t0 = time.perf_counter()
-            result = self.pressure.solve(
-                u, self.params.density, dt, x0=self.pressure_field
-            )
-            t_pressure = time.perf_counter() - t0
-        if not np.isfinite(result.x).all():
-            raise _StageFailure("pressure", "non-finite pressure field")
-
-        # -- projection ---------------------------------------------------
-        with self.tracer.span("projection"):
-            gradp = self.pressure.pressure_gradient(result.x)
-            u = u - (dt / self.params.density) * gradp
-            self._apply_bcs(u)
-        if not np.isfinite(u).all():
-            raise _StageFailure("projection", "non-finite corrected velocity")
-        umax_after = float(np.linalg.norm(u, axis=1).max()) if u.size else 0.0
-        if umax_after > self.blowup_factor * max(1.0, umax_before):
-            raise _StageFailure(
-                "projection",
-                f"velocity blow-up: max|u| {umax_before:.3e} -> "
-                f"{umax_after:.3e} (> {self.blowup_factor:g}x)",
-            )
-        return u, result.x, result, t_pressure
+        # the one-scenario call of what a lockstep campaign does for all
+        (outcome,), t_pressure = _finish_steps([self], u[None], dt, [umax_before])
+        if isinstance(outcome, _StageFailure):
+            raise outcome
+        return outcome + (t_assembly, t_pressure)
 
     def advance(self, dt: float) -> StepReport:
         """One fractional step of size ``dt``.
@@ -435,9 +464,7 @@ class FractionalStepSolver:
             )
             try:
                 with step_span:
-                    u, p, result, t_assembly, t_pressure = self._attempt_step(
-                        dt_eff
-                    )
+                    attempt = self._attempt_step(dt_eff)
                 break
             except _StageFailure as exc:
                 # _attempt_step left self untouched: "rollback" is simply
@@ -465,14 +492,14 @@ class FractionalStepSolver:
                 reason=failure.reason,
             )
 
-        return self._commit_step(u, p, result, dt_eff, t_assembly, t_pressure)
+        return self._commit_step(dt_eff, *attempt)
 
     def _commit_step(
         self,
-        u: np.ndarray,
-        p: np.ndarray,
-        result,
         dt_eff: float,
+        u: np.ndarray,
+        result,
+        diagnostics: Tuple[float, float, float],
         t_assembly: float,
         t_pressure: float,
     ) -> StepReport:
@@ -483,7 +510,7 @@ class FractionalStepSolver:
         registry.histogram("fstep.pressure_iterations").record(result.iterations)
 
         self.velocity = u
-        self.pressure_field = p
+        self.pressure_field = result.x
         self.time += dt_eff
         self.step_count += 1
         report = StepReport(
@@ -493,9 +520,9 @@ class FractionalStepSolver:
             assembly_seconds=t_assembly,
             pressure_seconds=t_pressure,
             pressure_iterations=result.iterations,
-            max_velocity=float(np.linalg.norm(u, axis=1).max()),
-            max_divergence=self.max_divergence(u),
-            kinetic_energy=self.kinetic_energy(),
+            max_velocity=diagnostics[0],
+            max_divergence=diagnostics[1],
+            kinetic_energy=diagnostics[2],
         )
         self.history.append(report)
         if (
@@ -629,14 +656,7 @@ class FractionalStepSolver:
 
     def timing_breakdown(self) -> Dict[str, float]:
         """Cumulative assembly vs pressure seconds (the paper's 80% claim)."""
-        ta = sum(r.assembly_seconds for r in self.history)
-        tp = sum(r.pressure_seconds for r in self.history)
-        total = ta + tp
-        return {
-            "assembly_seconds": ta,
-            "pressure_seconds": tp,
-            "assembly_fraction": ta / total if total else 0.0,
-        }
+        return _timing_breakdown(self.history)
 
 
 class BatchCampaign:
@@ -646,8 +666,10 @@ class BatchCampaign:
     Vreman constant, one shared mesh) runs all ``S`` momentum predictors
     through **one** batched assembly per Runge-Kutta sweep
     (:meth:`repro.core.unified.UnifiedAssembler.run_batch`) instead of
-    ``S`` serial assemblies -- the pressure solve and projection stay
-    per-scenario.  Each scenario's trajectory is bit-identical to a solo
+    ``S`` serial assemblies, and then through **one** multi-right-hand-side
+    pressure solve and one stacked projection per step
+    (:meth:`PressureSolver.solve` on the ``(S, nnode, 3)`` predictors).
+    Each scenario's trajectory is bit-identical to a solo
     :class:`FractionalStepSolver` run of the same configuration at the
     same ``vector_dim``.
 
@@ -869,12 +891,12 @@ class BatchCampaign:
     def advance(self, dt: float) -> List[StepReport]:
         """One lockstep time step; returns per-scenario step reports.
 
-        Active scenarios share one batched assembly per RK sweep; their
-        pressure solves, projections and guards run per scenario.  A
-        guard trip detaches that scenario (its state is still pre-step)
-        and hands it to its solo solver's rollback loop -- other
-        scenarios commit their batched results untouched.  Previously
-        detached scenarios advance solo.
+        Active scenarios share one batched assembly per RK sweep, then one
+        block pressure solve, projection and set of guards
+        (:func:`_finish_steps`).  A guard trip detaches that scenario (its
+        state is still pre-step) and hands it to its solo solver's rollback
+        loop -- other scenarios commit their batched results untouched.
+        Previously detached scenarios advance solo.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -893,25 +915,29 @@ class BatchCampaign:
                 umax = {s: self.solvers[s]._umax() for s in active}
                 u_pred, t_assembly = self._lockstep_predict(dt, active)
                 t_share = t_assembly / len(active)
-                for j, s in enumerate(active):
+                finite = np.isfinite(u_pred).all(axis=(1, 2))
+                block = [s for s, ok in zip(active, finite) if ok]
+                outcomes = dict.fromkeys(
+                    active, _StageFailure("momentum", "non-finite predictor velocity")
+                )
+                t_pressure = 0.0
+                if block:
+                    finished, t_pressure = _finish_steps(
+                        [self.solvers[s] for s in block],
+                        u_pred[finite],
+                        dt,
+                        [umax[s] for s in block],
+                    )
+                    outcomes.update(zip(block, finished))
+                for s, outcome in outcomes.items():
                     sv = self.solvers[s]
-                    try:
-                        if not np.isfinite(u_pred[j]).all():
-                            raise _StageFailure(
-                                "momentum", "non-finite predictor velocity"
-                            )
-                        u, p, result, t_pressure = sv._finish_step(
-                            u_pred[j], dt, umax[s]
-                        )
-                    except _StageFailure as exc:
+                    if isinstance(outcome, _StageFailure):
                         # sv state is still pre-step: detach and let the
                         # solo rollback loop (dt-halving) handle it.
-                        self._detach(s, exc)
+                        self._detach(s, outcome)
                         reports[s] = sv.advance(dt)
                     else:
-                        reports[s] = sv._commit_step(
-                            u, p, result, dt, t_share, t_pressure
-                        )
+                        reports[s] = sv._commit_step(dt, *outcome, t_share, t_pressure)
             for s in range(S):
                 if reports[s] is None:
                     reports[s] = self.solvers[s].advance(dt)
@@ -961,16 +987,6 @@ class BatchCampaign:
         return paths
 
     def timing_breakdown(self) -> Dict[str, float]:
-        """Campaign-wide cumulative assembly vs pressure seconds."""
-        ta = sum(
-            r.assembly_seconds for sv in self.solvers for r in sv.history
-        )
-        tp = sum(
-            r.pressure_seconds for sv in self.solvers for r in sv.history
-        )
-        total = ta + tp
-        return {
-            "assembly_seconds": ta,
-            "pressure_seconds": tp,
-            "assembly_fraction": ta / total if total else 0.0,
-        }
+        """Campaign-wide cumulative assembly vs pressure seconds (a lockstep
+        step's block solve and batched sweeps are shared out evenly)."""
+        return _timing_breakdown([r for sv in self.solvers for r in sv.history])

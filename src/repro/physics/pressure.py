@@ -8,14 +8,19 @@ predictor the pressure satisfies a Poisson problem
 
 (pure Neumann: pressure defined up to a constant).  This module assembles
 the P1 stiffness (Laplacian) matrix and the divergence RHS, and solves with
-AMG-preconditioned CG, projecting out the constant nullspace.
+AMG-preconditioned CG, projecting out the constant nullspace.  A lockstep
+campaign's ``S`` predictors are one ``(nnode, S)`` block solve on the shared
+Laplacian and hierarchy; scenario ``s`` of a stack is byte-equal to the solve
+of that scenario alone (the column-exactness table in
+:mod:`repro.solvers.cg`: means and dots on scenario-major rows).
 
 The solve climbs a degradation ladder before giving up (Alya's production
 reality: a campaign must not die on one hard step): plain CG(AMG) first;
 on breakdown or non-convergence, deflated CG with a piecewise-constant
 coarse space from a mesh partition (Alya's own production rescue); then CG
 with a stronger (more smoothing, denser-aggregation) AMG hierarchy and a
-larger iteration budget.  Only when every rung fails does a structured
+larger iteration budget -- one column at a time: a column of a block that
+fails rung 0 climbs alone.  Only when every rung fails does a structured
 :class:`~repro.solvers.cg.SolverError` surface.  Each climb increments
 ``resilience.solver_escalations`` and emits a ``SolverEscalation`` span.
 """
@@ -32,7 +37,7 @@ from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..solvers.amg import SmoothedAggregationAMG
-from ..solvers.cg import SolveResult, SolverError, conjugate_gradient
+from ..solvers.cg import SolveResult, SolverError, conjugate_gradient, scenario_rows
 from ..solvers.deflation import deflated_cg, partition_coarse_space
 
 __all__ = ["assemble_laplacian", "divergence_rhs", "PressureSolver"]
@@ -47,10 +52,19 @@ def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
     return k.tocsr()  # from CSC: column indices come out sorted
 
 
+def stacked_divergence(operators, velocity: np.ndarray) -> np.ndarray:
+    """``sum_i D_i u_i``: a vector from one ``(nnode, 3)`` field, an
+    ``(rows, S)`` block -- three sparse products -- from a stack
+    ``(S, nnode, 3)``."""
+    components = np.ascontiguousarray(velocity.T)  # (3, nnode[, S])
+    return sum(d @ components[i] for i, d in enumerate(operators))
+
+
 def divergence_rhs(
-    mesh: TetMesh, velocity: np.ndarray, density: float, dt: float
+    mesh: TetMesh, velocity: np.ndarray, density, dt: float
 ) -> np.ndarray:
-    """RHS ``-(rho/dt) int N_a div(u) dV`` (P1, constant divergence/element).
+    """RHS ``-(rho/dt) int N_a div(u) dV`` (P1, constant divergence/element);
+    the ``(nnode, S)`` block of a stack with per-scenario ``density``.
 
     The sign matches the stiffness-form Poisson operator: with
     ``K_ab = int grad N_a . grad N_b`` (weakly ``-laplacian``), solving
@@ -58,8 +72,7 @@ def divergence_rhs(
     so the corrector ``u -= (dt/rho) grad p`` removes the divergence.
     """
     nodal = get_plan(mesh).p1_derivatives().nodal
-    div = sum(dn @ velocity[:, i] for i, dn in enumerate(nodal))
-    return -(density / dt) * div
+    return -(np.asarray(density) / dt) * stacked_divergence(nodal, velocity)
 
 
 @dataclasses.dataclass
@@ -125,17 +138,19 @@ class PressureSolver:
         else:
             diag = self.laplacian.diagonal()
             inv = np.where(diag > 0, 1.0 / np.where(diag == 0, 1, diag), 1.0)
-            self._precond = lambda r: inv * r
+            self._precond = lambda r: inv[:, None] * r
         # rescue rungs are built lazily -- a healthy campaign never pays
         # for them.
         self._deflation_basis: Optional[sp.csr_matrix] = None
         self._strong_amg: Optional[SmoothedAggregationAMG] = None
 
     def _project_constant(self, v: np.ndarray) -> np.ndarray:
-        return v - v.mean()
+        """Remove each column's mean (a vector is one column)."""
+        return v - scenario_rows(v).mean(axis=-1)
 
-    def _preconditioner(self):
-        return lambda r: self._project_constant(self._precond(r))
+    def _preconditioner(self, apply=None):
+        apply = self._precond if apply is None else apply
+        return lambda r: self._project_constant(apply(r))
 
     # -- rescue rungs ----------------------------------------------------
     def _coarse_space(self) -> sp.csr_matrix:
@@ -174,17 +189,9 @@ class PressureSolver:
         rung: int,
         rhs: np.ndarray,
         x0: Optional[np.ndarray],
-        matvec,
-    ) -> SolveResult:
-        if rung == 0:
-            return conjugate_gradient(
-                matvec,
-                rhs,
-                x0=x0,
-                tol=self.tol,
-                maxiter=self.maxiter,
-                preconditioner=self._preconditioner(),
-            )
+        sabotage: bool = False,
+    ):
+        """Rung 0 takes an ``(n, S)`` block; the rescue rungs one column."""
         if rung == 1:
             return deflated_cg(
                 self.laplacian,
@@ -195,14 +202,20 @@ class PressureSolver:
                 maxiter=self.maxiter,
                 preconditioner=self._preconditioner(),
             )
-        strong = self._stronger_amg()
+        strong = rung == 2
         return conjugate_gradient(
-            lambda p: self.laplacian @ p,
+            # sabotaged operator: -A is negative semi-definite, so CG hits
+            # non-positive curvature on its first iteration.
+            -self.laplacian if sabotage else self.laplacian,
             rhs,
             x0=x0,
             tol=self.tol,
-            maxiter=4 * self.maxiter,
-            preconditioner=lambda r: self._project_constant(strong.vcycle(r)),
+            maxiter=4 * self.maxiter if strong else self.maxiter,
+            preconditioner=self._preconditioner(
+                self._stronger_amg().vcycle if strong else None
+            ),
+            tracer=self.tracer,
+            metrics=self.metrics,
         )
 
     _RUNG_NAMES = ("cg", "cg+deflation", "cg+strong-amg")
@@ -210,45 +223,52 @@ class PressureSolver:
     def solve(
         self,
         velocity: np.ndarray,
-        density: float,
+        density,
         dt: float,
         x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
+    ):
         """Solve for the pressure given the predictor velocity.
 
-        Escalates through the degradation ladder (see class docstring);
-        the returned result carries the serving rung in ``result.rung``
-        (0 = fast path).
+        ``velocity`` is one ``(nnode, 3)`` predictor (one
+        :class:`SolveResult` comes back) or a stack ``(S, nnode, 3)`` with
+        per-scenario ``density`` and ``x0`` ``(S, nnode)`` (a list of ``S``
+        results, each byte-equal to the call made with that scenario
+        alone).  Rung 0 is one block solve; a column it fails climbs the
+        degradation ladder alone (see class docstring), and every result
+        carries its serving rung in ``result.rung`` (0 = fast path).
         """
-        rhs = self._project_constant(
-            divergence_rhs(self.mesh, velocity, density, dt)
-        )
-
-        def matvec(p: np.ndarray) -> np.ndarray:
-            return self.laplacian @ p
-
-        sabotage = False
+        velocity = np.asarray(velocity, dtype=np.float64)
+        stack = velocity.reshape((-1,) + velocity.shape[-2:])
+        ncol = stack.shape[0]
+        rhs = self._project_constant(divergence_rhs(self.mesh, stack, density, dt))
+        guess = np.zeros_like(rhs) if x0 is None else scenario_rows(np.reshape(x0, (ncol, -1)))
+        sabotaged = []
         if self.fault_plan is not None:
-            spec = self.fault_plan.draw("cg")
-            sabotage = spec is not None and spec.kind == "breakdown"
-        if sabotage:
-            # sabotaged operator: -A is negative semi-definite, so CG hits
-            # non-positive curvature on its first iteration.
-            def rung0_matvec(p: np.ndarray) -> np.ndarray:
-                return -(self.laplacian @ p)
-        else:
-            rung0_matvec = matvec
+            for s in range(ncol):
+                spec = self.fault_plan.draw("cg")
+                if spec is not None and spec.kind == "breakdown":
+                    sabotaged.append(s)
+        # a sabotaged column gets its broken operator to itself
+        healthy = [s for s in range(ncol) if s not in sabotaged]
+        results: list = [None] * ncol
+        for cols, sabotage in [(healthy, False)] + [([s], True) for s in sabotaged]:
+            if cols:
+                block = self._solve_rung(0, rhs[:, cols], guess[:, cols], sabotage)
+                for s, result in zip(cols, block):
+                    results[s] = self._climb(result, rhs[:, s], guess[:, s])
+        return results[0] if velocity.ndim == 2 else results
 
+    def _climb(self, result: SolveResult, rhs: np.ndarray, x0: np.ndarray) -> SolveResult:
+        """Accept one column's rung-0 result or take it up the ladder."""
         attempts = []
         for rung in range(self.max_rung + 1):
-            try:
-                result = self._solve_rung(
-                    rung, rhs, x0, rung0_matvec if rung == 0 else matvec
-                )
-            except SolverError as exc:
-                result = None
-                attempts.append((self._RUNG_NAMES[rung], str(exc)))
-            else:
+            if rung:
+                try:
+                    result = self._solve_rung(rung, rhs, x0)
+                except SolverError as exc:
+                    result = None
+                    attempts.append((self._RUNG_NAMES[rung], str(exc)))
+            if result is not None:
                 if result.converged and np.isfinite(result.x).all():
                     result.x = self._project_constant(result.x)
                     result.rung = rung
@@ -287,11 +307,12 @@ class PressureSolver:
         )
 
     def pressure_gradient(self, pressure: np.ndarray) -> np.ndarray:
-        """Nodal (lumped) pressure gradient ``(nnode, 3)`` for the corrector.
+        """Nodal (lumped) pressure gradient for the corrector: ``(nnode, 3)``
+        of one pressure vector, ``(nnode, 3, S)`` of an ``(nnode, S)`` block.
 
         Computes ``int N_a dp/dx_i dV`` per node divided by the lumped mass,
         giving a nodal gradient field.
         """
         nodal = self._plan.p1_derivatives().nodal
         acc = np.stack([dn @ pressure for dn in nodal], axis=1)
-        return acc / self._plan.lumped_mass()[:, None]
+        return acc / self._plan.lumped_mass().reshape((-1,) + (1,) * (acc.ndim - 1))

@@ -11,7 +11,11 @@ AMG (Vanek/Mandel/Brezina) with
   pressure operator works),
 
 usable standalone (``solve``) or as a CG preconditioner (``as_preconditioner``),
-which is how :mod:`repro.physics.pressure` uses it.
+which is how :mod:`repro.physics.pressure` uses it.  The V-cycle takes a
+vector or a node-major ``(n, S)`` block -- one sparse-times-dense product per
+level and sweep, the dense coarse solve column by column (gemm is
+``S``-dependent) -- and column ``s`` of a block is byte-equal to the cycle of
+that column alone (the table in :mod:`repro.solvers.cg`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .cg import SolveResult
+from .cg import SolveResult, scenario_rows
 
 __all__ = ["AmgLevel", "SmoothedAggregationAMG"]
 
@@ -154,17 +158,21 @@ class SmoothedAggregationAMG:
     # ------------------------------------------------------------------
     def _smooth(self, level: AmgLevel, x: np.ndarray, b: np.ndarray, sweeps: int) -> np.ndarray:
         for _ in range(sweeps):
-            x = x + self.omega * level.diag_inv * (b - level.a @ x)
+            x = x + self.omega * level.diag_inv[:, None] * (b - level.a @ x)
         return x
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
+        """One V-cycle from level ``k`` down on an ``(n_k, S)`` block."""
         level = self.levels[k]
         if level.prolongator is None:
-            return self._coarse_pinv @ b
+            # gemm is S-dependent; one gemv per contiguous column is not
+            return scenario_rows(
+                np.stack([self._coarse_pinv @ col for col in scenario_rows(b)])
+            )
         if self.presmooth:
             # from a zero guess the first sweep's residual is ``b`` itself
             x = self._smooth(
-                level, self.omega * level.diag_inv * b, b, self.presmooth - 1
+                level, self.omega * level.diag_inv[:, None] * b, b, self.presmooth - 1
             )
             coarse = self._cycle(k + 1, level.restriction @ (b - level.a @ x))
             x += level.prolongator @ coarse
@@ -173,8 +181,10 @@ class SmoothedAggregationAMG:
         return self._smooth(level, x, b, self.postsmooth)
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
-        """One V-cycle applied to the residual equation ``A e = b``."""
-        return self._cycle(0, np.asarray(b, dtype=np.float64))
+        """One V-cycle applied to the residual equations ``A e = b``: a
+        vector or an ``(n, S)`` block, each column on its own."""
+        b = np.asarray(b, dtype=np.float64)
+        return self._cycle(0, b.reshape(b.shape[0], -1)).reshape(b.shape)
 
     # ------------------------------------------------------------------
     def as_preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -18,8 +18,8 @@ def jacobi(a: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
         raise ValueError("Jacobi preconditioner: zero diagonal entry")
     inv = 1.0 / d
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        return inv * r
+    def apply(r: np.ndarray) -> np.ndarray:  # a vector or an (n, S) block
+        return (inv * r.T).T
 
     return apply
 
@@ -46,7 +46,7 @@ def ssor(a: sp.spmatrix, omega: float = 1.0) -> Callable[[np.ndarray], np.ndarra
 
     def apply(r: np.ndarray) -> np.ndarray:
         y = spla.spsolve_triangular(lw, r, lower=True)
-        y = d * y
+        y = (d * y.T).T
         return scale * spla.spsolve_triangular(uw, y, lower=False)
 
     return apply

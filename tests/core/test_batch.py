@@ -25,11 +25,12 @@ from repro.core import (
     variant_names,
 )
 from repro.fem import box_tet_mesh, get_plan
-from repro.obs import TapeProfiler
+from repro.obs import TapeProfiler, Tracer
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
 from repro.physics.convection import ConvectiveForm
 from repro.physics.fractional_step import BatchCampaign, FractionalStepSolver
+from repro.physics.pressure import PressureSolver
 from repro.resilience.faults import FaultPlan
 
 #: same tolerance the serial profiler acceptance uses -- prediction is
@@ -412,6 +413,57 @@ def test_batch_campaign_bitwise_matches_solo(small_mesh, variant, mode):
         assert np.array_equal(
             solo.pressure_field, camp.solvers[s].pressure_field
         ), s
+
+
+def test_batch_campaign_block_pressure_solve(medium_mesh):
+    """One block pressure solve per lockstep step, every scenario still its
+    solo run to the byte: per-scenario densities, one ``cg_solve`` span per
+    step (not ``S``), and a scenario whose rung-0 solve is sabotaged climbs
+    the ladder alone.  (The cell with a scenario already detached is
+    ``test_batch_campaign_detaches_faulted_scenario``'s second step.)"""
+    size, steps, dt, bad = 4, 2, 5e-3, 1
+    batch = material_batch(size)
+    v0 = _velocity(medium_mesh, 7)
+
+    def campaign(fault_plan=None):
+        tracer = Tracer()
+        camp = BatchCampaign(
+            medium_mesh, batch, variant="B", mode="compiled", vector_dim=32,
+            pressure_solver=PressureSolver(
+                medium_mesh, fault_plan=fault_plan, tracer=tracer
+            ),
+        )
+        camp.set_velocities(v0)
+        camp.run(steps, dt=dt)
+        spans = [sp for sp in tracer.finished if sp.name == "cg_solve"]
+        return camp, [sp.attributes["columns"] for sp in spans]
+
+    clean, columns = campaign()
+    assert columns == [size] * steps
+    assert max(r.pressure_iterations for r in clean.solvers[0].history) > 3
+    for s in range(size):
+        solo = _solo_trajectory(
+            medium_mesh, batch[s], "B", "compiled", 32, v0, steps, dt
+        )
+        assert np.array_equal(solo.velocity, clean.solvers[s].velocity), s
+        assert np.array_equal(
+            solo.pressure_field, clean.solvers[s].pressure_field
+        ), s
+
+    before = _count("resilience.solver_escalations")
+    hurt, columns = campaign(FaultPlan.single("cg", "breakdown", index=bad))
+    assert _count("resilience.solver_escalations") == before + 1
+    assert hurt.detached == ()
+    # step 1: the healthy block, then the sabotaged column's own rung 0
+    assert columns == [size - 1, 1, size]
+    for s in range(size):
+        same = np.array_equal(
+            hurt.solvers[s].velocity, clean.solvers[s].velocity
+        )
+        assert same == (s != bad), s
+    assert np.allclose(
+        hurt.solvers[bad].velocity, clean.solvers[bad].velocity, atol=1e-8
+    )
 
 
 def test_batch_campaign_detaches_faulted_scenario(small_mesh):

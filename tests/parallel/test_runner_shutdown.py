@@ -72,6 +72,33 @@ def test_install_shutdown_handler_converts_sigterm():
         signal.signal(signal.SIGTERM, previous)
 
 
+def test_sigterm_between_create_and_register_leaks_nothing(monkeypatch):
+    """The window the mid-sweep test fell into once in four runs: the
+    segment exists and the registry does not know it yet.  The signal is
+    delivered *there*, not retried until it happens to land there."""
+    from repro.parallel import shutdown
+
+    real = shutdown.shared_memory.SharedMemory
+
+    def create_then_sigterm(*args, **kwargs):
+        shm = real(*args, **kwargs)
+        os.kill(os.getpid(), signal.SIGTERM)
+        return shm
+
+    monkeypatch.setattr(shutdown.shared_memory, "SharedMemory", create_then_sigterm)
+    previous = install_shutdown_handler()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            create_shared_memory(512)
+        # held until the registry knew the segment, so the exit purge finds it
+        assert len(purge_shared_memory()) == 1
+        assert _dev_shm(os.getpid()) == []
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        for path in _dev_shm(os.getpid()):
+            os.unlink(path)
+
+
 def test_install_shutdown_handler_noop_off_main_thread():
     import threading
 

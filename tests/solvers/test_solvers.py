@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fem import box_tet_mesh
@@ -42,12 +42,6 @@ def test_cg_solves_spd():
     res = conjugate_gradient(a, a @ x_true, tol=1e-12, maxiter=400)
     assert res.converged
     assert np.allclose(res.x, x_true, atol=1e-8)
-
-
-def test_cg_zero_rhs():
-    res = conjugate_gradient(_spd(10), np.zeros(10))
-    assert res.converged and res.iterations == 0
-    assert np.allclose(res.x, 0.0)
 
 
 def test_cg_initial_guess_exact():
@@ -98,6 +92,136 @@ def test_cg_property_random_spd(seed, n):
     res = conjugate_gradient(a, a @ x, tol=1e-11, maxiter=10 * n)
     assert res.converged
     assert np.allclose(res.x, x, atol=1e-6)
+
+
+# -- block CG: every column is the one-column call, to the byte ----------------
+
+_BOXES = {}
+
+
+def _box(n):
+    """Pure-Neumann box Laplacian with the pressure path's own preconditioner."""
+    if n not in _BOXES:
+        from repro.physics.pressure import PressureSolver
+
+        ps = PressureSolver(box_tet_mesh(n, n, n))
+        rng = np.random.default_rng(n)
+        basis = rng.standard_normal((ps.laplacian.shape[0], 2))
+        basis -= basis.mean(axis=0)
+        linear = ps.mesh.coords[:, 0] - 2.0 * ps.mesh.coords[:, 2]
+        _BOXES[n] = ps.laplacian, ps._preconditioner(), (*basis.T, linear), {}
+    return _BOXES[n]
+
+
+def _column(n, shape, scale, warm):
+    """One right-hand side and warm start.  ``rough`` is white noise,
+    ``smooth`` the image of a linear field, ``zero`` all zeros; a warm start
+    near the solution of a smooth column needs fewer iterations, so the
+    columns of one block leave the loop at different iterations."""
+    a, _, (rough, far, linear), _ = _box(n)
+    rhs = {"rough": rough, "smooth": a @ linear, "zero": 0.0 * rough}[shape] * scale
+    guess = {
+        "cold": 0.0 * rough,
+        "near": linear * scale * (1.0 + 1e-4),
+        "far": far,
+    }[warm]
+    return rhs, guess
+
+
+_COLUMN = st.tuples(
+    st.sampled_from(["rough", "smooth", "zero"]),
+    st.sampled_from([1e-3, 1.0, 250.0]),
+    st.sampled_from(["cold", "near", "far"]),
+)
+
+
+def _same(got, want):
+    return (
+        got.x.tobytes() == want.x.tobytes()
+        and got.iterations == want.iterations
+        and got.converged == want.converged
+        and got.residual_history == want.residual_history
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([6, 10]),
+    amg=st.booleans(),
+    columns=st.lists(_COLUMN, min_size=1, max_size=8),
+)
+@example(
+    n=6,
+    amg=True,
+    columns=[
+        ("smooth", 1.0, "near"),
+        ("zero", 1.0, "cold"),
+        ("smooth", 1e-3, "far"),
+        ("rough", 250.0, "cold"),
+        ("smooth", 1.0, "near"),
+    ],
+)
+def test_block_cg_columns_equal_one_column_calls(n, amg, columns):
+    """Any block size, column order and mix of iteration counts: column
+    ``s`` of the block result is the one-column call, byte for byte."""
+    a, precond, _, solo = _box(n)
+    kwargs = dict(tol=1e-9, maxiter=400, preconditioner=precond if amg else None)
+    rhs, guess = (np.stack(v, axis=1) for v in zip(*(_column(n, *c) for c in columns)))
+    block = conjugate_gradient(a, rhs, x0=guess, **kwargs)
+    assert len(block) == len(columns)
+    for s, spec in enumerate(columns):
+        if (amg, spec) not in solo:
+            solo[amg, spec] = conjugate_gradient(
+                a, rhs[:, [s]], x0=guess[:, [s]], **kwargs
+            )[0]
+            vector = conjugate_gradient(a, rhs[:, s], x0=guess[:, s], **kwargs)
+            assert _same(vector, solo[amg, spec])  # a vector is that block
+        assert _same(block[s], solo[amg, spec]), (s, spec)
+        assert block[s].converged
+        if spec[0] == "zero":
+            assert block[s].iterations == 0 and not block[s].x.any()
+    if {("smooth", "near"), ("smooth", "far")} <= {c[0::2] for c in columns}:
+        # the columns really left the shared loop at different iterations
+        assert len({r.iterations for r in block}) > 1
+
+
+def test_cg_nan_column_breaks_down_at_once_and_alone(monkeypatch):
+    """``pap <= 0`` is false for NaN: a NaN right-hand side used to run all
+    ``maxiter`` iterations (and the pressure ladder 500 + 500 + 2,000
+    V-cycles).  It leaves the block before its first product and the
+    healthy columns' bytes do not know it was there."""
+    a, precond, fields, _ = _box(6)
+    basis = np.stack(fields[:2], axis=1)
+    kwargs = dict(tol=1e-9, maxiter=500, preconditioner=precond)
+    healthy = conjugate_gradient(a, basis, **kwargs)
+    block = conjugate_gradient(
+        a, np.insert(basis, 1, np.nan, axis=1), **kwargs
+    )
+    assert not block[1].converged and block[1].iterations <= 1
+    assert all(_same(block[s], healthy[k]) for s, k in ((0, 0), (2, 1)))
+    # the vector case, and a NaN that appears mid-solve (in the operator)
+    calls = []
+
+    def poisoned(p):
+        calls.append(1)
+        return a @ p * (np.nan if len(calls) > 3 else 1.0)
+
+    assert conjugate_gradient(a, np.full(a.shape[0], np.nan)).iterations == 0
+    res = conjugate_gradient(poisoned, basis[:, 0], **kwargs)
+    assert not res.converged and res.iterations == 3 and len(calls) == 4
+    with pytest.raises(SolverError, match="breakdown"):
+        conjugate_gradient(a, np.full(a.shape[0], np.nan), raise_on_fail=True)
+    # ... and the whole pressure ladder gives up within three V-cycles
+    from repro.physics.pressure import PressureSolver
+
+    cycles, vcycle = [], SmoothedAggregationAMG.vcycle
+    monkeypatch.setattr(
+        SmoothedAggregationAMG, "vcycle", lambda self, b: cycles.append(1) or vcycle(self, b)
+    )
+    mesh = box_tet_mesh(6, 6, 6)
+    with pytest.raises(SolverError, match="ladder exhausted"):
+        PressureSolver(mesh).solve(np.full((mesh.nnode, 3), np.nan), 1.0, 0.01)
+    assert len(cycles) <= 3
 
 
 # -- preconditioners --------------------------------------------------------------
