@@ -39,7 +39,7 @@ for name in variant_names():
             sys.exit("no working C compiler ($CC or cc)")
         # deferred placement: SV is the values buffer, B the arena, no accumulator
         args = (*kern._native._args, kern._values.ctypes.data, arena.ctypes.data, None)
-        calls[storage] = (native.load(source), args)
+        calls[storage] = (native.load(source, native.KERNEL)["kernel"], args)
     for storage in ("private", "rows") * REPEATS:  # interleaved: the host drifts
         fn, args = calls[storage]
         t0 = time.perf_counter()

@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""The pressure iteration's products, measured: the AMG V-cycle and the level-0
+product in their scipy form and in their C form (rows as lanes for a vector,
+columns as lanes for a block), byte-equal, with the per-level budget of one
+one-column cycle -- which product of which level the time goes to.
+
+Run:  python examples/native_vcycle.py [n]      (mesh n^3 cells, default 24)
+"""
+import sys
+import time
+
+import numpy as np
+
+from repro.core import native
+from repro.fem import box_tet_mesh
+from repro.physics.pressure import PressureSolver
+from repro.solvers.native import SOURCE, SYMBOLS
+
+REPEATS = 40
+n = int(sys.argv[1]) if len(sys.argv) > 1 else 24
+proc = native.build(SOURCE)
+if proc is None or proc.wait() != 0 or native.load(SOURCE, SYMBOLS) is None:
+    sys.exit("no working C compiler ($CC or cc)")
+mesh = box_tet_mesh(n, n, n)
+solver = PressureSolver(mesh)  # a cache hit now: loaded at construction
+amg, form = solver._amg, solver._amg.native
+rng = np.random.default_rng(0)
+
+
+def best(calls):
+    """Best-of-REPEATS milliseconds of each call, interleaved (the host drifts)."""
+    out = [1e9] * len(calls)
+    for _ in range(REPEATS):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            call()
+            out[i] = min(out[i], (time.perf_counter() - t0) * 1e3)
+    return out
+
+
+print(f"{mesh.nnode} nodes; levels (rows, nnz):",
+      " ".join(str((lv.a.shape[0], lv.a.nnz)) for lv in amg.levels))
+print(f"{'k':>3s} {'cycle scipy':>12s} {'cycle C':>9s} {'ratio':>6s}"
+      f" {'product scipy':>14s} {'product C':>10s} {'ratio':>6s}")
+for k in (1, 4, 15, 16):
+    b = rng.standard_normal((mesh.nnode, k))
+    want = amg._cycle(0, b)
+    assert amg.vcycle(b).tobytes() == want.tobytes() and form.state == "adopted", form.state
+    assert form(b).tobytes() == (solver.laplacian @ b).tobytes()
+    cs, cc, ps, pc = best([lambda: amg._cycle(0, b), lambda: amg.vcycle(b),
+                           lambda: solver.laplacian @ b, lambda: form(b)])
+    print(f"{k:3d} {cs:12.3f} {cc:9.3f} {cs / cc:6.2f} {ps:14.3f} {pc:10.3f} {ps / pc:6.2f}")
+
+# one one-column cycle, level by level: two products with A (residual, post-smoothing
+# sweep), one with R, one with P -- as scipy runs them and as the C epilogues do
+print(f"{'level':>5s} {'matrix':>6s} {'nnz':>8s} {'per cycle':>9s} {'scipy ms':>9s} {'C ms':>7s}"
+      f" {'scipy nnz/ns':>13s} {'C nnz/ns':>9s}")
+total = [0.0, 0.0]
+for l, (level, words) in enumerate(zip(amg.levels[:-1], form._table)):
+    for j, (name, m, uses) in enumerate((("A", level.a, 2), ("P", level.prolongator, 1),
+                                         ("R", level.restriction, 1))):
+        x, out = rng.standard_normal((m.shape[1], 1)), np.empty((m.shape[0], 1))
+        call = (words[7 * j:].ctypes.data, 1, x.ctypes.data, out.ctypes.data)
+        scipy_ms, c_ms = best([lambda: m @ x, lambda: form._fns["product"](*call)])
+        assert out.tobytes() == (m @ x).tobytes()
+        total = [total[0] + uses * scipy_ms, total[1] + uses * c_ms]
+        print(f"{l:5d} {name:>6s} {m.nnz:8d} {uses:9d} {scipy_ms:9.4f} {c_ms:7.4f}"
+              f" {m.nnz / scipy_ms * 1e-6:13.2f} {m.nnz / c_ms * 1e-6:9.2f}")
+print(f"products of one cycle: scipy {total[0]:.3f} ms, C {total[1]:.3f} ms")
+rhs = 0.1 * rng.standard_normal((mesh.nnode, 3))
+result = solver.solve(rhs, 1.0, 1e-3)
+ms, = best([lambda: solver.solve(rhs, 1.0, 1e-3)])
+print(f"PressureSolver.solve: {result.iterations} iterations, {ms:.2f} ms, native={form.state}")

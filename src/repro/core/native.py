@@ -267,9 +267,13 @@ def stop_builds(source: Optional[str] = None) -> None:
             _install(so, proc)
 
 
-def load(source: str):
-    """The cached C function of ``source``, or ``None``, a miss: a file somebody
-    else could have written is refused, one that does not load is removed."""
+KERNEL = {"kernel": [ctypes.c_longlong] * 6 + [ctypes.c_void_p] * 7}  #: :func:`emit_c`'s export
+
+
+def load(source: str, symbols: Dict[str, list]):
+    """The cached C functions of ``source`` by name (``symbols``: name -> argtypes),
+    or ``None``, a miss: a file somebody else could have written is refused, one
+    that does not load is removed."""
     so = so_path(source)
     with _LOCK:
         if so in _BUILDS:
@@ -277,13 +281,15 @@ def load(source: str):
     if not (_trusted(so) and _trusted(os.path.dirname(so))):
         return None
     try:
-        fn = ctypes.CDLL(so).kernel
+        lib = ctypes.CDLL(so)
+        fns = {name: getattr(lib, name) for name in symbols}
     except (OSError, AttributeError):
         with suppress(OSError):
             os.unlink(so)
         return None
-    fn.argtypes, fn.restype = [ctypes.c_longlong] * 6 + [ctypes.c_void_p] * 7, None
-    return fn
+    for name, fn in fns.items():
+        fn.argtypes, fn.restype = symbols[name], None
+    return fns
 
 
 class NativeForm:
@@ -306,7 +312,7 @@ class NativeForm:
             kern._vcols.ctypes.data, kern._idx.ctypes.data,
             kern._pinned.ctypes.data, ctypes.addressof(self._q))
         self._w = aligned_empty(math.prod(kern._values_shape) // kern.ngroups)
-        self._fn = load(self.source) if self.source else None
+        self._fn = (load(self.source, KERNEL) or {}).get("kernel") if self.source else None
         if self._fn is not None:
             self.state = "loaded"
             get_registry().counter("codegen.native_cache_hits").inc()
@@ -320,7 +326,7 @@ class NativeForm:
             if wait and self._proc is not None:
                 self._proc.wait()
             if self._proc is None or self._proc.poll() is not None:
-                self._fn = self._proc and load(self.source)
+                self._fn = self._proc and (load(self.source, KERNEL) or {}).get("kernel")
                 self.state = "loaded" if self._fn else "rejected"
                 if not self._fn:
                     get_registry().counter("codegen.native_build_failed").inc()

@@ -30,7 +30,7 @@ import secrets
 import signal
 import threading
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "create_shared_memory",
@@ -159,9 +159,9 @@ def live_segment_names() -> List[str]:
 
 
 def install_shutdown_handler(
-    signum: int = signal.SIGTERM,
-) -> Optional[object]:
-    """Convert ``signum`` (default ``SIGTERM``) into ``KeyboardInterrupt``.
+    signums: Sequence[int] = (signal.SIGTERM, signal.SIGINT),
+) -> Optional[Dict[int, object]]:
+    """Convert ``signums`` into a section-respecting ``KeyboardInterrupt``.
 
     ``SIGTERM``'s default disposition kills the process between any two
     bytecodes, skipping every ``finally`` -- leaked pools, leaked
@@ -171,11 +171,12 @@ def install_shutdown_handler(
     pool and release shared memory in ``finally``, and the campaign
     server drains.  Inside :func:`create_shared_memory` and
     :func:`release_shared_memory` the exception waits for the section to
-    end, so a segment is never left between existing and being registered.
+    end, so a segment is never left between existing and being registered
+    -- Python's own ``SIGINT`` handler does not wait, so Ctrl-C gets this one.
 
     Only effective from the main thread (signal handlers are a
-    main-thread affair); returns the previous handler so callers can
-    restore it, or ``None`` when not in the main thread.
+    main-thread affair); returns the previous handler of each signal so
+    callers can restore them, or ``None`` when not in the main thread.
     """
     if threading.current_thread() is not threading.main_thread():
         return None
@@ -186,4 +187,4 @@ def install_shutdown_handler(
         else:
             raise KeyboardInterrupt(f"signal {_signum}")
 
-    return signal.signal(signum, _raise_interrupt)
+    return {signum: signal.signal(signum, _raise_interrupt) for signum in signums}

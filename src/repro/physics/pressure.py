@@ -203,17 +203,17 @@ class PressureSolver:
                 preconditioner=self._preconditioner(),
             )
         strong = rung == 2
+        amg = self._stronger_amg() if strong else self._amg
+        # a healthy rung iterates on its hierarchy's level-0 product (C once adopted);
+        # sabotaged, -A is negative semi-definite: non-positive curvature at once
+        operator = self.laplacian if amg is None else amg.native
         return conjugate_gradient(
-            # sabotaged operator: -A is negative semi-definite, so CG hits
-            # non-positive curvature on its first iteration.
-            -self.laplacian if sabotage else self.laplacian,
+            -self.laplacian if sabotage else operator,
             rhs,
             x0=x0,
             tol=self.tol,
             maxiter=4 * self.maxiter if strong else self.maxiter,
-            preconditioner=self._preconditioner(
-                self._stronger_amg().vcycle if strong else None
-            ),
+            preconditioner=self._preconditioner(amg.vcycle if strong else None),
             tracer=self.tracer,
             metrics=self.metrics,
         )

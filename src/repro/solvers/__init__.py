@@ -1,14 +1,13 @@
-"""Linear-algebra substrate: CG, preconditioners, smoothed-aggregation AMG
-and deflated CG for the pressure-Poisson problem."""
+"""Linear-algebra substrate: CG, smoothed-aggregation AMG (scipy form and,
+once it matches to the byte, the C form of :mod:`repro.solvers.native`) and
+deflated CG for the pressure-Poisson problem."""
 
 from .cg import SolveResult, SolverError, conjugate_gradient
-from .precond import ilu0, jacobi, ssor
 from .amg import AmgLevel, SmoothedAggregationAMG
 from .deflation import deflated_cg, partition_coarse_space
 
 __all__ = [
     "SolveResult", "SolverError", "conjugate_gradient",
-    "ilu0", "jacobi", "ssor",
     "AmgLevel", "SmoothedAggregationAMG",
     "deflated_cg", "partition_coarse_space",
 ]

@@ -15,7 +15,9 @@ which is how :mod:`repro.physics.pressure` uses it.  The V-cycle takes a
 vector or a node-major ``(n, S)`` block -- one sparse-times-dense product per
 level and sweep, the dense coarse solve column by column (gemm is
 ``S``-dependent) -- and column ``s`` of a block is byte-equal to the cycle of
-that column alone (the table in :mod:`repro.solvers.cg`).
+that column alone (the table in :mod:`repro.solvers.cg`).  ``_cycle`` is the
+scipy form and the definition; :mod:`repro.solvers.native` holds the same cycle
+in C, which serves (``amg.native``) only after matching it to the byte.
 """
 
 from __future__ import annotations
@@ -144,6 +146,9 @@ class SmoothedAggregationAMG:
         self._coarse_pinv = np.linalg.pinv(
             self.levels[-1].a.toarray(), rcond=1e-10
         )
+        from .native import NativeCycle  # not at import: a cold ``import repro`` stays light
+
+        self.native = NativeCycle(self)  #: the cycle, and CG's operator, in the form that serves
 
     # ------------------------------------------------------------------
     @property
@@ -184,7 +189,7 @@ class SmoothedAggregationAMG:
         """One V-cycle applied to the residual equations ``A e = b``: a
         vector or an ``(n, S)`` block, each column on its own."""
         b = np.asarray(b, dtype=np.float64)
-        return self._cycle(0, b.reshape(b.shape[0], -1)).reshape(b.shape)
+        return self.native.vcycle(b.reshape(b.shape[0], -1)).reshape(b.shape)
 
     # ------------------------------------------------------------------
     def as_preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:

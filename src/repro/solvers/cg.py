@@ -255,6 +255,8 @@ def conjugate_gradient(
                 column_iterations=iterations.tolist(),
                 residual_norm=max(res.residual_norm for res in results),
                 converged=bool(converged.all()),
+                # which form an operator with forms served from (solvers.native)
+                **getattr(a, "span_attributes", dict)(),
             )
         failed = np.flatnonzero(~converged)
         if raise_on_fail and failed.size:

@@ -28,9 +28,9 @@ def cc(native_cache):
     C form of the generated kernels, ``repro.core.native``)."""
     from repro.core import native
 
-    source = "void kernel(void) {}\n"
+    source = "void probe(void) {}\n"
     proc = native.build(source)
-    if proc is None or proc.wait() != 0 or native.load(source) is None:
+    if proc is None or proc.wait() != 0 or native.load(source, {}) is None:
         pytest.skip("no working C compiler ($CC or cc)")
 
 

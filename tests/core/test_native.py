@@ -37,10 +37,8 @@ def _count(name, prefix="codegen.native_"):
 
 def _compile(source):
     """Build ``source`` now; the loaded library, or None without a compiler."""
-    if "void kernel(" not in source:
-        source += "void kernel(void) {}\n"  # the symbol ``native.load`` binds
     proc = native.build(source)
-    if proc is None or proc.wait() != 0 or native.load(source) is None:
+    if proc is None or proc.wait() != 0 or native.load(source, {}) is None:
         return None
     return ctypes.CDLL(native.so_path(source))
 
@@ -167,8 +165,8 @@ def test_rows_storage_is_the_same_function(cc):
     assert "v0[l]" in source and "v0[l]" not in kern.program.c_source
     assert _compile(source) is not None
     arena = np.empty((kern.program.nslab_vec, VD))
-    native.load(source)(0, kern.ngroups, *kern._native._args,
-                        kern._values.ctypes.data, arena.ctypes.data, None)
+    native.load(source, native.KERNEL)["kernel"](
+        0, kern.ngroups, *kern._native._args, kern._values.ctypes.data, arena.ctypes.data, None)
     got = np.zeros_like(want)
     kern._flush(got)
     assert got.tobytes() == want.tobytes()
@@ -334,7 +332,7 @@ def test_unloadable_cache_file_is_removed_and_missed(cc):
     os.makedirs(os.path.dirname(so), mode=0o700, exist_ok=True)
     with open(so, "w") as fh:
         fh.write("garbage")
-    assert native.load(source) is None and not os.path.exists(so)
+    assert native.load(source, native.KERNEL) is None and not os.path.exists(so)
 
 
 def test_a_finished_build_nobody_loaded_is_kept_at_exit(cc):

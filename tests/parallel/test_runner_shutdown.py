@@ -63,29 +63,37 @@ def test_purge_unlinks_everything_still_registered():
     assert purge_shared_memory() == []  # nothing left
 
 
+def _restore(previous):
+    for signum, handler in previous.items():
+        signal.signal(signum, handler)
+
+
 def test_install_shutdown_handler_converts_sigterm():
     previous = install_shutdown_handler()
     try:
+        assert set(previous) == {signal.SIGTERM, signal.SIGINT}
         with pytest.raises(KeyboardInterrupt):
             os.kill(os.getpid(), signal.SIGTERM)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        _restore(previous)
 
 
-def test_sigterm_between_create_and_register_leaks_nothing(monkeypatch):
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+def test_sigterm_between_create_and_register_leaks_nothing(monkeypatch, signum):
     """The window the mid-sweep test fell into once in four runs: the
-    segment exists and the registry does not know it yet.  The signal is
+    segment exists and the registry does not know it yet.  The signal --
+    ``SIGTERM``, or Ctrl-C, whose stock handler raises right there -- is
     delivered *there*, not retried until it happens to land there."""
     from repro.parallel import shutdown
 
     real = shutdown.shared_memory.SharedMemory
 
-    def create_then_sigterm(*args, **kwargs):
+    def create_then_signal(*args, **kwargs):
         shm = real(*args, **kwargs)
-        os.kill(os.getpid(), signal.SIGTERM)
+        os.kill(os.getpid(), signum)
         return shm
 
-    monkeypatch.setattr(shutdown.shared_memory, "SharedMemory", create_then_sigterm)
+    monkeypatch.setattr(shutdown.shared_memory, "SharedMemory", create_then_signal)
     previous = install_shutdown_handler()
     try:
         with pytest.raises(KeyboardInterrupt):
@@ -94,7 +102,7 @@ def test_sigterm_between_create_and_register_leaks_nothing(monkeypatch):
         assert len(purge_shared_memory()) == 1
         assert _dev_shm(os.getpid()) == []
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        _restore(previous)
         for path in _dev_shm(os.getpid()):
             os.unlink(path)
 

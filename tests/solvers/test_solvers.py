@@ -1,4 +1,4 @@
-"""CG, preconditioners, AMG and deflation."""
+"""CG, AMG (both forms) and deflation."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fem import box_tet_mesh
+from repro.fem.plan import get_plan
+from repro.obs import get_registry
 from repro.physics.pressure import assemble_laplacian
 from repro.solvers import (
+    AmgLevel,
     SmoothedAggregationAMG,
     SolverError,
     conjugate_gradient,
     deflated_cg,
-    ilu0,
-    jacobi,
     partition_coarse_space,
-    ssor,
 )
+from repro.solvers.native import NativeCycle, _bits
 
 
 def _spd(n, seed=0):
@@ -224,38 +225,210 @@ def test_cg_nan_column_breaks_down_at_once_and_alone(monkeypatch):
     assert len(cycles) <= 3
 
 
-# -- preconditioners --------------------------------------------------------------
+# -- the C form of the V-cycle and of the level-0 product: scipy's bits, or not served --
 
 
-@pytest.mark.parametrize("precond_fn", [jacobi, ssor, ilu0])
-def test_preconditioners_accelerate(precond_fn, poisson):
-    a = poisson + 1e-6 * sp.eye(poisson.shape[0])  # regularize Neumann
-    rng = np.random.default_rng(4)
-    b = rng.standard_normal(a.shape[0])
-    plain = conjugate_gradient(a, b, tol=1e-8, maxiter=3000)
-    pre = conjugate_gradient(
-        a, b, tol=1e-8, maxiter=3000, preconditioner=precond_fn(a)
+@pytest.fixture(scope="module")
+def solver_so(cc):
+    """The solver's shared object, built once: a hierarchy made afterwards
+    loads it at construction and adopts (or rejects) it on its first V-cycle."""
+    from repro.core import native
+    from repro.solvers.native import SOURCE, SYMBOLS
+
+    proc = native.build(SOURCE)
+    assert proc is not None and proc.wait() == 0
+    assert native.load(SOURCE, SYMBOLS) is not None
+
+
+def _count(name):
+    snap = get_registry().snapshot().get(name)
+    return 0 if snap is None else snap["value"]
+
+
+def _wild(rng, values, rate):
+    """``values`` with inf / -inf / NaN at about ``rate`` of its entries."""
+    hit = rng.random(values.shape) < rate
+    values[hit] = rng.choice([np.inf, -np.inf, np.nan], int(hit.sum()))
+    return values
+
+
+def _random_csr(rng, nrows, ncols, wild):
+    """Rows of 0 .. 70 entries in no order and with duplicates, one in five
+    of them empty."""
+    lens = rng.integers(0, 71, nrows) * (rng.random(nrows) > 0.2)
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    data = _wild(rng, rng.standard_normal(indptr[-1]), 0.002 * wild)
+    cols = rng.integers(0, ncols, indptr[-1])
+    return sp.csr_matrix((data, cols, indptr), shape=(nrows, ncols))
+
+
+def _random_hierarchy(rng, sizes, sweeps, wild):
+    """Unrelated random ``A``, ``P``, ``R`` (rectangular, ``R`` no transpose
+    of ``P``) and coarse inverse in a hierarchy's clothes: the cycle is a
+    formula, and both forms must evaluate it alike on anything."""
+    amg = SmoothedAggregationAMG(
+        sp.identity(2, format="csr"), presmooth=sweeps[0], postsmooth=sweeps[1]
     )
-    assert pre.converged
-    assert pre.iterations <= plain.iterations
+    amg.levels = [
+        AmgLevel(
+            _random_csr(rng, n, n, wild),
+            _random_csr(rng, n, nc, wild) if nc else None,
+            rng.standard_normal(n),
+            _random_csr(rng, nc, n, wild) if nc else None,
+        )
+        for n, nc in zip(sizes, sizes[1:] + [0])
+    ]
+    amg._coarse_pinv = rng.standard_normal((sizes[-1], sizes[-1]))
+    amg.native = NativeCycle(amg)
+    return amg
 
 
-def test_jacobi_rejects_zero_diagonal():
-    with pytest.raises(ValueError, match="diagonal"):
-        jacobi(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]])))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    sizes=st.lists(st.integers(1, 45), min_size=2, max_size=4),
+    k=st.integers(1, 17),
+    sweeps=st.sampled_from([(1, 1), (0, 2), (2, 0), (3, 3)]),
+    wild=st.booleans(),
+)
+@example(seed=0, sizes=[43, 13, 5], k=1, sweeps=(1, 1), wild=True)
+@example(seed=1, sizes=[43, 13, 5], k=17, sweeps=(3, 3), wild=True)
+def test_c_form_equals_scipy_form_to_the_byte(solver_so, seed, sizes, k, sweeps, wild):
+    """Rows as lanes (``k = 1``) and columns as lanes (every panel and
+    remainder width), ``n % 8 != 0``, empty rows, non-finite entries and
+    inputs: V-cycle and product are scipy's, NaNs by mask."""
+    rng = np.random.default_rng(seed)
+    amg = _random_hierarchy(rng, sizes, sweeps, wild)
+    native = amg.native
+    assert native.state == "loaded"
+    b = _wild(rng, rng.standard_normal((sizes[0], k)), 0.01 * wild)
+    want = _bits(amg._cycle(0, b))
+    # the first cycle checks this block and its other lane mapping, then serves
+    assert _bits(amg.vcycle(b)) == want and native.state == "adopted"
+    assert _bits(native._c_cycle(b)) == want
+    for level, words in zip(amg.levels, native._table):  # a row: the level's A, P, R
+        for j, m in enumerate((level.a, level.prolongator, level.restriction)):
+            if m is not None:
+                x = _wild(rng, rng.standard_normal((m.shape[1], k)), 0.01 * wild)
+                out = np.empty((m.shape[0], k))
+                native._fns["product"](
+                    words[7 * j :].ctypes.data, k, x.ctypes.data, out.ctypes.data
+                )
+                assert _bits(out) == _bits(m @ x)
+    assert _bits(native(b)) == _bits(amg.levels[0].a @ b)
 
 
-def test_ssor_rejects_bad_omega():
-    with pytest.raises(ValueError, match="relaxation"):
-        ssor(_spd(5), omega=2.5)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_scalar_lane_loop_of_a_host_without_avx512_is_scipys_too(cc, monkeypatch):
+    """The ``#else`` branch of the rows-as-lanes loop, which this host's
+    ``-march=native`` may never compile: same source, macro undefined."""
+    from repro.core import native
+    from repro.solvers import native as solver_native
+
+    source = "#undef __AVX512VL__\n" + solver_native.SOURCE
+    monkeypatch.setattr(solver_native, "SOURCE", source)
+    assert native.build(source).wait() == 0
+    for seed, sizes in enumerate(([43, 13, 5], [8, 3], [70, 1], [17, 16, 9, 2])):
+        rng = np.random.default_rng(seed)
+        amg = _random_hierarchy(rng, sizes, (1, 1), wild=seed % 2 == 0)
+        b = _wild(rng, rng.standard_normal((sizes[0], 1)), 0.01)
+        want = _bits(amg._cycle(0, b))
+        assert _bits(amg.vcycle(b)) == want and amg.native.state == "adopted"
+        assert _bits(amg.native(b)) == _bits(amg.levels[0].a @ b)
 
 
-def test_ssor_is_symmetric_operator():
-    """CG requires a symmetric preconditioner: check M^{-1} symmetry."""
-    a = _spd(12, seed=5)
-    apply_m = ssor(a)
-    m = np.column_stack([apply_m(e) for e in np.eye(12)])
-    assert np.allclose(m, m.T, atol=1e-10)
+def test_c_form_serves_plain_float64_blocks_only_and_says_so(solver_so, monkeypatch):
+    from repro.obs import Tracer
+    from repro.physics.pressure import PressureSolver
+
+    mesh, tracer = box_tet_mesh(6, 6, 6), Tracer()
+    ps = PressureSolver(mesh, tracer=tracer)
+    amg, adopted = ps._amg, _count("solvers.native_adopted")
+    u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
+    assert ps.solve(u, 1.0, 0.05).converged
+    assert amg.native.state == "adopted" and _count("solvers.native_adopted") == adopted + 1
+    span = [s for s in tracer.finished if s.name == "cg_solve"][-1]
+    assert span.attributes["native"] == "adopted"
+    assert span.attributes["level_nnz"] == [level.a.nnz for level in amg.levels]
+
+    def never(*args):
+        raise AssertionError("the C form was handed an array it cannot read")
+
+    monkeypatch.setattr(NativeCycle, "_c_cycle", never)
+    monkeypatch.setattr(NativeCycle, "_c_product", never)
+    block = np.random.default_rng(1).standard_normal((mesh.nnode, 6))
+    for odd in (np.asfortranarray(block), block[:, ::2], block.astype(np.float32)):
+        assert np.array_equal(amg.native(odd), ps.laplacian @ odd)
+    for odd in (np.asfortranarray(block), block[:, ::2]):
+        assert np.array_equal(amg.vcycle(odd), amg._cycle(0, odd))
+    assert np.array_equal(amg.native(block[:, 0]), ps.laplacian @ block[:, 0])
+
+
+def test_mismatching_c_form_is_rejected_for_good_and_scipy_serves(solver_so, monkeypatch):
+    a = _box(6)[0]
+    amg, rejected = SmoothedAggregationAMG(a), _count("solvers.native_rejected")
+    assert amg.native.state == "loaded"
+    cycle = NativeCycle._c_cycle
+    monkeypatch.setattr(  # one ulp off in one entry
+        NativeCycle, "_c_cycle", lambda self, b: np.nextafter(cycle(self, b), np.inf)
+    )
+    b = np.random.default_rng(2).standard_normal((a.shape[0], 3))
+    assert amg.vcycle(b).tobytes() == amg._cycle(0, b).tobytes()
+    assert amg.native.state == "rejected"
+    assert _count("solvers.native_rejected") == rejected + 1
+    monkeypatch.undo()
+    monkeypatch.setattr(NativeCycle, "_c_product", None)  # never reached again
+    assert amg.vcycle(b).tobytes() == amg._cycle(0, b).tobytes()
+    assert amg.native(b).tobytes() == (a @ b).tobytes()
+    assert amg.native.state == "rejected" and _count("solvers.native_rejected") == rejected + 1
+
+
+def test_one_hierarchy_serves_concurrent_cycles_and_campaigns(solver_so):
+    """The hierarchy is shared through the plan and ctypes drops the GIL:
+    level scratch belongs to the call.  Four threads (two cores), mixed
+    block widths, one hierarchy adopted *during* the race; then two
+    campaigns at once on one mesh."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.physics import AssemblyParams
+    from repro.physics.fractional_step import BatchCampaign
+
+    a = _box(10)[0]
+    rng = np.random.default_rng(5)
+    blocks = [rng.standard_normal((a.shape[0], k)) for k in (1, 3, 8, 17)]
+    reference = SmoothedAggregationAMG(a)
+    serial = [reference._cycle(0, b).tobytes() for b in blocks]
+    shared = SmoothedAggregationAMG(a)
+    mesh = box_tet_mesh(5, 5, 5)
+    u0 = 0.1 * rng.standard_normal((mesh.nnode, 3))
+
+    def cycles(i):  # every width from every thread: same-width calls overlap
+        return [shared.vcycle(blocks[(i + j) % 4]).tobytes() for j in range(60)]
+
+    def campaign(nscen):
+        params = [AssemblyParams(body_force=(0.0, 0.0, 1e-3 * s)) for s in range(nscen)]
+        c = BatchCampaign(mesh, params, variant="RSP", mode="compiled")
+        c.set_velocities(u0)
+        c.run(2, dt=1e-3)
+        return c.velocities().tobytes()
+
+    alone = [campaign(2), campaign(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = [f.result(timeout=120) for f in [pool.submit(cycles, i) for i in range(4)]]
+            together = [
+                f.result(timeout=120) for f in [pool.submit(campaign, n) for n in (2, 3)]
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared.native.state == "adopted"
+    assert all(out == [serial[(i + j) % 4] for j in range(60)] for i, out in enumerate(got))
+    assert together == alone
+    assert get_plan(mesh).cached_operator("amg").native.state == "adopted"
 
 
 # -- AMG -----------------------------------------------------------------------
