@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Talk to the campaign server: submit, poll, fetch, verify, drain.
+"""Talk to the campaign server: submit and hold, verify, drain.
 
 Two ways to run it:
 
@@ -12,7 +12,8 @@ Two ways to run it:
   on an ephemeral port as a subprocess, runs the whole smoke sequence --
   health, an assembly request **bitwise-verified** against the direct
   library call, a small LES campaign, a second identical submit that must
-  come back ``cached`` without re-planning, ``/stats`` -- then sends
+  come back ``cached`` without re-planning, a campaign held with ``poll_s=5``
+  that must be one request and under 2 s, ``/stats`` -- then sends
   SIGTERM and waits for the graceful drain.  The CI ``server`` job runs
   exactly this::
 
@@ -70,7 +71,8 @@ def smoke(client: CampaignClient, stats_out=None) -> None:
           f"{'==' if served == direct else '!='} direct library")
     assert served == direct, "served assembly diverged from the library"
 
-    # 2. a small two-scenario LES campaign (explicit submit/poll/fetch)
+    # 2. a small two-scenario LES campaign (explicit submit, then hold on the
+    #    job: the server answers the moment it is finished)
     campaign = {
         "kind": "campaign", "mesh": MESH, "steps": 5, "dt": 2e-3,
         "mode": "compiled",
@@ -89,6 +91,17 @@ def smoke(client: CampaignClient, stats_out=None) -> None:
     assert again.get("cached") is True, "identical campaign must be cached"
     assert again["result"] == result["result"]
     print("resubmit: served from the result cache, bit-identical")
+
+    # 4. completion is pushed, not polled: under poll_s=5 a cold 6^3 campaign
+    #    is one request and returns when it ends, not 5 s later
+    def requests():  # counts this /stats request too
+        return client.stats()["metrics"]["server.requests"]["value"]
+
+    before, t0 = requests(), time.monotonic()
+    client.run({**campaign, "mesh": {"nx": 6, "ny": 6, "nz": 6}, "steps": 2}, poll_s=5)
+    seconds, asked = time.monotonic() - t0, requests() - before - 1
+    print(f"held campaign: {seconds:.2f} s over {asked:g} request(s)")
+    assert seconds < 2.0 and asked == 1, "completion must be pushed to the held request"
 
     stats = client.stats()
     print(f"stats: jobs={stats['jobs']} "

@@ -196,7 +196,7 @@ def _timing_breakdown(reports: Sequence["StepReport"]) -> Dict[str, float]:
 
 def _max_divergence(plan, u: np.ndarray) -> np.ndarray:
     """Max |div u| over elements of each field of a stack ``(S, nnode, 3)``."""
-    div = stacked_divergence(plan.p1_derivatives().elemental, u)
+    div = stacked_divergence(plan, "elemental", u)
     return np.abs(div).max(axis=0, initial=0.0)
 
 

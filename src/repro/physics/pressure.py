@@ -28,6 +28,7 @@ fails rung 0 climbs alone.  Only when every rung fails does a structured
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,13 @@ from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..solvers.amg import SmoothedAggregationAMG
-from ..solvers.cg import SolveResult, SolverError, conjugate_gradient, scenario_rows
+from ..solvers.cg import (
+    SolveResult,
+    SolverError,
+    VectorPhase,
+    conjugate_gradient,
+    scenario_rows,
+)
 from ..solvers.deflation import deflated_cg, partition_coarse_space
 
 __all__ = ["assemble_laplacian", "divergence_rhs", "PressureSolver"]
@@ -52,12 +59,21 @@ def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
     return k.tocsr()  # from CSC: column indices come out sorted
 
 
-def stacked_divergence(operators, velocity: np.ndarray) -> np.ndarray:
-    """``sum_i D_i u_i``: a vector from one ``(nnode, 3)`` field, an
-    ``(rows, S)`` block -- three sparse products -- from a stack
+def _matmul(plan):
+    """``m @ x`` in the form the mesh's shared hierarchy serves block products
+    from (:meth:`repro.solvers.native.NativeCycle.matmul`), scipy's without one."""
+    amg = plan.cached_operator("amg")
+    return operator.matmul if amg is None else amg.native.matmul
+
+
+def stacked_divergence(plan, which: str, velocity: np.ndarray) -> np.ndarray:
+    """``sum_i D_i u_i`` over the plan's ``which`` (``"nodal"`` /
+    ``"elemental"``) P1 derivatives: a vector from one ``(nnode, 3)`` field,
+    an ``(rows, S)`` block -- three sparse products -- from a stack
     ``(S, nnode, 3)``."""
     components = np.ascontiguousarray(velocity.T)  # (3, nnode[, S])
-    return sum(d @ components[i] for i, d in enumerate(operators))
+    matmul, operators = _matmul(plan), getattr(plan.p1_derivatives(), which)
+    return sum(matmul(d, components[i]) for i, d in enumerate(operators))
 
 
 def divergence_rhs(
@@ -71,8 +87,7 @@ def divergence_rhs(
     ``K p = -(rho/dt) int N div u`` gives ``laplacian p = (rho/dt) div u``,
     so the corrector ``u -= (dt/rho) grad p`` removes the divergence.
     """
-    nodal = get_plan(mesh).p1_derivatives().nodal
-    return -(np.asarray(density) / dt) * stacked_divergence(nodal, velocity)
+    return -(np.asarray(density) / dt) * stacked_divergence(get_plan(mesh), "nodal", velocity)
 
 
 @dataclasses.dataclass
@@ -139,6 +154,8 @@ class PressureSolver:
             diag = self.laplacian.diagonal()
             inv = np.where(diag > 0, 1.0 / np.where(diag == 0, 1, diag), 1.0)
             self._precond = lambda r: inv[:, None] * r
+        # CG's vector phase, the nullspace projection among it, in the form that serves
+        self._phase = self._amg.native if self.use_amg else VectorPhase()
         # rescue rungs are built lazily -- a healthy campaign never pays
         # for them.
         self._deflation_basis: Optional[sp.csr_matrix] = None
@@ -146,7 +163,7 @@ class PressureSolver:
 
     def _project_constant(self, v: np.ndarray) -> np.ndarray:
         """Remove each column's mean (a vector is one column)."""
-        return v - scenario_rows(v).mean(axis=-1)
+        return self._phase.project(v)
 
     def _preconditioner(self, apply=None):
         apply = self._precond if apply is None else apply
@@ -313,6 +330,6 @@ class PressureSolver:
         Computes ``int N_a dp/dx_i dV`` per node divided by the lumped mass,
         giving a nodal gradient field.
         """
-        nodal = self._plan.p1_derivatives().nodal
-        acc = np.stack([dn @ pressure for dn in nodal], axis=1)
+        matmul, nodal = _matmul(self._plan), self._plan.p1_derivatives().nodal
+        acc = np.stack([matmul(dn, pressure) for dn in nodal], axis=1)
         return acc / self._plan.lumped_mass().reshape((-1,) + (1,) * (acc.ndim - 1))

@@ -1,7 +1,8 @@
 """Synchronous client for the campaign server (tests, benches, examples).
 
 Plain ``socket`` + the same HTTP subset the server speaks; one request
-per connection.  Raises :class:`~repro.server.protocol.ProtocolError`
+per connection, which :meth:`CampaignClient.run` / :meth:`~CampaignClient.wait`
+ask the server to hold until the job is finished.  Raises :class:`~repro.server.protocol.ProtocolError`
 with the server's own typed code on any rejection, so callers branch on
 ``exc.code`` instead of parsing messages.
 """
@@ -88,18 +89,11 @@ class CampaignClient:
     def wait(
         self, job_id: str, timeout: float = 60.0, poll_s: float = 0.02
     ) -> Dict[str, Any]:
-        """Poll until the job leaves queued/running; returns the final
-        ``/jobs/<id>/result`` response (raising its typed error)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(job_id)
-            if status["state"] not in ("queued", "running"):
-                return self.result(job_id)
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {status['state']} after {timeout}s"
-                )
-            time.sleep(poll_s)
+        """Hold on ``/jobs/<id>/result`` until the job leaves queued/running;
+        returns that response (raising the job's typed error).  The server
+        pushes completion: ``poll_s`` is the longest *one* request is held
+        before it is asked again at once, not a latency quantum."""
+        return self._held("GET", f"/jobs/{job_id}/result", None, timeout, poll_s)
 
     def run(
         self,
@@ -107,20 +101,25 @@ class CampaignClient:
         timeout: float = 60.0,
         poll_s: float = 0.02,
     ) -> Dict[str, Any]:
-        """Submit and wait; returns the result response.
+        """Submit and hold; returns the result response.  A job that ends
+        within ``poll_s`` -- and every cache hit, marked ``"cached": True``
+        so callers can tell a served-warm response from a recompute -- is
+        one round trip."""
+        return self._held("POST", "/submit", request, timeout, poll_s)
 
-        A cache-hit submit comes back already ``done``; the flag is
-        carried onto the result response as ``"cached": True`` so
-        callers (and the cache benches) can tell a served-warm response
-        from a recompute.
-        """
-        submitted = self.submit(request)
-        if submitted.get("state") == "done":  # served from the result cache
-            result = self.result(submitted["job_id"])
-            if submitted.get("cached"):
-                result["cached"] = True
-            return result
-        return self.wait(submitted["job_id"], timeout=timeout, poll_s=poll_s)
+    def _held(self, method, path, body, timeout: float, poll_s: float) -> Dict[str, Any]:
+        deadline = time.monotonic() + timeout
+        while True:
+            left = deadline - time.monotonic()
+            hold = max(0.0, min(float(poll_s), left, 0.5 * self.timeout))  # < the socket's
+            response = self._request(method, f"{path}?wait={hold!r}", body)
+            if response["state"] not in ("queued", "running"):
+                return response
+            if left <= 0.0:
+                raise TimeoutError(
+                    f"job {response['job_id']} still {response['state']} after {timeout}s"
+                )
+            method, path, body = "GET", f"/jobs/{response['job_id']}/result", None
 
     def health(self) -> Dict[str, Any]:
         return self._request("GET", "/health")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "canonical_json",
     "sha256_hex",
     "parse_http_request",
+    "split_hold",
     "format_http_response",
     "error_body",
 ]
@@ -439,6 +441,30 @@ def parse_http_request(
             "malformed", f"Content-Length {n} outside [0, {MAX_BODY_BYTES}]"
         )
     return method, path, headers
+
+
+#: The longest one request is held open, whatever ``?wait=`` asks for: shorter
+#: than the client's default socket timeout, so a held request is always answered.
+MAX_HOLD_S = 10.0
+
+
+def split_hold(target: str) -> Tuple[str, Optional[float]]:
+    """``path?wait=<seconds>`` as ``(path, seconds)``, clamped to
+    :data:`MAX_HOLD_S`; ``None`` without a query.  ``wait`` is the only key,
+    once, finite and non-negative: anything else is ``malformed``."""
+    path, has_query, query = target.partition("?")
+    if not has_query:
+        return path, None
+    key, _, value = query.partition("=")
+    try:
+        wait = float(value) if key == "wait" else math.nan
+    except ValueError:
+        wait = math.nan
+    if not 0.0 <= wait < math.inf:
+        raise ProtocolError(
+            "malformed", f"bad query {query!r}: only wait=<seconds >= 0> is understood"
+        )
+    return path, min(wait, MAX_HOLD_S)
 
 
 def format_http_response(

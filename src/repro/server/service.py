@@ -22,7 +22,14 @@ production concerns the library layer deliberately doesn't have:
 
 Endpoints: ``POST /submit``, ``GET /jobs/<id>``,
 ``GET /jobs/<id>/result``, ``GET /health``, ``GET /stats``,
-``POST /drain``.  Everything is observable through ``server.*`` and
+``POST /drain``.  Completion is pushed, not polled: ``POST /submit?wait=<s>``
+and ``GET /jobs/<id>/result?wait=<s>`` hold the connection until the job
+leaves ``queued``/``running`` or ``<s>`` seconds (at most
+:data:`~repro.server.protocol.MAX_HOLD_S`) pass, and answer with the
+``/result`` body: the result inline (plus ``cached`` / ``coalesced``), the
+job's typed error, or the 202 status on expiry.  Terminal jobs stay
+fetchable newest-first up to ``result_cache_entries``; an older id is
+``not_found``.  Everything is observable through ``server.*`` and
 ``resilience.*`` metrics in :mod:`repro.obs`.
 
 Results are **bitwise-faithful**: the executor runs the exact library
@@ -34,6 +41,7 @@ the integration tests assert byte equality against direct library calls.
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import itertools
 import os
@@ -59,6 +67,7 @@ from .protocol import (
     format_http_response,
     parse_http_request,
     sha256_hex,
+    split_hold,
 )
 
 __all__ = ["ServerConfig", "CampaignServer", "ServerHandle"]
@@ -107,6 +116,8 @@ class _Job:
     error: Optional[Dict[str, Any]] = None
     checkpoints: Optional[List[str]] = None
     submitted_at: float = dataclasses.field(default_factory=time.monotonic)
+    #: set once the job is terminal: what a held connection waits on
+    finished: asyncio.Event = dataclasses.field(default_factory=asyncio.Event, repr=False)
 
     def status(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"job_id": self.id, "state": self.state}
@@ -156,7 +167,10 @@ class CampaignServer:
             metrics=metrics,
             fault_plan=fault_plan,
         )
-        self.jobs: Dict[str, _Job] = {}
+        self.jobs: Dict[str, _Job] = {}  # every live job + the newest terminal ones
+        self._terminal: collections.deque = collections.deque()  # their ids, oldest first
+        self._by_state: collections.Counter = collections.Counter()
+        self._handlers: Dict[asyncio.Task, bool] = {}  # connection -> still reading its request
         self.port: Optional[int] = None
         self._ids = itertools.count(1)
         self._inflight: Dict[str, str] = {}  # content_key -> job_id
@@ -211,7 +225,7 @@ class CampaignServer:
             if job_id is None:
                 continue
             job = self.jobs[job_id]
-            job.state = "cancelled"
+            self._set_state(job, "cancelled")
             job.error = {
                 "error": "draining",
                 "message": "server drained before the job started",
@@ -245,20 +259,40 @@ class CampaignServer:
         }
 
     async def shutdown(self) -> Dict[str, Any]:
-        """Drain, then close the listening socket and release the loop."""
+        """Drain, close the listening socket, join every connection
+        handler and release the loop."""
         summary = await self.drain()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # the drain answered every held connection; one that has not sent its
+        # request yet (a half-open socket) is owed nothing and would wait 10 s
+        handlers = [t for t in self._handlers if t is not asyncio.current_task()]
+        for task in handlers:
+            if self._handlers[task]:
+                task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         self._stopped.set()
         return summary
 
-    def _finish_job(self, job: _Job) -> None:
-        self.admission.release(job.request.tenant)
+    def _set_state(self, job: _Job, state: str) -> None:
+        self._by_state[job.state] -= 1
+        self._by_state[state] += 1
+        job.state = state
+
+    def _finish_job(self, job: _Job, admitted: bool = True) -> None:
+        """The one place a job becomes terminal: frees its slot, wakes the
+        connections held on it and retires the oldest terminal job past the bound."""
+        if admitted:
+            self.admission.release(job.request.tenant)
         with self._lock:
             if self._inflight.get(job.content_key) == job.id:
                 self._inflight.pop(job.content_key, None)
+            self._terminal.append(job.id)
+            while len(self._terminal) > self.config.result_cache_entries:
+                self.jobs.pop(self._terminal.popleft(), None)
+        job.finished.set()
 
     # -- connection handling --------------------------------------------
     async def _handle_conn(
@@ -266,6 +300,9 @@ class CampaignServer:
     ) -> None:
         registry = self._registry()
         registry.counter("server.requests").inc()
+        task = asyncio.current_task()
+        self._handlers[task] = True
+        task.add_done_callback(self._handlers.pop)
         try:
             try:
                 head = await asyncio.wait_for(
@@ -276,6 +313,13 @@ class CampaignServer:
                 body = await asyncio.wait_for(
                     reader.readexactly(n), timeout=10.0
                 ) if n else b""
+                self._handlers[task] = False  # from here on it is owed a response
+            except asyncio.CancelledError:
+                # only shutdown() cancels, and only a connection still waiting for
+                # its request; ending *cancelled* would make asyncio's stream
+                # protocol (3.11) log a traceback for every such socket
+                writer.close()
+                return
             except ProtocolError:
                 raise
             except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
@@ -317,8 +361,9 @@ class CampaignServer:
                 pass
 
     async def _dispatch(self, method: str, path: str, body: bytes) -> bytes:
+        path, wait = split_hold(path)
         if method == "POST" and path == "/submit":
-            return await self._submit(body)
+            return await self._submit(body, wait)
         if method == "POST" and path == "/drain":
             summary = await self.drain()
             return format_http_response(200, summary)
@@ -329,12 +374,12 @@ class CampaignServer:
         if method == "GET" and path.startswith("/jobs/"):
             rest = path[len("/jobs/"):]
             if rest.endswith("/result"):
-                return self._job_result(rest[: -len("/result")])
+                return await self._job_result(rest[: -len("/result")], wait)
             return self._job_status(rest)
         raise ProtocolError("not_found", f"no endpoint {method} {path}")
 
     # -- endpoints ------------------------------------------------------
-    async def _submit(self, body: bytes) -> bytes:
+    async def _submit(self, body: bytes, wait: Optional[float]) -> bytes:
         registry = self._registry()
         request = CampaignRequest.from_json(body)
         content_key = request.content_key()
@@ -343,11 +388,10 @@ class CampaignServer:
         cached = self.result_cache.get(content_key)
         if cached is not None:
             job = self._new_job(request, content_key, admitted=False)
-            job.state = "done"
+            self._set_state(job, "done")
             job.result = cached
-            return format_http_response(
-                200, {**job.status(), "cached": True}
-            )
+            self._finish_job(job, admitted=False)
+            return await self._answer(job, wait, cached=True)
         # in-flight coalescing: identical physics rides the same job.
         with self._lock:
             leader_id = self._inflight.get(content_key)
@@ -355,16 +399,22 @@ class CampaignServer:
             "queued", "running"
         ):
             registry.counter("server.coalesced").inc()
-            return format_http_response(
-                202, {"job_id": leader_id, "state": self.jobs[leader_id].state,
-                      "coalesced": True}
-            )
+            return await self._answer(self.jobs[leader_id], wait, coalesced=True)
         self.admission.admit(request.tenant)  # raises typed rejections
         job = self._new_job(request, content_key, admitted=True)
         with self._lock:
             self._inflight[content_key] = job.id
         await self._queue.put(job.id)
-        return format_http_response(202, job.status())
+        return await self._answer(job, wait)
+
+    async def _answer(self, job: _Job, wait: Optional[float], **flags) -> bytes:
+        """A submit's response: the job's status at once, or with ``?wait=``
+        its result, held for."""
+        if wait is None:
+            return format_http_response(
+                200 if job.state == "done" else 202, {**job.status(), **flags}
+            )
+        return await self._job_result(job.id, wait, **flags)
 
     def _new_job(
         self, request: CampaignRequest, content_key: str, admitted: bool
@@ -382,6 +432,7 @@ class CampaignServer:
         )
         with self._lock:
             self.jobs[job.id] = job
+            self._by_state[job.state] += 1
         return job
 
     def _job_status(self, job_id: str) -> bytes:
@@ -390,18 +441,25 @@ class CampaignServer:
             raise ProtocolError("not_found", f"no job {job_id!r}")
         return format_http_response(200, job.status())
 
-    def _job_result(self, job_id: str) -> bytes:
+    async def _job_result(
+        self, job_id: str, wait: Optional[float] = None, **flags
+    ) -> bytes:
         job = self.jobs.get(job_id)
         if job is None:
             raise ProtocolError("not_found", f"no job {job_id!r}")
+        if wait and not job.finished.is_set():
+            registry, t0 = self._registry(), time.monotonic()
+            try:
+                await asyncio.wait_for(job.finished.wait(), timeout=wait)
+            except asyncio.TimeoutError:
+                registry.counter("server.holds_expired").inc()
+            registry.histogram("server.hold_seconds").record(time.monotonic() - t0)
+        body = {**job.status(), **flags}
         if job.state == "done":
-            return format_http_response(
-                200, {**job.status(), "result": job.result}
-            )
+            return format_http_response(200, {**body, "result": job.result})
         if job.state in ("queued", "running"):
-            return format_http_response(202, job.status())
+            return format_http_response(202, body)
         # failed / cancelled / checkpointed: replay the typed error.
-        body = job.status()
         status = 500
         if job.error is not None:
             status = ERROR_CODES.get(job.error.get("error", "internal"), 500)
@@ -422,14 +480,10 @@ class CampaignServer:
             for name, data in snap.items()
             if name.startswith(("server.", "resilience.", "plan."))
         }
-        by_state: Dict[str, int] = {}
-        with self._lock:
-            for job in self.jobs.values():
-                by_state[job.state] = by_state.get(job.state, 0) + 1
         return {
             "metrics": interesting,
             "breakers": self.breaker.snapshot(),
-            "jobs": by_state,
+            "jobs": {state: n for state, n in self._by_state.items() if n},
             "mesh_cache_entries": len(self.mesh_cache),
             "result_cache_entries": len(self.result_cache),
             "queue_depth": self.admission.depth,
@@ -463,12 +517,12 @@ class CampaignServer:
         if job.cancel.cancelled:
             reason = job.cancel.reason
             code = "deadline_exceeded" if reason == "deadline" else "draining"
-            job.state = "cancelled"
+            self._set_state(job, "cancelled")
             job.error = {"error": code, "message": f"cancelled before start ({reason})"}
             registry.counter(f"server.rejections.{code}").inc()
             registry.counter("server.jobs_cancelled").inc()
             return
-        job.state = "running"
+        self._set_state(job, "running")
         t0 = time.monotonic()
         loop = asyncio.get_running_loop()
         try:
@@ -476,7 +530,7 @@ class CampaignServer:
                 self._executor, self._run_job_sync, job
             )
         except _JobCheckpointed as exc:
-            job.state = "checkpointed"
+            self._set_state(job, "checkpointed")
             job.checkpoints = exc.paths
             registry.counter("server.jobs_checkpointed").inc()
             return
@@ -484,19 +538,19 @@ class CampaignServer:
             code = (
                 "deadline_exceeded" if exc.reason == "deadline" else "draining"
             )
-            job.state = "cancelled"
+            self._set_state(job, "cancelled")
             job.error = {"error": code, "message": str(exc)}
             registry.counter(f"server.rejections.{code}").inc()
             registry.counter("server.jobs_cancelled").inc()
             return
         except ProtocolError as exc:
-            job.state = "failed"
+            self._set_state(job, "failed")
             job.error = error_body(exc)
             registry.counter(f"server.rejections.{exc.code}").inc()
             registry.counter("server.jobs_failed").inc()
             return
         except Exception as exc:
-            job.state = "failed"
+            self._set_state(job, "failed")
             job.error = {
                 "error": "internal",
                 "message": f"{type(exc).__name__}: {exc}",
@@ -506,7 +560,7 @@ class CampaignServer:
             return
         seconds = time.monotonic() - t0
         job.result = payload
-        job.state = "done"
+        self._set_state(job, "done")
         self.result_cache.put(job.content_key, payload)
         self.admission.record_service_time(seconds)
         registry.counter("server.jobs_completed").inc()

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.spans import NULL_TRACER
 
-__all__ = ["SolveResult", "conjugate_gradient", "SolverError"]
+__all__ = ["SolveResult", "VectorPhase", "conjugate_gradient", "SolverError"]
 
 LinearOperator = Union[np.ndarray, sp.spmatrix, Callable[[np.ndarray], np.ndarray]]
 
@@ -111,9 +111,30 @@ def _columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v[..., keep])
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-column ``u_s . v_s`` of two ``(n, S)`` blocks."""
-    return scenario_rows(u * v).sum(axis=1)
+class VectorPhase:
+    """The iteration's vector work between product and preconditioner, on
+    ``(n, S)`` blocks with per-column scalars: the numpy form, which is the
+    definition.  An operator that *is* one (a hierarchy's
+    :class:`~repro.solvers.native.NativeCycle`) serves the same four calls
+    from C once they matched these to the byte."""
+
+    def dots(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-column ``u_s . v_s``."""
+        return scenario_rows(u * v).sum(axis=1)
+
+    def step(self, alpha, p, ap, x, r) -> np.ndarray:
+        """``x += alpha p`` and ``r -= alpha A p`` in place; the new ``r_s . r_s``."""
+        x += alpha * p
+        r -= alpha * ap
+        return self.dots(r, r)
+
+    def direction(self, z, beta, p) -> np.ndarray:
+        """The next search direction ``z + beta p`` (may reuse ``p``)."""
+        return z + beta * p
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """``v`` less each column's mean (a vector is one column)."""
+        return v - scenario_rows(v).mean(axis=-1)
 
 
 def conjugate_gradient(
@@ -174,15 +195,16 @@ def conjugate_gradient(
 
     with tracer.span("cg_solve", n=n, columns=ncol) as span:
         matvec = a if callable(a) else (lambda v: a @ v)
+        phase = a if isinstance(a, VectorPhase) else VectorPhase()
         solution = (
             np.zeros_like(rhs)
             if x0 is None
             else np.array(x0, dtype=np.float64).reshape(n, ncol)
         )
-        bnorm = np.sqrt(_dots(rhs, rhs))
+        bnorm = np.sqrt(phase.dots(rhs, rhs))
         target = np.maximum(tol * bnorm, atol)
         r = rhs - matvec(solution)
-        rnorm = np.sqrt(_dots(r, r))
+        rnorm = np.sqrt(phase.dots(r, r))
         history = [[float(v)] for v in rnorm]
         iterations = np.zeros(ncol, dtype=np.int64)
         converged = (bnorm == 0.0) | (rnorm <= target)
@@ -197,7 +219,7 @@ def conjugate_gradient(
         if act.size:
             z = preconditioner(r) if preconditioner is not None else r
             p = z.copy()
-            rz = _dots(r, z)
+            rz = phase.dots(r, z)
 
         def leave(gone: np.ndarray, it: int, *state):
             """Freeze the ``gone`` columns at their iterates; compact the rest."""
@@ -212,17 +234,14 @@ def conjugate_gradient(
             if not act.size:
                 break
             ap = matvec(p)
-            pap = _dots(p, ap)
+            pap = phase.dots(p, ap)
             bad = ~(pap > 0.0)  # non-positive *or non-finite* curvature
             if bad.any():
                 broke.update((int(s), it) for s in act[bad])
                 r, p, ap, rz, pap, tgt = leave(bad, it, r, p, ap, rz, pap, tgt)
                 if not act.size:
                     break
-            alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
-            rnorm = np.sqrt(_dots(r, r))
+            rnorm = np.sqrt(phase.step(rz / pap, p, ap, x, r))
             for s, v in zip(act, rnorm):
                 history[s].append(float(v))
             hit = rnorm <= tgt
@@ -232,8 +251,8 @@ def conjugate_gradient(
                 if not act.size:
                     break
             z = preconditioner(r) if preconditioner is not None else r
-            rz_new = _dots(r, z)
-            p = z + (rz_new / rz) * p
+            rz_new = phase.dots(r, z)
+            p = phase.direction(z, rz_new / rz, p)
             rz = rz_new
         else:
             leave(np.ones(act.size, dtype=bool), maxiter)

@@ -15,6 +15,12 @@ shared through the plan and ctypes drops the GIL.  :class:`NativeCycle` follows 
 generated kernel's rule (``python -> building -> loaded -> adopted | rejected``,
 same cache and flags; a cold cache forks ``cc`` at a first V-cycle and never waits):
 served only after matching the scipy form to the byte, else scipy serves for good.
+
+The same source holds CG's vector phase (:class:`~repro.solvers.cg.VectorPhase`: the
+per-column dots, the two axpys, ``p = z + beta p``, the mean projection) as epilogues
+CG calls around the product and the cycle of a ``k > 1`` block -- a column's sum is
+numpy's pairwise ``add.reduce`` transcribed -- under the same rule, its own verdict
+(``vector_phase``), and the step's other block products (:meth:`NativeCycle.matmul`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from ..core.native import build, load
 from ..obs.metrics import get_registry
 from ..obs.spans import get_tracer
+from .cg import VectorPhase
 
 __all__ = ["NativeCycle", "SOURCE", "SYMBOLS"]
 
@@ -95,12 +102,11 @@ INLINE panel(const Mat *m, i64 k, const int W, in x, double *y, int mode, in u, 
 static void prod(const Mat *m, i64 k, in x, double *y, int mode, in u, in b, in w)
 {
   if (k == 1) { rows(m, x, y, mode, u, b, w); return; }
+#define WIDTHS CASE(1) CASE(2) CASE(3) CASE(4) CASE(5) CASE(6) CASE(7) CASE(8) CASE(9) \
+  CASE(10) CASE(11) CASE(12) CASE(13) CASE(14) CASE(15) CASE(16)
 #define CASE(W) case W: panel(m, k, W, x + c, y + c, mode, u + c, b + c, w); break;
   for (i64 c = 0; c < k; c += 16)
-    switch (k - c < 16 ? k - c : 16) {
-      CASE(1) CASE(2) CASE(3) CASE(4) CASE(5) CASE(6) CASE(7) CASE(8) CASE(9)
-      CASE(10) CASE(11) CASE(12) CASE(13) CASE(14) CASE(15) CASE(16)
-    }
+    switch (k - c < 16 ? k - c : 16) { WIDTHS }
 }
 
 void product(const Mat *m, i64 k, in x, double *y) { prod(m, k, x, y, SET, y, y, y); }
@@ -135,18 +141,84 @@ void up(const Level *L, i64 nlev, i64 k, i64 pre, i64 post, in b, double *S, in 
     c = y;
   }
 }
+
+/* CG's vector phase on (n, k) blocks.  sums: per column, numpy's add.reduce of the
+   products u v down the column as a contiguous row -- halves (cut at a multiple of 8)
+   down to blocks of <= 128, eight partial sums a block, their tree, the tail, and
+   0.0 + the lot -- W columns abreast; kv = 0 reads v as one row (of ones: x * 1 = x) */
+#define LANE(e) _Pragma("omp simd") for (int c = 0; c < W; ++c) e;
+INLINE leaf(in u, in v, i64 kv, i64 n, i64 k, const int W, double *s)
+{
+  double r[8 * 16];
+  i64 i = n < 8 ? 0 : n - n % 8;
+  LANE(s[c] = 0.)
+  if (n >= 8) {
+    for (int j = 0; j < 8; ++j) LANE(r[j * W + c] = u[j * k + c] * v[j * kv + c])
+    for (i64 h = 8; h < i; h += 8)
+      for (int j = 0; j < 8; ++j) LANE(r[j * W + c] += u[(h + j) * k + c] * v[(h + j) * kv + c])
+    LANE(s[c] = ((r[c] + r[W + c]) + (r[2 * W + c] + r[3 * W + c]))
+              + ((r[4 * W + c] + r[5 * W + c]) + (r[6 * W + c] + r[7 * W + c])))
+  }
+  for (; i < n; ++i) LANE(s[c] += u[i * k + c] * v[i * kv + c])
+}
+
+static void pairwise(in u, in v, i64 kv, i64 n, i64 k, int W, double *s)
+{
+  if (n > 128) {
+    const i64 h = n / 2 - n / 2 % 8; double t[16];
+    pairwise(u, v, kv, h, k, W, s); pairwise(u + h * k, v + h * kv, kv, n - h, k, W, t);
+    LANE(s[c] += t[c])
+    return;
+  }
+#undef CASE
+#define CASE(W) case W: leaf(u, v, kv, n, k, W, s); break;
+  switch (W) { WIDTHS }
+}
+
+static void sums(in u, in v, i64 kv, i64 n, i64 k, double *s)
+{
+  for (i64 c = 0; c < k; c += 16)
+    pairwise(u + c, kv ? v + c : v, kv, n, k, k - c < 16 ? k - c : 16, s + c);
+  for (i64 c = 0; c < k; ++c) s[c] = 0. + s[c];
+}
+
+/* e at every entry m = i k + c of a block */
+#define EACH(e) for (i64 i = 0; i < n; ++i) \
+  _Pragma("omp simd") for (i64 c = 0; c < k; ++c) { const i64 m = i * k + c; e; }
+
+void dots(i64 n, i64 k, in u, in v, double *s) { sums(u, v, k, n, k, s); }
+
+void step(i64 n, i64 k, in p, in ap, in a, double *x, double *r, double *rr)
+{ EACH((x[m] += a[c] * p[m], r[m] -= a[c] * ap[m])) sums(r, r, k, n, k, rr); }
+
+void direction(i64 n, i64 k, in z, in b, double *p) { EACH(p[m] = z[m] + b[c] * p[m]) }
+
+void project(i64 n, i64 k, in v, double *y)
+{
+  static const double one[16] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
+  double mean[k];
+  sums(v, one, 0, n, k, mean);
+  for (i64 c = 0; c < k; ++c) mean[c] /= (double)n;
+  EACH(y[m] = v[m] - mean[c])
+}
 """
 
 _I64, _PTR = ctypes.c_longlong, ctypes.c_void_p
 SYMBOLS = {"product": [_PTR, _I64, _PTR, _PTR], "down": [_PTR, _I64, _I64, _I64, _PTR, _PTR],
-           "up": [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR]}
+           "up": [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
+           "dots": [_I64, _I64] + [_PTR] * 3, "step": [_I64, _I64] + [_PTR] * 6,
+           "direction": [_I64, _I64] + [_PTR] * 3, "project": [_I64, _I64, _PTR, _PTR]}
 
 
-def _mat(m, keep: list) -> list:
+def _mat(m, keep: list, sell: bool = True) -> list:
     """The words of a C ``Mat``: ``m``'s CSR arrays (no copy), then their SELL-8
-    copy; ``keep`` holds what the addresses point into."""
+    copy (``sell``: only a one-column product reads it); ``keep`` holds what the
+    addresses point into."""
     if m is None:
         return [0] * 7
+    if not sell:
+        keep.extend(csr := (m.indptr, m.indices, m.data))
+        return [m.shape[0]] + [a.ctypes.data for a in csr] + [0] * 3
     n, lens = m.shape[0], np.zeros(-(-m.shape[0] // 8) * 8, dtype=np.int32)
     lens[:n] = np.diff(m.indptr)
     row = np.repeat(np.arange(n), lens[:n])
@@ -161,25 +233,33 @@ def _plain(a: np.ndarray, dtype=np.float64) -> bool:
     return a.dtype == dtype and a.flags.c_contiguous
 
 
+def _csr(m) -> bool:
+    return (m.format == "csr" and _plain(m.data) and _plain(m.indices, np.int32)
+            and _plain(m.indptr, np.int32))
+
+
 def _bits(a: np.ndarray) -> bytes:  # every NaN the same NaN
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
-class NativeCycle:
+class NativeCycle(VectorPhase):
     """One hierarchy's V-cycle and level-0 product in whichever form serves;
-    callable as the operator ``A_0 x`` that CG iterates on."""
+    callable as the operator ``A_0 x`` that CG iterates on, and the vector
+    phase of that iteration."""
 
     def __init__(self, amg) -> None:
         self.amg, self._proc, self._lock = amg, None, threading.Lock()
         ok = len(amg.levels) > 1 and all(
-            _plain(m.data) and _plain(m.indices, np.int32) and _plain(m.indptr, np.int32)
-            for lv in amg.levels for m in (lv.a, lv.prolongator, lv.restriction) if m is not None)
-        self.state = "python" if ok else "rejected"
+            _csr(m) for lv in amg.levels for m in (lv.a, lv.prolongator, lv.restriction)
+            if m is not None)
+        self.state, self.vector_phase = "python" if ok else "rejected", "numpy"
+        self._operators: dict = {}  # id(a CSR operator of the step) -> (its Mat, what that reads)
         if ok:
             self._bind(load(SOURCE, SYMBOLS))
 
     def span_attributes(self) -> dict:
-        return {"native": self.state, "level_nnz": [lv.a.nnz for lv in self.amg.levels]}
+        return {"native": self.state, "vector_phase": self.vector_phase,
+                "level_nnz": [lv.a.nnz for lv in self.amg.levels]}
 
     def _bind(self, fns) -> None:
         """Loaded: the hierarchy as the C side's ``Level`` array, one table row a level
@@ -220,6 +300,73 @@ class NativeCycle:
             "NativeAdopted" if same else "NativeRejected", f"solvers.native_{self.state}",
             get_tracer(), None, what="amg", levels=len(amg.levels),
             nnz=sum(lv.a.nnz for lv in amg.levels))
+        if same:  # CG's vector phase: the same blocks, its own verdict
+            same = all(self._phase_matches(v, v[::-1].copy()) for v in (b, other))
+            self.vector_phase = "native" if same else "numpy"
+            record_escalation(
+                "NativeAdopted" if same else "NativeRejected",
+                f"solvers.vector_phase_{'adopted' if same else 'rejected'}",
+                get_tracer(), None, what="cg")
+
+    def _phase_matches(self, u: np.ndarray, v: np.ndarray) -> bool:
+        """Every export of the vector phase against the numpy expression it replaces."""
+        numpy, alpha = VectorPhase(), 0.5 + np.arange(u.shape[1], dtype=np.float64)
+        x, r, p, y, s, d = u.copy(), v.copy(), v.copy(), u.copy(), v.copy(), v.copy()
+        got = [self._run("dots", u, v, np.empty_like(alpha)), self._run("project", u, np.empty_like(u)),
+               self._run("step", u, v, alpha, x, r, np.empty_like(alpha)), x, r,
+               self._run("direction", u, alpha, p)]
+        want = [numpy.dots(u, v), numpy.project(u), numpy.step(alpha, u, v, y, s), y, s,
+                numpy.direction(u, alpha, d)]
+        return all(_bits(g) == _bits(w) for g, w in zip(got, want))
+
+    def _run(self, name: str, *arrays: np.ndarray) -> np.ndarray:
+        """The export ``name`` on blocks shaped like the first array; returns the last."""
+        self._fns[name](*arrays[0].shape, *(a.ctypes.data for a in arrays))
+        return arrays[-1]
+
+    def _serves(self, *blocks, columns=None) -> bool:
+        """Whether C serves these: plain ``(n, k > 1)`` blocks of one shape and ``k``
+        per-column scalars.  A vector stays on numpy: below ~10k rows an export's call
+        (~8 us, mostly ``.ctypes.data``) costs what numpy's own passes over one column do."""
+        shape = blocks[0].shape
+        return self.vector_phase == "native" and len(shape) == 2 and shape[1] > 1 and all(
+            b.shape == shape and _plain(b) for b in blocks) and (
+            columns is None or (_plain(columns) and columns.shape == shape[1:]))
+
+    def dots(self, u, v):
+        return (self._run("dots", u, v, np.empty(u.shape[1])) if self._serves(u, v)
+                else super().dots(u, v))
+
+    def step(self, alpha, p, ap, x, r):
+        return (self._run("step", p, ap, alpha, x, r, np.empty(p.shape[1]))
+                if self._serves(p, ap, x, r, columns=alpha) else super().step(alpha, p, ap, x, r))
+
+    def direction(self, z, beta, p):
+        return (self._run("direction", z, beta, p) if self._serves(z, p, columns=beta)
+                else super().direction(z, beta, p))
+
+    def project(self, v):
+        return (self._run("project", v, np.empty_like(v)) if self._serves(v)
+                else super().project(v))
+
+    def matmul(self, m, x: np.ndarray) -> np.ndarray:
+        """``m @ x`` for a CSR operator of the step (divergence, gradient): the adopted
+        panels on a plain ``k > 1`` block, off ``m``'s own arrays (no SELL copy); an
+        operator's first block is checked against scipy's, like the hierarchy's."""
+        if not (self.state == "adopted" and x.ndim == 2 and x.shape[1] > 1 and _plain(x)
+                and x.shape[0] == m.shape[1] and _csr(m)):
+            return m @ x
+        first, out = id(m) not in self._operators, np.empty((m.shape[0], x.shape[1]))
+        if first:
+            keep = [m]
+            self._operators[id(m)] = np.array(_mat(m, keep, sell=False)), keep
+        words = self._operators[id(m)][0].ctypes.data
+        self._fns["product"](words, x.shape[1], x.ctypes.data, out.ctypes.data)
+        if first and _bits(out) != _bits(m @ x):
+            self.state = "rejected"
+            get_registry().counter("solvers.native_rejected").inc()
+            return m @ x
+        return out
 
     def _c_product(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)

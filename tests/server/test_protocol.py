@@ -21,7 +21,9 @@ from repro.server.protocol import (
     format_http_response,
     parse_http_request,
     sha256_hex,
+    split_hold,
 )
+from repro.server.protocol import MAX_HOLD_S
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies for valid requests
@@ -185,6 +187,29 @@ def test_parse_http_request_garbage_is_typed_malformed(head):
     with pytest.raises(ProtocolError) as err:
         parse_http_request(head)
     assert err.value.code == "malformed"
+
+
+#: what a client, a fuzzer or a typo puts after ``?``
+QUERIES = st.one_of(
+    st.sampled_from(["", "wait", "wait=", "wait=nan", "wait=inf", "wait=-1", "wait=1e309",
+                     "wait=-0.0", "wait=0", "wait=0.02", "wait=1e300", "wait=1&wait=2",
+                     "wait=1&x=2", "hold=1", "WAIT=1", "=1", "wait==1", "wait=1?wait=2"]),
+    st.text(max_size=12),
+    st.floats().map(lambda v: f"wait={v!r}"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(["/submit", "/jobs/job-000001/result", "/", ""]), query=QUERIES)
+def test_hold_query_is_a_clamped_wait_or_typed_malformed(path, query):
+    assert split_hold(path) == (path, None)
+    try:
+        got, wait = split_hold(f"{path}?{query}")
+    except ProtocolError as exc:
+        assert exc.code == "malformed"
+        return
+    assert got == path and 0.0 <= wait <= MAX_HOLD_S
+    assert query.startswith("wait=") and wait == min(float(query[5:]), MAX_HOLD_S)
 
 
 def test_format_http_response_shape():

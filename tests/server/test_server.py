@@ -8,13 +8,18 @@ metrics.
 """
 
 import hashlib
+import json
+import logging
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.server import (
     AdmissionController,
     CampaignClient,
@@ -351,8 +356,8 @@ def test_deadline_exceeded_is_typed_and_cancels_cleanly():
             "kind": "campaign", "mesh": MESH, "steps": 1000, "dt": 5e-3,
             "mode": "compiled", "deadline_ms": 400.0, "velocity_seed": 42,
         })
-        with pytest.raises(ProtocolError) as err:
-            client.wait(sub["job_id"], timeout=120)
+        with pytest.raises(ProtocolError) as err:  # delivered to the held connection
+            client.wait(sub["job_id"], timeout=120, poll_s=5)
         assert err.value.code == "deadline_exceeded"
         status = client.status(sub["job_id"])
         assert status["state"] == "cancelled"
@@ -463,6 +468,225 @@ def test_stop_leaves_no_server_threads_or_tasks():
     assert leftovers == []
     # double-stop is a no-op
     handle.stop()
+
+
+# ---------------------------------------------------------------------------
+# integration: completion is pushed to a held connection, not polled
+# ---------------------------------------------------------------------------
+
+def _slow_jobs(seconds):
+    """A server whose every job sleeps ``seconds`` in the executor, its
+    client, and a reader of its own (not the process-wide) metrics."""
+    from repro.resilience.faults import FaultPlan, FaultSpec
+
+    plan = FaultPlan([FaultSpec(site="server_exec", kind="slow", index=i, delay=seconds)
+                      for i in range(8)], seed=1)
+    metrics = MetricsRegistry()
+    handle = CampaignServer(
+        ServerConfig(workers=1, max_stall_s=seconds), fault_plan=plan, metrics=metrics
+    ).start_in_thread()
+    return handle, CampaignClient(port=handle.port, timeout=60), (
+        lambda name: metrics.snapshot().get(name, {"value": 0})
+    )
+
+
+def _assemble(seed):
+    return {"kind": "assemble", "mesh": MESH, "velocity_seed": seed}
+
+
+def _raw(port, payload):
+    """One exchange on a bare socket: send, half-close, read to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=20) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        raw = b"".join(iter(lambda: sock.recv(65536), b""))
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split(b" ")[1]), json.loads(body)
+
+
+def _in_thread(fn, *args, **kwargs):
+    """Run ``fn`` on a thread; ``join()`` returns its result or exception."""
+    box = []
+
+    def target():
+        try:
+            box.append(fn(*args, **kwargs))
+        except Exception as exc:
+            box.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+
+    def join():
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return box[0]
+
+    return join
+
+
+def test_a_finished_job_is_pushed_to_the_held_connection_in_one_round_trip():
+    """``poll_s`` is the longest one request is held, not a sleep: a 50 ms
+    job under ``poll_s=5`` is one request and well under a second; so is a
+    cache hit, and a coalesced follower rides the leader's job."""
+    handle, client, metric = _slow_jobs(0.05)
+    try:
+        t0 = time.monotonic()
+        first = client.run(_assemble(1), poll_s=5)
+        assert time.monotonic() - t0 < 1.0
+        assert first["state"] == "done" and "cached" not in first
+        assert metric("server.requests")["value"] == 1
+        hit = client.run(_assemble(1), poll_s=5)
+        assert hit["cached"] is True and hit["result"] == first["result"]
+        assert metric("server.requests")["value"] == 2
+        leader = client.submit(_assemble(2))
+        follower = client.run(_assemble(2), poll_s=5)
+        assert follower["coalesced"] is True and follower["job_id"] == leader["job_id"]
+        assert follower["result"] == client.result(leader["job_id"])["result"]
+        assert metric("server.holds_expired")["value"] == 0
+        held = metric("server.hold_seconds")
+        assert held["count"] == 2 and 0.03 < held["min"] <= held["max"] < 1.0
+    finally:
+        handle.stop()
+
+
+def test_an_expired_hold_is_asked_again_and_client_timeout_still_raises():
+    handle, client, metric = _slow_jobs(0.2)
+    try:
+        slow = client.run(_assemble(3), poll_s=0.001)
+        assert metric("server.holds_expired")["value"] >= 2
+        assert metric("server.requests")["value"] == metric("server.holds_expired")["value"] + 1
+        quick = CampaignServer(ServerConfig(workers=1)).start_in_thread()
+        try:  # the same bytes as a server that never made anyone wait
+            direct = CampaignClient(port=quick.port).run(_assemble(3), poll_s=5)
+        finally:
+            quick.stop()
+        assert slow["result"] == direct["result"]
+        with pytest.raises(TimeoutError):
+            client.run(_assemble(4), timeout=0.05, poll_s=5)
+    finally:
+        handle.stop()
+
+
+def test_drain_answers_held_connections_with_draining_or_checkpoints(tmp_path):
+    server, handle, client = _serve(ServerConfig(workers=1, checkpoint_dir=str(tmp_path)))
+    try:
+        steps = _count("fstep.batch_steps")
+        running = client.submit({"kind": "campaign", "mesh": MESH, "steps": 900,
+                                 "dt": 5e-3, "mode": "compiled", "velocity_seed": 9})
+        queued = client.submit(_assemble(5))
+        deadline = time.monotonic() + 30
+        while _count("fstep.batch_steps") == steps:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        held_running = _in_thread(
+            _raw, handle.port,
+            f"GET /jobs/{running['job_id']}/result?wait=9 HTTP/1.1\r\n\r\n".encode())
+        held_queued = _in_thread(client.wait, queued["job_id"], poll_s=5)
+        while len(server._handlers) < 2:  # both connections are being held
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        client.drain()
+        refused = held_queued()
+        assert isinstance(refused, ProtocolError) and refused.code == "draining"
+        status, body = held_running()
+        assert status == 500 and body["state"] == "checkpointed" and body["checkpoints"]
+    finally:
+        handle.stop()
+
+
+def test_job_table_is_bounded_and_stats_count_without_walking_it():
+    bound = 8
+    server, handle, client = _serve(ServerConfig(workers=1, result_cache_entries=bound))
+    try:
+        ids = [client.run(_assemble(1000 + i), poll_s=5)["job_id"] for i in range(500)]
+        assert len(server.jobs) <= bound
+        assert client.result(ids[-1])["state"] == "done"
+        with pytest.raises(ProtocolError) as err:
+            client.result(ids[0])
+        assert err.value.code == "not_found"
+        assert client.stats()["jobs"] == {"done": 500}
+    finally:
+        handle.stop()
+
+
+def test_half_open_connections_are_joined_quietly_at_shutdown(caplog):
+    """A socket that never sends its request used to leave a handler that
+    the closing loop cancelled: one logged traceback each."""
+    server, handle, client = _serve()
+    accepted = _count("server.requests")
+    idle = [socket.create_connection(("127.0.0.1", handle.port)) for _ in range(10)]
+    for _ in range(50):
+        socket.create_connection(("127.0.0.1", handle.port)).close()
+    deadline = time.monotonic() + 10
+    while _count("server.requests") < accepted + 60 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    t0 = time.monotonic()
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        handle.stop()
+    for sock in idle:
+        sock.close()
+    assert time.monotonic() - t0 < 5.0  # nobody sat out the 10 s read timeout
+    assert server._handlers == {}
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+# ---------------------------------------------------------------------------
+# integration: whatever arrives on the socket, a typed answer and no hung handler
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def finished_job():
+    """A live server holding one finished job: ``(port, job_id)``."""
+    server, handle, client = _serve()
+    try:
+        yield handle.port, client.run(_assemble(77))["job_id"]
+    finally:
+        handle.stop()
+
+
+_TARGETS = st.one_of(
+    st.sampled_from(["/submit", "/jobs/{id}/result", "/jobs/{id}", "/jobs/job-999999/result",
+                     "/health", "/", "/jobs/", "*"]),
+    st.text(alphabet="/?=&%jobsresult-0123456789", max_size=24),
+)
+_QUERIES = st.one_of(
+    st.none(),
+    st.sampled_from(["", "wait=", "wait=nan", "wait=inf", "wait=-1", "wait=1e309", "wait=0",
+                     "wait=0.5", "wait=1e300", "wait=1&wait=2", "hold=1", "wait=1&x=2"]),
+    st.text(alphabet="wait=&.e-+0123456789nanif", max_size=16),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    method=st.sampled_from(["GET", "POST", "get", "PUT", ""]),
+    target=_TARGETS,
+    query=_QUERIES,
+    version=st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2", ""]),
+    body=st.sampled_from([b"", b"{}", b"[1, 2", b"\xff\xfe"]),
+    cut=st.integers(0, 60) | st.none(),
+)
+def test_any_request_line_gets_a_typed_answer_at_once(
+    finished_job, method, target, query, version, body, cut
+):
+    """Request line, ``?wait=`` and truncated heads, over the socket: a
+    success or a typed ``malformed`` / ``not_found``, never anything else and
+    never a handler that hangs (the only job here is finished, so even a
+    well-formed hold answers at once)."""
+    port, job_id = finished_job
+    line = f"{method} {target.format(id=job_id) if '{id}' in target else target}"
+    line += "" if query is None else f"?{query}"
+    head = f"{line} {version}\r\nContent-Length: {len(body)}\r\n\r\n".encode("latin-1", "replace")
+    payload = head + body
+    t0 = time.monotonic()
+    status, answer = _raw(port, payload if cut is None else payload[:cut])
+    assert time.monotonic() - t0 < 5.0
+    assert status in (200, 202, 400, 404)
+    if status >= 400:
+        assert answer["error"] in ("malformed", "not_found") and answer["message"]
+    elif "/jobs/" in line:
+        assert answer["job_id"] == job_id and answer["state"] == "done"
 
 
 # ---------------------------------------------------------------------------

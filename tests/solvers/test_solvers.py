@@ -18,6 +18,7 @@ from repro.solvers import (
     deflated_cg,
     partition_coarse_space,
 )
+from repro.solvers.cg import VectorPhase
 from repro.solvers.native import NativeCycle, _bits
 
 
@@ -291,13 +292,18 @@ def _random_hierarchy(rng, sizes, sweeps, wild):
     k=st.integers(1, 17),
     sweeps=st.sampled_from([(1, 1), (0, 2), (2, 0), (3, 3)]),
     wild=st.booleans(),
+    n=st.integers(1, 300) | st.sampled_from([1023, 1024, 1331, 4913, 15625, 35937]),
 )
-@example(seed=0, sizes=[43, 13, 5], k=1, sweeps=(1, 1), wild=True)
-@example(seed=1, sizes=[43, 13, 5], k=17, sweeps=(3, 3), wild=True)
-def test_c_form_equals_scipy_form_to_the_byte(solver_so, seed, sizes, k, sweeps, wild):
+@example(seed=0, sizes=[43, 13, 5], k=1, sweeps=(1, 1), wild=True, n=7)
+@example(seed=1, sizes=[43, 13, 5], k=17, sweeps=(3, 3), wild=True, n=35937)
+@example(seed=2, sizes=[9, 2], k=16, sweeps=(1, 1), wild=False, n=129)
+def test_c_form_equals_scipy_form_to_the_byte(solver_so, seed, sizes, k, sweeps, wild, n):
     """Rows as lanes (``k = 1``) and columns as lanes (every panel and
     remainder width), ``n % 8 != 0``, empty rows, non-finite entries and
-    inputs: V-cycle and product are scipy's, NaNs by mask."""
+    inputs: V-cycle and product are scipy's, NaNs by mask; and on ``(n, k)``
+    blocks of any height (``n < 8``, ``n % 128 != 0``, the pairwise splits)
+    with ``inf`` / ``NaN`` / ``-0.0`` entries every export of CG's vector
+    phase is the numpy expression it replaces."""
     rng = np.random.default_rng(seed)
     amg = _random_hierarchy(rng, sizes, sweeps, wild)
     native = amg.native
@@ -317,6 +323,110 @@ def test_c_form_equals_scipy_form_to_the_byte(solver_so, seed, sizes, k, sweeps,
                 )
                 assert _bits(out) == _bits(m @ x)
     assert _bits(native(b)) == _bits(amg.levels[0].a @ b)
+    assert native.vector_phase == "native"
+    u, v = (_wild(rng, rng.standard_normal((n, k)), 0.01 * wild) for _ in range(2))
+    u[rng.random(u.shape) < 0.05] = -0.0
+    alpha, numpy = rng.standard_normal(k), VectorPhase()
+    assert native._serves(u, v, columns=alpha) == (k > 1)  # a vector stays on numpy
+    x, r, p, y, s, d = v.copy(), u.copy(), u.copy(), v.copy(), u.copy(), u.copy()
+    got = [native._run("dots", u, v, np.empty(k)), native._run("dots", u, u, np.empty(k)),
+           native._run("project", u, np.empty_like(u)), native._run("project", -np.abs(v), 0 * v),
+           native._run("step", u, v, alpha, x, r, np.empty(k)), x, r,
+           native._run("direction", v, alpha, p)]
+    want = [numpy.dots(u, v), numpy.dots(u, u), numpy.project(u), numpy.project(-np.abs(v)),
+            numpy.step(alpha, u, v, y, s), y, s, numpy.direction(v, alpha, d)]
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+    if k > 1:  # ... and the methods CG calls are those exports
+        assert _bits(native.dots(u, v)) == _bits(want[0])
+        assert _bits(native.step(alpha, u, v, v.copy(), u.copy())) == _bits(want[4])
+
+
+def test_block_cg_on_the_c_vector_phase_is_the_numpy_solve_to_the_byte(solver_so, monkeypatch):
+    """The operator CG iterates on decides the phase: a hierarchy's adopted
+    form (C cycle, product and vector phase) against one that serves scipy and
+    numpy for good; blocks and single columns, histories included."""
+    from repro.physics.pressure import PressureSolver
+
+    ps, ref = (PressureSolver(box_tet_mesh(7, 7, 7)) for _ in range(2))
+    native, ref._amg.native.state = ps._amg.native, "rejected"
+    rng = np.random.default_rng(7)
+    rhs = ps._project_constant(rng.standard_normal((ps.laplacian.shape[0], 5)))
+    rhs[:, 3] *= 1e-3
+    kwargs = dict(tol=1e-9, maxiter=200)
+    want = conjugate_gradient(ref.laplacian, rhs, preconditioner=ref._preconditioner(), **kwargs)
+    assert ref._amg.native.vector_phase == "numpy"
+    kwargs["preconditioner"] = ps._preconditioner()
+    first = conjugate_gradient(native, rhs, **kwargs)  # its first cycle adopts
+    assert native.state == "adopted" and native.vector_phase == "native"
+    calls, run = [], NativeCycle._run
+    monkeypatch.setattr(
+        NativeCycle, "_run", lambda self, name, *a: calls.append(name) or run(self, name, *a)
+    )
+    got = conjugate_gradient(native, rhs, **kwargs)
+    assert {"dots", "step", "direction", "project"} <= set(calls)
+    assert all(_same(g, w) and _same(f, w) and g.converged for g, f, w in zip(got, first, want))
+    assert len({r.iterations for r in got}) > 1  # columns left the loop apart
+    assert _same(conjugate_gradient(native, rhs[:, 3], **kwargs), want[3])
+
+
+def test_a_vector_phase_one_ulp_off_is_rejected_alone_and_numpy_serves(solver_so, monkeypatch):
+    from repro.obs import Tracer
+    from repro.physics.pressure import PressureSolver
+
+    run = NativeCycle._run
+
+    def off_by_an_ulp(self, name, *arrays):
+        out = run(self, name, *arrays)
+        return np.nextafter(out, np.inf) if name == "dots" else out
+
+    monkeypatch.setattr(NativeCycle, "_run", off_by_an_ulp)
+    mesh, tracer = box_tet_mesh(6, 6, 6), Tracer()
+    honest = PressureSolver(box_tet_mesh(6, 6, 6), use_amg=True)
+    ps = PressureSolver(mesh, tracer=tracer)
+    rejected = _count("solvers.vector_phase_rejected")
+    u = 0.1 * np.random.default_rng(0).standard_normal((3, mesh.nnode, 3))
+    got = ps.solve(u, np.ones(3), 0.05)
+    assert ps._amg.native.state == "adopted" and ps._amg.native.vector_phase == "numpy"
+    assert _count("solvers.vector_phase_rejected") == rejected + 1
+    span = [s for s in tracer.finished if s.name == "cg_solve"][-1]
+    assert span.attributes["native"] == "adopted" and span.attributes["vector_phase"] == "numpy"
+    monkeypatch.setattr(NativeCycle, "_run", None)  # never reached again
+    again = ps.solve(u, np.ones(3), 0.05)
+    monkeypatch.undo()
+    want = honest.solve(u, np.ones(3), 0.05)
+    assert honest._amg.native.vector_phase == "native"
+    assert all(_same(g, w) and _same(a, w) for g, a, w in zip(got, again, want))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_the_steps_own_block_products_are_scipys_or_reject_the_form(solver_so):
+    """Divergence and gradient operators ride the adopted panels off their own
+    CSR arrays for ``k > 1`` blocks; anything else, and everything after a
+    first block that differs, is ``m @ x``."""
+    mesh = box_tet_mesh(5, 5, 5)
+    plan, rng = get_plan(mesh), np.random.default_rng(3)
+    amg = SmoothedAggregationAMG(assemble_laplacian(mesh))
+    native, derivatives = amg.native, plan.p1_derivatives()
+    block = rng.standard_normal((mesh.nnode, 16))
+    assert native.matmul(derivatives.nodal[0], block).tobytes() == (
+        derivatives.nodal[0] @ block).tobytes() and not native._operators  # not adopted yet
+    amg.vcycle(block)
+    assert native.state == "adopted"
+    for m in derivatives.nodal + derivatives.elemental:
+        for k in (16, 2, 17, 5):
+            x = _wild(rng, rng.standard_normal((mesh.nnode, k)), 0.01)
+            assert _bits(native.matmul(m, x)) == _bits(m @ x)
+        assert np.array_equal(native.matmul(m, block[:, 0]), m @ block[:, 0])
+        assert np.array_equal(native.matmul(m, block[:, ::2]), m @ block[:, ::2])
+    assert len(native._operators) == 6
+    # a new operator whose first block comes back as another one's product
+    words = native._operators[id(derivatives.nodal[1])][0]
+    fn, rejected = native._fns["product"], _count("solvers.native_rejected")
+    native._fns = dict(native._fns, product=lambda w, k, x, y: fn(words.ctypes.data, k, x, y))
+    wrong = derivatives.nodal[0].copy()
+    assert native.matmul(wrong, block).tobytes() == (wrong @ block).tobytes()
+    assert native.state == "rejected" and _count("solvers.native_rejected") == rejected + 1
+    assert native.matmul(wrong, block).tobytes() == (wrong @ block).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
