@@ -20,7 +20,7 @@ Subpackages: :mod:`repro.fem` (tetrahedral FEM substrate),
 variants + DSL + study), :mod:`repro.machine` (A100/Icelake execution
 models), :mod:`repro.solvers` (CG/AMG), :mod:`repro.parallel` (MPI-style
 decomposition), :mod:`repro.io` (VTK + reports), :mod:`repro.obs`
-(telemetry: spans, metrics, perf artifacts).
+(telemetry: spans, metrics, profiler, exporters).
 """
 
 __version__ = "1.0.0"

@@ -45,12 +45,6 @@ from .unified import (
     SpecializationError,
     UnifiedAssembler,
 )
-from .autotune import (
-    DEFAULT_CANDIDATES,
-    AutotuneResult,
-    autotune_vector_dim,
-    write_autotune_report,
-)
 from .study import OptimizationStudy, PAPER_NELEM
 
 __all__ = [
@@ -68,7 +62,5 @@ __all__ = [
     "ScenarioBatch",
     "CPU_VECTOR_DIM", "GPU_VECTOR_DIM", "SpecializationError",
     "UnifiedAssembler",
-    "DEFAULT_CANDIDATES", "AutotuneResult", "autotune_vector_dim",
-    "write_autotune_report",
     "OptimizationStudy", "PAPER_NELEM",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "Value",
     "Backend",
     "NumpyBackend",
-    "ProfilingNumpyBackend",
     "TracingBackend",
     "Temp",
     "KernelContext",
@@ -340,97 +338,6 @@ class NumpyBackend(Backend):
 
     def fence(self, label: str = "") -> None:
         pass
-
-
-# ---------------------------------------------------------------------------
-# Profiling execution backend
-# ---------------------------------------------------------------------------
-
-
-class ProfilingNumpyBackend(NumpyBackend):
-    """:class:`NumpyBackend` with op-level software counters.
-
-    The interpreted cross-check for the tape profiler: every DSL op runs
-    through the *parent's* implementation (results stay bitwise identical
-    to an unprofiled interpreted sweep) with one clock read around it,
-    recorded into a duck-typed profile object (a
-    :class:`repro.obs.profiler.TapeProfile` in practice -- held abstract
-    here so ``core`` never imports ``obs`` at module level).  Ops are
-    keyed by their position in the kernel's straight-line sequence; every
-    element group replays the same sequence, so per-group backends
-    recording into one shared profile accumulate op-wise.
-
-    Byte accounting matches the compiled-tape cost model (8 B float64
-    lanes; scalar operands are register-resident and free), with one
-    deliberate addition: temporary *stores* are charged 16 B/lane.  The
-    compiled tape SSA-renames stores away entirely, so the measured
-    interpreted-vs-compiled traffic gap exhibits exactly the temporary
-    round-trips the paper's privatization transformation eliminates.
-    Loads of temporaries are numpy views (no data motion) and are not
-    charged.
-    """
-
-    def __init__(self, ctx: KernelContext, profile) -> None:
-        super().__init__(ctx)
-        self.profile = profile
-        self._i = 0
-
-    def _rec(
-        self, kind: str, label: str, t0: float, rb: float, wb: float, fl: float
-    ) -> None:
-        dt = time.perf_counter() - t0
-        i = self._i
-        self._i += 1
-        self.profile.record_dynamic(i, kind, label, dt, self.nlane, rb, wb, fl)
-
-    @staticmethod
-    def _nvec(*payloads) -> int:
-        return sum(1 for p in payloads if isinstance(p, np.ndarray))
-
-    def binop(self, op: str, a: Value, b: Value) -> Value:
-        t0 = time.perf_counter()
-        v = super().binop(op, a, b)
-        self._rec("bin", op, t0, 8.0 * self._nvec(a.payload, b.payload), 8.0, 1.0)
-        return v
-
-    def unop(self, op: str, a: Value) -> Value:
-        t0 = time.perf_counter()
-        v = super().unop(op, a)
-        self._rec("un", op, t0, 8.0 * self._nvec(a.payload), 8.0, 1.0)
-        return v
-
-    def select_gt(self, x: Value, thresh: float, a: Value, b) -> Value:
-        bv = self._coerce(b)
-        t0 = time.perf_counter()
-        v = super().select_gt(x, thresh, a, bv)
-        rb = 8.0 * self._nvec(x.payload, a.payload, bv.payload) + 1.0
-        self._rec("sel", "select", t0, rb, 9.0, 1.0)
-        return v
-
-    def store(self, temp: Temp, idx: Tuple[int, ...], value: Value) -> None:
-        t0 = time.perf_counter()
-        super().store(temp, idx, value)
-        self._rec("store", f"store:{temp.spec.name}", t0, 8.0, 8.0, 0.0)
-
-    def gather_coord(self, node_slot: int, component: int) -> Value:
-        t0 = time.perf_counter()
-        v = super().gather_coord(node_slot, component)
-        self._rec("gather", f"coord[{node_slot},{component}]", t0, 16.0, 8.0, 0.0)
-        return v
-
-    def gather_field(self, field: str, node_slot: int, component: int) -> Value:
-        t0 = time.perf_counter()
-        v = super().gather_field(field, node_slot, component)
-        self._rec(
-            "gather", f"{field}[{node_slot},{component}]", t0, 16.0, 8.0, 0.0
-        )
-        return v
-
-    def scatter_add_rhs(self, node_slot: int, component: int, value: Value) -> None:
-        t0 = time.perf_counter()
-        super().scatter_add_rhs(node_slot, component, value)
-        rb = 8.0 * self._nvec(value.payload)
-        self._rec("scatter", f"rhs[{node_slot},{component}]", t0, rb, 8.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

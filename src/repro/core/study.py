@@ -4,13 +4,13 @@
 kernel variant on a representative mesh, runs the GPU and CPU machine
 models, and returns the paper's Tables I and II, the Figure 2 scaling
 curves, the Figure 3 roofline points and the Section VI energy numbers.
-The benchmark harness in ``benchmarks/`` is a thin printing layer over this
-class.
+``examples/optimization_study.py`` prints them, the ``tests/machine``
+suite pins their shapes, and the end-to-end benchmark's ``study_tables``
+workload times one regeneration.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -199,177 +199,6 @@ class OptimizationStudy:
             gpu_power=self.gpu_model.spec.power_watts,
             cpu_power=self.cpu_model.spec.node_power_watts,
         )
-
-    # ------------------------------------------------------------------
-    # Machine-readable perf summary
-    # ------------------------------------------------------------------
-    def bench_summary(
-        self,
-        variants: Optional[List[str]] = None,
-        repeats: int = 1,
-        profile: bool = False,
-    ):
-        """Per-variant real wall clock plus model runtimes (bench.json rows).
-
-        For every variant this times ``repeats`` actual numpy assemblies of
-        the study mesh (best-of), attaches the machine-model runtimes at
-        ``nelem_total`` elements, and records everything into the metrics
-        registry -- the raw material of ``BENCH_variants.json``.
-
-        With ``profile=True`` each variant additionally runs one *untimed*
-        profiled assembly (op-level software counters never contaminate
-        the ``wall_ms`` samples) and the entry grows measured
-        ``profiled_*`` fields: seconds, bytes, Flops, arithmetic
-        intensity, and the predicted-vs-measured byte residual against
-        the variant's :class:`~repro.core.tape.TapeReport`.  The collected
-        profiles stay on :attr:`profiler` for roofline attribution and
-        flamegraph export.
-        """
-        names = list(variants) if variants is not None else list(variant_names())
-        gpu_rt = {c.variant: c.runtime_ms for c in self.gpu_table()}
-        cpu_rt = {c.variant: c.runtime_1c_ms for c in self.cpu_table()}
-        entries: List[Dict[str, object]] = []
-        with self.tracer.span("bench_summary", repeats=int(repeats)):
-            for v in names:
-                walls = []
-                for _ in range(max(1, int(repeats))):
-                    t0 = time.perf_counter()
-                    self.assembler.assemble(v, self.velocity)
-                    walls.append(time.perf_counter() - t0)
-                wall = min(walls)
-                entry: Dict[str, object] = {
-                    "variant": v,
-                    "nelem": int(self.mesh.nelem),
-                    "vector_dim": int(self.assembler.resolve_vector_dim(v)),
-                    "mode": self.assembler.mode,
-                    "executor": self.assembler.executor,
-                    "wall_ms": wall * 1e3,
-                    "melem_per_s": self.mesh.nelem / wall / 1e6,
-                }
-                if self.assembler.plan is not None:
-                    tuned = self.assembler.plan.tuned_vector_dim(
-                        v, self.assembler.mode
-                    )
-                    if tuned is not None:
-                        entry["tuned_vector_dim"] = int(tuned)
-                if v in gpu_rt:
-                    entry["gpu_model_runtime_ms"] = gpu_rt[v]
-                if v in cpu_rt:
-                    entry["cpu_model_runtime_ms"] = cpu_rt[v]
-                if profile:
-                    entry.update(self._profile_entry(v))
-                self.metrics.gauge(f"study.wall_ms.{v}").set(entry["wall_ms"])
-                self.metrics.counter("study.elements_assembled").inc(
-                    self.mesh.nelem * max(1, int(repeats))
-                )
-                entries.append(entry)
-        if profile:
-            self.profiler.publish(self.metrics)
-        return entries
-
-    # ------------------------------------------------------------------
-    # Performance attribution (the software-LIKWID loop)
-    # ------------------------------------------------------------------
-    @property
-    def profiler(self):
-        """Lazily-created :class:`repro.obs.profiler.TapeProfiler` shared
-        by every profiled assembly this study runs."""
-        if getattr(self, "_profiler", None) is None:
-            from ..obs.profiler import TapeProfiler
-
-            self._profiler = TapeProfiler()
-        return self._profiler
-
-    def _profiled_assembler(self) -> UnifiedAssembler:
-        return UnifiedAssembler(
-            self.mesh,
-            self.params,
-            vector_dim=self.assembler.vector_dim,
-            tracer=self.tracer,
-            mode=self.assembler.mode,
-            executor=self.assembler.executor,
-            num_threads=self.assembler.num_threads,
-            chunk_groups=self.assembler.chunk_groups,
-            profiler=self.profiler,
-        )
-
-    def _profile_entry(self, variant: str) -> Dict[str, object]:
-        """Run one profiled assembly of ``variant``; measured-entry fields."""
-        asm = self._profiled_assembler()
-        asm.assemble(variant, self.velocity)
-        vector_dim = asm.resolve_vector_dim(variant)
-        key = (variant, int(vector_dim), asm.mode, asm.executor)
-        prof = self.profiler.profiles[key]
-        fields: Dict[str, object] = {
-            "profiled_seconds": prof.total_seconds,
-            "profiled_bytes": prof.total_bytes,
-            "profiled_flops": prof.total_flops,
-            "profiled_intensity": prof.intensity,
-        }
-        if prof.report is not None and prof.executions:
-            nlane = prof.lanes[0] / prof.executions if prof.lanes else 0
-            predicted = prof.report.predicted_bytes(nlane) * prof.executions
-            fields["predicted_bytes"] = predicted
-            if predicted:
-                fields["byte_residual"] = (
-                    (predicted - prof.total_bytes) / predicted
-                )
-        return fields
-
-    def profile_variants(
-        self, variants: Optional[List[str]] = None
-    ) -> Dict[str, object]:
-        """Profile one assembly per variant; returns ``{variant: TapeProfile}``."""
-        names = list(variants) if variants is not None else list(variant_names())
-        asm = self._profiled_assembler()
-        out: Dict[str, object] = {}
-        for v in names:
-            asm.assemble(v, self.velocity)
-            vd = asm.resolve_vector_dim(v)
-            out[v] = self.profiler.profiles[(v, int(vd), asm.mode, asm.executor)]
-        return out
-
-    def roofline_attribution(
-        self, variants: Optional[List[str]] = None
-    ) -> Dict[str, object]:
-        """Measured roofline attribution (``BENCH_roofline_attrib.json``).
-
-        Profiles every variant (reusing profiles already collected by this
-        study), places each measured whole-tape point under the paper's
-        roofline, and reports per-phase breakdowns plus the
-        predicted-vs-measured byte residual per variant -- the
-        calibration data the ROADMAP's predictive autotuner consumes.
-        """
-        from ..machine.roofline import render_ascii
-
-        names = list(variants) if variants is not None else list(variant_names())
-        profiles = self.profile_variants(names)
-        roof = self.roofline()
-        doc: Dict[str, object] = {
-            "schema": "repro-roofline-attrib/1",
-            "roofline": roof.to_dict(),
-            "variants": {},
-        }
-        points = []
-        for v, prof in profiles.items():
-            point = prof.roofline_point()
-            points.append(point)
-            row = roof.attribution(point)
-            row["phases"] = prof.phases()
-            row["seconds"] = prof.total_seconds
-            row["measured_bytes"] = prof.total_bytes
-            row["measured_flops"] = prof.total_flops
-            if prof.report is not None and prof.executions:
-                nlane = prof.lanes[0] / prof.executions if prof.lanes else 0
-                predicted = prof.report.predicted_bytes(nlane) * prof.executions
-                row["predicted_bytes"] = predicted
-                if predicted:
-                    row["byte_residual"] = (
-                        (predicted - prof.total_bytes) / predicted
-                    )
-            doc["variants"][v] = row
-        doc["ascii"] = render_ascii(roof, points)
-        return doc
 
     # ------------------------------------------------------------------
     # Rendering

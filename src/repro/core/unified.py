@@ -28,13 +28,7 @@ from ..obs.spans import NULL_TRACER
 from ..physics.momentum import AssemblyParams
 from ..physics.convection import ConvectiveForm
 from ..physics.turbulence import TurbulenceModel
-from .dsl import (
-    KernelContext,
-    NumpyBackend,
-    ProfilingNumpyBackend,
-    TracingBackend,
-    TraceReport,
-)
+from .dsl import KernelContext, NumpyBackend, TracingBackend, TraceReport
 from .restructured import SPEC_DENSITY, SPEC_VISCOSITY, SPEC_VREMAN_C
 from .tape import compiled_tape
 from .variants import Variant, get_variant
@@ -107,11 +101,9 @@ class UnifiedAssembler:
         Physical parameters; must be compatible with the variant's
         specialization.
     vector_dim:
-        Element-group size.  ``None`` (default) resolves per variant at
-        assembly time: the plan's autotuned winner when one was recorded
-        (see :func:`repro.core.autotune.autotune_vector_dim`), else the
-        paper's CPU choice :data:`CPU_VECTOR_DIM`.  Pass
-        :data:`GPU_VECTOR_DIM` to emulate the GPU launch configuration.
+        Element-group size.  ``None`` (default) is the paper's CPU choice
+        :data:`CPU_VECTOR_DIM`.  Pass :data:`GPU_VECTOR_DIM` to emulate the
+        GPU launch configuration.
     mode:
         ``"interpreted"`` (default) runs the seed per-group
         :class:`~repro.core.dsl.NumpyBackend` path; ``"compiled"`` replays
@@ -163,7 +155,8 @@ class UnifiedAssembler:
         the reproduction's LIKWID.  Results are bitwise identical to an
         unprofiled assembly; when false (default) no profiling code runs
         at all (the zero-cost :data:`repro.obs.profiler.NULL_PROFILER`
-        path).
+        path).  Requires ``mode="compiled"`` or ``"codegen"``: the
+        counters come from the program's op/statement cost table.
     profiler:
         Optional :class:`repro.obs.profiler.TapeProfiler` to collect
         into; one is created lazily when ``profile=True``.  Pass a shared
@@ -196,6 +189,12 @@ class UnifiedAssembler:
             raise ValueError(
                 f"unknown assembly mode {self.mode!r}; "
                 "expected 'interpreted', 'compiled' or 'codegen'"
+            )
+        if self.profile and self.mode == "interpreted":
+            raise ValueError(
+                "profile=True requires mode='compiled' or 'codegen': "
+                "op-level profiling reads the program's op/statement "
+                "cost table"
             )
         if self.mode in ("compiled", "codegen") and not self.use_plan:
             raise ValueError(
@@ -231,14 +230,7 @@ class UnifiedAssembler:
         self._scenario_assemblers: dict = {}
         #: telemetry of the most recent :meth:`run_batch` call
         self.last_batch: Optional[dict] = None
-        #: packing at the init-time group size (explicit or the CPU
-        #: default); variants with a differing autotuned winner resolve
-        #: their own packing at assembly time.
-        self.packing = self._packing(
-            int(self.vector_dim)
-            if self.vector_dim is not None
-            else CPU_VECTOR_DIM
-        )
+        self.packing = self._packing(self.resolve_vector_dim())
 
     def _refresh_caches(self) -> None:
         """Re-resolve plan/packing when the mesh numbering changed.
@@ -257,29 +249,12 @@ class UnifiedAssembler:
         self._packings.clear()
         self.packing = self._packing(self.packing.vector_dim)
 
-    def resolve_vector_dim(
-        self, variant_name: str, scenarios: Optional[int] = None
-    ) -> int:
-        """The group size a variant assembles with.
-
-        Explicit ``vector_dim`` wins; otherwise the plan's autotuned
-        winner for ``(variant, mode)`` -- batched assemblies first try
-        the batch-specific ``"<mode>@S<scenarios>"`` winner (see
-        :func:`repro.core.autotune.autotune_vector_dim` with a batch) --
-        otherwise the paper's CPU default of :data:`CPU_VECTOR_DIM`.
-        """
+    def resolve_vector_dim(self, variant_name: Optional[str] = None) -> int:
+        """The group size every variant assembles with: the explicit
+        ``vector_dim``, else the paper's CPU default
+        :data:`CPU_VECTOR_DIM`."""
         if self.vector_dim is not None:
             return int(self.vector_dim)
-        if self.plan is not None:
-            if scenarios is not None:
-                tuned = self.plan.tuned_vector_dim(
-                    variant_name, f"{self.mode}@S{int(scenarios)}"
-                )
-                if tuned is not None:
-                    return int(tuned)
-            tuned = self.plan.tuned_vector_dim(variant_name, self.mode)
-            if tuned is not None:
-                return int(tuned)
         return CPU_VECTOR_DIM
 
     def _packing(self, vector_dim: int) -> ElementPacking:
@@ -352,20 +327,11 @@ class UnifiedAssembler:
                 acc = self.plan.accumulator(
                     key=(variant.name, vector_dim, self._perm_key)
                 )
-            kprofile = None
-            if self.profile:
-                kprofile = self.profiler.for_kernel(variant.name, vector_dim)
             for group in packing:
                 if acc is not None:
                     acc.begin_group(group)
                 ctx = self._context(group, velocity, rhs, scatter=acc)
-                if kprofile is not None:
-                    bk = ProfilingNumpyBackend(ctx, kprofile)
-                else:
-                    bk = NumpyBackend(ctx)
-                variant.kernel(bk, ctx)
-            if kprofile is not None:
-                kprofile.finish_execution()
+                variant.kernel(NumpyBackend(ctx), ctx)
             if acc is not None:
                 with self.tracer.span("scatter.flush", variant=variant.name):
                     acc.finalize(rhs)
@@ -511,7 +477,7 @@ class UnifiedAssembler:
                 f"({S}, {nnode}, 3) per-scenario, got {velocity.shape}"
             )
         self._refresh_caches()
-        vector_dim = self.resolve_vector_dim(variant.name, scenarios=S)
+        vector_dim = self.resolve_vector_dim(variant.name)
         with self.tracer.span(
             "run_batch",
             variant=variant.name,

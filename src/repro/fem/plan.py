@@ -449,7 +449,6 @@ class AssemblyPlan:
         self._patterns: Dict[Tuple, _ScatterPattern] = {}
         self._tapes: Dict[Tuple, object] = {}
         self._codegen: Dict[Tuple, object] = {}
-        self._tuned_vector_dim: Dict[Tuple[str, str], int] = {}
         get_registry().counter("plan.builds").inc()
 
     # -- cached geometry -------------------------------------------------
@@ -611,27 +610,6 @@ class AssemblyPlan:
 
     def store_operator(self, key: str, operator) -> None:
         self._operators[key] = operator
-
-    # -- autotuned vector_dim -----------------------------------------------
-    def tuned_vector_dim(
-        self, variant: str, mode: str = "compiled"
-    ) -> Optional[int]:
-        """Autotuned ``VECTOR_DIM`` winner for ``(variant, mode)``.
-
-        Winners are keyed per execution mode (and, for batched runs, per
-        ``"<mode>@S<scenarios>"``) so a batched codegen sweep and a
-        serial compiled sweep never evict each other's tuned lane width.
-        """
-        return self._tuned_vector_dim.get((variant.upper(), str(mode)))
-
-    def set_tuned_vector_dim(
-        self, variant: str, vector_dim: int, mode: str = "compiled"
-    ) -> None:
-        """Persist an autotuned ``VECTOR_DIM`` winner on the plan."""
-        self._tuned_vector_dim[(variant.upper(), str(mode))] = int(vector_dim)
-        get_registry().gauge(
-            f"tape.tuned_vector_dim.{variant.upper()}.{mode}"
-        ).set(int(vector_dim))
 
     # -- deferred DSL scatter ---------------------------------------------
     def accumulator(self, key: Tuple, ncomp: int = 3) -> ScatterAccumulator:

@@ -1,4 +1,4 @@
-"""I/O: legacy-VTK output, paper-comparison reports, perf artifacts."""
+"""I/O: legacy-VTK output and paper-comparison reports."""
 
 from .vtk import write_vtk
 from .report import (
@@ -8,16 +8,9 @@ from .report import (
     comparison_table_cpu,
     comparison_table_gpu,
 )
-from .artifacts import (
-    DEFAULT_ARTIFACT_NAMES,
-    write_bench_artifacts,
-    write_profile_artifacts,
-)
 
 __all__ = [
     "write_vtk",
     "PAPER_TABLE1", "PAPER_TABLE2", "PAPER_TABLE3",
     "comparison_table_cpu", "comparison_table_gpu",
-    "DEFAULT_ARTIFACT_NAMES", "write_bench_artifacts",
-    "write_profile_artifacts",
 ]

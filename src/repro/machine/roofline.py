@@ -65,27 +65,6 @@ class Roofline:
         """(intensity, attainable) pairs for plotting the roof."""
         return [(x, self.attainable(x)) for x in intensities]
 
-    def to_dict(self) -> dict:
-        """JSON-ready description (for ``BENCH_roofline_attrib.json``)."""
-        return {
-            "name": self.name,
-            "bandwidth": self.bandwidth,
-            "peak": self.peak,
-            "secondary_peak": self.secondary_peak,
-            "knee": self.knee,
-        }
-
-    def attribution(self, point: RooflinePoint) -> dict:
-        """One measured point's placement under this roofline."""
-        return {
-            "label": point.label,
-            "intensity": point.intensity,
-            "performance": point.performance,
-            "attainable": self.attainable(point.intensity),
-            "efficiency": self.efficiency(point),
-            "limited_by": point.limited_by(self),
-        }
-
 
 def gpu_roofline(
     dram_bandwidth: float = 1381e9,

@@ -15,8 +15,8 @@ opts in::
 
 The profiler is the op-level layer (the reproduction's LIKWID): attach a
 :class:`TapeProfiler` via ``UnifiedAssembler(..., profile=True)`` and
-read per-op/per-phase wall time, derived bytes and Flops, roofline
-points and folded flamegraphs back out of it.
+read per-op/per-phase wall time, derived bytes and Flops and folded
+flamegraphs back out of it.
 """
 
 from .spans import (
@@ -43,18 +43,13 @@ from .profiler import (
     op_costs_from_program,
 )
 from .export import (
-    BENCH_SCHEMA,
-    PrometheusExporter,
     chrome_trace_events,
     collapse_spans,
     profile_trace_events,
     prometheus_text,
-    read_bench_json,
     read_spans_jsonl,
-    write_bench_json,
     write_chrome_trace,
     write_flamegraph,
-    write_prometheus,
     write_spans_jsonl,
 )
 
@@ -64,9 +59,7 @@ __all__ = [
     "get_registry", "set_registry",
     "NULL_PROFILER", "NullProfiler", "TapeProfile", "TapeProfiler",
     "op_costs_from_program",
-    "BENCH_SCHEMA", "chrome_trace_events", "profile_trace_events",
-    "collapse_spans", "write_flamegraph",
-    "prometheus_text", "write_prometheus", "PrometheusExporter",
-    "read_bench_json", "read_spans_jsonl",
-    "write_bench_json", "write_chrome_trace", "write_spans_jsonl",
+    "chrome_trace_events", "profile_trace_events",
+    "collapse_spans", "write_flamegraph", "prometheus_text",
+    "read_spans_jsonl", "write_chrome_trace", "write_spans_jsonl",
 ]

@@ -1,6 +1,6 @@
-"""Exporters: span logs, Chrome traces, bench.json, flamegraphs, Prometheus.
+"""Exporters: span logs, Chrome traces, flamegraphs, Prometheus text.
 
-Machine-readable artifact formats, all dependency-free:
+Machine-readable trace and metric formats, all dependency-free:
 
 * **JSON lines** (``*.jsonl``): one span dict per line, the lossless
   archival format -- :func:`read_spans_jsonl` round-trips exactly.
@@ -9,56 +9,32 @@ Machine-readable artifact formats, all dependency-free:
   recorded ``pid`` (rank), microsecond timestamps.  Profiled runs append
   per-tape-op slices (:func:`profile_trace_events`) on their own process
   row.
-* **bench.json**: the flat perf-trajectory summary
-  (``BENCH_variants.json``).  Schema (``repro-bench/1``)::
-
-      {
-        "schema": "repro-bench/1",
-        "created_unix": <float, epoch seconds>,
-        "entries": [            # one per benchmarked variant
-          {"variant": "RSP", "wall_ms": 12.3,
-           "gpu_model_runtime_ms": 512.0, "cpu_model_runtime_ms": 8400.0,
-           "melem_per_s": 0.84, "nelem": 10368, ...}
-        ],
-        "metrics": { "<name>": {"kind": ..., ...} }   # registry snapshot
-      }
 * **Folded flamegraph** (``*.txt``): Brendan Gregg collapsed-stack lines
   (``frame;frame;leaf weight``), importable by speedscope and
   ``flamegraph.pl`` -- from spans (:func:`collapse_spans`) or from tape
   profiles (:meth:`repro.obs.profiler.TapeProfiler.collapsed`).
-* **Prometheus text exposition** (``*.prom``): counters/gauges/summaries
-  from a :class:`MetricsRegistry`, refreshed periodically by long
-  campaigns via :class:`PrometheusExporter` (atomic tmp+rename, so a
-  node-exporter-style textfile collector never reads a torn file).
+* **Prometheus text exposition**: counters/gauges/summaries from a
+  :class:`MetricsRegistry` (:func:`prometheus_text`).
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .metrics import MetricsRegistry
 from .spans import Span
 
 __all__ = [
-    "BENCH_SCHEMA",
     "write_spans_jsonl",
     "read_spans_jsonl",
     "chrome_trace_events",
     "profile_trace_events",
     "write_chrome_trace",
-    "write_bench_json",
-    "read_bench_json",
     "collapse_spans",
     "write_flamegraph",
     "prometheus_text",
-    "write_prometheus",
-    "PrometheusExporter",
 ]
-
-BENCH_SCHEMA = "repro-bench/1"
 
 _SpanLike = Union[Span, Dict[str, Any]]
 
@@ -212,49 +188,6 @@ def write_chrome_trace(
 
 
 # ---------------------------------------------------------------------------
-# bench.json
-# ---------------------------------------------------------------------------
-
-
-def write_bench_json(
-    path: str,
-    entries: Iterable[Dict[str, Any]],
-    metrics: Optional[Union[MetricsRegistry, Dict[str, Any]]] = None,
-    meta: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Write the flat ``bench.json`` summary; returns the written document."""
-    snap: Dict[str, Any] = {}
-    if isinstance(metrics, MetricsRegistry):
-        snap = metrics.snapshot()
-    elif metrics:
-        snap = dict(metrics)
-    doc: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "created_unix": time.time(),
-        "entries": [dict(e) for e in entries],
-        "metrics": snap,
-    }
-    if meta:
-        doc["meta"] = dict(meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-def read_bench_json(path: str) -> Dict[str, Any]:
-    """Read a bench.json document, validating the schema marker."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"{path}: unexpected bench schema {doc.get('schema')!r} "
-            f"(want {BENCH_SCHEMA!r})"
-        )
-    return doc
-
-
-# ---------------------------------------------------------------------------
 # Folded flamegraph (collapsed stacks)
 # ---------------------------------------------------------------------------
 
@@ -356,52 +289,3 @@ def prometheus_text(
         else:
             raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(
-    metrics: Union[MetricsRegistry, Dict[str, Dict[str, Any]]], path: str
-) -> str:
-    """Atomically write the text exposition (tmp + rename); returns it."""
-    text = prometheus_text(metrics)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    return text
-
-
-class PrometheusExporter:
-    """Interval-gated textfile refresher for long-running campaigns.
-
-    Call :meth:`maybe_write` from inside a measurement loop; the file is
-    rewritten at most once per ``interval`` seconds (plus on
-    :meth:`flush`), so hot loops can call it unconditionally.  Writes are
-    atomic, matching the node-exporter textfile-collector contract.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        metrics: Union[MetricsRegistry, None] = None,
-        interval: float = 5.0,
-    ) -> None:
-        from .metrics import get_registry
-
-        self.path = path
-        self.metrics = metrics if metrics is not None else get_registry()
-        self.interval = float(interval)
-        self._last = float("-inf")
-        self.writes = 0
-
-    def maybe_write(self, now: Optional[float] = None) -> bool:
-        now = time.monotonic() if now is None else now
-        if now - self._last < self.interval:
-            return False
-        self._last = now
-        write_prometheus(self.metrics, self.path)
-        self.writes += 1
-        return True
-
-    def flush(self) -> None:
-        write_prometheus(self.metrics, self.path)
-        self.writes += 1

@@ -7,9 +7,7 @@ module plays that role for the Python reproduction.  A
 :class:`TapeProfiler` attaches to the bound kernels
 (:class:`repro.core.tape.CompiledTape`,
 :class:`repro.core.codegen.GeneratedKernel` -- mesh-wide or a pool
-worker's chunk) and to the interpreted DSL path
-(:class:`repro.core.dsl.ProfilingNumpyBackend`) and records, **per tape
-op**:
+worker's chunk) and records, **per tape op**:
 
 * wall time (``perf_counter`` around the exact same ufunc call the
   unprofiled executor makes -- results stay bitwise identical);
@@ -18,11 +16,9 @@ op**:
   cannot read the memory controller.
 
 From those, per-op and per-phase arithmetic intensity and achieved
-GFlop/s / GB/s follow, which :meth:`TapeProfile.roofline_point` feeds
-into :class:`repro.machine.roofline.Roofline` for measured roofline
-attribution -- and the residual against the *predicted* traffic of
-:meth:`repro.core.tape.TapeReport.predicted_bytes` is the calibration
-bridge toward the predictive autotuner (ROADMAP item 4).
+GFlop/s / GB/s follow, and the residual against the *predicted* traffic
+of :meth:`repro.core.tape.TapeReport.predicted_bytes` checks the cost
+model.
 
 Zero-cost contract
 ------------------
@@ -131,9 +127,9 @@ class TapeProfile:
     One profile is keyed by ``(variant, vector_dim, mode, executor)`` and
     accumulates over every execution (and every chunk, in the threaded
     executor -- :meth:`record` takes a lock, profiling runs are not the
-    hot path).  ``ops`` slots are fixed for compiled tapes
-    (:func:`op_costs_from_program`) and grow on first sight for the
-    interpreted backend, whose op stream is only known as it executes.
+    hot path).  Op slots are fixed at construction from the program's
+    cost table (:func:`op_costs_from_program` or a generated program's
+    ``stmt_costs``).
     """
 
     def __init__(
@@ -155,67 +151,23 @@ class TapeProfile:
         self.scenarios = int(scenarios)
         self.report = report  # TapeReport of the compiled program, if any
         self._lock = threading.Lock()
-        self.kinds: List[str] = []
-        self.labels: List[str] = []
-        self._rb: List[float] = []  # per-lane bytes read
-        self._wb: List[float] = []  # per-lane bytes written
-        self._fl: List[float] = []  # per-lane flops
-        self.seconds: List[float] = []
-        self.lanes: List[float] = []
-        self.calls: List[int] = []
-        if op_costs:
-            for kind, label, rb, wb, fl in op_costs:
-                self._append_slot(kind, label, rb, wb, fl)
+        costs = list(op_costs or ())
+        self.kinds: List[str] = [c[0] for c in costs]
+        self.labels: List[str] = [c[1] for c in costs]
+        self._rb: List[float] = [float(c[2]) for c in costs]  # per-lane bytes read
+        self._wb: List[float] = [float(c[3]) for c in costs]  # per-lane bytes written
+        self._fl: List[float] = [float(c[4]) for c in costs]  # per-lane flops
+        self.seconds: List[float] = [0.0] * len(costs)
+        self.lanes: List[float] = [0.0] * len(costs)
+        self.calls: List[int] = [0] * len(costs)
         self.executions = 0
         self.flush_seconds = 0.0
         self.flush_bytes = 0.0
 
     # -- recording -------------------------------------------------------
-    def _append_slot(
-        self, kind: str, label: str, rb: float, wb: float, fl: float
-    ) -> None:
-        self.kinds.append(kind)
-        self.labels.append(label)
-        self._rb.append(float(rb))
-        self._wb.append(float(wb))
-        self._fl.append(float(fl))
-        self.seconds.append(0.0)
-        self.lanes.append(0.0)
-        self.calls.append(0)
-
     def record(self, index: int, seconds: float, lanes: int) -> None:
         """Accumulate one timed execution of op ``index`` over ``lanes``."""
         with self._lock:
-            self.seconds[index] += seconds
-            self.lanes[index] += lanes
-            self.calls[index] += 1
-
-    def record_dynamic(
-        self,
-        index: int,
-        kind: str,
-        label: str,
-        seconds: float,
-        lanes: int,
-        bytes_read: float,
-        bytes_written: float,
-        flops: float,
-    ) -> None:
-        """Interpreted-path recording: slots appear as ops first execute.
-
-        ``index`` is the op's position in the kernel's straight-line
-        sequence; every element group replays the same sequence, so the
-        slot table converges after the first group.
-        """
-        with self._lock:
-            while index >= len(self.kinds):
-                self._append_slot("?", "?", 0.0, 0.0, 0.0)
-            if self.kinds[index] == "?":
-                self.kinds[index] = kind
-                self.labels[index] = label
-                self._rb[index] = float(bytes_read)
-                self._wb[index] = float(bytes_written)
-                self._fl[index] = float(flops)
             self.seconds[index] += seconds
             self.lanes[index] += lanes
             self.calls[index] += 1
@@ -312,34 +264,6 @@ class TapeProfile:
             )
         rows.sort(key=lambda r: r["seconds"], reverse=True)
         return rows[:top] if top is not None else rows
-
-    # -- roofline --------------------------------------------------------
-    def roofline_point(self, label: Optional[str] = None):
-        """The whole-tape measured point for :class:`Roofline` placement."""
-        from ..machine.roofline import RooflinePoint
-
-        s = self.total_seconds
-        return RooflinePoint(
-            label=label or self.variant,
-            intensity=self.intensity,
-            performance=self.total_flops / s if s else 0.0,
-        )
-
-    def phase_roofline_points(self) -> List:
-        from ..machine.roofline import RooflinePoint
-
-        pts = []
-        for phase, row in self.phases().items():
-            if row["seconds"] <= 0:
-                continue
-            pts.append(
-                RooflinePoint(
-                    label=f"{self.variant}:{phase}",
-                    intensity=row["intensity"],
-                    performance=row["flops"] / row["seconds"],
-                )
-            )
-        return pts
 
     # -- flamegraph ------------------------------------------------------
     def collapsed(self, root: str = "tape") -> Dict[str, int]:
@@ -470,9 +394,8 @@ class TapeProfiler:
     """Collects :class:`TapeProfile` instances across executions.
 
     One profiler serves any number of kernels/variants; a bound kernel
-    asks for its profile with :meth:`for_program`, the interpreted path
-    with :meth:`for_kernel`, keyed by ``(variant, vector_dim, mode,
-    executor)``.
+    asks for its profile with :meth:`for_program`, keyed by
+    ``(variant, vector_dim, mode, executor)``.
     """
 
     enabled = True
@@ -526,13 +449,6 @@ class TapeProfiler:
                 report=program.report,
                 scenarios=program.scenarios,
             ),
-        )
-
-    def for_kernel(self, variant: str, vector_dim: int) -> TapeProfile:
-        """Dynamic-slot profile for the interpreted NumpyBackend path."""
-        key = (variant, int(vector_dim), "interpreted", "serial")
-        return self._get(
-            key, lambda: TapeProfile(variant, vector_dim, "interpreted")
         )
 
     # -- merge / export --------------------------------------------------
@@ -597,9 +513,6 @@ class NullProfiler:
     profiles: Dict = {}
 
     def for_program(self, program, vector_dim, mode, executor="serial"):
-        raise RuntimeError("NullProfiler cannot profile; check .enabled first")
-
-    def for_kernel(self, variant, vector_dim):
         raise RuntimeError("NullProfiler cannot profile; check .enabled first")
 
     def snapshot(self) -> List[Dict[str, Any]]:

@@ -1,18 +1,18 @@
 """Mesh partitioning for MPI-style domain decomposition.
 
-Two partitioners:
+Three partitioners:
 
 * :func:`rcb_partition` -- recursive coordinate bisection on element
   centroids: geometric, deterministic, well-balanced for any part count.
 * :func:`greedy_graph_partition` -- BFS graph growing over the element
-  adjacency (optionally seeded via networkx's connected components), which
-  produces more compact interfaces on unstructured meshes.
+  adjacency, which produces more compact interfaces on unstructured
+  meshes.
 * :func:`sfc_partition` -- contiguous blocks along a space-filling curve
   (:mod:`repro.fem.reorder`): near-perfect balance by construction, and
   each part is a spatially compact curve segment.
 
 All return an element->part label array; :func:`partition_quality` reports
-balance and edge-cut metrics used by the tests and the partitioning bench.
+balance and edge-cut metrics.
 """
 
 from __future__ import annotations

@@ -402,69 +402,6 @@ def _worker_warmup(_rank: int) -> int:
     return int(np.zeros(1)[0])
 
 
-def _worker_batch_shard(args: Tuple):
-    """Pool worker: assemble one contiguous scenario shard of a batch.
-
-    Mesh arrays and the velocity field come in through shared memory
-    (copied out before the segment closes -- the assembler caches keyed
-    on them must outlive the handle); only the shard's
-    :class:`AssemblyParams` and scalars cross the pickle boundary.  The
-    shard runs the ordinary batched
-    :meth:`~repro.core.unified.UnifiedAssembler.run_batch` path at the
-    parent's resolved ``vector_dim``, so concatenating shard results in
-    rank order is bitwise identical to one whole-batch run (batched
-    results are per-scenario bit-identical regardless of ``S``).
-    """
-    (
-        rank,
-        c_name,
-        k_name,
-        v_name,
-        nnode,
-        nelem,
-        scenarios,
-        variant,
-        mode,
-        vector_dim,
-        velocity_rank,
-        total_s,
-        start,
-    ) = args
-    c_shm = shared_memory.SharedMemory(name=c_name)
-    k_shm = shared_memory.SharedMemory(name=k_name)
-    v_shm = shared_memory.SharedMemory(name=v_name)
-    try:
-        coords = np.ndarray(
-            (nnode, 3), dtype=np.float64, buffer=c_shm.buf
-        ).copy()
-        conn = np.ndarray(
-            (nelem, 4), dtype=np.int64, buffer=k_shm.buf
-        ).copy()
-        if velocity_rank == "vec":
-            vel = np.ndarray(
-                (nnode, 3), dtype=np.float64, buffer=v_shm.buf
-            ).copy()
-        else:
-            vel = np.ndarray(
-                (total_s, nnode, 3), dtype=np.float64, buffer=v_shm.buf
-            )[start : start + len(scenarios)].copy()
-    finally:
-        c_shm.close()
-        k_shm.close()
-        v_shm.close()
-    from ..core.batch import ScenarioBatch
-    from ..core.unified import UnifiedAssembler
-
-    mesh = TetMesh(coords, conn, validate=False)
-    batch = ScenarioBatch(scenarios)
-    asm = UnifiedAssembler(
-        mesh, batch[0], mode=mode, vector_dim=vector_dim
-    )
-    t0 = time.perf_counter()
-    rhs = asm.run_batch(variant, batch, vel)
-    return time.perf_counter() - t0, rhs
-
-
 class MultiprocessRunner:
     """Real process-pool strong scaling of the elemental assembly.
 
@@ -508,9 +445,7 @@ class MultiprocessRunner:
     :attr:`profiler` (op detail) and the metrics registry (published
     ``profile.*`` counters, reduced through
     :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- the same path
-    per-rank span/metric sets already take).  ``prometheus_path`` makes
-    long campaigns refresh a Prometheus textfile after each measured
-    point (at most once per ``prometheus_interval`` seconds).
+    per-rank span/metric sets already take).
     """
 
     def __init__(
@@ -528,8 +463,6 @@ class MultiprocessRunner:
         ordering: str = "none",
         profile: bool = False,
         profiler=None,
-        prometheus_path: Optional[str] = None,
-        prometheus_interval: float = 5.0,
     ) -> None:
         if assembly_mode not in ("reference", "compiled", "codegen"):
             raise ValueError(
@@ -565,15 +498,6 @@ class MultiprocessRunner:
             profiler = TapeProfiler()
         #: merged op-level profiles of every profiled rank (all counts)
         self.profiler = profiler
-        self._prom = None
-        if prometheus_path is not None:
-            from ..obs.export import PrometheusExporter
-
-            self._prom = PrometheusExporter(
-                prometheus_path,
-                metrics=self._metrics,
-                interval=prometheus_interval,
-            )
         #: per-measure chunk fingerprints: {workers: [checksum per rank]}
         self.chunk_checksums: Dict[int, List[Tuple[float, float, float]]] = {}
         rng = np.random.default_rng(seed)
@@ -695,145 +619,11 @@ class MultiprocessRunner:
                     )
         return results
 
-    def run_batch(
-        self,
-        batch,
-        workers: int,
-        velocity: Optional[np.ndarray] = None,
-        vector_dim: Optional[int] = None,
-    ) -> np.ndarray:
-        """Shard ``S`` scenarios across the pool -> ``(S, nnode, 3)``.
-
-        Scenarios are split into ``workers`` contiguous shards (scenario
-        order preserved); each worker assembles its shard through one
-        batched :meth:`~repro.core.unified.UnifiedAssembler.run_batch`
-        call at a common ``vector_dim`` resolved once in the parent, and
-        results are concatenated deterministically in shard order --
-        bitwise identical to a single whole-batch run.  A failed or
-        timed-out shard falls back to in-process assembly (counted in
-        ``resilience.fallbacks``); ``velocity`` is one shared
-        ``(nnode, 3)`` field (default: the runner's seeded field) or
-        per-scenario ``(S, nnode, 3)``.
-        """
-        from ..core.batch import ScenarioBatch
-        from ..core.unified import UnifiedAssembler
-
-        if self.assembly_mode not in ("compiled", "codegen"):
-            raise ValueError(
-                "run_batch requires assembly_mode='compiled' or 'codegen' "
-                f"(got {self.assembly_mode!r})"
-            )
-        if not isinstance(batch, ScenarioBatch):
-            batch = ScenarioBatch(batch)
-        registry = get_registry() if self._metrics is None else self._metrics
-        S = batch.size
-        nnode, nelem = self.mesh.nnode, self.mesh.nelem
-        if velocity is None:
-            velocity = self.velocity
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape == (nnode, 3):
-            velocity_rank = "vec"
-        elif velocity.shape == (S, nnode, 3):
-            velocity_rank = "full"
-        else:
-            raise ValueError(
-                f"velocity must be ({nnode}, 3) shared or ({S}, {nnode}, 3) "
-                f"per-scenario, got {velocity.shape}"
-            )
-        parent = UnifiedAssembler(
-            self.mesh,
-            batch[0],
-            mode=self.assembly_mode,
-            vector_dim=vector_dim,
-        )
-        vd = parent.resolve_vector_dim(self.variant, scenarios=S)
-        parent.vector_dim = vd  # pin: shard fallbacks must not re-resolve
-        w = max(1, min(int(workers), S))
-        registry.counter("runner.batch_tasks").inc(w)
-        registry.counter("runner.batch_scenarios").inc(S)
-        if w == 1:
-            return parent.run_batch(self.variant, batch, velocity)
-
-        bounds = np.linspace(0, S, w + 1).astype(np.int64)
-        shards = [
-            (int(bounds[r]), int(bounds[r + 1])) for r in range(w)
-        ]
-        coords = np.ascontiguousarray(self.mesh.coords, dtype=np.float64)
-        conn = np.ascontiguousarray(self.mesh.connectivity, dtype=np.int64)
-        c_shm = create_shared_memory(coords.nbytes)
-        k_shm = create_shared_memory(conn.nbytes)
-        v_shm = create_shared_memory(velocity.nbytes)
-        rhs = np.empty((S, nnode, 3))
-        ok = False
-        try:
-            np.ndarray(coords.shape, np.float64, buffer=c_shm.buf)[...] = coords
-            np.ndarray(conn.shape, np.int64, buffer=k_shm.buf)[...] = conn
-            np.ndarray(velocity.shape, np.float64, buffer=v_shm.buf)[...] = (
-                velocity
-            )
-            registry.counter("runner.shm_bytes_shared").inc(
-                coords.nbytes + conn.nbytes + velocity.nbytes
-            )
-            self._ensure_pool(w)
-            with self.tracer.span(
-                "runner_batch", scenarios=S, workers=w, vector_dim=vd
-            ):
-                handles = {}
-                for rank, (start, stop) in enumerate(shards):
-                    args = (
-                        rank,
-                        c_shm.name,
-                        k_shm.name,
-                        v_shm.name,
-                        nnode,
-                        nelem,
-                        list(batch.scenarios[start:stop]),
-                        self.variant,
-                        self.assembly_mode,
-                        vd,
-                        velocity_rank,
-                        S,
-                        start,
-                    )
-                    handles[rank] = self._pool.apply_async(
-                        _worker_batch_shard, (args,)
-                    )
-                failed = []
-                for rank, (start, stop) in enumerate(shards):
-                    try:
-                        _, shard_rhs = handles[rank].get(
-                            self.policy.task_timeout
-                        )
-                        rhs[start:stop] = shard_rhs
-                    except Exception:
-                        failed.append(rank)
-                if failed:
-                    self._respawn_pool(registry)
-                for rank in failed:
-                    # deterministic in-process recovery: same batched
-                    # path, same vector_dim, same shard -> same bits
-                    registry.counter("resilience.fallbacks").inc()
-                    start, stop = shards[rank]
-                    sub = ScenarioBatch(batch.scenarios[start:stop])
-                    v_s = (
-                        velocity
-                        if velocity_rank == "vec"
-                        else velocity[start:stop]
-                    )
-                    rhs[start:stop] = parent.run_batch(self.variant, sub, v_s)
-            ok = True
-        finally:
-            self._shutdown_pool(graceful=ok)
-            self._pool_size = 0
-            for shm in (c_shm, k_shm, v_shm):
-                release_shared_memory(shm)
-        return rhs
-
     def close(self) -> None:
         """Terminate any live pool immediately (idempotent).
 
-        For standalone use outside ``measure``/``run_batch`` (whose
-        ``finally`` blocks already call this): drain paths and tests
+        For standalone use outside ``measure`` (whose ``finally``
+        block already calls this): drain paths and tests
         call ``close()`` to guarantee no worker processes outlive the
         runner.
         """
@@ -958,8 +748,6 @@ class MultiprocessRunner:
                         self.profiler.merge(psnap)
                     if msnap:
                         registry.merge(msnap)
-                if self._prom is not None:
-                    self._prom.maybe_write()
                 raw.append((w, wall))
             ok = True
         finally:
@@ -971,8 +759,6 @@ class MultiprocessRunner:
             for shm in (x_shm, u_shm):
                 release_shared_memory(shm)
 
-        if self._prom is not None:
-            self._prom.flush()
         base_workers, base_wall = min(raw, key=lambda p: p[0])
         points = []
         for w, wall in raw:

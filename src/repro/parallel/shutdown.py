@@ -167,8 +167,8 @@ def install_shutdown_handler(
     bytecodes, skipping every ``finally`` -- leaked pools, leaked
     ``/dev/shm`` segments, truncated telemetry.  Raising
     :class:`KeyboardInterrupt` instead reuses the exact unwinding path
-    Ctrl-C already exercises: ``measure``/``run_batch`` terminate their
-    pool and release shared memory in ``finally``, and the campaign
+    Ctrl-C already exercises: ``measure`` terminates its pool and
+    releases shared memory in ``finally``, and the campaign
     server drains.  Inside :func:`create_shared_memory` and
     :func:`release_shared_memory` the exception waits for the section to
     end, so a segment is never left between existing and being registered

@@ -692,11 +692,9 @@ class BatchCampaign:
         DSL kernel variant and execution mode (``"compiled"`` /
         ``"codegen"`` / ``"interpreted"``) for the batched assembly.
     vector_dim:
-        Element-group size.  Resolved **once** at construction (explicit
-        value, else the plan's autotuned ``"<mode>@S<S>"`` or
-        ``(variant, mode)`` winner, else the CPU default) and pinned, so
-        detached scenarios' solo assemblies stay bit-identical to the
-        batched path.
+        Element-group size (default: the paper's CPU choice), shared by
+        the batched sweep and every detached scenario's solo assembly, so
+        both stay bit-identical.
     dirichlet, sweeps_per_step, max_dt_halvings, blowup_factor:
         Forwarded to every per-scenario solver.
     pressure_solver:
@@ -757,14 +755,6 @@ class BatchCampaign:
             executor=executor,
             num_threads=num_threads,
         )
-        # Pin the group size now (autotuned winners may differ between
-        # "<mode>@S<S>" and plain "<mode>"): solo sub-assemblers inherit
-        # this exact value, keeping detached scenarios bit-identical to
-        # the batched fast path.
-        self.vector_dim = self.assembler.resolve_vector_dim(
-            self.variant, scenarios=S
-        )
-        self.assembler.vector_dim = self.vector_dim
         self.pressure = pressure_solver or PressureSolver(mesh)
         self.solvers: List[FractionalStepSolver] = [
             FractionalStepSolver(

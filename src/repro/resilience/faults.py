@@ -50,11 +50,8 @@ __all__ = [
     "fault_seed_from_env",
 ]
 
-#: Every counter the resilience layer increments.  ``benchmarks/conftest.py``
-#: pre-registers these at zero so a fault-free bench session exports an
-#: explicit all-zero baseline, and ``check_regression.py`` flags any run
-#: whose recovery counters are nonzero while ``faults_injected`` is zero
-#: (silent degradation).
+#: Every counter the resilience layer increments.  Pre-registered at zero,
+#: they make a fault-free run export an explicit all-zero baseline.
 RESILIENCE_COUNTERS = (
     "resilience.faults_injected",
     "resilience.worker_failures",

@@ -18,7 +18,7 @@ grown:
 Every degradation increments ``resilience.assembler_degradations`` /
 ``resilience.solver_escalations`` and emits an ``AssemblerDegradation`` /
 ``SolverEscalation`` span, so a run that silently lost its fast path is
-visible in the perf artifacts (``check_regression.py`` flags it).
+visible in its trace and metrics snapshot.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ Two layers, two very different lifetimes:
   :class:`~repro.fem.mesh.TetMesh`.  This is the *performance* cache:
   :func:`repro.fem.plan.get_plan` stores the plan on the mesh object, so
   keeping the mesh alive keeps its :class:`~repro.fem.plan.AssemblyPlan`
-  -- compiled tapes, codegen modules, autotuned winners -- hot across
-  requests, and evicting the mesh releases all of it.  The warm-vs-cold service latency gap in ``BENCH_server.json``
-  and the "zero re-plans on the second identical campaign" assertion
-  (``plan.builds`` counter) both hang off this cache.
+  -- compiled tapes, codegen modules, solver operators -- hot across
+  requests, and evicting the mesh releases all of it.  The warm-vs-cold
+  service latency gap (``server.miss_ms_p50`` against
+  ``server.hit_ms_p50`` in the end-to-end benchmark) and the "zero
+  re-plans on the second identical campaign" assertion (``plan.builds``
+  counter) both hang off this cache.
 * :class:`ResultCache` -- request ``content_key`` -> finished response
   payload, stored as canonical JSON bytes **with a sha256 digest**.
   Every read re-verifies the digest; a mismatch (bit rot, or the

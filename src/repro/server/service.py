@@ -452,12 +452,16 @@ class CampaignServer:
             try:
                 await asyncio.wait_for(job.finished.wait(), timeout=wait)
             except asyncio.TimeoutError:
-                registry.counter("server.holds_expired").inc()
+                pass
             registry.histogram("server.hold_seconds").record(time.monotonic() - t0)
         body = {**job.status(), **flags}
         if job.state == "done":
             return format_http_response(200, {**body, "result": job.result})
         if job.state in ("queued", "running"):
+            # expired means answered without a result, so the client asks
+            # again: a job that ends between the timeout and here is not one
+            if wait:
+                self._registry().counter("server.holds_expired").inc()
             return format_http_response(202, body)
         # failed / cancelled / checkpointed: replay the typed error.
         status = 500

@@ -6,12 +6,9 @@ The acceptance criteria of the scenario-batch axis live here:
 across variants, vector_dims, executors and velocity ranks (hypothesis
 property test); a corrupted scenario must degrade *alone* while the
 other ``S - 1`` stay bit-identical on the fast path; and the satellite
-plumbing (ScenarioBatch validation, per-``(variant, mode)`` autotune
-persistence, per-scenario profiler attribution, BatchCampaign lockstep,
-multiprocess sharding) must hold its contracts.
+plumbing (ScenarioBatch validation, per-scenario profiler attribution,
+BatchCampaign lockstep) must hold its contracts.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -21,10 +18,9 @@ from hypothesis import strategies as st
 from repro.core import (
     ScenarioBatch,
     UnifiedAssembler,
-    autotune_vector_dim,
     variant_names,
 )
-from repro.fem import box_tet_mesh, get_plan
+from repro.fem import box_tet_mesh
 from repro.obs import TapeProfiler, Tracer
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
@@ -261,46 +257,6 @@ def test_cache_key_identity():
 
 
 # ---------------------------------------------------------------------------
-# Satellite: autotune persists per (variant, mode) and per batch size
-# ---------------------------------------------------------------------------
-
-
-def test_autotune_persists_per_variant_and_mode():
-    """Compiled and codegen winners never evict each other, and a
-    batched sweep lands under its own ``<mode>@S<S>`` key that
-    ``resolve_vector_dim`` prefers for matching batch sizes."""
-    mesh = box_tet_mesh(3, 3, 3)  # fresh mesh: private AssemblyPlan
-    ticker = itertools.count()
-    timer = lambda: float(next(ticker))  # noqa: E731 -- constant deltas,
-    # every candidate ties, ties break toward the smaller group size
-
-    result = autotune_vector_dim(
-        mesh, "B", candidates=[8, 16], repeats=1, timer=timer,
-        mode="compiled",
-    )
-    plan = get_plan(mesh)
-    assert result.mode == "compiled"
-    assert plan.tuned_vector_dim("B", "compiled") == 8
-    assert plan.tuned_vector_dim("B", "codegen") is None
-
-    batch = forcing_batch(3)
-    result = autotune_vector_dim(
-        mesh, "B", candidates=[16, 32], repeats=1, timer=timer,
-        mode="compiled", batch=batch,
-    )
-    assert result.mode == "compiled@S3"
-    assert plan.tuned_vector_dim("B", "compiled@S3") == 16
-    # the plain-mode winner is untouched by the batched sweep
-    assert plan.tuned_vector_dim("B", "compiled") == 8
-
-    asm = UnifiedAssembler(mesh, batch[0], mode="compiled")
-    assert asm.resolve_vector_dim("B", scenarios=3) == 16
-    # other batch sizes fall back to the (variant, mode) winner
-    assert asm.resolve_vector_dim("B", scenarios=8) == 8
-    assert asm.resolve_vector_dim("B") == 8
-
-
-# ---------------------------------------------------------------------------
 # Satellite: per-scenario profiler attribution stays truthful
 # ---------------------------------------------------------------------------
 
@@ -499,36 +455,3 @@ def test_batch_campaign_detaches_faulted_scenario(small_mesh):
             small_mesh, params[s], "B", "compiled", 32, v0, steps, dt
         )
         assert np.array_equal(solo.velocity, camp.solvers[s].velocity), s
-
-
-# ---------------------------------------------------------------------------
-# MultiprocessRunner: contiguous shards, bitwise == whole batch
-# ---------------------------------------------------------------------------
-
-
-def test_runner_batch_sharding_bitwise(small_mesh):
-    from repro.parallel import MultiprocessRunner
-
-    size = 5
-    batch = material_batch(size)
-    runner = MultiprocessRunner(
-        small_mesh, batch[0], assembly_mode="compiled", variant="B"
-    )
-    velocity = runner.velocity
-    ref = UnifiedAssembler(
-        small_mesh, batch[0], mode="compiled", vector_dim=32
-    ).run_batch("B", batch, velocity)
-    got = runner.run_batch(batch, workers=2, velocity=velocity, vector_dim=32)
-    assert np.array_equal(ref, got)
-    reg = get_registry().snapshot()
-    assert float(reg["runner.batch_scenarios"]["value"]) >= size
-
-
-def test_runner_batch_rejects_reference_mode(small_mesh):
-    from repro.parallel import MultiprocessRunner
-
-    runner = MultiprocessRunner(
-        small_mesh, AssemblyParams(), assembly_mode="reference"
-    )
-    with pytest.raises(ValueError, match="compiled"):
-        runner.run_batch(forcing_batch(2), workers=2)

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UnifiedAssembler, variant_names
-from repro.core.autotune import autotune_vector_dim
 from repro.core.codegen import _CODE_CACHE, generate_program, generated_kernel
 from repro.core.tape import record_program
 from repro.fem import box_tet_mesh
@@ -243,21 +242,3 @@ def test_resolve_assembler_codegen_spec(params):
     assert np.array_equal(gen(mesh, u, params), comp(mesh, u, params))
     with pytest.raises(ValueError, match="codegen\\[:VARIANT\\]"):
         resolve_assembler("quantum", mesh, params)
-
-
-def test_autotune_vector_dim_over_codegen(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    ticks = iter([0.0, 5.0, 10.0, 11.0])
-    result = autotune_vector_dim(
-        mesh,
-        "RSP",
-        params,
-        candidates=(8, 32),
-        repeats=1,
-        timer=lambda: next(ticks),
-        velocity=_velocity(mesh),
-        mode="codegen",
-        persist=False,
-    )
-    assert result.winner == 32
-    assert result.mode == "codegen"

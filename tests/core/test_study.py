@@ -30,14 +30,3 @@ def test_format_tables_nonempty_still_render(study):
     cpu = study.cpu_table(["RSP"])
     assert "RSPR" in study.format_gpu_table(gpu)
     assert "RSP" in study.format_cpu_table(cpu)
-
-
-def test_bench_summary_selected_variants(study):
-    entries = study.bench_summary(variants=["RS"], repeats=2)
-    (entry,) = entries
-    assert entry["variant"] == "RS"
-    assert entry["wall_ms"] > 0
-    assert entry["gpu_model_runtime_ms"] > 0
-    assert entry["cpu_model_runtime_ms"] > 0
-    snap = study.metrics.snapshot()
-    assert snap["study.wall_ms.RS"]["value"] == entry["wall_ms"]

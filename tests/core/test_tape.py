@@ -1,4 +1,4 @@
-"""Compiled kernel tapes: bit-identity, arena reuse, caching, autotuning.
+"""Compiled kernel tapes: bit-identity, arena reuse, caching.
 
 The hard contract of :mod:`repro.core.tape` is that replaying the recorded
 tape through the preallocated buffer arena produces a RHS **bit-identical**
@@ -7,19 +7,12 @@ variant, every group size (including padded final groups) and any element
 permutation.  ``np.array_equal`` (not allclose) everywhere below.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UnifiedAssembler, variant_names
-from repro.core.autotune import (
-    AutotuneResult,
-    autotune_vector_dim,
-    write_autotune_report,
-)
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.storage import Storage, TempSpec
 from repro.core.tape import compiled_tape, record_program, tape_cache_key
@@ -184,103 +177,6 @@ def test_tape_invalidated_by_fix_orientation(params):
     interp = UnifiedAssembler(mesh, params, vector_dim=33)
     assert np.array_equal(after, interp.assemble("RS", u))
     assert np.array_equal(after, before)  # repaired orientation = original
-
-
-# -- autotuner -----------------------------------------------------------------
-
-
-def test_autotune_deterministic_with_stub_timer(params):
-    """A fixed timer sequence always elects the same winner."""
-    mesh = box_tet_mesh(3, 3, 3)
-    u = _velocity(mesh)
-
-    def run():
-        # 2 timer reads per repeat: candidate 8 "takes" 5s, candidate 32 1s
-        ticks = iter([0.0, 5.0, 10.0, 11.0])
-        return autotune_vector_dim(
-            mesh,
-            "RSP",
-            params,
-            candidates=(8, 32),
-            repeats=1,
-            timer=lambda: next(ticks),
-            velocity=u,
-            persist=False,
-        )
-    r1, r2 = run(), run()
-    assert r1.winner == r2.winner == 32
-    assert r1.wall_seconds == (5.0, 1.0)
-    assert r1.best_seconds == 1.0
-
-
-def test_autotune_tie_breaks_to_smaller(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    ticks = itertools.count()  # every repeat measures exactly 1 tick
-    result = autotune_vector_dim(
-        mesh,
-        "RS",
-        params,
-        candidates=(64, 8),
-        repeats=2,
-        timer=lambda: next(ticks),
-        velocity=_velocity(mesh),
-        persist=False,
-    )
-    assert result.winner == 8
-
-
-def test_autotune_persists_winner_to_plan(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    ticks = iter([0.0, 5.0, 10.0, 11.0])
-    result = autotune_vector_dim(
-        mesh,
-        "RSP",
-        params,
-        candidates=(8, 32),
-        repeats=1,
-        timer=lambda: next(ticks),
-        velocity=_velocity(mesh),
-    )
-    plan = get_plan(mesh)
-    assert plan.tuned_vector_dim("RSP") == result.winner == 32
-    assert plan.tuned_vector_dim("B") is None
-
-    # vector_dim=None assemblers resolve the tuned winner per variant
-    asm = UnifiedAssembler(mesh, params, mode="compiled")
-    assert asm.resolve_vector_dim("RSP") == 32
-    assert asm.resolve_vector_dim("B") == 16  # untuned -> CPU default
-    u = _velocity(mesh)
-    interp = UnifiedAssembler(mesh, params, vector_dim=32)
-    assert np.array_equal(asm.assemble("RSP", u), interp.assemble("RSP", u))
-
-
-def test_autotune_report_roundtrip(tmp_path, params):
-    mesh = box_tet_mesh(3, 3, 3)
-    ticks = itertools.count()
-    result = autotune_vector_dim(
-        mesh, "RS", params, candidates=(8, 16), repeats=1,
-        timer=lambda: next(ticks), velocity=_velocity(mesh), persist=False,
-    )
-    doc = write_autotune_report([result], tmp_path / "autotune.json")
-    assert (tmp_path / "autotune.json").exists()
-    assert doc["schema"] == "repro-autotune/1"
-    assert doc["winners"] == {"RS": result.winner}
-    assert doc["results"][0]["candidates"] == [8, 16]
-
-
-def test_autotune_rejects_empty_candidates(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    with pytest.raises(ValueError, match="candidate"):
-        autotune_vector_dim(mesh, "RS", params, candidates=())
-
-
-def test_autotune_result_to_dict():
-    r = AutotuneResult(
-        variant="RSP", mode="compiled", nelem=10, candidates=(8, 16),
-        wall_seconds=(2.0, 1.0), winner=16, repeats=3,
-    )
-    d = r.to_dict()
-    assert d["winner"] == 16 and d["best_seconds"] == 1.0
 
 
 # -- elemental tape (multiprocess worker path) ---------------------------------

@@ -128,6 +128,21 @@ def test_set_associative_conflict_misses():
     assert fa.stats.hits == 4
 
 
+def test_associativity_orders_hit_rates_on_a_strided_pattern():
+    """Fewer ways, more conflict misses: full LRU >= 4-way >= 1-way."""
+    hit_rates = []
+    for cache in (
+        LruCache(64),
+        SetAssociativeCache(64, ways=4),
+        SetAssociativeCache(64, ways=1),
+    ):
+        for _ in range(20):
+            for line in range(0, 256, 64):
+                cache.access(line)
+        hit_rates.append(cache.stats.hit_rate)
+    assert hit_rates == sorted(hit_rates, reverse=True)
+
+
 def test_set_associative_basics():
     c = SetAssociativeCache(capacity_lines=8, ways=2)
     c.access(0, store=True)

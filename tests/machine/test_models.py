@@ -95,6 +95,17 @@ def test_rspr_past_roofline_knee(study, gpu_table):
     assert gpu_table["B"].dram_intensity < rl.knee
 
 
+def test_roofline_points_climb_the_chain(study, gpu_table):
+    """Figure 3: privatization lifts DRAM intensity by an order of
+    magnitude, RSPR keeps it, and performance climbs B -> RS -> RSP -> RSPR."""
+    points = study.roofline_points(list(gpu_table.values()))["dram"]
+    by = {p.label: p for p in points}
+    assert by["RSP"].intensity > 5 * by["B"].intensity
+    assert by["RSPR"].intensity >= by["RSP"].intensity
+    perf = [by[v].performance for v in ("B", "RS", "RSP", "RSPR")]
+    assert perf == sorted(perf)
+
+
 def test_baseline_cannot_saturate_dram(gpu_table):
     """Paper: B reaches only ~608 of 1381 GB/s."""
     assert gpu_table["B"].gbs < 0.6 * 1381.0
@@ -171,6 +182,18 @@ def test_scaling_kink_at_18_workers(study):
     assert by_w[36] / by_w[34] < 36 / 34  # sub-linear across the kink
 
 
+def test_scaling_variant_order_at_every_worker_count(study):
+    """Figure 2: B < RS < RSP in Melem/s at all twelve plotted worker
+    counts, and 71 workers stay below 71x one worker (the turbo kinks)."""
+    workers = [1, 2, 4, 8, 16, 17, 18, 24, 32, 48, 60, 71]
+    curves = study.cpu_scaling(worker_counts=workers)
+    for i in range(len(workers)):
+        b, rs, rsp = (curves[v][i]["melem_per_s"] for v in ("B", "RS", "RSP"))
+        assert b < rs < rsp, workers[i]
+    rsp = curves["RSP"]
+    assert rsp[-1]["melem_per_s"] < 71 * rsp[0]["melem_per_s"]
+
+
 def test_multicore_runtime_validates(study):
     model = CpuModel()
     with pytest.raises(ValueError, match="worker"):
@@ -211,6 +234,17 @@ def test_forwarding_window_shrinks_private_pattern(study):
     mapping = model.map_storage(rep)
     filtered = model.filter_pattern(rep, mapping)
     assert len(filtered) < len(rep.pattern)
+
+
+def test_wider_forwarding_window_never_keeps_more_accesses(study):
+    """Ablation: P's surviving private accesses fall as the window widens."""
+    rep = study.trace("P")
+    survivors = []
+    for window in (0, 2, 8, 32):
+        model = GpuModel(forward_window=window)
+        survivors.append(len(model.filter_pattern(rep, model.map_storage(rep))))
+    assert survivors == sorted(survivors, reverse=True)
+    assert survivors[-1] < survivors[0]
 
 
 def test_global_temps_never_forwarded(study):

@@ -1,17 +1,14 @@
-"""Exporters: JSONL round-trip, Chrome trace validity, bench.json schema."""
+"""Exporters: JSONL round-trip, Chrome trace validity, flamegraph, Prometheus."""
 
 import json
 
 import pytest
 
 from repro.obs import (
-    BENCH_SCHEMA,
     MetricsRegistry,
     Tracer,
     chrome_trace_events,
-    read_bench_json,
     read_spans_jsonl,
-    write_bench_json,
     write_chrome_trace,
     write_spans_jsonl,
 )
@@ -69,28 +66,6 @@ def test_chrome_trace_skips_open_spans(tmp_path):
     assert chrome_trace_events(tracer.finished) == []
 
 
-def test_bench_json_round_trip(tmp_path):
-    reg = MetricsRegistry()
-    reg.counter("cg.iterations").inc(42)
-    path = tmp_path / "bench.json"
-    entries = [{"variant": "RSP", "wall_ms": 1.5, "gpu_model_runtime_ms": 16.9}]
-    doc = write_bench_json(str(path), entries, metrics=reg, meta={"k": "v"})
-    assert doc["schema"] == BENCH_SCHEMA
-
-    back = read_bench_json(str(path))
-    assert back["entries"] == entries
-    assert back["metrics"]["cg.iterations"]["value"] == 42
-    assert back["meta"] == {"k": "v"}
-    assert isinstance(back["created_unix"], float)
-
-
-def test_bench_json_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema": "other/9", "entries": []}))
-    with pytest.raises(ValueError, match="schema"):
-        read_bench_json(str(path))
-
-
 # -- collapsed stacks / flamegraph ------------------------------------------
 
 
@@ -140,20 +115,3 @@ def test_prometheus_text_instruments():
     assert 'repro_cg_iters{quantile="0.5"}' in text
     assert "repro_cg_iters_count 4" in text
     assert "repro_cg_iters_sum 10" in text
-
-
-def test_prometheus_exporter_interval_gate(tmp_path):
-    from repro.obs import PrometheusExporter
-
-    reg = MetricsRegistry()
-    reg.counter("c").inc()
-    path = tmp_path / "m.prom"
-    exporter = PrometheusExporter(str(path), metrics=reg, interval=3600.0)
-    assert exporter.maybe_write(now=0.0)  # first write always lands
-    assert not exporter.maybe_write(now=10.0)  # gated by the interval
-    assert exporter.maybe_write(now=4000.0)
-    exporter.flush()  # unconditional
-    assert exporter.writes == 3
-    assert "repro_c 1" in path.read_text()
-    # atomic write leaves no temp file behind
-    assert list(tmp_path.iterdir()) == [path]

@@ -1,23 +1,18 @@
 """Telemetry threaded through the hot paths: study, CG, fractional step,
-parallel runner, and the regression guard."""
+parallel runner."""
 
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
 from repro.core import OptimizationStudy
 from repro.fem import box_tet_mesh
-from repro.io import write_bench_artifacts
 from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
 from repro.parallel import MultiprocessRunner, assemble_partitioned
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import FractionalStepSolver
 from repro.solvers import SolverError, conjugate_gradient
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -35,20 +30,12 @@ def params():
 # ---------------------------------------------------------------------------
 
 
-def test_study_traced_chrome_trace_and_bench_entries(tiny_mesh, tmp_path):
+def test_study_traced_chrome_trace(tiny_mesh, tmp_path):
     tracer = Tracer(pid=0)
     registry = MetricsRegistry()
     study = OptimizationStudy(mesh=tiny_mesh, tracer=tracer, metrics=registry)
-    entries = study.bench_summary()
-
-    # bench entries: per-variant wall clock + model runtime
-    by_variant = {e["variant"]: e for e in entries}
-    assert set(by_variant) == {"B", "P", "RS", "RSP", "RSPR"}
-    for entry in entries:
-        assert entry["wall_ms"] > 0
-        assert "gpu_model_runtime_ms" in entry or "cpu_model_runtime_ms" in entry
-    assert by_variant["RSP"]["gpu_model_runtime_ms"] > 0
-    assert by_variant["RSP"]["cpu_model_runtime_ms"] > 0
+    study.gpu_table()
+    study.cpu_table()
 
     # chrome trace: valid JSON with nested spans for every variant
     trace_path = tmp_path / "trace.json"
@@ -56,6 +43,7 @@ def test_study_traced_chrome_trace_and_bench_entries(tiny_mesh, tmp_path):
     doc = json.loads(trace_path.read_text())
     events = doc["traceEvents"]
     assert events and all(ev["ph"] == "X" for ev in events)
+    assert {"gpu_table", "cpu_table"} <= {ev["name"] for ev in events}
     variant_events = [ev for ev in events if ev["name"] == "variant"]
     assert {ev["args"]["variant"] for ev in variant_events} == {
         "B", "P", "RS", "RSP", "RSPR",
@@ -71,13 +59,6 @@ def test_study_traced_chrome_trace_and_bench_entries(tiny_mesh, tmp_path):
     snap = registry.snapshot()
     assert snap["study.gpu_runtime_ms.RSPR"]["value"] > 0
     assert snap["study.cpu_runtime_ms.B"]["value"] > 0
-
-    # and the artifact writer produces the full BENCH_* set
-    paths = write_bench_artifacts(
-        str(tmp_path), entries, tracer=tracer, metrics=registry
-    )
-    assert set(paths) == {"bench", "trace", "spans"}
-    assert json.loads(pathlib.Path(paths["bench"]).read_text())["entries"]
 
 
 def test_study_null_tracer_outputs_identical(tiny_mesh):
@@ -204,55 +185,3 @@ def test_multiprocess_runner_merges_rank_timelines(params):
     assert {s.attributes["rank"] for s in rank_spans} == {0, 1}
     assert {s.pid for s in rank_spans} == {0, 1}
     assert all(s.end is not None for s in spans)
-
-
-# ---------------------------------------------------------------------------
-# Regression guard
-# ---------------------------------------------------------------------------
-
-
-def _load_check_regression():
-    path = REPO_ROOT / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_check_regression_compare_flags_slowdowns():
-    mod = _load_check_regression()
-    baseline = {"entries": [{"variant": "RSP", "wall_ms": 100.0}]}
-    fresh = {
-        "entries": [
-            {"variant": "RSP", "wall_ms": 130.0},
-            {"variant": "NEW", "wall_ms": 5.0},  # no baseline: ignored
-        ]
-    }
-    regs = mod.compare(fresh, baseline, threshold=0.20)
-    assert len(regs) == 1
-    variant, field, old, new, ratio = regs[0]
-    assert (variant, field) == ("RSP", "wall_ms")
-    assert ratio == pytest.approx(1.3)
-    # within threshold: clean
-    assert mod.compare(fresh, baseline, threshold=0.35) == []
-
-
-def test_check_regression_main_nonfatal(tmp_path, capsys):
-    mod = _load_check_regression()
-    from repro.obs import write_bench_json
-
-    bench = tmp_path / "BENCH_variants.json"
-    base = tmp_path / "baseline.json"
-    write_bench_json(str(bench), [{"variant": "B", "wall_ms": 200.0}])
-    write_bench_json(str(base), [{"variant": "B", "wall_ms": 100.0}])
-
-    rc = mod.main(["--bench", str(bench), "--baseline", str(base)])
-    assert rc == 0  # non-fatal by default
-    assert "WARNING" in capsys.readouterr().out
-    rc = mod.main(
-        ["--bench", str(bench), "--baseline", str(base), "--strict"]
-    )
-    assert rc == 1
-
-    rc = mod.main(["--bench", str(tmp_path / "missing.json")])
-    assert rc == 0  # missing artifacts skip cleanly

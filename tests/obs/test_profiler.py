@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core import UnifiedAssembler, compiled_tape, generated_kernel, variant_names
 from repro.fem import box_tet_mesh, get_plan
-from repro.machine import gpu_roofline
 from repro.obs import (
     MetricsRegistry,
     NullProfiler,
@@ -83,18 +82,11 @@ def test_profiled_assembly_bitwise_identical(variant, vector_dim, seed):
     )
 
 
-def test_profiled_interpreted_bitwise_identical(
-    mesh, prof_params, prof_velocity
-):
-    for variant in variant_names():
-        ref = _assemble(
-            mesh, prof_params, prof_velocity, variant, 32, mode="interpreted"
-        )
-        out = _assemble(
-            mesh, prof_params, prof_velocity, variant, 32,
-            mode="interpreted", profile=True,
-        )
-        assert np.array_equal(ref, out), f"{variant}: interpreted differs"
+def test_interpreted_profile_is_rejected(mesh, prof_params):
+    """Op-level counters come from a program's cost table: the interpreted
+    per-group backend has none, so asking it to profile is an error."""
+    with pytest.raises(ValueError, match="profile=True requires"):
+        UnifiedAssembler(mesh, prof_params, mode="interpreted", profile=True)
 
 
 def test_profiled_threads_bitwise_identical(mesh, prof_params, prof_velocity):
@@ -146,25 +138,6 @@ def test_measured_bytes_match_predicted(
     assert prof.total_flops == pytest.approx(
         prof.report.predicted_flops(nlane)
     )
-
-
-def test_interpreted_traffic_exceeds_compiled(mesh, prof_params, prof_velocity):
-    """The interpreted path charges per-element ``store`` writes that the
-    compiled tape SSA-renames away -- the measured privatization gap."""
-    profiler = TapeProfiler()
-    _assemble(
-        mesh, prof_params, prof_velocity, "RS", 64, mode="compiled",
-        profiler=profiler,
-    )
-    _assemble(
-        mesh, prof_params, prof_velocity, "RS", 64, mode="interpreted",
-        profiler=profiler,
-    )
-    compiled = profiler.profiles[("RS", 64, "compiled", "serial")]
-    interp = profiler.profiles[("RS", 64, "interpreted", "serial")]
-    assert interp.total_bytes > compiled.total_bytes
-    # dynamic slots converged: no unfilled placeholders remain
-    assert "?" not in interp.kinds
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +203,6 @@ def test_null_profiler_contract():
     null.publish(MetricsRegistry())  # no-op
     with pytest.raises(RuntimeError):
         null.for_program(None, 8, "compiled")
-    with pytest.raises(RuntimeError):
-        null.for_kernel("RS", 8)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +275,7 @@ def test_publish_counters_and_phases():
 
 
 # ---------------------------------------------------------------------------
-# Phases, roofline, exports
+# Phases, exports
 # ---------------------------------------------------------------------------
 
 
@@ -327,22 +298,6 @@ def test_phase_breakdown_orders_and_sums(mesh, prof_params, prof_velocity):
     rows = prof.op_rows(top=5)
     assert len(rows) == 5
     assert rows[0]["seconds"] >= rows[-1]["seconds"]
-
-
-def test_roofline_point_and_attribution(mesh, prof_params, prof_velocity):
-    profiler = TapeProfiler()
-    _assemble(mesh, prof_params, prof_velocity, "RSP", 64,
-              mode="compiled", profiler=profiler)
-    prof = profiler.profiles[("RSP", 64, "compiled", "serial")]
-    point = prof.roofline_point()
-    assert point.label == "RSP"
-    assert point.intensity == pytest.approx(prof.intensity)
-    roof = gpu_roofline()
-    row = roof.attribution(point)
-    assert row["limited_by"] in ("memory", "compute")
-    assert 0.0 <= row["efficiency"]  # CPU-measured point under a GPU roof
-    assert row["attainable"] == roof.attainable(point.intensity)
-    assert prof.phase_roofline_points()  # at least one phase point
 
 
 def test_collapsed_flamegraph_and_trace(tmp_path, mesh, prof_params,
