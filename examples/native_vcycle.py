@@ -2,7 +2,9 @@
 """The pressure iteration's products, measured: the AMG V-cycle and the level-0
 product in their scipy form and in their C form (rows as lanes for a vector,
 columns as lanes for a block), byte-equal, with the per-level budget of one
-one-column cycle -- which product of which level the time goes to.
+one-column cycle -- which product of which level the time goes to -- and the
+step's derivative products (nodal and elemental divergence, lumped gradient)
+as one C pass over the three axes against the per-axis scipy form.
 
 Run:  python examples/native_vcycle.py [n]      (mesh n^3 cells, default 24)
 """
@@ -12,8 +14,9 @@ import time
 import numpy as np
 
 from repro.core import native
-from repro.fem import box_tet_mesh
+from repro.fem import box_tet_mesh, get_plan
 from repro.physics.pressure import PressureSolver
+from repro.solvers.cg import VectorPhase
 from repro.solvers.native import SOURCE, SYMBOLS
 
 REPEATS = 40
@@ -67,6 +70,21 @@ for l, (level, words) in enumerate(zip(amg.levels[:-1], form._table)):
         print(f"{l:5d} {name:>6s} {m.nnz:8d} {uses:9d} {scipy_ms:9.4f} {c_ms:7.4f}"
               f" {m.nnz / scipy_ms * 1e-6:13.2f} {m.nnz / c_ms * 1e-6:9.2f}")
 print(f"products of one cycle: scipy {total[0]:.3f} ms, C {total[1]:.3f} ms")
+# the step's derivative products: divergence u -> (rows, k), gradient p -> (nnode, 3, k)
+plan, numpy = get_plan(mesh), VectorPhase()
+derivatives, mass = plan.p1_derivatives(), plan.lumped_mass()
+print(f"{'product':>20s} {'k':>3s} {'scipy ms':>9s} {'C ms':>7s} {'ratio':>6s}")
+for k in (1, 16):
+    u = rng.standard_normal((k, mesh.nnode, 3))
+    x = u[0].T if k == 1 else np.ascontiguousarray(u.T)  # a vector is read in place
+    p = rng.standard_normal((mesh.nnode, k))[:, 0] if k == 1 else rng.standard_normal((mesh.nnode, k))
+    for name, ops, v, m in (("nodal divergence", derivatives.nodal, x, None),
+                            ("elemental divergence", derivatives.elemental, x, None),
+                            ("gradient", derivatives.nodal, p, mass)):
+        assert form.axes(ops, v, m).tobytes() == numpy.axes(ops, v, m).tobytes()
+        ps, pc = best([lambda: numpy.axes(ops, v, m), lambda: form.axes(ops, v, m)])
+        print(f"{name:>20s} {k:3d} {ps:9.3f} {pc:7.3f} {ps / pc:6.2f}")
+assert form.state == "adopted" and len(form._families) == 3, form.state
 rhs = 0.1 * rng.standard_normal((mesh.nnode, 3))
 result = solver.solve(rhs, 1.0, 1e-3)
 ms, = best([lambda: solver.solve(rhs, 1.0, 1e-3)])

@@ -168,7 +168,8 @@ class P1Derivatives:
         ``Dn_i = S^T diag(V/4) De_i`` (``nnode x nnode``, ``S`` the
         element->node incidence): ``(Dn_i f)_a = int N_a d_i f dV`` --
         the divergence RHS is ``sum_i Dn_i u_i`` and the lumped nodal
-        gradient ``Dn_i p / m``.
+        gradient ``Dn_i p / m``.  Stored on the structural pattern of
+        ``S^T De``, exact zeros included, so the three share one.
     """
 
     elemental: Tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]
@@ -490,23 +491,36 @@ class AssemblyPlan:
 
     def p1_derivatives(self) -> P1Derivatives:
         """Cached :class:`P1Derivatives`, built on first use (only time
-        stepping needs them): the elemental CSR is written straight from
-        the connectivity (four entries per row, no sort), the nodal one is
-        a sparse product."""
+        stepping needs them): the elemental CSRs are written straight from
+        the connectivity (four entries per row, no sort), the nodal ones are
+        sparse products; each triple shares one index pattern, arrays
+        included."""
         if self._p1_derivatives is None:
             geo, conn = self.geometry(), self.mesh.connectivity
-            indptr = np.arange(0, conn.size + 1, 4)
+            shape = (len(conn), self.mesh.nnode)
+            pattern = sp.csr_matrix(
+                (np.ones(conn.size), conn.ravel(), np.arange(0, conn.size + 1, 4)), shape=shape
+            )
 
             def rows(data: np.ndarray) -> sp.csr_matrix:
-                return sp.csr_matrix(
-                    (data, conn.ravel(), indptr), shape=(len(conn), self.mesh.nnode)
-                )
+                return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=shape)
+
+            def keys(m: sp.csr_matrix) -> np.ndarray:  # row * ncol + col of each entry
+                return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)) * m.shape[1] + m.indices
 
             elemental = tuple(rows(geo.gradients[:, :, i].ravel()) for i in range(3))
             lump_t = rows(np.repeat(geo.volumes / 4.0, 4)).T.tocsr()  # S^T diag(V/4)
-            self._p1_derivatives = P1Derivatives(
-                elemental, tuple(lump_t @ de for de in elemental)
-            )
+            # scipy's product drops exact zeros, so each Dn_i goes back on the product's
+            # structural pattern (of ones: nothing cancels), in the product's own order: a
+            # zero term leaves a finite row sum's bits as they were
+            full = lump_t @ pattern
+            where = np.argsort(full_keys := keys(full))
+            nodal = []
+            for dn in (lump_t @ de for de in elemental):
+                data = np.zeros(full.nnz)
+                data[where[np.searchsorted(full_keys, keys(dn), sorter=where)]] = dn.data
+                nodal.append(sp.csr_matrix((data, full.indices, full.indptr), shape=full.shape))
+            self._p1_derivatives = P1Derivatives(elemental, tuple(nodal))
         return self._p1_derivatives
 
     def packed_coords(self) -> np.ndarray:

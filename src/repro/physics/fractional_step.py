@@ -49,8 +49,9 @@ from ..resilience.checkpoint import (
     prune_checkpoints,
     save_checkpoint,
 )
+from ..solvers.cg import scenario_rows
 from .momentum import AssemblyParams, assemble_momentum_rhs, kernel_rhs_assembler
-from .pressure import PressureSolver, stacked_divergence
+from .pressure import PressureSolver, ProjectionBasis, stacked_divergence
 
 __all__ = [
     "StepReport",
@@ -200,40 +201,45 @@ def _max_divergence(plan, u: np.ndarray) -> np.ndarray:
     return np.abs(div).max(axis=0, initial=0.0)
 
 
-def _kinetic_energy(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Mass-weighted ``0.5 sum_m m |u|^2`` of each field of a stack."""
-    return 0.5 * (mass * (u**2).sum(axis=2)).sum(axis=1)
+def _kinetic_energy(mass: np.ndarray, speed2: np.ndarray) -> np.ndarray:
+    """Mass-weighted ``0.5 sum_m m |u|^2`` of each field of a stack, from
+    its ``|u|^2`` ``(S, nnode)``."""
+    return 0.5 * (mass * speed2).sum(axis=1)
 
 
 def _finish_steps(solvers, u: np.ndarray, dt: float, umax_before):
     """Pressure solve, projection, guards and step diagnostics of the stacked
     predictors ``u`` ``(S, nnode, 3)`` of ``solvers`` (one mesh, one
-    :class:`PressureSolver`): one block solve and three block products per
-    stage instead of ``S``, every scenario byte-equal to its own one-scenario
-    call.  Mutates no solver.  Returns ``(outcomes, t_pressure)``: per scenario
-    ``(u, result, (max_velocity, max_divergence, kinetic_energy))`` or the
-    :class:`_StageFailure` of its tripped guard, and the solve's wall time per
-    scenario.
+    :class:`PressureSolver`, one :class:`ProjectionBasis` each): one block
+    solve, one product for the bases and one pass per derivative stage
+    instead of ``S``, every scenario byte-equal to its own one-scenario call.
+    Corrects ``u`` in place; mutates no solver.  Returns ``(outcomes, t_pressure)``: per scenario
+    ``(u, result, A result.x, (max_velocity, max_divergence,
+    kinetic_energy))`` or the :class:`_StageFailure` of its tripped guard,
+    and the solve's wall time per scenario.
     """
     lead = solvers[0]
     density = np.array([sv.params.density for sv in solvers])
     with lead.tracer.span("pressure", columns=len(solvers)) as span:
         t0 = time.perf_counter()
         results = lead.pressure.solve(
-            u, density, dt, x0=np.stack([sv.pressure_field for sv in solvers])
+            u, density, dt, bases=[sv.pressure_basis for sv in solvers]
         )
+        p = np.stack([r.x for r in results], axis=1)
+        images = scenario_rows(lead.pressure.image(p))  # what extends each basis
         t_pressure = (time.perf_counter() - t0) / len(solvers)
         if span is not None:
             span.attributes["iterations"] = [r.iterations for r in results]
-    p = np.stack([r.x for r in results], axis=1)
     with lead.tracer.span("projection"):
         gradp = lead.pressure.pressure_gradient(p).transpose(2, 0, 1)
-        u = u - (dt / density)[:, None, None] * gradp
+        gradp *= (dt / density)[:, None, None]
+        u -= gradp  # the predictors are this call's: corrected in place
         for sv, field in zip(solvers, u):
             sv._apply_bcs(field)
-    speed = np.linalg.norm(u, axis=2).max(axis=1, initial=0.0)
+    speed2 = (u * u).sum(axis=2)  # the one add.reduce norm(axis=2) and |u|^2 both run
+    speed = np.sqrt(speed2).max(axis=1, initial=0.0)
     divergence = _max_divergence(lead._plan, u)
-    energy = _kinetic_energy(lead.mass, u)
+    energy = _kinetic_energy(lead.mass, speed2)
     outcomes = []
     for j, sv in enumerate(solvers):
         if not np.isfinite(p[:, j]).all():
@@ -248,7 +254,7 @@ def _finish_steps(solvers, u: np.ndarray, dt: float, umax_before):
             ))
         else:
             diagnostics = (float(speed[j]), float(divergence[j]), float(energy[j]))
-            outcomes.append((u[j], results[j], diagnostics))
+            outcomes.append((u[j], results[j], images[j], diagnostics))
     return outcomes, t_pressure
 
 
@@ -279,7 +285,8 @@ class FractionalStepSolver:
     dirichlet:
         Velocity Dirichlet conditions, re-applied after each projection.
     assemble:
-        RHS assembly callable ``(mesh, velocity, params) -> (nnode, 3)``;
+        RHS assembly callable ``(mesh, velocity, params) -> (nnode, 3)``
+        returning a fresh array (the predictor updates it in place);
         defaults to the vectorized reference.  Pass a closure around
         :meth:`repro.core.unified.UnifiedAssembler.assemble` to drive the
         DSL kernel variants end-to-end -- or a string spec:
@@ -365,6 +372,9 @@ class FractionalStepSolver:
         self.mass = self._plan.lumped_mass()
         self.velocity = np.zeros((mesh.nnode, 3))
         self.pressure_field = np.zeros(mesh.nnode)
+        # this trajectory's span of its last pressure solutions: where each solve starts
+        self.pressure_basis = ProjectionBasis()
+        self._speed: Optional[float] = None  # max |u| of self.velocity, once known
         self.time = 0.0
         self.step_count = 0
         self.history: List[StepReport] = []
@@ -378,6 +388,7 @@ class FractionalStepSolver:
             )
         self.velocity[...] = velocity
         self._apply_bcs(self.velocity)
+        self._speed = None
 
     def _apply_bcs(self, field: np.ndarray) -> None:
         for bc in self.dirichlet:
@@ -391,7 +402,8 @@ class FractionalStepSolver:
 
     def kinetic_energy(self) -> float:
         """Mass-weighted kinetic energy ``0.5 sum_m m |u|^2``."""
-        return float(_kinetic_energy(self.mass, self.velocity[None])[0])
+        u = self.velocity[None]
+        return float(_kinetic_energy(self.mass, (u * u).sum(axis=2))[0])
 
     # ------------------------------------------------------------------
     def _rk_coeffs(self) -> Tuple[float, ...]:
@@ -400,9 +412,13 @@ class FractionalStepSolver:
         return tuple((k + 1.0) / self.sweeps for k in range(self.sweeps))
 
     def _umax(self) -> float:
-        if not self.velocity.size:
-            return 0.0
-        return float(np.linalg.norm(self.velocity, axis=1).max())
+        """Max ``|u|`` of the current field: the last committed step's
+        ``max_velocity`` (the same bits), else one pass over the field."""
+        if self._speed is None:
+            self._speed = (
+                float(np.linalg.norm(self.velocity, axis=1).max()) if self.velocity.size else 0.0
+            )
+        return self._speed
 
     def _predict(self, dt: float) -> Tuple[np.ndarray, float]:
         """Explicit RK momentum predictor (``sweeps`` assemblies).
@@ -421,7 +437,11 @@ class FractionalStepSolver:
                 rhs = self.assemble(mesh, u, self.params)
                 if self.fault_plan is not None:
                     self.fault_plan.corrupt("momentum_rhs", rhs)
-                u = u0 + (c * dt) * (rhs * minv)
+                # u0 + (c dt) (rhs minv), in the assembler's fresh array: the same bits
+                rhs *= minv
+                rhs *= c * dt
+                rhs += u0
+                u = rhs
                 self._apply_bcs(u)
             t_assembly = time.perf_counter() - t0
         if not np.isfinite(u).all():
@@ -499,18 +519,24 @@ class FractionalStepSolver:
         dt_eff: float,
         u: np.ndarray,
         result,
+        image: np.ndarray,
         diagnostics: Tuple[float, float, float],
         t_assembly: float,
         t_pressure: float,
     ) -> StepReport:
-        """Commit an accepted step: state, counters, history, checkpoint."""
+        """Commit an accepted step: state, projection basis (``image`` is
+        ``A result.x``; a solve that climbed the ladder restarts it),
+        counters, history, checkpoint.  Nothing else changes the basis, so a
+        rolled-back attempt leaves it as it was."""
         registry = get_registry() if self._metrics is None else self._metrics
         registry.counter("fstep.steps").inc()
         registry.counter("fstep.assemblies").inc(self.sweeps)
         registry.histogram("fstep.pressure_iterations").record(result.iterations)
 
         self.velocity = u
+        self._speed = diagnostics[0]
         self.pressure_field = result.x
+        self.pressure_basis.extend(result.x, image, restart=result.rung > 0)
         self.time += dt_eff
         self.step_count += 1
         report = StepReport(
@@ -558,6 +584,8 @@ class FractionalStepSolver:
                 step=self.step_count,
                 nnode=self.mesh.nnode,
                 nelem=self.mesh.nelem,
+                basis=self.pressure_basis.x,
+                basis_image=self.pressure_basis.ax,
             )
         registry.counter("resilience.checkpoints").inc()
         if auto:
@@ -581,10 +609,12 @@ class FractionalStepSolver:
         state.validate_against(self.mesh.nnode, self.mesh.nelem)
         self.velocity = state.velocity
         self.pressure_field = state.pressure
+        self.pressure_basis = ProjectionBasis(state.basis, state.basis_image)
         self.time = state.time
         self.step_count = state.step
         self.history = []
         self._apply_bcs(self.velocity)
+        self._speed = None
         return self
 
     def restart_latest(
@@ -821,10 +851,10 @@ class BatchCampaign:
     ) -> Tuple[np.ndarray, float]:
         """All active momentum predictors, one batched assembly per sweep.
 
-        Per-scenario updates use the exact expression order of the solo
+        Per-scenario updates use the exact operation order of the solo
         :meth:`FractionalStepSolver._predict` (``u0 + (c*dt)*(rhs*minv)``
-        with the scenario's own RHS row), so each row is bitwise equal
-        to the corresponding solo predictor.
+        with the scenario's own RHS row, in place), so each row is bitwise
+        equal to the corresponding solo predictor.
         """
         from ..core.batch import ScenarioBatch
 
@@ -849,7 +879,9 @@ class BatchCampaign:
                         continue
                     if sv.fault_plan is not None:
                         sv.fault_plan.corrupt("momentum_rhs", rhs[j])
-                    u[j] = u0[j] + (c * dt) * (rhs[j] * minv)
+                    np.multiply(rhs[j], minv, out=u[j])
+                    u[j] *= c * dt
+                    u[j] += u0[j]
                     sv._apply_bcs(u[j])
                     if not np.isfinite(u[j]).all():
                         # Freeze the row at its (finite) initial state so

@@ -14,6 +14,16 @@ Laplacian and hierarchy; scenario ``s`` of a stack is byte-equal to the solve
 of that scenario alone (the column-exactness table in
 :mod:`repro.solvers.cg`: means and dots on scenario-major rows).
 
+Each trajectory's solve starts from Fischer's projection of successive
+right-hand sides (P. F. Fischer, CMAME 1998; Nek5000's pressure): the
+trajectory keeps the A-orthonormal span of its last :data:`PROJECTION_DEPTH`
+solutions (:class:`ProjectionBasis`, state of the trajectory, not of the
+shared solver) and starts CG from the projection of ``b`` onto it.  CG still
+judges convergence on the full solution, ``||b - A x|| <= tol ||b||``.  The
+divergence, gradient and max-divergence products around the solve are one
+pass over the three axes' operators
+(:meth:`~repro.solvers.cg.VectorPhase.axes`, in C once the hierarchy is).
+
 The solve climbs a degradation ladder before giving up (Alya's production
 reality: a campaign must not die on one hard step): plain CG(AMG) first;
 on breakdown or non-convergence, deflated CG with a piecewise-constant
@@ -28,8 +38,7 @@ fails rung 0 climbs alone.  Only when every rung fails does a structured
 from __future__ import annotations
 
 import dataclasses
-import operator
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,11 +52,20 @@ from ..solvers.cg import (
     SolverError,
     VectorPhase,
     conjugate_gradient,
-    scenario_rows,
 )
 from ..solvers.deflation import deflated_cg, partition_coarse_space
 
-__all__ = ["assemble_laplacian", "divergence_rhs", "PressureSolver"]
+__all__ = [
+    "assemble_laplacian",
+    "divergence_rhs",
+    "PressureSolver",
+    "ProjectionBasis",
+    "PROJECTION_DEPTH",
+]
+
+#: Solutions a trajectory's projection basis holds (Fischer's L); when full,
+#: the basis restarts from the newest solution.
+PROJECTION_DEPTH = 8
 
 
 def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
@@ -59,21 +77,23 @@ def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
     return k.tocsr()  # from CSC: column indices come out sorted
 
 
-def _matmul(plan):
-    """``m @ x`` in the form the mesh's shared hierarchy serves block products
-    from (:meth:`repro.solvers.native.NativeCycle.matmul`), scipy's without one."""
+def _derivatives(plan, which: str, x: np.ndarray, mass=None) -> np.ndarray:
+    """:meth:`~repro.solvers.cg.VectorPhase.axes` over the plan's ``which``
+    (``"nodal"`` / ``"elemental"``) P1 derivatives, in the form the mesh's
+    shared hierarchy serves (one C pass once adopted), numpy's without one."""
     amg = plan.cached_operator("amg")
-    return operator.matmul if amg is None else amg.native.matmul
+    phase = VectorPhase() if amg is None else amg.native
+    return phase.axes(getattr(plan.p1_derivatives(), which), x, mass)
 
 
 def stacked_divergence(plan, which: str, velocity: np.ndarray) -> np.ndarray:
-    """``sum_i D_i u_i`` over the plan's ``which`` (``"nodal"`` /
-    ``"elemental"``) P1 derivatives: a vector from one ``(nnode, 3)`` field,
-    an ``(rows, S)`` block -- three sparse products -- from a stack
+    """``sum_i D_i u_i`` over the plan's ``which`` P1 derivatives: a vector
+    from one ``(nnode, 3)`` field, an ``(rows, S)`` block from a stack
     ``(S, nnode, 3)``."""
-    components = np.ascontiguousarray(velocity.T)  # (3, nnode[, S])
-    matmul, operators = _matmul(plan), getattr(plan.p1_derivatives(), which)
-    return sum(matmul(d, components[i]) for i, d in enumerate(operators))
+    components = np.asarray(velocity).T  # (3, nnode[, S]), read in place
+    if components.ndim == 3 and components.shape[2] > 1:
+        components = np.ascontiguousarray(components)  # a scenario is a lane
+    return _derivatives(plan, which, components)
 
 
 def divergence_rhs(
@@ -90,6 +110,63 @@ def divergence_rhs(
     return -(np.asarray(density) / dt) * stacked_divergence(get_plan(mesh), "nodal", velocity)
 
 
+class ProjectionBasis:
+    """One trajectory's A-orthonormal span of its last pressure solutions and
+    their images under A, a row each of :attr:`x` and :attr:`ax`.
+
+    A solve starts from :meth:`guess`; a committed step :meth:`extend` s the
+    span by its solution, or restarts it from that solution when the span is
+    full (:data:`PROJECTION_DEPTH`) or the solve climbed the ladder.  Every
+    operand is a contiguous vector: BLAS's kernels then compute the same bits
+    at any alignment, so a trajectory projects alike in a block solve and
+    alone (a strided vector takes another kernel).
+    """
+
+    def __init__(self, x: Optional[np.ndarray] = None, ax: Optional[np.ndarray] = None):
+        self.size, self._rows = 0, None  # (2, PROJECTION_DEPTH, n) once a vector is in
+        for v, av in zip(() if x is None else x, () if ax is None else ax):
+            self._append(v, av)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._rows[0, : self.size] if self.size else np.empty((0, 0))
+
+    @property
+    def ax(self) -> np.ndarray:
+        return self._rows[1, : self.size] if self.size else np.empty((0, 0))
+
+    def _append(self, v: np.ndarray, av: np.ndarray, scale: float = 1.0) -> None:
+        if self.size == PROJECTION_DEPTH:  # a longer restored basis keeps its first rows
+            return
+        if self._rows is None:
+            self._rows = np.empty((2, PROJECTION_DEPTH, v.size))
+        np.multiply(v, scale, out=self._rows[0, self.size])
+        np.multiply(av, scale, out=self._rows[1, self.size])
+        self.size += 1
+
+    def guess(self, b: np.ndarray) -> np.ndarray:
+        """``sum_i (x_i . b) x_i``: the A-orthogonal projection of the
+        solution of ``A p = b`` onto the span (zeros while it is empty)."""
+        if not self.size:
+            return np.zeros(b.shape)
+        return (self.x @ np.ascontiguousarray(b)) @ self.x
+
+    def extend(self, p: np.ndarray, ap: np.ndarray, restart: bool = False) -> None:
+        """Add the solution ``p`` (``ap = A p``), A-orthonormalised against
+        the span; a full span, or ``restart``, restarts from it alone.  A
+        solution already in the span (to ``1e-8`` in the A-norm) adds nothing."""
+        if restart or self.size == PROJECTION_DEPTH:
+            self.size = 0
+        p, ap = np.ascontiguousarray(p), np.ascontiguousarray(ap)
+        norm = whole = p @ ap
+        if self.size:
+            c = self.ax @ p  # x_i . A p
+            p, ap = p - c @ self.x, ap - c @ self.ax
+            norm = p @ ap
+        if norm > 1e-16 * whole:  # false for NaN too
+            self._append(p, ap, 1.0 / np.sqrt(norm))
+
+
 @dataclasses.dataclass
 class PressureSolver:
     """AMG-preconditioned CG solver for the pure-Neumann pressure problem.
@@ -101,8 +178,8 @@ class PressureSolver:
     tol, maxiter:
         CG controls.
     use_amg:
-        Disable to run Jacobi-preconditioned CG instead (comparison knob
-        used by the solver benchmarks).
+        Disable to run Jacobi-preconditioned CG instead (the comparison
+        ``tests/physics`` makes).
     max_rung:
         Top rung of the degradation ladder: 0 = plain CG only (the seed
         behaviour, returning unconverged results silently), 1 = escalate
@@ -242,23 +319,28 @@ class PressureSolver:
         velocity: np.ndarray,
         density,
         dt: float,
-        x0: Optional[np.ndarray] = None,
+        bases: Optional[Sequence[ProjectionBasis]] = None,
     ):
         """Solve for the pressure given the predictor velocity.
 
         ``velocity`` is one ``(nnode, 3)`` predictor (one
         :class:`SolveResult` comes back) or a stack ``(S, nnode, 3)`` with
-        per-scenario ``density`` and ``x0`` ``(S, nnode)`` (a list of ``S``
-        results, each byte-equal to the call made with that scenario
-        alone).  Rung 0 is one block solve; a column it fails climbs the
-        degradation ladder alone (see class docstring), and every result
-        carries its serving rung in ``result.rung`` (0 = fast path).
+        per-scenario ``density`` (a list of ``S`` results, each byte-equal
+        to the call made with that scenario alone).  ``bases`` holds one
+        :class:`ProjectionBasis` per scenario: column ``s`` starts from
+        ``bases[s].guess`` of its right-hand side (zeros without).  Rung 0
+        is one block solve; a column it fails climbs the degradation ladder
+        alone (see class docstring), and every result carries its serving
+        rung in ``result.rung`` (0 = fast path).
         """
         velocity = np.asarray(velocity, dtype=np.float64)
         stack = velocity.reshape((-1,) + velocity.shape[-2:])
         ncol = stack.shape[0]
         rhs = self._project_constant(divergence_rhs(self.mesh, stack, density, dt))
-        guess = np.zeros_like(rhs) if x0 is None else scenario_rows(np.reshape(x0, (ncol, -1)))
+        guess = np.zeros_like(rhs)
+        for s, basis in enumerate(() if bases is None else bases):
+            if basis.size:
+                guess[:, s] = basis.guess(rhs[:, s])
         sabotaged = []
         if self.fault_plan is not None:
             for s in range(ncol):
@@ -323,6 +405,11 @@ class PressureSolver:
             target=self.tol,
         )
 
+    def image(self, pressure: np.ndarray) -> np.ndarray:
+        """``A p`` of a vector or an ``(nnode, S)`` block, in the form CG
+        iterates on (C once the hierarchy is adopted; column-exact)."""
+        return self.laplacian @ pressure if self._amg is None else self._amg.native(pressure)
+
     def pressure_gradient(self, pressure: np.ndarray) -> np.ndarray:
         """Nodal (lumped) pressure gradient for the corrector: ``(nnode, 3)``
         of one pressure vector, ``(nnode, 3, S)`` of an ``(nnode, S)`` block.
@@ -330,6 +417,4 @@ class PressureSolver:
         Computes ``int N_a dp/dx_i dV`` per node divided by the lumped mass,
         giving a nodal gradient field.
         """
-        matmul, nodal = _matmul(self._plan), self._plan.p1_derivatives().nodal
-        acc = np.stack([matmul(dn, pressure) for dn in nodal], axis=1)
-        return acc / self._plan.lumped_mass().reshape((-1,) + (1,) * (acc.ndim - 1))
+        return _derivatives(self._plan, "nodal", pressure, self._plan.lumped_mass())

@@ -1,8 +1,11 @@
 """``.npz`` checkpoints for the fractional-step integrator.
 
 A checkpoint is the *complete* restartable state of a run: velocity,
-pressure, simulated time and step count, plus mesh fingerprints so a
-restart against the wrong mesh fails loudly instead of producing garbage.
+pressure, the pressure solve's projection basis (rows of solutions and of
+their images under the Laplacian), simulated time and step count, plus mesh
+fingerprints so a restart against the wrong mesh fails loudly instead of
+producing garbage.  A file written before the basis was part of the state
+loads with an empty one.
 Arrays are stored in full float64, so a restarted run is bitwise identical
 to the uninterrupted one (the chaos suite asserts exactly that).
 
@@ -47,6 +50,8 @@ class CheckpointState:
     step: int
     nnode: int
     nelem: int
+    basis: np.ndarray = dataclasses.field(default_factory=lambda: np.empty((0, 0)))
+    basis_image: np.ndarray = dataclasses.field(default_factory=lambda: np.empty((0, 0)))
 
     def validate_against(self, nnode: int, nelem: int) -> None:
         if (self.nnode, self.nelem) != (nnode, nelem):
@@ -62,6 +67,13 @@ class CheckpointState:
             raise CheckpointError(
                 f"checkpoint pressure shape {self.pressure.shape} != ({nnode},)"
             )
+        if len(self.basis) and (
+            self.basis.shape != self.basis_image.shape or self.basis.shape[1:] != (nnode,)
+        ):
+            raise CheckpointError(
+                f"checkpoint basis shapes {self.basis.shape} / "
+                f"{self.basis_image.shape} do not fit {nnode} nodes"
+            )
 
 
 def save_checkpoint(
@@ -72,15 +84,19 @@ def save_checkpoint(
     step: int,
     nnode: int,
     nelem: int,
+    basis: Optional[np.ndarray] = None,
+    basis_image: Optional[np.ndarray] = None,
 ) -> str:
     """Write one checkpoint atomically; returns ``path``.
 
     Refuses non-finite state: persisting a poisoned checkpoint would turn
     a recoverable fault into an unrecoverable restart loop.
     """
-    velocity = np.asarray(velocity, dtype=np.float64)
-    pressure = np.asarray(pressure, dtype=np.float64)
-    if not np.isfinite(velocity).all() or not np.isfinite(pressure).all():
+    arrays = [np.asarray(a, dtype=np.float64) for a in (velocity, pressure)]
+    arrays += [np.empty((0, 0)) if a is None else np.asarray(a, dtype=np.float64)
+               for a in (basis, basis_image)]
+    velocity, pressure, basis, basis_image = arrays
+    if not all(np.isfinite(a).all() for a in arrays):
         raise CheckpointError(
             f"{path}: refusing to checkpoint non-finite state"
         )
@@ -97,6 +113,8 @@ def save_checkpoint(
             step=np.int64(step),
             nnode=np.int64(nnode),
             nelem=np.int64(nelem),
+            basis=basis,
+            basis_image=basis_image,
         )
     os.replace(tmp, path)
     return path
@@ -122,11 +140,15 @@ def load_checkpoint(path: str) -> CheckpointState:
                 nnode=int(data["nnode"]),
                 nelem=int(data["nelem"]),
             )
+            if "basis" in data.files:
+                state.basis = np.array(data["basis"], dtype=np.float64)
+                state.basis_image = np.array(data["basis_image"], dtype=np.float64)
     except CheckpointError:
         raise
     except Exception as exc:  # truncated / not-an-npz / missing keys
         raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    if not np.isfinite(state.velocity).all() or not np.isfinite(state.pressure).all():
+    if not all(np.isfinite(a).all() for a in (state.velocity, state.pressure, state.basis,
+                                              state.basis_image)):
         raise CheckpointError(f"{path}: checkpoint contains non-finite values")
     return state
 

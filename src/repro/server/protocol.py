@@ -80,6 +80,27 @@ def _require(cond: bool, message: str) -> None:
         raise ProtocolError("malformed", message)
 
 
+def _num(v: Any) -> Any:
+    """A JSON number as a float (an integer too large for one: infinity,
+    which validation refuses); anything else, booleans included, as is."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return v
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(v: Any) -> bool:
+    """A float that is neither NaN nor infinite: one client's ``NaN`` must
+    be its own ``malformed``, not a failure of every mode rung."""
+    return isinstance(v, float) and math.isfinite(v)
+
+
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"non-finite number {token}")
+
+
 @dataclasses.dataclass(frozen=True)
 class MeshSpec:
     """A structured box mesh, specified (not shipped) over the wire.
@@ -111,8 +132,8 @@ class MeshSpec:
         )
         for L in self.lengths:
             _require(
-                isinstance(L, float) and L > 0.0,
-                f"mesh.lengths entries must be positive numbers, got {L!r}",
+                _finite(L) and L > 0.0,
+                f"mesh.lengths entries must be positive finite numbers, got {L!r}",
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -138,9 +159,7 @@ class MeshSpec:
         )
         spec = cls(
             nx=data["nx"], ny=data["ny"], nz=data["nz"],
-            lengths=tuple(float(x) if isinstance(x, (int, float))
-                          and not isinstance(x, bool) else x
-                          for x in lengths),
+            lengths=tuple(_num(x) for x in lengths),
         )
         spec.validate()
         return spec
@@ -159,8 +178,8 @@ class ScenarioSpec:
     def validate(self) -> None:
         for name, v in (("density", self.density), ("viscosity", self.viscosity)):
             _require(
-                isinstance(v, float) and v > 0.0,
-                f"scenario.{name} must be a positive number, got {v!r}",
+                _finite(v) and v > 0.0,
+                f"scenario.{name} must be a positive finite number, got {v!r}",
             )
         _require(
             isinstance(self.body_force, tuple) and len(self.body_force) == 3,
@@ -168,13 +187,13 @@ class ScenarioSpec:
         )
         for f in self.body_force:
             _require(
-                isinstance(f, float),
-                f"scenario.body_force entries must be numbers, got {f!r}",
+                _finite(f),
+                f"scenario.body_force entries must be finite numbers, got {f!r}",
             )
         if self.vreman_c is not None:
             _require(
-                isinstance(self.vreman_c, float) and self.vreman_c >= 0.0,
-                f"scenario.vreman_c must be >= 0, got {self.vreman_c!r}",
+                _finite(self.vreman_c) and self.vreman_c >= 0.0,
+                f"scenario.vreman_c must be a finite number >= 0, got {self.vreman_c!r}",
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -196,11 +215,6 @@ class ScenarioSpec:
             f"unknown scenario fields {sorted(set(data) - allowed)}",
         )
 
-        def num(v):
-            if isinstance(v, bool):
-                return v
-            return float(v) if isinstance(v, (int, float)) else v
-
         bf = data.get("body_force", [0.0, 0.0, 0.0])
         _require(
             isinstance(bf, (list, tuple)) and len(bf) == 3,
@@ -208,10 +222,10 @@ class ScenarioSpec:
         )
         vc = data.get("vreman_c")
         spec = cls(
-            density=num(data.get("density", 1.0)),
-            viscosity=num(data.get("viscosity", 1.0e-3)),
-            body_force=tuple(num(x) for x in bf),
-            vreman_c=None if vc is None else num(vc),
+            density=_num(data.get("density", 1.0)),
+            viscosity=_num(data.get("viscosity", 1.0e-3)),
+            body_force=tuple(_num(x) for x in bf),
+            vreman_c=None if vc is None else _num(vc),
         )
         spec.validate()
         return spec
@@ -277,8 +291,8 @@ class CampaignRequest:
             _require(self.steps >= 1, "campaign requests need steps >= 1")
         if self.dt is not None:
             _require(
-                isinstance(self.dt, float) and self.dt > 0.0,
-                f"dt must be a positive number, got {self.dt!r}",
+                _finite(self.dt) and self.dt > 0.0,
+                f"dt must be a positive finite number, got {self.dt!r}",
             )
         _require(
             isinstance(self.velocity_seed, int)
@@ -298,8 +312,8 @@ class CampaignRequest:
         )
         if self.deadline_ms is not None:
             _require(
-                isinstance(self.deadline_ms, float) and self.deadline_ms > 0.0,
-                f"deadline_ms must be a positive number, got {self.deadline_ms!r}",
+                _finite(self.deadline_ms) and self.deadline_ms > 0.0,
+                f"deadline_ms must be a positive finite number, got {self.deadline_ms!r}",
             )
         _require(
             isinstance(self.return_field, bool),
@@ -345,11 +359,6 @@ class CampaignRequest:
             "scenarios must be a non-empty list",
         )
 
-        def num(v):
-            if isinstance(v, bool):
-                return v
-            return float(v) if isinstance(v, (int, float)) else v
-
         dt = data.get("dt")
         deadline = data.get("deadline_ms")
         req = cls(
@@ -359,11 +368,11 @@ class CampaignRequest:
             variant=data.get("variant", "RSP"),
             mode=data.get("mode", "compiled"),
             steps=data.get("steps", 0),
-            dt=None if dt is None else num(dt),
+            dt=None if dt is None else _num(dt),
             velocity_seed=data.get("velocity_seed", 0),
             vector_dim=data.get("vector_dim"),
             tenant=data.get("tenant", "default"),
-            deadline_ms=None if deadline is None else num(deadline),
+            deadline_ms=None if deadline is None else _num(deadline),
             return_field=data.get("return_field", False),
         )
         req.validate()
@@ -371,9 +380,12 @@ class CampaignRequest:
 
     @classmethod
     def from_json(cls, payload: bytes) -> "CampaignRequest":
+        """Parse a request body; ``NaN`` / ``Infinity`` / ``-Infinity`` tokens
+        and numbers beyond float range are ``malformed``, like any other
+        invalid JSON (integers past the parser's digit limit included)."""
         try:
-            data = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            data = json.loads(payload.decode("utf-8"), parse_constant=_reject_constant)
+        except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ProtocolError("malformed", f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -113,10 +113,11 @@ def _columns(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 class VectorPhase:
     """The iteration's vector work between product and preconditioner, on
-    ``(n, S)`` blocks with per-column scalars: the numpy form, which is the
-    definition.  An operator that *is* one (a hierarchy's
-    :class:`~repro.solvers.native.NativeCycle`) serves the same four calls
-    from C once they matched these to the byte."""
+    ``(n, S)`` blocks with per-column scalars, and the derivative products
+    around the solve (:meth:`axes`): the numpy form, which is the definition.
+    An operator that *is* one (a hierarchy's
+    :class:`~repro.solvers.native.NativeCycle`) serves the same calls from C
+    once they matched these to the byte."""
 
     def dots(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Per-column ``u_s . v_s``."""
@@ -135,6 +136,17 @@ class VectorPhase:
     def project(self, v: np.ndarray) -> np.ndarray:
         """``v`` less each column's mean (a vector is one column)."""
         return v - scenario_rows(v).mean(axis=-1)
+
+    def axes(self, ops, x: np.ndarray, mass: Optional[np.ndarray] = None) -> np.ndarray:
+        """Products of a triple ``ops`` of CSR operators, one per axis: the
+        sum ``ops[0] @ x[0] + ops[1] @ x[1] + ops[2] @ x[2]`` (a divergence;
+        ``x`` is ``(3, n[, S])``), or, given ``mass``, ``ops[i] @ x``
+        stacked on axis 1 and divided by ``mass`` row by row (a lumped
+        gradient; ``x`` is ``(n[, S])``)."""
+        if mass is None:
+            return sum(m @ x[i] for i, m in enumerate(ops))
+        out = np.stack([m @ x for m in ops], axis=1)
+        return out / mass.reshape((-1,) + (1,) * (out.ndim - 1))
 
 
 def conjugate_gradient(

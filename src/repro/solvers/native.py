@@ -1,26 +1,13 @@
-"""The pressure iteration's sparse products as compiled lane loops.
+"""The pressure step's sparse products as compiled lane loops, byte-equal to scipy's.
 
-With the element kernels in C the AMG-PCG iteration is the step, and it is
-instruction-bound (scipy's scalar ``csr_matvec``, numpy temporaries around it).
-The cure is the assembly's: vectorise *across* independent work items, each in
-its own operation order.  A one-column block runs **rows as lanes** (SELL-8: 8
-rows a chunk, entries k-major, one gather per 8 nonzeros, only live lanes stored
--- no zero padding ever meets a non-finite input); a ``k > 1`` block runs
-**columns as lanes** straight off scipy's CSR arrays in fixed-width panels.  A
-lane sums its row in scipy's ``jj`` order from ``+0.0``: the bits are scipy's.
-Residual, Jacobi update, restriction and ``x += P c`` are epilogues of the product
-feeding them, so a V-cycle is ``down`` and ``up`` around numpy's per-column coarse
-gemv (a C loop there is not bit-equal), on per-call scratch: the hierarchy is
-shared through the plan and ctypes drops the GIL.  :class:`NativeCycle` follows a
-generated kernel's rule (``python -> building -> loaded -> adopted | rejected``,
-same cache and flags; a cold cache forks ``cc`` at a first V-cycle and never waits):
-served only after matching the scipy form to the byte, else scipy serves for good.
-
-The same source holds CG's vector phase (:class:`~repro.solvers.cg.VectorPhase`: the
-per-column dots, the two axpys, ``p = z + beta p``, the mean projection) as epilogues
-CG calls around the product and the cycle of a ``k > 1`` block -- a column's sum is
-numpy's pairwise ``add.reduce`` transcribed -- under the same rule, its own verdict
-(``vector_phase``), and the step's other block products (:meth:`NativeCycle.matmul`).
+The AMG-PCG iteration is instruction-bound, so work is vectorised *across* independent items: a
+one-column block runs **rows as lanes** (SELL-8: 8 rows a chunk, entries k-major, live lanes
+only), a ``k > 1`` block **columns as lanes** off scipy's CSR arrays; a lane sums its row in
+scipy's ``jj`` order from ``+0.0``.  A V-cycle is ``down`` and ``up`` around numpy's per-column
+coarse gemv.  The source also holds CG's vector phase (:class:`~repro.solvers.cg.VectorPhase`)
+and the step's derivative products (``axes``: three axes' CSR rows, one pass).  :class:`NativeCycle`
+serves it after it matched the numpy form to the byte (``python -> building -> loaded -> adopted
+| rejected``, a generated kernel's rule, cache and flags), else that form serves for good.
 """
 
 from __future__ import annotations
@@ -86,33 +73,56 @@ static void rows(const Mat *m, in x, double *y, int mode, in u, in b, in w)
   }
 }
 
-INLINE panel(const Mat *m, i64 k, const int W, in x, double *y, int mode, in u, in b, in w)
-{  /* W columns of a k-wide block: a lane is a column, W a compile-time constant */
+#define LANE(e) _Pragma("omp simd") for (int c = 0; c < W; ++c) e;
+#define RUN(lo, n, e) _Pragma("omp simd") for (int c = lo; c < (lo) + (n); ++c) e;
+#define LANES(e) RUN(0, W & 24, e) RUN(W & 24, W & 4, e) RUN(W & 28, W & 2, e) RUN(W & 30, W & 1, e)
+#define ACC(t, j) { double a = v##t[j]; in xr = x##t + c##t[j] * xj; LANES(s##t[c] += a * xr[c]) }
+INLINE panel(const Mat *m, const int nt, i64 k, const int W, in x0, i64 xa, i64 xj, double *y,
+             int mode, in u, in b, in w)
+{  /* W columns of a k-wide block, a lane a column: axis t < nt sums its row of m[t] off x + t xa
+      (row j at j xj; one walk if the rows share their pattern arrays).  nt = 1: finish; nt = 3,
+      the step's derivative products: y_i = s_0 + s_1 + s_2 (w = 0) or y_it = s_t / w_i */
+  const Mat *m1 = m + (nt > 1), *m2 = m1 + (nt > 1);
+  const int *p0 = m->ptr, *p1 = m1->ptr, *p2 = m2->ptr, *c0 = m->col, *c1 = m1->col,
+            *c2 = m2->col, one = nt == 1 || (p1 == p0 && p2 == p0 && c1 == c0 && c2 == c0);
+  in v0 = m->val, v1 = m1->val, v2 = m2->val, x1 = x0 + xa, x2 = x1 + xa;
   for (i64 i = 0; i < m->n; ++i) {
-    double s[16] = {0};
-    for (int j = m->ptr[i]; j < m->ptr[i + 1]; ++j) {
-      const double a = m->val[j]; in xr = x + m->col[j] * k;
-#define LANES(lo, n) _Pragma("omp simd") for (int c = lo; c < (lo) + (n); ++c) s[c] += a * xr[c];
-      LANES(0, W & 24) LANES(W & 24, W & 4) LANES(W & 28, W & 2) LANES(W & 30, W & 1)
+    double s0[16], s1[16], s2[16];
+    LANE((s0[c] = 0., s1[c] = 0., s2[c] = 0.))
+    if (one)
+      for (int q = p0[i]; q < p0[i + 1]; ++q) {
+        in xr = x0 + c0[q] * xj; const double a0 = v0[q], a1 = v1[q], a2 = v2[q];
+        LANES((s0[c] += a0 * xr[c], s1[c] += a1 * xr[xa + c], s2[c] += a2 * xr[2 * xa + c]))
+      }
+    else {
+      for (int q = p0[i]; q < p0[i + 1]; ++q) ACC(0, q)
+      for (int q = p1[i]; q < p1[i + 1]; ++q) ACC(1, q)
+      for (int q = p2[i]; q < p2[i + 1]; ++q) ACC(2, q)
     }
-    finish(mode, W, s, y + i * k, u + i * k, b + i * k, w + i, 0);
+    if (nt == 1) finish(mode, W, s0, y + i * k, u + i * k, b + i * k, w + i, 0);
+    else if (!w) LANE(y[i * k + c] = s0[c] + s1[c] + s2[c])
+    else LANE((y[3 * i * k + c] = s0[c] / w[i], y[(3 * i + 1) * k + c] = s1[c] / w[i],
+               y[(3 * i + 2) * k + c] = s2[c] / w[i]))
   }
 }
 
-static void prod(const Mat *m, i64 k, in x, double *y, int mode, in u, in b, in w)
-{
-  if (k == 1) { rows(m, x, y, mode, u, b, w); return; }
+/* a k-wide block in 16-column panels, one function per nt (one holding both compiles worse) */
 #define WIDTHS CASE(1) CASE(2) CASE(3) CASE(4) CASE(5) CASE(6) CASE(7) CASE(8) CASE(9) \
   CASE(10) CASE(11) CASE(12) CASE(13) CASE(14) CASE(15) CASE(16)
-#define CASE(W) case W: panel(m, k, W, x + c, y + c, mode, u + c, b + c, w); break;
-  for (i64 c = 0; c < k; c += 16)
-    switch (k - c < 16 ? k - c : 16) { WIDTHS }
-}
+#define CASE(W) case W: panel(m, nt, k, W, x + c, xa, xj, y + c, mode, u + c, b + c, w); break;
+#define COLS(NT) static void cols##NT(const Mat *m, i64 k, in x, i64 xa, i64 xj, double *y, \
+  int mode, in u, in b, in w) { const int nt = NT; \
+  for (i64 c = 0; c < k; c += 16) switch (k - c < 16 ? k - c : 16) { WIDTHS } }
+COLS(1) COLS(3)
+
+static void prod(const Mat *m, i64 k, in x, double *y, int mode, in u, in b, in w)
+{ if (k == 1) rows(m, x, y, mode, u, b, w); else cols1(m, k, x, 0, k, y, mode, u, b, w); }
 
 void product(const Mat *m, i64 k, in x, double *y) { prod(m, k, x, y, SET, y, y, y); }
+void axes(const Mat *m, i64 k, in x, i64 xa, i64 xj, double *y, in d)
+{ cols3(m, k, x, xa, xj, y, SET, y, y, d); }
 
-/* level l's b, x, t in the call's scratch (level 0's b is the caller's, the coarsest
-   level has a b only); x and t swap roles with every Jacobi sweep */
+/* level l's b, x, t in the call's scratch (level 0's b is the caller's); x, t swap each sweep */
 #define BUF(l, i) (S + (L[l].off + (i) * L[l].A.n) * k)
 
 void down(const Level *L, i64 nlev, i64 k, i64 pre, in b, double *S)
@@ -142,11 +152,9 @@ void up(const Level *L, i64 nlev, i64 k, i64 pre, i64 post, in b, double *S, in 
   }
 }
 
-/* CG's vector phase on (n, k) blocks.  sums: per column, numpy's add.reduce of the
-   products u v down the column as a contiguous row -- halves (cut at a multiple of 8)
-   down to blocks of <= 128, eight partial sums a block, their tree, the tail, and
-   0.0 + the lot -- W columns abreast; kv = 0 reads v as one row (of ones: x * 1 = x) */
-#define LANE(e) _Pragma("omp simd") for (int c = 0; c < W; ++c) e;
+/* CG's vector phase on (n, k) blocks.  sums: per column, numpy's add.reduce of u v down the
+   column as a contiguous row: halves (cut at a multiple of 8) to blocks <= 128, eight partial
+   sums a block, their tree, the tail, 0.0 + the lot; W columns abreast; kv = 0: v a row of 1s */
 INLINE leaf(in u, in v, i64 kv, i64 n, i64 k, const int W, double *s)
 {
   double r[8 * 16];
@@ -205,20 +213,16 @@ void project(i64 n, i64 k, in v, double *y)
 
 _I64, _PTR = ctypes.c_longlong, ctypes.c_void_p
 SYMBOLS = {"product": [_PTR, _I64, _PTR, _PTR], "down": [_PTR, _I64, _I64, _I64, _PTR, _PTR],
-           "up": [_PTR, _I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR],
-           "dots": [_I64, _I64] + [_PTR] * 3, "step": [_I64, _I64] + [_PTR] * 6,
-           "direction": [_I64, _I64] + [_PTR] * 3, "project": [_I64, _I64, _PTR, _PTR]}
+           "up": [_PTR] + [_I64] * 4 + [_PTR] * 4, "dots": [_I64, _I64] + [_PTR] * 3,
+           "step": [_I64, _I64] + [_PTR] * 6, "direction": [_I64, _I64] + [_PTR] * 3,
+           "project": [_I64, _I64, _PTR, _PTR], "axes": [_PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR]}
 
 
-def _mat(m, keep: list, sell: bool = True) -> list:
-    """The words of a C ``Mat``: ``m``'s CSR arrays (no copy), then their SELL-8
-    copy (``sell``: only a one-column product reads it); ``keep`` holds what the
-    addresses point into."""
+def _mat(m, keep: list) -> list:
+    """The words of a C ``Mat``: ``m``'s CSR arrays (no copy), then their SELL-8 copy (only a
+    one-column product reads it); ``keep`` holds what the addresses point into."""
     if m is None:
         return [0] * 7
-    if not sell:
-        keep.extend(csr := (m.indptr, m.indices, m.data))
-        return [m.shape[0]] + [a.ctypes.data for a in csr] + [0] * 3
     n, lens = m.shape[0], np.zeros(-(-m.shape[0] // 8) * 8, dtype=np.int32)
     lens[:n] = np.diff(m.indptr)
     row = np.repeat(np.arange(n), lens[:n])
@@ -243,17 +247,15 @@ def _bits(a: np.ndarray) -> bytes:  # every NaN the same NaN
 
 
 class NativeCycle(VectorPhase):
-    """One hierarchy's V-cycle and level-0 product in whichever form serves;
-    callable as the operator ``A_0 x`` that CG iterates on, and the vector
-    phase of that iteration."""
+    """One hierarchy's V-cycle and level-0 product in whichever form serves; callable as the
+    operator ``A_0 x`` that CG iterates on, and the vector phase of that iteration."""
 
     def __init__(self, amg) -> None:
         self.amg, self._proc, self._lock = amg, None, threading.Lock()
-        ok = len(amg.levels) > 1 and all(
-            _csr(m) for lv in amg.levels for m in (lv.a, lv.prolongator, lv.restriction)
-            if m is not None)
+        mats = [m for lv in amg.levels for m in (lv.a, lv.prolongator, lv.restriction)]
+        ok = len(amg.levels) > 1 and all(_csr(m) for m in mats if m is not None)
         self.state, self.vector_phase = "python" if ok else "rejected", "numpy"
-        self._operators: dict = {}  # id(a CSR operator of the step) -> (its Mat, what that reads)
+        self._families: dict = {}  # (id(a checked triple), summed) -> (its Mats, the triple)
         if ok:
             self._bind(load(SOURCE, SYMBOLS))
 
@@ -262,8 +264,7 @@ class NativeCycle(VectorPhase):
                 "level_nnz": [lv.a.nnz for lv in self.amg.levels]}
 
     def _bind(self, fns) -> None:
-        """Loaded: the hierarchy as the C side's ``Level`` array, one table row a level
-        (scratch offsets in the last column; the SELL copy is made here)."""
+        """Loaded: the hierarchy as the C ``Level`` array, a table row a level (SELL copied)."""
         if not fns:
             return
         self._keep, rows, off = [], [], 0
@@ -296,17 +297,15 @@ class NativeCycle(VectorPhase):
         same = all(_bits(self._c_cycle(v)) == _bits(amg._cycle(0, v))
                    and _bits(self._c_product(v)) == _bits(a @ v) for v in (b, other))
         self.state = "adopted" if same else "rejected"
-        record_escalation(
-            "NativeAdopted" if same else "NativeRejected", f"solvers.native_{self.state}",
-            get_tracer(), None, what="amg", levels=len(amg.levels),
-            nnz=sum(lv.a.nnz for lv in amg.levels))
+        record_escalation("NativeAdopted" if same else "NativeRejected", f"solvers.native_{self.state}",
+                          get_tracer(), None, what="amg", levels=len(amg.levels),
+                          nnz=sum(lv.a.nnz for lv in amg.levels))
         if same:  # CG's vector phase: the same blocks, its own verdict
             same = all(self._phase_matches(v, v[::-1].copy()) for v in (b, other))
             self.vector_phase = "native" if same else "numpy"
-            record_escalation(
-                "NativeAdopted" if same else "NativeRejected",
-                f"solvers.vector_phase_{'adopted' if same else 'rejected'}",
-                get_tracer(), None, what="cg")
+            record_escalation("NativeAdopted" if same else "NativeRejected",
+                              f"solvers.vector_phase_{'adopted' if same else 'rejected'}",
+                              get_tracer(), None, what="cg")
 
     def _phase_matches(self, u: np.ndarray, v: np.ndarray) -> bool:
         """Every export of the vector phase against the numpy expression it replaces."""
@@ -325,9 +324,8 @@ class NativeCycle(VectorPhase):
         return arrays[-1]
 
     def _serves(self, *blocks, columns=None) -> bool:
-        """Whether C serves these: plain ``(n, k > 1)`` blocks of one shape and ``k``
-        per-column scalars.  A vector stays on numpy: below ~10k rows an export's call
-        (~8 us, mostly ``.ctypes.data``) costs what numpy's own passes over one column do."""
+        """Whether C serves these: plain ``(n, k > 1)`` blocks of one shape, ``k`` scalars (a
+        vector stays on numpy: an export's ~8 us call costs what numpy's passes over it do)."""
         shape = blocks[0].shape
         return self.vector_phase == "native" and len(shape) == 2 and shape[1] > 1 and all(
             b.shape == shape and _plain(b) for b in blocks) and (
@@ -349,23 +347,27 @@ class NativeCycle(VectorPhase):
         return (self._run("project", v, np.empty_like(v)) if self._serves(v)
                 else super().project(v))
 
-    def matmul(self, m, x: np.ndarray) -> np.ndarray:
-        """``m @ x`` for a CSR operator of the step (divergence, gradient): the adopted
-        panels on a plain ``k > 1`` block, off ``m``'s own arrays (no SELL copy); an
-        operator's first block is checked against scipy's, like the hierarchy's."""
-        if not (self.state == "adopted" and x.ndim == 2 and x.shape[1] > 1 and _plain(x)
-                and x.shape[0] == m.shape[1] and _csr(m)):
-            return m @ x
-        first, out = id(m) not in self._operators, np.empty((m.shape[0], x.shape[1]))
-        if first:
-            keep = [m]
-            self._operators[id(m)] = np.array(_mat(m, keep, sell=False)), keep
-        words = self._operators[id(m)][0].ctypes.data
-        self._fns["product"](words, x.shape[1], x.ctypes.data, out.ctypes.data)
-        if first and _bits(out) != _bits(m @ x):
+    def axes(self, ops, x: np.ndarray, mass=None) -> np.ndarray:
+        """:meth:`VectorPhase.axes` in one C pass off the operators' own arrays once adopted; each
+        (triple, form)'s first call is checked against numpy's, a mismatch rejects for good."""
+        v, key = (x if mass is None else x[None]), (id(ops), mass is None)  # v: (axes, rows[, k])
+        if not (self.state == "adopted" and v.dtype == np.float64 and not any(s % 8 for s in v.strides)
+                and len(ops) == 3 and v.shape[:2] == (1 + 2 * (mass is None), ops[0].shape[1])
+                and (v.ndim == 2 or v.shape[2] == 1 or v.strides[2] == 8)  # columns are lanes
+                and (mass is None or (_plain(mass) and mass.shape == ops[0].shape[:1]))
+                and all(_csr(m) and m.shape == ops[0].shape for m in ops)):
+            return super().axes(ops, x, mass)
+        words = self._families[key][0] if key in self._families else np.array([[m.shape[0], m.indptr
+            .ctypes.data, m.indices.ctypes.data, m.data.ctypes.data, 0, 0, 0] for m in ops])
+        out = np.empty((ops[0].shape[0],) + (3,) * (mass is not None) + v.shape[2:])
+        self._fns["axes"](words.ctypes.data, out.shape[-1] if v.ndim == 3 else 1, x.ctypes.data,
+                          v.strides[0] // 8 * (mass is None), v.strides[1] // 8, out.ctypes.data,
+                          None if mass is None else mass.ctypes.data)
+        if key not in self._families and _bits(out) != _bits(want := super().axes(ops, x, mass)):
             self.state = "rejected"
             get_registry().counter("solvers.native_rejected").inc()
-            return m @ x
+            return want
+        self._families[key] = words, ops  # the triple holds what the words point into
         return out
 
     def _c_product(self, x: np.ndarray) -> np.ndarray:
@@ -396,6 +398,5 @@ class NativeCycle(VectorPhase):
         return self.amg._cycle(0, b)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.state == "adopted" and x.ndim == 2 and _plain(x):
-            return self._c_product(x)
-        return self.amg.levels[0].a @ x
+        plain = self.state == "adopted" and x.ndim == 2 and _plain(x)
+        return self._c_product(x) if plain else self.amg.levels[0].a @ x

@@ -329,6 +329,32 @@ def test_p1_derivatives_exact_on_linear_fields(jittered_mesh):
     )
 
 
+def test_each_derivative_triple_shares_one_pattern_and_keeps_the_products_bits():
+    """The nodal ``Dn_i`` sit on the structural pattern of ``S^T De`` with
+    the exact zeros scipy's product drops put back: one set of index arrays
+    for the triple (as for the elemental ``De_i``), the same matrices, and
+    products with finite blocks whose bytes are the dropped-zero ones'."""
+    import scipy.sparse as sp
+
+    mesh = box_tet_mesh(5, 5, 5)  # axis-aligned: many exact zeros
+    ops, conn = get_plan(mesh).p1_derivatives(), mesh.connectivity
+    for triple in (ops.elemental, ops.nodal):
+        assert len({(m.indptr.ctypes.data, m.indices.ctypes.data) for m in triple}) == 1
+    vols = get_plan(mesh).geometry().volumes
+    lump_t = sp.csr_matrix((np.repeat(vols / 4.0, 4), conn.ravel(), np.arange(0, conn.size + 1, 4)),
+                           shape=(len(conn), mesh.nnode)).T.tocsr()
+    x = np.random.default_rng(19).standard_normal((mesh.nnode, 5))
+    x[::7] = 0.0
+    dropped = 0
+    for dn, de in zip(ops.nodal, ops.elemental):
+        ref = lump_t @ de
+        dropped += dn.nnz - ref.nnz
+        assert (dn != ref).nnz == 0
+        assert (dn @ x).tobytes() == (ref @ x).tobytes()
+        assert (dn @ x[:, 0]).tobytes() == (ref @ x[:, 0]).tobytes()
+    assert dropped > 0
+
+
 def test_max_divergence_equals_einsum_formula(jittered_mesh, params):
     mesh = jittered_mesh
     u = np.random.default_rng(18).standard_normal((mesh.nnode, 3))

@@ -10,7 +10,9 @@ from repro.physics.fractional_step import (
     cfl_time_step,
 )
 from repro.physics.pressure import (
+    PROJECTION_DEPTH,
     PressureSolver,
+    ProjectionBasis,
     assemble_laplacian,
     divergence_rhs,
 )
@@ -222,3 +224,138 @@ def test_timing_breakdown(mesh):
 def test_set_velocity_validates(mesh):
     with pytest.raises(ValueError, match="velocity"):
         _solver(mesh).set_velocity(np.zeros((5, 3)))
+
+
+# -- Fischer's projection and the step's guards ------------------------------------
+
+
+def _bases(mesh, ps, rng, sizes):
+    """One projection basis per column, each grown from its own solves."""
+    bases = []
+    for size in sizes:
+        basis = ProjectionBasis()
+        for _ in range(size):
+            p = ps.solve(0.1 * rng.standard_normal((mesh.nnode, 3)), 1.0, 0.05, [basis]).x
+            basis.extend(p, ps.laplacian @ p)
+        bases.append(basis)
+    return bases
+
+
+def test_block_solve_with_per_column_bases_is_each_columns_solve():
+    """Column ``s`` of a stack starts from its own basis's projection and is
+    the one-column solve, byte for byte; an empty basis is a zero guess."""
+    mesh = box_tet_mesh(6, 6, 6)
+    ps, rng = PressureSolver(mesh), np.random.default_rng(11)
+    bases = _bases(mesh, ps, rng, [0, 1, 3, PROJECTION_DEPTH])
+    assert [b.size for b in bases] == [0, 1, 3, PROJECTION_DEPTH]
+    xs = bases[2].x
+    assert np.allclose(xs @ ps.laplacian @ xs.T, np.eye(3), atol=1e-10)  # A-orthonormal
+    u = 0.1 * rng.standard_normal((4, mesh.nnode, 3))
+    density = np.array([1.0, 2.0, 0.5, 1.0])
+    block = ps.solve(u, density, 0.05, bases)
+    for s, basis in enumerate(bases):
+        alone = ps.solve(u[s], density[s], 0.05, [basis])
+        assert block[s].x.tobytes() == alone.x.tobytes()
+        assert block[s].residual_history == alone.residual_history
+    assert ps.solve(u[0], density[0], 0.05).x.tobytes() == block[0].x.tobytes()
+
+
+def test_projection_moves_trajectories_only_at_solver_tolerance(mesh, monkeypatch):
+    """Fischer's projection moves where CG starts, not what it converges to
+    (``tol = 1e-8``): ten steps with a basis of 2, 4 and 8 solutions stay
+    within 1e-7 of the run without one (``PROJECTION_DEPTH = 0``, a zero
+    guess) in velocity, relative to its largest entry, and 1e-8 in energy;
+    a deeper basis never needs more iterations at any step."""
+    from repro.physics import pressure
+
+    rng = np.random.default_rng(7)
+    u0 = 0.1 * rng.standard_normal((mesh.nnode, 3))
+    runs = {}
+    for depth in (0, 2, 4, 8):
+        monkeypatch.setattr(pressure, "PROJECTION_DEPTH", depth)
+        s = _solver(mesh, force=(0.05, 0.0, 0.0))
+        s.pressure = PressureSolver(mesh)
+        s.set_velocity(u0)
+        reps = s.run(10, dt=2e-3)
+        runs[depth] = (s.velocity, np.array([r.kinetic_energy for r in reps]),
+                       [r.pressure_iterations for r in reps])
+        assert s.pressure_basis.size <= max(depth, 0)
+    v0, e0, iters0 = runs[0]
+    for depth in (2, 4, 8):
+        v, e, _ = runs[depth]
+        assert np.abs(v - v0).max() <= 1e-7 * np.abs(v0).max()
+        assert np.abs(e / e0 - 1.0).max() <= 1e-8
+    for shallow, deep in ((0, 2), (2, 4), (4, 8)):
+        assert all(d <= s for d, s in zip(runs[deep][2], runs[shallow][2])), (shallow, deep)
+    assert sum(runs[8][2]) < sum(iters0)
+
+
+def test_a_rolled_back_step_leaves_the_basis_and_a_ladder_climb_restarts_it(mesh):
+    s = _solver(mesh, force=(0.1, 0.0, 0.0))
+    s.run(3, dt=0.01)
+    assert s.pressure_basis.size == 3
+    kept = s.pressure_basis.x.copy()
+    s.fault_plan = _OnceNan()
+    s.advance(0.01)  # the first attempt trips a guard; the retry commits
+    assert s.history[-1].dt == 0.005
+    assert s.pressure_basis.size == 4 and np.array_equal(s.pressure_basis.x[:3], kept)
+    result = s.pressure.solve(s.velocity, 1.0, 0.01, [s.pressure_basis])
+    result.rung = 1
+    s._commit_step(0.01, s.velocity, result, s.pressure.image(result.x),
+                   (0.0, 0.0, 0.0), 0.0, 0.0)
+    assert s.pressure_basis.size == 1
+
+
+class _OnceNan:
+    """A fault plan that poisons the first momentum sweep only."""
+
+    def __init__(self):
+        self.done = False
+
+    def corrupt(self, site, rhs):
+        if not self.done:
+            rhs[:], self.done = np.nan, True
+
+
+def test_step_guards_read_each_field_once_and_keep_the_parent_bits(mesh):
+    """The pre-step max speed is the last report's, post-step speed and
+    energy share one ``|u|^2``, the predictor updates in place, the
+    max-divergence is the one-pass elemental product: ten steps' reports
+    and fields are the out-of-place, one-field-a-guard expressions' bytes."""
+    import time
+
+    from repro.solvers.cg import VectorPhase
+
+    class Parent(FractionalStepSolver):
+        def _umax(self):
+            return float(np.linalg.norm(self.velocity, axis=1).max())
+
+        def _predict(self, dt):
+            minv, u0 = 1.0 / self.mass[:, None], self.velocity.copy()
+            u, t0 = u0, time.perf_counter()
+            for c in self._rk_coeffs():
+                u = u0 + (c * dt) * (self.assemble(self.mesh, u, self.params) * minv)
+                self._apply_bcs(u)
+            return u, time.perf_counter() - t0
+
+    regions = classify_box_boundaries(mesh)
+    bcs = [DirichletBC(regions["zmin"].nodes, np.zeros(3))]
+    params = AssemblyParams(body_force=(0.05, 0.0, 0.02))
+    runs = [cls(mesh, params, dirichlet=bcs, assemble="compiled:RSP") for cls in
+            (FractionalStepSolver, Parent)]
+    u0 = 0.1 * np.random.default_rng(5).standard_normal((mesh.nnode, 3))
+    for s in runs:
+        s.set_velocity(u0)
+    elemental, numpy = runs[0]._plan.p1_derivatives().elemental, VectorPhase()
+    for _ in range(10):
+        got, want = (s.advance(3e-3) for s in runs)
+        assert runs[0].velocity.tobytes() == runs[1].velocity.tobytes()
+        assert runs[0].pressure_field.tobytes() == runs[1].pressure_field.tobytes()
+        u = runs[0].velocity
+        assert (got.max_velocity, got.max_divergence, got.kinetic_energy,
+                got.pressure_iterations) == (want.max_velocity, want.max_divergence,
+                                             want.kinetic_energy, want.pressure_iterations)
+        assert got.max_velocity == float(np.linalg.norm(u, axis=1).max()) == runs[0]._umax()
+        assert got.kinetic_energy == float(0.5 * (runs[0].mass * (u**2).sum(axis=1)).sum())
+        div = numpy.axes(elemental, np.ascontiguousarray(u.T))
+        assert got.max_divergence == float(np.abs(div).max())

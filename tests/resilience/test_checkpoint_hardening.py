@@ -16,6 +16,7 @@ from repro.fem.meshgen import box_tet_mesh
 from repro.obs.metrics import get_registry
 from repro.physics.fractional_step import FractionalStepSolver
 from repro.physics.momentum import AssemblyParams
+from repro.physics.pressure import PROJECTION_DEPTH
 from repro.resilience.checkpoint import (
     CheckpointError,
     checkpoint_name,
@@ -168,6 +169,55 @@ def test_restarted_run_matches_uninterrupted_run_bitwise(tmp_path):
     half.checkpoint()
     resumed = _solver(tmp_path / "half")
     resumed.restart_latest()
+    assert resumed.pressure_basis.size == 2  # the projection basis is carried
     resumed.run(2, dt=1e-3)
     assert np.array_equal(resumed.velocity, full.velocity)
     assert np.array_equal(resumed.pressure_field, full.pressure_field)
+    assert resumed.pressure_basis.x.tobytes() == full.pressure_basis.x.tobytes()
+    assert resumed.pressure_basis.ax.tobytes() == full.pressure_basis.ax.tobytes()
+
+
+def test_a_checkpoint_written_before_the_basis_loads_with_an_empty_one(tmp_path):
+    """``repro-checkpoint/1`` files without basis arrays still restart: the
+    projection starts over, the rest of the state is restored."""
+    solver = _solver(tmp_path)
+    solver.run(2, dt=1e-3)
+    path = str(tmp_path / "old.npz")
+    np.savez(path, format=np.array("repro-checkpoint/1"), velocity=solver.velocity,
+             pressure=solver.pressure_field, time=np.float64(solver.time),
+             step=np.int64(solver.step_count), nnode=np.int64(solver.mesh.nnode),
+             nelem=np.int64(solver.mesh.nelem))
+    state = load_checkpoint(path)
+    assert state.basis.shape == (0, 0) and state.basis_image.shape == (0, 0)
+    fresh = _solver(tmp_path).restart(path)
+    assert fresh.pressure_basis.size == 0 and fresh.step_count == 2
+    assert np.array_equal(fresh.velocity, solver.velocity)
+    fresh.run(1, dt=1e-3)
+    assert fresh.pressure_basis.size == 1
+
+
+def test_a_basis_that_does_not_fit_the_mesh_is_a_checkpoint_error(tmp_path):
+    solver = _solver(tmp_path)
+    solver.run(2, dt=1e-3)
+    path = str(tmp_path / "odd.npz")
+    save_checkpoint(path, solver.velocity, solver.pressure_field, 0.0, 2, solver.mesh.nnode,
+                    solver.mesh.nelem, basis=np.ones((2, 5)), basis_image=np.ones((2, 5)))
+    with pytest.raises(CheckpointError, match="basis"):
+        _solver(tmp_path).restart(path)
+    save_checkpoint(path, solver.velocity, solver.pressure_field, 0.0, 2, solver.mesh.nnode,
+                    solver.mesh.nelem, basis=np.ones(5), basis_image=np.ones(5))
+    with pytest.raises(CheckpointError, match="basis"):
+        _solver(tmp_path).restart(path)
+    # more rows than the projection keeps: the first PROJECTION_DEPTH of them
+    n = solver.mesh.nnode
+    rows = np.arange(1.0, 2 * PROJECTION_DEPTH + 1)[:, None] * np.ones((1, n))
+    save_checkpoint(path, solver.velocity, solver.pressure_field, 0.0, 2, n,
+                    solver.mesh.nelem, basis=rows, basis_image=-rows)
+    restored = _solver(tmp_path).restart(path).pressure_basis
+    assert restored.size == PROJECTION_DEPTH
+    assert np.array_equal(restored.x, rows[:PROJECTION_DEPTH])
+    with pytest.raises(CheckpointError, match="non-finite"):
+        save_checkpoint(path, solver.velocity, solver.pressure_field, 0.0, 2,
+                        solver.mesh.nnode, solver.mesh.nelem,
+                        basis=np.full((1, solver.mesh.nnode), np.nan),
+                        basis_image=np.ones((1, solver.mesh.nnode)))

@@ -6,6 +6,7 @@ from ``ERROR_CODES``, and a valid request survives
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -236,3 +237,63 @@ def test_canonical_json_stable():
     b = canonical_json({"a": [1.5, {"x": 3, "y": 2}], "b": 1})
     assert a == b
     assert sha256_hex(a) == sha256_hex(b)
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers: malformed at the door, never a rung failure
+# ---------------------------------------------------------------------------
+
+#: every float a request carries, as a path into its JSON object
+NUMERIC_FIELDS = [
+    ("dt",), ("deadline_ms",), ("mesh", "lengths", 0), ("mesh", "lengths", 2),
+    ("scenarios", 0, "density"), ("scenarios", 0, "viscosity"),
+    ("scenarios", 0, "body_force", 1), ("scenarios", 0, "vreman_c"),
+]
+#: JSON token -> the value a caller of ``from_dict`` would hand over
+NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf, "1e400": math.inf,
+              "-1e400": -math.inf, "1" + "0" * 400: 10**400}
+
+
+def _with_token(path, token):
+    """A valid request's JSON with the number at ``path`` replaced by the
+    literal ``token`` (``json.dumps`` cannot write ``1e400``)."""
+    data = {
+        "kind": "campaign", "mesh": {"nx": 2, "ny": 2, "nz": 2, "lengths": [1.0, 1.0, 1.0]},
+        "scenarios": [{"density": 1.0, "viscosity": 1e-3, "body_force": [0.0, 0.0, 0.0],
+                       "vreman_c": 0.1}],
+        "steps": 1, "dt": 1e-3, "deadline_ms": 1000.0,
+    }
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@TOKEN@"
+    return json.dumps(data).replace('"@TOKEN@"', token).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(NUMERIC_FIELDS), token=st.sampled_from(sorted(NON_FINITE)))
+def test_non_finite_numbers_are_malformed(path, token):
+    """``NaN``, ``+-Infinity`` and literals past float range, in every
+    numeric field, over the wire and through ``from_dict``: a typed
+    ``malformed``, never a request that reaches an executor."""
+    CampaignRequest.from_json(_with_token(path, "0.5"))  # the request itself is fine
+    with pytest.raises(ProtocolError) as err:
+        CampaignRequest.from_json(_with_token(path, token))
+    assert err.value.code == "malformed"
+    data = json.loads(_with_token(path, "0.5"))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = NON_FINITE[token]
+    with pytest.raises(ProtocolError) as err:
+        CampaignRequest.from_dict(data)
+    assert err.value.code == "malformed"
+
+
+def test_an_integer_past_the_parsers_digit_limit_is_malformed():
+    with pytest.raises(ProtocolError) as err:
+        CampaignRequest.from_json(
+            b'{"kind": "assemble", "mesh": {"nx": 2, "ny": 2, "nz": 2}, "steps": '
+            + b"1" * 5000 + b"}"
+        )
+    assert err.value.code == "malformed"

@@ -313,6 +313,36 @@ def test_unknown_endpoint_and_job_are_typed_not_found():
         handle.stop()
 
 
+def test_non_finite_numbers_never_reach_the_breakers():
+    """A ``NaN`` / ``Infinity`` in any numeric field is the client's own
+    ``malformed``: with a one-failure breaker threshold, none of them
+    records a rung failure, so the next healthy request is served on the
+    rung it asked for."""
+    server, handle, client = _serve(ServerConfig(workers=1, breaker_threshold=1))
+    try:
+        before = _count("server.rejections.malformed")
+        scenario = {"density": 1.0, "viscosity": 1e-3, "body_force": [0.0, 0.0, 0.0]}
+        bad = [{"dt": float("nan")}, {"dt": float("inf")}, {"deadline_ms": float("inf")},
+               {"mesh": {**MESH, "lengths": [1.0, float("-inf"), 1.0]}},
+               {"scenarios": [{**scenario, "viscosity": float("nan")}]},
+               {"scenarios": [{**scenario, "body_force": [0.0, float("inf"), 0.0]}]},
+               {"scenarios": [{**scenario, "vreman_c": float("nan")}]}]
+        for fields in bad:
+            with pytest.raises(ProtocolError) as err:
+                client.submit({"kind": "campaign", "mesh": MESH, "steps": 1, "dt": 1e-3,
+                               "mode": "codegen", **fields})
+            assert err.value.code == "malformed"
+        assert _count("server.rejections.malformed") == before + len(bad)
+        assert server.breaker._states == {} and client.stats()["breakers"] == {}
+        done = client.run({"kind": "campaign", "mesh": MESH, "steps": 1, "dt": 1e-3,
+                           "mode": "codegen", "velocity_seed": 5})
+        assert done["state"] == "done"
+        assert all(state == "closed" and failures == 0
+                   for state, failures, _ in server.breaker._states.values())
+    finally:
+        handle.stop()
+
+
 def test_malformed_submit_counted_and_typed():
     server, handle, client = _serve()
     try:

@@ -1,5 +1,7 @@
 """CG, AMG (both forms) and deflation."""
 
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -398,35 +400,104 @@ def test_a_vector_phase_one_ulp_off_is_rejected_alone_and_numpy_serves(solver_so
     assert all(_same(g, w) and _same(a, w) for g, a, w in zip(got, again, want))
 
 
+def _triple(rng, nrows, ncols, shared, wild):
+    """Three CSR operators, one per axis: their own patterns, or one pattern
+    whose index arrays all three hold (the elemental derivatives' case)."""
+    ops = [_random_csr(rng, nrows, ncols, wild) for _ in range(3)]
+    if shared:
+        ops[1:] = [sp.csr_matrix((_wild(rng, rng.standard_normal(ops[0].nnz), 0.002 * wild),
+                                  ops[0].indices, ops[0].indptr), shape=ops[0].shape)
+                   for _ in range(2)]
+    return tuple(ops)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:divide by zero")
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    k=st.integers(1, 17),
+    shared=st.booleans(),
+    divided=st.booleans(),
+    wild=st.booleans(),
+)
+@example(seed=0, shape=(43, 13), k=1, shared=False, divided=False, wild=True)
+@example(seed=1, shape=(7, 45), k=17, shared=True, divided=True, wild=True)
+def test_the_derivative_pass_equals_the_numpy_form_to_the_byte(
+    solver_so, seed, shape, k, shared, divided, wild
+):
+    """``axes`` -- the sum over three axes, or the three products over a
+    mass -- in one C pass: every ``k`` (a vector read in place through the
+    strides of an ``(n, 3)`` field), both pattern cases, non-finite entries,
+    inputs and masses, duplicates and empty rows: the numpy form's bits, on
+    the call that checks it and on the ones it then serves."""
+    rng = np.random.default_rng(seed)
+    amg = _random_hierarchy(rng, [9, 2], (1, 1), False)
+    amg.vcycle(rng.standard_normal((9, 2)))
+    native, numpy = amg.native, VectorPhase()
+    assert native.state == "adopted"
+    ops = _triple(rng, *shape, shared, wild)
+    assert shared == (ops[2].indices.ctypes.data == ops[0].indices.ctypes.data)
+    if divided:
+        x = _wild(rng, rng.standard_normal((shape[1], max(k, 2))), 0.01 * wild)
+        x = x[:, 0] if k == 1 else x[:, :k].copy()  # a vector: a strided column
+        mass = _wild(rng, rng.random(shape[0]), 0.05 * wild)
+        mass[rng.random(shape[0]) < 0.05] = 0.0
+    else:
+        mass = None
+        u = _wild(rng, rng.standard_normal((k, shape[1], 3)), 0.01 * wild)
+        x = u[0].T if k == 1 else np.ascontiguousarray(u.T)  # (3, n) strided, (3, n, k)
+    want = _bits(numpy.axes(ops, x, mass))
+    for _ in range(2):  # the checked call, then a served one
+        assert _bits(native.axes(ops, x, mass)) == want
+    assert native.state == "adopted" and (id(ops), mass is None) in native._families
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_the_steps_own_block_products_are_scipys_or_reject_the_form(solver_so):
-    """Divergence and gradient operators ride the adopted panels off their own
-    CSR arrays for ``k > 1`` blocks; anything else, and everything after a
-    first block that differs, is ``m @ x``."""
+    """Divergence, gradient and max-divergence are one C pass off the plan's
+    own derivative arrays once the hierarchy is adopted, every ``k``, both
+    families, each (triple, form) checked on its first call; a layout the
+    pass cannot read is the numpy form's, and a first call that differs
+    rejects the hierarchy's form for good."""
     mesh = box_tet_mesh(5, 5, 5)
     plan, rng = get_plan(mesh), np.random.default_rng(3)
     amg = SmoothedAggregationAMG(assemble_laplacian(mesh))
-    native, derivatives = amg.native, plan.p1_derivatives()
-    block = rng.standard_normal((mesh.nnode, 16))
-    assert native.matmul(derivatives.nodal[0], block).tobytes() == (
-        derivatives.nodal[0] @ block).tobytes() and not native._operators  # not adopted yet
-    amg.vcycle(block)
+    native, derivatives, numpy = amg.native, plan.p1_derivatives(), VectorPhase()
+    mass = plan.lumped_mass()
+    u = rng.standard_normal((16, mesh.nnode, 3))
+    assert native.axes(derivatives.nodal, u.T).tobytes() == numpy.axes(
+        derivatives.nodal, u.T).tobytes() and not native._families  # not adopted yet
+    amg.vcycle(u[0])
     assert native.state == "adopted"
-    for m in derivatives.nodal + derivatives.elemental:
-        for k in (16, 2, 17, 5):
-            x = _wild(rng, rng.standard_normal((mesh.nnode, k)), 0.01)
-            assert _bits(native.matmul(m, x)) == _bits(m @ x)
-        assert np.array_equal(native.matmul(m, block[:, 0]), m @ block[:, 0])
-        assert np.array_equal(native.matmul(m, block[:, ::2]), m @ block[:, ::2])
-    assert len(native._operators) == 6
-    # a new operator whose first block comes back as another one's product
-    words = native._operators[id(derivatives.nodal[1])][0]
-    fn, rejected = native._fns["product"], _count("solvers.native_rejected")
-    native._fns = dict(native._fns, product=lambda w, k, x, y: fn(words.ctypes.data, k, x, y))
-    wrong = derivatives.nodal[0].copy()
-    assert native.matmul(wrong, block).tobytes() == (wrong @ block).tobytes()
+    # each family shares one set of index arrays: walked once
+    assert all(len({m.indices.ctypes.data for m in ops}) == 1
+               for ops in (derivatives.elemental, derivatives.nodal))
+    for ops in (derivatives.nodal, derivatives.elemental):
+        for k in (1, 2, 16, 17):
+            x = _wild(rng, rng.standard_normal((k, mesh.nnode, 3)), 0.01)
+            x = x[0].T if k == 1 else np.ascontiguousarray(x.T)
+            assert _bits(native.axes(ops, x)) == _bits(numpy.axes(ops, x))
+            p = _wild(rng, rng.standard_normal((mesh.nnode, k)), 0.01)[:, 0 if k == 1 else slice(None)]
+            if ops is derivatives.nodal:
+                assert _bits(native.axes(ops, p, mass)) == _bits(numpy.axes(ops, p, mass))
+        odd = np.asfortranarray(rng.standard_normal((3, mesh.nnode, 4)))  # columns not lanes
+        assert np.array_equal(native.axes(ops, odd), numpy.axes(ops, odd))
+    assert len(native._families) == 3 and native.state == "adopted"
+    # a new triple whose first call comes back wrong rejects the form
+    wrong, rejected = tuple(m.copy() for m in derivatives.nodal), _count("solvers.native_rejected")
+    fn = native._fns["axes"]
+
+    def one_off(words, k, x, xa, xj, y, d):  # the pass, then its first entry one off
+        fn(words, k, x, xa, xj, y, d)
+        ctypes.c_double.from_address(y).value += 1.0
+
+    native._fns = dict(native._fns, axes=one_off)
+    x = rng.standard_normal((3, mesh.nnode, 2))
+    assert native.axes(wrong, x).tobytes() == numpy.axes(wrong, x).tobytes()
     assert native.state == "rejected" and _count("solvers.native_rejected") == rejected + 1
-    assert native.matmul(wrong, block).tobytes() == (wrong @ block).tobytes()
+    native._fns = None  # never reached again
+    assert native.axes(derivatives.nodal, x).tobytes() == numpy.axes(derivatives.nodal, x).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
