@@ -101,49 +101,41 @@ class UnifiedAssembler:
         Physical parameters; must be compatible with the variant's
         specialization.
     vector_dim:
-        Element-group size.  ``None`` (default) is the paper's CPU choice
-        :data:`CPU_VECTOR_DIM`.  Pass :data:`GPU_VECTOR_DIM` to emulate the
-        GPU launch configuration.
+        Element-group size, an integer >= 1 (a ``bool``, float or string
+        is a :class:`ValueError`, as on the wire).  ``None`` (default) is
+        the paper's CPU choice :data:`CPU_VECTOR_DIM`.  Pass
+        :data:`GPU_VECTOR_DIM` to emulate the GPU launch configuration.
     mode:
-        ``"interpreted"`` (default) runs the seed per-group
-        :class:`~repro.core.dsl.NumpyBackend` path; ``"compiled"`` replays
+        ``"interpreted"`` (default) runs each element group through the
+        :class:`~repro.core.dsl.NumpyBackend`, the scatter deferred into
+        one ``bincount`` over the mesh's
+        :class:`~repro.fem.plan.AssemblyPlan` pattern -- the oracle every
+        other mode is held to, byte for byte; ``"compiled"`` replays
         the plan-cached kernel tape (:mod:`repro.core.tape`) -- same op
         order, same dtype, bit-identical RHS, several times faster.
         ``"codegen"`` executes generated fused source
         (:mod:`repro.core.codegen`): the tape lowered to exec-compiled
         Python with CSE, invariant hoisting and expression fusion --
         still bit-identical, with the per-op dispatch overhead gone.
-        Compiled and codegen modes require ``use_plan=True``.
     tracer:
         Optional :class:`repro.obs.Tracer`; assemblies and kernel traces
         are recorded as ``assemble`` / ``kernel_trace`` spans.  Defaults to
         the no-op tracer (zero overhead).
     permutation:
         Optional element processing order handed to the packing.
-    use_plan:
-        When true (default) the assembler reuses the mesh's
-        :class:`~repro.fem.plan.AssemblyPlan`: element groups are
-        gathered once per mesh lifetime and the RHS scatter is deferred
-        into a single precomputed ``bincount`` reduction.  Disable to run
-        the seed per-call ``np.add.at`` path (bit-identical results; the
-        equivalence tests rely on this switch).
     executor:
         ``"serial"`` (default) replays the whole lane axis in one sweep;
         ``"threads"`` (compiled/codegen modes only) splits element groups
-        into cache-sized chunks executed on a shared
+        into chunks executed on a shared
         :class:`~concurrent.futures.ThreadPoolExecutor` with per-thread
         arena slabs
         (:meth:`~repro.core.arena.MeshBound.execute_chunked`).  The
-        threaded reduction order is fixed, so results stay bitwise
-        identical to the serial executor.
+        kernel sizes the chunks (the arena budget of
+        :mod:`repro.core.arena`); the threaded reduction order is fixed,
+        so results stay bitwise identical to the serial executor.
     num_threads:
         Thread count for ``executor="threads"``; defaults to the CPU
-        count (``REPRO_NUM_THREADS`` overrides).
-    chunk_groups:
-        Chunk size (element groups per chunk) of a compiled/codegen
-        sweep; ``None`` lets the kernel choose (the L2 arena budget of
-        :mod:`repro.core.arena`, or the whole mesh for a single-threaded
-        replay of a program without per-scenario rows).
+        count.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; an
         ``("assembler", "nan"/"inf")`` fault corrupts one lane of the
@@ -169,16 +161,19 @@ class UnifiedAssembler:
     vector_dim: Optional[int] = None
     tracer: object = dataclasses.field(default=NULL_TRACER, repr=False)
     permutation: Optional[np.ndarray] = dataclasses.field(default=None, repr=False)
-    use_plan: bool = True
     mode: str = "interpreted"
     fault_plan: Optional[object] = dataclasses.field(default=None, repr=False)
     executor: str = "serial"
     num_threads: Optional[int] = None
-    chunk_groups: Optional[int] = None
     profile: bool = False
     profiler: Optional[object] = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        vd = self.vector_dim
+        if vd is not None and (
+            isinstance(vd, bool) or not isinstance(vd, (int, np.integer)) or vd < 1
+        ):
+            raise ValueError(f"vector_dim must be an integer >= 1, got {vd!r}")
         if self.profile and self.profiler is None:
             from ..obs.profiler import TapeProfiler
 
@@ -196,12 +191,6 @@ class UnifiedAssembler:
                 "op-level profiling reads the program's op/statement "
                 "cost table"
             )
-        if self.mode in ("compiled", "codegen") and not self.use_plan:
-            raise ValueError(
-                f"mode={self.mode!r} requires use_plan=True: the kernel "
-                "tape / generated kernel is cached on the mesh's "
-                "AssemblyPlan"
-            )
         if self.executor not in ("serial", "threads"):
             raise ValueError(
                 f"unknown executor {self.executor!r}; "
@@ -216,16 +205,12 @@ class UnifiedAssembler:
                 "the interpreted per-group backend would serialize on it"
             )
         self._mesh_version = getattr(self.mesh, "_version", 0)
-        if self.use_plan:
-            self.plan = get_plan(self.mesh)
-        else:
-            self.plan = None
+        self.plan = get_plan(self.mesh)
         self._kernel_params = self.params.as_kernel_params()
         perm = self.permutation
         self._perm_key = None if perm is None else np.asarray(
             perm, dtype=np.int64
         ).tobytes()
-        self._packings: dict = {}
         #: lazy per-scenario serial assemblers (interpreted batch path)
         self._scenario_assemblers: dict = {}
         #: telemetry of the most recent :meth:`run_batch` call
@@ -245,8 +230,7 @@ class UnifiedAssembler:
         if version == self._mesh_version:
             return
         self._mesh_version = version
-        self.plan = get_plan(self.mesh) if self.use_plan else None
-        self._packings.clear()
+        self.plan = get_plan(self.mesh)
         self.packing = self._packing(self.packing.vector_dim)
 
     def resolve_vector_dim(self, variant_name: Optional[str] = None) -> int:
@@ -258,17 +242,7 @@ class UnifiedAssembler:
         return CPU_VECTOR_DIM
 
     def _packing(self, vector_dim: int) -> ElementPacking:
-        if self.plan is not None:
-            return self.plan.packing(vector_dim, permutation=self.permutation)
-        packing = self._packings.get(vector_dim)
-        if packing is None:
-            packing = ElementPacking(
-                self.mesh,
-                vector_dim=vector_dim,
-                permutation=self.permutation,
-            )
-            self._packings[vector_dim] = packing
-        return packing
+        return self.plan.packing(vector_dim, permutation=self.permutation)
 
     def _context(
         self, group, velocity: np.ndarray, rhs: np.ndarray, scatter=None
@@ -308,7 +282,6 @@ class UnifiedAssembler:
             nelem=int(self.mesh.nelem),
             vector_dim=vector_dim,
             mode=self.mode,
-            plan=bool(self.use_plan),
             executor=self.executor,
         ):
             if self.mode in ("compiled", "codegen"):
@@ -322,19 +295,15 @@ class UnifiedAssembler:
                 if vector_dim == self.packing.vector_dim
                 else self._packing(vector_dim)
             )
-            acc = None
-            if self.plan is not None:
-                acc = self.plan.accumulator(
-                    key=(variant.name, vector_dim, self._perm_key)
-                )
+            acc = self.plan.accumulator(
+                key=(variant.name, vector_dim, self._perm_key)
+            )
             for group in packing:
-                if acc is not None:
-                    acc.begin_group(group)
+                acc.begin_group(group)
                 ctx = self._context(group, velocity, rhs, scatter=acc)
                 variant.kernel(NumpyBackend(ctx), ctx)
-            if acc is not None:
-                with self.tracer.span("scatter.flush", variant=variant.name):
-                    acc.finalize(rhs)
+            with self.tracer.span("scatter.flush", variant=variant.name):
+                acc.finalize(rhs)
             self._maybe_corrupt(rhs)
         return rhs
 
@@ -363,7 +332,6 @@ class UnifiedAssembler:
         parameter values, tracer and profiler travel with the call,
         inside the kernel's lock."""
         kwargs = dict(
-            chunk_groups=self.chunk_groups,
             param_rows=param_rows,
             tracer=self.tracer,
             profiler=self.profiler if self.profile else None,
@@ -383,11 +351,9 @@ class UnifiedAssembler:
                 vector_dim=self.vector_dim,
                 tracer=self.tracer,
                 permutation=self.permutation,
-                use_plan=self.use_plan,
                 mode=self.mode,
                 executor=self.executor,
                 num_threads=self.num_threads,
-                chunk_groups=self.chunk_groups,
             )
             self._scenario_assemblers[params] = asm
         return asm

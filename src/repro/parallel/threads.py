@@ -11,7 +11,7 @@ processes, no serialization, shared read-only mesh arrays.
 This module owns the thread-level plumbing of
 :meth:`repro.core.arena.MeshBound.execute_chunked`:
 
-* :func:`resolve_num_threads` -- explicit > ``REPRO_NUM_THREADS`` > CPUs.
+* :func:`resolve_num_threads` -- explicit, else the CPU count.
 * :func:`get_thread_pool` -- one process-wide pool per thread count,
   reused across assemblies (thread spawn is ~100us; a steady-state
   time-stepper must not pay it per step).
@@ -48,12 +48,9 @@ _pools_lock = threading.Lock()
 
 
 def resolve_num_threads(num_threads: Optional[int] = None) -> int:
-    """Thread count to run with: explicit > ``REPRO_NUM_THREADS`` > CPUs."""
+    """Thread count to run with: explicit, else the CPU count."""
     if num_threads is not None:
         return max(1, int(num_threads))
-    env = os.environ.get("REPRO_NUM_THREADS")
-    if env:
-        return max(1, int(env))
     return max(1, os.cpu_count() or 1)
 
 

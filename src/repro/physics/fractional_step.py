@@ -116,23 +116,11 @@ def resolve_assembler(
     (:class:`~repro.resilience.ladders.ResilientAssembler`): compiled,
     validated against the reference on first sweep, degrading to
     interpreted and finally reference if validation fails.
-    ``"threaded[:VARIANT]"`` is the compiled tape replayed on the
-    GIL-free chunked thread executor (deterministic: bitwise equal to
-    ``"compiled"`` at the same vector_dim).
     """
     text = spec.strip().lower()
     if text == "reference":
         return assemble_momentum_rhs
     mode, _, variant = text.partition(":")
-    if mode == "threaded":
-        return kernel_rhs_assembler(
-            mesh,
-            params,
-            variant=(variant or "RSP"),
-            mode="compiled",
-            tracer=tracer,
-            executor="threads",
-        )
     if mode == "resilient":
         from ..resilience.ladders import ResilientAssembler
 
@@ -148,8 +136,7 @@ def resolve_assembler(
         raise ValueError(
             f"unknown assembler spec {spec!r}; expected 'reference', "
             "'compiled[:VARIANT]', 'codegen[:VARIANT]', "
-            "'interpreted[:VARIANT]', 'threaded[:VARIANT]' or "
-            "'resilient[:VARIANT]'"
+            "'interpreted[:VARIANT]' or 'resilient[:VARIANT]'"
         )
     return kernel_rhs_assembler(
         mesh, params, variant=(variant or "RSP"), mode=mode, tracer=tracer
@@ -730,8 +717,6 @@ class BatchCampaign:
     pressure_solver:
         Shared :class:`PressureSolver` (AMG setup paid once); defaults
         to a fresh solver on ``mesh``.
-    executor, num_threads:
-        Batched-assembly executor (``"serial"`` or ``"threads"``).
     fault_plans:
         Optional per-scenario sequence of
         :class:`~repro.resilience.faults.FaultPlan` (``None`` entries
@@ -753,8 +738,6 @@ class BatchCampaign:
         metrics: Optional[MetricsRegistry] = None,
         max_dt_halvings: int = 4,
         blowup_factor: float = 100.0,
-        executor: str = "serial",
-        num_threads: Optional[int] = None,
         fault_plans: Optional[Sequence] = None,
     ) -> None:
         from ..core.batch import ScenarioBatch
@@ -782,8 +765,6 @@ class BatchCampaign:
             mode=mode,
             vector_dim=vector_dim,
             tracer=self.tracer,
-            executor=executor,
-            num_threads=num_threads,
         )
         self.pressure = pressure_solver or PressureSolver(mesh)
         self.solvers: List[FractionalStepSolver] = [

@@ -195,36 +195,23 @@ def kernel_rhs_assembler(
     params: AssemblyParams,
     variant: str = "RSP",
     mode: str = "compiled",
-    vector_dim=None,
     tracer=None,
-    executor: str = "serial",
-    num_threads=None,
-    chunk_groups=None,
 ):
     """Build a time-integrator-compatible RHS assembler over a DSL variant.
 
     Returns a callable ``assemble(mesh, velocity, params) -> (nnode, 3)``
     with the signature :class:`~repro.physics.fractional_step.FractionalStepSolver`
-    expects, backed by a :class:`~repro.core.unified.UnifiedAssembler` in
-    the chosen ``mode`` (``"compiled"`` replays the plan-cached kernel
-    tape -- zero Python-level allocation in steady state; ``"codegen"``
-    runs the plan-cached exec-compiled generated kernel; ``"interpreted"``
-    runs the seed per-group backend).  ``executor="threads"`` (compiled
-    and codegen modes) runs the kernel in cache-sized chunks on a thread pool
-    -- ``num_threads`` / ``chunk_groups`` pass through to
-    :class:`~repro.core.unified.UnifiedAssembler`.  The assembler is
+    expects, backed by a serial :class:`~repro.core.unified.UnifiedAssembler`
+    at the paper's CPU group size in the chosen ``mode`` (``"compiled"``
+    replays the plan-cached kernel tape -- zero Python-level allocation in
+    steady state; ``"codegen"`` runs the plan-cached generated kernel;
+    ``"interpreted"`` runs the per-group backend).  The assembler is
     bound to ``mesh`` and ``params`` at construction; calling it with
     different ones is a configuration error and raises.
     """
     from ..core.unified import UnifiedAssembler
 
-    kwargs = {
-        "vector_dim": vector_dim,
-        "mode": mode,
-        "executor": executor,
-        "num_threads": num_threads,
-        "chunk_groups": chunk_groups,
-    }
+    kwargs = {"mode": mode}
     if tracer is not None:
         kwargs["tracer"] = tracer
     assembler = UnifiedAssembler(mesh, params, **kwargs)

@@ -2,14 +2,26 @@
 
 Expensive objects (kernel traces, the optimization study) are session-scoped
 so the machine-model tests don't re-trace the baseline kernel repeatedly.
+Every property test draws the same examples on every run: one hypothesis
+profile, derandomized, with no example database and no deadline.
 """
+
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from repro.core import UnifiedAssembler
+from repro.core import OptimizationStudy, UnifiedAssembler
 from repro.fem import box_tet_mesh, bolund_like_mesh, perturbed_box_mesh
+from repro.obs import MetricsRegistry, Tracer
 from repro.physics import AssemblyParams
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,6 +32,30 @@ def native_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg_cache")))
         yield
+
+
+@pytest.fixture(scope="session", autouse=True)
+def native_builds_ahead(native_cache):
+    """With a compiler, one child process builds the C forms the
+    differential harness's native cells need (``build_ahead``) while the
+    tests run, so ``cc`` runs on the second core instead of in the tests'
+    critical path.  Yields the child (``None`` without a compiler); a test
+    that tampers with cached files waits for it first.  Stopped with SIGINT
+    at the end: its exit handler ends an unfinished compiler."""
+    from tests.core.test_differential import have_cc
+
+    if not have_cc():
+        yield None
+        return
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from tests.core.test_differential import build_ahead; "
+         "build_ahead()"], cwd=root, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    yield child
+    child.send_signal(signal.SIGINT)
+    child.wait(timeout=60)
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +113,32 @@ def traces(assembler, velocity):
         name: assembler.trace(name, velocity)
         for name in ("B", "P", "RS", "RSP", "RSPR")
     }
+
+
+# -- the paper's tables: built once untraced, once traced ----------------------
+
+
+@pytest.fixture(scope="session")
+def study():
+    """The optimization study at its default mesh, untraced."""
+    return OptimizationStudy(metrics=MetricsRegistry())
+
+
+@pytest.fixture(scope="session")
+def gpu_table(study):
+    """Table II by variant."""
+    return {c.variant: c for c in study.gpu_table()}
+
+
+@pytest.fixture(scope="session")
+def cpu_table(study):
+    """Table I by variant."""
+    return {c.variant: c for c in study.cpu_table()}
+
+
+@pytest.fixture(scope="session")
+def traced_study():
+    """The same study with a tracer and a registry of its own, its GPU and
+    CPU tables built: ``(study, gpu rows, cpu rows)``."""
+    study = OptimizationStudy(tracer=Tracer(pid=0), metrics=MetricsRegistry())
+    return study, study.gpu_table(), study.cpu_table()

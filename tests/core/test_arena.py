@@ -6,14 +6,13 @@ that neither placement nor chunk boundaries can change a bit of the
 result.  An unaligned buffer is a 30% slowdown nobody would see in a
 correctness test, so it is asserted here, white-box, for every variant x
 back end x batch size.  How many scenarios a kernel sweeps and whose
-elements are arguments of that one binding: the last section holds every
-cell of the axis to one oracle.
+elements are arguments of that one binding: one program serves them all,
+and every cell of the axis is held to one oracle by the differential
+harness.
 """
 
 import dataclasses
-import functools
 import gc
-import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ScenarioBatch,
-    UnifiedAssembler,
     arena,
     compiled_tape,
     generated_kernel,
@@ -34,10 +32,10 @@ from repro.core.arena import (
     aligned_empty,
     budget_chunk_groups,
 )
-from repro.fem import TetMesh, box_tet_mesh, get_plan
+from repro.fem import box_tet_mesh, get_plan
 from repro.obs.profiler import TapeProfiler
-from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
+from tests.core.test_differential import corner
 
 VD = 16
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
@@ -224,78 +222,20 @@ def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend, reque
 
 # -- one program, one kernel: the binding axis -------------------------------------
 
-#: (binding, vector_dim); 1024: one group of the mesh, three of the chunk
-BINDINGS = [(b, VD) for b in ("serial", "one", "shared", "per_scenario", "worker")]
-BINDINGS += [("serial", 1024), ("worker", 1024)]
+#: every binding of every back end against the interpreted oracle: rows of
+#: the differential harness (tests/core/test_differential.py)
+test_one_kernel_serves_every_binding_to_the_byte = corner(
+    "test_one_kernel_serves_every_binding_to_the_byte")
 
 
-def _binding(binding):
-    """``(mesh, batch, velocity rank, velocity)`` of one cell; a worker's
-    mesh is its chunk of 3,001 disjoint elements (``n % vd != 0``), and the
-    field holds both zeros, which only ``tobytes`` tells apart."""
-    mesh = box_tet_mesh(3, 3, 3)
-    if binding == "worker":
-        xel = get_plan(box_tet_mesh(8, 8, 8)).packed_coords()[:3001]
-        mesh = TetMesh(
-            xel.reshape(-1, 3), np.arange(4 * 3001).reshape(-1, 4), validate=False
-        )
-    batch = {"one": ScenarioBatch([PARAMS]), "shared": _forcing_batch(4),
-             "per_scenario": _forcing_batch(4)}.get(binding)
-    rank = "full" if binding == "per_scenario" else "vec"
-    shape = ((4,) if rank == "full" else ()) + (mesh.nnode, 3)
-    u = 0.1 * np.random.default_rng(3).standard_normal(shape)
-    u[..., ::3, :] = 0.0
-    u[..., 1::5, :] = -0.0
-    return mesh, batch, rank, u
-
-
-@functools.lru_cache(maxsize=None)
-def _interpreted(variant, binding, vd) -> bytes:
-    mesh, batch, _, u = _binding(binding)
-    asm = UnifiedAssembler(mesh, PARAMS, vector_dim=vd, mode="interpreted")
-    if batch is None:
-        return asm.assemble(variant, u).tobytes()
-    return asm.run_batch(variant, batch, u).tobytes()
-
-
-@pytest.mark.parametrize("form", ["compiled", "codegen", "native"])
-@pytest.mark.parametrize("variant", variant_names())
-def test_one_kernel_serves_every_binding_to_the_byte(
-    variant, form, monkeypatch, request
-):
-    """A serial call, a one-scenario batch, ``S = 4`` with shared and with
-    per-scenario velocities and a pool worker's chunk (the pickled program,
-    bound by the helper ``runner._assemble_chunk`` uses) run the one bound
-    kernel of their back end and equal ``mode="interpreted"`` -- for the
-    worker on the same chunk-as-a-mesh, whose ``(4n, 3)`` RHS *is* the
-    ``(n, 4, 3)`` elemental result."""
-    if form == "native":
-        request.getfixturevalue("cc")
-    elif form == "codegen":  # a cache key nobody built, nobody to build it
-        monkeypatch.setenv("CC", "/bin/false")
-    make = compiled_tape if form == "compiled" else generated_kernel
-    programs = {}
-    for binding, vd in BINDINGS:
-        mesh, batch, rank, u = _binding(binding)
-        if binding == "worker":  # ships what the serial cell of this vd ran
-            shipped = pickle.loads(pickle.dumps(programs["serial", vd]))
-            kern = _chunk_kernel(shipped, mesh.coords.reshape(-1, 4, 3), vd)
-        else:
-            kern = make(get_plan(mesh), variant, vd, kernel_params=KP,
-                        batch=batch, velocity_rank=rank)
-        programs[binding, vd] = kern.program
-        assert kern.batched == (batch is not None)
-        rows = batch.param_rows() if batch else None
-        want = _interpreted(variant, binding, vd)
-        assert kern.execute(u, param_rows=rows).tobytes() == want, (binding, vd)
-        if form == "native":
-            assert kern.build_native(wait=True)
-        for _ in range(2):  # native: the adoption sweep, then the C form alone
-            assert kern.execute(u, param_rows=rows).tobytes() == want, (binding, vd)
-        if form != "compiled":
-            assert kern._native.state == {"native": "adopted", "codegen": "python"}[form]
-    # a one-scenario batch records the serial program (same C below the header)
-    serial, one = programs["serial", VD], programs["one", VD]
-    assert dataclasses.replace(one, params_key=serial.params_key) == serial
-    if form != "compiled":
-        assert one.c_source.splitlines()[2:] == serial.c_source.splitlines()[2:] != []
+@pytest.mark.parametrize("make", [compiled_tape, generated_kernel])
+def test_a_one_scenario_batch_records_the_serial_program(make):
+    """``S = 1`` is the degenerate batch: the program of the serial
+    binding, but for its params key (and the C header that names it)."""
+    plan = get_plan(box_tet_mesh(3, 3, 3))
+    for variant in variant_names():
+        serial = make(plan, variant, VD, kernel_params=KP).program
+        one = make(plan, variant, VD, kernel_params=KP, batch=ScenarioBatch([PARAMS])).program
+        assert dataclasses.replace(one, params_key=serial.params_key) == serial
+        if make is generated_kernel:
+            assert one.c_source.splitlines()[2:] == serial.c_source.splitlines()[2:] != []

@@ -3,24 +3,18 @@
 The acceptance criteria of the scenario-batch axis live here:
 :meth:`~repro.core.unified.UnifiedAssembler.run_batch` must be
 **bitwise identical** per scenario to ``S`` independent serial solves
-across variants, vector_dims, executors and velocity ranks (hypothesis
-property test); a corrupted scenario must degrade *alone* while the
-other ``S - 1`` stay bit-identical on the fast path; and the satellite
+across variants, vector_dims, executors and velocity ranks (rows of the
+differential harness, ``tests/core/test_differential.py``); a corrupted
+scenario must degrade *alone* while the other ``S - 1`` stay
+bit-identical on the fast path; and the satellite
 plumbing (ScenarioBatch validation, per-scenario profiler attribution,
 BatchCampaign lockstep) must hold its contracts.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import (
-    ScenarioBatch,
-    UnifiedAssembler,
-    variant_names,
-)
-from repro.fem import box_tet_mesh
+from repro.core import ScenarioBatch, UnifiedAssembler
 from repro.obs import TapeProfiler, Tracer
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
@@ -28,12 +22,11 @@ from repro.physics.convection import ConvectiveForm
 from repro.physics.fractional_step import BatchCampaign, FractionalStepSolver
 from repro.physics.pressure import PressureSolver
 from repro.resilience.faults import FaultPlan
+from tests.core.test_differential import corner
 
 #: same tolerance the serial profiler acceptance uses -- prediction is
 #: an all-vector upper bound, folded scalars cost no arena read
 BYTE_RESIDUAL_TOLERANCE = 0.15
-
-THREAD_KWARGS = {"executor": "threads", "num_threads": 2, "chunk_groups": 1}
 
 
 def forcing_batch(size):
@@ -72,64 +65,9 @@ def _count(name):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    variant=st.sampled_from(variant_names()),
-    vector_dim=st.integers(min_value=3, max_value=200),
-    seed=st.integers(min_value=0, max_value=5),
-    mode=st.sampled_from(["compiled", "codegen"]),
-    executor=st.sampled_from(["serial", "threads"]),
-    velocity_rank=st.sampled_from(["vec", "full"]),
-    size=st.sampled_from([2, 4]),
-)
-def test_run_batch_bitwise_matches_serial(
-    variant, vector_dim, seed, mode, executor, velocity_rank, size
-):
-    """One batched replay == S independent assemblies, bit for bit."""
-    # fresh mesh per example: no plan/tape cache bleed between examples
-    mesh = box_tet_mesh(3, 3, 3)
-    batch = (
-        forcing_batch(size)
-        if variant in ("RS", "RSP", "RSPR")
-        else material_batch(size)
-    )
-    kwargs = {} if executor == "serial" else dict(THREAD_KWARGS)
-    v0 = _velocity(mesh, seed)
-    if velocity_rank == "vec":
-        velocity = v0
-        per_scenario = [v0] * size
-    else:
-        velocity = np.stack([(1.0 + 0.1 * s) * v0 for s in range(size)])
-        per_scenario = [velocity[s] for s in range(size)]
-
-    asm = UnifiedAssembler(
-        mesh, batch[0], vector_dim=vector_dim, mode=mode, **kwargs
-    )
-    rhs = asm.run_batch(variant, batch, velocity)
-    assert rhs.shape == (size, mesh.nnode, 3)
-    assert asm.last_batch["isolated"] == ()
-    for s in range(size):
-        serial = UnifiedAssembler(
-            mesh, batch[s], vector_dim=vector_dim, mode=mode, **kwargs
-        )
-        ref = serial.assemble(variant, per_scenario[s])
-        assert np.array_equal(rhs[s], ref), (
-            f"{variant}/{mode}/{executor}@vd{vector_dim} "
-            f"{velocity_rank}: scenario {s} differs"
-        )
-
-
-def test_run_batch_interpreted_is_serial_reference(small_mesh):
-    """Interpreted mode runs the reference loop -- same contract."""
-    batch = material_batch(3)
-    velocity = _velocity(small_mesh, 1)
-    asm = UnifiedAssembler(small_mesh, batch[0], vector_dim=16)
-    rhs = asm.run_batch("B", batch, velocity)
-    for s in range(3):
-        ref = UnifiedAssembler(
-            small_mesh, batch[s], vector_dim=16
-        ).assemble("B", velocity)
-        assert np.array_equal(rhs[s], ref)
+test_run_batch_bitwise_matches_serial = corner("test_run_batch_bitwise_matches_serial")
+test_run_batch_interpreted_is_serial_reference = corner(
+    "test_run_batch_interpreted_is_serial_reference")
 
 
 def test_run_batch_velocity_shape_validation(small_mesh):

@@ -13,10 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import UnifiedAssembler, variant_names
+from repro.core import UnifiedAssembler
 from repro.core.codegen import _CODE_CACHE, generate_program, generated_kernel
 from repro.core.tape import record_program
 from repro.fem import box_tet_mesh
@@ -24,8 +22,8 @@ from repro.fem.plan import get_plan
 from repro.obs.metrics import get_registry
 from repro.obs.profiler import TapeProfiler
 from repro.parallel.runner import _chunk_kernel, _chunk_program
-from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
+from tests.core.test_differential import corner
 
 
 def _velocity(mesh, seed=0):
@@ -41,64 +39,10 @@ def _count(name):
 # -- bit-identity --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", variant_names())
-def test_codegen_bitwise_equal_all_variants(small_mesh, params, variant):
-    """Generated == interpreted == compiled replay, bit for bit."""
-    u = _velocity(small_mesh)
-    # 162 elements, vector_dim 100 -> padded final group
-    interp = UnifiedAssembler(small_mesh, params, vector_dim=100)
-    comp = UnifiedAssembler(small_mesh, params, vector_dim=100, mode="compiled")
-    gen = UnifiedAssembler(small_mesh, params, vector_dim=100, mode="codegen")
-    ref = interp.assemble(variant, u)
-    out = gen.assemble(variant, u)
-    assert np.array_equal(ref, out)
-    assert np.array_equal(comp.assemble(variant, u), out)
-    # second sweep reuses the cached kernel -- still identical
-    assert np.array_equal(gen.assemble(variant, u), out)
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    variant=st.sampled_from(["B", "P", "RS", "RSP", "RSPR"]),
-    vector_dim=st.integers(min_value=3, max_value=200),
-    seed=st.integers(min_value=0, max_value=5),
-    executor=st.sampled_from(["serial", "threads"]),
-)
-def test_codegen_bitwise_equal_hypothesis(variant, vector_dim, seed, executor):
-    """Property: bit-identity for any group size, velocity and executor."""
-    mesh = box_tet_mesh(3, 3, 3)  # fresh mesh per example: no cache bleed
-    params = AssemblyParams(body_force=(0.05, -0.1, 0.2))
-    u = _velocity(mesh, seed)
-    interp = UnifiedAssembler(mesh, params, vector_dim=vector_dim)
-    kwargs = {}
-    if executor == "threads":
-        kwargs = dict(executor="threads", num_threads=2, chunk_groups=1)
-    gen = UnifiedAssembler(
-        mesh, params, vector_dim=vector_dim, mode="codegen", **kwargs
-    )
-    assert np.array_equal(
-        interp.assemble(variant, u), gen.assemble(variant, u)
-    )
-
-
-def test_codegen_bitwise_with_permutation_and_ordering(small_mesh, params):
-    """Packing-order changes (random or SFC permutation) keep bit-identity."""
-    from repro.fem.reorder import element_order
-
-    u = _velocity(small_mesh, 3)
-    perm = np.random.default_rng(7).permutation(small_mesh.nelem)
-    sfc = element_order(small_mesh, "hilbert")
-    for kwargs in (dict(permutation=perm), dict(permutation=sfc)):
-        interp = UnifiedAssembler(
-            small_mesh, params, vector_dim=33, **kwargs
-        )
-        gen = UnifiedAssembler(
-            small_mesh, params, vector_dim=33, mode="codegen", **kwargs
-        )
-        for variant in ("B", "RSPR"):
-            assert np.array_equal(
-                interp.assemble(variant, u), gen.assemble(variant, u)
-            )
+test_codegen_bitwise_equal_all_variants = corner("test_codegen_bitwise_equal_all_variants")
+test_codegen_bitwise_equal_hypothesis = corner("test_codegen_bitwise_equal_hypothesis")
+test_codegen_bitwise_with_permutation_and_ordering = corner(
+    "test_codegen_bitwise_with_permutation_and_ordering")
 
 
 # -- caching and invalidation --------------------------------------------------

@@ -1,0 +1,500 @@
+"""Same answer, different cost: every assembly cell against one oracle.
+
+A cell is one way of running a kernel variant over a mesh: the back end
+(replayed tape, generated Python, its C form, or the interpreter itself),
+the executor and chunking, the scatter placement, the scenario batch, the
+element order, profiling, a pool worker's binding, the entry (kernel or
+``UnifiedAssembler``), a non-zero ``rhs`` on entry and the field.  Every
+cell's ``.tobytes()`` equals ``mode="interpreted"`` at the same
+``vector_dim``: one assembly per (variant, mesh, order, vd, scenario,
+field), cached for the session, a batch stacking its scenarios'.  The
+interpreted oracle itself equals the seed's per-call ``np.add.at`` path
+(:func:`seed_reference`) wherever packing order is the flush order.
+
+One strategy draws the cells (``derandomize=True``: the same examples every
+run) after the cells of :data:`EXAMPLES`, which planted defects were caught
+by.  The per-file identity tests the harness replaced keep their ids as
+rows of :data:`CORNERS`: each id is bound in its old module by
+:func:`corner` and runs its cells through the same :func:`check`.
+"""
+
+import contextlib
+import dataclasses
+import functools
+import os
+import pickle
+import weakref
+from typing import Optional
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape, generated_kernel
+from repro.core import native, variant_names
+from repro.core.codegen import generate_program
+from repro.core.dsl import KernelContext, NumpyBackend
+from repro.core.tape import record_program
+from repro.core.variants import get_variant
+from repro.fem import TetMesh, box_tet_mesh, get_plan, perturbed_box_mesh
+from repro.fem.packing import ElementPacking
+from repro.fem.reorder import element_order
+from repro.obs import TapeProfiler, Tracer
+from repro.obs.metrics import get_registry
+from repro.parallel.runner import _chunk_kernel
+from repro.physics import AssemblyParams
+
+VARIANTS = tuple(variant_names())
+PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
+KP = PARAMS.as_kernel_params()
+#: 162 elements (box, jittered) and 299 (worker): every size pads
+VDS = (7, 8, 16, 33, 64, 100, 1024)
+MESHES = ("box", "jittered", "worker")
+ORDERS = ("packing", "random", "hilbert", "reordered")
+BACKENDS = ("replay", "codegen", "native")
+BATCHES = ("none", "one", "shared4", "shared16", "per_scenario")
+
+
+@dataclasses.dataclass(frozen=True)
+class Cell:
+    variant: str
+    backend: str = "replay"  # compiled tape | generated Python | its C form | interpreted
+    mesh: str = "box"  # worker: the pickled program bound to a pool chunk
+    vd: int = 16
+    order: str = "packing"  # a permutation, or mesh.reordered()
+    threads: int = 0  # 0: execute(); n: execute_chunked(num_threads=n)
+    chunk_groups: Optional[int] = None
+    batch: str = "none"
+    profile: bool = False
+    field: str = "wide"  # plain: 0.1 N(0, 1); wide: magnitudes 1e-8 .. 1e8
+    entry: str = "kernel"  # or through UnifiedAssembler.assemble / run_batch
+
+
+# -- the cell's inputs ---------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _mesh(kind: str, order: str, family: str) -> TetMesh:
+    """Meshes per ``family``: a generated kernel is plan-cached, so the
+    Python-form cells bind on meshes the C form never adopted on."""
+    if kind == "worker":
+        xel = get_plan(box_tet_mesh(8, 8, 8)).packed_coords()[:299]
+        mesh = TetMesh(xel.reshape(-1, 3), np.arange(4 * 299).reshape(-1, 4),
+                       validate=False)
+    elif kind == "jittered":
+        mesh = perturbed_box_mesh(3, 3, 3, amplitude=0.1, seed=3)
+    else:
+        mesh = box_tet_mesh(3, 3, 3)
+    return mesh.reordered().mesh if order == "reordered" else mesh
+
+
+def _permutation(mesh: TetMesh, order: str):
+    if order == "random":
+        return np.random.default_rng(7).permutation(mesh.nelem)
+    if order == "hilbert":
+        return element_order(mesh, "hilbert")
+    return None
+
+
+def _scenario(variant: str, s: int) -> AssemblyParams:
+    """Scenario ``s`` of every batch; scenario 0 is :data:`PARAMS`.  The
+    forcing varies; so do density and viscosity for the baseline kernels,
+    which read them at run time."""
+    material = variant in ("B", "P")
+    return dataclasses.replace(
+        PARAMS, body_force=(0.05, -0.1, 0.2 * (s + 1)),
+        density=1.0 + 0.1 * s * material, viscosity=1e-3 * (1 + s * material))
+
+
+def _size(kind: str) -> int:
+    return {"none": 0, "one": 1, "shared16": 16}.get(kind, 4)
+
+
+def _batch(variant: str, kind: str):
+    if kind == "none":
+        return None
+    return ScenarioBatch([_scenario(variant, s) for s in range(_size(kind))])
+
+
+def _field(shape, kind: str, seed: int = 3) -> np.ndarray:
+    """Both zeros, which only ``tobytes`` tells apart; ``wide`` sums are
+    order sensitive: adding a bin's contributions in another order flips
+    low bits somewhere."""
+    rng = np.random.default_rng(seed)
+    u = 0.1 * rng.standard_normal(shape)
+    if kind == "wide":
+        u = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    u[..., ::7, :] = 0.0
+    u[..., 3::11, 1] = -0.0
+    return u
+
+
+def _velocity(cell: Cell, mesh: TetMesh) -> np.ndarray:
+    """Scenario ``s`` of a per-scenario field is field seed ``3 + s``."""
+    if cell.batch == "per_scenario":
+        return np.stack([_field((mesh.nnode, 3), cell.field, 3 + s) for s in range(4)])
+    return _field((mesh.nnode, 3), cell.field)
+
+
+# -- the oracle ----------------------------------------------------------------
+
+
+def seed_reference(mesh, params, variant, velocity, vector_dim, permutation=None):
+    """The seed path: every packed group through :class:`NumpyBackend` with
+    no accumulator, i.e. one ``np.add.at`` per scatter call."""
+    rhs = np.zeros((mesh.nnode, 3))
+    kernel = get_variant(variant).kernel
+    for group in ElementPacking(mesh, vector_dim=vector_dim, permutation=permutation):
+        ctx = KernelContext(
+            connectivity=group.connectivity, coords=mesh.coords,
+            fields={"velocity": velocity}, rhs=rhs, params=params.as_kernel_params(),
+            active=None if group.nactive == group.vector_dim else group.active)
+        kernel(NumpyBackend(ctx), ctx)
+    return rhs
+
+
+@functools.lru_cache(maxsize=None)
+def _interpreted(variant, mesh_kind, order, vd, s, field, field_seed) -> np.ndarray:
+    """``mode="interpreted"`` for scenario ``s`` (every batch shares it)."""
+    mesh = _mesh(mesh_kind, order, "oracle")
+    perm = _permutation(mesh, order)
+    u = _field((mesh.nnode, 3), field, field_seed)
+    params = _scenario(variant, s)
+    want = UnifiedAssembler(mesh, params, vector_dim=vd, permutation=perm).assemble(variant, u)
+    assert np.isfinite(want).all()
+    if s == 0 and order != "reordered":  # a reordered mesh flushes in its seed's order
+        assert seed_reference(mesh, params, variant, u, vd, perm).tobytes() == want.tobytes()
+    want.flags.writeable = False
+    return want
+
+
+def oracle(cell: Cell) -> np.ndarray:
+    per = cell.batch == "per_scenario"
+    rows = [_interpreted(cell.variant, cell.mesh, cell.order, cell.vd, s, cell.field, 3 + s * per)
+            for s in range(max(_size(cell.batch), 1))]
+    return rows[0] if cell.batch == "none" else np.stack(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def have_cc() -> bool:
+    """Whether ``$CC`` / ``cc`` builds and loads a shared object."""
+    source = "void probe(void) {}\n"
+    proc = native.build(source)
+    return proc is not None and proc.wait() == 0 and native.load(source, {}) is not None
+
+
+# -- one cell --------------------------------------------------------------------
+
+
+def _bind(cell: Cell, mesh: TetMesh, batch):
+    if cell.mesh == "worker":  # what a MultiprocessRunner ships, re-bound
+        program = (record_program(cell.variant, KP) if cell.backend == "replay"
+                   else generate_program(cell.variant, cell.vd, KP))
+        shipped = pickle.loads(pickle.dumps(program))
+        return _chunk_kernel(shipped, mesh.coords.reshape(-1, 4, 3), cell.vd)
+    make = compiled_tape if cell.backend == "replay" else generated_kernel
+    return make(get_plan(mesh), cell.variant, cell.vd,
+                permutation=_permutation(mesh, cell.order), kernel_params=KP,
+                batch=batch, velocity_rank="full" if cell.batch == "per_scenario" else "vec")
+
+
+def _assembler(cell: Cell, mesh: TetMesh, tracer, profiler):
+    return UnifiedAssembler(
+        mesh, PARAMS, vector_dim=cell.vd, permutation=_permutation(mesh, cell.order),
+        mode={"replay": "compiled", "interpreted": "interpreted"}.get(cell.backend, "codegen"),
+        executor="threads" if cell.threads else "serial",
+        num_threads=cell.threads or None, tracer=tracer, profiler=profiler)
+
+
+#: a generated kernel's deferred values buffer after adoption: created once
+_VALUES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def check(cell: Cell) -> None:
+    """Run ``cell`` and hold every sweep to the oracle, byte for byte."""
+    want = oracle(cell)
+    profiler = TapeProfiler() if cell.profile else None
+    tracer = Tracer()
+    sweeps = 2 + (cell.entry == "kernel")
+    with _compiler("/bin/false" if cell.backend == "codegen" else None):
+        kern, sweep = _sweeper(cell, tracer, profiler)
+        assert sweep().tobytes() == want.tobytes()
+        if cell.backend == "native" and have_cc():  # without one: the Python form
+            assert kern.build_native(wait=True)
+            sweep(profiled=False)  # the adoption sweep: the C form in both placements
+        fused = get_registry().counter("scatter.fused_sweeps")
+        before = fused.value
+        assert sweep().tobytes() == want.tobytes()  # the same buffers, reused
+        if cell.entry == "kernel":
+            entry = _field(want.shape, "wide", seed=5)
+            assert sweep(entry.copy()).tobytes() == (entry + want).tobytes()
+    placement = _placement(cell, kern, tracer, want)
+    assert fused.value == before + (sweeps - 1) * (placement == "fused")
+    if profiler is not None:
+        (profile,) = profiler.profiles.values()
+        assert profile.executions == sweeps and profile.total_seconds > 0
+
+
+def _sweeper(cell: Cell, tracer, profiler):
+    """``(kernel, sweep(rhs=None, profiled=True))`` of one cell."""
+    family = "python" if cell.backend == "codegen" else "kernel"
+    mesh = _mesh(cell.mesh, cell.order, family)
+    u = _velocity(cell, mesh)
+    batch = _batch(cell.variant, cell.batch)
+    if cell.entry == "assembler":  # the assembler sizes its own chunks
+        assert cell.chunk_groups is None and cell.mesh != "worker"
+        asms = {p: _assembler(cell, mesh, tracer, p) for p in {None, profiler}}
+        rank = "full" if cell.batch == "per_scenario" else "vec"
+        kern = None if cell.backend == "interpreted" else \
+            asms[None]._kernel(cell.variant, cell.vd, batch, rank)
+
+        def sweep(rhs=None, profiled=True):
+            asm = asms[profiler if profiled else None]
+            if batch is None:
+                return asm.assemble(cell.variant, u)
+            got = asm.run_batch(cell.variant, batch, u)
+            assert asm.last_batch["isolated"] == ()
+            return got
+    else:
+        kern = _bind(cell, mesh, batch)
+        rows = batch.param_rows() if batch else None
+
+        def sweep(rhs=None, profiled=True):
+            kw = dict(param_rows=rows, tracer=tracer,
+                      profiler=profiler if profiled else None)
+            if cell.threads:
+                return kern.execute_chunked(u, rhs, num_threads=cell.threads,
+                                            chunk_groups=cell.chunk_groups, **kw)
+            return kern.execute(u, rhs, chunk_groups=cell.chunk_groups, **kw)
+    assert kern is None or kern.batched == (batch is not None)
+    return kern, sweep
+
+
+@contextlib.contextmanager
+def _compiler(cc: Optional[str]):
+    """``$CC`` set to ``cc`` for the block: a cache key nobody built and
+    nobody to build it keeps a generated kernel on its Python form."""
+    old = os.environ.get("CC")
+    if cc is not None:
+        os.environ["CC"] = cc
+    try:
+        yield
+    finally:
+        if cc is not None:
+            os.environ.pop("CC") if old is None else os.environ.update(CC=old)
+
+
+def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
+    """Which form served the last sweep and where it scattered, read off the
+    ``codegen.execute*`` span and held to what the cell implies: the C form
+    (adopted when a compiler works) serves unless profiled; it scatters
+    fused on one slab of a mesh without a seed order, else deferred."""
+    if cell.backend in ("replay", "interpreted"):
+        return None
+    attrs = [s for s in tracer.finished if s.name.startswith("codegen.execute")][-1].attributes
+    served = cell.backend == "native" and have_cc()
+    assert (kern._native.state == "adopted") == served
+    nthreads = cell.threads or 1
+    nslabs = min(nthreads, -(-kern.ngroups // kern._resolve_cg(cell.chunk_groups, nthreads)))
+    native_form = served and not cell.profile
+    placement = "fused" if native_form and nslabs == 1 and cell.order != "reordered" \
+        else "deferred"
+    assert (attrs["native"], attrs["scatter"]) == (native_form, placement)
+    if served:  # released at adoption, re-created by the first deferred sweep only
+        if placement == "fused":
+            assert kern._acc.shape == want.shape
+        values = kern._sv
+        if values is None:
+            assert kern not in _VALUES
+        else:
+            assert values.ctypes.data % 64 == 0
+            assert _VALUES.setdefault(kern, values) is values
+    return placement
+
+
+# -- the strategy ------------------------------------------------------------------
+
+
+@st.composite
+def cells(draw) -> Cell:
+    mesh = draw(st.sampled_from(MESHES))
+    entry = "kernel" if mesh == "worker" else draw(st.sampled_from(("kernel", "assembler")))
+    plain = mesh == "worker"  # a chunk is its own mesh: no ordering, no batch
+    batch = "none" if plain else draw(st.sampled_from(BATCHES))
+    # sixteen interpreted scenarios at a narrow group cost seconds each
+    vds = [vd for vd in VDS if vd >= 64 or batch != "shared16"]
+    return Cell(
+        variant=draw(st.sampled_from(VARIANTS)),
+        backend=draw(st.sampled_from(BACKENDS)),
+        mesh=mesh,
+        vd=draw(st.sampled_from(vds)),
+        order="packing" if plain else draw(st.sampled_from(ORDERS)),
+        threads=draw(st.sampled_from((0, 1, 2, 3))),
+        chunk_groups=None if entry == "assembler" else draw(st.sampled_from((None, 1, 2, 5))),
+        batch=batch,
+        profile=draw(st.booleans()),
+        field=draw(st.sampled_from(("plain", "wide"))),
+        entry=entry,
+    )
+
+
+#: Each planted defect fails the examples marked with its letter (see
+#: EXPERIMENTS.md, "One differential harness"): (a) execute_chunked reducing
+#: its chunks in reverse, (b) a batched kernel reading scenario 0's parameter
+#: row for all, (c) the fused C scatter visiting lanes in reverse (rejected at
+#: adoption, so never adopted), (d) the interpreted accumulator flushing in
+#: reverse (the seed path disagrees).
+EXAMPLES = [
+    Cell("RSP", "codegen", field="plain"),  # d
+    Cell("B", "replay", threads=2, chunk_groups=1),  # a d
+    Cell("RS", "codegen", batch="shared4"),  # b d
+    Cell("P", "replay", vd=64, batch="per_scenario", entry="assembler"),  # b d
+    Cell("RSP", "native", vd=64, batch="shared16"),  # b c d
+    Cell("RSPR", "native", mesh="worker", vd=8),  # one lane per bin: no order to get wrong
+    Cell("RS", "replay", mesh="jittered", vd=7, order="random"),  # d
+    Cell("B", "native", threads=3, chunk_groups=2, batch="one"),  # a c d
+    Cell("P", "native", threads=2, profile=True, order="hilbert", entry="assembler"),  # c d
+    Cell("RSP", "native", order="reordered", field="plain"),  # d
+    Cell("RS", "interpreted", batch="per_scenario", entry="assembler"),  # d
+]
+
+
+def _with_examples(test):
+    for cell in EXAMPLES:
+        test = example(cell=cell)(test)
+    return test
+
+
+@settings(max_examples=16)
+@given(cell=cells())
+@_with_examples
+def test_every_cell_is_the_interpreted_oracle_to_the_byte(cell):
+    check(cell)
+
+
+# -- the corner table: the ids of the per-file identity tests it replaced -----------
+
+
+def _cells(variants, **axes):
+    return [Cell(v, **axes) for v in variants]
+
+
+def _by_variant(make, variants=VARIANTS):
+    return {v: make(v) for v in variants}
+
+
+_THREADED = ((1, 2), (2, 3), (4, 1), (4, 5))
+_BINDINGS = [dict(), dict(batch="one"), dict(batch="shared4"),
+             dict(batch="per_scenario"), dict(mesh="worker"),
+             dict(vd=1024), dict(mesh="worker", vd=1024)]
+_FORMS = {"compiled": "replay", "codegen": "codegen", "native": "native"}
+
+#: old test id (``module::name``) -> {parametrize id or "": cells}
+CORNERS = {
+    "test_tape::test_compiled_bitwise_equal_all_variants": _by_variant(
+        lambda v: [Cell(v, vd=100, field="plain", entry="assembler")]),
+    "test_tape::test_compiled_bitwise_equal_hypothesis": {"": [
+        Cell(v, vd=vd, field="plain", entry="assembler")
+        for v, vd in zip(VARIANTS, (7, 33, 100, 64, 8))]},
+    "test_tape::test_compiled_bitwise_equal_with_permutation": {"": [
+        Cell("RSP", vd=33, order="random", field="plain", entry="assembler")]},
+    "test_tape::test_compiled_repeat_executions_stable": {"": [
+        Cell("B", vd=33, field=f, entry="assembler") for f in ("plain", "wide")]},
+    "test_codegen::test_codegen_bitwise_equal_all_variants": _by_variant(
+        lambda v: [Cell(v, "codegen", vd=100, field="plain", entry="assembler")]),
+    "test_codegen::test_codegen_bitwise_equal_hypothesis": {"": [
+        Cell(v, "codegen", vd=vd, threads=t, chunk_groups=1 if t else None, field="plain",
+             entry="kernel" if t else "assembler")
+        for v, vd, t in zip(VARIANTS, (7, 33, 100, 64, 8), (0, 2, 0, 2, 3))]},
+    "test_codegen::test_codegen_bitwise_with_permutation_and_ordering": {"": [
+        Cell(v, "codegen", vd=33, order=o, field="plain", entry="assembler")
+        for o in ("random", "hilbert") for v in ("B", "RSPR")]},
+    "test_rows::test_generated_replay_and_interpreted_agree_to_the_byte": {
+        f"{v}-{S}": [Cell(v, b, batch=kind, field="plain") for b in ("codegen", "replay")]
+        for S, kind in ((1, "one"), (4, "shared4"), (16, "shared16")) for v in VARIANTS},
+    "test_arena::test_one_kernel_serves_every_binding_to_the_byte": {
+        f"{v}-{form}": [Cell(v, backend, field="plain", **b) for b in _BINDINGS]
+        for form, backend in _FORMS.items() for v in VARIANTS},
+    "test_native::test_native_is_bitwise_the_interpreter": {
+        f"{v}-{shape}": [
+            Cell(v, "native", batch=batch, field="plain", threads=t, chunk_groups=3 if t else None)
+            for t in (0, 2)]
+        for shape, batch in (("serial", "none"), ("shared", "shared4"),
+                             ("per_scenario", "per_scenario")) for v in VARIANTS},
+    "test_native::test_fused_scatter_is_bitwise_the_interpreter": {
+        f"{v}-{shape}-{vd}": [Cell(v, "native", vd=vd, batch=batch)]
+        for vd in (8, 16, 64, 1024)
+        for shape, batch in (("serial", "none"), ("shared", "shared4"),
+                             ("per_scenario", "per_scenario")) for v in VARIANTS},
+    "test_native::test_threaded_profiled_and_reordered_sweeps_stay_deferred": {"": [
+        Cell("RSP", "native", **axes) for axes in (
+            dict(threads=2, chunk_groups=3), dict(entry="assembler"),
+            dict(profile=True, entry="assembler"), dict(entry="assembler"),
+            dict(threads=2, chunk_groups=3), dict(order="reordered", entry="assembler"))]},
+    "test_plan::test_unified_plan_path_bitwise_equals_legacy": _by_variant(
+        lambda v: [Cell(v, "replay", field="plain"), Cell(v, "replay", mesh="jittered")]),
+    "test_plan::test_unified_plan_path_bitwise_with_padding": {
+        str(vd): _cells(VARIANTS, vd=vd, field="plain") for vd in (7, 100, 4096)},
+    "test_plan::test_unified_plan_path_bitwise_with_permutation": {"": _cells(
+        VARIANTS, order="random", field="plain")},
+    "test_threads::test_threaded_bitwise_equals_serial": _by_variant(
+        lambda v: [Cell(v, threads=t, chunk_groups=cg, field="plain") for t, cg in _THREADED],
+        ("B", "RS", "RSPR")),
+    "test_threads::test_threaded_runs_are_deterministic": {"": [
+        Cell("RSP", threads=4, chunk_groups=2, field=f) for f in ("plain", "wide")]},
+    "test_threads::test_execute_chunked_direct_matches_execute": {"": [
+        Cell("RSP", threads=2, chunk_groups=cg, field="plain") for cg in (1, 2, 1000)]},
+    "test_batch::test_run_batch_bitwise_matches_serial": {"": [
+        Cell(v, b, vd=vd, batch=batch, threads=t, chunk_groups=1 if t else None,
+             field="plain", entry="kernel" if t else "assembler")
+        for v, b, vd, batch, t in (
+            ("B", "replay", 7, "shared4", 2), ("P", "codegen", 100, "per_scenario", 0),
+            ("RS", "replay", 33, "per_scenario", 0), ("RSP", "codegen", 16, "shared4", 2),
+            ("RSPR", "codegen", 64, "per_scenario", 2))]},
+    "test_batch::test_run_batch_interpreted_is_serial_reference": {"": [
+        Cell("B", "interpreted", batch=kind, field="plain", entry="assembler")
+        for kind in ("one", "shared4", "per_scenario")]},
+    "test_profiler::test_profiled_assembly_bitwise_identical": {"": [
+        Cell(v, vd=vd, profile=True, field="plain", entry="assembler")
+        for v in VARIANTS for vd in (16, 64)]},
+    "test_profiler::test_profiled_threads_bitwise_identical": {"": [
+        Cell("RSP", vd=32, threads=2, profile=True, field="plain", entry="assembler")]},
+}
+
+
+def corner(name: str):
+    """The test function of one :data:`CORNERS` row, to bind under its old
+    name in its old module: ``test_x = corner("test_x")``."""
+    (rows,) = [cells for key, cells in CORNERS.items() if key.endswith("::" + name)]
+
+    def test(row):
+        if all(cell.backend == "native" for cell in row) and not have_cc():
+            pytest.skip("no working C compiler ($CC or cc)")
+        for cell in row:
+            check(cell)
+
+    if list(rows) == [""]:
+        return lambda: test(rows[""])
+    return pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))(test)
+
+
+def build_ahead() -> None:
+    """Build the C form of every native cell of :data:`CORNERS` and
+    :data:`EXAMPLES`, one ``cc`` at a time, in the order tier-1 reaches
+    them.  ``tests/conftest.py`` runs this in a child process on the second
+    core; a kernel that binds later finds its ``.so`` in the cache, or
+    builds its own if it got there first."""
+    rows = [(k.partition("::")[0], c) for k, t in CORNERS.items() for c in t.values()]
+    cells = [c for _, row in sorted(rows + [("test_differential", EXAMPLES)],
+                                    key=lambda r: r[0]) for c in row]
+    keys = dict.fromkeys(
+        (c.variant, c.vd, "none" if c.mesh == "worker" else c.batch)
+        for c in cells if c.backend == "native")
+    for variant, vd, kind in keys:
+        rank = "full" if kind == "per_scenario" else "vec"
+        source = generate_program(variant, vd, KP, batch=_batch(variant, kind),
+                                  velocity_rank=rank).c_source
+        if native.load(source, {}) is None and (proc := native.build(source)) is not None:
+            proc.wait()
+            native.load(source, {})

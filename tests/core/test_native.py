@@ -18,16 +18,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import UnifiedAssembler, variant_names
+from repro.core import UnifiedAssembler
 from repro.core import native
 from repro.core.passes import UFUNC_NAMES
 from repro.fem import box_tet_mesh
 from repro.obs import Tracer
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
+from tests.core.test_differential import corner
 
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
 VD = 16
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _builds_ahead_done(native_builds_ahead):
+    """The cache tests below tamper with and count cached ``.so`` files:
+    the session's build-ahead child must have finished."""
+    if native_builds_ahead is not None:
+        native_builds_ahead.wait(timeout=600)
 
 
 def _count(name, prefix="codegen.native_"):
@@ -119,32 +128,7 @@ def _forcing(size):
             for s in range(size)]
 
 
-@pytest.mark.parametrize("shape", ["serial", "shared", "per_scenario"])
-@pytest.mark.parametrize("variant", variant_names())
-def test_native_is_bitwise_the_interpreter(cc, variant, shape):
-    mesh = box_tet_mesh(3, 3, 3)
-    batch = None if shape == "serial" else _forcing(4)
-    lead = (4,) if shape == "per_scenario" else ()
-    u = _field(lead + (mesh.nnode, 3))
-
-    def sweep(asm):
-        if batch is None:
-            return asm.assemble(variant, u)
-        return asm.run_batch(variant, batch, u)
-
-    oracle = sweep(UnifiedAssembler(mesh, PARAMS, mode="interpreted", vector_dim=VD))
-    for executor in ("serial", "threads"):
-        asm = UnifiedAssembler(
-            mesh, PARAMS, mode="codegen", vector_dim=VD, executor=executor,
-            num_threads=2, chunk_groups=3,
-        )
-        python_form = sweep(asm)
-        kern = _only_kernel(asm)
-        assert kern.build_native(wait=True)
-        sweep(asm)  # the adoption sweep (both executors share the kernel)
-        assert kern._native.state == "adopted"
-        served = sweep(asm)
-        assert served.tobytes() == python_form.tobytes() == oracle.tobytes()
+test_native_is_bitwise_the_interpreter = corner("test_native_is_bitwise_the_interpreter")
 
 
 def test_rows_storage_is_the_same_function(cc):
@@ -371,38 +355,8 @@ def _bound(mesh, variant, shape, vd):
     return kern, lambda u, rhs=None: kern.execute(u, rhs, param_rows=rows)
 
 
-def _interpreted(mesh, variant, shape, vd, u):
-    asm = UnifiedAssembler(mesh, PARAMS, mode="interpreted", vector_dim=vd)
-    if shape == "serial":
-        return asm.assemble(variant, u)
-    return asm.run_batch(variant, _forcing(4), u)
-
-
-@pytest.mark.parametrize("vd", [8, 16, 64, 1024])
-@pytest.mark.parametrize("shape", ["serial", "shared", "per_scenario"])
-@pytest.mark.parametrize("variant", variant_names())
-def test_fused_scatter_is_bitwise_the_interpreter(cc, variant, shape, vd):
-    """Padding lanes at every group size (64: a batch's two lane blocks per
-    group; 1024: one group, mostly padding), a field whose sums are order
-    sensitive, and a non-zero ``rhs`` on entry."""
-    mesh = box_tet_mesh(3, 3, 3)
-    assert mesh.nelem % vd
-    u = _wide_field(((4,) if shape == "per_scenario" else ()) + (mesh.nnode, 3))
-    oracle = _interpreted(mesh, variant, shape, vd, u)
-    assert np.isfinite(oracle).all()
-    kern, sweep = _bound(mesh, variant, shape, vd)
-    assert sweep(u).tobytes() == oracle.tobytes()
-    assert kern.build_native(wait=True)
-    assert sweep(u).tobytes() == oracle.tobytes()  # adoption: both placements ran
-    assert kern._native.state == "adopted"
-    # padding lanes are never visited: the accumulator has no bin to absorb them
-    assert kern._acc.shape == oracle.shape and kern._sv is None
-    fused = _count("scatter.fused_sweeps", prefix="")
-    assert sweep(u).tobytes() == oracle.tobytes()
-    entry = _wide_field(oracle.shape, seed=5)
-    assert sweep(u, entry.copy()).tobytes() == (entry + oracle).tobytes()
-    assert _count("scatter.fused_sweeps", prefix="") == fused + 2
-    assert kern._sv is None
+test_fused_scatter_is_bitwise_the_interpreter = corner(
+    "test_fused_scatter_is_bitwise_the_interpreter")
 
 
 def _reversed_lanes(source):
@@ -449,51 +403,8 @@ def test_a_wrong_scatter_order_is_rejected_at_adoption(cc, monkeypatch, wrong):
     assert got.tobytes() == want.tobytes()
 
 
-def _last_sweep(tracer):
-    return [s for s in tracer.finished if s.name.startswith("codegen.execute")][-1]
-
-
-def test_threaded_profiled_and_reordered_sweeps_stay_deferred(cc):
-    """Several calls in flight, a per-statement profile and a seed-order
-    replay keep the deferred buffer: released at adoption, re-created once."""
-    mesh = box_tet_mesh(3, 3, 3)
-    u = _wide_field((mesh.nnode, 3))
-    want = _interpreted(mesh, "RSP", "serial", VD, u)
-    tracer = Tracer()
-    serial, threaded, profiled = (
-        UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD, tracer=tracer, **kw)
-        for kw in ({}, dict(executor="threads", num_threads=2, chunk_groups=3),
-                   dict(profile=True)))
-    assert threaded.assemble("RSP", u).tobytes() == want.tobytes()
-    kern = _only_kernel(serial)
-    assert kern.build_native(wait=True)
-    serial.assemble("RSP", u)
-    assert kern._native.state == "adopted" and kern._sv is None
-    values = None
-    for asm, native_form, scatter in (
-            (threaded, True, "deferred"), (serial, True, "fused"),
-            (profiled, False, "deferred"), (serial, True, "fused"),
-            (threaded, True, "deferred")):
-        assert asm.assemble("RSP", u).tobytes() == want.tobytes()
-        attrs = _last_sweep(tracer).attributes
-        assert (attrs["native"], attrs["scatter"]) == (native_form, scatter)
-        assert kern._sv is not None and kern._sv.ctypes.data % 64 == 0
-        values = values if values is not None else kern._sv
-        assert kern._sv is values
-
-    shuffled = mesh.reordered().mesh
-    assert shuffled.seed_element_ids is not None
-    us = _wide_field((shuffled.nnode, 3), seed=2)
-    oracle = _interpreted(shuffled, "RSP", "serial", VD, us)
-    asm = UnifiedAssembler(shuffled, PARAMS, mode="codegen", vector_dim=VD, tracer=tracer)
-    asm.assemble("RSP", us)
-    kern = _only_kernel(asm)
-    assert kern._pattern.order is not None and kern.build_native(wait=True)
-    for _ in range(2):
-        assert asm.assemble("RSP", us).tobytes() == oracle.tobytes()
-    attrs = _last_sweep(tracer).attributes
-    assert (attrs["native"], attrs["scatter"]) == (True, "deferred")
-    assert kern._native.state == "adopted" and kern._acc is None and kern._sv is not None
+test_threaded_profiled_and_reordered_sweeps_stay_deferred = corner(
+    "test_threaded_profiled_and_reordered_sweeps_stay_deferred")
 
 
 def test_a_steady_state_fused_sweep_allocates_only_its_result(cc):

@@ -11,19 +11,17 @@ level the chunk sizes of the benchmark workloads were measured with.
 
 import re
 
-import numpy as np
 import pytest
 
 from repro.core import (
     ScenarioBatch,
-    UnifiedAssembler,
     codegen,
     generate_program,
     variant_names,
 )
-from repro.fem import box_tet_mesh
 from repro.parallel.runner import _chunk_program
 from repro.physics import AssemblyParams
+from tests.core.test_differential import corner
 
 VD = 16
 #: slab rows of one chunk at vector_dim 16 (B/P were 93, the RS family 50,
@@ -104,33 +102,8 @@ def test_a_parent_lands_on_its_childs_row_and_private_scratch_is_gone():
 # -- every bit, the sign of zero included ---------------------------------------
 
 
-def _signed_zero_velocity(mesh):
-    u = 0.1 * np.random.default_rng(3).standard_normal((mesh.nnode, 3))
-    u[::3] = 0.0
-    u[1::5] = -0.0
-    u[2::7, 1] = -0.0
-    assert np.signbit(u[u == 0.0]).any() and not np.signbit(u[u == 0.0]).all()
-    return u
-
-
-@pytest.mark.parametrize("S", [1, 4, 16])
-@pytest.mark.parametrize("variant", variant_names())
-def test_generated_replay_and_interpreted_agree_to_the_byte(variant, S):
-    """``tobytes`` equality: ``array_equal`` cannot tell ``-0.0`` from
-    ``0.0``, and a rewritten operand order or a folded ``0.0 + x`` can."""
-    mesh = box_tet_mesh(3, 3, 3)
-    u = _signed_zero_velocity(mesh)
-    batch = _forcing_batch(S)
-    want = np.stack([
-        UnifiedAssembler(
-            mesh, batch[s], vector_dim=VD, mode="interpreted"
-        ).assemble(variant, u)
-        for s in range(S)
-    ])
-    for mode in ("codegen", "compiled"):
-        asm = UnifiedAssembler(mesh, batch[0], vector_dim=VD, mode=mode)
-        got = asm.run_batch(variant, batch, u)  # S = 1: the degenerate batch
-        assert got.tobytes() == want.tobytes(), (variant, S, mode)
+test_generated_replay_and_interpreted_agree_to_the_byte = corner(
+    "test_generated_replay_and_interpreted_agree_to_the_byte")
 
 
 # -- row ceilings ----------------------------------------------------------------

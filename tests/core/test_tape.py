@@ -9,8 +9,6 @@ permutation.  ``np.array_equal`` (not allclose) everywhere below.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import UnifiedAssembler, variant_names
 from repro.core.dsl import KernelContext, NumpyBackend
@@ -23,6 +21,7 @@ from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
 from repro.physics.momentum import element_rhs
+from tests.core.test_differential import corner
 
 
 def _velocity(mesh, seed=0):
@@ -33,66 +32,11 @@ def _velocity(mesh, seed=0):
 # -- bit-identity --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", variant_names())
-def test_compiled_bitwise_equal_all_variants(small_mesh, params, variant):
-    """Compiled == interpreted == seed no-plan path, bit for bit."""
-    u = _velocity(small_mesh)
-    # 162 elements, vector_dim 100 -> padded final group
-    interp = UnifiedAssembler(small_mesh, params, vector_dim=100)
-    comp = UnifiedAssembler(small_mesh, params, vector_dim=100, mode="compiled")
-    seed = UnifiedAssembler(small_mesh, params, vector_dim=100, use_plan=False)
-    ref = interp.assemble(variant, u)
-    out = comp.assemble(variant, u)
-    assert np.array_equal(ref, out)
-    assert np.array_equal(seed.assemble(variant, u), out)
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    variant=st.sampled_from(["B", "P", "RS", "RSP", "RSPR"]),
-    vector_dim=st.integers(min_value=3, max_value=200),
-    seed=st.integers(min_value=0, max_value=5),
-)
-def test_compiled_bitwise_equal_hypothesis(variant, vector_dim, seed):
-    """Property: bit-identity holds for any group size and velocity."""
-    mesh = box_tet_mesh(3, 3, 3)  # fresh mesh per example: no cache bleed
-    params = AssemblyParams(body_force=(0.05, -0.1, 0.2))
-    u = _velocity(mesh, seed)
-    interp = UnifiedAssembler(mesh, params, vector_dim=vector_dim)
-    comp = UnifiedAssembler(
-        mesh, params, vector_dim=vector_dim, mode="compiled"
-    )
-    assert np.array_equal(
-        interp.assemble(variant, u), comp.assemble(variant, u)
-    )
-
-
-def test_compiled_bitwise_equal_with_permutation(small_mesh, params):
-    """An element permutation changes packing order, not the result bits."""
-    u = _velocity(small_mesh, 3)
-    perm = np.random.default_rng(7).permutation(small_mesh.nelem)
-    interp = UnifiedAssembler(
-        small_mesh, params, vector_dim=33, permutation=perm
-    )
-    comp = UnifiedAssembler(
-        small_mesh, params, vector_dim=33, permutation=perm, mode="compiled"
-    )
-    assert np.array_equal(
-        interp.assemble("RSP", u), comp.assemble("RSP", u)
-    )
-
-
-def test_compiled_repeat_executions_stable(small_mesh, params):
-    """Arena reuse must not leak state between executions."""
-    u = _velocity(small_mesh, 1)
-    comp = UnifiedAssembler(small_mesh, params, vector_dim=33, mode="compiled")
-    first = comp.assemble("B", u)
-    for _ in range(3):
-        assert np.array_equal(comp.assemble("B", u), first)
-    # and a different velocity afterwards still matches interpreted
-    u2 = _velocity(small_mesh, 2)
-    interp = UnifiedAssembler(small_mesh, params, vector_dim=33)
-    assert np.array_equal(comp.assemble("B", u2), interp.assemble("B", u2))
+test_compiled_bitwise_equal_all_variants = corner("test_compiled_bitwise_equal_all_variants")
+test_compiled_bitwise_equal_hypothesis = corner("test_compiled_bitwise_equal_hypothesis")
+test_compiled_bitwise_equal_with_permutation = corner(
+    "test_compiled_bitwise_equal_with_permutation")
+test_compiled_repeat_executions_stable = corner("test_compiled_repeat_executions_stable")
 
 
 def test_compiled_accumulates_into_rhs(small_mesh, params):

@@ -1,29 +1,22 @@
 """Threaded tape execution: determinism, chunking, the default chunk."""
 
-import numpy as np
+import os
+
 import pytest
 
 from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape
 from repro.core.arena import budget_chunk_groups
 from repro.fem import box_tet_mesh, get_plan
 from repro.parallel import resolve_num_threads
-
-
-@pytest.fixture()
-def small_velocity(small_mesh):
-    rng = np.random.default_rng(11)
-    return 0.1 * rng.standard_normal((small_mesh.nnode, 3))
+from tests.core.test_differential import corner
 
 
 # -- executor plumbing -------------------------------------------------------
 
 
-def test_resolve_num_threads_explicit_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_NUM_THREADS", "3")
+def test_resolve_num_threads_explicit_wins():
     assert resolve_num_threads(5) == 5
-    assert resolve_num_threads() == 3
-    monkeypatch.delenv("REPRO_NUM_THREADS")
-    assert resolve_num_threads() >= 1
+    assert resolve_num_threads() == max(1, os.cpu_count() or 1)
 
 
 def test_default_chunk_groups_bounds(params):
@@ -56,37 +49,7 @@ def test_unified_rejects_threads_outside_compiled(small_mesh, params):
 # -- bitwise determinism -----------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", ["B", "RS", "RSPR"])
-def test_threaded_bitwise_equals_serial(small_mesh, params, small_velocity, variant):
-    serial = UnifiedAssembler(
-        small_mesh, params, vector_dim=16, mode="compiled"
-    ).assemble(variant, small_velocity)
-    for threads, chunks in ((1, 2), (2, 3), (4, 1), (4, 5)):
-        threaded = UnifiedAssembler(
-            small_mesh, params, vector_dim=16, mode="compiled",
-            executor="threads", num_threads=threads, chunk_groups=chunks,
-        ).assemble(variant, small_velocity)
-        assert np.array_equal(threaded, serial), (threads, chunks)
+test_threaded_bitwise_equals_serial = corner("test_threaded_bitwise_equals_serial")
+test_threaded_runs_are_deterministic = corner("test_threaded_runs_are_deterministic")
+test_execute_chunked_direct_matches_execute = corner("test_execute_chunked_direct_matches_execute")
 
-
-def test_threaded_runs_are_deterministic(small_mesh, params, small_velocity):
-    asm = UnifiedAssembler(
-        small_mesh, params, vector_dim=16, mode="compiled",
-        executor="threads", num_threads=4, chunk_groups=2,
-    )
-    runs = [asm.assemble("RSP", small_velocity) for _ in range(3)]
-    assert np.array_equal(runs[0], runs[1])
-    assert np.array_equal(runs[0], runs[2])
-
-
-def test_execute_chunked_direct_matches_execute(small_mesh, params, small_velocity):
-    tape = compiled_tape(
-        get_plan(small_mesh), "RSP", 16,
-        kernel_params=params.as_kernel_params(),
-    )
-    base = tape.execute(small_velocity)
-    for cg in (1, 2, 1000):
-        out = tape.execute_chunked(
-            small_velocity, num_threads=2, chunk_groups=cg
-        )
-        assert np.array_equal(out, base)

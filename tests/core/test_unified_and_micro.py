@@ -15,6 +15,21 @@ def test_vector_dim_constants():
     assert GPU_VECTOR_DIM == 2048 * 1024
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.5, "8", 0, -3, np.float64(16.0), None])
+def test_vector_dim_is_an_integer_of_at_least_one(small_mesh, params, bad):
+    """The wire's rule (``protocol.validate``): nothing is truncated."""
+    if bad is None:  # the one non-integer that means something: the default
+        assert UnifiedAssembler(small_mesh, params).resolve_vector_dim() == CPU_VECTOR_DIM
+        return
+    with pytest.raises(ValueError, match="vector_dim"):
+        UnifiedAssembler(small_mesh, params, vector_dim=bad)
+
+
+@pytest.mark.parametrize("good", [1, 7, np.int64(8), np.int32(33), GPU_VECTOR_DIM])
+def test_vector_dim_accepts_numpy_integers(small_mesh, params, good):
+    assert UnifiedAssembler(small_mesh, params, vector_dim=good).resolve_vector_dim() == good
+
+
 def test_assemble_rejects_bad_velocity(medium_mesh, params):
     asm = UnifiedAssembler(medium_mesh, params)
     with pytest.raises(ValueError, match="velocity"):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UnifiedAssembler
-from repro.core.variants import variant_names
 from repro.fem import (
     AssemblyPlan,
     ElementPacking,
@@ -29,6 +28,7 @@ from repro.physics import assemble_momentum_rhs
 from repro.physics.fractional_step import FractionalStepSolver
 from repro.physics.momentum import element_rhs
 from repro.physics.pressure import PressureSolver, divergence_rhs
+from tests.core.test_differential import corner
 
 
 # -- raw scatter primitives -------------------------------------------------------
@@ -208,52 +208,11 @@ def test_cached_packing_groups_match_uncached(small_mesh):
 # -- end-to-end bit-identity ------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", variant_names())
-def test_unified_plan_path_bitwise_equals_legacy(variant, medium_mesh, params):
-    rng = np.random.default_rng(11)
-    u = 0.1 * rng.standard_normal((medium_mesh.nnode, 3))
-    planned = UnifiedAssembler(medium_mesh, params, vector_dim=16)
-    legacy = UnifiedAssembler(
-        medium_mesh, params, vector_dim=16, use_plan=False
-    )
-    assert planned.plan is not None and legacy.plan is None
-    r1 = planned.assemble(variant, u)
-    r0 = legacy.assemble(variant, u)
-    assert np.array_equal(r1, r0)
-    # second sweep reuses the recorded scatter pattern -- still identical
-    assert np.array_equal(planned.assemble(variant, u), r0)
-
-
-@pytest.mark.parametrize("vector_dim", [7, 100, 4096])
-def test_unified_plan_path_bitwise_with_padding(vector_dim, small_mesh, params):
-    # 162 elements: every vector_dim here leaves padding lanes in the
-    # final group, which the deferred scatter must route to the trash bin
-    rng = np.random.default_rng(3)
-    u = 0.1 * rng.standard_normal((small_mesh.nnode, 3))
-    planned = UnifiedAssembler(small_mesh, params, vector_dim=vector_dim)
-    legacy = UnifiedAssembler(
-        small_mesh, params, vector_dim=vector_dim, use_plan=False
-    )
-    for variant in variant_names():
-        assert np.array_equal(
-            planned.assemble(variant, u), legacy.assemble(variant, u)
-        )
-
-
-def test_unified_plan_path_bitwise_with_permutation(small_mesh, params):
-    rng = np.random.default_rng(4)
-    u = 0.1 * rng.standard_normal((small_mesh.nnode, 3))
-    perm = rng.permutation(small_mesh.nelem)
-    planned = UnifiedAssembler(
-        small_mesh, params, vector_dim=16, permutation=perm
-    )
-    legacy = UnifiedAssembler(
-        small_mesh, params, vector_dim=16, permutation=perm, use_plan=False
-    )
-    for variant in variant_names():
-        assert np.array_equal(
-            planned.assemble(variant, u), legacy.assemble(variant, u)
-        )
+test_unified_plan_path_bitwise_equals_legacy = corner(
+    "test_unified_plan_path_bitwise_equals_legacy")
+test_unified_plan_path_bitwise_with_padding = corner("test_unified_plan_path_bitwise_with_padding")
+test_unified_plan_path_bitwise_with_permutation = corner(
+    "test_unified_plan_path_bitwise_with_permutation")
 
 
 def test_momentum_assembly_bitwise_equals_seed_path(medium_mesh, params):

@@ -50,13 +50,10 @@ def test_paper_tables_complete():
     assert PAPER_TABLE1["B"].get("runtime_1c_ms") == 44047
 
 
-def test_comparison_tables_render():
-    from repro.core import OptimizationStudy
-
-    study = OptimizationStudy()
-    g = comparison_table_gpu(study.gpu_table(["RS"]))
+def test_comparison_tables_render(gpu_table, cpu_table):
+    g = comparison_table_gpu([gpu_table["RS"]])
     assert "RS" in g and "/" in g
-    c = comparison_table_cpu(study.cpu_table(["RS"]))
+    c = comparison_table_cpu([cpu_table["RS"]])
     assert "RS" in c
 
 

@@ -2,26 +2,13 @@
 
 import pytest
 
-from repro.core import OptimizationStudy
 from repro.core.storage import Storage
 from repro.machine import CpuModel, GpuModel
 from repro.machine.gpu import _private_liveness_peak
 from repro.machine.traffic import cold_mesh_dram_bytes
 
 
-@pytest.fixture(scope="module")
-def study():
-    return OptimizationStudy()
-
-
-@pytest.fixture(scope="module")
-def gpu_table(study):
-    return {c.variant: c for c in study.gpu_table()}
-
-
-@pytest.fixture(scope="module")
-def cpu_table(study):
-    return {c.variant: c for c in study.cpu_table()}
+# ``study``, ``gpu_table`` and ``cpu_table`` are the session's (conftest).
 
 
 # -- GPU registers / occupancy (Table II rows) ----------------------------------

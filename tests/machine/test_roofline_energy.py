@@ -93,10 +93,7 @@ def test_paper_energy_numbers():
     assert out["ratios"]["baseline_cpu_over_baseline_gpu"] < 1.0
 
 
-def test_measured_energy_ratio_shape():
-    from repro.core import OptimizationStudy
-
-    study = OptimizationStudy()
-    out = study.energy()
+def test_measured_energy_ratio_shape(study, gpu_table, cpu_table):
+    out = study.energy(list(gpu_table.values()), list(cpu_table.values()))
     assert 2.0 < out["ratios"]["best_cpu_over_best_gpu"] < 8.0
     assert out["ratios"]["baseline_cpu_over_baseline_gpu"] < 1.0

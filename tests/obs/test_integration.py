@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import OptimizationStudy
 from repro.fem import box_tet_mesh
 from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
 from repro.parallel import MultiprocessRunner, assemble_partitioned
@@ -30,12 +29,9 @@ def params():
 # ---------------------------------------------------------------------------
 
 
-def test_study_traced_chrome_trace(tiny_mesh, tmp_path):
-    tracer = Tracer(pid=0)
-    registry = MetricsRegistry()
-    study = OptimizationStudy(mesh=tiny_mesh, tracer=tracer, metrics=registry)
-    study.gpu_table()
-    study.cpu_table()
+def test_study_traced_chrome_trace(traced_study, tmp_path):
+    study, _, _ = traced_study
+    tracer, registry = study.tracer, study.metrics
 
     # chrome trace: valid JSON with nested spans for every variant
     trace_path = tmp_path / "trace.json"
@@ -61,16 +57,13 @@ def test_study_traced_chrome_trace(tiny_mesh, tmp_path):
     assert snap["study.cpu_runtime_ms.B"]["value"] > 0
 
 
-def test_study_null_tracer_outputs_identical(tiny_mesh):
-    plain = OptimizationStudy(mesh=tiny_mesh, metrics=MetricsRegistry())
-    traced = OptimizationStudy(
-        mesh=tiny_mesh, tracer=Tracer(), metrics=MetricsRegistry()
+def test_study_null_tracer_outputs_identical(study, gpu_table, cpu_table, traced_study):
+    _, traced_gpu, traced_cpu = traced_study
+    assert study.format_gpu_table(list(gpu_table.values())) == study.format_gpu_table(
+        traced_gpu
     )
-    assert plain.format_gpu_table(plain.gpu_table()) == traced.format_gpu_table(
-        traced.gpu_table()
-    )
-    assert plain.format_cpu_table(plain.cpu_table()) == traced.format_cpu_table(
-        traced.cpu_table()
+    assert study.format_cpu_table(list(cpu_table.values())) == study.format_cpu_table(
+        traced_cpu
     )
 
 

@@ -2,17 +2,16 @@
 
 The two acceptance criteria of the profiler live here: profiled
 assemblies must be **bitwise identical** to unprofiled ones across every
-variant (hypothesis property test), and the measured per-op bytes must
+variant (rows of the differential harness, ``tests/core/test_differential.py``),
+and the measured per-op bytes must
 agree with the :class:`~repro.core.tape.TapeReport` predicted traffic
 within the stated tolerance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import UnifiedAssembler, compiled_tape, generated_kernel, variant_names
+from repro.core import UnifiedAssembler, compiled_tape, generated_kernel
 from repro.fem import box_tet_mesh, get_plan
 from repro.obs import (
     MetricsRegistry,
@@ -25,6 +24,7 @@ from repro.obs import (
     write_flamegraph,
 )
 from repro.physics import AssemblyParams
+from tests.core.test_differential import corner
 
 #: predicted_bytes() is an all-vector upper bound; constant folding turns
 #: some operands into scalars, measured ~9-11% below prediction on the
@@ -58,28 +58,7 @@ def _assemble(mesh, params, velocity, variant, vector_dim, **kw):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    variant=st.sampled_from(variant_names()),
-    vector_dim=st.sampled_from([16, 64]),
-    seed=st.integers(min_value=0, max_value=4),
-)
-def test_profiled_assembly_bitwise_identical(variant, vector_dim, seed):
-    """Profiling on must never change a single bit of the result."""
-    mesh = box_tet_mesh(3, 3, 3)
-    params = AssemblyParams(body_force=(0.05, -0.1, 0.2))
-    rng = np.random.default_rng(seed)
-    velocity = 0.1 * rng.standard_normal((mesh.nnode, 3))
-
-    ref = _assemble(mesh, params, velocity, variant, vector_dim,
-                    mode="compiled")
-    out = _assemble(
-        mesh, params, velocity, variant, vector_dim, mode="compiled",
-        profile=True,
-    )
-    assert np.array_equal(ref, out), (
-        f"{variant}@vd{vector_dim}: profiled RHS differs"
-    )
+test_profiled_assembly_bitwise_identical = corner("test_profiled_assembly_bitwise_identical")
 
 
 def test_interpreted_profile_is_rejected(mesh, prof_params):
@@ -89,22 +68,7 @@ def test_interpreted_profile_is_rejected(mesh, prof_params):
         UnifiedAssembler(mesh, prof_params, mode="interpreted", profile=True)
 
 
-def test_profiled_threads_bitwise_identical(mesh, prof_params, prof_velocity):
-    ref = _assemble(
-        mesh, prof_params, prof_velocity, "RSP", 32,
-        mode="compiled", executor="threads", num_threads=2,
-    )
-    profiler = TapeProfiler()
-    out = _assemble(
-        mesh, prof_params, prof_velocity, "RSP", 32,
-        mode="compiled", executor="threads", num_threads=2,
-        profiler=profiler,
-    )
-    assert np.array_equal(ref, out)
-    vd = 32
-    prof = profiler.profiles[("RSP", vd, "compiled", "threads")]
-    assert prof.executions == 1
-    assert prof.total_seconds > 0
+test_profiled_threads_bitwise_identical = corner("test_profiled_threads_bitwise_identical")
 
 
 # ---------------------------------------------------------------------------

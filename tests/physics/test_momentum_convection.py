@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import UnifiedAssembler
 from repro.physics import (
     AssemblyParams,
     ConvectiveForm,
@@ -150,3 +151,30 @@ def test_kernel_params_roundtrip():
     assert d["density"] == 2.0
     assert d["force_y"] == 2
     assert d["turbulence_model"] == int(TurbulenceModel.VREMAN)
+
+
+# -- discrete conservation --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "how", ["reference", "B:interpreted", "B:codegen", "P:interpreted", "P:codegen"]
+)
+def test_the_viscous_part_of_the_momentum_rhs_sums_to_zero(how):
+    """``sum_a grad N_a = 0`` on every element, so the nodal sum of the part
+    of the RHS that the molecular viscosity scales vanishes for any field:
+    ``rhs(mu2) - rhs(mu1)``, for the reference and the two variants that
+    read ``mu`` at run time (the specialized ones bake it in)."""
+    mesh = box_tet_mesh(3, 3, 3)
+    u = 0.1 * np.random.default_rng(11).standard_normal((mesh.nnode, 3))
+    rhs = []
+    for mu in (1e-3, 5e-2):
+        params = AssemblyParams(viscosity=mu, body_force=(0.05, -0.1, 0.2))
+        if how == "reference":
+            rhs.append(assemble_momentum_rhs(mesh, u, params))
+        else:
+            variant, mode = how.split(":")
+            rhs.append(UnifiedAssembler(mesh, params, mode=mode).assemble(variant, u))
+    viscous = rhs[1] - rhs[0]
+    scale = np.abs(viscous).max()
+    assert scale > 1e-3  # the part is there: its entries are O(1e-2) here
+    assert np.abs(viscous.sum(axis=0)).max() <= 1e-12 * scale
