@@ -306,11 +306,11 @@ class TapeProfile:
             row["scenarios"] = self.scenarios
         return rows
 
-    # -- serialization / merge ------------------------------------------
+    # -- identity / serialization ----------------------------------------
     def key(self) -> Tuple:
         """Profile identity.  Serial profiles keep the historical
         4-tuple; batched profiles append their batch size so S=1 and
-        S=16 runs of the same configuration never merge."""
+        S=16 runs of the same configuration never share a profile."""
         base = (self.variant, self.vector_dim, self.mode, self.executor)
         return base if self.scenarios == 1 else base + (self.scenarios,)
 
@@ -333,42 +333,6 @@ class TapeProfile:
             "flush_seconds": self.flush_seconds,
             "flush_bytes": self.flush_bytes,
         }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "TapeProfile":
-        prof = cls(
-            d["variant"],
-            d["vector_dim"],
-            d["mode"],
-            d.get("executor", "serial"),
-            op_costs=list(
-                zip(d["kinds"], d["labels"], d["rb"], d["wb"], d["fl"])
-            ),
-            scenarios=int(d.get("scenarios", 1)),
-        )
-        prof.seconds = [float(x) for x in d["seconds"]]
-        prof.lanes = [float(x) for x in d["lanes"]]
-        prof.calls = [int(x) for x in d["calls"]]
-        prof.executions = int(d.get("executions", 0))
-        prof.flush_seconds = float(d.get("flush_seconds", 0.0))
-        prof.flush_bytes = float(d.get("flush_bytes", 0.0))
-        return prof
-
-    def merge(self, other: "TapeProfile") -> None:
-        """Fold another rank's profile of the *same* tape into this one."""
-        if (self.kinds, self.labels) != (other.kinds, other.labels):
-            raise ValueError(
-                f"cannot merge profiles of different tapes: "
-                f"{self.key()} vs {other.key()}"
-            )
-        with self._lock:
-            for i in range(len(self.kinds)):
-                self.seconds[i] += other.seconds[i]
-                self.lanes[i] += other.lanes[i]
-                self.calls[i] += other.calls[i]
-            self.executions += other.executions
-            self.flush_seconds += other.flush_seconds
-            self.flush_bytes += other.flush_bytes
 
     def summary(self) -> str:
         batch = f" S={self.scenarios}" if self.scenarios > 1 else ""
@@ -451,30 +415,10 @@ class TapeProfiler:
             ),
         )
 
-    # -- merge / export --------------------------------------------------
+    # -- export ----------------------------------------------------------
     def snapshot(self) -> List[Dict[str, Any]]:
         with self._lock:
             return [p.to_dict() for p in self.profiles.values()]
-
-    def merge(self, other) -> None:
-        """Fold another profiler (or its :meth:`snapshot`) into this one.
-
-        This is the cross-process path: worker ranks return profile
-        snapshots with their results and the parent folds them here, the
-        same reduction shape :meth:`MetricsRegistry.merge` performs for
-        counters.
-        """
-        dicts = other.snapshot() if isinstance(other, TapeProfiler) else other
-        for d in dicts:
-            incoming = TapeProfile.from_dict(d)
-            key = incoming.key()
-            with self._lock:
-                mine = self.profiles.get(key)
-                if mine is None:
-                    self.profiles[key] = incoming
-                    continue
-            if mine is not None:
-                mine.merge(incoming)
 
     def collapsed(self) -> Dict[str, int]:
         """Folded flamegraph lines over every collected profile."""
@@ -483,26 +427,6 @@ class TapeProfiler:
             for stack, usec in prof.collapsed().items():
                 out[stack] = out.get(stack, 0) + usec
         return out
-
-    def publish(self, registry) -> None:
-        """Publish mergeable totals into a :class:`MetricsRegistry`.
-
-        Counters add across ranks, so per-rank profilers published into
-        per-rank registries reduce correctly through the existing
-        cross-process metrics merge.
-        """
-        for prof in self.profiles.values():
-            tag = f"{prof.variant}.{prof.mode}"
-            registry.counter(f"profile.seconds.{tag}").inc(prof.total_seconds)
-            registry.counter(f"profile.bytes.{tag}").inc(
-                prof.total_bytes + prof.flush_bytes
-            )
-            registry.counter(f"profile.flops.{tag}").inc(prof.total_flops)
-            registry.counter(f"profile.executions.{tag}").inc(prof.executions)
-            for phase, row in prof.phases().items():
-                registry.counter(f"profile.phase_seconds.{tag}.{phase}").inc(
-                    row["seconds"]
-                )
 
 
 class NullProfiler:
@@ -518,14 +442,8 @@ class NullProfiler:
     def snapshot(self) -> List[Dict[str, Any]]:
         return []
 
-    def merge(self, other) -> None:
-        pass
-
     def collapsed(self) -> Dict[str, int]:
         return {}
-
-    def publish(self, registry) -> None:
-        pass
 
 
 #: Process-wide disabled profiler (the default everywhere).

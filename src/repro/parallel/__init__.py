@@ -1,21 +1,11 @@
-"""MPI-style parallel substrate: simulated communicator, partitioning,
-halo exchange and real multiprocessing scaling runs."""
+"""Parallel execution: the supervised multiprocessing scaling runner, its
+shared-memory lifecycle, the thread executor's pools and the RCB element
+partition the pressure solver's deflation rung uses.  The paper's
+pure-MPI scaling itself is modelled by
+:meth:`repro.machine.cpu.CpuModel.scaling_curve`."""
 
-from .comm import CommError, SimComm, run_ranks
-from .partition import (
-    element_adjacency,
-    greedy_graph_partition,
-    partition_quality,
-    rcb_partition,
-    sfc_partition,
-)
-from .halo import SubdomainPlan, build_plans, post_interface, reduce_interface
-from .runner import (
-    MultiprocessRunner,
-    ScalingPoint,
-    WorkerPolicy,
-    assemble_partitioned,
-)
+from .partition import rcb_partition
+from .runner import MultiprocessRunner, ScalingPoint, WorkerPolicy
 from .shutdown import (
     SHM_PREFIX,
     create_shared_memory,
@@ -31,12 +21,8 @@ from .threads import (
 )
 
 __all__ = [
-    "CommError", "SimComm", "run_ranks",
-    "element_adjacency", "greedy_graph_partition", "partition_quality",
-    "rcb_partition", "sfc_partition",
-    "SubdomainPlan", "build_plans", "post_interface", "reduce_interface",
+    "rcb_partition",
     "MultiprocessRunner", "ScalingPoint", "WorkerPolicy",
-    "assemble_partitioned",
     "SHM_PREFIX", "create_shared_memory", "install_shutdown_handler",
     "live_segment_names", "purge_shared_memory", "release_shared_memory",
     "get_thread_pool", "resolve_num_threads", "shutdown_thread_pools",

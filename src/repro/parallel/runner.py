@@ -1,16 +1,8 @@
-"""Parallel assembly drivers.
+"""Real ``multiprocessing`` strong scaling of the elemental assembly.
 
-Two paths exercise the paper's pure-MPI execution shape:
-
-* :func:`assemble_partitioned` -- deterministic simulated-MPI assembly: the
-  mesh is partitioned, every "rank" assembles its subdomain RHS with the
-  vectorized reference kernel, and interface nodes are reduced with the
-  two-phase halo exchange.  Tests verify bit-level consistency with the
-  serial assembly (no lost updates -- the failure mode Alya's scalar
-  scatter loop protects against).
-* :class:`MultiprocessRunner` -- real ``multiprocessing`` strong-scaling
-  runs for the wall-clock analogue of Figure 2 (the simulated turbo-binned
-  curve lives in :meth:`repro.machine.cpu.CpuModel.scaling_curve`).
+:class:`MultiprocessRunner` measures the wall-clock analogue of Figure 2
+on this machine (the paper's pure-MPI, turbo-binned curve is modelled by
+:meth:`repro.machine.cpu.CpuModel.scaling_curve`).
 
 The runner shares the read-only element arrays (packed coordinates and
 velocities) with its workers through ``multiprocessing.shared_memory`` and
@@ -44,140 +36,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..fem.mesh import TetMesh
-from ..fem.plan import get_plan, segment_scatter
+from ..fem.plan import get_plan
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.spans import NULL_TRACER, Tracer
 from ..physics.momentum import AssemblyParams, element_rhs
 from ..resilience.cancel import CancelToken
-from .comm import SimComm
-from .halo import build_plans, post_interface, reduce_interface
-from .partition import rcb_partition
 from .shutdown import create_shared_memory, release_shared_memory
 
-__all__ = [
-    "assemble_partitioned",
-    "MultiprocessRunner",
-    "ScalingPoint",
-    "WorkerPolicy",
-]
-
-
-def assemble_partitioned(
-    mesh: TetMesh,
-    velocity: np.ndarray,
-    params: AssemblyParams,
-    nranks: int,
-    labels: Optional[np.ndarray] = None,
-    tracer=None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> np.ndarray:
-    """Assemble the momentum RHS over ``nranks`` simulated MPI ranks.
-
-    Returns the *global* RHS gathered from the owning subdomains; interface
-    nodes are reduced by halo exchange and must equal the serial assembly.
-    Halo traffic is accounted in the ``halo.bytes_exchanged`` /
-    ``halo.messages`` counters of ``metrics`` (process-wide registry by
-    default); per-rank work is recorded as ``rank_assemble`` spans when a
-    ``tracer`` is passed.
-
-    Each rank assembles in two stages to overlap the interface exchange
-    with computation (Alya's communication-hiding shape): the *halo*
-    elements -- the only ones contributing to interface nodes -- are
-    assembled and their partial sums posted first, then the *interior*
-    elements are assembled while the messages are in flight.  The final
-    local field comes from one monolithic scatter over the rank's full
-    element list with the staged elemental values stitched back in
-    element order, so the split cannot change a single bit relative to
-    the unstaged assembly.
-    """
-    tracer = NULL_TRACER if tracer is None else tracer
-    registry = get_registry() if metrics is None else metrics
-    if labels is None:
-        labels = rcb_partition(mesh, nranks)
-    plans = build_plans(mesh, labels)
-    packed_coords = get_plan(mesh).packed_coords()
-    partials: List[np.ndarray] = [None] * len(plans)  # type: ignore[list-item]
-
-    def phase(comm: SimComm):
-        plan = plans[comm.rank]
-        nelem_rank = int(len(plan.element_ids))
-        halo_ids = plan.halo_elements
-        int_ids = plan.interior_elements
-        registry.counter("locality.halo_elements").inc(int(halo_ids.size))
-        registry.counter("locality.interior_elements").inc(int(int_ids.size))
-        if nelem_rank:
-            registry.gauge("locality.overlap_efficiency").set(
-                int_ids.size / nelem_rank
-            )
-        with tracer.span(
-            "rank_assemble", rank=comm.rank, nelem=nelem_rank
-        ):
-            xel = packed_coords[plan.element_ids]
-            uel = velocity[mesh.connectivity[plan.element_ids]]
-            nloc = len(plan.node_map)
-            elem = np.empty((nelem_rank, 4, 3))
-            # Stage 1: halo elements only.  Interface nodes receive
-            # contributions from no other elements, and bincount sums in
-            # input order, so the halo-only scatter reproduces the full
-            # scatter bitwise at every interface node -- safe to post.
-            with tracer.span(
-                "halo_assemble", rank=comm.rank, nelem=int(halo_ids.size)
-            ):
-                elem[halo_ids] = element_rhs(
-                    xel[halo_ids], uel[halo_ids], params
-                )
-                halo_field = segment_scatter(
-                    plan.local_connectivity[halo_ids].ravel(),
-                    elem[halo_ids].reshape(-1, 3),
-                    nloc,
-                )
-            post_interface(comm, plan, halo_field)
-            # Stage 2: interior elements, overlapped with the in-flight
-            # exchange (the simulated communicator buffers sends, so the
-            # real-MPI analogue is Isend/Irecv progressing here).
-            with tracer.span(
-                "interior_assemble", rank=comm.rank, nelem=int(int_ids.size)
-            ):
-                elem[int_ids] = element_rhs(
-                    xel[int_ids], uel[int_ids], params
-                )
-            # Monolithic scatter over the stitched elemental values: one
-            # bincount in seed element order, bitwise equal to the
-            # unstaged assembly.
-            partials[comm.rank] = segment_scatter(
-                plan.local_connectivity.ravel(),
-                elem.reshape(-1, 3),
-                nloc,
-            )
-        for idx in plan.neighbours.values():
-            registry.counter("halo.bytes_exchanged").inc(idx.size * 3 * 8)
-            registry.counter("halo.messages").inc()
-        return None
-
-    def phase2(comm: SimComm):
-        plan = plans[comm.rank]
-        partials[comm.rank] = reduce_interface(comm, plan, partials[comm.rank])
-        return None
-
-    world: Dict[str, object] = {}
-    comms = [SimComm(r, len(plans), world) for r in range(len(plans))]
-    for c in comms:
-        phase(c)
-    for c in comms:
-        phase2(c)
-
-    rhs = np.zeros((mesh.nnode, 3))
-    filled = np.zeros(mesh.nnode, dtype=bool)
-    for plan in plans:
-        sel = ~filled[plan.node_map]
-        rhs[plan.node_map[sel]] = partials[plan.rank][sel]
-        filled[plan.node_map[sel]] = True
-    return rhs
-
-
-# ---------------------------------------------------------------------------
-# Real multiprocessing scaling
-# ---------------------------------------------------------------------------
+__all__ = ["MultiprocessRunner", "ScalingPoint", "WorkerPolicy"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,6 +82,18 @@ class ScalingPoint:
     speedup: float
     efficiency: float
     baseline_workers: int = 1
+
+
+def _require_count(name: str, value) -> int:
+    """``value`` as an int if it is an integer >= 1 (numpy integers
+    included, bools not), else ``ValueError``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _chunk_program(assembly_mode: str, variant: str, params: AssemblyParams):
@@ -273,19 +151,13 @@ def _assemble_chunk(
     repeats: int,
     traced: bool,
     program=None,
-    profiled: bool = False,
-) -> Tuple[float, List[dict], Tuple[float, float, float], List[dict], dict]:
+) -> Tuple[float, List[dict], Tuple[float, float, float]]:
     """Assemble one element chunk ``repeats`` times.
 
-    Returns ``(seconds, spans, checksum, profiles, metrics)`` where
-    ``checksum`` is the component-wise sum of the chunk's elemental RHS --
-    a deterministic fingerprint the chaos tests compare bitwise between
-    fault-free and fault-recovered runs (the serial fallback reproduces it
-    exactly) -- and ``profiles``/``metrics`` are this rank's op-level
-    profile snapshots and published metric snapshot when ``profiled``
-    (empty otherwise); the parent folds them through
-    :meth:`~repro.obs.profiler.TapeProfiler.merge` and the existing
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge` reduction.
+    Returns ``(seconds, spans, checksum)`` where ``checksum`` is the
+    component-wise sum of the chunk's elemental RHS -- a deterministic
+    fingerprint the chaos tests compare bitwise between fault-free and
+    fault-recovered runs (the serial fallback reproduces it exactly).
 
     With a shipped program (:class:`~repro.core.tape.TapeProgram` or
     :class:`~repro.core.codegen.CodegenProgram`) the chunk is bound once
@@ -293,20 +165,13 @@ def _assemble_chunk(
     program re-``exec``-compiles in the worker (deterministic emission, so
     every rank compiles the identical module and hits the process-local
     code cache); otherwise the vectorized reference
-    :func:`~repro.physics.momentum.element_rhs` runs (op-level profiling
-    needs an op/statement cost table, so it covers the compiled and
-    codegen modes only).  A compiler child the kernel forked is
-    terminated before the task returns: pool workers exit through
-    ``os._exit``, past :mod:`repro.core.native`'s ``atexit`` hook.
+    :func:`~repro.physics.momentum.element_rhs` runs.  A compiler child
+    the kernel forked is terminated before the task returns: pool workers
+    exit through ``os._exit``, past :mod:`repro.core.native`'s ``atexit``
+    hook.
     """
     tracer = Tracer(pid=rank) if traced else NULL_TRACER
-    kern = profiler = None
-    if program is not None:
-        kern = _chunk_kernel(program, xel)
-        if profiled:
-            from ..obs.profiler import TapeProfiler
-
-            profiler = TapeProfiler()
+    kern = None if program is None else _chunk_kernel(program, xel)
     elem = None
     t0 = time.perf_counter()
     try:
@@ -314,9 +179,8 @@ def _assemble_chunk(
             for rep in range(repeats):
                 with tracer.span("assemble_chunk", rep=rep):
                     if kern is not None:
-                        elem = kern.execute(
-                            uel.reshape(-1, 3), profiler=profiler
-                        ).reshape(xel.shape)
+                        elem = kern.execute(uel.reshape(-1, 3))
+                        elem = elem.reshape(xel.shape)
                     else:
                         elem = element_rhs(xel, uel, params)
         seconds = time.perf_counter() - t0
@@ -331,14 +195,7 @@ def _assemble_chunk(
     else:
         sums = elem.sum(axis=(0, 1))
         checksum = (float(sums[0]), float(sums[1]), float(sums[2]))
-    profile_snap: List[dict] = []
-    metrics_snap: dict = {}
-    if profiler is not None:
-        profile_snap = profiler.snapshot()
-        local = MetricsRegistry()
-        profiler.publish(local)
-        metrics_snap = local.snapshot()
-    return seconds, tracer.export(), checksum, profile_snap, metrics_snap
+    return seconds, tracer.export(), checksum
 
 
 def _worker_assemble(args: Tuple):
@@ -363,7 +220,6 @@ def _worker_assemble(args: Tuple):
         params,
         repeats,
         traced,
-        profiled,
         program,
         fault_plan,
         attempt,
@@ -389,7 +245,6 @@ def _worker_assemble(args: Tuple):
             repeats,
             traced,
             program,
-            profiled,
         )
     finally:
         del xall, uall
@@ -434,18 +289,6 @@ class MultiprocessRunner:
     recovered run can be proven bitwise identical to a fault-free one.
     A :class:`~repro.resilience.faults.FaultPlan` passed as ``fault_plan``
     is shipped to every worker for chaos testing.
-
-    ``ordering`` (any :data:`repro.fem.reorder.STRATEGIES` entry) permutes
-    the packed element arrays along the named space-filling curve before
-    chunking, so each worker sweeps a spatially contiguous slab.
-
-    ``profile=True`` (compiled and codegen modes) attaches op-level
-    software counters to every rank's kernel:
-    per-rank profiles return with the results and are folded into
-    :attr:`profiler` (op detail) and the metrics registry (published
-    ``profile.*`` counters, reduced through
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- the same path
-    per-rank span/metric sets already take).
     """
 
     def __init__(
@@ -460,44 +303,21 @@ class MultiprocessRunner:
         variant: str = "RSP",
         policy: Optional[WorkerPolicy] = None,
         fault_plan=None,
-        ordering: str = "none",
-        profile: bool = False,
-        profiler=None,
     ) -> None:
         if assembly_mode not in ("reference", "compiled", "codegen"):
             raise ValueError(
                 f"unknown assembly_mode {assembly_mode!r}; "
                 "expected 'reference', 'compiled' or 'codegen'"
             )
-        from ..fem.reorder import STRATEGIES
-
-        if ordering not in STRATEGIES:
-            raise ValueError(
-                f"unknown ordering {ordering!r}; expected one of {STRATEGIES}"
-            )
         self.mesh = mesh
         self.params = params
-        self.repeats = int(repeats)
+        self.repeats = _require_count("repeats", repeats)
         self.tracer = NULL_TRACER if tracer is None else tracer
         self._metrics = metrics
         self.assembly_mode = assembly_mode
         self.variant = variant.upper()
         self.policy = policy or WorkerPolicy()
         self.fault_plan = fault_plan
-        self.ordering = ordering
-        self.profile = bool(profile) or profiler is not None
-        if self.profile and self.assembly_mode not in ("compiled", "codegen"):
-            raise ValueError(
-                "profile=True requires assembly_mode='compiled' or "
-                "'codegen': op-level profiling reads the program's "
-                "op/statement cost table"
-            )
-        if self.profile and profiler is None:
-            from ..obs.profiler import TapeProfiler
-
-            profiler = TapeProfiler()
-        #: merged op-level profiles of every profiled rank (all counts)
-        self.profiler = profiler
         #: per-measure chunk fingerprints: {workers: [checksum per rank]}
         self.chunk_checksums: Dict[int, List[Tuple[float, float, float]]] = {}
         rng = np.random.default_rng(seed)
@@ -542,18 +362,20 @@ class MultiprocessRunner:
     def _run_supervised(
         self,
         chunk_args: List[Tuple],
-        serial_chunks: List[Tuple[np.ndarray, np.ndarray]],
+        local_args: List[Tuple],
         registry: MetricsRegistry,
         cancel: Optional[CancelToken] = None,
     ) -> List[Tuple[float, List[dict], Tuple[float, float, float]]]:
         """Run every chunk to completion, through failures.
 
         ``chunk_args`` holds the picklable worker argument tuples (one per
-        rank, ``attempt`` slot last); ``serial_chunks`` the parent-side
-        array views used by the in-process fallback.  Returns results in
-        rank order; never returns a partial set.  A tripped ``cancel``
-        raises between supervision rounds (the caller's ``finally``
-        terminates the pool and releases shared memory).
+        rank, ``attempt`` slot last); ``local_args`` the in-process
+        :func:`_assemble_chunk` arguments of each rank (parent-side array
+        views and the shipped program, never the fault plan) that the
+        serial fallback runs.  Returns results in rank order; never
+        returns a partial set.  A tripped ``cancel`` raises between
+        supervision rounds (the caller's ``finally`` terminates the pool
+        and releases shared memory).
         """
         nchunk = len(chunk_args)
         results: List = [None] * nchunk
@@ -606,17 +428,7 @@ class MultiprocessRunner:
                 pending = retry_ranks
             for rank, reason in failed:
                 if attempts[rank] > self.policy.max_retries:
-                    xel, uel = serial_chunks[rank]
-                    results[rank] = _assemble_chunk(
-                        rank,
-                        xel,
-                        uel,
-                        self.params,
-                        self.repeats,
-                        bool(self.tracer.enabled),
-                        program=chunk_args[rank][10],
-                        profiled=bool(chunk_args[rank][9]),
-                    )
+                    results[rank] = _assemble_chunk(*local_args[rank])
         return results
 
     def close(self) -> None:
@@ -635,7 +447,9 @@ class MultiprocessRunner:
         worker_counts: List[int],
         cancel: Optional[CancelToken] = None,
     ) -> List[ScalingPoint]:
-        """Measure the strong-scaling curve over ``worker_counts``.
+        """Measure the strong-scaling curve over ``worker_counts``
+        (distinct integers >= 1; anything else is a ``ValueError`` before
+        any shared memory or pool exists).
 
         A tripped ``cancel`` token raises
         :class:`~repro.resilience.cancel.CooperativeCancel` between
@@ -644,24 +458,15 @@ class MultiprocessRunner:
         releases every shared-memory segment, so cancellation never
         leaks ``/dev/shm`` blocks or worker processes.
         """
+        for w in worker_counts:
+            _require_count("worker count", w)
+        if len(set(worker_counts)) != len(worker_counts):
+            raise ValueError(f"duplicate worker counts in {worker_counts!r}")
         if not worker_counts:
             return []
         registry = get_registry() if self._metrics is None else self._metrics
         xall = get_plan(self.mesh).packed_coords()
         uall = self.velocity[self.mesh.connectivity]
-        if self.ordering != "none":
-            # SFC-permute the element packs so each worker's contiguous
-            # chunk is also spatially contiguous (RCM atoms renumber
-            # nodes, which the per-element packs have already gathered
-            # away -- only the curve part affects chunk locality here).
-            from ..fem.reorder import _parse_strategy, element_order
-
-            sfc, _ = _parse_strategy(self.ordering)
-            if sfc is not None:
-                order = element_order(self.mesh, sfc)
-                xall = xall[order]
-                uall = uall[order]
-                registry.counter("locality.runner_reorders").inc()
         traced = bool(self.tracer.enabled)
         nelem = self.mesh.nelem
         program = _chunk_program(
@@ -697,38 +502,31 @@ class MultiprocessRunner:
                         self.params,
                         self.repeats,
                         traced,
-                        self.profile,
                         program,
                         self.fault_plan,
                         0,  # attempt; rewritten per dispatch
                     )
                     for rank in range(w)
                 ]
-                serial_chunks = [
+                local_args = [
                     (
+                        rank,
                         xall[int(bounds[rank]) : int(bounds[rank + 1])],
                         uall[int(bounds[rank]) : int(bounds[rank + 1])],
+                        self.params,
+                        self.repeats,
+                        traced,
+                        program,
                     )
                     for rank in range(w)
                 ]
                 with self.tracer.span("measure", workers=w) as span:
                     t0 = time.perf_counter()
                     if w == 1:
-                        results = [
-                            _assemble_chunk(
-                                0,
-                                xall,
-                                uall,
-                                self.params,
-                                self.repeats,
-                                traced,
-                                program,
-                                self.profile,
-                            )
-                        ]
+                        results = [_assemble_chunk(*local_args[0])]
                     else:
                         results = self._run_supervised(
-                            args, serial_chunks, registry, cancel=cancel
+                            args, local_args, registry, cancel=cancel
                         )
                     wall = time.perf_counter() - t0
                     if span is not None:
@@ -738,16 +536,9 @@ class MultiprocessRunner:
                     (xall.nbytes + uall.nbytes) if w > 1 else 0
                 )
                 # merge per-rank timelines (worker pids relabelled to ranks)
-                for rank, (_, rank_spans, _, _, _) in enumerate(results):
+                for rank, (_, rank_spans, _) in enumerate(results):
                     self.tracer.add_spans(rank_spans, pid=rank)
-                self.chunk_checksums[w] = [cs for (_, _, cs, _, _) in results]
-                # fold per-rank profiles + published metrics into the
-                # parent (the existing cross-process metric reduction)
-                for (_, _, _, psnap, msnap) in results:
-                    if psnap and self.profiler is not None:
-                        self.profiler.merge(psnap)
-                    if msnap:
-                        registry.merge(msnap)
+                self.chunk_checksums[w] = [cs for (_, _, cs) in results]
                 raw.append((w, wall))
             ok = True
         finally:

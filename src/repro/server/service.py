@@ -586,7 +586,7 @@ class CampaignServer:
                     raise ProtocolError(
                         "internal", "injected executor crash"
                     )
-        job.cancel.check()
+        self._check_cancel(job)
         mesh = self.mesh_cache.get(req.mesh)
         params = [
             AssemblyParams(
@@ -612,7 +612,7 @@ class CampaignServer:
             )
         last_error: Optional[Exception] = None
         for mode in modes:
-            job.cancel.check()
+            self._check_cancel(job)
             try:
                 payload = self._execute(req, mesh, params, velocity, mode, job)
             except (CooperativeCancel, _JobCheckpointed):
@@ -644,6 +644,19 @@ class CampaignServer:
             f"all rungs failed for variant {req.variant!r} "
             f"(last: {type(last_error).__name__}: {last_error})",
         )
+
+    @staticmethod
+    def _check_cancel(job: _Job) -> None:
+        """``job.cancel.check()``, except that a drain lets a campaign
+        through to :meth:`_run_campaign`: the job is ``running`` before
+        this thread gets here, and a drained campaign checkpoints -- its
+        ``run`` checks the token before step 1, so a drain that lands
+        before the campaign starts checkpoints the step-0 state."""
+        try:
+            job.cancel.check()
+        except CooperativeCancel as exc:
+            if exc.reason != "drain" or job.request.kind != "campaign":
+                raise
 
     def _execute(
         self,

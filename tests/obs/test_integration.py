@@ -8,7 +8,7 @@ import pytest
 
 from repro.fem import box_tet_mesh
 from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
-from repro.parallel import MultiprocessRunner, assemble_partitioned
+from repro.parallel import MultiprocessRunner
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import FractionalStepSolver
 from repro.solvers import SolverError, conjugate_gradient
@@ -146,22 +146,6 @@ def test_fractional_step_stage_spans_and_metrics(tiny_mesh, params):
 # ---------------------------------------------------------------------------
 # Parallel runner
 # ---------------------------------------------------------------------------
-
-
-def test_assemble_partitioned_halo_metrics(tiny_mesh, params):
-    rng = np.random.default_rng(2)
-    velocity = 0.1 * rng.standard_normal((tiny_mesh.nnode, 3))
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    rhs = assemble_partitioned(
-        tiny_mesh, velocity, params, nranks=4, tracer=tracer, metrics=registry
-    )
-    assert np.isfinite(rhs).all()
-    snap = registry.snapshot()
-    assert snap["halo.bytes_exchanged"]["value"] > 0
-    assert snap["halo.messages"]["value"] >= 2
-    ranks = {s.attributes["rank"] for s in tracer.finished if s.name == "rank_assemble"}
-    assert ranks == {0, 1, 2, 3}
 
 
 def test_multiprocess_runner_merges_rank_timelines(params):

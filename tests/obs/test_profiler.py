@@ -14,9 +14,7 @@ import pytest
 from repro.core import UnifiedAssembler, compiled_tape, generated_kernel
 from repro.fem import box_tet_mesh, get_plan
 from repro.obs import (
-    MetricsRegistry,
     NullProfiler,
-    TapeProfile,
     TapeProfiler,
     Tracer,
     op_costs_from_program,
@@ -163,79 +161,8 @@ def test_null_profiler_contract():
     assert not null.enabled
     assert null.snapshot() == []
     assert null.collapsed() == {}
-    null.merge([])  # no-op
-    null.publish(MetricsRegistry())  # no-op
     with pytest.raises(RuntimeError):
         null.for_program(None, 8, "compiled")
-
-
-# ---------------------------------------------------------------------------
-# Merge / snapshot / publish (the cross-process reduction)
-# ---------------------------------------------------------------------------
-
-
-def _toy_profile(executions=1, executor="serial"):
-    prof = TapeProfile(
-        "RS", 8, "compiled", executor,
-        op_costs=[("bin", "multiply", 16.0, 8.0, 1.0),
-                  ("scatter", "rhs[0,0]", 8.0, 8.0, 0.0)],
-    )
-    for _ in range(executions):
-        prof.record(0, 0.5, 8)
-        prof.record(1, 0.25, 8)
-        prof.record_flush(0.125, 64.0)
-        prof.finish_execution()
-    return prof
-
-
-def test_profile_snapshot_roundtrip_and_merge():
-    a = _toy_profile(executions=2)
-    b = TapeProfile.from_dict(a.to_dict())
-    assert b.key() == a.key()
-    assert b.total_seconds == a.total_seconds
-    assert b.total_bytes == a.total_bytes
-    b.merge(a)
-    assert b.executions == 4
-    assert b.total_bytes == 2 * a.total_bytes
-    assert b.flush_bytes == 2 * a.flush_bytes
-
-
-def test_profile_merge_rejects_different_tapes():
-    a = _toy_profile()
-    other = TapeProfile(
-        "RSP", 8, "compiled",
-        op_costs=[("un", "negative", 8.0, 8.0, 1.0)],
-    )
-    with pytest.raises(ValueError, match="different tapes"):
-        a.merge(other)
-
-
-def test_profiler_merge_folds_worker_snapshots():
-    parent = TapeProfiler()
-    workers = [TapeProfiler() for _ in range(3)]
-    for w in workers:
-        prof = w._get(("RS", 8, "compiled", "worker"), _toy_profile)
-        assert prof.executions == 1
-        parent.merge(w.snapshot())
-    merged = parent.profiles[("RS", 8, "compiled", "serial")]
-    assert merged.executions == 3
-    assert merged.calls[0] == 3
-
-
-def test_publish_counters_and_phases():
-    registry = MetricsRegistry()
-    profiler = TapeProfiler()
-    profiler._get(("RS", 8, "compiled", "serial"), _toy_profile)
-    profiler.publish(registry)
-    snap = registry.snapshot()
-    assert snap["profile.executions.RS.compiled"]["value"] == 1
-    assert snap["profile.seconds.RS.compiled"]["value"] == pytest.approx(0.875)
-    # bytes include the flush traffic
-    assert snap["profile.bytes.RS.compiled"]["value"] == pytest.approx(
-        8 * 24.0 + 8 * 16.0 + 64.0
-    )
-    assert "profile.phase_seconds.RS.compiled.compute" in snap
-    assert "profile.phase_seconds.RS.compiled.flush" in snap
 
 
 # ---------------------------------------------------------------------------

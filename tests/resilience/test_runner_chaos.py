@@ -31,14 +31,22 @@ def params():
     return AssemblyParams(body_force=(0.05, -0.1, 0.2))
 
 
-@pytest.fixture(scope="module")
-def clean_checksums(mesh, params):
-    runner = MultiprocessRunner(mesh, params, repeats=1, policy=POLICY)
+def _clean_run(mesh, params, assembly_mode="reference"):
+    runner = MultiprocessRunner(
+        mesh, params, repeats=1, policy=POLICY, assembly_mode=assembly_mode
+    )
     runner.measure([2])
     return runner.chunk_checksums[2]
 
 
-def _chaos_run(mesh, params, plan, policy=POLICY, tracer=None):
+@pytest.fixture(scope="module")
+def clean_checksums(mesh, params):
+    return _clean_run(mesh, params)
+
+
+def _chaos_run(
+    mesh, params, plan, policy=POLICY, tracer=None, assembly_mode="reference"
+):
     registry = MetricsRegistry()
     runner = MultiprocessRunner(
         mesh,
@@ -48,6 +56,7 @@ def _chaos_run(mesh, params, plan, policy=POLICY, tracer=None):
         fault_plan=plan,
         metrics=registry,
         tracer=tracer,
+        assembly_mode=assembly_mode,
     )
     points = runner.measure([2])
     counters = {
@@ -104,9 +113,16 @@ def test_slow_rank_completes_without_recovery(mesh, params, clean_checksums):
     assert points[0].wall_seconds >= 0.2
 
 
+@pytest.mark.parametrize("mode", ["reference", "codegen"])
 def test_retry_budget_exhausted_falls_back_to_serial(
-    mesh, params, clean_checksums
+    mesh, params, clean_checksums, mode
 ):
+    """The fallback runs the shipped program (codegen) or the reference
+    kernel in-process; either way the chunk's checksum is the fault-free
+    run's of the same mode."""
+    clean = clean_checksums if mode == "reference" else _clean_run(
+        mesh, params, mode
+    )
     # crash every attempt of rank 1 -- retries can never succeed
     specs = [
         FaultPlan.single("worker", "crash", rank=1, index=i).specs[0]
@@ -116,10 +132,10 @@ def test_retry_budget_exhausted_falls_back_to_serial(
     policy = WorkerPolicy(task_timeout=5.0, max_retries=1, backoff_base=0.01)
     tracer = Tracer()
     _, checksums, counters = _chaos_run(
-        mesh, params, plan, policy=policy, tracer=tracer
+        mesh, params, plan, policy=policy, tracer=tracer, assembly_mode=mode
     )
     # the in-process serial fallback reproduces the chunk bitwise
-    assert checksums == clean_checksums
+    assert checksums == clean
     assert counters["resilience.fallbacks"] == 1.0
     assert counters["resilience.retries"] == 1.0
     assert counters["resilience.worker_failures"] == 2.0

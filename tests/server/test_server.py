@@ -481,6 +481,41 @@ def test_drained_checkpoint_is_restartable(tmp_path):
         handle.stop()
 
 
+def test_a_drain_before_the_first_step_checkpoints_step_zero(tmp_path):
+    """A job is ``running`` before its executor reaches the campaign; a
+    drain in that window (held open by a slow ``server_exec`` fault) still
+    checkpoints the campaign, at its step-0 state."""
+    import os
+
+    from repro.resilience.checkpoint import load_checkpoint
+    from repro.resilience.faults import FaultPlan, FaultSpec
+
+    plan = FaultPlan([FaultSpec(site="server_exec", kind="slow", index=0,
+                                delay=2.0)], seed=1)
+    config = ServerConfig(workers=1, checkpoint_dir=str(tmp_path),
+                          max_stall_s=2.0)
+    server, handle, client = _serve(config, fault_plan=plan)
+    try:
+        sub = client.submit({
+            "kind": "campaign", "mesh": MESH, "steps": 900, "dt": 5e-3,
+            "mode": "compiled", "velocity_seed": 9,
+        })
+        deadline = time.monotonic() + 30
+        while client.status(sub["job_id"])["state"] == "queued":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        summary = client.drain()
+        assert sub["job_id"] in summary["cancelled_running"]
+        status = client.status(sub["job_id"])
+        assert status["state"] == "checkpointed"
+        assert status["checkpoints"]
+        for path in status["checkpoints"]:
+            assert os.path.exists(path)
+            assert load_checkpoint(path).step == 0
+    finally:
+        handle.stop()
+
+
 def test_stop_leaves_no_server_threads_or_tasks():
     server, handle, client = _serve()
     try:
