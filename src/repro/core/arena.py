@@ -105,7 +105,7 @@ def budget_chunk_groups(lane_bytes: int, vector_dim: int, ngroups: int) -> int:
     return max(1, min(cg, int(ngroups)))
 
 
-def plan_cached(plan, store: str, key, vector_dim, permutation, batch, make):
+def plan_cached(plan, store: str, key, vector_dim, batch, make):
     """The bound kernel under ``key`` in the plan's ``store`` (``"tape"``
     or ``"codegen"``), built by ``make(packing)`` on a miss.  Mesh
     reorientation (any ``mesh._version`` bump) invalidates the plan and
@@ -120,7 +120,7 @@ def plan_cached(plan, store: str, key, vector_dim, permutation, batch, make):
             vector_dim=int(vector_dim),
             scenarios=batch.size if batched else 1,
         ):
-            kern = make(plan.packing(int(vector_dim), permutation=permutation))
+            kern = make(plan.packing(int(vector_dim)))
         getattr(plan, f"store_{store}")(key, kern)
     get_registry().counter(f"{store}.{'batch_' * batched}{event}").inc()
     return kern
@@ -133,7 +133,7 @@ class MeshBound:
     (``(nnode_per_element, nlane)``), coordinate columns ``_ccols``,
     velocity columns ``_vcols`` (refreshed, never reallocated, per call),
     the deferred scatter values and the scatter index pattern shared
-    through ``plan`` under the ``(variant, vector_dim, permutation)`` key,
+    through ``plan`` under the ``(variant, vector_dim)`` key,
     so an interpreted, a compiled and a generated sweep of one
     configuration build the pattern once between them.  A serial binding
     (``batched=False``) has no scenario axis: values ``(ngroups, ncalls,
@@ -171,11 +171,7 @@ class MeshBound:
     #: where this sweep's scatter values went, and the fused accumulator
     _scatter, _acc = "deferred", None
 
-    def __init__(
-        self, program, plan, packing, perm_key=None, batched: bool = False
-    ) -> None:
-        from ..fem.plan import seed_flush_order
-
+    def __init__(self, program, plan, packing, batched: bool = False) -> None:
         self.program = program
         self.plan = plan
         self.packing = packing
@@ -205,7 +201,7 @@ class MeshBound:
 
         shape = (self.ngroups, ncalls, self.vector_dim)  # of a sweep's values
         signature = (self.ngroups, tuple(program.scatter_calls))
-        key = (program.variant, self.vector_dim, perm_key)
+        key = (program.variant, self.vector_dim)
         pattern = plan.scatter_pattern(key)
         registry = get_registry()
         if pattern is None:
@@ -214,15 +210,7 @@ class MeshBound:
             for c, (slot, comp) in enumerate(program.scatter_calls):
                 icol = np.where(active, conn[:, slot] * self.ncomp + comp, trash)
                 indices[:, c, :] = icol.reshape(self.ngroups, self.vector_dim)
-            order = None
-            seed_ids = mesh.seed_element_ids
-            if seed_ids is not None:
-                order = seed_flush_order(
-                    seed_ids[lane_ids], active, ncalls, self.vector_dim
-                )
-            pattern = plan.store_scatter_pattern(
-                key, indices.reshape(-1), signature, order=order
-            )
+            pattern = plan.store_scatter_pattern(key, indices.reshape(-1), signature)
             registry.counter("scatter.pattern_builds").inc()
         else:
             if pattern.signature != signature:

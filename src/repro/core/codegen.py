@@ -722,10 +722,9 @@ class GeneratedKernel(MeshBound):
     _mode = "codegen"
 
     def __init__(
-        self, program: CodegenProgram, plan, packing, perm_key=None,
-        batched: bool = False,
+        self, program: CodegenProgram, plan, packing, batched: bool = False
     ) -> None:
-        super().__init__(program, plan, packing, perm_key, batched)
+        super().__init__(program, plan, packing, batched)
         if self.vector_dim != program.vector_dim:
             raise ValueError(
                 f"program generated for vector_dim={program.vector_dim}, "
@@ -830,7 +829,6 @@ def generated_kernel(
     plan,
     variant_name: str,
     vector_dim: int,
-    permutation: Optional[np.ndarray] = None,
     kernel_params: Optional[Dict[str, float]] = None,
     batch=None,
     velocity_rank: str = "vec",
@@ -839,16 +837,15 @@ def generated_kernel(
     stored next to the compiled tapes under the same
     :func:`~repro.core.tape.tape_cache_key`."""
     key = tape_cache_key(
-        variant_name, vector_dim, permutation, kernel_params, batch,
-        velocity_rank,
+        variant_name, vector_dim, kernel_params, batch, velocity_rank
     )
     return plan_cached(
-        plan, "codegen", key, vector_dim, permutation, batch,
+        plan, "codegen", key, vector_dim, batch,
         lambda packing: GeneratedKernel(
             generate_program(
                 key[0], int(vector_dim), kernel_params, batch=batch,
                 velocity_rank=velocity_rank,
             ),
-            plan, packing, perm_key=key[2], batched=batch is not None,
+            plan, packing, batched=batch is not None,
         ),
     )

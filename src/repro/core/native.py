@@ -348,7 +348,7 @@ class NativeForm:
         """At sweep start: this sweep's tasks when the C form serves it (fused: one
         call covers the mesh, placement verified), else ``None``: the Python form."""
         if self.state == "adopted":
-            if nslabs == 1 and kern._acc is not None:
+            if nslabs == 1:
                 kern._scatter = "fused"
             return self._tasks(kern, nslabs)
         if self.state == "building" or (
@@ -358,7 +358,7 @@ class NativeForm:
 
     def _adopt(self, kern, python_tasks) -> list:
         """Run the Python form, then the C function in each placement it would
-        serve (fused unless the pattern replays a seed order), on this sweep's
+        serve (deferred and fused), on this sweep's
         input: it serves only if every flushed result agrees bit for bit (NaNs by
         mask).  The caller flushes the last run: C's, or on rejection Python's."""
         from ..resilience.ladders import record_escalation
@@ -373,14 +373,12 @@ class NativeForm:
             return out.tobytes()
 
         ref = flushed("deferred", python_tasks)
-        fused = kern._pattern.order is None
-        kern._acc = aligned_empty(kern._rhs_shape) if fused else None
-        same = flushed("deferred") == ref and (not fused or flushed("fused") == ref)
+        kern._acc = aligned_empty(kern._rhs_shape)
+        same = flushed("deferred") == ref and flushed("fused") == ref
         self.state = "adopted" if same else "rejected"
         if same:
             kern._chunk_cache.clear()  # the Python form's slabs ...
-            if fused:
-                kern._sv = None  # ... and the values only a deferred sweep reads
+            kern._sv = None  # ... and the values only a deferred sweep reads
         else:
             kern._scatter, kern._acc = "deferred", None
         record_escalation(

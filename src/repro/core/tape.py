@@ -646,10 +646,9 @@ class CompiledTape(MeshBound):
     _mode = "compiled"
 
     def __init__(
-        self, program: TapeProgram, plan, packing, perm_key=None,
-        batched: bool = False,
+        self, program: TapeProgram, plan, packing, batched: bool = False
     ):
-        super().__init__(program, plan, packing, perm_key, batched)
+        super().__init__(program, plan, packing, batched)
         self._closure_cache: Dict[tuple, list] = {}
         # rank-1 + (S, lanes) rows and their masks
         self._lane_bytes = (
@@ -835,21 +834,17 @@ class CompiledTape(MeshBound):
 def tape_cache_key(
     variant_name: str,
     vector_dim: int,
-    permutation: Optional[np.ndarray],
     kernel_params: Optional[Dict[str, float]] = None,
     batch=None,
     velocity_rank: str = "vec",
 ) -> tuple:
-    """Everything baked into one bound kernel: variant, group size,
-    permutation and the recording's identity -- the kernel params, or for
+    """Everything baked into one bound kernel: variant, group size and
+    the recording's identity -- the kernel params, or for
     a batch its size, *which* parameters vary, every folded constant and
     flag, and the velocity rank.  A batch's varying *values* live outside
     the kernel (every sweep takes them as ``param_rows``), so sweeping a
     campaign over new values of the same parameters re-records nothing."""
-    perm_key = None if permutation is None else np.asarray(
-        permutation, dtype=np.int64
-    ).tobytes()
-    head = (variant_name.upper(), int(vector_dim), perm_key)
+    head = (variant_name.upper(), int(vector_dim))
     if batch is None:
         return head + (tuple(sorted((kernel_params or {}).items())),)
     return head + ("batch", batch.cache_key(), velocity_rank)
@@ -859,7 +854,6 @@ def compiled_tape(
     plan,
     variant_name: str,
     vector_dim: int,
-    permutation: Optional[np.ndarray] = None,
     kernel_params: Optional[Dict[str, float]] = None,
     batch=None,
     velocity_rank: str = "vec",
@@ -872,16 +866,15 @@ def compiled_tape(
     mesh version, as the tape contract requires.
     """
     key = tape_cache_key(
-        variant_name, vector_dim, permutation, kernel_params, batch,
-        velocity_rank,
+        variant_name, vector_dim, kernel_params, batch, velocity_rank
     )
     return plan_cached(
-        plan, "tape", key, vector_dim, permutation, batch,
+        plan, "tape", key, vector_dim, batch,
         lambda packing: CompiledTape(
             record_program(
                 key[0], kernel_params, batch=batch,
                 velocity_rank=velocity_rank,
             ),
-            plan, packing, perm_key=key[2], batched=batch is not None,
+            plan, packing, batched=batch is not None,
         ),
     )

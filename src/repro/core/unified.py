@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from ..fem.mesh import TetMesh
-from ..fem.packing import ElementPacking
 from ..fem.plan import get_plan
 from ..obs.spans import NULL_TRACER
 from ..physics.momentum import AssemblyParams
@@ -121,8 +120,6 @@ class UnifiedAssembler:
         Optional :class:`repro.obs.Tracer`; assemblies and kernel traces
         are recorded as ``assemble`` / ``kernel_trace`` spans.  Defaults to
         the no-op tracer (zero overhead).
-    permutation:
-        Optional element processing order handed to the packing.
     executor:
         ``"serial"`` (default) replays the whole lane axis in one sweep;
         ``"threads"`` (compiled/codegen modes only) splits element groups
@@ -160,7 +157,6 @@ class UnifiedAssembler:
     params: AssemblyParams = dataclasses.field(default_factory=AssemblyParams)
     vector_dim: Optional[int] = None
     tracer: object = dataclasses.field(default=NULL_TRACER, repr=False)
-    permutation: Optional[np.ndarray] = dataclasses.field(default=None, repr=False)
     mode: str = "interpreted"
     fault_plan: Optional[object] = dataclasses.field(default=None, repr=False)
     executor: str = "serial"
@@ -207,15 +203,11 @@ class UnifiedAssembler:
         self._mesh_version = getattr(self.mesh, "_version", 0)
         self.plan = get_plan(self.mesh)
         self._kernel_params = self.params.as_kernel_params()
-        perm = self.permutation
-        self._perm_key = None if perm is None else np.asarray(
-            perm, dtype=np.int64
-        ).tobytes()
         #: lazy per-scenario serial assemblers (interpreted batch path)
         self._scenario_assemblers: dict = {}
         #: telemetry of the most recent :meth:`run_batch` call
         self.last_batch: Optional[dict] = None
-        self.packing = self._packing(self.resolve_vector_dim())
+        self.packing = self.plan.packing(self.resolve_vector_dim())
 
     def _refresh_caches(self) -> None:
         """Re-resolve plan/packing when the mesh numbering changed.
@@ -231,7 +223,7 @@ class UnifiedAssembler:
             return
         self._mesh_version = version
         self.plan = get_plan(self.mesh)
-        self.packing = self._packing(self.packing.vector_dim)
+        self.packing = self.plan.packing(self.packing.vector_dim)
 
     def resolve_vector_dim(self, variant_name: Optional[str] = None) -> int:
         """The group size every variant assembles with: the explicit
@@ -240,9 +232,6 @@ class UnifiedAssembler:
         if self.vector_dim is not None:
             return int(self.vector_dim)
         return CPU_VECTOR_DIM
-
-    def _packing(self, vector_dim: int) -> ElementPacking:
-        return self.plan.packing(vector_dim, permutation=self.permutation)
 
     def _context(
         self, group, velocity: np.ndarray, rhs: np.ndarray, scatter=None
@@ -290,15 +279,8 @@ class UnifiedAssembler:
                 )
                 self._maybe_corrupt(rhs)
                 return rhs
-            packing = (
-                self.packing
-                if vector_dim == self.packing.vector_dim
-                else self._packing(vector_dim)
-            )
-            acc = self.plan.accumulator(
-                key=(variant.name, vector_dim, self._perm_key)
-            )
-            for group in packing:
+            acc = self.plan.accumulator(key=(variant.name, vector_dim))
+            for group in self.plan.packing(vector_dim):
                 acc.begin_group(group)
                 ctx = self._context(group, velocity, rhs, scatter=acc)
                 variant.kernel(NumpyBackend(ctx), ctx)
@@ -320,7 +302,6 @@ class UnifiedAssembler:
             self.plan,
             variant_name,
             vector_dim,
-            permutation=self.permutation,
             kernel_params=self._kernel_params,
             batch=batch,
             velocity_rank=velocity_rank,
@@ -350,7 +331,6 @@ class UnifiedAssembler:
                 params,
                 vector_dim=self.vector_dim,
                 tracer=self.tracer,
-                permutation=self.permutation,
                 mode=self.mode,
                 executor=self.executor,
                 num_threads=self.num_threads,
@@ -372,7 +352,7 @@ class UnifiedAssembler:
         the vectorized reference on first sweep) while the surviving
         scenarios' batched results are returned untouched.
         """
-        from ..resilience.ladders import ResilientAssembler, record_escalation
+        from ..resilience.ladders import MODE_LADDER, ResilientAssembler, record_escalation
 
         record_escalation(
             "BatchIsolation",
@@ -382,13 +362,12 @@ class UnifiedAssembler:
             variant=variant.name,
             mode=self.mode,
         )
-        modes = ResilientAssembler.MODES
-        start = modes.index(self.mode) if self.mode in modes else 0
+        start = MODE_LADDER.index(self.mode) if self.mode in MODE_LADDER else 0
         ladder = ResilientAssembler(
             self.mesh,
             params,
             variant=variant.name,
-            modes=modes[start:],
+            modes=MODE_LADDER[start:],
             tracer=self.tracer,
             vector_dim=vector_dim,
         )

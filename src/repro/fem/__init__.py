@@ -21,13 +21,6 @@ from .plan import (
     get_plan,
     segment_scatter,
 )
-from .reorder import (
-    STRATEGIES,
-    ReorderResult,
-    bandwidth_stats,
-    rcm_node_permutation,
-    reorder_mesh,
-)
 from .boundary import BoundaryRegion, DirichletBC, BoundaryClassifier, classify_box_boundaries
 from .fields import NodalField, ElementField, lumped_mass
 
@@ -63,11 +56,6 @@ __all__ = [
     "ScatterPlan",
     "get_plan",
     "segment_scatter",
-    "STRATEGIES",
-    "ReorderResult",
-    "bandwidth_stats",
-    "rcm_node_permutation",
-    "reorder_mesh",
     "BoundaryRegion",
     "DirichletBC",
     "BoundaryClassifier",

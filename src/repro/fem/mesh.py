@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class TetMesh:
         connectivity: np.ndarray,
         validate: bool = True,
     ) -> None:
-        # Private copies, frozen: every permutation-sensitive cache
+        # Private copies, frozen: every mesh-lifetime cache
         # (AssemblyPlan scatter patterns, compiled tapes, packed groups)
         # keys on the mesh arrays, so out-of-band writes would silently
         # replay stale patterns.  All mutation goes through
@@ -112,7 +112,6 @@ class TetMesh:
         self._version = 0
         #: ``(version, AssemblyPlan)`` owned by :func:`repro.fem.plan.get_plan`
         self._plan = None
-        self._seed_element_ids: Optional[np.ndarray] = None
         if validate:
             self.validate()
 
@@ -133,23 +132,6 @@ class TetMesh:
     def connectivity(self) -> np.ndarray:
         """``(nelem, 4)`` element node ids (read-only; see :meth:`mutate`)."""
         return self._connectivity
-
-    @property
-    def seed_element_ids(self) -> Optional[np.ndarray]:
-        """Element provenance of a reordered mesh, or ``None``.
-
-        ``seed_element_ids[k]`` is the position element ``k`` occupied in
-        the *seed* (pre-reordering) mesh.  The deferred-scatter paths use
-        this to flush RHS contributions in canonical seed order, making
-        assembly on a reordered mesh bit-consistent with the seed mesh
-        (see :mod:`repro.fem.reorder`).
-        """
-        return self._seed_element_ids
-
-    def _set_seed_element_ids(self, ids: np.ndarray) -> None:
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        ids.flags.writeable = False
-        self._seed_element_ids = ids
 
     @contextlib.contextmanager
     def mutate(self):
@@ -330,54 +312,6 @@ class TetMesh:
             mean_quality=float(q.mean()) if q.size else 0.0,
             bounding_box=(self.coords.min(axis=0), self.coords.max(axis=0)),
         )
-
-    # ------------------------------------------------------------------
-    # Manipulation
-    # ------------------------------------------------------------------
-    def subset(self, element_ids: Iterable[int]) -> Tuple["TetMesh", np.ndarray]:
-        """Extract the sub-mesh of ``element_ids``.
-
-        Returns ``(submesh, node_map)`` where ``node_map[i]`` is the original
-        node id of local node ``i``.
-        """
-        ids = np.asarray(list(element_ids), dtype=np.int64)
-        conn = self.connectivity[ids]
-        node_map, local = np.unique(conn, return_inverse=True)
-        sub = TetMesh(
-            self.coords[node_map], local.reshape(conn.shape), validate=False
-        )
-        return sub, node_map
-
-    def renumber_nodes(self, permutation: np.ndarray) -> "TetMesh":
-        """Return a mesh with nodes renumbered: new id = permutation[old id]."""
-        perm = np.asarray(permutation, dtype=np.int64)
-        if perm.shape != (self.nnode,) or not np.array_equal(
-            np.sort(perm), np.arange(self.nnode)
-        ):
-            raise MeshValidationError("permutation must be a bijection on nodes")
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.nnode)
-        out = TetMesh(
-            self.coords[inv], perm[self.connectivity], validate=False
-        )
-        # Pure node relabelling keeps element order, so seed provenance
-        # (and with it bit-consistency of the deferred scatter) carries over.
-        if self._seed_element_ids is not None:
-            out._set_seed_element_ids(self._seed_element_ids)
-        return out
-
-    def reordered(self, strategy: str = "hilbert+rcm", bits: int = 10):
-        """Locality-improving reordering; see :func:`repro.fem.reorder.reorder_mesh`.
-
-        Returns a :class:`~repro.fem.reorder.ReorderResult` whose ``mesh``
-        has elements visited in space-filling-curve order and/or nodes
-        renumbered by reverse Cuthill-McKee, plus the permutations mapping
-        fields between the two numberings.  Assembly on the reordered mesh
-        is bit-consistent with this mesh after mapping the result back.
-        """
-        from .reorder import reorder_mesh
-
-        return reorder_mesh(self, strategy, bits=bits)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TetMesh(nnode={self.nnode}, nelem={self.nelem})"

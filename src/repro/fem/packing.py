@@ -80,31 +80,18 @@ class ElementPacking:
     vector_dim:
         Lanes per group.  16 is the paper's CPU choice; the GPU path uses a
         very large value so a single "group" spans the whole kernel launch.
-    permutation:
-        Optional element processing order (e.g. from a partitioner or a
-        locality-improving reordering).  Defaults to natural order.
     """
 
     def __init__(
         self,
         mesh: TetMesh,
         vector_dim: int = 16,
-        permutation: np.ndarray | None = None,
         cache: bool = False,
     ) -> None:
         if vector_dim < 1:
             raise ValueError("vector_dim must be >= 1")
         self.mesh = mesh
         self.vector_dim = int(vector_dim)
-        if permutation is None:
-            self._order = np.arange(mesh.nelem, dtype=np.int64)
-        else:
-            perm = np.asarray(permutation, dtype=np.int64)
-            if perm.shape != (mesh.nelem,) or not np.array_equal(
-                np.sort(perm), np.arange(mesh.nelem)
-            ):
-                raise ValueError("permutation must be a bijection on elements")
-            self._order = perm
         # One shared all-true mask serves every full group; the padded
         # final group (if any) is always memoized -- rebuilding it per
         # assemble was pure waste.  With ``cache=True`` every group's
@@ -140,15 +127,12 @@ class ElementPacking:
         if stop - start < self.vector_dim:
             if self._final_group is not None:
                 return self._final_group
-            ids = self._order[start:stop]
-            pad = self.vector_dim - (stop - start)
-            ids = np.concatenate([ids, np.repeat(ids[-1:], pad)])
-            active = np.ones(self.vector_dim, dtype=bool)
-            active[stop - start:] = False
+            active = np.arange(start, start + self.vector_dim) < stop
             active.flags.writeable = False
         else:
-            ids = self._order[start:stop]
             active = self._active_full
+        # natural order; padding lanes repeat the last element
+        ids = np.minimum(np.arange(start, start + self.vector_dim, dtype=np.int64), stop - 1)
         conn = self.mesh.connectivity[ids]
         group = ElementGroup(
             index=index,
@@ -180,10 +164,8 @@ class ElementPacking:
         ``active`` (padding lanes repeat the last element, inactive)
         without building the groups."""
         nelem = self.mesh.nelem
-        ids = np.empty(self.ngroups * self.vector_dim, dtype=np.int64)
-        ids[:nelem] = self._order
-        ids[nelem:] = self._order[-1:]
-        return ids, np.arange(ids.shape[0]) < nelem
+        lanes = np.arange(self.ngroups * self.vector_dim, dtype=np.int64)
+        return np.minimum(lanes, nelem - 1), lanes < nelem
 
 
 def scatter_add(

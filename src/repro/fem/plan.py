@@ -51,7 +51,6 @@ __all__ = [
     "segment_scatter",
     "flush_pattern",
     "flush_batch",
-    "seed_flush_order",
     "ScatterPlan",
     "GeometryCache",
     "P1Derivatives",
@@ -178,19 +177,11 @@ class P1Derivatives:
 
 @dataclasses.dataclass(frozen=True)
 class _ScatterPattern:
-    """Cached index pattern of one full DSL assembly sweep.
-
-    ``order``, when present, is the canonical *seed-order* flush
-    permutation of a reordered mesh (see :func:`seed_flush_order`):
-    ``indices`` are then stored already permuted and the flush gathers
-    ``values[order]`` so contributions reduce in the exact temporal order
-    the seed-mesh assembly would have used -- bit-identical per node.
-    """
+    """Cached index pattern of one full DSL assembly sweep."""
 
     indices: np.ndarray  # (total,) flattened (node*ncomp + comp) + trash bin
     signature: Tuple[int, tuple]  # see compact_signature
     length: int
-    order: Optional[np.ndarray] = None  # flush permutation (seed order)
 
 
 def compact_signature(calls: list) -> Tuple[int, tuple]:
@@ -208,54 +199,6 @@ def compact_signature(calls: list) -> Tuple[int, tuple]:
     return ngroups, per_group
 
 
-def seed_flush_order(
-    lane_seed: np.ndarray,
-    active: np.ndarray,
-    ncalls: int,
-    vector_dim: int,
-) -> Optional[np.ndarray]:
-    """Flush permutation restoring a reordered mesh's seed scatter order.
-
-    A sweep's scatter values are laid out ``(ngroups, ncalls, vector_dim)``
-    and reduced by a single sequential ``bincount``; per global-RHS bin,
-    float summation order -- hence the last-ulp rounding -- follows that
-    layout.  Element reordering permutes lanes, so a reordered mesh's
-    natural flush would fold each node's contributions in a different
-    order than the seed mesh's.
-
-    Elemental values themselves are bit-exact under reordering (every DSL
-    op is an elementwise float64 ufunc), so replaying the *seed* flush
-    order is sufficient for bitwise identity: lane ``l`` holding seed
-    element ``s = lane_seed[l]`` contributed, in the seed sweep at the
-    same ``vector_dim``, its call-``c`` value at flat position
-    ``(s // vd) * ncalls * vd + c * vd + (s % vd)``.  The stable argsort
-    of those positions is the permutation; padding lanes sort to the end
-    (their contributions go to the trash bin regardless).
-
-    Returns ``None`` when the order is already canonical (seed meshes,
-    pure node renumberings) so the common path pays nothing.
-    """
-    lane_seed = np.asarray(lane_seed, dtype=np.int64)
-    active = np.asarray(active, dtype=bool)
-    vd = int(vector_dim)
-    ncalls = int(ncalls)
-    nlane = lane_seed.shape[0]
-    if nlane == 0 or ncalls == 0:
-        return None
-    ngroups = nlane // vd
-    base = (lane_seed // vd) * (ncalls * vd) + (lane_seed % vd)
-    pos = base.reshape(ngroups, 1, vd) + (
-        np.arange(ncalls, dtype=np.int64) * vd
-    ).reshape(1, ncalls, 1)
-    pos = np.where(
-        active.reshape(ngroups, 1, vd), pos, np.iinfo(np.int64).max
-    )
-    order = np.argsort(pos.reshape(-1), kind="stable")
-    if np.array_equal(order, np.arange(order.shape[0])):
-        return None
-    return _readonly(order)
-
-
 def flush_pattern(
     pattern: _ScatterPattern,
     values: np.ndarray,
@@ -270,16 +213,11 @@ def flush_pattern(
     ``bincount`` over the precomputed index pattern, sequential in buffer
     order -- bit-identical to per-call ``np.add.at`` on a zero target.
     The trash bin (one slot past the real ``nnode * ncomp`` bins) absorbs
-    padding-lane contributions.  Patterns carrying a seed-order ``order``
-    (reordered meshes) gather the values through it first, reducing in
-    the seed mesh's temporal order instead -- see :func:`seed_flush_order`.
+    padding-lane contributions.
     """
     registry = get_registry()
     registry.counter("scatter.bincount_calls").inc()
     registry.counter("scatter.values_reduced").inc(values.size)
-    if pattern.order is not None:
-        values = values[pattern.order]
-        registry.counter("scatter.seed_order_flushes").inc()
     trash = int(nnode) * int(ncomp)
     out = np.bincount(pattern.indices, weights=values, minlength=trash + 1)
     rhs += out[:trash].reshape(nnode, ncomp)
@@ -295,7 +233,7 @@ def flush_batch(
     """Reduce a batched sweep's ``(S, length)`` values into ``(S, nnode,
     ncomp)``: one :func:`flush_pattern` per scenario over the one shared
     pattern, so every scenario's bins see exactly the sequence its serial
-    solve would reduce (seed-order gather included) and no ``S``-times
+    solve would reduce and no ``S``-times
     tiled copy of the indices exists."""
     get_registry().counter("scatter.batch_flushes").inc()
     for values, out in zip(values2d, rhs):
@@ -338,12 +276,6 @@ class ScatterAccumulator:
         if self._pattern is None:
             self._idx_chunks: list = []
             self._val_chunks: list = []
-            # Seed provenance of a reordered mesh: collect per-group lane
-            # seeds so finalize can build the canonical flush order.
-            self._seed_ids = plan.mesh.seed_element_ids
-            self._lane_seed_chunks: list = []
-            self._active_chunks: list = []
-            self._vector_dim = 0
         else:
             from ..core.arena import aligned_empty
 
@@ -353,10 +285,6 @@ class ScatterAccumulator:
     def begin_group(self, group: ElementGroup) -> None:
         """Declare the element group subsequent :meth:`add` calls belong to."""
         self._group = group
-        if self._pattern is None and self._seed_ids is not None:
-            self._lane_seed_chunks.append(self._seed_ids[group.element_ids])
-            self._active_chunks.append(group.active)
-            self._vector_dim = group.vector_dim
 
     def add(self, node_slot: int, component: int, payload) -> None:
         """Record one lane-wide scatter call (values in lane order)."""
@@ -392,22 +320,10 @@ class ScatterAccumulator:
             else:
                 indices = np.zeros(0, dtype=np.int64)
                 values = np.zeros(0, dtype=np.float64)
-            order = None
-            signature = compact_signature(self._signature)
-            if self._lane_seed_chunks and self._signature:
-                order = seed_flush_order(
-                    np.concatenate(self._lane_seed_chunks),
-                    np.concatenate(self._active_chunks),
-                    len(self._signature) // signature[0],
-                    self._vector_dim,
-                )
-            if order is not None:
-                indices = np.ascontiguousarray(indices[order])
             pattern = _ScatterPattern(
                 indices=_readonly(indices),
-                signature=signature,
+                signature=compact_signature(self._signature),
                 length=int(indices.shape[0]),
-                order=order,
             )
             self._plan._patterns[self._key] = pattern
             registry.counter("scatter.pattern_builds").inc()
@@ -446,7 +362,7 @@ class AssemblyPlan:
         self._packed_coords: Optional[np.ndarray] = None
         self._p1_derivatives: Optional[P1Derivatives] = None
         self._operators: Dict[str, object] = {}
-        self._packings: Dict[Tuple, ElementPacking] = {}
+        self._packings: Dict[int, ElementPacking] = {}
         self._patterns: Dict[Tuple, _ScatterPattern] = {}
         self._tapes: Dict[Tuple, object] = {}
         self._codegen: Dict[Tuple, object] = {}
@@ -530,24 +446,12 @@ class AssemblyPlan:
         return self._packed_coords
 
     # -- cached packing ----------------------------------------------------
-    def packing(
-        self,
-        vector_dim: int,
-        permutation: Optional[np.ndarray] = None,
-    ) -> ElementPacking:
+    def packing(self, vector_dim: int) -> ElementPacking:
         """Cached, group-memoizing :class:`ElementPacking` for this mesh."""
-        perm_key = None if permutation is None else np.asarray(
-            permutation, dtype=np.int64
-        ).tobytes()
-        key = (int(vector_dim), perm_key)
+        key = int(vector_dim)
         packing = self._packings.get(key)
         if packing is None:
-            packing = ElementPacking(
-                self.mesh,
-                vector_dim=vector_dim,
-                permutation=permutation,
-                cache=True,
-            )
+            packing = ElementPacking(self.mesh, vector_dim=key, cache=True)
             self._packings[key] = packing
             get_registry().counter("plan.packing_builds").inc()
         return packing
@@ -562,7 +466,6 @@ class AssemblyPlan:
         key: Tuple,
         indices: np.ndarray,
         signature: Tuple[int, tuple],
-        order: Optional[np.ndarray] = None,
     ) -> _ScatterPattern:
         """Register a sweep's scatter index pattern and return it.
 
@@ -571,18 +474,12 @@ class AssemblyPlan:
         object the interpreted :class:`ScatterAccumulator` would have
         built (same key, same signature, same flattened index order), so
         interpreted and compiled sweeps of one configuration share it.
-        ``order``, when given (reordered meshes), is the seed flush
-        permutation; ``indices`` must be in *buffer* order and are stored
-        permuted through it.
         """
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        if order is not None:
-            indices = np.ascontiguousarray(indices[order])
         pattern = _ScatterPattern(
             indices=_readonly(indices),
             signature=signature,
             length=int(indices.shape[0]),
-            order=order,
         )
         self._patterns[key] = pattern
         return pattern
@@ -630,7 +527,7 @@ class AssemblyPlan:
         """New deferred-scatter accumulator for one assembly sweep.
 
         ``key`` identifies the sweep's index pattern (variant name,
-        vector_dim, permutation); the pattern is cached after the first
+        vector_dim); the pattern is cached after the first
         sweep with that key.
         """
         return ScatterAccumulator(self, key, self.mesh.nnode, ncomp=ncomp)

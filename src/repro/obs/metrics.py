@@ -9,10 +9,6 @@ Names are dotted paths (``"cg.iterations"``,
 first use so call sites stay one-liners::
 
     get_registry().counter("cg.iterations").inc(result.iterations)
-
-Registries from worker processes merge with :meth:`MetricsRegistry.merge`
-(counters/histograms add, gauges keep the latest value), mirroring an MPI
-reduction of per-rank counter sets.
 """
 
 from __future__ import annotations
@@ -137,7 +133,7 @@ _Instrument = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Named instruments, created lazily, snapshot/merge-able."""
+    """Named instruments, created lazily, snapshot-able."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -177,42 +173,6 @@ class MetricsRegistry:
         """JSON-ready ``{name: {kind, ...}}`` view of every instrument."""
         with self._lock:
             return {n: i.snapshot() for n, i in sorted(self._instruments.items())}
-
-    def merge(self, other: Union["MetricsRegistry", Dict[str, Dict[str, Any]]]) -> None:
-        """Fold another registry (or its :meth:`snapshot`) into this one.
-
-        Counters and histograms accumulate; gauges take the incoming value
-        (last writer wins) -- the natural reduction for per-rank metric
-        sets returned through a multiprocessing boundary.
-        """
-        snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for name, data in snap.items():
-            kind = data.get("kind")
-            if kind == "counter":
-                self.counter(name).inc(float(data.get("value") or 0.0))
-            elif kind == "gauge":
-                if data.get("value") is not None:
-                    self.gauge(name).set(data["value"])
-            elif kind == "histogram":
-                hist = self.histogram(name)
-                n = int(data.get("count", 0))
-                samples = list(data.get("samples", []))
-                # incoming samples are a uniform reservoir of the source
-                # stream; replaying them through record() folds them into
-                # this instrument's reservoir with the right weighting.
-                for v in samples:
-                    hist.record(v)
-                # account for clipped samples without losing the summary
-                extra = n - len(samples)
-                if extra > 0:
-                    hist.count += extra
-                    hist.total += float(data.get("sum", 0.0)) - sum(samples)
-                    for bound in (data.get("min"), data.get("max")):
-                        if bound is not None:
-                            hist.min = bound if hist.min is None else min(hist.min, bound)
-                            hist.max = bound if hist.max is None else max(hist.max, bound)
-            else:
-                raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
 
     def reset(self) -> None:
         with self._lock:

@@ -113,9 +113,9 @@ def resolve_assembler(
     :class:`~repro.core.unified.UnifiedAssembler` mode; a
     ``":<VARIANT>"`` suffix (e.g. ``"codegen:RS"``) picks the variant.
     ``"resilient[:VARIANT]"`` wraps the degradation ladder
-    (:class:`~repro.resilience.ladders.ResilientAssembler`): compiled,
+    (:class:`~repro.resilience.ladders.ResilientAssembler`): codegen,
     validated against the reference on first sweep, degrading to
-    interpreted and finally reference if validation fails.
+    compiled, interpreted and finally reference if validation fails.
     """
     text = spec.strip().lower()
     if text == "reference":
@@ -277,11 +277,11 @@ class FractionalStepSolver:
         defaults to the vectorized reference.  Pass a closure around
         :meth:`repro.core.unified.UnifiedAssembler.assemble` to drive the
         DSL kernel variants end-to-end -- or a string spec:
-        ``"reference"`` (the default path), ``"compiled"`` /
-        ``"interpreted"`` (DSL assembly of the default RSP variant), or
-        ``"compiled:RS"`` / ``"interpreted:B"`` etc. to pick the variant,
-        resolved through
-        :func:`~repro.physics.momentum.kernel_rhs_assembler`.
+        ``"reference"`` (the default path), ``"codegen"`` / ``"compiled"``
+        / ``"interpreted"`` (DSL assembly of the default RSP variant),
+        ``"codegen:RSP"`` / ``"interpreted:B"`` etc. to pick the variant,
+        or ``"resilient[:VARIANT]"`` for the degradation ladder that
+        starts at codegen -- resolved through :func:`resolve_assembler`.
     sweeps_per_step:
         Runge-Kutta stages (3, matching the paper's runtime convention).
     tracer:

@@ -9,7 +9,7 @@ pressure solve degrade a run, not kill it.  This package provides
 * :mod:`~repro.resilience.checkpoint` -- atomic ``.npz`` checkpoints for
   bitwise-stable integrator restarts;
 * :mod:`~repro.resilience.ladders` -- degradation ladders: the
-  ``compiled -> interpreted -> reference`` assembler chain
+  ``codegen -> compiled -> interpreted -> reference`` assembler chain
   (:class:`ResilientAssembler`) and the shared escalation bookkeeping the
   pressure-solver ladder uses.
 

@@ -4,7 +4,8 @@ Two ladders cover the two failure-prone fast paths the reproduction has
 grown:
 
 * **Assembler ladder** (:class:`ResilientAssembler`): the RHS assembly
-  chain degrades ``compiled -> interpreted -> reference``.  Each rung is
+  chain degrades along :data:`MODE_LADDER`, ``codegen -> compiled ->
+  interpreted -> reference``.  Each rung is
   validated against the vectorized reference assembly on its *first*
   sweep (and never again -- validation costs one extra reference
   assembly); a rung whose output is non-finite or drifts from the
@@ -32,7 +33,11 @@ from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.spans import NULL_TRACER
 from ..physics.momentum import AssemblyParams, assemble_momentum_rhs
 
-__all__ = ["AssemblyDegraded", "ResilientAssembler", "record_escalation"]
+__all__ = ["AssemblyDegraded", "MODE_LADDER", "ResilientAssembler", "record_escalation"]
+
+#: The assembler degradation ladder, fastest first: a run (or a server
+#: request) enters at its own mode and degrades rightward.
+MODE_LADDER = ("codegen", "compiled", "interpreted", "reference")
 
 
 def record_escalation(
@@ -89,14 +94,12 @@ class ResilientAssembler:
         can force a degradation.
     """
 
-    MODES = ("codegen", "compiled", "interpreted", "reference")
-
     def __init__(
         self,
         mesh: TetMesh,
         params: AssemblyParams,
         variant: str = "RSP",
-        modes: Sequence[str] = MODES,
+        modes: Sequence[str] = MODE_LADDER,
         rtol: float = 1e-8,
         atol: float = 1e-12,
         fault_plan=None,
@@ -105,10 +108,10 @@ class ResilientAssembler:
         vector_dim: Optional[int] = None,
     ) -> None:
         for mode in modes:
-            if mode not in self.MODES:
+            if mode not in MODE_LADDER:
                 raise ValueError(
                     f"unknown assembler rung {mode!r}; expected a subset "
-                    f"of {self.MODES}"
+                    f"of {MODE_LADDER}"
                 )
         if not modes or modes[-1] != "reference":
             raise ValueError("the assembler ladder must end on 'reference'")

@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional
 
 from ..obs.metrics import MetricsRegistry, get_registry
+from ..resilience.ladders import MODE_LADDER
 
 __all__ = ["CircuitBreaker", "MODE_LADDER"]
 
-#: The server's degradation ladder, fastest first.  A request's preferred
-#: mode enters the ladder at its own position and degrades rightward.
-MODE_LADDER: Tuple[str, ...] = (
-    "codegen", "compiled", "interpreted", "reference",
-)
 
 
 class CircuitBreaker:

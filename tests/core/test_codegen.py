@@ -3,8 +3,7 @@
 The contract of :mod:`repro.core.codegen` is the tape contract plus one
 more layer: the exec-compiled generated source must produce an RHS
 **bit-identical** to the interpreted backend for every variant, group
-size (including padded final groups), permutation, ordering and executor
--- while fusing expression chains and hoisting loop invariants.
+size (including padded final groups) and executor -- while fusing expression chains and hoisting loop invariants.
 ``np.array_equal`` (not allclose) everywhere below.
 """
 
@@ -41,8 +40,6 @@ def _count(name):
 
 test_codegen_bitwise_equal_all_variants = corner("test_codegen_bitwise_equal_all_variants")
 test_codegen_bitwise_equal_hypothesis = corner("test_codegen_bitwise_equal_hypothesis")
-test_codegen_bitwise_with_permutation_and_ordering = corner(
-    "test_codegen_bitwise_with_permutation_and_ordering")
 
 
 # -- caching and invalidation --------------------------------------------------

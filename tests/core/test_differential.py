@@ -2,14 +2,14 @@
 
 A cell is one way of running a kernel variant over a mesh: the back end
 (replayed tape, generated Python, its C form, or the interpreter itself),
-the executor and chunking, the scatter placement, the scenario batch, the
-element order, profiling, a pool worker's binding, the entry (kernel or
+the executor and chunking, the scatter placement, the scenario batch,
+profiling, a pool worker's binding, the entry (kernel or
 ``UnifiedAssembler``), a non-zero ``rhs`` on entry and the field.  Every
 cell's ``.tobytes()`` equals ``mode="interpreted"`` at the same
-``vector_dim``: one assembly per (variant, mesh, order, vd, scenario,
-field), cached for the session, a batch stacking its scenarios'.  The
+``vector_dim``: one assembly per (variant, mesh, vd, scenario, field),
+cached for the session, a batch stacking its scenarios'.  The
 interpreted oracle itself equals the seed's per-call ``np.add.at`` path
-(:func:`seed_reference`) wherever packing order is the flush order.
+(:func:`seed_reference`).
 
 One strategy draws the cells (``derandomize=True``: the same examples every
 run) after the cells of :data:`EXAMPLES`, which planted defects were caught
@@ -39,7 +39,6 @@ from repro.core.tape import record_program
 from repro.core.variants import get_variant
 from repro.fem import TetMesh, box_tet_mesh, get_plan, perturbed_box_mesh
 from repro.fem.packing import ElementPacking
-from repro.fem.reorder import element_order
 from repro.obs import TapeProfiler, Tracer
 from repro.obs.metrics import get_registry
 from repro.parallel.runner import _chunk_kernel
@@ -51,7 +50,6 @@ KP = PARAMS.as_kernel_params()
 #: 162 elements (box, jittered) and 299 (worker): every size pads
 VDS = (7, 8, 16, 33, 64, 100, 1024)
 MESHES = ("box", "jittered", "worker")
-ORDERS = ("packing", "random", "hilbert", "reordered")
 BACKENDS = ("replay", "codegen", "native")
 BATCHES = ("none", "one", "shared4", "shared16", "per_scenario")
 
@@ -62,7 +60,6 @@ class Cell:
     backend: str = "replay"  # compiled tape | generated Python | its C form | interpreted
     mesh: str = "box"  # worker: the pickled program bound to a pool chunk
     vd: int = 16
-    order: str = "packing"  # a permutation, or mesh.reordered()
     threads: int = 0  # 0: execute(); n: execute_chunked(num_threads=n)
     chunk_groups: Optional[int] = None
     batch: str = "none"
@@ -75,26 +72,16 @@ class Cell:
 
 
 @functools.lru_cache(maxsize=None)
-def _mesh(kind: str, order: str, family: str) -> TetMesh:
+def _mesh(kind: str, family: str) -> TetMesh:
     """Meshes per ``family``: a generated kernel is plan-cached, so the
     Python-form cells bind on meshes the C form never adopted on."""
     if kind == "worker":
         xel = get_plan(box_tet_mesh(8, 8, 8)).packed_coords()[:299]
-        mesh = TetMesh(xel.reshape(-1, 3), np.arange(4 * 299).reshape(-1, 4),
+        return TetMesh(xel.reshape(-1, 3), np.arange(4 * 299).reshape(-1, 4),
                        validate=False)
-    elif kind == "jittered":
-        mesh = perturbed_box_mesh(3, 3, 3, amplitude=0.1, seed=3)
-    else:
-        mesh = box_tet_mesh(3, 3, 3)
-    return mesh.reordered().mesh if order == "reordered" else mesh
-
-
-def _permutation(mesh: TetMesh, order: str):
-    if order == "random":
-        return np.random.default_rng(7).permutation(mesh.nelem)
-    if order == "hilbert":
-        return element_order(mesh, "hilbert")
-    return None
+    if kind == "jittered":
+        return perturbed_box_mesh(3, 3, 3, amplitude=0.1, seed=3)
+    return box_tet_mesh(3, 3, 3)
 
 
 def _scenario(variant: str, s: int) -> AssemblyParams:
@@ -140,12 +127,12 @@ def _velocity(cell: Cell, mesh: TetMesh) -> np.ndarray:
 # -- the oracle ----------------------------------------------------------------
 
 
-def seed_reference(mesh, params, variant, velocity, vector_dim, permutation=None):
+def seed_reference(mesh, params, variant, velocity, vector_dim):
     """The seed path: every packed group through :class:`NumpyBackend` with
     no accumulator, i.e. one ``np.add.at`` per scatter call."""
     rhs = np.zeros((mesh.nnode, 3))
     kernel = get_variant(variant).kernel
-    for group in ElementPacking(mesh, vector_dim=vector_dim, permutation=permutation):
+    for group in ElementPacking(mesh, vector_dim=vector_dim):
         ctx = KernelContext(
             connectivity=group.connectivity, coords=mesh.coords,
             fields={"velocity": velocity}, rhs=rhs, params=params.as_kernel_params(),
@@ -155,23 +142,22 @@ def seed_reference(mesh, params, variant, velocity, vector_dim, permutation=None
 
 
 @functools.lru_cache(maxsize=None)
-def _interpreted(variant, mesh_kind, order, vd, s, field, field_seed) -> np.ndarray:
+def _interpreted(variant, mesh_kind, vd, s, field, field_seed) -> np.ndarray:
     """``mode="interpreted"`` for scenario ``s`` (every batch shares it)."""
-    mesh = _mesh(mesh_kind, order, "oracle")
-    perm = _permutation(mesh, order)
+    mesh = _mesh(mesh_kind, "oracle")
     u = _field((mesh.nnode, 3), field, field_seed)
     params = _scenario(variant, s)
-    want = UnifiedAssembler(mesh, params, vector_dim=vd, permutation=perm).assemble(variant, u)
+    want = UnifiedAssembler(mesh, params, vector_dim=vd).assemble(variant, u)
     assert np.isfinite(want).all()
-    if s == 0 and order != "reordered":  # a reordered mesh flushes in its seed's order
-        assert seed_reference(mesh, params, variant, u, vd, perm).tobytes() == want.tobytes()
+    if s == 0:
+        assert seed_reference(mesh, params, variant, u, vd).tobytes() == want.tobytes()
     want.flags.writeable = False
     return want
 
 
 def oracle(cell: Cell) -> np.ndarray:
     per = cell.batch == "per_scenario"
-    rows = [_interpreted(cell.variant, cell.mesh, cell.order, cell.vd, s, cell.field, 3 + s * per)
+    rows = [_interpreted(cell.variant, cell.mesh, cell.vd, s, cell.field, 3 + s * per)
             for s in range(max(_size(cell.batch), 1))]
     return rows[0] if cell.batch == "none" else np.stack(rows)
 
@@ -194,14 +180,13 @@ def _bind(cell: Cell, mesh: TetMesh, batch):
         shipped = pickle.loads(pickle.dumps(program))
         return _chunk_kernel(shipped, mesh.coords.reshape(-1, 4, 3), cell.vd)
     make = compiled_tape if cell.backend == "replay" else generated_kernel
-    return make(get_plan(mesh), cell.variant, cell.vd,
-                permutation=_permutation(mesh, cell.order), kernel_params=KP,
+    return make(get_plan(mesh), cell.variant, cell.vd, kernel_params=KP,
                 batch=batch, velocity_rank="full" if cell.batch == "per_scenario" else "vec")
 
 
 def _assembler(cell: Cell, mesh: TetMesh, tracer, profiler):
     return UnifiedAssembler(
-        mesh, PARAMS, vector_dim=cell.vd, permutation=_permutation(mesh, cell.order),
+        mesh, PARAMS, vector_dim=cell.vd,
         mode={"replay": "compiled", "interpreted": "interpreted"}.get(cell.backend, "codegen"),
         executor="threads" if cell.threads else "serial",
         num_threads=cell.threads or None, tracer=tracer, profiler=profiler)
@@ -239,7 +224,7 @@ def check(cell: Cell) -> None:
 def _sweeper(cell: Cell, tracer, profiler):
     """``(kernel, sweep(rhs=None, profiled=True))`` of one cell."""
     family = "python" if cell.backend == "codegen" else "kernel"
-    mesh = _mesh(cell.mesh, cell.order, family)
+    mesh = _mesh(cell.mesh, family)
     u = _velocity(cell, mesh)
     batch = _batch(cell.variant, cell.batch)
     if cell.entry == "assembler":  # the assembler sizes its own chunks
@@ -289,7 +274,7 @@ def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
     """Which form served the last sweep and where it scattered, read off the
     ``codegen.execute*`` span and held to what the cell implies: the C form
     (adopted when a compiler works) serves unless profiled; it scatters
-    fused on one slab of a mesh without a seed order, else deferred."""
+    fused on one slab, else deferred."""
     if cell.backend in ("replay", "interpreted"):
         return None
     attrs = [s for s in tracer.finished if s.name.startswith("codegen.execute")][-1].attributes
@@ -298,8 +283,7 @@ def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
     nthreads = cell.threads or 1
     nslabs = min(nthreads, -(-kern.ngroups // kern._resolve_cg(cell.chunk_groups, nthreads)))
     native_form = served and not cell.profile
-    placement = "fused" if native_form and nslabs == 1 and cell.order != "reordered" \
-        else "deferred"
+    placement = "fused" if native_form and nslabs == 1 else "deferred"
     assert (attrs["native"], attrs["scatter"]) == (native_form, placement)
     if served:  # released at adoption, re-created by the first deferred sweep only
         if placement == "fused":
@@ -320,7 +304,7 @@ def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
 def cells(draw) -> Cell:
     mesh = draw(st.sampled_from(MESHES))
     entry = "kernel" if mesh == "worker" else draw(st.sampled_from(("kernel", "assembler")))
-    plain = mesh == "worker"  # a chunk is its own mesh: no ordering, no batch
+    plain = mesh == "worker"  # a chunk is its own mesh: no batch
     batch = "none" if plain else draw(st.sampled_from(BATCHES))
     # sixteen interpreted scenarios at a narrow group cost seconds each
     vds = [vd for vd in VDS if vd >= 64 or batch != "shared16"]
@@ -329,7 +313,6 @@ def cells(draw) -> Cell:
         backend=draw(st.sampled_from(BACKENDS)),
         mesh=mesh,
         vd=draw(st.sampled_from(vds)),
-        order="packing" if plain else draw(st.sampled_from(ORDERS)),
         threads=draw(st.sampled_from((0, 1, 2, 3))),
         chunk_groups=None if entry == "assembler" else draw(st.sampled_from((None, 1, 2, 5))),
         batch=batch,
@@ -352,10 +335,10 @@ EXAMPLES = [
     Cell("P", "replay", vd=64, batch="per_scenario", entry="assembler"),  # b d
     Cell("RSP", "native", vd=64, batch="shared16"),  # b c d
     Cell("RSPR", "native", mesh="worker", vd=8),  # one lane per bin: no order to get wrong
-    Cell("RS", "replay", mesh="jittered", vd=7, order="random"),  # d
+    Cell("RS", "replay", mesh="jittered", vd=7),  # d
     Cell("B", "native", threads=3, chunk_groups=2, batch="one"),  # a c d
-    Cell("P", "native", threads=2, profile=True, order="hilbert", entry="assembler"),  # c d
-    Cell("RSP", "native", order="reordered", field="plain"),  # d
+    Cell("P", "native", threads=2, profile=True, entry="assembler"),  # c d
+    Cell("RSP", "native", field="plain"),  # d
     Cell("RS", "interpreted", batch="per_scenario", entry="assembler"),  # d
 ]
 
@@ -397,8 +380,6 @@ CORNERS = {
     "test_tape::test_compiled_bitwise_equal_hypothesis": {"": [
         Cell(v, vd=vd, field="plain", entry="assembler")
         for v, vd in zip(VARIANTS, (7, 33, 100, 64, 8))]},
-    "test_tape::test_compiled_bitwise_equal_with_permutation": {"": [
-        Cell("RSP", vd=33, order="random", field="plain", entry="assembler")]},
     "test_tape::test_compiled_repeat_executions_stable": {"": [
         Cell("B", vd=33, field=f, entry="assembler") for f in ("plain", "wide")]},
     "test_codegen::test_codegen_bitwise_equal_all_variants": _by_variant(
@@ -407,9 +388,6 @@ CORNERS = {
         Cell(v, "codegen", vd=vd, threads=t, chunk_groups=1 if t else None, field="plain",
              entry="kernel" if t else "assembler")
         for v, vd, t in zip(VARIANTS, (7, 33, 100, 64, 8), (0, 2, 0, 2, 3))]},
-    "test_codegen::test_codegen_bitwise_with_permutation_and_ordering": {"": [
-        Cell(v, "codegen", vd=33, order=o, field="plain", entry="assembler")
-        for o in ("random", "hilbert") for v in ("B", "RSPR")]},
     "test_rows::test_generated_replay_and_interpreted_agree_to_the_byte": {
         f"{v}-{S}": [Cell(v, b, batch=kind, field="plain") for b in ("codegen", "replay")]
         for S, kind in ((1, "one"), (4, "shared4"), (16, "shared16")) for v in VARIANTS},
@@ -431,13 +409,11 @@ CORNERS = {
         Cell("RSP", "native", **axes) for axes in (
             dict(threads=2, chunk_groups=3), dict(entry="assembler"),
             dict(profile=True, entry="assembler"), dict(entry="assembler"),
-            dict(threads=2, chunk_groups=3), dict(order="reordered", entry="assembler"))]},
+            dict(threads=2, chunk_groups=3))]},
     "test_plan::test_unified_plan_path_bitwise_equals_legacy": _by_variant(
         lambda v: [Cell(v, "replay", field="plain"), Cell(v, "replay", mesh="jittered")]),
     "test_plan::test_unified_plan_path_bitwise_with_padding": {
         str(vd): _cells(VARIANTS, vd=vd, field="plain") for vd in (7, 100, 4096)},
-    "test_plan::test_unified_plan_path_bitwise_with_permutation": {"": _cells(
-        VARIANTS, order="random", field="plain")},
     "test_threads::test_threaded_bitwise_equals_serial": _by_variant(
         lambda v: [Cell(v, threads=t, chunk_groups=cg, field="plain") for t, cg in _THREADED],
         ("B", "RS", "RSPR")),

@@ -125,31 +125,6 @@ def test_validation_rejects_bad_shapes():
         TetMesh(UNIT_TET.coords, np.array([[0, 1, 2]]))
 
 
-def test_subset_preserves_geometry(medium_mesh):
-    sub, node_map = medium_mesh.subset(range(10))
-    assert sub.nelem == 10
-    assert np.allclose(sub.coords, medium_mesh.coords[node_map])
-    assert sub.element_volumes().sum() == pytest.approx(
-        medium_mesh.element_volumes()[:10].sum()
-    )
-
-
-def test_renumber_roundtrip(small_mesh):
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(small_mesh.nnode)
-    renum = small_mesh.renumber_nodes(perm)
-    assert renum.total_volume() == pytest.approx(small_mesh.total_volume())
-    # volumes per element unchanged
-    assert np.allclose(
-        renum.element_volumes(), small_mesh.element_volumes()
-    )
-
-
-def test_renumber_rejects_non_bijection(small_mesh):
-    with pytest.raises(MeshValidationError, match="bijection"):
-        small_mesh.renumber_nodes(np.zeros(small_mesh.nnode, dtype=int))
-
-
 def test_statistics(medium_mesh):
     s = medium_mesh.statistics()
     assert s.nnode == medium_mesh.nnode
@@ -157,3 +132,10 @@ def test_statistics(medium_mesh):
     assert 0 < s.min_quality <= s.mean_quality <= 1.0
     lo, hi = s.bounding_box
     assert np.allclose(lo, 0.0) and np.allclose(hi, 1.0)
+
+
+def test_mesh_arrays_frozen_outside_mutate(small_mesh):
+    with pytest.raises(ValueError):
+        small_mesh.connectivity[0, 0] = 0
+    with pytest.raises(ValueError):
+        small_mesh.coords[0, 0] = 99.0

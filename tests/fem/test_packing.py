@@ -49,21 +49,6 @@ def test_gather_nodal(medium_mesh):
     assert np.allclose(gathered, g.connectivity.astype(float))
 
 
-def test_permutation_changes_order_not_content(medium_mesh):
-    rng = np.random.default_rng(1)
-    perm = rng.permutation(medium_mesh.nelem)
-    p = ElementPacking(medium_mesh, vector_dim=16, permutation=perm)
-    seen = np.concatenate([g.element_ids[g.active] for g in p])
-    assert np.array_equal(seen, perm)
-
-
-def test_invalid_permutation(medium_mesh):
-    with pytest.raises(ValueError, match="bijection"):
-        ElementPacking(
-            medium_mesh, 16, permutation=np.zeros(medium_mesh.nelem, dtype=int)
-        )
-
-
 def test_invalid_vector_dim(medium_mesh):
     with pytest.raises(ValueError, match="vector_dim"):
         ElementPacking(medium_mesh, 0)
@@ -115,11 +100,3 @@ def test_any_vector_dim_covers_mesh(vdim):
     ids, active = p.lane_order()
     assert np.array_equal(ids, np.concatenate([g.element_ids for g in p]))
     assert np.array_equal(active, np.concatenate([g.active for g in p]))
-
-
-def test_lane_order_follows_the_permutation(medium_mesh):
-    perm = np.random.default_rng(1).permutation(medium_mesh.nelem)
-    p = ElementPacking(medium_mesh, vector_dim=37, permutation=perm)
-    ids, active = p.lane_order()
-    assert np.array_equal(ids, np.concatenate([g.element_ids for g in p]))
-    assert np.array_equal(ids[active], perm) and not active[-p.npad:].any()

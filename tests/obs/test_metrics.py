@@ -1,6 +1,4 @@
-"""Metric registry: instruments, snapshots, merge (incl. across processes)."""
-
-import multiprocessing as mp
+"""Metric registry: instruments, snapshots, reservoir sampling."""
 
 import pytest
 
@@ -45,69 +43,6 @@ def test_same_instrument_returned():
     assert reg.names() == ["a"]
 
 
-def test_merge_registries():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("n").inc(1)
-    b.counter("n").inc(2)
-    b.gauge("g").set(9.0)
-    a.histogram("h").record(1.0)
-    b.histogram("h").record(5.0)
-
-    a.merge(b)
-    snap = a.snapshot()
-    assert snap["n"]["value"] == 3
-    assert snap["g"]["value"] == 9.0
-    assert snap["h"]["count"] == 2
-    assert snap["h"]["min"] == 1.0 and snap["h"]["max"] == 5.0
-
-
-def test_merge_from_snapshot_with_clipped_samples():
-    src = MetricsRegistry()
-    hist = src.histogram("h")
-    hist.max_samples = 2
-    for v in (1.0, 2.0, 10.0):
-        hist.record(v)
-    snap = src.snapshot()
-    assert len(snap["h"]["samples"]) == 2  # 10.0 clipped from samples
-
-    dst = MetricsRegistry()
-    dst.merge(snap)
-    merged = dst.snapshot()["h"]
-    assert merged["count"] == 3
-    assert merged["sum"] == 13.0
-    assert merged["max"] == 10.0
-
-
-def test_merge_unknown_kind_raises():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError):
-        reg.merge({"weird": {"kind": "meter", "value": 1}})
-
-
-def _rank_metrics(rank):
-    """Worker: produce one rank's metric snapshot (fork-pool target)."""
-    reg = MetricsRegistry()
-    reg.counter("work.items").inc(rank + 1)
-    reg.histogram("work.cost").record(float(rank))
-    reg.gauge("work.last_rank").set(rank)
-    return reg.snapshot()
-
-
-def test_registry_merge_across_processes():
-    ctx = mp.get_context("fork")
-    with ctx.Pool(processes=2) as pool:
-        snapshots = pool.map(_rank_metrics, range(4))
-
-    merged = MetricsRegistry()
-    for snap in snapshots:
-        merged.merge(snap)
-    out = merged.snapshot()
-    assert out["work.items"]["value"] == 1 + 2 + 3 + 4
-    assert out["work.cost"]["count"] == 4
-    assert out["work.cost"]["min"] == 0.0 and out["work.cost"]["max"] == 3.0
-    assert out["work.last_rank"]["value"] in {0, 1, 2, 3}
-
-
 def test_default_registry_set_reset():
     original = get_registry()
     fresh = set_registry(MetricsRegistry())
@@ -119,33 +54,7 @@ def test_default_registry_set_reset():
     assert get_registry() is original
 
 
-# -- reservoir sampling + merge edge cases ----------------------------------
-
-
-def test_merge_empty_registries():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.merge(b)
-    assert a.snapshot() == {}
-    a.merge({})  # empty snapshot form
-    assert a.snapshot() == {}
-    # empty merged into populated leaves it untouched
-    c = MetricsRegistry()
-    c.counter("n").inc(2)
-    c.merge(MetricsRegistry())
-    assert c.snapshot()["n"]["value"] == 2
-
-
-def test_merge_same_name_different_kind_raises():
-    a = MetricsRegistry()
-    a.counter("x").inc()
-    b = MetricsRegistry()
-    b.gauge("x").set(1.0)
-    with pytest.raises(TypeError):
-        a.merge(b)
-    c = MetricsRegistry()
-    c.histogram("x").record(1.0)
-    with pytest.raises(TypeError):
-        a.merge(c.snapshot())
+# -- reservoir sampling ------------------------------------------------------
 
 
 def test_reservoir_bounds_and_exact_summary():
@@ -189,27 +98,3 @@ def test_percentiles_in_snapshot():
     # empty histogram reports None quantiles
     empty = MetricsRegistry().histogram("e").snapshot()
     assert empty["p50"] is None and empty["p99"] is None
-
-
-def test_histogram_snapshot_merge_after_reservoir():
-    """Merging a clipped reservoir snapshot keeps exact scalars and a
-    bounded sample set, and the quantiles remain computable."""
-    src = MetricsRegistry()
-    hist = src.histogram("h")
-    hist.max_samples = 8
-    for i in range(100):
-        hist.record(float(i))
-    snap = src.snapshot()
-    assert len(snap["h"]["samples"]) == 8
-
-    dst = MetricsRegistry()
-    dst.histogram("h").max_samples = 8
-    for i in range(100, 120):
-        dst.histogram("h").record(float(i))
-    dst.merge(snap)
-    merged = dst.snapshot()["h"]
-    assert merged["count"] == 120
-    assert merged["sum"] == sum(range(120))
-    assert merged["min"] == 0.0 and merged["max"] == 119.0
-    assert len(merged["samples"]) <= 8
-    assert merged["p50"] is not None

@@ -147,7 +147,7 @@ def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
     assert prof.executions == 1
     for make in (compiled_tape, generated_kernel):
         profiler, tracer = TapeProfiler(), Tracer()
-        lookup = (get_plan(mesh), "RS", 16, None, prof_params.as_kernel_params())
+        lookup = (get_plan(mesh), "RS", 16, prof_params.as_kernel_params())
         mine, theirs = make(*lookup), make(*lookup)
         assert mine is theirs
         mine.execute(prof_velocity, tracer=tracer, profiler=profiler)
