@@ -15,12 +15,12 @@ Quick start::
     study = OptimizationStudy(mesh)
     print(study.format_gpu_table(study.gpu_table()))   # the paper's Table II
 
-Subpackages: :mod:`repro.fem` (tetrahedral FEM substrate),
+Subpackages: :mod:`repro.fem` (linear-tetrahedron FEM substrate),
 :mod:`repro.physics` (incompressible LES), :mod:`repro.core` (the kernel
 variants + DSL + study), :mod:`repro.machine` (A100/Icelake execution
-models), :mod:`repro.solvers` (CG/AMG), :mod:`repro.parallel` (MPI-style
-decomposition), :mod:`repro.io` (VTK + reports), :mod:`repro.obs`
-(telemetry: spans, metrics, profiler, exporters).
+models), :mod:`repro.solvers` (CG/AMG), :mod:`repro.parallel` (supervised
+process and thread executors), :mod:`repro.io` (VTK + reports),
+:mod:`repro.obs` (telemetry: spans, metrics, profiler, exporters).
 """
 
 __version__ = "1.0.0"

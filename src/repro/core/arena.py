@@ -107,9 +107,7 @@ def budget_chunk_groups(lane_bytes: int, vector_dim: int, ngroups: int) -> int:
 
 def plan_cached(plan, store: str, key, vector_dim, batch, make):
     """The bound kernel under ``key`` in the plan's ``store`` (``"tape"``
-    or ``"codegen"``), built by ``make(packing)`` on a miss.  Mesh
-    reorientation (any ``mesh._version`` bump) invalidates the plan and
-    with it every kernel."""
+    or ``"codegen"``), built by ``make(packing)`` on a miss."""
     kern, event = getattr(plan, f"cached_{store}")(key), "cache_hits"
     batched = batch is not None
     if kern is None:

@@ -27,30 +27,20 @@ Table II column P.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
-
-from ..fem.quadrature import rule_for
-from ..fem.reference import element
+from ..fem.quadrature import TET04_RULE
+from ..fem.reference import TET04
 from .dsl import Backend, KernelContext
 from .storage import Storage
 
 __all__ = ["make_baseline_kernel", "baseline_kernel", "privatized_kernel"]
 
 
-def _element_tables(ctx: KernelContext) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shape values / reference derivatives / weights for the runtime type.
-
-    In Alya these tables arrive as function arguments (``elmar`` structures)
-    computed once at start-up; reading them is modelled inside the kernel as
-    global-temp traffic after an initial copy-in.
-    """
-    name = getattr(ctx, "element_type", "TET04")
-    ref = element(name)
-    rule = rule_for(name, None if ref.nnode != 4 else 4)
-    shapes, dref = ref.evaluate(rule.points)  # (nnode, ngauss), (nnode, 3, ngauss)
-    return shapes, dref, rule.weights
+#: Shape values ``(nnode, ngauss)`` and reference derivatives ``(nnode, 3,
+#: ngauss)`` of TET04 at its Gauss points.  In Alya these tables arrive as
+#: function arguments (``elmar`` structures) computed once at start-up;
+#: reading them is modelled inside the kernel as global-temp traffic after an
+#: initial copy-in.
+_SHAPES, _DREF = TET04.evaluate(TET04_RULE.points)
 
 
 def make_baseline_kernel(temp_storage: Storage = Storage.GLOBAL_TEMP):
@@ -62,13 +52,13 @@ def make_baseline_kernel(temp_storage: Storage = Storage.GLOBAL_TEMP):
 
     def kernel(bk: Backend, ctx: KernelContext) -> None:
         pnode = ctx.nnode_per_element  # runtime value in the baseline
-        shapes, dref, weights = _element_tables(ctx)
+        shapes, dref, weights = _SHAPES, _DREF, TET04_RULE.weights
         pgaus = shapes.shape[1]
         ndime = 3
         st = temp_storage
 
         # -- runtime option flags (the generality S removes) -------------
-        kfl_material = bk.runtime_flag("material_law")
+        bk.runtime_flag("material_law")
         kfl_turb = bk.runtime_flag("turbulence_model")
         kfl_conv = bk.runtime_flag("convective_form")
         rho_p = bk.runtime_param("density")
@@ -186,15 +176,11 @@ def make_baseline_kernel(temp_storage: Storage = Storage.GLOBAL_TEMP):
         bk.fence("interpolation")
 
         # -- material properties at every Gauss point ------------------------
-        # (runtime material-law dispatch; the constant law is selected)
+        # (the material-law flag read above is a counted branch of the
+        # trace; the law stores the constant density and viscosity)
         for q in range(pgaus):
-            if kfl_material == 0:
-                bk.store(gpden, (q,), rho_p)
-                bk.store(gpvis, (q,), nu_p)
-            else:  # pragma: no cover - exercised by dedicated material tests
-                # temperature-dependent laws would interpolate gptem here
-                bk.store(gpden, (q,), rho_p)
-                bk.store(gpvis, (q,), nu_p)
+            bk.store(gpden, (q,), rho_p)
+            bk.store(gpvis, (q,), nu_p)
 
         # -- turbulent viscosity at every Gauss point -------------------------
         # element scale: delta^2 = V^(2/3) with V = sum_q gpvol[q]

@@ -29,7 +29,7 @@ variant-equality tests.
 
 from __future__ import annotations
 
-from ..fem.quadrature import rule_for
+from ..fem.quadrature import TET04_RULE
 from ..fem.reference import TET04
 from .dsl import Backend, KernelContext
 from .storage import Storage
@@ -54,9 +54,8 @@ SPEC_DENSITY = 1.0
 SPEC_VISCOSITY = 1.0e-3
 SPEC_VREMAN_C = 0.07225
 
-_RULE = rule_for("TET04", 4)
-_SHAPES, _ = TET04.evaluate(_RULE.points)  # (4, 4)
-_WEIGHTS = _RULE.weights  # (4,)
+_SHAPES, _ = TET04.evaluate(TET04_RULE.points)  # (4, 4)
+_WEIGHTS = TET04_RULE.weights  # (4,)
 
 _PNODE = 4
 _PGAUS = 4

@@ -55,9 +55,9 @@ interpreted ``NumpyBackend`` path.  This holds because
   rounding.
 
 Tapes are cached on the :class:`~repro.fem.plan.AssemblyPlan` keyed by
-:func:`tape_cache_key`; plans themselves are invalidated on mesh
-reorientation, so a tape can never outlive the mesh version it was
-recorded against.
+:func:`tape_cache_key`; a plan lives exactly as long as its mesh, whose
+arrays never change, so a tape is always bound to the mesh it was recorded
+against.
 """
 
 from __future__ import annotations
@@ -861,9 +861,7 @@ def compiled_tape(
     """The plan-cached :class:`CompiledTape` for one configuration.
 
     Tapes are recorded once per :func:`tape_cache_key` and cached on the
-    :class:`~repro.fem.plan.AssemblyPlan`; mesh reorientation invalidates
-    the plan (and with it every tape), so the effective key includes the
-    mesh version, as the tape contract requires.
+    mesh's :class:`~repro.fem.plan.AssemblyPlan`.
     """
     key = tape_cache_key(
         variant_name, vector_dim, kernel_params, batch, velocity_rank

@@ -200,7 +200,6 @@ class UnifiedAssembler:
                 "'codegen': only those drop the GIL inside numpy ufuncs; "
                 "the interpreted per-group backend would serialize on it"
             )
-        self._mesh_version = getattr(self.mesh, "_version", 0)
         self.plan = get_plan(self.mesh)
         self._kernel_params = self.params.as_kernel_params()
         #: lazy per-scenario serial assemblers (interpreted batch path)
@@ -208,22 +207,6 @@ class UnifiedAssembler:
         #: telemetry of the most recent :meth:`run_batch` call
         self.last_batch: Optional[dict] = None
         self.packing = self.plan.packing(self.resolve_vector_dim())
-
-    def _refresh_caches(self) -> None:
-        """Re-resolve plan/packing when the mesh numbering changed.
-
-        Any in-place mutation (:meth:`~repro.fem.mesh.TetMesh.mutate`,
-        e.g. a renumbering or reorientation) bumps the mesh's structural
-        version; an assembler constructed before the mutation must never
-        replay scatter patterns, tapes or packed groups gathered against
-        the old numbering.
-        """
-        version = getattr(self.mesh, "_version", 0)
-        if version == self._mesh_version:
-            return
-        self._mesh_version = version
-        self.plan = get_plan(self.mesh)
-        self.packing = self.plan.packing(self.packing.vector_dim)
 
     def resolve_vector_dim(self, variant_name: Optional[str] = None) -> int:
         """The group size every variant assembles with: the explicit
@@ -263,7 +246,6 @@ class UnifiedAssembler:
                 f"velocity must be ({self.mesh.nnode}, 3), got {velocity.shape}"
             )
         rhs = np.zeros((self.mesh.nnode, 3))
-        self._refresh_caches()
         vector_dim = self.resolve_vector_dim(variant.name)
         with self.tracer.span(
             "assemble",
@@ -421,7 +403,6 @@ class UnifiedAssembler:
                 f"velocity must be ({nnode}, 3) shared or "
                 f"({S}, {nnode}, 3) per-scenario, got {velocity.shape}"
             )
-        self._refresh_caches()
         vector_dim = self.resolve_vector_dim(variant.name)
         with self.tracer.span(
             "run_batch",
@@ -488,7 +469,6 @@ class UnifiedAssembler:
         _check_specialization(variant, self.params)
         if velocity is None:
             velocity = np.zeros((self.mesh.nnode, 3))
-        self._refresh_caches()
         group = self.packing.group(group_index)
         rhs = np.zeros((self.mesh.nnode, 3))
         with self.tracer.span(

@@ -1,18 +1,12 @@
-"""Finite element substrate: reference elements, quadrature, meshes,
-geometry, vectorized packing, boundaries and fields."""
+"""Finite element substrate: the reference tetrahedron and its quadrature,
+meshes, geometry, vectorized packing, assembly plans and boundaries."""
 
-from .reference import ELEMENTS, ReferenceElement, element, TET04, HEX08, PEN06, PYR05
-from .quadrature import QuadratureRule, rule_for, available_rules
+from .reference import ReferenceElement, TET04
+from .quadrature import QuadratureRule, TET04_RULE
 from .mesh import TetMesh, MeshStatistics, MeshValidationError
 from .meshgen import box_tet_mesh, bolund_like_mesh, channel_mesh, perturbed_box_mesh
-from .geometry import (
-    ElementGeometry,
-    GeometryError,
-    generic_geometry,
-    tet4_geometry,
-    tet4_gradients,
-)
-from .packing import ElementGroup, ElementPacking, scatter_add
+from .geometry import GeometryError, tet4_gradients
+from .packing import ElementGroup, ElementPacking
 from .plan import (
     AssemblyPlan,
     GeometryCache,
@@ -22,19 +16,12 @@ from .plan import (
     segment_scatter,
 )
 from .boundary import BoundaryRegion, DirichletBC, BoundaryClassifier, classify_box_boundaries
-from .fields import NodalField, ElementField, lumped_mass
 
 __all__ = [
-    "ELEMENTS",
     "ReferenceElement",
-    "element",
     "TET04",
-    "HEX08",
-    "PEN06",
-    "PYR05",
     "QuadratureRule",
-    "rule_for",
-    "available_rules",
+    "TET04_RULE",
     "TetMesh",
     "MeshStatistics",
     "MeshValidationError",
@@ -42,14 +29,10 @@ __all__ = [
     "bolund_like_mesh",
     "channel_mesh",
     "perturbed_box_mesh",
-    "ElementGeometry",
     "GeometryError",
-    "generic_geometry",
-    "tet4_geometry",
     "tet4_gradients",
     "ElementGroup",
     "ElementPacking",
-    "scatter_add",
     "AssemblyPlan",
     "GeometryCache",
     "ScatterAccumulator",
@@ -60,7 +43,4 @@ __all__ = [
     "DirichletBC",
     "BoundaryClassifier",
     "classify_box_boundaries",
-    "NodalField",
-    "ElementField",
-    "lumped_mass",
 ]

@@ -1,79 +1,26 @@
-"""Element geometry: Jacobians, Cartesian shape-function gradients, volumes.
+"""Element geometry of linear tetrahedra: Jacobians and Cartesian gradients.
 
-Two code paths mirror the paper's two assembly styles:
-
-* :func:`generic_geometry` evaluates the isoparametric map at every Gauss
-  point of an arbitrary element type -- the *baseline* path, where the
-  gradients differ per Gauss point and must be stored as intermediates
-  (part of the 430 temporary values per element the paper counts).
-* :func:`tet4_geometry` exploits the linear tetrahedron's *constant*
-  Jacobian: one inverse 3x3 solve per element, one gradient matrix shared by
-  all Gauss points -- the *specialized* path ("the gradients are the same at
-  all Gauss points, contrary to what happens for other elements").
-
-Both operate on *element groups* (leading dimension = number of elements in
-the group), the vectorized data layout the whole paper is about.
+:func:`tet4_gradients` exploits the linear tetrahedron's *constant*
+Jacobian: one 3x3 solve per element, one gradient matrix shared by all
+Gauss points -- the *specialized* path ("the gradients are the same at all
+Gauss points, contrary to what happens for other elements").  It operates on
+*element groups* (leading dimension = number of elements in the group), the
+vectorized data layout the whole paper is about.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Tuple
 
 import numpy as np
 
-from .quadrature import QuadratureRule
-from .reference import TET04_GRAD, ReferenceElement
+from .reference import TET04_GRAD
 
-__all__ = [
-    "GeometryError",
-    "ElementGeometry",
-    "tet4_geometry",
-    "tet4_gradients",
-    "generic_geometry",
-]
+__all__ = ["GeometryError", "tet4_gradients"]
 
 
 class GeometryError(ValueError):
     """Raised for invalid (non-positive-Jacobian) element geometry."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ElementGeometry:
-    """Geometric factors of an element group at its Gauss points.
-
-    Attributes
-    ----------
-    cartesian_gradients:
-        ``(nelem, ngauss, nnode, 3)`` derivatives of the shape functions
-        with respect to physical coordinates.  For TET04 the ngauss panels
-        are identical; the specialized path stores only one
-        (``(nelem, 1, nnode, 3)``) and broadcasting handles the rest.
-    jacobian_dets:
-        ``(nelem, ngauss)`` Jacobian determinants (or ``(nelem, 1)`` for the
-        constant-Jacobian path).
-    weights:
-        ``(ngauss,)`` quadrature weights; ``w_g * |J|_g`` gives physical
-        integration measures.
-    """
-
-    cartesian_gradients: np.ndarray
-    jacobian_dets: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def measures(self) -> np.ndarray:
-        """Physical quadrature measures ``w_g |J|_g``: ``(nelem, ngauss)``."""
-        return self.jacobian_dets * self.weights[None, :]
-
-    def volumes(self) -> np.ndarray:
-        """Element volumes, ``(nelem,)``."""
-        meas = self.measures
-        if meas.shape[1] == 1:
-            # constant-Jacobian path carries a single panel; total weight is
-            # the reference volume.
-            return meas[:, 0] / self.weights[0] * self.weights.sum()
-        return meas.sum(axis=1)
 
 
 def tet4_gradients(xel: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,62 +61,3 @@ def tet4_gradients(xel: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         np.broadcast_to(TET04_GRAD[None, :, :, None], (xel.shape[0], 4, 3, 1)),
     )[..., 0]
     return grads, dets
-
-
-def tet4_geometry(xel: np.ndarray, rule: QuadratureRule) -> ElementGeometry:
-    """Specialized TET04 geometry: one gradient panel per element."""
-    grads, dets = tet4_gradients(xel)
-    return ElementGeometry(
-        cartesian_gradients=grads[:, None, :, :],
-        jacobian_dets=dets[:, None],
-        weights=rule.weights,
-    )
-
-
-def generic_geometry(
-    xel: np.ndarray, ref: ReferenceElement, rule: QuadratureRule
-) -> ElementGeometry:
-    """Generic isoparametric geometry at every Gauss point.
-
-    Works for any supported element type; this is the baseline (``B``) path.
-
-    Parameters
-    ----------
-    xel:
-        ``(nelem, nnode, 3)`` node coordinates.
-    ref:
-        The reference element.
-    rule:
-        Quadrature rule on the same element.
-    """
-    xel = np.asarray(xel, dtype=np.float64)
-    if xel.ndim != 3 or xel.shape[1] != ref.nnode or xel.shape[2] != 3:
-        raise GeometryError(
-            f"expected (nelem, {ref.nnode}, 3) coords, got {xel.shape}"
-        )
-    if rule.element_name != ref.name:
-        raise GeometryError(
-            f"quadrature rule for {rule.element_name} used with {ref.name}"
-        )
-    _, dref = ref.evaluate(rule.points)  # (nnode, 3, ngauss)
-    # J[e, g, i, j] = sum_a dref[a, i, g] * x[e, a, j]
-    jac = np.einsum("aig,eaj->egij", dref, xel)
-    dets = np.linalg.det(jac)
-    if not (dets > 0).all():
-        nbad = int((dets <= 0).sum())
-        raise GeometryError(
-            f"{nbad} Gauss-point Jacobian(s) with non-positive determinant"
-        )
-    # dN/dx[e, g, a, i]: jac rows are d x_j / d s_i, so solve
-    # jac @ dN_a/dx = dN_a/ds at each (element, gauss, node).
-    rhs = np.moveaxis(dref, 2, 0)  # (ngauss, nnode, 3)
-    rhs = np.broadcast_to(
-        rhs[None, :, :, :, None],
-        (xel.shape[0], rule.ngauss, ref.nnode, 3, 1),
-    )
-    grads = np.linalg.solve(jac[:, :, None, :, :], rhs)[..., 0]
-    return ElementGeometry(
-        cartesian_gradients=grads,
-        jacobian_dets=dets,
-        weights=rule.weights,
-    )

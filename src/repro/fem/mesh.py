@@ -3,7 +3,8 @@
 The test case in the paper is a tetrahedral mesh of the Bolund cliff with
 5.6M nodes and 32M elements.  This module holds the in-memory representation
 used by every other subsystem: node coordinates, element connectivity,
-derived adjacency structures and validation/statistics helpers.
+boundary topology and validation/statistics helpers.  A mesh never changes
+after construction: its arrays are read-only.
 
 The mesh is deliberately *flat* (structure-of-arrays): ``coords`` is
 ``(nnode, 3)`` float64 and ``connectivity`` is ``(nelem, 4)`` int32/int64,
@@ -13,9 +14,8 @@ matching both Alya's layout and what the vectorized element packing in
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class TetMesh:
         ``(nnode, 3)`` node coordinates.
     connectivity:
         ``(nelem, 4)`` node indices per element.  Elements must be
-        positively oriented (positive Jacobian determinant); use
-        :meth:`fix_orientation` to repair.
+        positively oriented (positive Jacobian determinant).
     validate:
         When true (default) run structural checks on construction.
     """
@@ -89,9 +88,8 @@ class TetMesh:
     ) -> None:
         # Private copies, frozen: every mesh-lifetime cache
         # (AssemblyPlan scatter patterns, compiled tapes, packed groups)
-        # keys on the mesh arrays, so out-of-band writes would silently
-        # replay stale patterns.  All mutation goes through
-        # :meth:`mutate`, which bumps the structural version.
+        # is built from the mesh arrays once, so a write would silently
+        # replay stale patterns.
         self._coords = np.array(coords, dtype=np.float64, order="C")
         self._connectivity = np.array(connectivity, dtype=np.int64, order="C")
         self._coords.flags.writeable = False
@@ -105,12 +103,8 @@ class TetMesh:
                 f"connectivity must be (nelem, 4), got "
                 f"{self._connectivity.shape}"
             )
-        self._node_to_elem: Dict[int, np.ndarray] | None = None
-        # Structural version: bumped whenever coords/connectivity change
-        # in place, so mesh-lifetime caches (repro.fem.plan) can
-        # invalidate.
-        self._version = 0
-        #: ``(version, AssemblyPlan)`` owned by :func:`repro.fem.plan.get_plan`
+        #: the :class:`~repro.fem.plan.AssemblyPlan` owned by
+        #: :func:`repro.fem.plan.get_plan`
         self._plan = None
         if validate:
             self.validate()
@@ -125,33 +119,13 @@ class TetMesh:
     # ------------------------------------------------------------------
     @property
     def coords(self) -> np.ndarray:
-        """``(nnode, 3)`` node coordinates (read-only; see :meth:`mutate`)."""
+        """``(nnode, 3)`` node coordinates (read-only)."""
         return self._coords
 
     @property
     def connectivity(self) -> np.ndarray:
-        """``(nelem, 4)`` element node ids (read-only; see :meth:`mutate`)."""
+        """``(nelem, 4)`` element node ids (read-only)."""
         return self._connectivity
-
-    @contextlib.contextmanager
-    def mutate(self):
-        """Context manager granting in-place write access to the arrays.
-
-        On exit the arrays are re-frozen, derived adjacency caches are
-        dropped and the structural version is bumped -- so any
-        :class:`~repro.fem.plan.AssemblyPlan` (and every scatter pattern,
-        packing and compiled tape cached on it) built against the old
-        numbering can never be replayed against the new one.
-        """
-        self._coords.flags.writeable = True
-        self._connectivity.flags.writeable = True
-        try:
-            yield self
-        finally:
-            self._coords.flags.writeable = False
-            self._connectivity.flags.writeable = False
-            self._node_to_elem = None
-            self._version += 1
 
     @property
     def nnode(self) -> int:
@@ -202,43 +176,9 @@ class TetMesh:
             q = 6.0 * np.sqrt(2.0) * vol / lrms**3
         return np.nan_to_num(q, nan=0.0)
 
-    def fix_orientation(self) -> int:
-        """Flip negatively-oriented elements in place.
-
-        Returns the number of elements that were flipped.
-        """
-        vols = self.element_volumes()
-        bad = vols < 0.0
-        nbad = int(bad.sum())
-        if nbad:
-            with self.mutate():
-                conn = self._connectivity
-                conn[bad, 1], conn[bad, 2] = (
-                    conn[bad, 2].copy(),
-                    conn[bad, 1].copy(),
-                )
-        return nbad
-
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def node_element_adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR-style node-to-element adjacency.
-
-        Returns ``(offsets, elements)`` with elements adjacent to node ``n``
-        at ``elements[offsets[n]:offsets[n+1]]``.
-        """
-        conn = self.connectivity
-        flat_nodes = conn.ravel()
-        flat_elems = np.repeat(np.arange(self.nelem, dtype=np.int64), 4)
-        order = np.argsort(flat_nodes, kind="stable")
-        sorted_nodes = flat_nodes[order]
-        sorted_elems = flat_elems[order]
-        counts = np.bincount(sorted_nodes, minlength=self.nnode)
-        offsets = np.zeros(self.nnode + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return offsets, sorted_elems
-
     def boundary_faces(self) -> np.ndarray:
         """Faces appearing in exactly one element: ``(nbfaces, 3)`` node ids.
 
@@ -262,21 +202,6 @@ class TetMesh:
     def boundary_nodes(self) -> np.ndarray:
         """Sorted unique node ids lying on the boundary."""
         return np.unique(self.boundary_faces())
-
-    def node_neighbours(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR node-to-node adjacency (via shared edges)."""
-        e = self.connectivity[:, TET_EDGES]  # (nelem, 6, 2)
-        pairs = e.reshape(-1, 2)
-        both = np.vstack([pairs, pairs[:, ::-1]])
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        sorted_pairs = both[order]
-        keep = np.ones(len(sorted_pairs), dtype=bool)
-        keep[1:] = (sorted_pairs[1:] != sorted_pairs[:-1]).any(axis=1)
-        uniq = sorted_pairs[keep]
-        counts = np.bincount(uniq[:, 0], minlength=self.nnode)
-        offsets = np.zeros(self.nnode + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return offsets, uniq[:, 1].copy()
 
     # ------------------------------------------------------------------
     # Validation and statistics

@@ -16,7 +16,10 @@ so this module generates synthetic equivalents:
 Each hexahedral cell of the structured grid is split into **six** tetrahedra
 using the standard Kuhn (Freudenthal) subdivision, which tiles space
 conformally: neighbouring cells share identical face diagonals, so the
-resulting mesh is a valid conforming tetrahedralization.
+resulting mesh is a valid conforming tetrahedralization.  Every row of
+:data:`KUHN_TETS` is positively oriented and each generator's map from the
+unit cube preserves orientation, so every generated element has a positive
+Jacobian.
 """
 
 from __future__ import annotations
@@ -35,16 +38,16 @@ __all__ = [
     "KUHN_TETS",
 ]
 
-#: Kuhn subdivision of the unit cube into 6 tets.  Corner ids use the
-#: (i, j, k)-bit convention: id = i + 2*j + 4*k.
+#: Kuhn subdivision of the unit cube into 6 positively oriented tets.
+#: Corner ids use the (i, j, k)-bit convention: id = i + 2*j + 4*k.
 KUHN_TETS = np.array(
     [
         [0, 1, 3, 7],
-        [0, 1, 5, 7],
-        [0, 2, 3, 7],
+        [0, 5, 1, 7],
+        [0, 3, 2, 7],
         [0, 2, 6, 7],
         [0, 4, 5, 7],
-        [0, 4, 6, 7],
+        [0, 6, 4, 7],
     ],
     dtype=np.int64,
 )
@@ -112,11 +115,7 @@ def box_tet_mesh(
     coords = coords * np.asarray(lengths, dtype=np.float64) + np.asarray(
         origin, dtype=np.float64
     )
-    conn = hexes[:, KUHN_TETS].reshape(-1, 4)
-    mesh = TetMesh(coords, conn, validate=False)
-    mesh.fix_orientation()
-    mesh.validate()
-    return mesh
+    return TetMesh(coords, hexes[:, KUHN_TETS].reshape(-1, 4))
 
 
 def _bolund_height(
@@ -158,14 +157,9 @@ def bolund_like_mesh(
     s = coords[:, 2] ** grading  # graded vertical parameter in [0, 1]
     zsurf = _bolund_height(x, y, hill_height, hill_radius)
     z = zsurf + s * (Lz - zsurf)
-    mesh = TetMesh(
-        np.stack([x, y, z], axis=1),
-        hexes[:, KUHN_TETS].reshape(-1, 4),
-        validate=False,
+    return TetMesh(
+        np.stack([x, y, z], axis=1), hexes[:, KUHN_TETS].reshape(-1, 4)
     )
-    mesh.fix_orientation()
-    mesh.validate()
-    return mesh
 
 
 def channel_mesh(
@@ -184,17 +178,13 @@ def channel_mesh(
     Lx, Ly, Lz = lengths
     t = coords[:, 2] * 2.0 - 1.0  # [-1, 1]
     z = np.tanh(wall_grading * t) / np.tanh(wall_grading)  # still [-1, 1]
-    mesh = TetMesh(
+    return TetMesh(
         np.stack(
             [coords[:, 0] * Lx, coords[:, 1] * Ly, (z + 1.0) * 0.5 * Lz],
             axis=1,
         ),
         hexes[:, KUHN_TETS].reshape(-1, 4),
-        validate=False,
     )
-    mesh.fix_orientation()
-    mesh.validate()
-    return mesh
 
 
 def perturbed_box_mesh(

@@ -9,9 +9,9 @@ and ``VECTOR_DIM = 2048k`` on the GPU (many waves of ~10^6 concurrent
 threads).
 
 This module turns a :class:`~repro.fem.mesh.TetMesh` into a sequence of
-:class:`ElementGroup` packs with gathered node coordinates/velocities and
-provides the scatter-add that accumulates per-group elemental RHS values
-into the global RHS.  The final group is padded with repeated dummy elements
+:class:`ElementGroup` packs with gathered node coordinates; the scatter of
+their elemental RHS values into the global RHS lives in
+:mod:`repro.fem.plan`.  The final group is padded with repeated dummy elements
 (weight zero) so every group has exactly ``VECTOR_DIM`` lanes -- the same
 trick Alya uses.
 """
@@ -19,13 +19,13 @@ trick Alya uses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .mesh import TetMesh
 
-__all__ = ["ElementGroup", "ElementPacking", "scatter_add"]
+__all__ = ["ElementGroup", "ElementPacking"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,14 +60,6 @@ class ElementGroup:
     @property
     def nactive(self) -> int:
         return int(self.active.sum())
-
-    def gather_nodal(self, field: np.ndarray) -> np.ndarray:
-        """Gather a nodal field into the group layout.
-
-        ``field`` is ``(nnode,)`` or ``(nnode, ncomp)``; the result is
-        ``(vector_dim, 4)`` or ``(vector_dim, 4, ncomp)``.
-        """
-        return field[self.connectivity]
 
 
 class ElementPacking:
@@ -105,12 +97,6 @@ class ElementPacking:
     def ngroups(self) -> int:
         """Number of groups (last one possibly padded)."""
         return -(-self.mesh.nelem // self.vector_dim)
-
-    @property
-    def npad(self) -> int:
-        """Number of padding lanes in the final group."""
-        rem = self.mesh.nelem % self.vector_dim
-        return 0 if rem == 0 else self.vector_dim - rem
 
     def group(self, index: int) -> ElementGroup:
         """Build (or fetch the memoized) ``index``-th element group."""
@@ -154,10 +140,6 @@ class ElementPacking:
     def __len__(self) -> int:
         return self.ngroups
 
-    def groups(self) -> List[ElementGroup]:
-        """Materialize all groups (convenience for small meshes)."""
-        return list(self)
-
     def lane_order(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(element_ids, active)`` of all ``ngroups * vector_dim`` lanes
         at once: the concatenation of every group's ``element_ids`` and
@@ -167,49 +149,3 @@ class ElementPacking:
         lanes = np.arange(self.ngroups * self.vector_dim, dtype=np.int64)
         return np.minimum(lanes, nelem - 1), lanes < nelem
 
-
-def scatter_add(
-    global_rhs: np.ndarray,
-    group: ElementGroup,
-    elemental: np.ndarray,
-) -> None:
-    """Accumulate elemental contributions into the global RHS.
-
-    This is the reduction step that the CPU path keeps in "a separate,
-    unvectorized loop ... to avoid lost updates": different lanes of a group
-    may share mesh nodes, so a plain fancy-index ``+=`` would silently drop
-    updates.  The reduction runs through
-    :func:`repro.fem.plan.segment_scatter` (``np.bincount``), which keeps
-    the unbuffered sequential-in-input-order semantics of ``np.add.at``
-    (bit-for-bit when accumulating into a zero array) while being roughly
-    an order of magnitude faster.
-
-    Parameters
-    ----------
-    global_rhs:
-        ``(nnode, ncomp)`` or ``(nnode,)`` array updated in place.
-    group:
-        The element group the contributions belong to.
-    elemental:
-        ``(vector_dim, 4, ncomp)`` or ``(vector_dim, 4)`` per-lane elemental
-        RHS.  Padding lanes are masked out.
-    """
-    elemental = np.asarray(elemental)
-    if elemental.shape[0] != group.vector_dim:
-        raise ValueError(
-            f"elemental leading dim {elemental.shape[0]} != vector_dim "
-            f"{group.vector_dim}"
-        )
-    if group.nactive == group.vector_dim:
-        conn = group.connectivity
-        vals = elemental
-    else:
-        conn = group.connectivity[group.active]
-        vals = elemental[group.active]
-    from .plan import segment_scatter  # runtime import: plan imports packing
-
-    global_rhs += segment_scatter(
-        conn.ravel(),
-        vals.reshape(-1, *vals.shape[2:]),
-        global_rhs.shape[0],
-    )

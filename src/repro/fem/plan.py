@@ -26,7 +26,7 @@ the hot loop:
   single ``bincount`` in the exact temporal order the per-call
   ``np.add.at`` path would have used -- hence bit-identical results.
 * :class:`AssemblyPlan` / :func:`get_plan` -- the per-mesh cache tying
-  it together (owned by the mesh, invalidated when it is reoriented).
+  it together (owned by the mesh, which never changes after construction).
 
 Telemetry flows through :mod:`repro.obs`: plan construction records a
 ``plan.build`` span, and the ``plan.*`` / ``scatter.*`` counters track
@@ -345,8 +345,7 @@ class AssemblyPlan:
     """Everything about a mesh the assembly can precompute once.
 
     Instances are created through :func:`get_plan`, which caches one plan
-    on each live mesh (reorienting the mesh with
-    :meth:`~repro.fem.mesh.TetMesh.fix_orientation` invalidates it).
+    on each live mesh.
     """
 
     def __init__(self, mesh: TetMesh) -> None:
@@ -396,8 +395,9 @@ class AssemblyPlan:
         return self._element_volumes
 
     def lumped_mass(self) -> np.ndarray:
-        """Cached lumped-mass diagonal, bit-identical to the seed
-        ``np.add.at`` version in :func:`repro.fem.fields.lumped_mass`."""
+        """Cached lumped-mass diagonal: each node gets a quarter of the
+        volume of each adjacent element, bit-identical to the ``np.add.at``
+        reduction of those quarters."""
         if self._lumped_mass is None:
             vols = self.element_volumes()
             self._lumped_mass = _readonly(
@@ -486,11 +486,7 @@ class AssemblyPlan:
 
     # -- compiled tapes -----------------------------------------------------
     def cached_tape(self, key: Tuple):
-        """Cached compiled kernel tape for ``key``, or ``None``.
-
-        Tapes live on the plan so mesh reorientation (which invalidates
-        the plan through :func:`get_plan`) invalidates every tape with it.
-        """
+        """Cached compiled kernel tape for ``key``, or ``None``."""
         return self._tapes.get(key)
 
     def store_tape(self, key: Tuple, tape) -> None:
@@ -498,12 +494,8 @@ class AssemblyPlan:
 
     # -- generated (codegen) kernels ----------------------------------------
     def cached_codegen(self, key: Tuple):
-        """Cached generated kernel for ``key``, or ``None``.
-
-        Generated kernels share the tape cache key and lifecycle: mesh
-        reorientation invalidates the plan, and with it every generated
-        source module bound to the old node numbering.
-        """
+        """Cached generated kernel for ``key``, or ``None`` (same key and
+        lifetime as the tapes)."""
         return self._codegen.get(key)
 
     def store_codegen(self, key: Tuple, kern) -> None:
@@ -515,7 +507,7 @@ class AssemblyPlan:
 
         :class:`~repro.physics.pressure.PressureSolver` keeps the pressure
         Laplacian and its default AMG hierarchy here, so every solver on
-        this mesh shares them and mesh reorientation drops them.
+        this mesh shares them.
         """
         return self._operators.get(key)
 
@@ -539,18 +531,15 @@ class AssemblyPlan:
 def get_plan(mesh: TetMesh) -> AssemblyPlan:
     """The (cached) :class:`AssemblyPlan` of ``mesh``.
 
-    The plan is stored *on* the mesh (``mesh._plan``) together with the
-    structural version it was built for (``fix_orientation`` bumps it and
-    so invalidates the plan).  The plan refers back to its mesh, so any
-    table keyed on the mesh -- even a weak one -- would keep every mesh
-    it ever saw alive through its own value; owned by the mesh, plan and
-    mesh are one garbage cycle that goes away when the mesh is dropped.
+    The plan is stored *on* the mesh (``mesh._plan``); the mesh's arrays
+    are read-only, so the plan stays valid for the mesh's lifetime.  The
+    plan refers back to its mesh, so any table keyed on the mesh -- even a
+    weak one -- would keep every mesh it ever saw alive through its own
+    value; owned by the mesh, plan and mesh are one garbage cycle that goes
+    away when the mesh is dropped.
     """
-    version = getattr(mesh, "_version", 0)
-    entry = getattr(mesh, "_plan", None)
-    if entry is not None and entry[0] == version:
+    if mesh._plan is not None:
         get_registry().counter("plan.cache_hits").inc()
-        return entry[1]
-    plan = AssemblyPlan(mesh)
-    mesh._plan = (version, plan)
-    return plan
+        return mesh._plan
+    mesh._plan = AssemblyPlan(mesh)
+    return mesh._plan

@@ -1,15 +1,11 @@
-"""Reference finite elements.
+"""The reference linear tetrahedron.
 
-Alya supports mixed meshes with tetrahedral, hexahedral, prismatic and
-pyramidal elements; the paper's *specialization* step fixes the element type
-to the linear tetrahedron (``TET04``), for which the shape-function gradients
-are constant over the element.  The baseline assembly variant (``B``) keeps
-the element type a *runtime* parameter and therefore needs the generic
-machinery in this module: shape functions and their parametric derivatives
-evaluated at arbitrary points for every supported element type.
-
-The element naming follows Alya's convention (``TET04``, ``PYR05``,
-``PEN06``, ``HEX08`` -- name plus node count).
+The paper's *specialization* step fixes the element type to the linear
+tetrahedron (``TET04``, Alya's name plus node count), for which the
+shape-function gradients are constant over the element.  The baseline
+assembly variant (``B``) still evaluates shape functions and parametric
+derivatives at every Gauss point, with runtime node and Gauss counts; it
+reads them from :data:`TET04`.
 
 All arrays are laid out ``(node, point)`` for values and
 ``(node, dim, point)`` for derivatives so that a single element evaluated at
@@ -19,19 +15,11 @@ All arrays are laid out ``(node, point)`` for values and
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-__all__ = [
-    "ReferenceElement",
-    "ELEMENTS",
-    "element",
-    "TET04",
-    "PYR05",
-    "PEN06",
-    "HEX08",
-]
+__all__ = ["ReferenceElement", "TET04", "TET04_GRAD"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +31,7 @@ class ReferenceElement:
     name:
         Alya-style identifier, e.g. ``"TET04"``.
     dim:
-        Parametric dimension (3 for all volume elements here).
+        Parametric dimension (3).
     nnode:
         Number of nodes / shape functions.
     node_coords:
@@ -56,8 +44,8 @@ class ReferenceElement:
         Callable mapping ``(npts, dim)`` parametric points to ``(nnode, dim,
         npts)`` parametric derivatives.
     linear_gradient:
-        True when the shape-function gradients are constant over the element
-        (only the linear tetrahedron here).  This is precisely the property
+        True when the shape-function gradients are constant over the element,
+        as for the linear tetrahedron.  This is precisely the property
         the paper's specialization exploits: "the gradients of the shape
         functions are constant for tetrahedral elements".
     reference_volume:
@@ -98,10 +86,6 @@ class ReferenceElement:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ReferenceElement({self.name}, nnode={self.nnode})"
 
-
-# ---------------------------------------------------------------------------
-# TET04 -- linear tetrahedron
-# ---------------------------------------------------------------------------
 
 _TET_NODES = np.array(
     [
@@ -144,191 +128,3 @@ TET04 = ReferenceElement(
     linear_gradient=True,
     reference_volume=1.0 / 6.0,
 )
-
-
-# ---------------------------------------------------------------------------
-# HEX08 -- trilinear hexahedron on [-1, 1]^3
-# ---------------------------------------------------------------------------
-
-_HEX_SIGNS = np.array(
-    [
-        [-1, -1, -1],
-        [1, -1, -1],
-        [1, 1, -1],
-        [-1, 1, -1],
-        [-1, -1, 1],
-        [1, -1, 1],
-        [1, 1, 1],
-        [-1, 1, 1],
-    ],
-    dtype=np.float64,
-)
-
-
-def _hex_shape(pts: np.ndarray) -> np.ndarray:
-    # N_a = 1/8 (1 + sa s)(1 + ta t)(1 + ua u)
-    terms = 1.0 + _HEX_SIGNS[:, None, :] * pts[None, :, :]
-    return 0.125 * terms.prod(axis=2)
-
-
-def _hex_shape_grad(pts: np.ndarray) -> np.ndarray:
-    terms = 1.0 + _HEX_SIGNS[:, None, :] * pts[None, :, :]  # (8, npts, 3)
-    grads = np.empty((8, 3, pts.shape[0]))
-    for d in range(3):
-        others = [k for k in range(3) if k != d]
-        grads[:, d, :] = (
-            0.125 * _HEX_SIGNS[:, d, None] * terms[:, :, others].prod(axis=2)
-        )
-    return grads
-
-
-HEX08 = ReferenceElement(
-    name="HEX08",
-    dim=3,
-    nnode=8,
-    node_coords=_HEX_SIGNS.copy(),
-    shape=_hex_shape,
-    shape_grad=_hex_shape_grad,
-    linear_gradient=False,
-    reference_volume=8.0,
-)
-
-
-# ---------------------------------------------------------------------------
-# PEN06 -- linear prism (wedge): triangle (s, t) x line u in [-1, 1]
-# ---------------------------------------------------------------------------
-
-_PEN_NODES = np.array(
-    [
-        [0.0, 0.0, -1.0],
-        [1.0, 0.0, -1.0],
-        [0.0, 1.0, -1.0],
-        [0.0, 0.0, 1.0],
-        [1.0, 0.0, 1.0],
-        [0.0, 1.0, 1.0],
-    ]
-)
-
-
-def _pen_shape(pts: np.ndarray) -> np.ndarray:
-    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
-    lam = np.stack([1.0 - s - t, s, t])  # (3, npts) triangle coordinates
-    lo = 0.5 * (1.0 - u)
-    hi = 0.5 * (1.0 + u)
-    return np.concatenate([lam * lo, lam * hi], axis=0)
-
-
-def _pen_shape_grad(pts: np.ndarray) -> np.ndarray:
-    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
-    npts = pts.shape[0]
-    lam = np.stack([1.0 - s - t, s, t])
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # (3, 2)
-    lo = 0.5 * (1.0 - u)
-    hi = 0.5 * (1.0 + u)
-    grads = np.empty((6, 3, npts))
-    for a in range(3):
-        grads[a, 0, :] = dlam[a, 0] * lo
-        grads[a, 1, :] = dlam[a, 1] * lo
-        grads[a, 2, :] = -0.5 * lam[a]
-        grads[a + 3, 0, :] = dlam[a, 0] * hi
-        grads[a + 3, 1, :] = dlam[a, 1] * hi
-        grads[a + 3, 2, :] = 0.5 * lam[a]
-    return grads
-
-
-PEN06 = ReferenceElement(
-    name="PEN06",
-    dim=3,
-    nnode=6,
-    node_coords=_PEN_NODES,
-    shape=_pen_shape,
-    shape_grad=_pen_shape_grad,
-    linear_gradient=False,
-    reference_volume=1.0,
-)
-
-
-# ---------------------------------------------------------------------------
-# PYR05 -- linear pyramid, base [-1,1]^2 at u=0, apex at (0,0,1)
-# ---------------------------------------------------------------------------
-# Rational shape functions (standard 5-node pyramid).  The singularity at the
-# apex (u = 1) is handled by clipping; quadrature rules never place points
-# there.
-
-_PYR_NODES = np.array(
-    [
-        [-1.0, -1.0, 0.0],
-        [1.0, -1.0, 0.0],
-        [1.0, 1.0, 0.0],
-        [-1.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-    ]
-)
-
-_PYR_EPS = 1e-14
-
-
-def _pyr_shape(pts: np.ndarray) -> np.ndarray:
-    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
-    w = np.where(np.abs(1.0 - u) < _PYR_EPS, _PYR_EPS, 1.0 - u)
-    ratio = (s * t * u) / w
-    n = np.empty((5, pts.shape[0]))
-    n[0] = 0.25 * ((1.0 - s) * (1.0 - t) - u + ratio)
-    n[1] = 0.25 * ((1.0 + s) * (1.0 - t) - u - ratio)
-    n[2] = 0.25 * ((1.0 + s) * (1.0 + t) - u + ratio)
-    n[3] = 0.25 * ((1.0 - s) * (1.0 + t) - u - ratio)
-    n[4] = u
-    return n
-
-
-def _pyr_shape_grad(pts: np.ndarray) -> np.ndarray:
-    s, t, u = pts[:, 0], pts[:, 1], pts[:, 2]
-    w = np.where(np.abs(1.0 - u) < _PYR_EPS, _PYR_EPS, 1.0 - u)
-    tu_w = (t * u) / w
-    su_w = (s * u) / w
-    st_w2 = (s * t) / (w * w)
-    g = np.empty((5, 3, pts.shape[0]))
-    g[0, 0] = 0.25 * (-(1.0 - t) + tu_w)
-    g[0, 1] = 0.25 * (-(1.0 - s) + su_w)
-    g[0, 2] = 0.25 * (-1.0 + st_w2)
-    g[1, 0] = 0.25 * ((1.0 - t) - tu_w)
-    g[1, 1] = 0.25 * (-(1.0 + s) - su_w)
-    g[1, 2] = 0.25 * (-1.0 - st_w2)
-    g[2, 0] = 0.25 * ((1.0 + t) + tu_w)
-    g[2, 1] = 0.25 * ((1.0 + s) + su_w)
-    g[2, 2] = 0.25 * (-1.0 + st_w2)
-    g[3, 0] = 0.25 * (-(1.0 + t) - tu_w)
-    g[3, 1] = 0.25 * ((1.0 - s) - su_w)
-    g[3, 2] = 0.25 * (-1.0 - st_w2)
-    g[4, 0] = 0.0
-    g[4, 1] = 0.0
-    g[4, 2] = 1.0
-    return g
-
-
-PYR05 = ReferenceElement(
-    name="PYR05",
-    dim=3,
-    nnode=5,
-    node_coords=_PYR_NODES,
-    shape=_pyr_shape,
-    shape_grad=_pyr_shape_grad,
-    linear_gradient=False,
-    reference_volume=4.0 / 3.0,
-)
-
-
-ELEMENTS: Dict[str, ReferenceElement] = {
-    e.name: e for e in (TET04, PYR05, PEN06, HEX08)
-}
-
-
-def element(name: str) -> ReferenceElement:
-    """Look up a reference element by Alya-style name (case-insensitive)."""
-    key = name.upper()
-    try:
-        return ELEMENTS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown element type {name!r}; available: {sorted(ELEMENTS)}"
-        ) from None

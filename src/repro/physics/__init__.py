@@ -1,8 +1,7 @@
-"""Incompressible-LES physics substrate: materials, turbulence models,
-convective forms, momentum assembly, pressure projection and the explicit
+"""Incompressible-LES physics substrate: turbulence models, convective
+forms, momentum assembly, pressure projection and the explicit
 fractional-step integrator."""
 
-from .materials import AIR, WATER, Material, MaterialLaw, evaluate_material
 from .turbulence import (
     TurbulenceModel,
     VREMAN_C,
@@ -16,7 +15,6 @@ from .convection import ConvectiveForm, convective_term
 from .momentum import AssemblyParams, assemble_momentum_rhs, element_rhs
 
 __all__ = [
-    "AIR", "WATER", "Material", "MaterialLaw", "evaluate_material",
     "TurbulenceModel", "VREMAN_C", "SMAGORINSKY_CS", "eddy_viscosity",
     "smagorinsky_viscosity", "vreman_viscosity", "wale_viscosity",
     "ConvectiveForm", "convective_term",

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..fem.mesh import TetMesh
 from ..fem.geometry import tet4_gradients
-from ..fem.quadrature import rule_for
+from ..fem.quadrature import TET04_RULE
 from ..fem.reference import TET04
 from .convection import ConvectiveForm, convective_term
 from .turbulence import TurbulenceModel, VREMAN_C, eddy_viscosity
@@ -123,8 +123,7 @@ def element_rhs(
     """
     xel = np.asarray(xel, dtype=np.float64)
     uel = np.asarray(uel, dtype=np.float64)
-    rule = rule_for("TET04", 4)
-    shapes, _ = TET04.evaluate(rule.points)  # (4 nodes, 4 gauss)
+    shapes, _ = TET04.evaluate(TET04_RULE.points)  # (4 nodes, 4 gauss)
 
     if geometry is None:
         grads, dets = tet4_gradients(xel)  # (nelem, 4, 3), (nelem,)
@@ -146,9 +145,9 @@ def element_rhs(
     rho = params.density
 
     # Gauss loop: convective + body-force terms.
-    for q in range(rule.ngauss):
+    for q in range(TET04_RULE.ngauss):
         n_q = shapes[:, q]  # (4,)
-        w_detj = rule.weights[q] * dets  # (nelem,)
+        w_detj = TET04_RULE.weights[q] * dets  # (nelem,)
         u_q = np.einsum("a,eai->ei", n_q, uel)  # (nelem, 3)
         conv = convective_term(params.convective_form, u_q, g)
         contrib = rho * (f[None, :] - conv)  # (nelem, 3)

@@ -1,4 +1,4 @@
-"""Generated assembly kernels: bit-identity, caching, invalidation, wiring.
+"""Generated assembly kernels: bit-identity, caching, wiring.
 
 The contract of :mod:`repro.core.codegen` is the tape contract plus one
 more layer: the exec-compiled generated source must produce an RHS
@@ -74,29 +74,6 @@ def test_codegen_emission_is_deterministic(params):
     assert p1.source == p2.source
     assert p1.stmt_costs == p2.stmt_costs
     assert generate_program("RS", 64, kernel_params=kp).source != p1.source
-
-
-def test_codegen_invalidated_by_fix_orientation(params):
-    """Repairing the mesh bumps its version; stale kernels must not survive."""
-    mesh = box_tet_mesh(3, 3, 3)
-    u = _velocity(mesh)
-    gen = UnifiedAssembler(mesh, params, vector_dim=33, mode="codegen")
-    before = gen.assemble("RS", u)
-    old_plan = get_plan(mesh)
-
-    # corrupt one element's orientation, then repair it
-    with mesh.mutate():
-        conn = mesh._connectivity
-        conn[0, 1], conn[0, 2] = conn[0, 2].copy(), conn[0, 1].copy()
-    assert mesh.fix_orientation() == 1
-
-    plan = get_plan(mesh)
-    assert plan is not old_plan  # new mesh version -> new plan -> no kernels
-    gen2 = UnifiedAssembler(mesh, params, vector_dim=33, mode="codegen")
-    after = gen2.assemble("RS", u)
-    interp = UnifiedAssembler(mesh, params, vector_dim=33)
-    assert np.array_equal(after, interp.assemble("RS", u))
-    assert np.array_equal(after, before)  # repaired orientation = original
 
 
 def _rebound(blob: bytes, xel: np.ndarray, u: np.ndarray):

@@ -11,12 +11,11 @@ work.  Bit-identity of the results is pinned by the hypothesis suites of
 import numpy as np
 import pytest
 
-from repro.core import ScenarioBatch, UnifiedAssembler, variant_names
-from repro.core.codegen import generate_program, generated_kernel
+from repro.core import ScenarioBatch, variant_names
+from repro.core.codegen import generate_program
 from repro.core.dsl import KernelContext
 from repro.core.storage import Storage
 from repro.core.tape import RecordingBackend, record_program
-from repro.fem import box_tet_mesh, get_plan
 from repro.parallel.runner import _chunk_program
 
 
@@ -107,31 +106,3 @@ def test_restored_temp_slot_does_not_alias_stale_value():
     second = bk.binop("mul", bk.load(t, (0,)), y)
     assert second.payload != first.payload  # y * y, not the stale x * y
     assert bk.binop("mul", x, y).payload == first.payload
-
-
-# -- hoisted invariants follow the mesh version --------------------------------
-
-
-def test_hoisted_rows_rebuilt_after_fix_orientation(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
-    kp = params.as_kernel_params()
-    gen = UnifiedAssembler(mesh, params, vector_dim=16, mode="codegen")
-    before = gen.assemble("B", u)
-    old = generated_kernel(get_plan(mesh), "B", 16, kernel_params=kp)
-    assert old._pinned.shape == (old.program.report.pinned_buffers, old.nlane)
-
-    # stretch the mesh and flip one element, then repair the orientation:
-    # the pinned coordinate-only rows of the old kernel are now stale
-    with mesh.mutate():
-        mesh._coords[:, 0] *= 2.0
-        conn = mesh._connectivity
-        conn[0, 1], conn[0, 2] = conn[0, 2].copy(), conn[0, 1].copy()
-    assert mesh.fix_orientation() == 1
-
-    after = gen.assemble("B", u)
-    new = generated_kernel(get_plan(mesh), "B", 16, kernel_params=kp)
-    assert new is not old and not np.array_equal(new._pinned, old._pinned)
-    interp = UnifiedAssembler(mesh, params, vector_dim=16)
-    assert np.array_equal(after, interp.assemble("B", u))
-    assert not np.array_equal(after, before)

@@ -10,7 +10,7 @@ variant and every group size (including padded final groups).
 import numpy as np
 import pytest
 
-from repro.core import UnifiedAssembler, variant_names
+from repro.core import variant_names
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.storage import Storage, TempSpec
 from repro.core.tape import compiled_tape, record_program, tape_cache_key
@@ -96,29 +96,6 @@ def test_cache_key_includes_params():
     key_b = tape_cache_key("rsp", 16, b.as_kernel_params())
     assert key_a != key_b
     assert key_a[0] == "RSP"
-
-
-def test_tape_invalidated_by_fix_orientation(params):
-    """Repairing the mesh bumps its version; stale tapes must not survive."""
-    mesh = box_tet_mesh(3, 3, 3)
-    u = _velocity(mesh)
-    comp = UnifiedAssembler(mesh, params, vector_dim=33, mode="compiled")
-    before = comp.assemble("RS", u)
-    old_plan = get_plan(mesh)
-
-    # corrupt one element's orientation, then repair it
-    with mesh.mutate():
-        conn = mesh._connectivity
-        conn[0, 1], conn[0, 2] = conn[0, 2].copy(), conn[0, 1].copy()
-    assert mesh.fix_orientation() == 1
-
-    plan = get_plan(mesh)
-    assert plan is not old_plan  # new mesh version -> new plan -> no tapes
-    comp2 = UnifiedAssembler(mesh, params, vector_dim=33, mode="compiled")
-    after = comp2.assemble("RS", u)
-    interp = UnifiedAssembler(mesh, params, vector_dim=33)
-    assert np.array_equal(after, interp.assemble("RS", u))
-    assert np.array_equal(after, before)  # repaired orientation = original
 
 
 # -- elemental tape (multiprocess worker path) ---------------------------------

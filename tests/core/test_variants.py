@@ -14,7 +14,7 @@ from repro.core import (
     make_specialized_kernel,
     variant_names,
 )
-from repro.fem import box_tet_mesh
+from repro.fem import box_tet_mesh, get_plan
 from repro.physics import (
     AssemblyParams,
     ConvectiveForm,
@@ -81,9 +81,7 @@ def test_zero_velocity_gives_pure_force(small_mesh, params):
     """With u = 0 the RHS is the body-force integral: rho*f*V/4 per node/elem."""
     asm = UnifiedAssembler(small_mesh, params, vector_dim=16)
     rhs = asm.assemble("RSPR", np.zeros((small_mesh.nnode, 3)))
-    from repro.fem import lumped_mass
-
-    mass = lumped_mass(small_mesh)
+    mass = get_plan(small_mesh).lumped_mass()
     expected = (
         params.density
         * mass[:, None]

@@ -1,21 +1,11 @@
-"""Geometry: Jacobians, Cartesian gradients, specialized-vs-generic paths."""
+"""Geometry: Jacobians and Cartesian gradients of linear tets."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fem import (
-    GeometryError,
-    TET04,
-    generic_geometry,
-    rule_for,
-    tet4_geometry,
-    tet4_gradients,
-)
-from repro.fem.reference import element
-
-RULE = rule_for("TET04", 4)
+from repro.fem import TET04_RULE, GeometryError, tet4_gradients
 
 
 def _random_tets(n, seed=0, scale=1.0):
@@ -87,22 +77,9 @@ def test_rejects_bad_shape():
         tet4_gradients(np.zeros((3, 5, 3)))
 
 
-def test_specialized_matches_generic():
-    """The S transformation must not change the geometry factors."""
-    xel = _random_tets(10, seed=6)
-    spec = tet4_geometry(xel, RULE)
-    gen = generic_geometry(xel, TET04, RULE)
-    for q in range(RULE.ngauss):
-        assert np.allclose(
-            spec.cartesian_gradients[:, 0], gen.cartesian_gradients[:, q]
-        )
-        assert np.allclose(spec.jacobian_dets[:, 0], gen.jacobian_dets[:, q])
-    assert np.allclose(spec.volumes(), gen.volumes())
-
-
 def test_volumes_match_direct_formula():
     xel = _random_tets(10, seed=7)
-    geo = tet4_geometry(xel, RULE)
+    _, dets = tet4_gradients(xel)
     direct = (
         np.einsum(
             "ei,ei->e",
@@ -111,30 +88,14 @@ def test_volumes_match_direct_formula():
         )
         / 6.0
     )
-    assert np.allclose(geo.volumes(), direct)
-
-
-@pytest.mark.parametrize("name", ["HEX08", "PEN06", "PYR05"])
-def test_generic_geometry_reference_volume(name):
-    ref = element(name)
-    rule = rule_for(name)
-    xel = ref.node_coords[None, :, :]
-    geo = generic_geometry(xel, ref, rule)
-    assert geo.volumes()[0] == pytest.approx(ref.reference_volume, rel=1e-10)
-
-
-def test_generic_geometry_rejects_mismatched_rule():
-    with pytest.raises(GeometryError, match="rule"):
-        generic_geometry(
-            element("HEX08").node_coords[None], element("HEX08"), RULE
-        )
+    assert np.allclose(dets / 6.0, direct)
 
 
 @settings(max_examples=20, deadline=None)
 @given(scale=st.floats(0.1, 10.0), seed=st.integers(0, 100))
 def test_measures_sum_to_volume(scale, seed):
-    xel = _random_tets(3, seed=seed, scale=scale)
-    geo = tet4_geometry(xel, RULE)
+    _, dets = tet4_gradients(_random_tets(3, seed=seed, scale=scale))
+    measures = dets[:, None] * TET04_RULE.weights[None, :]  # w_g |J|
     # 4-pt rule: 4 equal weights of 1/24 -> measures sum to the volume
-    assert np.allclose(geo.measures.sum(axis=1), geo.volumes(), rtol=1e-10)
-    assert np.allclose(geo.measures[:, 0] * 4, geo.volumes(), rtol=1e-10)
+    assert np.allclose(measures.sum(axis=1), dets / 6.0, rtol=1e-10)
+    assert np.allclose(measures[:, 0] * 4, dets / 6.0, rtol=1e-10)

@@ -1,4 +1,4 @@
-"""TetMesh container: volumes, topology, validation, manipulation."""
+"""TetMesh container: volumes, topology, validation, read-only arrays."""
 
 import numpy as np
 import pytest
@@ -54,15 +54,6 @@ def test_regular_tet_quality_is_one():
     assert m.element_quality()[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_fix_orientation_flips_inverted():
-    conn = np.array([[0, 2, 1, 3]])  # inverted unit tet
-    m = TetMesh(UNIT_TET.coords.copy(), conn)
-    assert m.element_volumes()[0] < 0
-    assert m.fix_orientation() == 1
-    assert m.element_volumes()[0] > 0
-    assert m.fix_orientation() == 0  # idempotent
-
-
 def test_boundary_faces_of_single_tet():
     assert UNIT_TET.boundary_faces().shape == (4, 3)
 
@@ -77,28 +68,6 @@ def test_boundary_nodes_of_box(medium_mesh):
     n = 7  # nodes per side
     expected = n**3 - (n - 2) ** 3
     assert len(medium_mesh.boundary_nodes()) == expected
-
-
-def test_node_element_adjacency(small_mesh):
-    offsets, elems = small_mesh.node_element_adjacency()
-    assert offsets[-1] == small_mesh.nelem * 4
-    # node 0 (a corner) belongs to at least one element
-    assert offsets[1] > offsets[0]
-    # every listed element actually contains its node
-    for node in (0, small_mesh.nnode // 2):
-        for e in elems[offsets[node] : offsets[node + 1]]:
-            assert node in small_mesh.connectivity[e]
-
-
-def test_node_neighbours_symmetric(small_mesh):
-    offsets, nbrs = small_mesh.node_neighbours()
-    adj = {
-        (i, int(j))
-        for i in range(small_mesh.nnode)
-        for j in nbrs[offsets[i] : offsets[i + 1]]
-    }
-    assert all((j, i) in adj for (i, j) in adj)
-    assert all(i != j for (i, j) in adj)
 
 
 def test_validation_rejects_out_of_range():

@@ -1,17 +1,14 @@
-"""Mesh generators, boundary classification and field containers."""
+"""Mesh generators, boundary classification and the lumped mass."""
 
 import numpy as np
 import pytest
 
 from repro.fem import (
     DirichletBC,
-    ElementField,
-    NodalField,
-    bolund_like_mesh,
     box_tet_mesh,
     channel_mesh,
     classify_box_boundaries,
-    lumped_mass,
+    get_plan,
     perturbed_box_mesh,
 )
 from repro.fem.meshgen import structured_grid
@@ -116,53 +113,15 @@ def test_dirichlet_callable_and_components(medium_mesh):
     assert np.allclose(field[nodes, 0], 1.0)  # untouched component
 
 
-# -- fields ------------------------------------------------------------------
-
-
-def test_nodal_field_shapes(medium_mesh):
-    f = NodalField(medium_mesh, ncomp=3, name="u")
-    assert f.data.shape == (medium_mesh.nnode, 3)
-    assert f.ncomp == 3
-    with pytest.raises(ValueError, match="expected shape"):
-        NodalField(medium_mesh, ncomp=3, data=np.zeros((5, 3)))
-
-
-def test_nodal_field_interpolate_and_norms(medium_mesh):
-    f = NodalField(medium_mesh, ncomp=1)
-    f.interpolate(lambda c: c[:, 0])
-    assert f.norm("max") == pytest.approx(1.0)
-    assert f.norm("rms") <= f.norm("max")
-    assert f.norm("l2") > 0
-    with pytest.raises(ValueError, match="norm"):
-        f.norm("l7")
-
-
-def test_element_means(medium_mesh):
-    f = NodalField(medium_mesh, ncomp=1).interpolate(lambda c: c[:, 2])
-    means = f.element_means()
-    cent = medium_mesh.element_coords().mean(axis=1)[:, 2]
-    assert np.allclose(means, cent)
-
-
-def test_element_field_to_nodal_constant(medium_mesh):
-    ef = ElementField(medium_mesh, data=np.full(medium_mesh.nelem, 3.5))
-    nodal = ef.to_nodal()
-    assert np.allclose(nodal.data, 3.5)
-
-
-def test_field_copy_independent(medium_mesh):
-    f = NodalField(medium_mesh, ncomp=1)
-    g = f.copy()
-    g.data += 1.0
-    assert np.allclose(f.data, 0.0)
+# -- lumped mass -------------------------------------------------------------
 
 
 def test_lumped_mass_sums_to_volume(medium_mesh):
-    mass = lumped_mass(medium_mesh)
+    mass = get_plan(medium_mesh).lumped_mass()
     assert mass.sum() == pytest.approx(medium_mesh.total_volume())
     assert (mass > 0).all()
 
 
 def test_lumped_mass_jittered(jittered_mesh):
-    mass = lumped_mass(jittered_mesh)
+    mass = get_plan(jittered_mesh).lumped_mass()
     assert mass.sum() == pytest.approx(jittered_mesh.total_volume())

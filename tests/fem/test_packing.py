@@ -1,11 +1,11 @@
-"""Element packing: group shapes, padding, scatter-add correctness."""
+"""Element packing: group shapes, padding, lane order."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fem import ElementPacking, box_tet_mesh, scatter_add
+from repro.fem import ElementPacking, box_tet_mesh
 
 
 def test_group_count(medium_mesh):
@@ -18,10 +18,9 @@ def test_padding(small_mesh):
     # 162 elements, vector_dim 100 -> 2 groups, 38 padding lanes
     p = ElementPacking(small_mesh, vector_dim=100)
     assert p.ngroups == 2
-    assert p.npad == 2 * 100 - small_mesh.nelem
     last = p.group(p.ngroups - 1)
     assert last.nactive == small_mesh.nelem - 100
-    assert not last.active[-1]
+    assert (~last.active).sum() == 2 * 100 - small_mesh.nelem
     # padding repeats the final real element
     assert (last.element_ids[last.nactive:] == last.element_ids[last.nactive - 1]).all()
 
@@ -40,15 +39,6 @@ def test_group_coords_match_mesh(medium_mesh):
     )
 
 
-def test_gather_nodal(medium_mesh):
-    p = ElementPacking(medium_mesh, vector_dim=8)
-    g = p.group(0)
-    field = np.arange(medium_mesh.nnode, dtype=float)
-    gathered = g.gather_nodal(field)
-    assert gathered.shape == (8, 4)
-    assert np.allclose(gathered, g.connectivity.astype(float))
-
-
 def test_invalid_vector_dim(medium_mesh):
     with pytest.raises(ValueError, match="vector_dim"):
         ElementPacking(medium_mesh, 0)
@@ -58,34 +48,6 @@ def test_group_index_bounds(medium_mesh):
     p = ElementPacking(medium_mesh, vector_dim=16)
     with pytest.raises(IndexError):
         p.group(p.ngroups)
-
-
-def test_scatter_add_handles_shared_nodes(small_mesh):
-    """Lanes sharing nodes must all contribute (no lost updates)."""
-    p = ElementPacking(small_mesh, vector_dim=small_mesh.nelem)
-    g = p.group(0)
-    rhs = np.zeros((small_mesh.nnode, 3))
-    elemental = np.ones((g.vector_dim, 4, 3))
-    scatter_add(rhs, g, elemental)
-    # every node accumulates once per adjacent element
-    offsets, _ = small_mesh.node_element_adjacency()
-    counts = np.diff(offsets)
-    assert np.allclose(rhs[:, 0], counts)
-
-
-def test_scatter_add_masks_padding(small_mesh):
-    p = ElementPacking(small_mesh, vector_dim=100)
-    g = p.group(p.ngroups - 1)  # padded group
-    rhs = np.zeros((small_mesh.nnode, 3))
-    scatter_add(rhs, g, np.ones((100, 4, 3)))
-    total = rhs[:, 0].sum()
-    assert total == pytest.approx(4 * g.nactive)
-
-
-def test_scatter_add_rejects_bad_shape(small_mesh):
-    p = ElementPacking(small_mesh, vector_dim=8)
-    with pytest.raises(ValueError, match="vector_dim"):
-        scatter_add(np.zeros((small_mesh.nnode, 3)), p.group(0), np.ones((7, 4, 3)))
 
 
 @settings(max_examples=20, deadline=None)

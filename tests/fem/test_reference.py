@@ -6,58 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fem.reference import ELEMENTS, TET04, TET04_GRAD, element
+from repro.fem.reference import TET04, TET04_GRAD
 
-ALL_NAMES = sorted(ELEMENTS)
-
-
-def _interior_points(ref, n=5, seed=0):
-    """Random points safely inside the reference element."""
-    rng = np.random.default_rng(seed)
-    if ref.name == "TET04":
-        b = rng.dirichlet(np.ones(4), size=n)
-        return b[:, 1:] * 0.9
-    if ref.name == "HEX08":
-        return rng.uniform(-0.9, 0.9, size=(n, 3))
-    if ref.name == "PEN06":
-        b = rng.dirichlet(np.ones(3), size=n) * 0.9
-        u = rng.uniform(-0.9, 0.9, size=n)
-        return np.column_stack([b[:, 1], b[:, 2], u])
-    if ref.name == "PYR05":
-        u = rng.uniform(0.0, 0.8, size=n)
-        s = rng.uniform(-0.9, 0.9, size=n) * (1 - u)
-        t = rng.uniform(-0.9, 0.9, size=n) * (1 - u)
-        return np.column_stack([s, t, u])
-    raise AssertionError(ref.name)
+ALL = pytest.mark.parametrize("ref", [TET04], ids=["TET04"])
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_partition_of_unity(name):
-    ref = element(name)
-    vals, _ = ref.evaluate(_interior_points(ref))
+def _interior_points(n=5, seed=0):
+    """Random points safely inside the reference tetrahedron."""
+    b = np.random.default_rng(seed).dirichlet(np.ones(4), size=n)
+    return b[:, 1:] * 0.9
+
+
+@ALL
+def test_partition_of_unity(ref):
+    vals, _ = ref.evaluate(_interior_points())
     assert np.allclose(vals.sum(axis=0), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_gradient_sum_zero(name):
+@ALL
+def test_gradient_sum_zero(ref):
     """d/dx of the partition of unity: gradients sum to zero."""
-    ref = element(name)
-    _, grads = ref.evaluate(_interior_points(ref))
+    _, grads = ref.evaluate(_interior_points())
     assert np.allclose(grads.sum(axis=0), 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_nodal_interpolation(name):
+@ALL
+def test_nodal_interpolation(ref):
     """N_a(x_b) = delta_ab."""
-    ref = element(name)
     vals, _ = ref.evaluate(ref.node_coords)
     assert np.allclose(vals, np.eye(ref.nnode), atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_gradients_match_finite_differences(name):
-    ref = element(name)
-    pts = _interior_points(ref, n=3, seed=1)
+@ALL
+def test_gradients_match_finite_differences(ref):
+    pts = _interior_points(n=3, seed=1)
     _, grads = ref.evaluate(pts)
     eps = 1e-6
     for d in range(3):
@@ -71,11 +53,10 @@ def test_gradients_match_finite_differences(name):
         assert np.allclose(grads[:, d, :], fd, atol=1e-6)
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_linear_completeness(name):
+@ALL
+def test_linear_completeness(ref):
     """Shape functions reproduce linear fields exactly at interior points."""
-    ref = element(name)
-    pts = _interior_points(ref, n=4, seed=2)
+    pts = _interior_points(n=4, seed=2)
     coeff = np.array([0.3, -1.2, 0.7])
     nodal = ref.node_coords @ coeff + 2.0
     vals, _ = ref.evaluate(pts)
@@ -89,20 +70,6 @@ def test_tet04_constant_gradient_matrix():
     assert np.allclose(grads[:, :, 0], TET04_GRAD)
     assert np.allclose(grads[:, :, 1], TET04_GRAD)
     assert TET04.linear_gradient
-
-
-@pytest.mark.parametrize("name", [n for n in ALL_NAMES if n != "TET04"])
-def test_only_tet_has_constant_gradients(name):
-    assert not element(name).linear_gradient
-
-
-def test_element_lookup_case_insensitive():
-    assert element("tet04") is TET04
-
-
-def test_element_lookup_unknown():
-    with pytest.raises(KeyError, match="unknown element"):
-        element("TET10")
 
 
 def test_evaluate_rejects_wrong_dim():

@@ -1,4 +1,4 @@
-"""Turbulence models and material laws."""
+"""Turbulence models."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.physics import (
-    AIR,
-    Material,
-    MaterialLaw,
     TurbulenceModel,
-    WATER,
     eddy_viscosity,
-    evaluate_material,
     smagorinsky_viscosity,
     vreman_viscosity,
     wale_viscosity,
@@ -122,39 +117,3 @@ def test_eddy_viscosity_dispatch():
         eddy_viscosity(TurbulenceModel.WALE, g, d2), wale_viscosity(g, d2)
     )
 
-
-# -- materials --------------------------------------------------------------------
-
-
-def test_constant_material():
-    rho, nu = evaluate_material(AIR)
-    assert float(rho) == pytest.approx(1.204)
-    assert float(nu) == pytest.approx(1.516e-5)
-    assert AIR.dynamic_viscosity == pytest.approx(1.204 * 1.516e-5)
-
-
-def test_sutherland_viscosity_increases_with_temperature():
-    mat = Material(
-        "hot air", 1.0, 1e-5, law=MaterialLaw.SUTHERLAND,
-        reference_temperature=300.0,
-    )
-    t = np.array([250.0, 300.0, 400.0])
-    rho, nu = evaluate_material(mat, t)
-    assert nu[1] == pytest.approx(1e-5, rel=1e-12)
-    assert nu[0] < nu[1] < nu[2]
-    assert np.allclose(rho, 1.0)
-
-
-def test_boussinesq_density_decreases_with_temperature():
-    mat = Material(
-        "warm water", 1000.0, 1e-6, law=MaterialLaw.BOUSSINESQ,
-        reference_temperature=293.0, expansion_coefficient=2e-4,
-    )
-    t = np.array([283.0, 293.0, 303.0])
-    rho, _ = evaluate_material(mat, t)
-    assert rho[1] == pytest.approx(1000.0)
-    assert rho[0] > rho[1] > rho[2]
-
-
-def test_water_constants():
-    assert WATER.density > AIR.density
