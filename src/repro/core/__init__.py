@@ -11,7 +11,6 @@ from .dsl import (
     TraceReport,
     TracingBackend,
     Value,
-    trace_kernel,
 )
 from .baseline import baseline_kernel, make_baseline_kernel, privatized_kernel
 from .restructured import (
@@ -50,7 +49,7 @@ from .study import OptimizationStudy, PAPER_NELEM
 __all__ = [
     "AccessKind", "MemoryEvent", "Storage", "TempSpec",
     "Backend", "KernelContext", "NumpyBackend", "Temp", "TraceReport",
-    "TracingBackend", "Value", "trace_kernel",
+    "TracingBackend", "Value",
     "baseline_kernel", "make_baseline_kernel", "privatized_kernel",
     "make_specialized_kernel", "rs_kernel", "rsp_kernel", "rspr_kernel",
     "SPEC_DENSITY", "SPEC_VISCOSITY", "SPEC_VREMAN_C",

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.profiler import NULL_PROFILER
-from ..obs.spans import NULL_TRACER, get_tracer
+from ..obs.spans import get_tracer
 from .passes import is_scalar
 
 __all__ = [
@@ -152,8 +152,8 @@ class MeshBound:
     kernel to every caller on the mesh: ``lock`` is held for the span of
     a sweep (input refresh to flush), so concurrent jobs serialize on the
     kernel instead of corrupting each other.  Everything that belongs to
-    one call -- ``param_rows``, ``tracer``, ``profiler`` -- travels with
-    the call and is installed only under the lock.
+    one call -- ``param_rows``, ``profiler`` -- travels with the call and
+    is installed only under the lock.
 
     Subclasses supply the back end of :meth:`_sweep`: ``_span`` (span
     name; its prefix names the counters), ``_mode`` (the profile's mode),
@@ -173,7 +173,6 @@ class MeshBound:
         self.program = program
         self.plan = plan
         self.packing = packing
-        self.tracer = NULL_TRACER
         self.profiler = NULL_PROFILER
         self.lock = threading.Lock()
         #: whether sweeps carry a scenario axis (names the telemetry too)
@@ -276,7 +275,6 @@ class MeshBound:
         chunk_groups: Optional[int],
         num_threads: Optional[int] = None,
         param_rows=None,
-        tracer=None,
         profiler=None,
     ) -> np.ndarray:
         """One assembly sweep, accumulating into ``rhs`` in place.
@@ -300,9 +298,8 @@ class MeshBound:
         arena_bytes = self._lane_bytes * cg * self.vector_dim
         with self.lock:
             # this caller's, for this sweep: the kernel is shared
-            self.tracer = NULL_TRACER if tracer is None else tracer
             self.profiler = NULL_PROFILER if profiler is None else profiler
-            with self.tracer.span(
+            with get_tracer().span(
                 self._span + "_batch" * self.batched
                 + "_chunked" * (executor == "threads"),
                 variant=self.program.variant,
@@ -343,15 +340,13 @@ class MeshBound:
         rhs: Optional[np.ndarray] = None,
         chunk_groups: Optional[int] = None,
         param_rows=None,
-        tracer=None,
         profiler=None,
     ) -> np.ndarray:
         """Assemble the momentum RHS -- ``(nnode, 3)``, or ``(S, nnode,
         3)`` for a batch, whose varying values ``param_rows`` carries --
         accumulating into ``rhs`` in place."""
         return self._sweep(
-            "serial", velocity, rhs, chunk_groups, None, param_rows,
-            tracer, profiler,
+            "serial", velocity, rhs, chunk_groups, None, param_rows, profiler
         )
 
     def execute_chunked(
@@ -361,7 +356,6 @@ class MeshBound:
         num_threads: Optional[int] = None,
         chunk_groups: Optional[int] = None,
         param_rows=None,
-        tracer=None,
         profiler=None,
     ) -> np.ndarray:
         """Assemble on a thread pool: one task per slab, chunks of one
@@ -371,7 +365,7 @@ class MeshBound:
         defaults to the CPU count."""
         return self._sweep(
             "threads", velocity, rhs, chunk_groups, num_threads, param_rows,
-            tracer, profiler,
+            profiler,
         )
 
     def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
@@ -416,7 +410,7 @@ class MeshBound:
         from ..fem.plan import flush_batch, flush_pattern
 
         name = "scatter.flush_batch" if self.batched else "scatter.flush"
-        with self.tracer.span(name, variant=self.program.variant, scenarios=self.S):
+        with get_tracer().span(name, variant=self.program.variant, scenarios=self.S):
             t0 = time.perf_counter()
             if self._scatter == "fused":
                 rhs += self._acc

@@ -792,7 +792,7 @@ class GeneratedKernel(MeshBound):
         tasks = None if profile is not None else self._native.sweep_tasks(
             self, nslabs, partial(self._python_tasks, cg, nslabs)
         )
-        span = self.tracer.current
+        span = get_tracer().current
         if span is not None:
             span.attributes.update(
                 {"native": False} if tasks is None

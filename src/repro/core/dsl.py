@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -633,12 +633,3 @@ class TracingBackend(Backend):
         if self._bursts:
             self.report.memory_ilp = float(np.mean(self._bursts))
         return self.report
-
-
-def trace_kernel(
-    kernel: Callable[[Backend, KernelContext], None], ctx: KernelContext
-) -> TraceReport:
-    """Run ``kernel`` under the tracing backend and return its report."""
-    bk = TracingBackend(ctx)
-    kernel(bk, ctx)
-    return bk.finalize()

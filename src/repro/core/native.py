@@ -383,6 +383,6 @@ class NativeForm:
             kern._scatter, kern._acc = "deferred", None
         record_escalation(
             "NativeAdopted" if same else "NativeRejected",
-            f"codegen.native_{self.state}", kern.tracer, None,
+            f"codegen.native_{self.state}",
             variant=kern.program.variant, scenarios=kern.S)
         return [] if same else python_tasks()

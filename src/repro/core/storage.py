@@ -30,8 +30,6 @@ import dataclasses
 import enum
 from typing import Optional, Tuple
 
-import numpy as np
-
 __all__ = [
     "Storage",
     "TempSpec",

@@ -22,8 +22,8 @@ from ..machine.cpu import CpuModel
 from ..machine.energy import energy_comparison
 from ..machine.gpu import GpuModel
 from ..machine.roofline import Roofline, RooflinePoint, gpu_roofline
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.spans import NULL_TRACER
+from ..obs.metrics import get_registry
+from ..obs.spans import get_tracer
 from ..physics.momentum import AssemblyParams
 from .unified import UnifiedAssembler
 from .variants import variant_names
@@ -48,14 +48,12 @@ class OptimizationStudy:
         Mesh size runtimes are extrapolated to (paper: 32.6M elements).
     seed:
         RNG seed for the synthetic velocity field used while tracing.
-    tracer:
-        Optional :class:`repro.obs.Tracer`.  When enabled, every variant
-        gets a nested span tree (``variant`` > ``kernel_trace`` /
-        ``gpu_model`` / ``cpu_model``) suitable for Chrome-trace export.
-    metrics:
-        Registry receiving per-variant model runtimes
-        (``study.gpu_runtime_ms.<V>`` / ``study.cpu_runtime_ms.<V>``
-        gauges); defaults to the process-wide registry.
+
+    With a :class:`repro.obs.Tracer` installed, every variant gets a
+    nested span tree (``variant`` > ``kernel_trace`` / ``gpu_model`` /
+    ``cpu_model``); the process-wide registry receives the per-variant
+    model runtimes (``study.gpu_runtime_ms.<V>`` /
+    ``study.cpu_runtime_ms.<V>`` gauges).
     """
 
     def __init__(
@@ -66,8 +64,6 @@ class OptimizationStudy:
         cpu_model: Optional[CpuModel] = None,
         nelem_total: float = PAPER_NELEM,
         seed: int = 2024,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.mesh = mesh if mesh is not None else box_tet_mesh(12, 12, 12)
         self.params = params if params is not None else AssemblyParams(
@@ -76,18 +72,10 @@ class OptimizationStudy:
         self.gpu_model = gpu_model if gpu_model is not None else GpuModel()
         self.cpu_model = cpu_model if cpu_model is not None else CpuModel()
         self.nelem_total = float(nelem_total)
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self._metrics = metrics
         rng = np.random.default_rng(seed)
         self.velocity = 0.1 * rng.standard_normal((self.mesh.nnode, 3))
-        self.assembler = UnifiedAssembler(
-            self.mesh, self.params, vector_dim=64, tracer=self.tracer
-        )
+        self.assembler = UnifiedAssembler(self.mesh, self.params, vector_dim=64)
         self._traces: Dict[str, object] = {}
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return get_registry() if self._metrics is None else self._metrics
 
     # ------------------------------------------------------------------
     def trace(self, variant: str):
@@ -103,15 +91,16 @@ class OptimizationStudy:
         """Table II: GPU counters for B, P, RS, RSP, RSPR."""
         names = variants or list(variant_names("gpu"))
         out: List[GpuCounters] = []
-        with self.tracer.span("gpu_table", variants=list(names)):
+        tracer = get_tracer()
+        with tracer.span("gpu_table", variants=list(names)):
             for v in names:
-                with self.tracer.span("variant", variant=v, target="gpu"):
+                with tracer.span("variant", variant=v, target="gpu"):
                     trace = self.trace(v)
-                    with self.tracer.span("gpu_model", variant=v):
+                    with tracer.span("gpu_model", variant=v):
                         counters = self.gpu_model.run(
                             v, trace, self.mesh.connectivity, self.nelem_total
                         )
-                    self.metrics.gauge(f"study.gpu_runtime_ms.{v}").set(
+                    get_registry().gauge(f"study.gpu_runtime_ms.{v}").set(
                         counters.runtime_ms
                     )
                     out.append(counters)
@@ -124,15 +113,16 @@ class OptimizationStudy:
         """Table I: CPU counters for B, RS, RSP."""
         names = variants or list(variant_names("cpu"))
         out: List[CpuCounters] = []
-        with self.tracer.span("cpu_table", variants=list(names)):
+        tracer = get_tracer()
+        with tracer.span("cpu_table", variants=list(names)):
             for v in names:
-                with self.tracer.span("variant", variant=v, target="cpu"):
+                with tracer.span("variant", variant=v, target="cpu"):
                     trace = self.trace(v)
-                    with self.tracer.span("cpu_model", variant=v):
+                    with tracer.span("cpu_model", variant=v):
                         counters = self.cpu_model.run(
                             v, trace, self.mesh.connectivity, self.nelem_total
                         )
-                    self.metrics.gauge(f"study.cpu_runtime_ms.{v}").set(
+                    get_registry().gauge(f"study.cpu_runtime_ms.{v}").set(
                         counters.runtime_1c_ms
                     )
                     out.append(counters)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
-from ..obs.spans import NULL_TRACER
+from ..obs.spans import get_tracer
 from ..physics.momentum import AssemblyParams
 from ..physics.convection import ConvectiveForm
 from ..physics.turbulence import TurbulenceModel
@@ -116,10 +116,6 @@ class UnifiedAssembler:
         (:mod:`repro.core.codegen`): the tape lowered to exec-compiled
         Python with CSE, invariant hoisting and expression fusion --
         still bit-identical, with the per-op dispatch overhead gone.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; assemblies and kernel traces
-        are recorded as ``assemble`` / ``kernel_trace`` spans.  Defaults to
-        the no-op tracer (zero overhead).
     executor:
         ``"serial"`` (default) replays the whole lane axis in one sweep;
         ``"threads"`` (compiled/codegen modes only) splits element groups
@@ -156,7 +152,6 @@ class UnifiedAssembler:
     mesh: TetMesh
     params: AssemblyParams = dataclasses.field(default_factory=AssemblyParams)
     vector_dim: Optional[int] = None
-    tracer: object = dataclasses.field(default=NULL_TRACER, repr=False)
     mode: str = "interpreted"
     fault_plan: Optional[object] = dataclasses.field(default=None, repr=False)
     executor: str = "serial"
@@ -247,7 +242,8 @@ class UnifiedAssembler:
             )
         rhs = np.zeros((self.mesh.nnode, 3))
         vector_dim = self.resolve_vector_dim(variant.name)
-        with self.tracer.span(
+        tracer = get_tracer()
+        with tracer.span(
             "assemble",
             variant=variant.name,
             nelem=int(self.mesh.nelem),
@@ -266,7 +262,7 @@ class UnifiedAssembler:
                 acc.begin_group(group)
                 ctx = self._context(group, velocity, rhs, scatter=acc)
                 variant.kernel(NumpyBackend(ctx), ctx)
-            with self.tracer.span("scatter.flush", variant=variant.name):
+            with tracer.span("scatter.flush", variant=variant.name):
                 acc.finalize(rhs)
             self._maybe_corrupt(rhs)
         return rhs
@@ -292,11 +288,10 @@ class UnifiedAssembler:
     def _sweep(self, kern, velocity, rhs, param_rows=None) -> np.ndarray:
         """One sweep of ``kern`` on this assembler's executor.  The kernel
         is plan-cached and shared by every job on the mesh: this caller's
-        parameter values, tracer and profiler travel with the call,
-        inside the kernel's lock."""
+        parameter values and profiler travel with the call, inside the
+        kernel's lock."""
         kwargs = dict(
             param_rows=param_rows,
-            tracer=self.tracer,
             profiler=self.profiler if self.profile else None,
         )
         if self.executor == "threads":
@@ -312,7 +307,6 @@ class UnifiedAssembler:
                 self.mesh,
                 params,
                 vector_dim=self.vector_dim,
-                tracer=self.tracer,
                 mode=self.mode,
                 executor=self.executor,
                 num_threads=self.num_threads,
@@ -339,8 +333,6 @@ class UnifiedAssembler:
         record_escalation(
             "BatchIsolation",
             "resilience.batch_isolations",
-            self.tracer,
-            None,
             variant=variant.name,
             mode=self.mode,
         )
@@ -350,7 +342,6 @@ class UnifiedAssembler:
             params,
             variant=variant.name,
             modes=MODE_LADDER[start:],
-            tracer=self.tracer,
             vector_dim=vector_dim,
         )
         return ladder(self.mesh, velocity, params)
@@ -404,7 +395,7 @@ class UnifiedAssembler:
                 f"({S}, {nnode}, 3) per-scenario, got {velocity.shape}"
             )
         vector_dim = self.resolve_vector_dim(variant.name)
-        with self.tracer.span(
+        with get_tracer().span(
             "run_batch",
             variant=variant.name,
             scenarios=S,
@@ -471,7 +462,7 @@ class UnifiedAssembler:
             velocity = np.zeros((self.mesh.nnode, 3))
         group = self.packing.group(group_index)
         rhs = np.zeros((self.mesh.nnode, 3))
-        with self.tracer.span(
+        with get_tracer().span(
             "kernel_trace", variant=variant.name, group=int(group_index)
         ):
             ctx = self._context(group, np.asarray(velocity, dtype=np.float64), rhs)

@@ -2,7 +2,7 @@
 CPU execution models, roofline and energy models."""
 
 from .spec import A100_SXM4_40GB, ICELAKE_8360Y, CpuSpec, GpuSpec
-from .cache import CacheStats, LruCache, SetAssociativeCache
+from .cache import CacheStats, LruCache
 from .counters import CpuCounters, GpuCounters, format_table
 from .gpu import GpuModel, StorageMapping, GPU_SWEEPS_PER_STEP
 from .cpu import CpuModel, CPU_SWEEPS_PER_STEP
@@ -12,7 +12,7 @@ from .traffic import cold_mesh_dram_bytes, BOLUND_NODE_ELEMENT_RATIO
 
 __all__ = [
     "A100_SXM4_40GB", "ICELAKE_8360Y", "CpuSpec", "GpuSpec",
-    "CacheStats", "LruCache", "SetAssociativeCache",
+    "CacheStats", "LruCache",
     "CpuCounters", "GpuCounters", "format_table",
     "GpuModel", "StorageMapping", "GPU_SWEEPS_PER_STEP",
     "CpuModel", "CPU_SWEEPS_PER_STEP",

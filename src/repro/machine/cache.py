@@ -1,16 +1,11 @@
-"""Cache simulators.
+"""Cache simulator.
 
-Two interchangeable models:
+:class:`LruCache` is a fully-associative LRU over line ids (an
+``OrderedDict`` move-to-front): at the line granularities we simulate, full
+associativity is an adequate model of the high-associativity L1/L2 caches
+on both machines, and it is the fastest thing Python can do per access.
 
-* :class:`LruCache` -- fully-associative LRU over line ids (an
-  ``OrderedDict`` move-to-front).  This is the work-horse: at the line
-  granularities we simulate, full associativity is an adequate model of the
-  high-associativity L1/L2 caches on both machines, and it is the fastest
-  thing Python can do per access.
-* :class:`SetAssociativeCache` -- set-associative LRU for studies where
-  conflict misses matter (used by the cache-model ablation bench).
-
-Both expose the same protocol: ``access(line, store) -> hit`` plus dirty
+It exposes ``access(line, store) -> hit`` plus dirty
 line tracking with an eviction callback, and ``invalidate`` used by the GPU
 model to drop *local-memory* lines of finished threads without writeback
 (the mechanism behind Table III's "local stores are not always written back
@@ -20,9 +15,9 @@ to DRAM").
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-__all__ = ["LruCache", "SetAssociativeCache", "CacheStats"]
+__all__ = ["LruCache", "CacheStats"]
 
 
 class CacheStats:
@@ -180,81 +175,3 @@ class LruCache:
                 self.on_evict(line, dirty)
         return n
 
-
-class SetAssociativeCache:
-    """Set-associative LRU cache (for the conflict-miss ablation).
-
-    Same protocol as :class:`LruCache`.
-    """
-
-    def __init__(
-        self,
-        capacity_lines: int,
-        ways: int = 8,
-        on_evict: Optional[Callable[[int, bool], None]] = None,
-    ) -> None:
-        if ways < 1 or capacity_lines < ways:
-            raise ValueError("need capacity >= ways >= 1")
-        self.ways = int(ways)
-        self.num_sets = max(1, int(capacity_lines) // self.ways)
-        self.capacity = self.num_sets * self.ways
-        self.on_evict = on_evict
-        self.stats = CacheStats()
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def access(self, line: int, store: bool = False) -> bool:
-        s = self._sets[line % self.num_sets]
-        stats = self.stats
-        if line in s:
-            s.move_to_end(line)
-            if store:
-                s[line] = True
-                stats.store_hits += 1
-            stats.hits += 1
-            return True
-        stats.misses += 1
-        if store:
-            stats.store_misses += 1
-        s[line] = store
-        if len(s) > self.ways:
-            old, dirty = s.popitem(last=False)
-            if dirty:
-                stats.writebacks += 1
-            if self.on_evict is not None:
-                self.on_evict(old, dirty)
-        return False
-
-    def contains(self, line: int) -> bool:
-        return line in self._sets[line % self.num_sets]
-
-    def invalidate(self, lines) -> int:
-        n = 0
-        for line in lines:
-            s = self._sets[line % self.num_sets]
-            dirty = s.pop(line, None)
-            if dirty is not None:
-                n += 1
-                if dirty:
-                    self.stats.invalidated_dirty += 1
-        return n
-
-    def invalidate_where(self, predicate: Callable[[int], bool]) -> int:
-        doomed = [l for s in self._sets for l in s if predicate(l)]
-        return self.invalidate(doomed)
-
-    def flush(self) -> int:
-        n = 0
-        for s in self._sets:
-            while s:
-                line, dirty = s.popitem(last=False)
-                if dirty:
-                    n += 1
-                    self.stats.writebacks += 1
-                if self.on_evict is not None:
-                    self.on_evict(line, dirty)
-        return n

@@ -1,16 +1,17 @@
 """Telemetry substrate: spans, metrics, op-level profiler, exporters.
 
-Dependency-free observability for the reproduction's hot paths.  The
-default everywhere is the no-op :data:`NULL_TRACER` /
-:data:`NULL_PROFILER`, so instrumentation costs nothing until a caller
-opts in::
+Dependency-free observability for the reproduction's hot paths.  There
+is one tracer and one registry per process: every instrumented site reads
+them through :func:`get_tracer` / :func:`get_registry`, and no call takes
+either as an argument.  The default tracer is the no-op
+:data:`NULL_TRACER`, so instrumentation costs nothing until a caller
+installs one::
 
-    from repro.obs import Tracer, TapeProfiler, get_registry
+    from repro.obs import Tracer, get_registry, get_tracer, set_tracer, write_chrome_trace
 
-    tracer = Tracer()
-    study = OptimizationStudy(tracer=tracer)
-    study.gpu_table()
-    write_chrome_trace(tracer.finished, "trace.json")
+    set_tracer(Tracer())
+    OptimizationStudy().gpu_table()
+    write_chrome_trace(get_tracer().finished, "trace.json")
     print(get_registry().snapshot())
 
 The profiler is the op-level layer (the reproduction's LIKWID): attach a

@@ -9,6 +9,10 @@ JSON-lines logs and ``chrome://tracing`` timelines.
 
 Design points:
 
+* **Installed, not passed.**  One tracer serves the process: instrumented
+  code reads :func:`get_tracer` where it opens a span, and a caller installs
+  a :class:`Tracer` with :func:`set_tracer` -- no call takes one as an
+  argument, so every phase of a run lands in the same trace.
 * **Zero overhead when off.**  The default is the :data:`NULL_TRACER`
   singleton whose ``span`` returns a shared no-op handle -- no allocation,
   no clock reads, no bookkeeping.  Instrumented code never needs an

@@ -37,8 +37,8 @@ import numpy as np
 
 from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.spans import NULL_TRACER, Tracer
+from ..obs.metrics import get_registry
+from ..obs.spans import NULL_TRACER, Tracer, get_tracer
 from ..physics.momentum import AssemblyParams, element_rhs
 from ..resilience.cancel import CancelToken
 from .shutdown import create_shared_memory, release_shared_memory
@@ -297,8 +297,6 @@ class MultiprocessRunner:
         params: AssemblyParams,
         repeats: int = 3,
         seed: int = 0,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         assembly_mode: str = "reference",
         variant: str = "RSP",
         policy: Optional[WorkerPolicy] = None,
@@ -312,8 +310,6 @@ class MultiprocessRunner:
         self.mesh = mesh
         self.params = params
         self.repeats = _require_count("repeats", repeats)
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self._metrics = metrics
         self.assembly_mode = assembly_mode
         self.variant = variant.upper()
         self.policy = policy or WorkerPolicy()
@@ -338,12 +334,12 @@ class MultiprocessRunner:
             self._pool = self._spawn_pool(processes)
             self._pool_size = processes
 
-    def _respawn_pool(self, registry: MetricsRegistry) -> None:
+    def _respawn_pool(self) -> None:
         """Replace a poisoned pool (dead/hung workers) with a fresh one."""
         self._shutdown_pool(graceful=False)
         time.sleep(self.policy.backoff(self._respawns))
         self._respawns += 1
-        registry.counter("resilience.respawns").inc()
+        get_registry().counter("resilience.respawns").inc()
         self._pool = self._spawn_pool(self._pool_size)
 
     def _shutdown_pool(self, graceful: bool) -> None:
@@ -363,7 +359,6 @@ class MultiprocessRunner:
         self,
         chunk_args: List[Tuple],
         local_args: List[Tuple],
-        registry: MetricsRegistry,
         cancel: Optional[CancelToken] = None,
     ) -> List[Tuple[float, List[dict], Tuple[float, float, float]]]:
         """Run every chunk to completion, through failures.
@@ -377,6 +372,7 @@ class MultiprocessRunner:
         supervision rounds (the caller's ``finally`` terminates the pool
         and releases shared memory).
         """
+        registry = get_registry()
         nchunk = len(chunk_args)
         results: List = [None] * nchunk
         attempts = [0] * nchunk
@@ -408,7 +404,7 @@ class MultiprocessRunner:
                     if attempts[rank] <= self.policy.max_retries
                     else "serial_fallback"
                 )
-                with self.tracer.span(
+                with get_tracer().span(
                     "WorkerFailure",
                     rank=rank,
                     attempt=attempts[rank] - 1,
@@ -424,7 +420,7 @@ class MultiprocessRunner:
             if failed:
                 # any failure may leave hung/dead workers or orphaned
                 # in-flight state behind: replace the whole pool.
-                self._respawn_pool(registry)
+                self._respawn_pool()
                 pending = retry_ranks
             for rank, reason in failed:
                 if attempts[rank] > self.policy.max_retries:
@@ -464,10 +460,10 @@ class MultiprocessRunner:
             raise ValueError(f"duplicate worker counts in {worker_counts!r}")
         if not worker_counts:
             return []
-        registry = get_registry() if self._metrics is None else self._metrics
+        registry, tracer = get_registry(), get_tracer()
         xall = get_plan(self.mesh).packed_coords()
         uall = self.velocity[self.mesh.connectivity]
-        traced = bool(self.tracer.enabled)
+        traced = bool(tracer.enabled)
         nelem = self.mesh.nelem
         program = _chunk_program(
             self.assembly_mode, self.variant, self.params
@@ -520,14 +516,12 @@ class MultiprocessRunner:
                     )
                     for rank in range(w)
                 ]
-                with self.tracer.span("measure", workers=w) as span:
+                with tracer.span("measure", workers=w) as span:
                     t0 = time.perf_counter()
                     if w == 1:
                         results = [_assemble_chunk(*local_args[0])]
                     else:
-                        results = self._run_supervised(
-                            args, local_args, registry, cancel=cancel
-                        )
+                        results = self._run_supervised(args, local_args, cancel=cancel)
                     wall = time.perf_counter() - t0
                     if span is not None:
                         span.attributes["wall_seconds"] = wall
@@ -537,7 +531,7 @@ class MultiprocessRunner:
                 )
                 # merge per-rank timelines (worker pids relabelled to ranks)
                 for rank, (_, rank_spans, _) in enumerate(results):
-                    self.tracer.add_spans(rank_spans, pid=rank)
+                    tracer.add_spans(rank_spans, pid=rank)
                 self.chunk_checksums[w] = [cs for (_, _, cs) in results]
                 raw.append((w, wall))
             ok = True

@@ -37,8 +37,8 @@ import numpy as np
 from ..fem.boundary import DirichletBC
 from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.spans import NULL_TRACER
+from ..obs.metrics import get_registry
+from ..obs.spans import get_tracer
 from ..resilience.cancel import CancelToken
 from ..resilience.checkpoint import (
     CheckpointError,
@@ -101,9 +101,7 @@ def resolve_assembler(
     spec: str,
     mesh: TetMesh,
     params: AssemblyParams,
-    tracer=None,
     fault_plan=None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Callable:
     """Resolve an assembler spec string to an RHS assembly callable.
 
@@ -129,8 +127,6 @@ def resolve_assembler(
             params,
             variant=(variant or "RSP"),
             fault_plan=fault_plan,
-            tracer=tracer,
-            metrics=metrics,
         )
     if mode not in ("compiled", "codegen", "interpreted"):
         raise ValueError(
@@ -138,9 +134,7 @@ def resolve_assembler(
             "'compiled[:VARIANT]', 'codegen[:VARIANT]', "
             "'interpreted[:VARIANT]' or 'resilient[:VARIANT]'"
         )
-    return kernel_rhs_assembler(
-        mesh, params, variant=(variant or "RSP"), mode=mode, tracer=tracer
-    )
+    return kernel_rhs_assembler(mesh, params, variant=(variant or "RSP"), mode=mode)
 
 #: classical low-storage 3-stage Runge-Kutta coefficients
 _RK3_COEFFS = (1.0 / 3.0, 0.5, 1.0)
@@ -207,7 +201,7 @@ def _finish_steps(solvers, u: np.ndarray, dt: float, umax_before):
     """
     lead = solvers[0]
     density = np.array([sv.params.density for sv in solvers])
-    with lead.tracer.span("pressure", columns=len(solvers)) as span:
+    with get_tracer().span("pressure", columns=len(solvers)) as span:
         t0 = time.perf_counter()
         results = lead.pressure.solve(
             u, density, dt, bases=[sv.pressure_basis for sv in solvers]
@@ -217,7 +211,7 @@ def _finish_steps(solvers, u: np.ndarray, dt: float, umax_before):
         t_pressure = (time.perf_counter() - t0) / len(solvers)
         if span is not None:
             span.attributes["iterations"] = [r.iterations for r in results]
-    with lead.tracer.span("projection"):
+    with get_tracer().span("projection"):
         gradp = lead.pressure.pressure_gradient(p).transpose(2, 0, 1)
         gradp *= (dt / density)[:, None, None]
         u -= gradp  # the predictors are this call's: corrected in place
@@ -263,6 +257,10 @@ class StepReport:
 class FractionalStepSolver:
     """Explicit fractional-step incompressible LES driver.
 
+    Each :meth:`advance` is one ``step`` span of the installed tracer, with
+    nested ``momentum`` / ``pressure`` / ``projection`` stage spans; the
+    ``fstep.*`` counters go to the process-wide registry.
+
     Parameters
     ----------
     mesh:
@@ -284,14 +282,6 @@ class FractionalStepSolver:
         starts at codegen -- resolved through :func:`resolve_assembler`.
     sweeps_per_step:
         Runge-Kutta stages (3, matching the paper's runtime convention).
-    tracer:
-        Optional :class:`repro.obs.Tracer`; each :meth:`advance` records a
-        ``step`` span with nested ``momentum`` / ``pressure`` /
-        ``projection`` stage spans.  Defaults to the no-op tracer.
-    metrics:
-        Registry receiving ``fstep.steps`` / ``fstep.assemblies`` counters
-        and the ``fstep.pressure_iterations`` histogram; defaults to the
-        process-wide registry.
     max_dt_halvings:
         Rollback budget per step: a stage guard trip (NaN/Inf, blow-up)
         restores the pre-step state and retries with ``dt/2``, at most
@@ -323,8 +313,6 @@ class FractionalStepSolver:
         assemble: Optional[Callable] = None,
         pressure_solver: Optional[PressureSolver] = None,
         sweeps_per_step: int = 3,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         max_dt_halvings: int = 4,
         blowup_factor: float = 100.0,
         checkpoint_every: int = 0,
@@ -334,19 +322,10 @@ class FractionalStepSolver:
     ) -> None:
         self.mesh = mesh
         self.params = params
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self._metrics = metrics
         self.dirichlet = list(dirichlet)
         self.fault_plan = fault_plan
         if isinstance(assemble, str):
-            assemble = resolve_assembler(
-                assemble,
-                mesh,
-                params,
-                tracer=tracer,
-                fault_plan=fault_plan,
-                metrics=metrics,
-            )
+            assemble = resolve_assembler(assemble, mesh, params, fault_plan=fault_plan)
         self.assemble = assemble or assemble_momentum_rhs
         self.pressure = pressure_solver or PressureSolver(mesh)
         self.sweeps = int(sweeps_per_step)
@@ -416,7 +395,7 @@ class FractionalStepSolver:
         """
         mesh = self.mesh
         minv = 1.0 / self.mass[:, None]
-        with self.tracer.span("momentum", sweeps=self.sweeps):
+        with get_tracer().span("momentum", sweeps=self.sweeps):
             t0 = time.perf_counter()
             u0 = self.velocity.copy()
             u = u0
@@ -462,11 +441,10 @@ class FractionalStepSolver:
         """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        registry = get_registry() if self._metrics is None else self._metrics
         dt_eff = float(dt)
         failure: Optional[_StageFailure] = None
         for retry in range(self.max_dt_halvings + 1):
-            step_span = self.tracer.span(
+            step_span = get_tracer().span(
                 "step", step=self.step_count + 1, dt=float(dt_eff), retry=retry
             )
             try:
@@ -477,8 +455,8 @@ class FractionalStepSolver:
                 # _attempt_step left self untouched: "rollback" is simply
                 # keeping the pre-step state and shrinking dt.
                 failure = exc
-                registry.counter("resilience.rollbacks").inc()
-                with self.tracer.span(
+                get_registry().counter("resilience.rollbacks").inc()
+                with get_tracer().span(
                     "Rollback",
                     step=self.step_count + 1,
                     stage=exc.stage,
@@ -515,7 +493,7 @@ class FractionalStepSolver:
         ``A result.x``; a solve that climbed the ladder restarts it),
         counters, history, checkpoint.  Nothing else changes the basis, so a
         rolled-back attempt leaves it as it was."""
-        registry = get_registry() if self._metrics is None else self._metrics
+        registry = get_registry()
         registry.counter("fstep.steps").inc()
         registry.counter("fstep.assemblies").inc(self.sweeps)
         registry.histogram("fstep.pressure_iterations").record(result.iterations)
@@ -561,8 +539,7 @@ class FractionalStepSolver:
                     "no checkpoint_dir configured; pass an explicit path"
                 )
             path = checkpoint_name(self.checkpoint_dir, self.step_count)
-        registry = get_registry() if self._metrics is None else self._metrics
-        with self.tracer.span("checkpoint", step=self.step_count, path=path):
+        with get_tracer().span("checkpoint", step=self.step_count, path=path):
             save_checkpoint(
                 path,
                 velocity=self.velocity,
@@ -574,7 +551,7 @@ class FractionalStepSolver:
                 basis=self.pressure_basis.x,
                 basis_image=self.pressure_basis.ax,
             )
-        registry.counter("resilience.checkpoints").inc()
+        get_registry().counter("resilience.checkpoints").inc()
         if auto:
             prune_checkpoints(self.checkpoint_dir, keep=self.keep_checkpoints)
         return path
@@ -619,7 +596,6 @@ class FractionalStepSolver:
         directory = directory if directory is not None else self.checkpoint_dir
         if directory is None:
             raise ValueError("no checkpoint_dir configured; pass a directory")
-        registry = get_registry() if self._metrics is None else self._metrics
         candidates = list_checkpoints(directory)
         if not candidates:
             raise CheckpointError(f"no checkpoints in {directory!r}")
@@ -630,8 +606,8 @@ class FractionalStepSolver:
                 state.validate_against(self.mesh.nnode, self.mesh.nelem)
             except CheckpointError as exc:
                 last_error = exc
-                registry.counter("resilience.checkpoint_fallbacks").inc()
-                with self.tracer.span(
+                get_registry().counter("resilience.checkpoint_fallbacks").inc()
+                with get_tracer().span(
                     "CheckpointFallback", path=path, reason=str(exc)
                 ):
                     pass
@@ -734,8 +710,6 @@ class BatchCampaign:
         dirichlet: Sequence[DirichletBC] = (),
         pressure_solver: Optional[PressureSolver] = None,
         sweeps_per_step: int = 3,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         max_dt_halvings: int = 4,
         blowup_factor: float = 100.0,
         fault_plans: Optional[Sequence] = None,
@@ -749,8 +723,6 @@ class BatchCampaign:
         self.batch = scenarios
         self.variant = variant.upper()
         self.mode = mode
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self._metrics = metrics
         S = self.batch.size
         if fault_plans is None:
             fault_plans = [None] * S
@@ -760,11 +732,7 @@ class BatchCampaign:
                 f"({S}), got {len(fault_plans)}"
             )
         self.assembler = UnifiedAssembler(
-            mesh,
-            self.batch[0],
-            mode=mode,
-            vector_dim=vector_dim,
-            tracer=self.tracer,
+            mesh, self.batch[0], mode=mode, vector_dim=vector_dim
         )
         self.pressure = pressure_solver or PressureSolver(mesh)
         self.solvers: List[FractionalStepSolver] = [
@@ -775,8 +743,6 @@ class BatchCampaign:
                 assemble=self._solo_assemble(self.batch[s]),
                 pressure_solver=self.pressure,
                 sweeps_per_step=sweeps_per_step,
-                tracer=self.tracer,
-                metrics=metrics,
                 max_dt_halvings=max_dt_halvings,
                 blowup_factor=blowup_factor,
                 fault_plan=fault_plans[s],
@@ -849,7 +815,7 @@ class BatchCampaign:
         u0 = np.stack([sv.velocity for sv in solvers])
         u = u0.copy()
         failed = np.zeros(len(solvers), dtype=bool)
-        with self.tracer.span(
+        with get_tracer().span(
             "momentum", sweeps=solvers[0].sweeps, scenarios=len(active)
         ):
             t0 = time.perf_counter()
@@ -883,8 +849,6 @@ class BatchCampaign:
         record_escalation(
             "BatchIsolation",
             "resilience.batch_isolations",
-            self.tracer,
-            self._metrics,
             scenario=s,
             stage=exc.stage,
             reason=exc.reason,
@@ -904,10 +868,10 @@ class BatchCampaign:
         if dt <= 0:
             raise ValueError("dt must be positive")
         S = self.size
-        registry = get_registry() if self._metrics is None else self._metrics
+        registry = get_registry()
         reports: List[Optional[StepReport]] = [None] * S
         active = [s for s in range(S) if s not in self._detached]
-        with self.tracer.span(
+        with get_tracer().span(
             "campaign_step", scenarios=S, active=len(active), dt=float(dt)
         ):
             if active:

@@ -194,7 +194,6 @@ def kernel_rhs_assembler(
     params: AssemblyParams,
     variant: str = "RSP",
     mode: str = "compiled",
-    tracer=None,
 ):
     """Build a time-integrator-compatible RHS assembler over a DSL variant.
 
@@ -210,10 +209,7 @@ def kernel_rhs_assembler(
     """
     from ..core.unified import UnifiedAssembler
 
-    kwargs = {"mode": mode}
-    if tracer is not None:
-        kwargs["tracer"] = tracer
-    assembler = UnifiedAssembler(mesh, params, **kwargs)
+    assembler = UnifiedAssembler(mesh, params, mode=mode)
     variant = variant.upper()
 
     def assemble(m: TetMesh, velocity: np.ndarray, p: AssemblyParams):

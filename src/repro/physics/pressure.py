@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import get_registry
 from ..solvers.amg import SmoothedAggregationAMG
 from ..solvers.cg import (
     SolveResult,
@@ -194,9 +194,6 @@ class PressureSolver:
         Optional :class:`~repro.resilience.faults.FaultPlan`; a
         ``("cg", "breakdown")`` fault sabotages the rung-0 matvec into
         non-SPD territory so chaos tests can force an escalation.
-    tracer, metrics:
-        Escalation observability (``SolverEscalation`` spans and the
-        ``resilience.solver_escalations`` counter).
     """
 
     mesh: TetMesh
@@ -206,10 +203,6 @@ class PressureSolver:
     max_rung: int = 2
     deflation_subdomains: int = 8
     fault_plan: Optional[object] = dataclasses.field(default=None, repr=False)
-    tracer: Optional[object] = dataclasses.field(default=None, repr=False)
-    metrics: Optional[MetricsRegistry] = dataclasses.field(
-        default=None, repr=False
-    )
 
     def __post_init__(self) -> None:
         # shared by every solver on this mesh, immutable once stored
@@ -224,8 +217,7 @@ class PressureSolver:
             if self._amg is None:
                 self._amg = SmoothedAggregationAMG(self.laplacian)
                 plan.store_operator("amg", self._amg)
-                registry = get_registry() if self.metrics is None else self.metrics
-                registry.counter("pressure.hierarchy_builds").inc()
+                get_registry().counter("pressure.hierarchy_builds").inc()
             self._precond = self._amg.vcycle
         else:
             diag = self.laplacian.diagonal()
@@ -308,8 +300,6 @@ class PressureSolver:
             tol=self.tol,
             maxiter=4 * self.maxiter if strong else self.maxiter,
             preconditioner=self._preconditioner(amg.vcycle if strong else None),
-            tracer=self.tracer,
-            metrics=self.metrics,
         )
 
     _RUNG_NAMES = ("cg", "cg+deflation", "cg+strong-amg")
@@ -386,8 +376,6 @@ class PressureSolver:
             record_escalation(
                 "SolverEscalation",
                 "resilience.solver_escalations",
-                self.tracer,
-                self.metrics,
                 from_rung=self._RUNG_NAMES[rung],
                 to_rung=self._RUNG_NAMES[rung + 1],
             )

@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..fem.mesh import TetMesh
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.spans import NULL_TRACER
+from ..obs.metrics import get_registry
+from ..obs.spans import get_tracer
 from ..physics.momentum import AssemblyParams, assemble_momentum_rhs
 
 __all__ = ["AssemblyDegraded", "MODE_LADDER", "ResilientAssembler", "record_escalation"]
@@ -40,18 +40,10 @@ __all__ = ["AssemblyDegraded", "MODE_LADDER", "ResilientAssembler", "record_esca
 MODE_LADDER = ("codegen", "compiled", "interpreted", "reference")
 
 
-def record_escalation(
-    event: str,
-    counter: str,
-    tracer,
-    metrics: Optional[MetricsRegistry],
-    **attributes,
-) -> None:
+def record_escalation(event: str, counter: str, **attributes) -> None:
     """Count one ladder climb and emit a zero-length marker span."""
-    registry = get_registry() if metrics is None else metrics
-    registry.counter(counter).inc()
-    tracer = NULL_TRACER if tracer is None else tracer
-    with tracer.span(event, **attributes):
+    get_registry().counter(counter).inc()
+    with get_tracer().span(event, **attributes):
         pass
 
 
@@ -103,8 +95,6 @@ class ResilientAssembler:
         rtol: float = 1e-8,
         atol: float = 1e-12,
         fault_plan=None,
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
         vector_dim: Optional[int] = None,
     ) -> None:
         for mode in modes:
@@ -123,8 +113,6 @@ class ResilientAssembler:
         self.atol = float(atol)
         self.fault_plan = fault_plan
         self.vector_dim = vector_dim
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        self._metrics = metrics
         self.rung = 0
         self._validated = set()
         self._assemblers: dict = {}
@@ -146,7 +134,6 @@ class ResilientAssembler:
                 self.params,
                 mode=mode,
                 vector_dim=self.vector_dim,
-                tracer=self.tracer,
                 fault_plan=self.fault_plan,
             )
             self._assemblers[mode] = asm
@@ -176,14 +163,13 @@ class ResilientAssembler:
                 "ResilientAssembler is bound to its construction params "
                 f"(got {params!r}, expected {self.params!r}); rebuild it"
             )
-        registry = get_registry() if self._metrics is None else self._metrics
         while True:
             mode = self.modes[self.rung]
             rhs = self._assemble(mode, velocity)
             if mode == "reference" or mode in self._validated:
                 return rhs
             # first sweep of a fast rung: validate against the oracle
-            registry.counter("resilience.validations").inc()
+            get_registry().counter("resilience.validations").inc()
             ref = assemble_momentum_rhs(self.mesh, velocity, self.params)
             if self._valid(rhs, ref):
                 self._validated.add(mode)
@@ -196,8 +182,6 @@ class ResilientAssembler:
             record_escalation(
                 "AssemblerDegradation",
                 "resilience.assembler_degradations",
-                self.tracer,
-                self._metrics,
                 variant=self.variant,
                 from_mode=mode,
                 to_mode=self.modes[self.rung + 1],

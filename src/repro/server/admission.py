@@ -16,9 +16,9 @@ a promise; its only job is to spread thundering-herd retries.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import get_registry
 from .protocol import ProtocolError
 
 __all__ = ["AdmissionController"]
@@ -37,7 +37,6 @@ class AdmissionController:
         max_per_tenant: int = 4,
         workers: int = 1,
         ewma_alpha: float = 0.3,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
@@ -47,7 +46,6 @@ class AdmissionController:
         self.max_per_tenant = int(max_per_tenant)
         self.workers = max(1, int(workers))
         self.ewma_alpha = float(ewma_alpha)
-        self._metrics = metrics
         self._lock = threading.Lock()
         self._depth = 0
         self._per_tenant: Dict[str, int] = {}
@@ -93,7 +91,6 @@ class AdmissionController:
         counts the rejection (one ``server.rejections.<code>`` increment
         per refused request, at the response boundary).
         """
-        registry = get_registry() if self._metrics is None else self._metrics
         hint = self.retry_after()
         with self._lock:
             if self._draining:
@@ -117,13 +114,12 @@ class AdmissionController:
             else:
                 self._depth += 1
                 self._per_tenant[tenant] = self._per_tenant.get(tenant, 0) + 1
-                registry.gauge("server.queue_depth").set(self._depth)
+                get_registry().gauge("server.queue_depth").set(self._depth)
                 return
         raise err
 
     def release(self, tenant: str) -> None:
         """Free a slot reserved by :meth:`admit` (call from ``finally``)."""
-        registry = get_registry() if self._metrics is None else self._metrics
         with self._lock:
             self._depth = max(0, self._depth - 1)
             n = self._per_tenant.get(tenant, 0) - 1
@@ -131,4 +127,4 @@ class AdmissionController:
                 self._per_tenant.pop(tenant, None)
             else:
                 self._per_tenant[tenant] = n
-            registry.gauge("server.queue_depth").set(self._depth)
+            get_registry().gauge("server.queue_depth").set(self._depth)

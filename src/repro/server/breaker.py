@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List
 
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import get_registry
 from ..resilience.ladders import MODE_LADDER
 
 __all__ = ["CircuitBreaker", "MODE_LADDER"]
@@ -44,20 +44,15 @@ class CircuitBreaker:
         failure_threshold: int = 3,
         reset_timeout_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         self.failure_threshold = int(failure_threshold)
         self.reset_timeout_s = float(reset_timeout_s)
         self._clock = clock
-        self._metrics = metrics
         self._lock = threading.Lock()
         # key -> [state, consecutive_failures, opened_at]
         self._states: Dict[Hashable, List] = {}
-
-    def _registry(self) -> MetricsRegistry:
-        return get_registry() if self._metrics is None else self._metrics
 
     def _entry(self, key: Hashable) -> List:
         return self._states.setdefault(key, [self.CLOSED, 0, 0.0])
@@ -83,7 +78,7 @@ class CircuitBreaker:
         """
         if self.state(key) != self.OPEN:
             return True
-        self._registry().counter("resilience.breaker_reroutes").inc()
+        get_registry().counter("resilience.breaker_reroutes").inc()
         return False
 
     def record_success(self, key: Hashable) -> None:
@@ -93,7 +88,7 @@ class CircuitBreaker:
             entry[0] = self.CLOSED
             entry[1] = 0
         if was_probing:
-            self._registry().counter("resilience.breaker_resets").inc()
+            get_registry().counter("resilience.breaker_resets").inc()
 
     def record_failure(self, key: Hashable) -> None:
         tripped = False
@@ -111,7 +106,7 @@ class CircuitBreaker:
                     entry[2] = self._clock()
                     tripped = True
         if tripped:
-            self._registry().counter("resilience.breaker_trips").inc()
+            get_registry().counter("resilience.breaker_trips").inc()
 
     # ------------------------------------------------------------------
     def route(self, variant: str, preferred_mode: str) -> List[str]:

@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import get_registry
 from .protocol import MeshSpec, canonical_json, sha256_hex
 
 __all__ = ["MeshCache", "ResultCache"]
@@ -39,20 +39,12 @@ __all__ = ["MeshCache", "ResultCache"]
 class MeshCache:
     """Bounded LRU of built meshes, keyed by the mesh spec's content."""
 
-    def __init__(
-        self,
-        max_entries: int = 8,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = 8) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._metrics = metrics
         self._lock = threading.Lock()
         self._meshes: "OrderedDict[str, Any]" = OrderedDict()
-
-    def _registry(self) -> MetricsRegistry:
-        return get_registry() if self._metrics is None else self._metrics
 
     @staticmethod
     def key(spec: MeshSpec) -> str:
@@ -62,7 +54,7 @@ class MeshCache:
         """The (possibly cached) :class:`~repro.fem.mesh.TetMesh` for
         ``spec``; builds and caches on miss."""
         key = self.key(spec)
-        registry = self._registry()
+        registry = get_registry()
         with self._lock:
             mesh = self._meshes.get(key)
             if mesh is not None:
@@ -95,20 +87,15 @@ class ResultCache:
     def __init__(
         self,
         max_entries: int = 64,
-        metrics: Optional[MetricsRegistry] = None,
         fault_plan=None,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = int(max_entries)
-        self._metrics = metrics
         self.fault_plan = fault_plan
         self._lock = threading.Lock()
         # content_key -> (payload_bytes, digest)
         self._entries: "OrderedDict[str, tuple]" = OrderedDict()
-
-    def _registry(self) -> MetricsRegistry:
-        return get_registry() if self._metrics is None else self._metrics
 
     def put(self, content_key: str, payload: Dict[str, Any]) -> None:
         blob = canonical_json(payload)
@@ -127,7 +114,7 @@ class ResultCache:
         check, so chaos runs prove the poison path evicts and recomputes
         instead of serving garbage.
         """
-        registry = self._registry()
+        registry = get_registry()
         with self._lock:
             entry = self._entries.get(content_key)
             if entry is not None:

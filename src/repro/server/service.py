@@ -52,8 +52,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.spans import NULL_TRACER
+from ..obs.metrics import get_registry
 from ..resilience.cancel import CancelToken, CooperativeCancel
 from ..resilience.ladders import record_escalation
 from .admission import AdmissionController
@@ -141,31 +140,21 @@ class CampaignServer:
         self,
         config: Optional[ServerConfig] = None,
         fault_plan=None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
     ) -> None:
         self.config = config or ServerConfig()
         self.fault_plan = fault_plan
-        self._metrics = metrics
-        self.tracer = NULL_TRACER if tracer is None else tracer
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             max_per_tenant=self.config.max_per_tenant,
             workers=self.config.workers,
-            metrics=metrics,
         )
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             reset_timeout_s=self.config.breaker_reset_s,
-            metrics=metrics,
         )
-        self.mesh_cache = MeshCache(
-            max_entries=self.config.mesh_cache_entries, metrics=metrics
-        )
+        self.mesh_cache = MeshCache(max_entries=self.config.mesh_cache_entries)
         self.result_cache = ResultCache(
-            max_entries=self.config.result_cache_entries,
-            metrics=metrics,
-            fault_plan=fault_plan,
+            max_entries=self.config.result_cache_entries, fault_plan=fault_plan
         )
         self.jobs: Dict[str, _Job] = {}  # every live job + the newest terminal ones
         self._terminal: collections.deque = collections.deque()  # their ids, oldest first
@@ -181,9 +170,6 @@ class CampaignServer:
         self._drained = asyncio.Event()
         self._stopped = asyncio.Event()
         self._lock = threading.Lock()  # guards jobs/_inflight across threads
-
-    def _registry(self) -> MetricsRegistry:
-        return get_registry() if self._metrics is None else self._metrics
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
@@ -230,7 +216,7 @@ class CampaignServer:
                 "error": "draining",
                 "message": "server drained before the job started",
             }
-            self._registry().counter("server.rejections.draining").inc()
+            get_registry().counter("server.rejections.draining").inc()
             self._finish_job(job)
             self._queue.task_done()
             rejected.append(job_id)
@@ -298,7 +284,7 @@ class CampaignServer:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        registry = self._registry()
+        registry = get_registry()
         registry.counter("server.requests").inc()
         task = asyncio.current_task()
         self._handlers[task] = True
@@ -380,7 +366,7 @@ class CampaignServer:
 
     # -- endpoints ------------------------------------------------------
     async def _submit(self, body: bytes, wait: Optional[float]) -> bytes:
-        registry = self._registry()
+        registry = get_registry()
         request = CampaignRequest.from_json(body)
         content_key = request.content_key()
         # cached result: served even under full queue or drain -- no work
@@ -448,7 +434,7 @@ class CampaignServer:
         if job is None:
             raise ProtocolError("not_found", f"no job {job_id!r}")
         if wait and not job.finished.is_set():
-            registry, t0 = self._registry(), time.monotonic()
+            registry, t0 = get_registry(), time.monotonic()
             try:
                 await asyncio.wait_for(job.finished.wait(), timeout=wait)
             except asyncio.TimeoutError:
@@ -461,7 +447,7 @@ class CampaignServer:
             # expired means answered without a result, so the client asks
             # again: a job that ends between the timeout and here is not one
             if wait:
-                self._registry().counter("server.holds_expired").inc()
+                get_registry().counter("server.holds_expired").inc()
             return format_http_response(202, body)
         # failed / cancelled / checkpointed: replay the typed error.
         status = 500
@@ -478,7 +464,7 @@ class CampaignServer:
         }
 
     def _stats(self) -> Dict[str, Any]:
-        snap = self._registry().snapshot()
+        snap = get_registry().snapshot()
         interesting = {
             name: data
             for name, data in snap.items()
@@ -508,7 +494,7 @@ class CampaignServer:
                 self._queue.task_done()
 
     async def _run_job(self, job: _Job) -> None:
-        registry = self._registry()
+        registry = get_registry()
         # chaos: queue stall before dispatch (clamped, then the deadline
         # check below turns an over-long stall into a typed rejection).
         if self.fault_plan is not None:
@@ -628,8 +614,6 @@ class CampaignServer:
                 record_escalation(
                     "AssemblerDegradation",
                     "resilience.assembler_degradations",
-                    self.tracer,
-                    self._metrics,
                     variant=req.variant,
                     mode=mode,
                     reason=f"{type(exc).__name__}: {exc}",
@@ -685,7 +669,7 @@ class CampaignServer:
 
             asm = UnifiedAssembler(
                 mesh, p, mode=mode, vector_dim=req.vector_dim,
-                tracer=self.tracer, fault_plan=self.fault_plan,
+                fault_plan=self.fault_plan,
             )
             rhs = asm.assemble(req.variant, velocity)
         if not np.isfinite(rhs).all():
@@ -705,7 +689,7 @@ class CampaignServer:
 
             asm = UnifiedAssembler(
                 mesh, params[0], mode=mode, vector_dim=req.vector_dim,
-                tracer=self.tracer, fault_plan=self.fault_plan,
+                fault_plan=self.fault_plan,
             )
             rhs = asm.run_batch(req.variant, ScenarioBatch(params), velocity)
         if not np.isfinite(rhs).all():
@@ -723,8 +707,6 @@ class CampaignServer:
             variant=req.variant,
             mode=mode,
             vector_dim=req.vector_dim,
-            tracer=self.tracer,
-            metrics=self._metrics,
         )
         campaign.set_velocities(velocity)
         try:

@@ -37,8 +37,8 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from ..obs.metrics import MetricsRegistry, get_registry
-from ..obs.spans import NULL_TRACER
+from ..obs.metrics import get_registry
+from ..obs.spans import get_tracer
 
 __all__ = ["SolveResult", "VectorPhase", "conjugate_gradient", "SolverError"]
 
@@ -158,8 +158,6 @@ def conjugate_gradient(
     maxiter: int = 1000,
     preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     raise_on_fail: bool = False,
-    tracer=None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> Union[SolveResult, List[SolveResult]]:
     """Preconditioned conjugate gradients for SPD systems, ``S``
     independent right-hand sides at a time.
@@ -183,15 +181,12 @@ def conjugate_gradient(
     raise_on_fail:
         Raise :class:`SolverError` for the first column that broke down or
         did not converge instead of returning its unconverged result.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; when enabled the call is one
-        ``cg_solve`` span with ``columns`` and per-column iteration
-        attributes.
-    metrics:
-        Registry receiving, per column, the ``cg.solves``,
-        ``cg.iterations``, ``cg.failures`` counters and the
-        ``cg.residual_norm`` / ``cg.solve_iterations`` histograms; defaults
-        to the process-wide registry (:func:`repro.obs.get_registry`).
+
+    The call is one ``cg_solve`` span of the installed tracer, with
+    ``columns`` and per-column iteration attributes; the process-wide
+    registry (:func:`repro.obs.get_registry`) receives, per column, the
+    ``cg.solves``, ``cg.iterations``, ``cg.failures`` counters and the
+    ``cg.residual_norm`` / ``cg.solve_iterations`` histograms.
 
     Notes
     -----
@@ -199,13 +194,11 @@ def conjugate_gradient(
     handled by the caller projecting the nullspace out of ``b`` and of the
     iterates; see :mod:`repro.physics.pressure`.
     """
-    tracer = NULL_TRACER if tracer is None else tracer
-    registry = get_registry() if metrics is None else metrics
     b = np.asarray(b, dtype=np.float64)
     rhs = b.reshape(b.shape[0], -1)
     n, ncol = rhs.shape
 
-    with tracer.span("cg_solve", n=n, columns=ncol) as span:
+    with get_tracer().span("cg_solve", n=n, columns=ncol) as span:
         matvec = a if callable(a) else (lambda v: a @ v)
         phase = a if isinstance(a, VectorPhase) else VectorPhase()
         solution = (
@@ -274,6 +267,7 @@ def conjugate_gradient(
             SolveResult(xs[s], int(iterations[s]), history[s][-1], bool(converged[s]), history[s])
             for s in range(ncol)
         ]
+        registry = get_registry()
         registry.counter("cg.solves").inc(ncol)
         registry.counter("cg.iterations").inc(int(iterations.sum()))
         registry.counter("cg.failures").inc(int((~converged).sum()))

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..core.native import build, load
 from ..obs.metrics import get_registry
-from ..obs.spans import get_tracer
 from .cg import VectorPhase
 
 __all__ = ["NativeCycle", "SOURCE", "SYMBOLS"]
@@ -298,14 +297,12 @@ class NativeCycle(VectorPhase):
                    and _bits(self._c_product(v)) == _bits(a @ v) for v in (b, other))
         self.state = "adopted" if same else "rejected"
         record_escalation("NativeAdopted" if same else "NativeRejected", f"solvers.native_{self.state}",
-                          get_tracer(), None, what="amg", levels=len(amg.levels),
-                          nnz=sum(lv.a.nnz for lv in amg.levels))
+                          what="amg", levels=len(amg.levels), nnz=sum(lv.a.nnz for lv in amg.levels))
         if same:  # CG's vector phase: the same blocks, its own verdict
             same = all(self._phase_matches(v, v[::-1].copy()) for v in (b, other))
             self.vector_phase = "native" if same else "numpy"
             record_escalation("NativeAdopted" if same else "NativeRejected",
-                              f"solvers.vector_phase_{'adopted' if same else 'rejected'}",
-                              get_tracer(), None, what="cg")
+                              f"solvers.vector_phase_{'adopted' if same else 'rejected'}", what="cg")
 
     def _phase_matches(self, u: np.ndarray, v: np.ndarray) -> bool:
         """Every export of the vector phase against the numpy expression it replaces."""

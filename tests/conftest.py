@@ -6,6 +6,7 @@ Every property test draws the same examples on every run: one hypothesis
 profile, derandomized, with no example database and no deadline.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import settings
 
 from repro.core import OptimizationStudy, UnifiedAssembler
 from repro.fem import box_tet_mesh, bolund_like_mesh, perturbed_box_mesh
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer, get_registry, get_tracer, set_registry, set_tracer
 from repro.physics import AssemblyParams
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
@@ -115,13 +116,35 @@ def traces(assembler, velocity):
     }
 
 
+@contextlib.contextmanager
+def installed_telemetry():
+    """Install a fresh tracer and registry process-wide, yield ``(tracer,
+    registry)``, and restore the previous ones on exit."""
+    old_tracer, old_registry = get_tracer(), get_registry()
+    tracer, registry = Tracer(), MetricsRegistry()
+    set_tracer(tracer)
+    set_registry(registry)
+    try:
+        yield tracer, registry
+    finally:
+        set_tracer(old_tracer)
+        set_registry(old_registry)
+
+
+@pytest.fixture
+def telemetry():
+    """The ``(tracer, registry)`` every instrumented site of one test reads."""
+    with installed_telemetry() as pair:
+        yield pair
+
+
 # -- the paper's tables: built once untraced, once traced ----------------------
 
 
 @pytest.fixture(scope="session")
 def study():
     """The optimization study at its default mesh, untraced."""
-    return OptimizationStudy(metrics=MetricsRegistry())
+    return OptimizationStudy()
 
 
 @pytest.fixture(scope="session")
@@ -138,7 +161,8 @@ def cpu_table(study):
 
 @pytest.fixture(scope="session")
 def traced_study():
-    """The same study with a tracer and a registry of its own, its GPU and
-    CPU tables built: ``(study, gpu rows, cpu rows)``."""
-    study = OptimizationStudy(tracer=Tracer(pid=0), metrics=MetricsRegistry())
-    return study, study.gpu_table(), study.cpu_table()
+    """The same study, its GPU and CPU tables built under a tracer and a
+    registry of their own: ``(study, gpu rows, cpu rows, tracer, registry)``."""
+    study = OptimizationStudy()
+    with installed_telemetry() as (tracer, registry):
+        return study, study.gpu_table(), study.cpu_table(), tracer, registry

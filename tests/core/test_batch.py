@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import ScenarioBatch, UnifiedAssembler
-from repro.obs import TapeProfiler, Tracer
+from repro.obs import TapeProfiler
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
 from repro.physics.convection import ConvectiveForm
@@ -309,7 +309,7 @@ def test_batch_campaign_bitwise_matches_solo(small_mesh, variant, mode):
         ), s
 
 
-def test_batch_campaign_block_pressure_solve(medium_mesh):
+def test_batch_campaign_block_pressure_solve(medium_mesh, telemetry):
     """One block pressure solve per lockstep step, every scenario still its
     solo run to the byte: per-scenario densities, one ``cg_solve`` span per
     step (not ``S``), and a scenario whose rung-0 solve is sabotaged climbs
@@ -318,14 +318,13 @@ def test_batch_campaign_block_pressure_solve(medium_mesh):
     size, steps, dt, bad = 4, 2, 5e-3, 1
     batch = material_batch(size)
     v0 = _velocity(medium_mesh, 7)
+    tracer, _ = telemetry
 
     def campaign(fault_plan=None):
-        tracer = Tracer()
+        tracer.clear()
         camp = BatchCampaign(
             medium_mesh, batch, variant="B", mode="compiled", vector_dim=32,
-            pressure_solver=PressureSolver(
-                medium_mesh, fault_plan=fault_plan, tracer=tracer
-            ),
+            pressure_solver=PressureSolver(medium_mesh, fault_plan=fault_plan),
         )
         camp.set_velocities(v0)
         camp.run(steps, dt=dt)
@@ -348,8 +347,9 @@ def test_batch_campaign_block_pressure_solve(medium_mesh):
     hurt, columns = campaign(FaultPlan.single("cg", "breakdown", index=bad))
     assert _count("resilience.solver_escalations") == before + 1
     assert hurt.detached == ()
-    # step 1: the healthy block, then the sabotaged column's own rung 0
-    assert columns == [size - 1, 1, size]
+    # step 1: the healthy block, then the sabotaged column's own rung 0 and
+    # its deflation rung (every CG solve lands in the one installed tracer)
+    assert columns == [size - 1, 1, 1, size]
     for s in range(size):
         same = np.array_equal(
             hurt.solvers[s].velocity, clean.solvers[s].velocity

@@ -39,10 +39,11 @@ from repro.core.tape import record_program
 from repro.core.variants import get_variant
 from repro.fem import TetMesh, box_tet_mesh, get_plan, perturbed_box_mesh
 from repro.fem.packing import ElementPacking
-from repro.obs import TapeProfiler, Tracer
+from repro.obs import TapeProfiler
 from repro.obs.metrics import get_registry
 from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
+from tests.conftest import installed_telemetry
 
 VARIANTS = tuple(variant_names())
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
@@ -184,12 +185,12 @@ def _bind(cell: Cell, mesh: TetMesh, batch):
                 batch=batch, velocity_rank="full" if cell.batch == "per_scenario" else "vec")
 
 
-def _assembler(cell: Cell, mesh: TetMesh, tracer, profiler):
+def _assembler(cell: Cell, mesh: TetMesh, profiler):
     return UnifiedAssembler(
         mesh, PARAMS, vector_dim=cell.vd,
         mode={"replay": "compiled", "interpreted": "interpreted"}.get(cell.backend, "codegen"),
         executor="threads" if cell.threads else "serial",
-        num_threads=cell.threads or None, tracer=tracer, profiler=profiler)
+        num_threads=cell.threads or None, profiler=profiler)
 
 
 #: a generated kernel's deferred values buffer after adoption: created once
@@ -200,10 +201,10 @@ def check(cell: Cell) -> None:
     """Run ``cell`` and hold every sweep to the oracle, byte for byte."""
     want = oracle(cell)
     profiler = TapeProfiler() if cell.profile else None
-    tracer = Tracer()
     sweeps = 2 + (cell.entry == "kernel")
-    with _compiler("/bin/false" if cell.backend == "codegen" else None):
-        kern, sweep = _sweeper(cell, tracer, profiler)
+    with installed_telemetry() as (tracer, _), \
+            _compiler("/bin/false" if cell.backend == "codegen" else None):
+        kern, sweep = _sweeper(cell, profiler)
         assert sweep().tobytes() == want.tobytes()
         if cell.backend == "native" and have_cc():  # without one: the Python form
             assert kern.build_native(wait=True)
@@ -221,7 +222,7 @@ def check(cell: Cell) -> None:
         assert profile.executions == sweeps and profile.total_seconds > 0
 
 
-def _sweeper(cell: Cell, tracer, profiler):
+def _sweeper(cell: Cell, profiler):
     """``(kernel, sweep(rhs=None, profiled=True))`` of one cell."""
     family = "python" if cell.backend == "codegen" else "kernel"
     mesh = _mesh(cell.mesh, family)
@@ -229,7 +230,7 @@ def _sweeper(cell: Cell, tracer, profiler):
     batch = _batch(cell.variant, cell.batch)
     if cell.entry == "assembler":  # the assembler sizes its own chunks
         assert cell.chunk_groups is None and cell.mesh != "worker"
-        asms = {p: _assembler(cell, mesh, tracer, p) for p in {None, profiler}}
+        asms = {p: _assembler(cell, mesh, p) for p in {None, profiler}}
         rank = "full" if cell.batch == "per_scenario" else "vec"
         kern = None if cell.backend == "interpreted" else \
             asms[None]._kernel(cell.variant, cell.vd, batch, rank)
@@ -246,8 +247,7 @@ def _sweeper(cell: Cell, tracer, profiler):
         rows = batch.param_rows() if batch else None
 
         def sweep(rhs=None, profiled=True):
-            kw = dict(param_rows=rows, tracer=tracer,
-                      profiler=profiler if profiled else None)
+            kw = dict(param_rows=rows, profiler=profiler if profiled else None)
             if cell.threads:
                 return kern.execute_chunked(u, rhs, num_threads=cell.threads,
                                             chunk_groups=cell.chunk_groups, **kw)

@@ -22,7 +22,6 @@ from repro.core import UnifiedAssembler
 from repro.core import native
 from repro.core.passes import UFUNC_NAMES
 from repro.fem import box_tet_mesh
-from repro.obs import Tracer
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
 from tests.core.test_differential import corner
@@ -160,11 +159,11 @@ def test_rows_storage_is_the_same_function(cc):
 
 # -- (c) a wrong template is rejected at adoption -----------------------------
 
-def test_wrong_template_is_rejected_at_adoption(cc, monkeypatch):
+def test_wrong_template_is_rejected_at_adoption(cc, monkeypatch, telemetry):
     monkeypatch.setitem(native.C_OPS, "add", native.C_OPS["sub"])
     mesh = box_tet_mesh(3, 3, 3)
-    tracer = Tracer()
-    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD, tracer=tracer)
+    tracer, _ = telemetry
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
     u = _field((mesh.nnode, 3))
     want = asm.assemble("RSP", u)
     kern = _only_kernel(asm)
@@ -433,11 +432,11 @@ def test_a_steady_state_fused_sweep_allocates_only_its_result(cc):
 
 # -- observability and import hygiene ----------------------------------------
 
-def test_execute_span_says_which_form_served(cc):
+def test_execute_span_says_which_form_served(cc, telemetry):
     mesh = box_tet_mesh(3, 3, 3)
-    tracer = Tracer()
+    tracer, _ = telemetry
     # a group size no other test builds: the first bind is a cache miss
-    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=24, tracer=tracer)
+    asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=24)
     u = _field((mesh.nnode, 3))
     asm.assemble("RSP", u)
     assert _only_kernel(asm).build_native(wait=True)

@@ -4,12 +4,11 @@ import pytest
 
 from repro.core import OptimizationStudy
 from repro.fem import box_tet_mesh
-from repro.obs import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
 def study():
-    return OptimizationStudy(mesh=box_tet_mesh(3, 3, 3), metrics=MetricsRegistry())
+    return OptimizationStudy(mesh=box_tet_mesh(3, 3, 3))
 
 
 def test_format_gpu_table_empty_returns_titled_table():

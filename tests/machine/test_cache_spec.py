@@ -8,7 +8,6 @@ from repro.machine import (
     A100_SXM4_40GB,
     ICELAKE_8360Y,
     LruCache,
-    SetAssociativeCache,
 )
 
 
@@ -111,47 +110,6 @@ def test_lru_capacity_never_exceeded(accesses):
     for a in accesses:
         c.access(a)
         assert c.weight <= 5
-
-
-# -- set associative ------------------------------------------------------------
-
-
-def test_set_associative_conflict_misses():
-    """Same-set lines thrash a 1-way cache but not a full LRU of equal size."""
-    sa = SetAssociativeCache(capacity_lines=4, ways=1)
-    fa = LruCache(4)
-    pattern = [0, 4, 0, 4, 0, 4]  # map to the same set (4 sets)
-    for ln in pattern:
-        sa.access(ln)
-        fa.access(ln)
-    assert sa.stats.hits == 0  # pure conflict misses
-    assert fa.stats.hits == 4
-
-
-def test_associativity_orders_hit_rates_on_a_strided_pattern():
-    """Fewer ways, more conflict misses: full LRU >= 4-way >= 1-way."""
-    hit_rates = []
-    for cache in (
-        LruCache(64),
-        SetAssociativeCache(64, ways=4),
-        SetAssociativeCache(64, ways=1),
-    ):
-        for _ in range(20):
-            for line in range(0, 256, 64):
-                cache.access(line)
-        hit_rates.append(cache.stats.hit_rate)
-    assert hit_rates == sorted(hit_rates, reverse=True)
-
-
-def test_set_associative_basics():
-    c = SetAssociativeCache(capacity_lines=8, ways=2)
-    c.access(0, store=True)
-    assert c.contains(0)
-    assert c.invalidate([0]) == 1
-    c.access(1, store=True)
-    assert c.flush() == 1
-    with pytest.raises(ValueError):
-        SetAssociativeCache(1, ways=4)
 
 
 # -- specs ------------------------------------------------------------------------

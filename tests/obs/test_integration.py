@@ -1,5 +1,5 @@
-"""Telemetry threaded through the hot paths: study, CG, fractional step,
-parallel runner."""
+"""Telemetry of the hot paths, read back from the one installed tracer and
+registry: study, CG, fractional step, parallel runner."""
 
 import json
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.fem import box_tet_mesh
-from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
+from repro.obs import write_chrome_trace
 from repro.parallel import MultiprocessRunner
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import FractionalStepSolver
@@ -30,8 +30,7 @@ def params():
 
 
 def test_study_traced_chrome_trace(traced_study, tmp_path):
-    study, _, _ = traced_study
-    tracer, registry = study.tracer, study.metrics
+    _, _, _, tracer, registry = traced_study
 
     # chrome trace: valid JSON with nested spans for every variant
     trace_path = tmp_path / "trace.json"
@@ -58,7 +57,7 @@ def test_study_traced_chrome_trace(traced_study, tmp_path):
 
 
 def test_study_null_tracer_outputs_identical(study, gpu_table, cpu_table, traced_study):
-    _, traced_gpu, traced_cpu = traced_study
+    _, traced_gpu, traced_cpu, _, _ = traced_study
     assert study.format_gpu_table(list(gpu_table.values())) == study.format_gpu_table(
         traced_gpu
     )
@@ -72,12 +71,11 @@ def test_study_null_tracer_outputs_identical(study, gpu_table, cpu_table, traced
 # ---------------------------------------------------------------------------
 
 
-def test_cg_records_metrics_and_span():
+def test_cg_records_metrics_and_span(telemetry):
     a = np.diag([1.0, 2.0, 3.0])
     b = np.array([1.0, 1.0, 1.0])
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    result = conjugate_gradient(a, b, tracer=tracer, metrics=registry)
+    tracer, registry = telemetry
+    result = conjugate_gradient(a, b)
     assert result.converged
 
     snap = registry.snapshot()
@@ -89,17 +87,15 @@ def test_cg_records_metrics_and_span():
     assert span.attributes["iterations"] == result.iterations
 
 
-def test_solver_error_structured_context():
+def test_solver_error_structured_context(telemetry):
     # force failure via a tiny iteration budget on a random SPD system
     rng = np.random.default_rng(0)
     m = rng.standard_normal((40, 40))
     a = m @ m.T + 40 * np.eye(40)
     b = rng.standard_normal(40)
-    registry = MetricsRegistry()
+    _, registry = telemetry
     with pytest.raises(SolverError) as exc_info:
-        conjugate_gradient(
-            a, b, tol=1e-14, maxiter=2, raise_on_fail=True, metrics=registry
-        )
+        conjugate_gradient(a, b, tol=1e-14, maxiter=2, raise_on_fail=True)
     err = exc_info.value
     assert err.iterations == 2
     assert err.residual_norm > 0
@@ -116,12 +112,9 @@ def test_solver_error_structured_context():
 # ---------------------------------------------------------------------------
 
 
-def test_fractional_step_stage_spans_and_metrics(tiny_mesh, params):
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    solver = FractionalStepSolver(
-        tiny_mesh, params, tracer=tracer, metrics=registry
-    )
+def test_fractional_step_stage_spans_and_metrics(tiny_mesh, params, telemetry):
+    tracer, registry = telemetry
+    solver = FractionalStepSolver(tiny_mesh, params)
     rng = np.random.default_rng(1)
     solver.set_velocity(0.05 * rng.standard_normal((tiny_mesh.nnode, 3)))
     solver.run(steps=2, dt=1e-3)
@@ -143,15 +136,30 @@ def test_fractional_step_stage_spans_and_metrics(tiny_mesh, params):
     assert snap["fstep.pressure_iterations"]["count"] == 2
 
 
+def test_one_step_lands_in_one_sink(params, telemetry):
+    """Every phase of a step -- the solver's stages, the kernel's and the
+    plan's builds, the pressure solve -- in the one installed tracer and
+    registry."""
+    tracer, registry = telemetry
+    mesh = box_tet_mesh(4, 4, 4)  # a fresh mesh: its plan and kernel are built here
+    solver = FractionalStepSolver(mesh, params, assemble="codegen:RSP")
+    solver.set_velocity(0.05 * np.random.default_rng(1).standard_normal((mesh.nnode, 3)))
+    solver.run(steps=2, dt=1e-3)
+    assert {"step", "momentum", "assemble", "codegen.execute", "pressure", "cg_solve",
+            "projection", "plan.build", "codegen.compile"} <= {s.name for s in tracer.finished}
+    assert {"fstep.steps", "cg.solves", "codegen.executions", "plan.builds"} <= set(
+        registry.snapshot())
+
+
 # ---------------------------------------------------------------------------
 # Parallel runner
 # ---------------------------------------------------------------------------
 
 
-def test_multiprocess_runner_merges_rank_timelines(params):
+def test_multiprocess_runner_merges_rank_timelines(params, telemetry):
     mesh = box_tet_mesh(3, 3, 3)
-    tracer = Tracer(pid=0)
-    runner = MultiprocessRunner(mesh, params, repeats=1, tracer=tracer)
+    tracer, _ = telemetry
+    runner = MultiprocessRunner(mesh, params, repeats=1)
     points = runner.measure([1, 2])
     assert len(points) == 2
 

@@ -16,12 +16,12 @@ from repro.fem import box_tet_mesh, get_plan
 from repro.obs import (
     NullProfiler,
     TapeProfiler,
-    Tracer,
     op_costs_from_program,
     profile_trace_events,
     write_flamegraph,
 )
 from repro.physics import AssemblyParams
+from tests.conftest import installed_telemetry
 from tests.core.test_differential import corner
 
 #: predicted_bytes() is an all-vector upper bound; constant folding turns
@@ -135,9 +135,10 @@ def test_op_costs_from_program(mesh, prof_params):
 
 
 def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
-    """Kernels are plan-cached and shared; a caller's profiler and tracer
-    travel with each call: a later unprofiled assembler inherits nothing,
-    nor do two callers that interleave lookup - lookup - sweep - sweep."""
+    """Kernels are plan-cached and shared; a caller's profiler travels with
+    each call and its span goes to the tracer installed at the call: a later
+    unprofiled assembler inherits nothing, nor do two callers that
+    interleave lookup - lookup - sweep - sweep."""
     profiler = TapeProfiler()
     _assemble(mesh, prof_params, prof_velocity, "RS", 16,
               mode="compiled", profiler=profiler)
@@ -146,11 +147,12 @@ def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
     _assemble(mesh, prof_params, prof_velocity, "RS", 16, mode="compiled")
     assert prof.executions == 1
     for make in (compiled_tape, generated_kernel):
-        profiler, tracer = TapeProfiler(), Tracer()
+        profiler = TapeProfiler()
         lookup = (get_plan(mesh), "RS", 16, prof_params.as_kernel_params())
         mine, theirs = make(*lookup), make(*lookup)
         assert mine is theirs
-        mine.execute(prof_velocity, tracer=tracer, profiler=profiler)
+        with installed_telemetry() as (tracer, _):
+            mine.execute(prof_velocity, profiler=profiler)
         theirs.execute(prof_velocity)
         assert [p.executions for p in profiler.profiles.values()] == [1]
         assert [s.name for s in tracer.finished].count(mine._span) == 1

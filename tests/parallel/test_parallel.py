@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fem import box_tet_mesh
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel import MultiprocessRunner, live_segment_names, rcb_partition
 from repro.physics import AssemblyParams
 
@@ -55,12 +54,10 @@ def test_runner_baseline_is_smallest_worker_count():
     assert two.efficiency == pytest.approx(two.speedup / 2.0)
 
 
-def test_runner_shares_element_arrays_via_shm():
+def test_runner_shares_element_arrays_via_shm(telemetry):
     mesh = box_tet_mesh(3, 3, 3)
-    registry = MetricsRegistry()
-    runner = MultiprocessRunner(
-        mesh, AssemblyParams(), repeats=1, metrics=registry
-    )
+    _, registry = telemetry
+    runner = MultiprocessRunner(mesh, AssemblyParams(), repeats=1)
     points = runner.measure([1, 2])
     assert len(points) == 2
     snap = registry.snapshot()
@@ -74,17 +71,14 @@ def test_runner_shares_element_arrays_via_shm():
     ([0], 1), ([-1], 1), ([1, 1], 1), ([1.5], 1), ([True], 1),
     ([1], 0), ([1], -2), ([1], 2.5),
 ])
-def test_measure_rejects_what_it_cannot_measure(workers, repeats):
+def test_measure_rejects_what_it_cannot_measure(workers, repeats, telemetry):
     """Worker counts and repeats are integers >= 1, counts without
     duplicates; anything else is a ValueError before any shared memory
     or pool exists."""
-    registry = MetricsRegistry()
+    _, registry = telemetry
     before = live_segment_names()
     with pytest.raises(ValueError, match="worker count|repeats"):
-        runner = MultiprocessRunner(
-            box_tet_mesh(2, 2, 2), AssemblyParams(), repeats=repeats,
-            metrics=registry,
-        )
+        runner = MultiprocessRunner(box_tet_mesh(2, 2, 2), AssemblyParams(), repeats=repeats)
         runner.measure(workers)
     assert live_segment_names() == before
     assert registry.snapshot() == {}

@@ -7,8 +7,6 @@ import pytest
 
 from repro.fem import box_tet_mesh
 from repro.fem.mesh import TetMesh
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Tracer
 from repro.physics.fractional_step import (
     FractionalStepSolver,
     IntegrationError,
@@ -47,13 +45,10 @@ def u0(mesh):
 # -- rollback ----------------------------------------------------------------
 
 
-def test_nan_sweep_rolls_back_and_halves_dt(mesh, params, u0):
-    registry = MetricsRegistry()
-    tracer = Tracer()
+def test_nan_sweep_rolls_back_and_halves_dt(mesh, params, u0, telemetry):
+    tracer, registry = telemetry
     plan = FaultPlan.single("momentum_rhs", "nan", seed=SEED, index=3)
-    solver = FractionalStepSolver(
-        mesh, params, fault_plan=plan, metrics=registry, tracer=tracer
-    )
+    solver = FractionalStepSolver(mesh, params, fault_plan=plan)
     solver.set_velocity(u0)
     dt = cfl_time_step(mesh, solver.velocity, 0.4)
     reports = [solver.advance(dt) for _ in range(3)]
@@ -108,14 +103,10 @@ def test_blowup_guard_rejects_finite_explosions(mesh, params, u0):
 # -- checkpoint / restart -----------------------------------------------------
 
 
-def test_periodic_checkpoint_and_bitwise_restart(mesh, params, u0, tmp_path):
-    registry = MetricsRegistry()
+def test_periodic_checkpoint_and_bitwise_restart(mesh, params, u0, tmp_path, telemetry):
+    _, registry = telemetry
     a = FractionalStepSolver(
-        mesh,
-        params,
-        checkpoint_every=2,
-        checkpoint_dir=str(tmp_path),
-        metrics=registry,
+        mesh, params, checkpoint_every=2, checkpoint_dir=str(tmp_path)
     )
     a.set_velocity(u0)
     dt = cfl_time_step(mesh, a.velocity, 0.4)

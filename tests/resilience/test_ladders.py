@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.fem import box_tet_mesh
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Tracer
 from repro.physics.momentum import AssemblyParams, assemble_momentum_rhs
 from repro.physics.pressure import PressureSolver
 from repro.resilience import (
@@ -38,21 +36,18 @@ def velocity(mesh):
 # -- pressure ladder ----------------------------------------------------------
 
 
-def test_clean_solve_serves_from_rung_zero(mesh, velocity, params):
-    solver = PressureSolver(mesh, metrics=MetricsRegistry())
+def test_clean_solve_serves_from_rung_zero(mesh, velocity, params, telemetry):
+    solver = PressureSolver(mesh)
     result = solver.solve(velocity, params.density, dt=0.01)
     assert result.converged and result.rung == 0
 
 
-def test_forced_breakdown_rescued_by_deflation(mesh, velocity, params):
-    registry = MetricsRegistry()
-    tracer = Tracer()
+def test_forced_breakdown_rescued_by_deflation(mesh, velocity, params, telemetry):
+    tracer, registry = telemetry
     clean = PressureSolver(mesh).solve(velocity, params.density, dt=0.01)
 
     plan = FaultPlan.single("cg", "breakdown", seed=SEED)
-    solver = PressureSolver(
-        mesh, fault_plan=plan, metrics=registry, tracer=tracer
-    )
+    solver = PressureSolver(mesh, fault_plan=plan)
     rescued = solver.solve(velocity, params.density, dt=0.01)
     assert rescued.converged and rescued.rung == 1
     # the rescue reproduces the clean pressure to solver tolerance
@@ -65,12 +60,10 @@ def test_forced_breakdown_rescued_by_deflation(mesh, velocity, params):
     assert len(plan.events) == 1
 
 
-def test_exhausted_ladder_raises_structured(mesh, velocity, params):
-    registry = MetricsRegistry()
+def test_exhausted_ladder_raises_structured(mesh, velocity, params, telemetry):
+    _, registry = telemetry
     # a hopeless budget: no rung can converge in a single iteration
-    solver = PressureSolver(
-        mesh, tol=1e-14, maxiter=1, max_rung=2, metrics=registry
-    )
+    solver = PressureSolver(mesh, tol=1e-14, maxiter=1, max_rung=2)
     with pytest.raises(SolverError, match="pressure ladder exhausted") as err:
         solver.solve(velocity, params.density, dt=0.01)
     assert "cg+strong-amg" in str(err.value)
@@ -87,9 +80,9 @@ def test_max_rung_zero_preserves_seed_behaviour(mesh, velocity, params):
 # -- assembler ladder ---------------------------------------------------------
 
 
-def test_ladder_validates_and_stays_on_codegen(mesh, velocity, params):
-    registry = MetricsRegistry()
-    asm = ResilientAssembler(mesh, params, metrics=registry)
+def test_ladder_validates_and_stays_on_codegen(mesh, velocity, params, telemetry):
+    _, registry = telemetry
+    asm = ResilientAssembler(mesh, params)
     rhs = asm(mesh, velocity, params)
     assert asm.mode == "codegen"
     ref = assemble_momentum_rhs(mesh, velocity, params)
@@ -101,13 +94,10 @@ def test_ladder_validates_and_stays_on_codegen(mesh, velocity, params):
     assert registry.snapshot()["resilience.validations"]["value"] == 1.0
 
 
-def test_corrupted_kernel_degrades_to_compiled(mesh, velocity, params):
-    registry = MetricsRegistry()
-    tracer = Tracer()
+def test_corrupted_kernel_degrades_to_compiled(mesh, velocity, params, telemetry):
+    tracer, registry = telemetry
     plan = FaultPlan.single("assembler", "nan", seed=SEED)
-    asm = ResilientAssembler(
-        mesh, params, fault_plan=plan, metrics=registry, tracer=tracer
-    )
+    asm = ResilientAssembler(mesh, params, fault_plan=plan)
     rhs = asm(mesh, velocity, params)
     assert asm.mode == "compiled"
     ref = assemble_momentum_rhs(mesh, velocity, params)
@@ -120,8 +110,8 @@ def test_corrupted_kernel_degrades_to_compiled(mesh, velocity, params):
     assert spans[0]["attributes"]["to_mode"] == "compiled"
 
 
-def test_all_fast_rungs_corrupt_lands_on_reference(mesh, velocity, params):
-    registry = MetricsRegistry()
+def test_all_fast_rungs_corrupt_lands_on_reference(mesh, velocity, params, telemetry):
+    _, registry = telemetry
     plan = FaultPlan(
         [
             FaultPlan.single("assembler", "nan", index=0).specs[0],
@@ -130,7 +120,7 @@ def test_all_fast_rungs_corrupt_lands_on_reference(mesh, velocity, params):
         ],
         seed=SEED,
     )
-    asm = ResilientAssembler(mesh, params, fault_plan=plan, metrics=registry)
+    asm = ResilientAssembler(mesh, params, fault_plan=plan)
     rhs = asm(mesh, velocity, params)
     assert asm.mode == "reference"
     assert np.array_equal(rhs, assemble_momentum_rhs(mesh, velocity, params))

@@ -8,8 +8,7 @@ identical* to a fault-free run -- recovery must never change the answer.
 import pytest
 
 from repro.fem import box_tet_mesh
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Tracer
+from repro.obs.metrics import get_registry
 from repro.parallel import MultiprocessRunner, WorkerPolicy
 from repro.physics import AssemblyParams
 from repro.resilience import FaultPlan, fault_seed_from_env
@@ -44,33 +43,23 @@ def clean_checksums(mesh, params):
     return _clean_run(mesh, params)
 
 
-def _chaos_run(
-    mesh, params, plan, policy=POLICY, tracer=None, assembly_mode="reference"
-):
-    registry = MetricsRegistry()
+def _chaos_run(mesh, params, plan, policy=POLICY, assembly_mode="reference"):
     runner = MultiprocessRunner(
-        mesh,
-        params,
-        repeats=1,
-        policy=policy,
-        fault_plan=plan,
-        metrics=registry,
-        tracer=tracer,
-        assembly_mode=assembly_mode,
+        mesh, params, repeats=1, policy=policy, fault_plan=plan, assembly_mode=assembly_mode
     )
     points = runner.measure([2])
     counters = {
         name: data["value"]
-        for name, data in registry.snapshot().items()
+        for name, data in get_registry().snapshot().items()
         if name.startswith("resilience.")
     }
     return points, runner.chunk_checksums[2], counters
 
 
-def test_worker_crash_is_retried_bitwise(mesh, params, clean_checksums):
+def test_worker_crash_is_retried_bitwise(mesh, params, clean_checksums, telemetry):
     plan = FaultPlan.single("worker", "crash", rank=1, index=0, seed=SEED)
-    tracer = Tracer()
-    points, checksums, counters = _chaos_run(mesh, params, plan, tracer=tracer)
+    tracer, _ = telemetry
+    points, checksums, counters = _chaos_run(mesh, params, plan)
     assert len(points) == 1 and points[0].workers == 2
     assert checksums == clean_checksums  # tuple equality is bitwise
     assert counters["resilience.worker_failures"] == 1.0
@@ -85,7 +74,7 @@ def test_worker_crash_is_retried_bitwise(mesh, params, clean_checksums):
     assert any(e.get("side") == "parent" for e in plan.events)
 
 
-def test_worker_hard_exit_detected_by_deadline(mesh, params, clean_checksums):
+def test_worker_hard_exit_detected_by_deadline(mesh, params, clean_checksums, telemetry):
     plan = FaultPlan.single("worker", "exit", rank=0, index=0, seed=SEED)
     _, checksums, counters = _chaos_run(mesh, params, plan)
     assert checksums == clean_checksums
@@ -93,7 +82,7 @@ def test_worker_hard_exit_detected_by_deadline(mesh, params, clean_checksums):
     assert counters["resilience.retries"] == 1.0
 
 
-def test_worker_hang_detected_by_deadline(mesh, params, clean_checksums):
+def test_worker_hang_detected_by_deadline(mesh, params, clean_checksums, telemetry):
     plan = FaultPlan.single("worker", "hang", rank=1, index=0, seed=SEED)
     _, checksums, counters = _chaos_run(mesh, params, plan)
     assert checksums == clean_checksums
@@ -102,7 +91,7 @@ def test_worker_hang_detected_by_deadline(mesh, params, clean_checksums):
     assert counters["resilience.respawns"] == 1.0
 
 
-def test_slow_rank_completes_without_recovery(mesh, params, clean_checksums):
+def test_slow_rank_completes_without_recovery(mesh, params, clean_checksums, telemetry):
     plan = FaultPlan.single(
         "worker", "slow", rank=0, index=0, delay=0.2, seed=SEED
     )
@@ -115,7 +104,7 @@ def test_slow_rank_completes_without_recovery(mesh, params, clean_checksums):
 
 @pytest.mark.parametrize("mode", ["reference", "codegen"])
 def test_retry_budget_exhausted_falls_back_to_serial(
-    mesh, params, clean_checksums, mode
+    mesh, params, clean_checksums, mode, telemetry
 ):
     """The fallback runs the shipped program (codegen) or the reference
     kernel in-process; either way the chunk's checksum is the fault-free
@@ -130,10 +119,8 @@ def test_retry_budget_exhausted_falls_back_to_serial(
     ]
     plan = FaultPlan(specs, seed=SEED)
     policy = WorkerPolicy(task_timeout=5.0, max_retries=1, backoff_base=0.01)
-    tracer = Tracer()
-    _, checksums, counters = _chaos_run(
-        mesh, params, plan, policy=policy, tracer=tracer, assembly_mode=mode
-    )
+    tracer, _ = telemetry
+    _, checksums, counters = _chaos_run(mesh, params, plan, policy=policy, assembly_mode=mode)
     # the in-process serial fallback reproduces the chunk bitwise
     assert checksums == clean
     assert counters["resilience.fallbacks"] == 1.0

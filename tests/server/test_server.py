@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 from repro.server import (
     AdmissionController,
     CampaignClient,
@@ -539,16 +539,15 @@ def test_stop_leaves_no_server_threads_or_tasks():
 # integration: completion is pushed to a held connection, not polled
 # ---------------------------------------------------------------------------
 
-def _slow_jobs(seconds):
+def _slow_jobs(seconds, metrics):
     """A server whose every job sleeps ``seconds`` in the executor, its
-    client, and a reader of its own (not the process-wide) metrics."""
+    client, and a reader of ``metrics`` (the registry the test installed)."""
     from repro.resilience.faults import FaultPlan, FaultSpec
 
     plan = FaultPlan([FaultSpec(site="server_exec", kind="slow", index=i, delay=seconds)
                       for i in range(8)], seed=1)
-    metrics = MetricsRegistry()
     handle = CampaignServer(
-        ServerConfig(workers=1, max_stall_s=seconds), fault_plan=plan, metrics=metrics
+        ServerConfig(workers=1, max_stall_s=seconds), fault_plan=plan
     ).start_in_thread()
     return handle, CampaignClient(port=handle.port, timeout=60), (
         lambda name: metrics.snapshot().get(name, {"value": 0})
@@ -590,11 +589,11 @@ def _in_thread(fn, *args, **kwargs):
     return join
 
 
-def test_a_finished_job_is_pushed_to_the_held_connection_in_one_round_trip():
+def test_a_finished_job_is_pushed_to_the_held_connection_in_one_round_trip(telemetry):
     """``poll_s`` is the longest one request is held, not a sleep: a 50 ms
     job under ``poll_s=5`` is one request and well under a second; so is a
     cache hit, and a coalesced follower rides the leader's job."""
-    handle, client, metric = _slow_jobs(0.05)
+    handle, client, metric = _slow_jobs(0.05, telemetry[1])
     try:
         t0 = time.monotonic()
         first = client.run(_assemble(1), poll_s=5)
@@ -615,8 +614,8 @@ def test_a_finished_job_is_pushed_to_the_held_connection_in_one_round_trip():
         handle.stop()
 
 
-def test_an_expired_hold_is_asked_again_and_client_timeout_still_raises():
-    handle, client, metric = _slow_jobs(0.2)
+def test_an_expired_hold_is_asked_again_and_client_timeout_still_raises(telemetry):
+    handle, client, metric = _slow_jobs(0.2, telemetry[1])
     try:
         slow = client.run(_assemble(3), poll_s=0.001)
         assert metric("server.holds_expired")["value"] >= 2

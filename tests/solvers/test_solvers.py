@@ -371,8 +371,8 @@ def test_block_cg_on_the_c_vector_phase_is_the_numpy_solve_to_the_byte(solver_so
     assert _same(conjugate_gradient(native, rhs[:, 3], **kwargs), want[3])
 
 
-def test_a_vector_phase_one_ulp_off_is_rejected_alone_and_numpy_serves(solver_so, monkeypatch):
-    from repro.obs import Tracer
+def test_a_vector_phase_one_ulp_off_is_rejected_alone_and_numpy_serves(
+        solver_so, monkeypatch, telemetry):
     from repro.physics.pressure import PressureSolver
 
     run = NativeCycle._run
@@ -382,9 +382,9 @@ def test_a_vector_phase_one_ulp_off_is_rejected_alone_and_numpy_serves(solver_so
         return np.nextafter(out, np.inf) if name == "dots" else out
 
     monkeypatch.setattr(NativeCycle, "_run", off_by_an_ulp)
-    mesh, tracer = box_tet_mesh(6, 6, 6), Tracer()
+    mesh, (tracer, _) = box_tet_mesh(6, 6, 6), telemetry
     honest = PressureSolver(box_tet_mesh(6, 6, 6), use_amg=True)
-    ps = PressureSolver(mesh, tracer=tracer)
+    ps = PressureSolver(mesh)
     rejected = _count("solvers.vector_phase_rejected")
     u = 0.1 * np.random.default_rng(0).standard_normal((3, mesh.nnode, 3))
     got = ps.solve(u, np.ones(3), 0.05)
@@ -519,12 +519,11 @@ def test_scalar_lane_loop_of_a_host_without_avx512_is_scipys_too(cc, monkeypatch
         assert _bits(amg.native(b)) == _bits(amg.levels[0].a @ b)
 
 
-def test_c_form_serves_plain_float64_blocks_only_and_says_so(solver_so, monkeypatch):
-    from repro.obs import Tracer
+def test_c_form_serves_plain_float64_blocks_only_and_says_so(solver_so, monkeypatch, telemetry):
     from repro.physics.pressure import PressureSolver
 
-    mesh, tracer = box_tet_mesh(6, 6, 6), Tracer()
-    ps = PressureSolver(mesh, tracer=tracer)
+    mesh, (tracer, _) = box_tet_mesh(6, 6, 6), telemetry
+    ps = PressureSolver(mesh)
     amg, adopted = ps._amg, _count("solvers.native_adopted")
     u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
     assert ps.solve(u, 1.0, 0.05).converged
