@@ -15,7 +15,7 @@ to DRAM").
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 __all__ = ["LruCache", "CacheStats"]
 
@@ -59,9 +59,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         n = self.accesses
         return self.hits / n if n else 0.0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {k: getattr(self, k) for k in self.__slots__}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -151,11 +148,6 @@ class LruCache:
                 if entry[0]:
                     self.stats.invalidated_dirty += 1
         return n
-
-    def invalidate_where(self, predicate: Callable[[int], bool]) -> int:
-        """Drop all lines matching a predicate without writeback."""
-        doomed = [l for l in self._lines if predicate(l)]
-        return self.invalidate(doomed)
 
     def dirty_weight(self) -> int:
         """Total weight of resident dirty lines."""

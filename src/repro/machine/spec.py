@@ -110,11 +110,6 @@ class CpuSpec:
         """Per-core FP64 peak at the measured all-core rate."""
         return self.socket_fp_peak / self.cores_per_socket
 
-    @property
-    def core_bandwidth(self) -> float:
-        """Naive per-core share of socket bandwidth."""
-        return self.socket_bandwidth / self.cores_per_socket
-
 
 A100_SXM4_40GB = GpuSpec(
     name="NVIDIA A100-SXM4-40GB",

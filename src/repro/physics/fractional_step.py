@@ -14,7 +14,9 @@ equations for the pressure".  This integrator reproduces that loop:
 4. Dirichlet boundary re-application.
 
 It also keeps the timing breakdown so the examples can show the paper's
-"assembly dominates" claim on real runs.
+"assembly dominates" claim on real runs.  One step driver serves a solo
+:class:`FractionalStepSolver` and a lockstep :class:`BatchCampaign`: a
+solo solver is the campaign of one trajectory (:func:`_attempt`).
 
 Robustness (the production reality of week-long LES campaigns): each stage
 is guarded against NaN/Inf and velocity blow-up; a tripped guard rolls the
@@ -28,6 +30,7 @@ give bitwise-stable restarts.  Every rollback is counted in
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -166,14 +169,12 @@ def cfl_time_step(
     return cfl * hmin / umax
 
 
-def _timing_breakdown(reports: Sequence["StepReport"]) -> Dict[str, float]:
-    ta = sum(r.assembly_seconds for r in reports)
-    tp = sum(r.pressure_seconds for r in reports)
-    return {
-        "assembly_seconds": ta,
-        "pressure_seconds": tp,
-        "assembly_fraction": ta / (ta + tp) if ta + tp else 0.0,
-    }
+def _positive_dt(dt: float) -> float:
+    """``dt`` as a float, or :class:`ValueError` before anything is counted
+    when it is not a positive finite number (``nan <= 0`` is False)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    return float(dt)
 
 
 def _max_divergence(plan, u: np.ndarray) -> np.ndarray:
@@ -239,6 +240,102 @@ def _finish_steps(solvers, u: np.ndarray, dt: float, umax_before):
     return outcomes, t_pressure
 
 
+def _attempt(solvers, rhs_of: Callable, dt: float) -> list:
+    """One candidate step of the trajectories ``solvers`` (one mesh), mutating
+    none of them: the RK momentum predictors as one ``(k, nnode, 3)`` stack,
+    ``rhs_of(u)`` assembling every row of a sweep, then :func:`_finish_steps`.
+
+    Each row is updated in place as ``u0 + (c dt)(rhs minv)``.  A row that
+    goes non-finite is frozen at its (finite) ``u0``, so the remaining sweeps
+    stay NaN-free for the others (rows are independent).  Every row's fault
+    plan sees every sweep: occurrence ``k`` of ``"momentum_rhs"`` is the
+    ``k``-th sweep of that trajectory, counting every attempt.  Returns per
+    trajectory the commit tuple ``(u, result, image, diagnostics, t_assembly,
+    t_pressure)`` or the :class:`_StageFailure` of its tripped guard.
+    """
+    lead = solvers[0]
+    umax_before = [sv._umax() for sv in solvers]
+    minv = 1.0 / lead.mass[:, None]
+    u0 = np.stack([sv.velocity for sv in solvers])
+    u = u0.copy()
+    failed = np.zeros(len(solvers), dtype=bool)
+    with get_tracer().span("momentum", sweeps=lead.sweeps, scenarios=len(solvers)):
+        t0 = time.perf_counter()
+        for c in lead._rk_coeffs():
+            rhs = rhs_of(u)
+            for j, sv in enumerate(solvers):
+                if sv.fault_plan is not None:
+                    sv.fault_plan.corrupt("momentum_rhs", rhs[j])
+                if failed[j]:
+                    continue
+                np.multiply(rhs[j], minv, out=u[j])
+                u[j] *= c * dt
+                u[j] += u0[j]
+                sv._apply_bcs(u[j])
+                if not np.isfinite(u[j]).all():
+                    failed[j] = True
+                    u[j] = u0[j]
+        t_assembly = (time.perf_counter() - t0) / len(solvers)
+    outcomes = [_StageFailure("momentum", "non-finite predictor velocity")] * len(solvers)
+    live = np.flatnonzero(~failed)
+    if live.size:
+        finished, t_pressure = _finish_steps(
+            [solvers[j] for j in live], u[live], dt, [umax_before[j] for j in live]
+        )
+        for j, outcome in zip(live, finished):
+            if not isinstance(outcome, _StageFailure):
+                outcome += (t_assembly, t_pressure)
+            outcomes[j] = outcome
+    return outcomes
+
+
+class _Driver:
+    """What a solo solver and a campaign share: ``run`` and
+    ``timing_breakdown`` over the trajectories ``_trajectories`` (a solo
+    solver's are ``(self,)``) and the driver's own ``advance``."""
+
+    def run(
+        self,
+        steps: int,
+        cfl: float = 0.5,
+        dt: Optional[float] = None,
+        callback: Optional[Callable] = None,
+        cancel: Optional[CancelToken] = None,
+    ) -> list:
+        """Advance ``steps`` steps with a fixed ``dt`` or the CFL minimum over
+        the trajectories; returns what each :meth:`advance` returned.
+
+        ``cancel`` is checked *between* steps -- a tripped token raises
+        :class:`~repro.resilience.cancel.CooperativeCancel` with every
+        trajectory at its last committed step, so the caller can checkpoint
+        or report partial results safely.
+        """
+        out = []
+        for _ in range(steps):
+            if cancel is not None:
+                cancel.check()
+            step_dt = dt if dt is not None else min(
+                cfl_time_step(self.mesh, sv.velocity, cfl) for sv in self._trajectories
+            )
+            rep = self.advance(step_dt)
+            if callback is not None:
+                callback(rep)
+            out.append(rep)
+        return out
+
+    def timing_breakdown(self) -> Dict[str, float]:
+        """Cumulative assembly vs pressure seconds (the paper's 80% claim); a
+        lockstep step's batched sweeps and block solve are shared out evenly."""
+        reports = [r for sv in self._trajectories for r in sv.history]
+        ta = sum(r.assembly_seconds for r in reports)
+        tp = sum(r.pressure_seconds for r in reports)
+        return {
+            "assembly_seconds": ta,
+            "pressure_seconds": tp,
+            "assembly_fraction": ta / (ta + tp) if ta + tp else 0.0,
+        }
+
+
 @dataclasses.dataclass
 class StepReport:
     """Diagnostics of one time step."""
@@ -254,8 +351,9 @@ class StepReport:
     kinetic_energy: float
 
 
-class FractionalStepSolver:
-    """Explicit fractional-step incompressible LES driver.
+class FractionalStepSolver(_Driver):
+    """Explicit fractional-step incompressible LES driver (the lockstep
+    campaign of one trajectory).
 
     Each :meth:`advance` is one ``step`` span of the installed tracer, with
     nested ``momentum`` / ``pressure`` / ``projection`` stage spans; the
@@ -270,8 +368,7 @@ class FractionalStepSolver:
     dirichlet:
         Velocity Dirichlet conditions, re-applied after each projection.
     assemble:
-        RHS assembly callable ``(mesh, velocity, params) -> (nnode, 3)``
-        returning a fresh array (the predictor updates it in place);
+        RHS assembly callable ``(mesh, velocity, params) -> (nnode, 3)``;
         defaults to the vectorized reference.  Pass a closure around
         :meth:`repro.core.unified.UnifiedAssembler.assemble` to drive the
         DSL kernel variants end-to-end -- or a string spec:
@@ -386,49 +483,14 @@ class FractionalStepSolver:
             )
         return self._speed
 
-    def _predict(self, dt: float) -> Tuple[np.ndarray, float]:
-        """Explicit RK momentum predictor (``sweeps`` assemblies).
+    @property
+    def _trajectories(self) -> Tuple["FractionalStepSolver"]:
+        return (self,)
 
-        Returns ``(u_predictor, t_assembly)``; raises
-        :class:`_StageFailure` on a non-finite predictor, leaving the
-        solver untouched.
-        """
-        mesh = self.mesh
-        minv = 1.0 / self.mass[:, None]
-        with get_tracer().span("momentum", sweeps=self.sweeps):
-            t0 = time.perf_counter()
-            u0 = self.velocity.copy()
-            u = u0
-            for c in self._rk_coeffs():
-                rhs = self.assemble(mesh, u, self.params)
-                if self.fault_plan is not None:
-                    self.fault_plan.corrupt("momentum_rhs", rhs)
-                # u0 + (c dt) (rhs minv), in the assembler's fresh array: the same bits
-                rhs *= minv
-                rhs *= c * dt
-                rhs += u0
-                u = rhs
-                self._apply_bcs(u)
-            t_assembly = time.perf_counter() - t0
-        if not np.isfinite(u).all():
-            raise _StageFailure("momentum", "non-finite predictor velocity")
-        return u, t_assembly
-
-    def _attempt_step(self, dt: float):
-        """Compute one candidate step *without mutating solver state*.
-
-        Returns ``(u, pressure_result, diagnostics, t_assembly,
-        t_pressure)``; raises :class:`_StageFailure` when a stage guard
-        trips, leaving the solver untouched so the caller can roll back
-        cheaply.
-        """
-        umax_before = self._umax()
-        u, t_assembly = self._predict(dt)
-        # the one-scenario call of what a lockstep campaign does for all
-        (outcome,), t_pressure = _finish_steps([self], u[None], dt, [umax_before])
-        if isinstance(outcome, _StageFailure):
-            raise outcome
-        return outcome + (t_assembly, t_pressure)
+    def _sweep(self, u: np.ndarray) -> np.ndarray:
+        """One RHS sweep of the one-row stack ``u``: ``assemble`` as the
+        degenerate batch."""
+        return self.assemble(self.mesh, u[0], self.params)[None]
 
     def advance(self, dt: float) -> StepReport:
         """One fractional step of size ``dt``.
@@ -439,20 +501,20 @@ class FractionalStepSolver:
         :class:`IntegrationError`.  A successful step commits state,
         counters and (when configured) the periodic checkpoint.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        dt_eff = float(dt)
+        dt_eff = _positive_dt(dt)
         failure: Optional[_StageFailure] = None
         for retry in range(self.max_dt_halvings + 1):
             step_span = get_tracer().span(
-                "step", step=self.step_count + 1, dt=float(dt_eff), retry=retry
+                "step", step=self.step_count + 1, dt=dt_eff, retry=retry
             )
             try:
                 with step_span:
-                    attempt = self._attempt_step(dt_eff)
+                    (attempt,) = _attempt([self], self._sweep, dt_eff)
+                    if isinstance(attempt, _StageFailure):
+                        raise attempt
                 break
             except _StageFailure as exc:
-                # _attempt_step left self untouched: "rollback" is simply
+                # _attempt left self untouched: "rollback" is simply
                 # keeping the pre-step state and shrinking dt.
                 failure = exc
                 get_registry().counter("resilience.rollbacks").inc()
@@ -461,7 +523,7 @@ class FractionalStepSolver:
                     step=self.step_count + 1,
                     stage=exc.stage,
                     reason=exc.reason,
-                    dt=float(dt_eff),
+                    dt=dt_eff,
                 ):
                     pass
                 dt_eff *= 0.5
@@ -618,41 +680,8 @@ class FractionalStepSolver:
             f"({len(candidates)} candidates; last error: {last_error})"
         )
 
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        steps: int,
-        cfl: float = 0.5,
-        dt: Optional[float] = None,
-        callback: Optional[Callable[[StepReport], None]] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> List[StepReport]:
-        """Advance ``steps`` steps with CFL-adaptive (or fixed) dt.
 
-        ``cancel`` is checked *between* steps -- a tripped token raises
-        :class:`~repro.resilience.cancel.CooperativeCancel` with solver
-        state at the last committed step, so the caller can checkpoint
-        or report partial results safely.
-        """
-        out = []
-        for _ in range(steps):
-            if cancel is not None:
-                cancel.check()
-            step_dt = dt if dt is not None else cfl_time_step(
-                self.mesh, self.velocity, cfl
-            )
-            rep = self.advance(step_dt)
-            if callback is not None:
-                callback(rep)
-            out.append(rep)
-        return out
-
-    def timing_breakdown(self) -> Dict[str, float]:
-        """Cumulative assembly vs pressure seconds (the paper's 80% claim)."""
-        return _timing_breakdown(self.history)
-
-
-class BatchCampaign:
+class BatchCampaign(_Driver):
     """``S`` fractional-step trajectories advanced in lockstep.
 
     A parameter campaign (different viscosity / density / forcing /
@@ -749,13 +778,16 @@ class BatchCampaign:
             )
             for s in range(S)
         ]
-        self.mass = self.solvers[0].mass
         self._detached: set = set()
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         return self.batch.size
+
+    @property
+    def _trajectories(self) -> List[FractionalStepSolver]:
+        return self.solvers
 
     @property
     def detached(self) -> Tuple[int, ...]:
@@ -793,56 +825,6 @@ class BatchCampaign:
         return np.stack([solver.velocity for solver in self.solvers])
 
     # ------------------------------------------------------------------
-    def _lockstep_predict(
-        self, dt: float, active: Sequence[int]
-    ) -> Tuple[np.ndarray, float]:
-        """All active momentum predictors, one batched assembly per sweep.
-
-        Per-scenario updates use the exact operation order of the solo
-        :meth:`FractionalStepSolver._predict` (``u0 + (c*dt)*(rhs*minv)``
-        with the scenario's own RHS row, in place), so each row is bitwise
-        equal to the corresponding solo predictor.
-        """
-        from ..core.batch import ScenarioBatch
-
-        solvers = [self.solvers[s] for s in active]
-        sub = (
-            self.batch
-            if len(active) == self.batch.size
-            else ScenarioBatch([self.batch[s] for s in active])
-        )
-        minv = 1.0 / self.mass[:, None]
-        u0 = np.stack([sv.velocity for sv in solvers])
-        u = u0.copy()
-        failed = np.zeros(len(solvers), dtype=bool)
-        with get_tracer().span(
-            "momentum", sweeps=solvers[0].sweeps, scenarios=len(active)
-        ):
-            t0 = time.perf_counter()
-            for c in solvers[0]._rk_coeffs():
-                rhs = self.assembler.run_batch(self.variant, sub, u)
-                for j, sv in enumerate(solvers):
-                    if failed[j]:
-                        continue
-                    if sv.fault_plan is not None:
-                        sv.fault_plan.corrupt("momentum_rhs", rhs[j])
-                    np.multiply(rhs[j], minv, out=u[j])
-                    u[j] *= c * dt
-                    u[j] += u0[j]
-                    sv._apply_bcs(u[j])
-                    if not np.isfinite(u[j]).all():
-                        # Freeze the row at its (finite) initial state so
-                        # the remaining batched sweeps stay NaN-free for
-                        # the healthy scenarios; the guard below detaches
-                        # this one.  Scenario rows are independent, so
-                        # the substitution cannot perturb the others.
-                        failed[j] = True
-                        u[j] = u0[j]
-            t_assembly = time.perf_counter() - t0
-        for j in np.flatnonzero(failed):
-            u[j] = np.nan
-        return u, t_assembly
-
     def _detach(self, s: int, exc: _StageFailure) -> None:
         from ..resilience.ladders import record_escalation
 
@@ -865,38 +847,30 @@ class BatchCampaign:
         loop -- other scenarios commit their batched results untouched.
         Previously detached scenarios advance solo.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        from ..core.batch import ScenarioBatch
+
+        dt = _positive_dt(dt)
         S = self.size
         registry = get_registry()
         reports: List[Optional[StepReport]] = [None] * S
         active = [s for s in range(S) if s not in self._detached]
         with get_tracer().span(
-            "campaign_step", scenarios=S, active=len(active), dt=float(dt)
+            "campaign_step", scenarios=S, active=len(active), dt=dt
         ):
             if active:
                 registry.counter("fstep.batch_steps").inc()
                 registry.counter("fstep.batch_lockstep_scenarios").inc(
                     len(active)
                 )
-                umax = {s: self.solvers[s]._umax() for s in active}
-                u_pred, t_assembly = self._lockstep_predict(dt, active)
-                t_share = t_assembly / len(active)
-                finite = np.isfinite(u_pred).all(axis=(1, 2))
-                block = [s for s, ok in zip(active, finite) if ok]
-                outcomes = dict.fromkeys(
-                    active, _StageFailure("momentum", "non-finite predictor velocity")
+                sub = self.batch if len(active) == S else ScenarioBatch(
+                    [self.batch[s] for s in active]
                 )
-                t_pressure = 0.0
-                if block:
-                    finished, t_pressure = _finish_steps(
-                        [self.solvers[s] for s in block],
-                        u_pred[finite],
-                        dt,
-                        [umax[s] for s in block],
-                    )
-                    outcomes.update(zip(block, finished))
-                for s, outcome in outcomes.items():
+                outcomes = _attempt(
+                    [self.solvers[s] for s in active],
+                    lambda u: self.assembler.run_batch(self.variant, sub, u),
+                    dt,
+                )
+                for s, outcome in zip(active, outcomes):
                     sv = self.solvers[s]
                     if isinstance(outcome, _StageFailure):
                         # sv state is still pre-step: detach and let the
@@ -904,40 +878,11 @@ class BatchCampaign:
                         self._detach(s, outcome)
                         reports[s] = sv.advance(dt)
                     else:
-                        reports[s] = sv._commit_step(dt, *outcome, t_share, t_pressure)
+                        reports[s] = sv._commit_step(dt, *outcome)
             for s in range(S):
                 if reports[s] is None:
                     reports[s] = self.solvers[s].advance(dt)
         return reports
-
-    def run(
-        self,
-        steps: int,
-        cfl: float = 0.5,
-        dt: Optional[float] = None,
-        callback: Optional[Callable[[List[StepReport]], None]] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> List[List[StepReport]]:
-        """Advance ``steps`` lockstep steps with a common (CFL-min or
-        fixed) dt; returns the per-step lists of scenario reports.
-
-        ``cancel`` is checked between lockstep steps; a tripped token
-        raises with every scenario at its last committed step, so
-        :meth:`checkpoint` still writes a consistent campaign snapshot.
-        """
-        out = []
-        for _ in range(steps):
-            if cancel is not None:
-                cancel.check()
-            step_dt = dt if dt is not None else min(
-                cfl_time_step(self.mesh, solver.velocity, cfl)
-                for solver in self.solvers
-            )
-            reps = self.advance(step_dt)
-            if callback is not None:
-                callback(reps)
-            out.append(reps)
-        return out
 
     def checkpoint(self, directory: str) -> List[str]:
         """Checkpoint every scenario into ``directory``; returns paths.
@@ -952,8 +897,3 @@ class BatchCampaign:
             path = checkpoint_name(sub, solver.step_count)
             paths.append(solver.checkpoint(path))
         return paths
-
-    def timing_breakdown(self) -> Dict[str, float]:
-        """Campaign-wide cumulative assembly vs pressure seconds (a lockstep
-        step's block solve and batched sweeps are shared out evenly)."""
-        return _timing_breakdown([r for sv in self.solvers for r in sv.history])
