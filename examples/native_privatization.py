@@ -49,12 +49,16 @@ for name in variant_names():
         kern._flush(got)
         assert got.tobytes() == want.tobytes(), (name, storage)
     assert kern.build_native(wait=True) and asm.assemble(name, u).tobytes() == want.tobytes()
-    # the adopted C function in its two placements, one call over the mesh each:
-    # scatter immediately, or store to the values buffer one bincount reduces
+    # the adopted C function as it serves (its group ranges scatter immediately, the
+    # flush replays their spill), or one call storing to the values buffer one
+    # bincount reduces
     for placement in ("fused", "deferred") * REPEATS:
         t0, kern._scatter = time.perf_counter(), placement
-        for task in kern._native._tasks(kern, 1):
-            task()
+        if placement == "fused":
+            kern._native._run(kern)
+        else:
+            kern._native._fn(0, kern.ngroups, *kern._native._args, kern._values.ctypes.data,
+                             None, None)
         got = np.zeros_like(want)
         kern._flush(got)
         best[placement] = min(best.get(placement, 1.0), time.perf_counter() - t0)

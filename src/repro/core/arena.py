@@ -72,12 +72,8 @@ def aligned_empty(shape, dtype=np.float64) -> np.ndarray:
     """
     dtype = np.dtype(dtype)
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    raw = np.empty(
-        math.prod(shape) * dtype.itemsize + ALIGNMENT, dtype=np.uint8
-    )
-    return np.ndarray(
-        shape, dtype, buffer=raw, offset=-raw.ctypes.data % ALIGNMENT
-    )
+    raw = np.empty(math.prod(shape) * dtype.itemsize + ALIGNMENT, dtype=np.uint8)
+    return np.ndarray(shape, dtype, buffer=raw, offset=-raw.ctypes.data % ALIGNMENT)
 
 
 def check_aligned(arrays, vector_dim: int) -> None:
@@ -129,7 +125,8 @@ class MeshBound:
 
     Owns the mesh side of the binding -- gather indices ``_idx``
     (``(nnode_per_element, nlane)``), coordinate columns ``_ccols``,
-    velocity columns ``_vcols`` (refreshed, never reallocated, per call),
+    velocity columns ``_vcols`` (refreshed, never reallocated, per call;
+    a generated kernel's spill rows ``_spill`` copy their nodes' columns),
     the deferred scatter values and the scatter index pattern shared
     through ``plan`` under the ``(variant, vector_dim)`` key,
     so an interpreted, a compiled and a generated sweep of one
@@ -168,6 +165,8 @@ class MeshBound:
     _lane_bytes = 0
     #: where this sweep's scatter values went, and the fused accumulator
     _scatter, _acc = "deferred", None
+    #: each spill row's node, and its three entries' flat indices (none: no split)
+    _spill = _spill_at = np.zeros(0, dtype=np.int64)
 
     def __init__(self, program, plan, packing, batched: bool = False) -> None:
         self.program = program
@@ -244,23 +243,15 @@ class MeshBound:
         return max(1, min(int(cg), self.ngroups))
 
     def _budget_cg(self) -> int:
-        return budget_chunk_groups(
-            self._lane_bytes, self.vector_dim, self.ngroups
-        )
+        return budget_chunk_groups(self._lane_bytes, self.vector_dim, self.ngroups)
 
-    def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
+    def _count(self) -> None:
         registry = get_registry()
         prefix = self._span.partition(".")[0]
-        registry.counter(
-            f"{prefix}.{'batch_' * self.batched}executions"
-        ).inc()
+        registry.counter(f"{prefix}.{'batch_' * self.batched}executions").inc()
         if self.batched:
             registry.counter(f"{prefix}.batch_scenarios").inc(self.S)
         registry.counter(f"{prefix}.lanes_executed").inc(self.nlane)
-        if executor == "threads":
-            registry.counter("locality.chunks_executed").inc(nchunks)
-        if threaded:
-            registry.counter("locality.threaded_executions").inc()
 
     def _chunks(self, cg: int) -> list:
         """``[g0, g1)`` group ranges of a ``cg``-group chunking."""
@@ -279,10 +270,11 @@ class MeshBound:
     ) -> np.ndarray:
         """One assembly sweep, accumulating into ``rhs`` in place.
 
-        Chunks compute into private slabs and write disjoint slices of
-        the deferred values buffer; the ``bincount`` flush runs serially
-        afterwards, so chunk size, thread count and scheduling order
-        cannot change a bit of the result.
+        Its tasks (:func:`~repro.parallel.threads.fork_join`) write disjoint
+        memory -- a Python-form slab its slices of the deferred values
+        buffer, a C-form group range its rows of the accumulator -- and the
+        flush runs serially afterwards, so chunk size, thread count and
+        schedule cannot change a bit of the result.
         """
         from ..parallel import threads
 
@@ -317,21 +309,12 @@ class MeshBound:
                     profile = self.profiler.for_program(
                         self.program, self.vector_dim, self._mode, executor
                     )
-                tasks = self._tasks(cg, nslabs, profile)
-                if nslabs == 1:
-                    for task in tasks:
-                        task()
-                else:
-                    pool = threads.get_thread_pool(nthreads)
-                    for future in [pool.submit(task) for task in tasks]:
-                        future.result()
+                threads.fork_join(self._tasks(cg, nslabs, profile))
                 self._flush(rhs, profile)
                 if profile is not None:
                     profile.finish_execution()
-        get_registry().gauge(f"arena.bytes.{self.program.variant}").set(
-            arena_bytes
-        )
-        self._count(nchunks, executor, nslabs > 1)
+        get_registry().gauge(f"arena.bytes.{self.program.variant}").set(arena_bytes)
+        self._count()
         return rhs
 
     def execute(
@@ -345,9 +328,7 @@ class MeshBound:
         """Assemble the momentum RHS -- ``(nnode, 3)``, or ``(S, nnode,
         3)`` for a batch, whose varying values ``param_rows`` carries --
         accumulating into ``rhs`` in place."""
-        return self._sweep(
-            "serial", velocity, rhs, chunk_groups, None, param_rows, profiler
-        )
+        return self._sweep("serial", velocity, rhs, chunk_groups, None, param_rows, profiler)
 
     def execute_chunked(
         self,
@@ -358,23 +339,17 @@ class MeshBound:
         param_rows=None,
         profiler=None,
     ) -> np.ndarray:
-        """Assemble on a thread pool: one task per slab, chunks of one
-        slab running sequentially in its private rows (numpy ufuncs and
-        the C form drop the GIL, so slabs overlap).  Bitwise identical to
-        :meth:`execute` for any thread count or schedule; ``num_threads``
-        defaults to the CPU count."""
-        return self._sweep(
-            "threads", velocity, rhs, chunk_groups, num_threads, param_rows,
-            profiler,
-        )
+        """Assemble in ``num_threads`` slabs (default: the CPU count), chunks
+        of one slab running sequentially in its private rows, the slabs on
+        :func:`~repro.parallel.threads.fork_join` (an adopted C form runs its
+        group ranges instead).  Bitwise identical to :meth:`execute`."""
+        return self._sweep("threads", velocity, rhs, chunk_groups, num_threads, param_rows,
+                           profiler)
 
     def _check_velocity(self, velocity: np.ndarray) -> np.ndarray:
         velocity = np.asarray(velocity, dtype=np.float64)
         if velocity.shape != self._velocity_shape:
-            raise ValueError(
-                f"velocity must be {self._velocity_shape}, "
-                f"got {velocity.shape}"
-            )
+            raise ValueError(f"velocity must be {self._velocity_shape}, got {velocity.shape}")
         return velocity
 
     def _refresh_inputs(self, velocity: np.ndarray, param_rows) -> None:
@@ -383,7 +358,10 @@ class MeshBound:
         ``np.float64`` ufuncs over per-scenario rows, each row computing
         exactly the scalar chain a recording that folded the parameter
         would have folded for that scenario."""
-        np.copyto(self._vcols, np.moveaxis(velocity, -1, 0))
+        n = self.nnode
+        np.copyto(self._vcols[..., :n], np.moveaxis(velocity, -1, 0))
+        for row in self._vcols.reshape(-1, self._vcols.shape[-1]) if len(self._spill) else ():
+            np.take(row[:n], self._spill, out=row[n:], mode="clip")  # spill rows' copies
         Q = self._Q
 
         def ref(r):
@@ -408,12 +386,14 @@ class MeshBound:
         scenario) ``bincount`` of :mod:`repro.fem.plan`, or the accumulator
         a fused sweep reduced into -- ``(0 + contributions) + rhs`` both."""
         from ..fem.plan import flush_batch, flush_pattern
+        from ..parallel import threads
 
         name = "scatter.flush_batch" if self.batched else "scatter.flush"
         with get_tracer().span(name, variant=self.program.variant, scenarios=self.S):
             t0 = time.perf_counter()
             if self._scatter == "fused":
-                rhs += self._acc
+                threads.replay_spill(self._acc, self._spill_at, 3 * self.nnode)
+                rhs += self._acc[..., :self.nnode, :]
                 counter = get_registry().counter
                 counter("scatter.fused_sweeps").inc()
                 counter("scatter.values_reduced").inc(math.prod(self._values_shape))

@@ -83,6 +83,7 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.spans import get_tracer
+from ..parallel.threads import cpu_count, interface_spill
 from .arena import MeshBound, aligned_empty, check_aligned, plan_cached
 from .passes import UFUNC_NAMES as _UFUNC_NAMES
 from .passes import Front, assign_rows, front_end
@@ -715,25 +716,25 @@ class GeneratedKernel(MeshBound):
     the pinned invariants; a sweep then runs one prebound zero-argument
     closure per chunk (cached per ``(chunk_groups, nslabs)``,
     slab-striped across threads) plus the serial flush -- or, once
-    adopted, the C form (:mod:`repro.core.native`).
+    adopted, the C form (:mod:`repro.core.native`), one call per group
+    range of ``_cuts``.  Right after setup the interface spill
+    (:func:`~repro.parallel.threads.interface_spill`) redirects ``_idx``:
+    ``_spill`` holds each spill row's node, whose velocity columns
+    ``_vcols`` copies every sweep and whose accumulator row the flush
+    replays.
     """
 
     _span = "codegen.execute"
     _mode = "codegen"
 
-    def __init__(
-        self, program: CodegenProgram, plan, packing, batched: bool = False
-    ) -> None:
+    def __init__(self, program: CodegenProgram, plan, packing, batched: bool = False) -> None:
         super().__init__(program, plan, packing, batched)
         if self.vector_dim != program.vector_dim:
             raise ValueError(
                 f"program generated for vector_dim={program.vector_dim}, "
                 f"packing has {self.vector_dim}"
             )
-        ns = _load(
-            program.source,
-            f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>",
-        )
+        ns = _load(program.source, f"<codegen:{program.variant}:vd{self.vector_dim}:S{self.S}>")
         self._factory = ns["factory"]
         self._factory_timed = ns["factory_timed"]
         # run the hoisted setup once: coordinate gathers and
@@ -746,12 +747,24 @@ class GeneratedKernel(MeshBound):
         )
         #: (chunk_groups, nslabs) -> list-per-slab of chunk closures
         self._chunk_cache: Dict[Tuple[int, int], list] = {}
-        self._lane_bytes = 8 * (
-            program.nslab_vec + self.S * program.nslab_full
-        )
+        self._lane_bytes = 8 * (program.nslab_vec + self.S * program.nslab_full)
+        # the C sweep's group ranges, made disjoint by an interface spill (slot-major
+        # scatter calls: a group adds a node's entries in (slot, lane) order)
+        calls = list(program.scatter_calls)
+        self._cuts = self._range_cuts() if calls == sorted(set(calls)) else [0, self.ngroups]
+        self._spill = interface_spill(self._idx, self._cuts, self.vector_dim,
+                                      int(plan.mesh.nelem), self.nnode)
+        self._spill_at = (3 * self._spill[:, None] + np.arange(3)).ravel()
+        self._vcols = aligned_empty(self._vcols.shape[:-1] + (self.nnode + len(self._spill),))
         from .native import NativeForm
 
         self._native = NativeForm(self)
+
+    def _range_cuts(self) -> List[int]:
+        """Group cuts of the C sweep's ranges: one range per CPU, each at least
+        one arena chunk (a small mesh is one range)."""
+        k = max(1, min(cpu_count(), self.ngroups // self._budget_cg()))
+        return [self.ngroups * i // k for i in range(k + 1)]
 
     def _default_cg(self, nthreads: int) -> int:
         """A chunk is one call whatever its size: always the arena budget."""
@@ -772,33 +785,24 @@ class GeneratedKernel(MeshBound):
             P = [self._pinned[k, lo:lo + n] for k in range(program.npinned)]
             SV = [self._values[..., g0:g1, c, :] for c in range(self._ncalls)]
             BV = [slabs_v[s, r, :n] for r in range(program.nslab_vec)]
-            BF = [
-                slabs_f[s, r, :S * n].reshape(S, n)
-                for r in range(program.nslab_full)
-            ]
+            BF = [slabs_f[s, r, :S * n].reshape(S, n) for r in range(program.nslab_full)]
             check_aligned([*GI, *P, *SV, *BV, *BF], vd)
-            timing = () if profile is None else (
-                time.perf_counter, profile.record, n, S * n,
-            )
-            per_slab[s].append(
-                factory(self._vcols, GI, P, self._Q, SV, BV, BF, *timing)
-            )
+            timing = () if profile is None else (time.perf_counter, profile.record, n, S * n)
+            per_slab[s].append(factory(self._vcols, GI, P, self._Q, SV, BV, BF, *timing))
         return per_slab
 
     def _tasks(self, cg: int, nslabs: int, profile) -> list:
-        """The adopted C form's calls (:mod:`repro.core.native`; profiled
+        """The adopted C form's sweep (:mod:`repro.core.native`; profiled
         sweeps stay on the Python source, deferred), else the Python form's."""
         self._scatter = "deferred"
         tasks = None if profile is not None else self._native.sweep_tasks(
-            self, nslabs, partial(self._python_tasks, cg, nslabs)
+            self, partial(self._python_tasks, cg, nslabs)
         )
         span = get_tracer().current
         if span is not None:
             span.attributes.update(
-                {"native": False} if tasks is None
-                else {"native": True, "chunks": 0, "arena_bytes": 0},
-                scatter=self._scatter,
-            )
+                {"native": False, "scatter": "deferred"} if tasks is None else
+                {"native": True, "scatter": "fused", "chunks": 0, "arena_bytes": 0})
         return self._python_tasks(cg, nslabs, profile) if tasks is None else tasks
 
     def _python_tasks(self, cg: int, nslabs: int, profile=None) -> list:
@@ -820,10 +824,6 @@ class GeneratedKernel(MeshBound):
         with self.lock:
             return self._native.build(wait)
 
-    def _count(self, nchunks: int, executor: str, threaded: bool) -> None:
-        super()._count(nchunks, executor, threaded)
-        get_registry().counter("codegen.chunks_executed").inc(nchunks)
-
 
 def generated_kernel(
     plan,
@@ -836,16 +836,8 @@ def generated_kernel(
     """The plan-cached :class:`GeneratedKernel` for one configuration,
     stored next to the compiled tapes under the same
     :func:`~repro.core.tape.tape_cache_key`."""
-    key = tape_cache_key(
-        variant_name, vector_dim, kernel_params, batch, velocity_rank
-    )
-    return plan_cached(
-        plan, "codegen", key, vector_dim, batch,
-        lambda packing: GeneratedKernel(
-            generate_program(
-                key[0], int(vector_dim), kernel_params, batch=batch,
-                velocity_rank=velocity_rank,
-            ),
-            plan, packing, batched=batch is not None,
-        ),
-    )
+    key = tape_cache_key(variant_name, vector_dim, kernel_params, batch, velocity_rank)
+    return plan_cached(plan, "codegen", key, vector_dim, batch, lambda packing: GeneratedKernel(
+        generate_program(key[0], int(vector_dim), kernel_params, batch=batch,
+                         velocity_rank=velocity_rank),
+        plan, packing, batched=batch is not None))

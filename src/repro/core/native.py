@@ -16,12 +16,14 @@ The C form is a substrate of ``mode="codegen"``, not a mode.  A
 cache directory loads at bind; on a miss ``cc`` starts as a child process
 only once the kernel's own Python-form sweeps have cost about one build
 (:data:`BUILD_AFTER_S`) and is polled at sweep start, never waited for.
-The first sweep after a load runs both forms, C in both scatter placements,
-on that sweep's input and compares the flushed results bit for bit: equal,
-the C function serves from then on; different, or build/load failed, the
-kernel stays on the Python form for good, counted and traced.  Flags keep
-values (``+ - * / sqrt`` stay IEEE-exact), :data:`C_OPS` spells the rest
-like numpy's ufuncs, literals are hex floats (no decimal parse).
+The first sweep after a load runs both forms on that sweep's input, C as it
+serves -- one call per group range (:mod:`repro.parallel.threads`) into one
+accumulator, an entry on a node an earlier range touches into a spill row of
+its own that the flush replays in order -- and compares the flushed results
+bit for bit: equal, the C function serves from then on; different, or
+build/load failed, the kernel stays on the Python form for good, counted and
+traced.  Flags keep values (``+ - * / sqrt`` stay IEEE-exact), :data:`C_OPS`
+spells the rest like numpy's ufuncs, literals are hex floats (no decimal parse).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..obs.metrics import get_registry
+from ..obs.spans import get_tracer
+from ..parallel.threads import fork_join
 from .arena import aligned_empty
 from .passes import is_scalar, reads
 
@@ -300,18 +304,19 @@ class NativeForm:
         self.spent = 0.0  # seconds this kernel's Python-form chunks have run
         self.state = "python" if self.source else "rejected"
         self._proc: Optional[subprocess.Popen] = None
-        # the kernel never reallocates these buffers: addresses bind once; SV/OUT
-        # travel with each call (``_w``: a fused sweep's SV, one group's values)
+        # the kernel never reallocates these buffers: addresses bind once; the row
+        # stride is nodes + spill rows (``_w``: each group range's one-group scratch)
         rows = kern._Q
         self._q = (ctypes.c_void_p * (len(rows) or 1))(*[a.ctypes.data for a in rows])
         bufs = (kern._vcols, kern._idx, kern._pinned)
         if not all(a.flags.c_contiguous and a.itemsize == 8 for a in bufs):
             raise AssertionError("native form binds contiguous 8-byte buffers")
         self._args = (
-            kern.nnode, kern.nlane, kern.ngroups, int(kern.plan.mesh.nelem),
+            kern._vcols.shape[-1], kern.nlane, kern.ngroups, int(kern.plan.mesh.nelem),
             kern._vcols.ctypes.data, kern._idx.ctypes.data,
             kern._pinned.ctypes.data, ctypes.addressof(self._q))
-        self._w = aligned_empty(math.prod(kern._values_shape) // kern.ngroups)
+        self._w = [aligned_empty(math.prod(kern._values_shape) // kern.ngroups)
+                   for _ in kern._cuts[1:]]
         self._fn = (load(self.source, KERNEL) or {}).get("kernel") if self.source else None
         if self._fn is not None:
             self.state = "loaded"
@@ -332,57 +337,52 @@ class NativeForm:
                     get_registry().counter("codegen.native_build_failed").inc()
         return self.state in ("loaded", "adopted")
 
-    def _tasks(self, kern, n: int) -> list:
-        """``n`` calls over contiguous group ranges (ctypes drops the GIL);
-        a fused sweep's one call scatters too, into ``_acc`` zeroed here."""
-        if kern._scatter == "fused":
-            kern._acc.fill(0.0)
-            tail = (self._w.ctypes.data, None, kern._acc.ctypes.data)
-        else:
-            tail = (kern._values.ctypes.data, None, None)
-        cuts = [kern.ngroups * i // n for i in range(n + 1)]
-        return [functools.partial(self._fn, g0, g1, *self._args, *tail)
-                for g0, g1 in zip(cuts[:-1], cuts[1:]) if g1 > g0]
+    def _run(self, kern) -> None:
+        """The C sweep: one call per group range into ``_acc`` (zeroed here), range 0
+        on this thread; the flush replays the spill rows."""
+        kern._scatter, split = "fused", len(self._calls) > 1
+        kern._acc.fill(0.0)
+        why, span = fork_join(self._calls), get_tracer().current
+        if span is not None:
+            span.attributes.update(ranges=len(self._calls), spill_rows=len(kern._spill),
+                                   **{"reason": why} if why else {})
+        get_registry().counter("scatter.split_sweeps").inc(split)
+        get_registry().counter("scatter.spill_rows").inc(len(kern._spill))
 
-    def sweep_tasks(self, kern, nslabs: int, python_tasks):
-        """At sweep start: this sweep's tasks when the C form serves it (fused: one
-        call covers the mesh, placement verified), else ``None``: the Python form."""
-        if self.state == "adopted":
-            if nslabs == 1:
-                kern._scatter = "fused"
-            return self._tasks(kern, nslabs)
-        if self.state == "building" or (
-                self.state == "python" and self.spent > BUILD_AFTER_S):
+    def sweep_tasks(self, kern, python_tasks):
+        """At sweep start: the C form's one task when it serves, else ``None``."""
+        if self.state == "building" or (self.state == "python" and self.spent > BUILD_AFTER_S):
             self.build()
-        return self._adopt(kern, python_tasks) if self.state == "loaded" else None
+        if self.state == "loaded":
+            return self._adopt(kern, python_tasks)
+        return [functools.partial(self._run, kern)] if self.state == "adopted" else None
 
     def _adopt(self, kern, python_tasks) -> list:
-        """Run the Python form, then the C function in each placement it would
-        serve (deferred and fused), on this sweep's
-        input: it serves only if every flushed result agrees bit for bit (NaNs by
-        mask).  The caller flushes the last run: C's, or on rejection Python's."""
+        """Run the Python form, then the C form as it serves (:meth:`_run`) on this
+        sweep's input: it serves only if the flushed results agree bit for bit (NaNs
+        by mask).  Either form then runs again for the caller's flush (the replay is in place)."""
         from ..resilience.ladders import record_escalation
 
-        def flushed(placement: str, tasks=lambda: self._tasks(kern, 1)) -> bytes:
-            kern._scatter = placement
-            for task in tasks():
-                task()
+        def flushed() -> bytes:
             out = np.zeros(kern._rhs_shape)
             kern._flush(out)
             out[np.isnan(out)] = np.nan
             return out.tobytes()
 
-        ref = flushed("deferred", python_tasks)
-        kern._acc = aligned_empty(kern._rhs_shape)
-        same = flushed("deferred") == ref and flushed("fused") == ref
+        fork_join(python_tasks())
+        ref = flushed()
+        kern._acc = aligned_empty(kern._rhs_shape[:-2] + (kern._vcols.shape[-1], 3))
+        self._calls = [functools.partial(self._fn, g0, g1, *self._args, w.ctypes.data, None,
+                                         kern._acc.ctypes.data)
+                       for g0, g1, w in zip(kern._cuts, kern._cuts[1:], self._w)]
+        self._run(kern)
+        same = flushed() == ref
         self.state = "adopted" if same else "rejected"
         if same:
             kern._chunk_cache.clear()  # the Python form's slabs ...
-            kern._sv = None  # ... and the values only a deferred sweep reads
+            kern._sv = None  # ... and the values only its deferred sweeps read
         else:
             kern._scatter, kern._acc = "deferred", None
-        record_escalation(
-            "NativeAdopted" if same else "NativeRejected",
-            f"codegen.native_{self.state}",
-            variant=kern.program.variant, scenarios=kern.S)
-        return [] if same else python_tasks()
+        record_escalation(f"Native{self.state.capitalize()}", f"codegen.native_{self.state}",
+                          variant=kern.program.variant, scenarios=kern.S)
+        return [functools.partial(self._run, kern)] if same else python_tasks()

@@ -119,13 +119,11 @@ class UnifiedAssembler:
     executor:
         ``"serial"`` (default) replays the whole lane axis in one sweep;
         ``"threads"`` (compiled/codegen modes only) splits element groups
-        into chunks executed on a shared
-        :class:`~concurrent.futures.ThreadPoolExecutor` with per-thread
-        arena slabs
-        (:meth:`~repro.core.arena.MeshBound.execute_chunked`).  The
-        kernel sizes the chunks (the arena budget of
-        :mod:`repro.core.arena`); the threaded reduction order is fixed,
-        so results stay bitwise identical to the serial executor.
+        into chunks (the arena budget of :mod:`repro.core.arena`) run in
+        per-thread slabs on :func:`~repro.parallel.threads.fork_join`
+        (:meth:`~repro.core.arena.MeshBound.execute_chunked`).  An adopted
+        C form runs its own group ranges under either executor; results
+        stay bitwise identical to the serial executor.
     num_threads:
         Thread count for ``executor="threads"``; defaults to the CPU
         count.
@@ -187,9 +185,7 @@ class UnifiedAssembler:
                 f"unknown executor {self.executor!r}; "
                 "expected 'serial' or 'threads'"
             )
-        if self.executor == "threads" and self.mode not in (
-            "compiled", "codegen"
-        ):
+        if self.executor == "threads" and self.mode not in ("compiled", "codegen"):
             raise ValueError(
                 "executor='threads' requires mode='compiled' or "
                 "'codegen': only those drop the GIL inside numpy ufuncs; "
@@ -290,10 +286,7 @@ class UnifiedAssembler:
         is plan-cached and shared by every job on the mesh: this caller's
         parameter values and profiler travel with the call, inside the
         kernel's lock."""
-        kwargs = dict(
-            param_rows=param_rows,
-            profiler=self.profiler if self.profile else None,
-        )
+        kwargs = dict(param_rows=param_rows, profiler=self.profiler if self.profile else None)
         if self.executor == "threads":
             kwargs["num_threads"] = self.num_threads
             return kern.execute_chunked(velocity, rhs, **kwargs)

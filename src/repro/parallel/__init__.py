@@ -1,8 +1,8 @@
 """Parallel execution: the supervised multiprocessing scaling runner, its
-shared-memory lifecycle, the thread executor's pools and the RCB element
-partition the pressure solver's deflation rung uses.  The paper's
-pure-MPI scaling itself is modelled by
-:meth:`repro.machine.cpu.CpuModel.scaling_curve`."""
+shared-memory lifecycle, the fork-join that runs a sweep's ranges or slabs
+on persistent worker threads and the RCB element partition the pressure
+solver's deflation rung uses.  The paper's pure-MPI scaling itself is
+modelled by :meth:`repro.machine.cpu.CpuModel.scaling_curve`."""
 
 from .partition import rcb_partition
 from .runner import MultiprocessRunner, ScalingPoint, WorkerPolicy
@@ -14,16 +14,12 @@ from .shutdown import (
     purge_shared_memory,
     release_shared_memory,
 )
-from .threads import (
-    get_thread_pool,
-    resolve_num_threads,
-    shutdown_thread_pools,
-)
+from .threads import resolve_num_threads
 
 __all__ = [
     "rcb_partition",
     "MultiprocessRunner", "ScalingPoint", "WorkerPolicy",
     "SHM_PREFIX", "create_shared_memory", "install_shutdown_handler",
     "live_segment_names", "purge_shared_memory", "release_shared_memory",
-    "get_thread_pool", "resolve_num_threads", "shutdown_thread_pools",
+    "resolve_num_threads",
 ]

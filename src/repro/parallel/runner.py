@@ -121,26 +121,23 @@ def _chunk_kernel(program, xel: np.ndarray, vector_dim: Optional[int] = None):
     The chunk is a mesh of ``n`` disjoint tetrahedra -- node ``4e + a`` is
     slot ``a`` of element ``e`` -- so the worker runs the same bound
     kernel as everyone else (hoisted invariants, the arena budget, the C
-    form when a compiler exists) and, each node receiving exactly one
-    lane, the chunk's ``(4n, 3)`` RHS *is* the ``(n, 4, 3)`` elemental
-    result: per bin the flush adds the scatter calls in call order.  A
-    generated program carries its group size; a tape takes ``vector_dim``
-    (default: the paper's CPU choice).
+    form when a compiler exists, in one group range: a worker's
+    :func:`~repro.parallel.threads.cpu_count` is 1) and, each node
+    receiving exactly one lane, the chunk's ``(4n, 3)`` RHS *is* the ``(n,
+    4, 3)`` elemental result: per bin the flush adds the scatter calls in
+    call order.  A generated program carries its group size; a tape takes
+    ``vector_dim`` (default: the paper's CPU choice).
     """
     from ..core.codegen import CodegenProgram, GeneratedKernel
     from ..core.tape import CompiledTape
     from ..core.unified import CPU_VECTOR_DIM
 
     n = len(xel)
-    mesh = TetMesh(
-        xel.reshape(-1, 3), np.arange(4 * n).reshape(n, 4), validate=False
-    )
+    mesh = TetMesh(xel.reshape(-1, 3), np.arange(4 * n).reshape(n, 4), validate=False)
     plan = get_plan(mesh)
     if isinstance(program, CodegenProgram):
         return GeneratedKernel(program, plan, plan.packing(program.vector_dim))
-    return CompiledTape(
-        program, plan, plan.packing(int(vector_dim or CPU_VECTOR_DIM))
-    )
+    return CompiledTape(program, plan, plan.packing(int(vector_dim or CPU_VECTOR_DIM)))
 
 
 def _assemble_chunk(

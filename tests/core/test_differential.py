@@ -2,7 +2,7 @@
 
 A cell is one way of running a kernel variant over a mesh: the back end
 (replayed tape, generated Python, its C form, or the interpreter itself),
-the executor and chunking, the scatter placement, the scenario batch,
+the executor and chunking, a generated kernel's group ranges, the scenario batch,
 profiling, a pool worker's binding, the entry (kernel or
 ``UnifiedAssembler``), a non-zero ``rhs`` on entry and the field.  Every
 cell's ``.tobytes()`` equals ``mode="interpreted"`` at the same
@@ -18,13 +18,13 @@ rows of :data:`CORNERS`: each id is bound in its old module by
 :func:`corner` and runs its cells through the same :func:`check`.
 """
 
-import contextlib
 import dataclasses
 import functools
 import os
 import pickle
 import weakref
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape, generated_kernel
 from repro.core import native, variant_names
-from repro.core.codegen import generate_program
+from repro.core.codegen import GeneratedKernel, generate_program
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.tape import record_program
 from repro.core.variants import get_variant
@@ -63,9 +63,10 @@ class Cell:
     vd: int = 16
     threads: int = 0  # 0: execute(); n: execute_chunked(num_threads=n)
     chunk_groups: Optional[int] = None
+    ranges: object = 1  # generated: k even group ranges, or a tuple's interior cuts
     batch: str = "none"
     profile: bool = False
-    field: str = "wide"  # plain: 0.1 N(0, 1); wide: magnitudes 1e-8 .. 1e8
+    field: str = "wide"  # plain: 0.1 N(0, 1); wide: magnitudes 1e-8 .. 1e8; nan: wide + a NaN
     entry: str = "kernel"  # or through UnifiedAssembler.assemble / run_batch
 
 
@@ -108,11 +109,12 @@ def _batch(variant: str, kind: str):
 def _field(shape, kind: str, seed: int = 3) -> np.ndarray:
     """Both zeros, which only ``tobytes`` tells apart; ``wide`` sums are
     order sensitive: adding a bin's contributions in another order flips
-    low bits somewhere."""
+    low bits somewhere, and its NaN's payload is the first operand's."""
     rng = np.random.default_rng(seed)
     u = 0.1 * rng.standard_normal(shape)
-    if kind == "wide":
+    if kind != "plain":
         u = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        u[..., 1, 0] = np.nan if kind == "nan" else u[..., 1, 0]
     u[..., ::7, :] = 0.0
     u[..., 3::11, 1] = -0.0
     return u
@@ -149,7 +151,7 @@ def _interpreted(variant, mesh_kind, vd, s, field, field_seed) -> np.ndarray:
     u = _field((mesh.nnode, 3), field, field_seed)
     params = _scenario(variant, s)
     want = UnifiedAssembler(mesh, params, vector_dim=vd).assemble(variant, u)
-    assert np.isfinite(want).all()
+    assert np.isfinite(want).all() == (field != "nan")
     if s == 0:
         assert seed_reference(mesh, params, variant, u, vd).tobytes() == want.tobytes()
     want.flags.writeable = False
@@ -193,7 +195,7 @@ def _assembler(cell: Cell, mesh: TetMesh, profiler):
         num_threads=cell.threads or None, profiler=profiler)
 
 
-#: a generated kernel's deferred values buffer after adoption: created once
+#: a generated kernel's values buffer after adoption: created at most once
 _VALUES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -202,13 +204,15 @@ def check(cell: Cell) -> None:
     want = oracle(cell)
     profiler = TapeProfiler() if cell.profile else None
     sweeps = 2 + (cell.entry == "kernel")
+    # a cache key nobody built and nobody to build it keeps codegen on its Python form
     with installed_telemetry() as (tracer, _), \
-            _compiler("/bin/false" if cell.backend == "codegen" else None):
+            mock.patch.object(GeneratedKernel, "_range_cuts", _cuts(cell.ranges)), \
+            mock.patch.dict(os.environ, {"CC": "/bin/false"} if cell.backend == "codegen" else {}):
         kern, sweep = _sweeper(cell, profiler)
         assert sweep().tobytes() == want.tobytes()
         if cell.backend == "native" and have_cc():  # without one: the Python form
             assert kern.build_native(wait=True)
-            sweep(profiled=False)  # the adoption sweep: the C form in both placements
+            sweep(profiled=False)  # the adoption sweep: the C form as it serves
         fused = get_registry().counter("scatter.fused_sweeps")
         before = fused.value
         assert sweep().tobytes() == want.tobytes()  # the same buffers, reused
@@ -224,8 +228,7 @@ def check(cell: Cell) -> None:
 
 def _sweeper(cell: Cell, profiler):
     """``(kernel, sweep(rhs=None, profiled=True))`` of one cell."""
-    family = "python" if cell.backend == "codegen" else "kernel"
-    mesh = _mesh(cell.mesh, family)
+    mesh = _mesh(cell.mesh, ("python" if cell.backend == "codegen" else "kernel", cell.ranges))
     u = _velocity(cell, mesh)
     batch = _batch(cell.variant, cell.batch)
     if cell.entry == "assembler":  # the assembler sizes its own chunks
@@ -256,44 +259,36 @@ def _sweeper(cell: Cell, profiler):
     return kern, sweep
 
 
-@contextlib.contextmanager
-def _compiler(cc: Optional[str]):
-    """``$CC`` set to ``cc`` for the block: a cache key nobody built and
-    nobody to build it keeps a generated kernel on its Python form."""
-    old = os.environ.get("CC")
-    if cc is not None:
-        os.environ["CC"] = cc
-    try:
-        yield
-    finally:
-        if cc is not None:
-            os.environ.pop("CC") if old is None else os.environ.update(CC=old)
+def _cuts(ranges):
+    """For the private hook ``GeneratedKernel._range_cuts``: cut a kernel's groups
+    into ``ranges`` (k even ranges, or a tuple's interior cuts), whatever the CPUs."""
+    def cuts(kern):
+        n = kern.ngroups
+        inner = [n * i // ranges for i in range(1, ranges)] if isinstance(ranges, int) else ranges
+        return sorted({0, n, *(min(n, c) for c in inner)})
+    return cuts
 
 
 def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
     """Which form served the last sweep and where it scattered, read off the
     ``codegen.execute*`` span and held to what the cell implies: the C form
-    (adopted when a compiler works) serves unless profiled; it scatters
-    fused on one slab, else deferred."""
+    (adopted when a compiler works) serves unless profiled, fused, over the
+    cell's group ranges; the Python form defers."""
     if cell.backend in ("replay", "interpreted"):
         return None
     attrs = [s for s in tracer.finished if s.name.startswith("codegen.execute")][-1].attributes
     served = cell.backend == "native" and have_cc()
     assert (kern._native.state == "adopted") == served
-    nthreads = cell.threads or 1
-    nslabs = min(nthreads, -(-kern.ngroups // kern._resolve_cg(cell.chunk_groups, nthreads)))
     native_form = served and not cell.profile
-    placement = "fused" if native_form and nslabs == 1 else "deferred"
+    placement = "fused" if native_form else "deferred"
     assert (attrs["native"], attrs["scatter"]) == (native_form, placement)
-    if served:  # released at adoption, re-created by the first deferred sweep only
-        if placement == "fused":
-            assert kern._acc.shape == want.shape
-        values = kern._sv
-        if values is None:
-            assert kern not in _VALUES
-        else:
-            assert values.ctypes.data % 64 == 0
-            assert _VALUES.setdefault(kern, values) is values
+    if native_form:
+        assert (attrs["ranges"], attrs["spill_rows"]) == (len(kern._cuts) - 1, len(kern._spill))
+    if served:
+        assert kern._acc.shape == want.shape[:-2] + (kern.nnode + len(kern._spill), 3)
+        values = kern._sv  # released at adoption, re-created by the first deferred sweep only
+        assert kern not in _VALUES if values is None else (
+            values.ctypes.data % 64 == 0 and _VALUES.setdefault(kern, values) is values)
     return placement
 
 
@@ -308,16 +303,21 @@ def cells(draw) -> Cell:
     batch = "none" if plain else draw(st.sampled_from(BATCHES))
     # sixteen interpreted scenarios at a narrow group cost seconds each
     vds = [vd for vd in VDS if vd >= 64 or batch != "shared16"]
+    backend = draw(st.sampled_from(BACKENDS))
+    # the C form's threads are its group ranges; a one-group range included
+    ranges = st.sampled_from((1, 2, 3)) | st.integers(0, 9).map(lambda c: (c, c + 1))
     return Cell(
         variant=draw(st.sampled_from(VARIANTS)),
-        backend=draw(st.sampled_from(BACKENDS)),
+        backend=backend,
         mesh=mesh,
         vd=draw(st.sampled_from(vds)),
-        threads=draw(st.sampled_from((0, 1, 2, 3))),
+        threads=0 if backend == "native" else draw(st.sampled_from((0, 1, 2, 3))),
         chunk_groups=None if entry == "assembler" else draw(st.sampled_from((None, 1, 2, 5))),
+        ranges=1 if backend == "replay" else draw(ranges),
         batch=batch,
         profile=draw(st.booleans()),
-        field=draw(st.sampled_from(("plain", "wide"))),
+        # a batch through the assembler isolates a non-finite scenario
+        field=draw(st.sampled_from(("plain", "wide") + ("nan",) * (entry == "kernel"))),
         entry=entry,
     )
 
@@ -327,7 +327,8 @@ def cells(draw) -> Cell:
 #: its chunks in reverse, (b) a batched kernel reading scenario 0's parameter
 #: row for all, (c) the fused C scatter visiting lanes in reverse (rejected at
 #: adoption, so never adopted), (d) the interpreted accumulator flushing in
-#: reverse (the seed path disagrees).
+#: reverse (the seed path disagrees), (e) the interface spill replayed in
+#: reverse (rejected at adoption).
 EXAMPLES = [
     Cell("RSP", "codegen", field="plain"),  # d
     Cell("B", "replay", threads=2, chunk_groups=1),  # a d
@@ -336,8 +337,10 @@ EXAMPLES = [
     Cell("RSP", "native", vd=64, batch="shared16"),  # b c d
     Cell("RSPR", "native", mesh="worker", vd=8),  # one lane per bin: no order to get wrong
     Cell("RS", "replay", mesh="jittered", vd=7),  # d
-    Cell("B", "native", threads=3, chunk_groups=2, batch="one"),  # a c d
+    Cell("B", "native", ranges=3, batch="one"),  # c d e
+    Cell("P", "native", ranges=(0, 1), batch="per_scenario"),  # b c d e
     Cell("P", "native", threads=2, profile=True, entry="assembler"),  # c d
+    Cell("RSP", "native", threads=2, chunk_groups=3, ranges=2),  # c d e
     Cell("RSP", "native", field="plain"),  # d
     Cell("RS", "interpreted", batch="per_scenario", entry="assembler"),  # d
 ]
@@ -395,21 +398,16 @@ CORNERS = {
         f"{v}-{form}": [Cell(v, backend, field="plain", **b) for b in _BINDINGS]
         for form, backend in _FORMS.items() for v in VARIANTS},
     "test_native::test_native_is_bitwise_the_interpreter": {
-        f"{v}-{shape}": [
-            Cell(v, "native", batch=batch, field="plain", threads=t, chunk_groups=3 if t else None)
-            for t in (0, 2)]
-        for shape, batch in (("serial", "none"), ("shared", "shared4"),
-                             ("per_scenario", "per_scenario")) for v in VARIANTS},
+        f"{v}-{shape}": [Cell(v, "native", vd=16 + 48 * (b == "shared16"), batch=b, ranges=r,
+                              field="nan")
+                         for b in batches for r in (1, 2, 3)]
+        for shape, batches in (("serial", ("none", "one")), ("shared", ("shared4", "shared16")),
+                               ("per_scenario", ("per_scenario",))) for v in VARIANTS},
     "test_native::test_fused_scatter_is_bitwise_the_interpreter": {
         f"{v}-{shape}-{vd}": [Cell(v, "native", vd=vd, batch=batch)]
         for vd in (8, 16, 64, 1024)
         for shape, batch in (("serial", "none"), ("shared", "shared4"),
                              ("per_scenario", "per_scenario")) for v in VARIANTS},
-    "test_native::test_threaded_profiled_and_reordered_sweeps_stay_deferred": {"": [
-        Cell("RSP", "native", **axes) for axes in (
-            dict(threads=2, chunk_groups=3), dict(entry="assembler"),
-            dict(profile=True, entry="assembler"), dict(entry="assembler"),
-            dict(threads=2, chunk_groups=3))]},
     "test_plan::test_unified_plan_path_bitwise_equals_legacy": _by_variant(
         lambda v: [Cell(v, "replay", field="plain"), Cell(v, "replay", mesh="jittered")]),
     "test_plan::test_unified_plan_path_bitwise_with_padding": {

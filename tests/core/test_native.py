@@ -8,23 +8,25 @@ immediate scatter to the order of the deferred flush.
 """
 
 import ctypes
-import dataclasses
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core import UnifiedAssembler
+from repro.core import UnifiedAssembler, generated_kernel
 from repro.core import native
+from repro.core.codegen import GeneratedKernel
 from repro.core.passes import UFUNC_NAMES
-from repro.fem import box_tet_mesh
+from repro.fem import box_tet_mesh, get_plan
 from repro.obs.metrics import get_registry
+from repro.parallel import threads
 from repro.physics import AssemblyParams
-from tests.core.test_differential import corner
+from tests.core.test_differential import _cuts, _field, corner
 
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
 VD = 16
@@ -49,13 +51,6 @@ def _compile(source):
     if proc is None or proc.wait() != 0 or native.load(source, {}) is None:
         return None
     return ctypes.CDLL(native.so_path(source))
-
-
-def _field(shape, seed=0):
-    u = 0.1 * np.random.default_rng(seed).standard_normal(shape)
-    u[..., ::7, :] = 0.0
-    u[..., 3::11, 1] = -0.0
-    return u
 
 
 def _only_kernel(asm):
@@ -122,11 +117,6 @@ def test_literals_are_bit_exact(cc):
 
 # -- (b) every variant x batch shape x executor against the interpreter ------
 
-def _forcing(size):
-    return [dataclasses.replace(PARAMS, body_force=(0.05, -0.1, 0.1 * (s + 1)))
-            for s in range(size)]
-
-
 test_native_is_bitwise_the_interpreter = corner("test_native_is_bitwise_the_interpreter")
 
 
@@ -138,7 +128,7 @@ def test_rows_storage_is_the_same_function(cc):
 
     mesh = box_tet_mesh(3, 3, 3)
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
-    want = asm.assemble("RSP", _field((mesh.nnode, 3)))
+    want = asm.assemble("RSP", _field((mesh.nnode, 3), "plain"))
     kern = _only_kernel(asm)
     front = front_end(_record("RSP", PARAMS.as_kernel_params(), 4)[1], hoist=True)
     low = _lower_mesh(front)
@@ -164,7 +154,7 @@ def test_wrong_template_is_rejected_at_adoption(cc, monkeypatch, telemetry):
     mesh = box_tet_mesh(3, 3, 3)
     tracer, _ = telemetry
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
-    u = _field((mesh.nnode, 3))
+    u = _field((mesh.nnode, 3), "plain")
     want = asm.assemble("RSP", u)
     kern = _only_kernel(asm)
     before = _count("rejected"), _count("adopted")
@@ -196,10 +186,8 @@ def test_without_a_compiler_codegen_serves_from_python(monkeypatch):
 
     monkeypatch.setattr(native.subprocess, "Popen", popen)
     mesh = box_tet_mesh(3, 3, 3)
-    u = _field((mesh.nnode, 3))
-    want = UnifiedAssembler(
-        mesh, PARAMS, mode="interpreted", vector_dim=VD
-    ).assemble("RS", u)
+    u = _field((mesh.nnode, 3), "plain")
+    want = UnifiedAssembler(mesh, PARAMS, mode="interpreted", vector_dim=VD).assemble("RS", u)
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
     for _ in range(3):  # short-lived: below the build threshold, nobody forks
         assert asm.assemble("RS", u).tobytes() == want.tobytes()
@@ -234,7 +222,7 @@ def test_a_pool_workers_chunk_task_leaves_no_compiler_behind(tmp_path, monkeypat
     monkeypatch.setenv("CC", str(tmp_path / "slowcc"))
     monkeypatch.setattr(native, "BUILD_AFTER_S", 0.0)
     mesh = box_tet_mesh(3, 3, 3)
-    uel = _field((mesh.nnode, 3))[mesh.connectivity]
+    uel = _field((mesh.nnode, 3), "plain")[mesh.connectivity]
     program = _chunk_program("codegen", "RS", PARAMS)
     bystander, builds = native.build("void kernel(void) {} /* not mine */\n"), _count("builds")
     try:
@@ -330,30 +318,6 @@ def test_a_finished_build_nobody_loaded_is_kept_at_exit(cc):
 
 # -- (f) the immediate scatter: order, placement, memory ----------------------
 
-def _wide_field(shape, seed=0):
-    """Magnitudes 1e-8 .. 1e8 and both zeros: summing a bin's contributions
-    in any other order flips low bits somewhere."""
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-    u[..., ::7, :] = 0.0
-    u[..., 3::11, 1] = -0.0
-    return u
-
-
-def _bound(mesh, variant, shape, vd):
-    """``(kernel, sweep(u, rhs=None))`` of one cell, at the kernel layer: a
-    sweep there can be handed a non-zero ``rhs``."""
-    from repro.core import ScenarioBatch, generated_kernel
-    from repro.fem import get_plan
-
-    batch = None if shape == "serial" else ScenarioBatch(_forcing(4))
-    kern = generated_kernel(
-        get_plan(mesh), variant, vd, kernel_params=PARAMS.as_kernel_params(),
-        batch=batch, velocity_rank="full" if shape == "per_scenario" else "vec")
-    rows = batch.param_rows() if batch else None
-    return kern, lambda u, rhs=None: kern.execute(u, rhs, param_rows=rows)
-
-
 test_fused_scatter_is_bitwise_the_interpreter = corner(
     "test_fused_scatter_is_bitwise_the_interpreter")
 
@@ -370,89 +334,124 @@ def _swapped_calls(source):
     return source.replace(one, "@").replace(two, one).replace("@", two)
 
 
-@pytest.mark.parametrize("wrong", [_reversed_lanes, _swapped_calls])
+def _reversed_replay(acc, at, n):
+    for a in acc.reshape(-1, acc.shape[-2] * 3):
+        np.add.at(a[:n], at[::-1], a[n:][::-1])
+
+
+def _twice_added_spill(acc, at, n):
+    for a in acc.reshape(-1, acc.shape[-2] * 3):
+        np.add.at(a[:n], np.r_[at, at[:3]], np.r_[a[n:], a[n:n + 3]])
+
+
+@pytest.mark.parametrize("wrong", [_reversed_lanes, _swapped_calls, _reversed_replay,
+                                   _twice_added_spill])
 def test_a_wrong_scatter_order_is_rejected_at_adoption(cc, monkeypatch, wrong):
-    """Same values, same bins, another order within a bin: the deferred
-    placement still agrees, the fused one does not, and nothing is served."""
-    emit = native.emit_c
-
-    def wrong_emit(*args, **kwargs):
-        source = emit(*args, **kwargs)
-        assert wrong(source) != source
-        return wrong(source)
-
-    monkeypatch.setattr(native, "emit_c", wrong_emit)
+    """Same values, same bins, another order within a bin (or a spill row
+    replayed twice): the deferred placement still agrees, the C form as it
+    serves -- two group ranges, their spill replayed -- does not: rejected."""
+    if wrong in (_reversed_replay, _twice_added_spill):
+        monkeypatch.setattr(threads, "replay_spill", wrong)
+    else:
+        emit = native.emit_c
+        monkeypatch.setattr(native, "emit_c", lambda *args, **kw: wrong(emit(*args, **kw)))
+    monkeypatch.setattr(GeneratedKernel, "_range_cuts", _cuts(2))
     mesh = box_tet_mesh(3, 3, 3)
-    u = _wide_field((mesh.nnode, 3))
+    u = _field((mesh.nnode, 3), "wide")
+    want = UnifiedAssembler(mesh, PARAMS, mode="interpreted", vector_dim=VD).assemble("RSP", u)
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
-    want = asm.assemble("RSP", u)
-    kern = _only_kernel(asm)
     rejected = _count("rejected")
-    assert kern.build_native(wait=True)
-    for _ in range(3):
+    for _ in range(4):  # a cache hit adopts at the first sweep, a build at the second
         assert asm.assemble("RSP", u).tobytes() == want.tobytes()
-    assert kern._native.state == "rejected" and kern._acc is None
+        _only_kernel(asm).build_native(wait=True)
+    kern = _only_kernel(asm)
+    assert kern._native.state == "rejected" and kern._acc is None and len(kern._spill)
     assert _count("rejected") == rejected + 1
     # the order was the only thing wrong with it
-    kern._scatter = "deferred"
-    for task in kern._native._tasks(kern, 1):
-        task()
+    kern._native._fn(0, kern.ngroups, *kern._native._args, kern._values.ctypes.data, None, None)
     got = np.zeros_like(want)
     kern._flush(got)
     assert got.tobytes() == want.tobytes()
 
 
-test_threaded_profiled_and_reordered_sweeps_stay_deferred = corner(
-    "test_threaded_profiled_and_reordered_sweeps_stay_deferred")
-
-
-def test_a_steady_state_fused_sweep_allocates_only_its_result(cc):
-    """No per-sweep buffer at the sweep layer: what one fused sweep
-    allocates, at its peak, is the ``rhs`` it returns (plus call overhead)."""
-    mesh = box_tet_mesh(6, 6, 6)
-    kern, sweep = _bound(mesh, "RSP", "serial", VD)
-    u = _field((mesh.nnode, 3))
-    sweep(u)
-    assert kern.build_native(wait=True)
-    for _ in range(3):
-        sweep(u)
-    assert kern._native.state == "adopted"
+def _peak(call):
+    """What ``call`` allocates at its peak (all threads), and its result."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        rhs = sweep(u)
-        _, peak = tracemalloc.get_traced_memory()
+        got = call()
+        return tracemalloc.get_traced_memory()[1] - before, got
     finally:
         tracemalloc.stop()
-    assert peak - before <= rhs.nbytes + 4096
-    # the deferred buffer, had the sweep re-created it, is what the guard sees
-    assert kern._sv is None and np.prod(kern._values_shape) * 8 > 4 * rhs.nbytes
+
+
+def test_a_steady_state_fused_sweep_allocates_only_its_result(cc, monkeypatch):
+    """No per-sweep buffer at the sweep layer: one fused sweep allocates, at its
+    peak, the ``rhs`` it returns (plus call overhead) -- in one group range, and
+    in two, whose spill, scratch and worker handoff bind once (the replay adds
+    one ``np.add.at`` call's overhead); one CPU runs them in sequence, no worker."""
+    u = _field((box_tet_mesh(6, 6, 6).nnode, 3), "plain")
+    replay, _ = _peak(lambda: np.add.at(np.zeros(3), np.zeros(3, dtype=np.int64), np.ones(3)))
+    results = []
+    for ranges, one_cpu in ((1, False), (2, False), (2, True)):
+        monkeypatch.setattr(GeneratedKernel, "_range_cuts", _cuts(ranges))
+        if one_cpu:
+            monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(threads, "_workers", [])
+        kern = generated_kernel(get_plan(box_tet_mesh(6, 6, 6)), "RSP", VD,
+                                kernel_params=PARAMS.as_kernel_params())
+        assert kern.build_native(wait=True)
+        for _ in range(3):
+            kern.execute(u)
+        assert kern._native.state == "adopted" and len(kern._cuts) == ranges + 1
+        threads_before = threading.active_count()
+        grew, rhs = _peak(lambda: kern.execute(u))
+        assert grew <= rhs.nbytes + 4096 + (ranges - 1) * replay
+        assert threading.active_count() == threads_before  # no thread per sweep
+        # the guard would see the deferred buffer re-created, or the spill rows copied
+        assert kern._sv is None and np.prod(kern._values_shape) * 8 > 4 * rhs.nbytes
+        assert ranges == 1 or kern._acc[kern.nnode:].nbytes > 4096 + replay
+        assert not one_cpu or threads._workers == []
+        results.append(rhs.tobytes())
+    assert results[0] == results[1] == results[2]
 
 
 # -- observability and import hygiene ----------------------------------------
 
-def test_execute_span_says_which_form_served(cc, telemetry):
+def test_execute_span_says_which_form_served(cc, telemetry, monkeypatch):
     mesh = box_tet_mesh(3, 3, 3)
-    tracer, _ = telemetry
+    tracer, registry = telemetry
+    monkeypatch.setattr(GeneratedKernel, "_range_cuts", _cuts(2))
+    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0, 1})
     # a group size no other test builds: the first bind is a cache miss
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=24)
-    u = _field((mesh.nnode, 3))
+    u = _field((mesh.nnode, 3), "plain")
     asm.assemble("RSP", u)
-    assert _only_kernel(asm).build_native(wait=True)
+    kern = _only_kernel(asm)
+    assert kern.build_native(wait=True)
+    asm.assemble("RSP", u)  # adoption: the C form twice, checked then served
     asm.assemble("RSP", u)
+    with threads._workers[0][0]:  # another caller's range holds the worker
+        asm.assemble("RSP", u)
+    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0})
     asm.assemble("RSP", u)
     spans = [s for s in tracer.finished if s.name == "codegen.execute"]
-    assert [s.attributes["native"] for s in spans] == [False, True, True]
-    assert [s.attributes["scatter"] for s in spans] == ["deferred", "fused", "fused"]
+    assert [(s.attributes["native"], s.attributes["scatter"], s.attributes.get("reason"))
+            for s in spans] == [(False, "deferred", None)] + [(True, "fused", None)] * 2 + [
+        (True, "fused", "busy"), (True, "fused", "one_cpu")]
     assert spans[0].attributes["chunks"] >= 1 and spans[0].attributes["arena_bytes"] > 0
     assert spans[2].attributes["chunks"] == 0 and spans[2].attributes["arena_bytes"] == 0
+    assert {(s.attributes["ranges"], s.attributes["spill_rows"]) for s in spans[1:]} == {
+        (2, len(kern._spill))} and len(kern._spill) > 0
+    assert [registry.snapshot()[f"scatter.{name}"]["value"] for name in (
+        "split_sweeps", "spill_rows")] == [5, 5 * len(kern._spill)]
     assert [s.name for s in tracer.finished].count("NativeAdopted") == 1
 
 
 def test_profiled_sweeps_stay_on_the_python_source(cc):
     mesh = box_tet_mesh(3, 3, 3)
-    u = _field((mesh.nnode, 3))
+    u = _field((mesh.nnode, 3), "plain")
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
     want = asm.assemble("RSP", u)
     kern = _only_kernel(asm)

@@ -16,7 +16,7 @@ from tests.core.test_differential import corner
 
 def test_resolve_num_threads_explicit_wins():
     assert resolve_num_threads(5) == 5
-    assert resolve_num_threads() == max(1, os.cpu_count() or 1)
+    assert resolve_num_threads() == len(os.sched_getaffinity(0))
 
 
 def test_default_chunk_groups_bounds(params):
@@ -35,15 +35,9 @@ def test_default_chunk_groups_bounds(params):
 
 def test_unified_rejects_threads_outside_compiled(small_mesh, params):
     with pytest.raises(ValueError, match="compiled"):
-        UnifiedAssembler(
-            small_mesh, params, vector_dim=16, mode="interpreted",
-            executor="threads",
-        )
+        UnifiedAssembler(small_mesh, params, vector_dim=16, mode="interpreted", executor="threads")
     with pytest.raises(ValueError, match="executor"):
-        UnifiedAssembler(
-            small_mesh, params, vector_dim=16, mode="compiled",
-            executor="fibers",
-        )
+        UnifiedAssembler(small_mesh, params, vector_dim=16, mode="compiled", executor="fibers")
 
 
 # -- bitwise determinism -----------------------------------------------------
