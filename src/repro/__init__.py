@@ -18,8 +18,8 @@ Quick start::
 Subpackages: :mod:`repro.fem` (linear-tetrahedron FEM substrate),
 :mod:`repro.physics` (incompressible LES), :mod:`repro.core` (the kernel
 variants + DSL + study), :mod:`repro.machine` (A100/Icelake execution
-models), :mod:`repro.solvers` (CG/AMG), :mod:`repro.parallel` (supervised
-process and thread executors), :mod:`repro.io` (VTK + reports),
+models), :mod:`repro.solvers` (CG/AMG), :mod:`repro.parallel` (the
+thread fork-join and the RCB partition), :mod:`repro.io` (VTK + reports),
 :mod:`repro.obs` (telemetry: spans, metrics, profiler, exporters).
 """
 

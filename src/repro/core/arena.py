@@ -25,9 +25,8 @@ decide how fast a ufunc streams through them:
 coordinate / velocity columns, ``(S, 1)`` scenario rows, deferred scatter
 values and the plan's scatter pattern of one ``(plan, packing)`` pair,
 plus the lock that makes a plan-cached kernel safe to call from two jobs.
-How many scenarios a kernel sweeps and whose elements it sweeps (a
-solver's mesh, or a pool worker's chunk as a mesh of disjoint elements)
-are arguments of this binding, not kinds of kernel.
+How many scenarios a kernel sweeps and over which mesh are arguments of
+this binding, not kinds of kernel.
 """
 
 from __future__ import annotations

@@ -55,12 +55,10 @@ float64 -- with non-finite values spelled ``float('inf')`` etc.
 One :class:`CodegenProgram`, one :func:`generate_program` and one
 :class:`GeneratedKernel` serve every caller: a scenario batch is the same
 lowering with some parameters left symbolic (``S = 1`` the degenerate
-batch, every value rank-1), and a pool worker binds the pickled program
-to its chunk as a mesh of disjoint elements
-(:mod:`repro.parallel.runner`).  Generated source is fully deterministic
-(all set iterations are sorted), so the pickled program carries
-byte-identical source into every pool worker and the module-level code
-cache (:data:`_CODE_CACHE`) guarantees a cache hit never re-``exec``\\ s.
+batch, every value rank-1).  Generated source is fully deterministic
+(all set iterations are sorted), so equal programs carry byte-identical
+source and the module-level code cache (:data:`_CODE_CACHE`) guarantees a
+cache hit never re-``exec``\\ s.
 
 Set ``REPRO_CODEGEN_DUMP=<dir>`` to dump every generated module to
 ``<dir>/<variant>_vd<N>[_S<S>].py``.  A program also carries its
@@ -419,9 +417,9 @@ class CodegenProgram:
     scenario-row stage in the exact :class:`~repro.core.tape.TapeProgram`
     format.  A serial recording is the ``scenarios = 1``,
     ``velocity_rank = "vec"`` case: no ``Q`` rows, ``nslab_full = 0``.
-    Re-compilation in a pool worker is exact: the emission is
-    deterministic, so equal configurations produce equal source strings
-    and hit the module-level code cache.
+    Re-compilation is exact: the emission is deterministic, so equal
+    configurations produce equal source strings and hit the module-level
+    code cache.
     """
 
     variant: str
@@ -667,7 +665,7 @@ def _load(source: str, filename: str) -> Dict[str, object]:
     """Exec a generated module into a fresh namespace.
 
     The compiled code object is cached on the exact source string, so a
-    plan-cache hit (or a worker re-shipping the same program) never pays
+    plan-cache hit (or a second program with the same source) never pays
     ``compile`` twice in one process.
     """
     registry = get_registry()
@@ -695,13 +693,12 @@ def _run_slab(kerns: list, form) -> None:
     form.spent += time.perf_counter() - t0
 
 
-def stop_builds(source: Optional[str] = None) -> None:
-    """Terminate pending compiler children -- all of them (the server's
-    drain) or ``source``'s -- without importing the native module when
-    nothing ever loaded it."""
+def stop_builds() -> None:
+    """Terminate pending compiler children (the server's drain) without
+    importing the native module when nothing ever loaded it."""
     native = sys.modules.get(__package__ + ".native")
     if native is not None:
-        native.stop_builds(source)
+        native.stop_builds()
 
 
 class GeneratedKernel(MeshBound):

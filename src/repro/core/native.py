@@ -259,12 +259,12 @@ def _install(so: str, proc: subprocess.Popen) -> None:
         os.replace(tmp, so)
 
 
-def stop_builds(source: Optional[str] = None) -> None:
-    """``atexit`` / the server's drain, or (``source``'s only) a pool worker's task: no orphan
-    compiler (its group is terminated; ``cc`` removes partial output), finished builds kept."""
+def stop_builds() -> None:
+    """``atexit`` / the server's drain: no orphan compiler (its group is
+    terminated; ``cc`` removes partial output), finished builds kept."""
     with _LOCK:
         for so, proc in _BUILDS.items():
-            if proc.poll() is None and (source is None or so == so_path(source)):
+            if proc.poll() is None:
                 with suppress(OSError):
                     os.killpg(proc.pid, signal.SIGTERM)
                 proc.wait()

@@ -9,12 +9,11 @@ The recorder of :mod:`repro.core.tape` value-numbers ops as the kernel
 issues them (CSE happens *while* recording); :func:`front_end` runs the
 remaining passes once, and both lowerings -- ``tape.compile_tape`` and
 ``codegen.generate_program`` -- consume the same :class:`Front`, whether
-the recording is serial (every value rank-1, no parameter stage), a
-scenario batch, or shipped to a pool worker afterwards.  The replay back
-end adds op-level liveness and opcode lowering, the source back end adds
-fusion, call-level liveness (one step per ufunc call of a fused
-statement) and emission; both allocate every row they write with
-:func:`assign_rows`.
+the recording is serial (every value rank-1, no parameter stage) or a
+scenario batch.  The replay back end adds op-level liveness and opcode
+lowering, the source back end adds fusion, call-level liveness (one step
+per ufunc call of a fused statement) and emission; both allocate every
+row they write with :func:`assign_rows`.
 
 SSA op forms (last element of a value op is its id; refs are value ids
 or folded ``np.float64`` scalars)::

@@ -26,12 +26,9 @@ the Python analogue of P:
   of element groups (lanes stacked) with in-place ``out=`` ufunc calls
   into the arena, and ends with the same single-``bincount`` flush the
   deferred :class:`~repro.fem.plan.ScatterAccumulator` uses.  How many
-  scenarios it sweeps and whose elements (a solver's mesh, or a pool
-  worker's chunk bound as a mesh of disjoint elements by
-  :mod:`repro.parallel.runner`, which ships the pickled program) are
-  arguments of the binding: ``S = 1`` is the degenerate batch, every op
-  rank-1.  Steady-state time-stepping does zero Python-level array
-  allocation in the momentum RHS.
+  scenarios it sweeps is an argument of the binding: ``S = 1`` is the
+  degenerate batch, every op rank-1.  Steady-state time-stepping does
+  zero Python-level array allocation in the momentum RHS.
 
 Bit-identity contract
 ---------------------

@@ -6,7 +6,7 @@ Machine-readable trace and metric formats, all dependency-free:
   archival format -- :func:`read_spans_jsonl` round-trips exactly.
 * **Chrome trace events** (``*.json``): complete-event (``"ph": "X"``)
   records openable in ``chrome://tracing`` / Perfetto; one process row per
-  recorded ``pid`` (rank), microsecond timestamps.  Profiled runs append
+  recorded ``pid``, microsecond timestamps.  Profiled runs append
   per-tape-op slices (:func:`profile_trace_events`) on their own process
   row.
 * **Folded flamegraph** (``*.txt``): Brendan Gregg collapsed-stack lines

@@ -1,11 +1,11 @@
 """Process-wide metric registry: counters, gauges and histograms.
 
 The registry is the reproduction's analogue of a LIKWID counter group --
-named, monotonically accumulated quantities (CG iterations, shared-memory
-bytes, elements assembled) that :meth:`MetricsRegistry.snapshot` flattens
+named, monotonically accumulated quantities (CG iterations, compiler
+builds, elements assembled) that :meth:`MetricsRegistry.snapshot` flattens
 for the end-to-end benchmark and :func:`repro.obs.export.prometheus_text`.
 Names are dotted paths (``"cg.iterations"``,
-``"runner.shm_bytes_shared"``); the registry creates instruments lazily on
+``"codegen.native_builds"``); the registry creates instruments lazily on
 first use so call sites stay one-liners::
 
     get_registry().counter("cg.iterations").inc(result.iterations)

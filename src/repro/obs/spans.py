@@ -17,14 +17,12 @@ Design points:
   singleton whose ``span`` returns a shared no-op handle -- no allocation,
   no clock reads, no bookkeeping.  Instrumented code never needs an
   ``if tracer is not None`` guard.
-* **Cross-process mergeable.**  Span timestamps are wall-clock epoch
-  seconds derived from a ``perf_counter`` delta against an epoch anchor
-  taken at tracer construction, so timelines recorded in worker processes
-  (:class:`repro.parallel.runner.MultiprocessRunner`) can be merged into
-  the parent trace and still line up.
+* **Epoch timestamps.**  Span times are wall-clock epoch seconds derived
+  from a ``perf_counter`` delta against an epoch anchor taken at tracer
+  construction: monotonic within a process, comparable across processes.
 * **Plain-dict serialization.**  :meth:`Span.to_dict` /
-  :meth:`Span.from_dict` round-trip through JSON and ``pickle``-free
-  multiprocessing returns.
+  :meth:`Span.from_dict` round-trip through JSON
+  (:func:`repro.obs.export.read_spans_jsonl`).
 """
 
 from __future__ import annotations
@@ -211,7 +209,7 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    # -- access / merge -------------------------------------------------
+    # -- access -----------------------------------------------------
     @property
     def finished(self) -> List[Span]:
         with self._lock:
@@ -220,33 +218,6 @@ class Tracer:
     def export(self) -> List[Dict[str, Any]]:
         """Finished spans as JSON-ready dicts (sorted by start time)."""
         return [s.to_dict() for s in sorted(self.finished, key=lambda s: s.start)]
-
-    def add_spans(
-        self,
-        spans: List[Dict[str, Any]],
-        pid: Optional[int] = None,
-    ) -> None:
-        """Merge foreign span dicts (e.g. from a worker process).
-
-        Foreign ``span_id``/``parent_id`` pairs are re-based onto this
-        tracer's id space so merged traces stay collision-free; ``pid``
-        overrides the recorded process id (useful to label ranks 0..n-1).
-        """
-        if not spans:
-            return
-        with self._lock:
-            base = self._next_id
-            self._next_id += max(int(s["span_id"]) for s in spans) + 1
-        remap = {int(s["span_id"]): base + int(s["span_id"]) for s in spans}
-        for d in spans:
-            span = Span.from_dict(d)
-            span.span_id = remap[span.span_id]
-            if span.parent_id is not None:
-                span.parent_id = remap.get(span.parent_id, None)
-            if pid is not None:
-                span.pid = int(pid)
-            with self._lock:
-                self._finished.append(span)
 
     def clear(self) -> None:
         with self._lock:
@@ -296,9 +267,6 @@ class NullTracer:
 
     def export(self) -> List[Dict[str, Any]]:
         return []
-
-    def add_spans(self, spans, pid=None) -> None:
-        pass
 
     def clear(self) -> None:
         pass

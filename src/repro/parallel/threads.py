@@ -12,7 +12,6 @@ byte; :func:`interface_spill` makes a generated kernel's ranges disjoint.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import threading
@@ -24,9 +23,7 @@ __all__ = ["cpu_count", "fork_join", "interface_spill", "replay_spill", "resolve
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on: its affinity; 1 in a pool worker."""
-    if multiprocessing.parent_process() is not None:  # its siblings hold the rest
-        return 1
+    """The CPUs this process may run on: its affinity."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

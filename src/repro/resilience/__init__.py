@@ -13,11 +13,9 @@ pressure solve degrade a run, not kill it.  This package provides
   (:class:`ResilientAssembler`) and the shared escalation bookkeeping the
   pressure-solver ladder uses.
 
-Recovery machinery itself lives where the failures happen: supervised
-workers in :class:`repro.parallel.runner.MultiprocessRunner`,
-checkpoint/rollback in
-:class:`repro.physics.fractional_step.FractionalStepSolver`, and the CG
-escalation ladder in :class:`repro.physics.pressure.PressureSolver`.
+Recovery machinery itself lives where the failures happen: checkpoint and
+rollback in :class:`repro.physics.fractional_step.FractionalStepSolver`,
+and the CG escalation ladder in :class:`repro.physics.pressure.PressureSolver`.
 Every recovery action is observable through the ``resilience.*`` counters
 (:data:`RESILIENCE_COUNTERS`) and marker spans.
 """
@@ -38,7 +36,6 @@ from .faults import (
     RESILIENCE_COUNTERS,
     FaultPlan,
     FaultSpec,
-    WorkerCrash,
     fault_seed_from_env,
 )
 from .ladders import AssemblyDegraded, ResilientAssembler, record_escalation
@@ -54,7 +51,6 @@ __all__ = [
     "RECOVERY_COUNTERS",
     "RESILIENCE_COUNTERS",
     "ResilientAssembler",
-    "WorkerCrash",
     "checkpoint_name",
     "fault_seed_from_env",
     "latest_checkpoint",

@@ -1,13 +1,11 @@
 """Cooperative cancellation: deadlines and drain signals that unwind cleanly.
 
-Long-running campaign work (time integration, multiprocess sweeps, batched
-assemblies) cannot be interrupted preemptively without risking corrupted
-state or leaked shared-memory segments.  Instead, every long loop accepts a
-:class:`CancelToken` and calls :meth:`CancelToken.check` at its natural
-commit points (between time steps, between measured worker counts, between
-supervision rounds).  A tripped token raises :class:`CooperativeCancel`
-*there*, so the loop's own ``finally`` blocks run: pools terminate, shared
-memory unlinks, checkpoints stay consistent.
+Long-running campaign work (time integration, batched assemblies) cannot
+be interrupted preemptively without risking corrupted state.  Instead,
+every long loop accepts a :class:`CancelToken` and calls
+:meth:`CancelToken.check` at its natural commit points (between time
+steps).  A tripped token raises :class:`CooperativeCancel` *there*, so the
+loop's own ``finally`` blocks run and checkpoints stay consistent.
 
 Tokens carry a *reason* so the unwinding code can distinguish a missed
 deadline (``"deadline"`` -- the campaign server rejects the request with a

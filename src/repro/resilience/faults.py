@@ -1,8 +1,8 @@
 """Deterministic, seedable fault injection.
 
-Long LES campaigns on thousands of ranks fail in mundane ways: a worker
-process dies or wedges, one rank runs slow, an RHS sweep produces a NaN, a
-CG solve breaks down, a compiled kernel tape is corrupted in flight.  Every
+Long LES campaigns on thousands of ranks fail in mundane ways: an
+executor crashes or stalls, an RHS sweep produces a NaN, a CG solve
+breaks down, a request or a cached result is corrupted in flight.  Every
 recovery path in :mod:`repro` is driven by *injected* versions of those
 faults so chaos tests exercise the machinery rather than hoping for it.
 
@@ -10,18 +10,12 @@ A :class:`FaultPlan` is a list of :class:`FaultSpec` entries plus a seed.
 Injection is deterministic twice over:
 
 * **where** a fault fires is selected by ``(site, index)`` -- the
-  ``index``-th occurrence of an injection *site* (``"worker"``,
-  ``"momentum_rhs"``, ``"cg"``, ``"assembler"``, ...) -- never by wall
+  ``index``-th occurrence of an injection *site* (``"momentum_rhs"``,
+  ``"cg"``, ``"assembler"``, ``"server_exec"``, ...) -- never by wall
   clock or random draw;
 * **what** it does (e.g. which array lane gets the NaN) derives from the
   plan seed and the occurrence coordinates, so two runs with the same plan
   corrupt the same element.
-
-Plans are picklable: the multiprocess runner ships them to pool workers,
-where :meth:`FaultPlan.worker_fault` matches on ``(rank, attempt)`` --
-attempt-indexed matching means a fault fires on the first dispatch of a
-chunk and the supervised retry then succeeds, exactly the transient-failure
-shape production schedulers see.
 
 Every fired fault is appended to :attr:`FaultPlan.events` (in the firing
 process) and counted in the ``resilience.faults_injected`` metric, so a
@@ -45,7 +39,6 @@ from ..obs.metrics import get_registry
 __all__ = [
     "FaultSpec",
     "FaultPlan",
-    "WorkerCrash",
     "RESILIENCE_COUNTERS",
     "fault_seed_from_env",
 ]
@@ -54,10 +47,6 @@ __all__ = [
 #: they make a fault-free run export an explicit all-zero baseline.
 RESILIENCE_COUNTERS = (
     "resilience.faults_injected",
-    "resilience.worker_failures",
-    "resilience.retries",
-    "resilience.respawns",
-    "resilience.fallbacks",
     "resilience.rollbacks",
     "resilience.checkpoints",
     "resilience.checkpoint_fallbacks",
@@ -74,10 +63,6 @@ RESILIENCE_COUNTERS = (
 #: :data:`RESILIENCE_COUNTERS`; nonzero in a fault-free run means silent
 #: degradation).
 RECOVERY_COUNTERS = (
-    "resilience.worker_failures",
-    "resilience.retries",
-    "resilience.respawns",
-    "resilience.fallbacks",
     "resilience.rollbacks",
     "resilience.solver_escalations",
     "resilience.assembler_degradations",
@@ -91,10 +76,6 @@ def fault_seed_from_env(default: int = 1234) -> int:
     return int(os.environ.get("REPRO_FAULT_SEED", str(default)))
 
 
-class WorkerCrash(RuntimeError):
-    """Injected worker crash (picklable across the pool boundary)."""
-
-
 @dataclasses.dataclass(frozen=True)
 class FaultSpec:
     """One planned fault.
@@ -102,8 +83,7 @@ class FaultSpec:
     Parameters
     ----------
     site:
-        Injection site name.  Wired sites: ``"worker"`` (pool worker, via
-        :meth:`FaultPlan.worker_fault`), ``"momentum_rhs"`` (RHS sweep in
+        Injection site name.  Wired sites: ``"momentum_rhs"`` (RHS sweep in
         :class:`~repro.physics.fractional_step.FractionalStepSolver`),
         ``"cg"`` (pressure solve, :class:`~repro.physics.pressure.PressureSolver`),
         ``"assembler"`` (compiled/interpreted DSL assembly,
@@ -115,27 +95,21 @@ class FaultSpec:
         ``"server_client"`` (slow client, delayed response write) and
         ``"server_exec"`` (executor crash / slowdown while running a job).
     kind:
-        ``"crash"`` -- raise :class:`WorkerCrash`; ``"exit"`` -- hard
-        ``os._exit`` (dead worker, only detectable by deadline); ``"hang"``
-        -- sleep past any deadline; ``"slow"`` -- sleep ``delay`` seconds
-        then continue; ``"nan"``/``"inf"`` -- corrupt one array lane;
+        ``"crash"``/``"exit"`` -- fail the running job; ``"hang"``/
+        ``"slow"`` -- stall ``delay`` seconds, capped by the site, then
+        continue; ``"nan"``/``"inf"`` -- corrupt one array lane;
         ``"breakdown"`` -- sabotage a CG matvec into non-SPD territory;
         ``"corrupt"`` -- garble a request byte stream
         (:meth:`FaultPlan.corrupt_bytes`); ``"poison"`` -- corrupt a
         cached artifact so checksum validation must catch it.
-    rank:
-        Worker-rank filter (``None`` matches any rank).
     index:
-        Fire on the ``index``-th occurrence of the site (for workers: the
-        dispatch ``attempt`` number, so retries succeed by default).
+        Fire on the ``index``-th occurrence of the site.
     delay:
-        Sleep seconds for ``"slow"``/``"hang"`` (hang defaults to 3600 s
-        when left at 0 -- far past any sane deadline).
+        Stall seconds for ``"slow"``/``"hang"`` (0: the site's cap).
     """
 
     site: str
     kind: str
-    rank: Optional[int] = None
     index: int = 0
     delay: float = 0.0
 
@@ -166,9 +140,7 @@ class FaultPlan:
     """A deterministic schedule of injected faults.
 
     The plan keeps per-site occurrence counters (process-local) and an
-    event log of every fault that fired.  It is picklable; counters and
-    events travel with the pickle but diverge per process afterwards --
-    worker-side matching is therefore attempt-indexed and stateless.
+    event log of every fault that fired.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0) -> None:
@@ -193,50 +165,42 @@ class FaultPlan:
         self._counts[site] = n + 1
         return n
 
-    def _match(
-        self, site: str, index: int, rank: Optional[int]
-    ) -> Optional[FaultSpec]:
+    def _match(self, site: str, index: int) -> Optional[FaultSpec]:
         for spec in self.specs:
-            if spec.site != site or spec.index != index:
-                continue
-            if spec.rank is not None and rank is not None and spec.rank != rank:
-                continue
-            return spec
+            if spec.site == site and spec.index == index:
+                return spec
         return None
 
-    def _record(self, spec: FaultSpec, index: int, rank: Optional[int], **detail) -> None:
+    def _record(self, spec: FaultSpec, index: int, **detail) -> None:
         self.events.append(
             {
                 "site": spec.site,
                 "kind": spec.kind,
                 "index": index,
-                "rank": rank,
                 "time_unix": time.time(),
                 **detail,
             }
         )
         get_registry().counter("resilience.faults_injected").inc()
 
-    def draw(self, site: str, rank: Optional[int] = None) -> Optional[FaultSpec]:
+    def draw(self, site: str) -> Optional[FaultSpec]:
         """Advance the site's occurrence counter; return a firing spec or
         ``None``.  The caller is responsible for *executing* the fault."""
         index = self.occurrence(site)
-        spec = self._match(site, index, rank)
+        spec = self._match(site, index)
         if spec is not None:
-            self._record(spec, index, rank)
+            self._record(spec, index)
         return spec
 
     # -- array corruption ------------------------------------------------
-    def corrupt(
-        self, site: str, array: np.ndarray, rank: Optional[int] = None
-    ) -> bool:
+    def corrupt(self, site: str, array: np.ndarray) -> bool:
         """Maybe inject a NaN/Inf into ``array`` (in place).
 
         Returns ``True`` when a fault fired.  The corrupted flat index is
         a deterministic function of ``(seed, site, occurrence)``.
         """
         index = self.occurrence(site)
-        spec = self._match(site, index, rank)
+        spec = self._match(site, index)
         if spec is None or spec.kind not in ("nan", "inf"):
             return False
         if array.size == 0:
@@ -246,12 +210,10 @@ class FaultPlan:
         )
         flat = int(rng.integers(0, array.size))
         array.reshape(-1)[flat] = spec.payload()
-        self._record(spec, index, rank, flat_index=flat)
+        self._record(spec, index, flat_index=flat)
         return True
 
-    def corrupt_bytes(
-        self, site: str, payload: bytes, rank: Optional[int] = None
-    ) -> Tuple[bytes, bool]:
+    def corrupt_bytes(self, site: str, payload: bytes) -> Tuple[bytes, bool]:
         """Maybe garble a byte payload (``"corrupt"``/``"poison"`` kinds).
 
         Returns ``(payload, fired)``.  The corrupted offset and the XOR
@@ -260,7 +222,7 @@ class FaultPlan:
         time.  Empty payloads pass through untouched.
         """
         index = self.occurrence(site)
-        spec = self._match(site, index, rank)
+        spec = self._match(site, index)
         if spec is None or spec.kind not in ("corrupt", "poison"):
             return payload, False
         if not payload:
@@ -272,44 +234,8 @@ class FaultPlan:
         mask = int(rng.integers(1, 256))
         garbled = bytearray(payload)
         garbled[offset] ^= mask
-        self._record(spec, index, rank, offset=offset, mask=mask)
+        self._record(spec, index, offset=offset, mask=mask)
         return bytes(garbled), True
-
-    # -- worker-side execution -------------------------------------------
-    def worker_fault(self, rank: int, attempt: int) -> Optional[FaultSpec]:
-        """Stateless worker-side match on ``(rank, attempt)``.
-
-        Does *not* consume an occurrence counter -- worker processes are
-        respawned across retries, so dispatch ``attempt`` is the only
-        coordinate that survives.
-        """
-        return self._match("worker", attempt, rank)
-
-    def note_worker_dispatch(self, rank: int, attempt: int) -> Optional[FaultSpec]:
-        """Parent-side accounting of a worker fault about to fire.
-
-        The worker's own event log and counters die with the worker; the
-        dispatching parent calls this so ``faults_injected`` and the event
-        log survive in the supervising process.
-        """
-        spec = self._match("worker", attempt, rank)
-        if spec is not None:
-            self._record(spec, attempt, rank, side="parent")
-        return spec
-
-    def execute_worker_fault(self, spec: FaultSpec, rank: int, attempt: int) -> None:
-        """Run a worker fault: crash, hard-exit, hang or slow-down."""
-        self._record(spec, attempt, rank)
-        if spec.kind == "crash":
-            raise WorkerCrash(
-                f"injected crash in worker rank={rank} attempt={attempt}"
-            )
-        if spec.kind == "exit":
-            os._exit(3)
-        if spec.kind == "hang":
-            time.sleep(spec.delay or 3600.0)
-        elif spec.kind == "slow":
-            time.sleep(spec.delay)
 
     # -- reporting -------------------------------------------------------
     def write_event_log(self, path: str) -> str:

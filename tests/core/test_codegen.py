@@ -8,19 +8,17 @@ size (including padded final groups) and executor -- while fusing expression cha
 """
 
 import multiprocessing
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.core import UnifiedAssembler
 from repro.core.codegen import _CODE_CACHE, generate_program, generated_kernel
-from repro.core.tape import record_program
-from repro.fem import box_tet_mesh
+from repro.core.tape import compiled_tape, record_program
+from repro.fem import TetMesh, box_tet_mesh
 from repro.fem.plan import get_plan
 from repro.obs.metrics import get_registry
 from repro.obs.profiler import TapeProfiler
-from repro.parallel.runner import _chunk_kernel, _chunk_program
 from repro.physics.fractional_step import resolve_assembler
 from tests.core.test_differential import corner
 
@@ -76,25 +74,28 @@ def test_codegen_emission_is_deterministic(params):
     assert generate_program("RS", 64, kernel_params=kp).source != p1.source
 
 
-def _rebound(blob: bytes, xel: np.ndarray, u: np.ndarray):
-    """In a spawned process: what the shipped bytes exec and compute."""
-    kern = _chunk_kernel(pickle.loads(blob), xel)
-    return list(_CODE_CACHE), kern.execute(u).tobytes()
+def _elemental(xel: np.ndarray, u: np.ndarray, kp) -> tuple:
+    """``xel`` as a mesh of disjoint elements, swept by the replay tape and the
+    generated kernel: the sources this process generated and both results."""
+    n = len(xel)
+    plan = get_plan(TetMesh(xel.reshape(-1, 3), np.arange(4 * n).reshape(n, 4), validate=False))
+    got = [make(plan, "RSP", 16, kernel_params=kp).execute(u).tobytes()
+           for make in (compiled_tape, generated_kernel)]
+    return list(_CODE_CACHE), got
 
 
-def test_elemental_program_pickles_to_identical_source(params):
-    """A pool worker binds the very program its parent generated: the pickle
-    carries the source it execs; the chunk's bytes are the parent's."""
+def test_a_fresh_process_generates_identical_source_and_bytes(params):
+    """Emission does not depend on the hash seed: a spawned process generates
+    the parent's source and sweeps the parent's bytes, which the replay tape
+    shares on a mesh of disjoint elements."""
     rng = np.random.default_rng(5)
     xel, u = rng.standard_normal((23, 4, 3)), rng.standard_normal((92, 3))
-    tape = _chunk_program("compiled", "RSP", params)
-    want = _chunk_kernel(tape, xel).execute(u).tobytes()
+    kp = params.as_kernel_params()
+    _, (tape, gen) = _elemental(xel, u, kp)
+    assert tape == gen
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        for program in (tape, _chunk_program("codegen", "RSP", params)):
-            assert _chunk_kernel(program, xel).execute(u).tobytes() == want
-            sources, got = pool.apply(_rebound, (pickle.dumps(program), xel, u))
-            assert got == want
-            assert sources == ([program.source] if program is not tape else [])
+        sources, got = pool.apply(_elemental, (xel, u, kp))
+    assert sources == [generate_program("RSP", 16, kp).source] and got == [tape, gen]
 
 
 def test_codegen_dump_flag_writes_source(params, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 A cell is one way of running a kernel variant over a mesh: the back end
 (replayed tape, generated Python, its C form, or the interpreter itself),
 the executor and chunking, a generated kernel's group ranges, the scenario batch,
-profiling, a pool worker's binding, the entry (kernel or
+profiling, a mesh of disjoint elements, the entry (kernel or
 ``UnifiedAssembler``), a non-zero ``rhs`` on entry and the field.  Every
 cell's ``.tobytes()`` equals ``mode="interpreted"`` at the same
 ``vector_dim``: one assembly per (variant, mesh, vd, scenario, field),
@@ -21,7 +21,6 @@ rows of :data:`CORNERS`: each id is bound in its old module by
 import dataclasses
 import functools
 import os
-import pickle
 import weakref
 from typing import Optional
 from unittest import mock
@@ -35,22 +34,20 @@ from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape, generated
 from repro.core import native, variant_names
 from repro.core.codegen import GeneratedKernel, generate_program
 from repro.core.dsl import KernelContext, NumpyBackend
-from repro.core.tape import record_program
 from repro.core.variants import get_variant
 from repro.fem import TetMesh, box_tet_mesh, get_plan, perturbed_box_mesh
 from repro.fem.packing import ElementPacking
 from repro.obs import TapeProfiler
 from repro.obs.metrics import get_registry
-from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
 from tests.conftest import installed_telemetry
 
 VARIANTS = tuple(variant_names())
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
 KP = PARAMS.as_kernel_params()
-#: 162 elements (box, jittered) and 299 (worker): every size pads
+#: 162 elements (box, jittered) and 299 (disjoint): every size pads
 VDS = (7, 8, 16, 33, 64, 100, 1024)
-MESHES = ("box", "jittered", "worker")
+MESHES = ("box", "jittered", "disjoint")
 BACKENDS = ("replay", "codegen", "native")
 BATCHES = ("none", "one", "shared4", "shared16", "per_scenario")
 
@@ -59,7 +56,7 @@ BATCHES = ("none", "one", "shared4", "shared16", "per_scenario")
 class Cell:
     variant: str
     backend: str = "replay"  # compiled tape | generated Python | its C form | interpreted
-    mesh: str = "box"  # worker: the pickled program bound to a pool chunk
+    mesh: str = "box"  # disjoint: 299 elements sharing no node, one lane per bin
     vd: int = 16
     threads: int = 0  # 0: execute(); n: execute_chunked(num_threads=n)
     chunk_groups: Optional[int] = None
@@ -77,7 +74,7 @@ class Cell:
 def _mesh(kind: str, family: str) -> TetMesh:
     """Meshes per ``family``: a generated kernel is plan-cached, so the
     Python-form cells bind on meshes the C form never adopted on."""
-    if kind == "worker":
+    if kind == "disjoint":
         xel = get_plan(box_tet_mesh(8, 8, 8)).packed_coords()[:299]
         return TetMesh(xel.reshape(-1, 3), np.arange(4 * 299).reshape(-1, 4),
                        validate=False)
@@ -177,11 +174,6 @@ def have_cc() -> bool:
 
 
 def _bind(cell: Cell, mesh: TetMesh, batch):
-    if cell.mesh == "worker":  # what a MultiprocessRunner ships, re-bound
-        program = (record_program(cell.variant, KP) if cell.backend == "replay"
-                   else generate_program(cell.variant, cell.vd, KP))
-        shipped = pickle.loads(pickle.dumps(program))
-        return _chunk_kernel(shipped, mesh.coords.reshape(-1, 4, 3), cell.vd)
     make = compiled_tape if cell.backend == "replay" else generated_kernel
     return make(get_plan(mesh), cell.variant, cell.vd, kernel_params=KP,
                 batch=batch, velocity_rank="full" if cell.batch == "per_scenario" else "vec")
@@ -232,7 +224,7 @@ def _sweeper(cell: Cell, profiler):
     u = _velocity(cell, mesh)
     batch = _batch(cell.variant, cell.batch)
     if cell.entry == "assembler":  # the assembler sizes its own chunks
-        assert cell.chunk_groups is None and cell.mesh != "worker"
+        assert cell.chunk_groups is None and cell.mesh != "disjoint"
         asms = {p: _assembler(cell, mesh, p) for p in {None, profiler}}
         rank = "full" if cell.batch == "per_scenario" else "vec"
         kern = None if cell.backend == "interpreted" else \
@@ -298,8 +290,8 @@ def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
 @st.composite
 def cells(draw) -> Cell:
     mesh = draw(st.sampled_from(MESHES))
-    entry = "kernel" if mesh == "worker" else draw(st.sampled_from(("kernel", "assembler")))
-    plain = mesh == "worker"  # a chunk is its own mesh: no batch
+    entry = "kernel" if mesh == "disjoint" else draw(st.sampled_from(("kernel", "assembler")))
+    plain = mesh == "disjoint"  # the elemental form: the kernel entry, no batch
     batch = "none" if plain else draw(st.sampled_from(BATCHES))
     # sixteen interpreted scenarios at a narrow group cost seconds each
     vds = [vd for vd in VDS if vd >= 64 or batch != "shared16"]
@@ -335,7 +327,7 @@ EXAMPLES = [
     Cell("RS", "codegen", batch="shared4"),  # b d
     Cell("P", "replay", vd=64, batch="per_scenario", entry="assembler"),  # b d
     Cell("RSP", "native", vd=64, batch="shared16"),  # b c d
-    Cell("RSPR", "native", mesh="worker", vd=8),  # one lane per bin: no order to get wrong
+    Cell("RSPR", "native", mesh="disjoint", vd=8),  # one lane per bin: no order to get wrong
     Cell("RS", "replay", mesh="jittered", vd=7),  # d
     Cell("B", "native", ranges=3, batch="one"),  # c d e
     Cell("P", "native", ranges=(0, 1), batch="per_scenario"),  # b c d e
@@ -372,8 +364,8 @@ def _by_variant(make, variants=VARIANTS):
 
 _THREADED = ((1, 2), (2, 3), (4, 1), (4, 5))
 _BINDINGS = [dict(), dict(batch="one"), dict(batch="shared4"),
-             dict(batch="per_scenario"), dict(mesh="worker"),
-             dict(vd=1024), dict(mesh="worker", vd=1024)]
+             dict(batch="per_scenario"), dict(mesh="disjoint"),
+             dict(vd=1024), dict(mesh="disjoint", vd=1024)]
 _FORMS = {"compiled": "replay", "codegen": "codegen", "native": "native"}
 
 #: old test id (``module::name``) -> {parametrize id or "": cells}
@@ -463,7 +455,7 @@ def build_ahead() -> None:
     cells = [c for _, row in sorted(rows + [("test_differential", EXAMPLES)],
                                     key=lambda r: r[0]) for c in row]
     keys = dict.fromkeys(
-        (c.variant, c.vd, "none" if c.mesh == "worker" else c.batch)
+        (c.variant, c.vd, "none" if c.mesh == "disjoint" else c.batch)
         for c in cells if c.backend == "native")
     for variant, vd, kind in keys:
         rank = "full" if kind == "per_scenario" else "vec"

@@ -211,29 +211,6 @@ def test_without_a_compiler_codegen_serves_from_python(monkeypatch):
     assert len(spawned) == 1
 
 
-def test_a_pool_workers_chunk_task_leaves_no_compiler_behind(tmp_path, monkeypatch):
-    """Pool workers exit through ``os._exit``, past the ``atexit`` hook: the
-    chunk task terminates the build its own kernel forked -- and no other."""
-    from repro.fem import get_plan
-    from repro.parallel.runner import _assemble_chunk, _chunk_program
-
-    (tmp_path / "slowcc").write_text("#!/bin/sh\nexec sleep 60\n")
-    (tmp_path / "slowcc").chmod(0o700)
-    monkeypatch.setenv("CC", str(tmp_path / "slowcc"))
-    monkeypatch.setattr(native, "BUILD_AFTER_S", 0.0)
-    mesh = box_tet_mesh(3, 3, 3)
-    uel = _field((mesh.nnode, 3), "plain")[mesh.connectivity]
-    program = _chunk_program("codegen", "RS", PARAMS)
-    bystander, builds = native.build("void kernel(void) {} /* not mine */\n"), _count("builds")
-    try:
-        _assemble_chunk(0, get_plan(mesh).packed_coords(), uel, PARAMS, 3, False, program)
-        assert _count("builds") == builds + 1
-        mine = native._BUILDS[native.so_path(program.c_source)]
-        assert mine.poll() is not None and bystander.poll() is None
-    finally:
-        native.stop_builds()
-
-
 # -- (e) cache: hit in a fresh process, untrusted files refused ---------------
 
 HIT_SCRIPT = """

@@ -1,7 +1,7 @@
 """The shared front end: one value-numbered, scheduled program per kernel.
 
-Both lowerings -- compiled replay and generated source, serial, batched
-or shipped to a pool worker -- consume the same
+Both lowerings -- compiled replay and generated source, serial or
+batched, at any group size -- consume the same
 :func:`repro.core.passes.front_end` output, so the op accounting must
 agree everywhere and value numbering must merge only literally repeated
 work.  Bit-identity of the results is pinned by the hypothesis suites of
@@ -16,7 +16,6 @@ from repro.core.codegen import generate_program
 from repro.core.dsl import KernelContext
 from repro.core.storage import Storage
 from repro.core.tape import RecordingBackend, record_program
-from repro.parallel.runner import _chunk_program
 
 
 def _recorder():
@@ -45,7 +44,7 @@ def test_accounting_identity_and_equal_live_ops(params, variant):
          "codegen": generate_program(variant, 64, kp, batch=b).report}
         for b in (None, batch)
     )
-    serial["elemental"] = _chunk_program("codegen", variant, params).report
+    serial["codegen16"] = generate_program(variant, 16, kp).report
     for r in list(serial.values()) + list(batched.values()):
         assert r.ops_recorded == r.ops_live + r.dce_removed + r.cse_removed
         assert r.cse_removed > 0  # every kernel repeats some work
@@ -53,10 +52,10 @@ def test_accounting_identity_and_equal_live_ops(params, variant):
     assert len({r.ops_live for r in batched.values()}) == 1
     assert len({r.cse_removed for r in serial.values()}) == 1
     # the generated kernels hoist (the same coordinate-only partition,
-    # serial, batched or shipped to a pool worker); replay tapes run every
-    # live op per sweep
+    # serial or batched, at any group size); replay tapes run every live op
+    # per sweep
     assert serial["codegen"].hoisted_ops == batched["codegen"].hoisted_ops > 0
-    assert serial["elemental"].hoisted_ops == serial["codegen"].hoisted_ops
+    assert serial["codegen16"].hoisted_ops == serial["codegen"].hoisted_ops
     for r in (serial["compiled"], batched["compiled"]):
         assert r.hoisted_ops == r.pinned_buffers == 0
     assert batched["compiled"].scenarios == batched["codegen"].scenarios == 3

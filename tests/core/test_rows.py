@@ -19,7 +19,6 @@ from repro.core import (
     generate_program,
     variant_names,
 )
-from repro.parallel.runner import _chunk_program
 from repro.physics import AssemblyParams
 from tests.core.test_differential import corner
 
@@ -37,8 +36,6 @@ def _forcing_batch(size):
 
 
 def _generate(form, variant):
-    if form == "elemental":  # what a MultiprocessRunner ships to its workers
-        return _chunk_program("codegen", variant, AssemblyParams())
     return generate_program(
         variant, VD, AssemblyParams().as_kernel_params(),
         batch=None if form == "serial" else _forcing_batch(4),
@@ -69,7 +66,7 @@ def _assert_rows_are_live_when_read(steps, pool_of, row_of):
     return nwrites
 
 
-@pytest.mark.parametrize("form", ["serial", "vec", "full", "elemental"])
+@pytest.mark.parametrize("form", ["serial", "vec", "full"])
 @pytest.mark.parametrize("variant", variant_names())
 def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form):
     assign_rows = codegen.assign_rows
@@ -82,7 +79,7 @@ def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form)
 
     monkeypatch.setattr(codegen, "assign_rows", recording_assign_rows)
     _generate(form, variant)
-    assert len(calls) == 2  # setup + body: pool workers hoist too
+    assert len(calls) == 2  # setup + body
     for steps, pool_of, row_of, nrows in calls:
         nwrites = _assert_rows_are_live_when_read(steps, pool_of, row_of)
         # rows are reused: far fewer rows than values written
@@ -91,7 +88,7 @@ def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form)
 
 def test_a_parent_lands_on_its_childs_row_and_private_scratch_is_gone():
     for program in (_generate("serial", "RSP"), _generate("full", "B"),
-                    _generate("elemental", "RS")):
+                    _generate("serial", "RS")):
         source = program.source
         # multiply(.., out=bv7), out=bv7): the enclosing call writes in place
         assert re.search(r"out=(b[vf]\d+)\), out=\1\)", source)

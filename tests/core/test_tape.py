@@ -14,10 +14,8 @@ from repro.core import variant_names
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.storage import Storage, TempSpec
 from repro.core.tape import compiled_tape, record_program, tape_cache_key
-from repro.fem import box_tet_mesh
+from repro.fem import TetMesh, box_tet_mesh
 from repro.fem.plan import get_plan
-from repro.parallel import MultiprocessRunner
-from repro.parallel.runner import _chunk_kernel
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
 from repro.physics.momentum import element_rhs
@@ -98,48 +96,35 @@ def test_cache_key_includes_params():
     assert key_a[0] == "RSP"
 
 
-# -- elemental tape (multiprocess worker path) ---------------------------------
+# -- elemental tape: a mesh of disjoint elements -------------------------------
 
 
-def _elemental(program, xel, uel):
-    """A worker's sweep: the program bound to the chunk as a mesh."""
-    return _chunk_kernel(program, xel).execute(uel.reshape(-1, 3)).reshape(xel.shape)
+def _elemental(variant, params, xel, uel):
+    """The tape swept over ``xel`` as a mesh of disjoint elements: each node
+    receives one lane, so the ``(4n, 3)`` RHS is the ``(n, 4, 3)`` elemental one."""
+    n = len(xel)
+    mesh = TetMesh(xel.reshape(-1, 3), np.arange(4 * n).reshape(n, 4), validate=False)
+    tape = compiled_tape(get_plan(mesh), variant, 16, kernel_params=params.as_kernel_params())
+    return tape.execute(uel.reshape(-1, 3)).reshape(xel.shape)
 
 
 def test_elemental_tape_matches_element_rhs(small_mesh, params):
-    program = record_program("RSP", params.as_kernel_params())
     xel = get_plan(small_mesh).packed_coords()
     uel = _velocity(small_mesh)[small_mesh.connectivity]
-    out = _elemental(program, xel, uel)
+    out = _elemental("RSP", params, xel, uel)
     ref = element_rhs(xel, uel, params)
     assert out.shape == ref.shape == (small_mesh.nelem, 4, 3)
     assert np.allclose(out, ref, atol=1e-14)
 
 
 def test_elemental_tape_chunking_consistent(small_mesh, params):
-    """Chunked replay (runner-style) equals one-shot replay, bit for bit."""
-    program = record_program("RS", params.as_kernel_params())
+    """Chunked replay equals one-shot replay, bit for bit."""
     xel = get_plan(small_mesh).packed_coords()
     uel = _velocity(small_mesh, 4)[small_mesh.connectivity]
-    whole = _elemental(program, xel, uel)
+    whole = _elemental("RS", params, xel, uel)
     cuts = (slice(0, 50), slice(50, None))
-    parts = [_elemental(program, xel[s], uel[s]) for s in cuts]
+    parts = [_elemental("RS", params, xel[s], uel[s]) for s in cuts]
     assert np.array_equal(np.concatenate(parts), whole)
-
-
-def test_runner_compiled_mode_smoke(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    runner = MultiprocessRunner(
-        mesh, params, repeats=1, assembly_mode="compiled", variant="RSP"
-    )
-    points = runner.measure([1])
-    assert len(points) == 1 and points[0].wall_seconds > 0
-
-
-def test_runner_rejects_unknown_mode(params):
-    mesh = box_tet_mesh(3, 3, 3)
-    with pytest.raises(ValueError, match="assembly_mode"):
-        MultiprocessRunner(mesh, params, assembly_mode="jit")
 
 
 # -- solver integration --------------------------------------------------------

@@ -1,5 +1,5 @@
 """Telemetry of the hot paths, read back from the one installed tracer and
-registry: study, CG, fractional step, parallel runner."""
+registry: study, CG, fractional step."""
 
 import json
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.fem import box_tet_mesh
 from repro.obs import write_chrome_trace
-from repro.parallel import MultiprocessRunner
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import FractionalStepSolver
 from repro.solvers import SolverError, conjugate_gradient
@@ -150,23 +149,3 @@ def test_one_step_lands_in_one_sink(params, telemetry):
     assert {"fstep.steps", "cg.solves", "codegen.executions", "plan.builds"} <= set(
         registry.snapshot())
 
-
-# ---------------------------------------------------------------------------
-# Parallel runner
-# ---------------------------------------------------------------------------
-
-
-def test_multiprocess_runner_merges_rank_timelines(params, telemetry):
-    mesh = box_tet_mesh(3, 3, 3)
-    tracer, _ = telemetry
-    runner = MultiprocessRunner(mesh, params, repeats=1)
-    points = runner.measure([1, 2])
-    assert len(points) == 2
-
-    spans = tracer.finished
-    # parent-side measure spans plus merged per-rank timelines
-    assert sum(1 for s in spans if s.name == "measure") == 2
-    rank_spans = [s for s in spans if s.name == "rank"]
-    assert {s.attributes["rank"] for s in rank_spans} == {0, 1}
-    assert {s.pid for s in rank_spans} == {0, 1}
-    assert all(s.end is not None for s in spans)

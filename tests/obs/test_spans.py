@@ -70,26 +70,6 @@ def test_span_dict_round_trip():
     assert span.to_dict() == d
 
 
-def test_add_spans_rebases_ids_and_pid():
-    parent = Tracer(pid=0)
-    with parent.span("local"):
-        pass
-    worker = Tracer(pid=999)
-    with worker.span("rank"):
-        with worker.span("chunk"):
-            pass
-    parent.add_spans(worker.export(), pid=5)
-
-    spans = parent.finished
-    assert len(spans) == 3
-    by_name = {s.name: s for s in spans}
-    assert by_name["rank"].pid == 5 and by_name["chunk"].pid == 5
-    # merged ids don't collide with local ones, child still points at parent
-    ids = [s.span_id for s in spans]
-    assert len(set(ids)) == 3
-    assert by_name["chunk"].parent_id == by_name["rank"].span_id
-
-
 def test_null_tracer_is_noop():
     null = NullTracer()
     with null.span("anything", x=1) as span:
