@@ -11,6 +11,7 @@ level the chunk sizes of the benchmark workloads were measured with.
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -19,6 +20,8 @@ from repro.core import (
     generate_program,
     variant_names,
 )
+from repro.core.codegen import generated_kernel
+from repro.fem import TetMesh, get_plan
 from repro.physics import AssemblyParams
 from tests.core.test_differential import corner
 
@@ -36,6 +39,11 @@ def _forcing_batch(size):
 
 
 def _generate(form, variant):
+    if form == "elemental":  # what a mesh of 23 disjoint elements binds
+        xel = np.random.default_rng(1).standard_normal((23, 4, 3))
+        mesh = TetMesh(xel.reshape(-1, 3), np.arange(92).reshape(23, 4), validate=False)
+        return generated_kernel(get_plan(mesh), variant, VD,
+                                AssemblyParams().as_kernel_params()).program
     return generate_program(
         variant, VD, AssemblyParams().as_kernel_params(),
         batch=None if form == "serial" else _forcing_batch(4),
@@ -66,7 +74,7 @@ def _assert_rows_are_live_when_read(steps, pool_of, row_of):
     return nwrites
 
 
-@pytest.mark.parametrize("form", ["serial", "vec", "full"])
+@pytest.mark.parametrize("form", ["serial", "vec", "full", "elemental"])
 @pytest.mark.parametrize("variant", variant_names())
 def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form):
     assign_rows = codegen.assign_rows
@@ -79,7 +87,7 @@ def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form)
 
     monkeypatch.setattr(codegen, "assign_rows", recording_assign_rows)
     _generate(form, variant)
-    assert len(calls) == 2  # setup + body
+    assert len(calls) == 2  # setup + body: a disjoint mesh hoists too
     for steps, pool_of, row_of, nrows in calls:
         nwrites = _assert_rows_are_live_when_read(steps, pool_of, row_of)
         # rows are reused: far fewer rows than values written
@@ -88,7 +96,7 @@ def test_no_call_overwrites_a_value_still_to_be_read(monkeypatch, variant, form)
 
 def test_a_parent_lands_on_its_childs_row_and_private_scratch_is_gone():
     for program in (_generate("serial", "RSP"), _generate("full", "B"),
-                    _generate("serial", "RS")):
+                    _generate("elemental", "RS")):
         source = program.source
         # multiply(.., out=bv7), out=bv7): the enclosing call writes in place
         assert re.search(r"out=(b[vf]\d+)\), out=\1\)", source)

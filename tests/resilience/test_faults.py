@@ -1,4 +1,6 @@
-"""Fault-plan mechanics: deterministic matching and corruption."""
+"""Fault-plan mechanics: deterministic matching, corruption, pickling."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +83,18 @@ def test_corrupt_ignores_mismatched_kind_and_empty_arrays():
     assert not plan.corrupt("cg", np.ones(4))  # breakdown is not corruption
     plan = FaultPlan.single("assembler", "nan")
     assert not plan.corrupt("assembler", np.empty(0))
+
+
+def test_plan_roundtrips_through_pickle():
+    plan = FaultPlan.single("assembler", "nan", index=1, seed=99)
+    clone = pickle.loads(pickle.dumps(plan))
+    assert clone.seed == 99 and clone.specs == plan.specs
+    # the clone corrupts the same occurrence at the same flat index
+    for _ in range(2):
+        a, b = np.zeros(60), np.zeros(60)
+        assert plan.corrupt("assembler", a) == clone.corrupt("assembler", b)
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert np.isnan(a).sum() == 1
 
 
 def test_event_log_jsonl(tmp_path):
