@@ -44,9 +44,9 @@ class ScenarioBatch:
     Construct from per-scenario params (``ScenarioBatch(params_list)`` or
     :meth:`from_params`) or column-wise with broadcasting
     (:meth:`from_arrays`).  Indexing returns the per-scenario
-    :class:`AssemblyParams` -- the serial / resilience-ladder fallback
-    path uses exactly those objects, so a scenario dropped from the batch
-    is solved with the same parameters it was batched with.
+    :class:`AssemblyParams` -- the interpreted batch and a campaign's
+    detached row assemble with exactly those objects, so a scenario dropped
+    from the batch is solved with the same parameters it was batched with.
     """
 
     def __init__(self, scenarios: Sequence[AssemblyParams]) -> None:

@@ -130,8 +130,10 @@ class UnifiedAssembler:
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; an
         ``("assembler", "nan"/"inf")`` fault corrupts one lane of the
-        assembled RHS so the chaos suite can force a degradation of
-        :class:`~repro.resilience.ladders.ResilientAssembler`.
+        assembled RHS (one occurrence per :meth:`assemble`, one per
+        scenario of :meth:`run_batch`).  The corrupted result is returned
+        as is: whoever owns the job recovers it (the server's mode
+        ladder, a step's guards).
     profile:
         When true, assemblies record op-level software counters (wall
         time, derived bytes and Flops per tape op) into ``profiler`` --
@@ -193,10 +195,9 @@ class UnifiedAssembler:
             )
         self.plan = get_plan(self.mesh)
         self._kernel_params = self.params.as_kernel_params()
-        #: lazy per-scenario serial assemblers (interpreted batch path)
+        #: lazy per-scenario serial assemblers (interpreted batches and a
+        #: campaign's solo rows)
         self._scenario_assemblers: dict = {}
-        #: telemetry of the most recent :meth:`run_batch` call
-        self.last_batch: Optional[dict] = None
         self.packing = self.plan.packing(self.resolve_vector_dim())
 
     def resolve_vector_dim(self, variant_name: Optional[str] = None) -> int:
@@ -293,7 +294,8 @@ class UnifiedAssembler:
         return kern.execute(velocity, rhs, **kwargs)
 
     def _scenario_assembler(self, params: AssemblyParams) -> "UnifiedAssembler":
-        """Serial assembler for one scenario's params (interpreted batches)."""
+        """Serial assembler for one scenario's params (interpreted batches,
+        a campaign's solo rows)."""
         asm = self._scenario_assemblers.get(params)
         if asm is None:
             asm = UnifiedAssembler(
@@ -306,38 +308,6 @@ class UnifiedAssembler:
             )
             self._scenario_assemblers[params] = asm
         return asm
-
-    def _isolate_scenario(
-        self,
-        variant: Variant,
-        params: AssemblyParams,
-        velocity: np.ndarray,
-        vector_dim: int,
-    ) -> np.ndarray:
-        """Re-assemble one corrupted scenario on the resilience ladder.
-
-        The scenario leaves the batch alone: it climbs down the usual
-        ``mode -> ... -> reference`` degradation ladder (validated against
-        the vectorized reference on first sweep) while the surviving
-        scenarios' batched results are returned untouched.
-        """
-        from ..resilience.ladders import MODE_LADDER, ResilientAssembler, record_escalation
-
-        record_escalation(
-            "BatchIsolation",
-            "resilience.batch_isolations",
-            variant=variant.name,
-            mode=self.mode,
-        )
-        start = MODE_LADDER.index(self.mode) if self.mode in MODE_LADDER else 0
-        ladder = ResilientAssembler(
-            self.mesh,
-            params,
-            variant=variant.name,
-            modes=MODE_LADDER[start:],
-            vector_dim=vector_dim,
-        )
-        return ladder(self.mesh, velocity, params)
 
     def run_batch(
         self, variant_name: str, batch, velocity: np.ndarray
@@ -360,13 +330,9 @@ class UnifiedAssembler:
         tape replay / generated kernel with ``(S, lanes)`` buffers and a
         single scatter flush; ``interpreted`` mode is the reference
         serial loop.  Results are bit-identical per scenario to ``S``
-        independent :meth:`assemble` calls with the same configuration.
-
-        A scenario whose assembled RHS comes back non-finite (e.g. an
-        injected ``"assembler"`` fault) is re-assembled alone on the
-        resilience ladder; the other scenarios' batched results are
-        returned untouched.  Per-scenario telemetry lands in
-        :attr:`last_batch`.
+        independent :meth:`assemble` calls with the same configuration,
+        a non-finite row included: the sweep's bytes are returned as
+        computed, and the caller's own guards decide what a bad row means.
         """
         from .batch import ScenarioBatch
 
@@ -413,33 +379,6 @@ class UnifiedAssembler:
             if self.fault_plan is not None:
                 for s in range(S):
                     self.fault_plan.corrupt("assembler", rhs[s])
-            finite = [bool(np.isfinite(rhs[s]).all()) for s in range(S)]
-            isolated = []
-            for s in range(S):
-                if finite[s]:
-                    continue
-                v_s = velocity if velocity_rank == "vec" else velocity[s]
-                rhs[s] = self._isolate_scenario(
-                    variant, batch[s], v_s, vector_dim
-                )
-                isolated.append(s)
-            self.last_batch = {
-                "variant": variant.name,
-                "scenarios": S,
-                "mode": self.mode,
-                "executor": self.executor,
-                "vector_dim": vector_dim,
-                "velocity_rank": velocity_rank,
-                "isolated": tuple(isolated),
-                "per_scenario": [
-                    {
-                        "scenario": s,
-                        "finite_on_fast_path": finite[s],
-                        "isolated": s in isolated,
-                    }
-                    for s in range(S)
-                ],
-            }
         return rhs
 
     def trace(

@@ -52,6 +52,7 @@ from ..resilience.checkpoint import (
     prune_checkpoints,
     save_checkpoint,
 )
+from ..resilience.ladders import record_escalation
 from ..solvers.cg import scenario_rows
 from .momentum import AssemblyParams, assemble_momentum_rhs, kernel_rhs_assembler
 from .pressure import PressureSolver, ProjectionBasis, stacked_divergence
@@ -104,7 +105,6 @@ def resolve_assembler(
     spec: str,
     mesh: TetMesh,
     params: AssemblyParams,
-    fault_plan=None,
 ) -> Callable:
     """Resolve an assembler spec string to an RHS assembly callable.
 
@@ -113,29 +113,17 @@ def resolve_assembler(
     variant RSP) in the corresponding
     :class:`~repro.core.unified.UnifiedAssembler` mode; a
     ``":<VARIANT>"`` suffix (e.g. ``"codegen:RS"``) picks the variant.
-    ``"resilient[:VARIANT]"`` wraps the degradation ladder
-    (:class:`~repro.resilience.ladders.ResilientAssembler`): codegen,
-    validated against the reference on first sweep, degrading to
-    compiled, interpreted and finally reference if validation fails.
+    A non-finite sweep is not repaired here: the step's guards roll it back.
     """
     text = spec.strip().lower()
     if text == "reference":
         return assemble_momentum_rhs
     mode, _, variant = text.partition(":")
-    if mode == "resilient":
-        from ..resilience.ladders import ResilientAssembler
-
-        return ResilientAssembler(
-            mesh,
-            params,
-            variant=(variant or "RSP"),
-            fault_plan=fault_plan,
-        )
     if mode not in ("compiled", "codegen", "interpreted"):
         raise ValueError(
             f"unknown assembler spec {spec!r}; expected 'reference', "
-            "'compiled[:VARIANT]', 'codegen[:VARIANT]', "
-            "'interpreted[:VARIANT]' or 'resilient[:VARIANT]'"
+            "'compiled[:VARIANT]', 'codegen[:VARIANT]' or "
+            "'interpreted[:VARIANT]'"
         )
     return kernel_rhs_assembler(mesh, params, variant=(variant or "RSP"), mode=mode)
 
@@ -374,9 +362,8 @@ class FractionalStepSolver(_Driver):
         DSL kernel variants end-to-end -- or a string spec:
         ``"reference"`` (the default path), ``"codegen"`` / ``"compiled"``
         / ``"interpreted"`` (DSL assembly of the default RSP variant),
-        ``"codegen:RSP"`` / ``"interpreted:B"`` etc. to pick the variant,
-        or ``"resilient[:VARIANT]"`` for the degradation ladder that
-        starts at codegen -- resolved through :func:`resolve_assembler`.
+        or ``"codegen:RSP"`` / ``"interpreted:B"`` etc. to pick the
+        variant -- resolved through :func:`resolve_assembler`.
     sweeps_per_step:
         Runge-Kutta stages (3, matching the paper's runtime convention).
     max_dt_halvings:
@@ -422,7 +409,7 @@ class FractionalStepSolver(_Driver):
         self.dirichlet = list(dirichlet)
         self.fault_plan = fault_plan
         if isinstance(assemble, str):
-            assemble = resolve_assembler(assemble, mesh, params, fault_plan=fault_plan)
+            assemble = resolve_assembler(assemble, mesh, params)
         self.assemble = assemble or assemble_momentum_rhs
         self.pressure = pressure_solver or PressureSolver(mesh)
         self.sweeps = int(sweeps_per_step)
@@ -501,32 +488,38 @@ class FractionalStepSolver(_Driver):
         :class:`IntegrationError`.  A successful step commits state,
         counters and (when configured) the periodic checkpoint.
         """
-        dt_eff = _positive_dt(dt)
-        failure: Optional[_StageFailure] = None
+        return self._advance(_positive_dt(dt))
+
+    def _advance(
+        self, dt_eff: float, failure: Optional[_StageFailure] = None
+    ) -> StepReport:
+        """:meth:`advance`'s rollback loop.  ``failure`` is the guard trip of
+        an attempt already made at ``dt_eff`` (a detached campaign row's
+        lockstep attempt): it is this step's first rollback, so the loop
+        goes on at ``dt_eff / 2`` within the same budget."""
         for retry in range(self.max_dt_halvings + 1):
-            step_span = get_tracer().span(
-                "step", step=self.step_count + 1, dt=dt_eff, retry=retry
+            if retry or failure is None:
+                try:
+                    with get_tracer().span(
+                        "step", step=self.step_count + 1, dt=dt_eff, retry=retry
+                    ):
+                        (attempt,) = _attempt([self], self._sweep, dt_eff)
+                        if isinstance(attempt, _StageFailure):
+                            raise attempt
+                    break
+                except _StageFailure as exc:
+                    failure = exc
+            # _attempt left self untouched: "rollback" is simply keeping the
+            # pre-step state and shrinking dt.
+            record_escalation(
+                "Rollback",
+                "resilience.rollbacks",
+                step=self.step_count + 1,
+                stage=failure.stage,
+                reason=failure.reason,
+                dt=dt_eff,
             )
-            try:
-                with step_span:
-                    (attempt,) = _attempt([self], self._sweep, dt_eff)
-                    if isinstance(attempt, _StageFailure):
-                        raise attempt
-                break
-            except _StageFailure as exc:
-                # _attempt left self untouched: "rollback" is simply
-                # keeping the pre-step state and shrinking dt.
-                failure = exc
-                get_registry().counter("resilience.rollbacks").inc()
-                with get_tracer().span(
-                    "Rollback",
-                    step=self.step_count + 1,
-                    stage=exc.stage,
-                    reason=exc.reason,
-                    dt=dt_eff,
-                ):
-                    pass
-                dt_eff *= 0.5
+            dt_eff *= 0.5
         else:
             assert failure is not None
             raise IntegrationError(
@@ -668,11 +661,12 @@ class FractionalStepSolver(_Driver):
                 state.validate_against(self.mesh.nnode, self.mesh.nelem)
             except CheckpointError as exc:
                 last_error = exc
-                get_registry().counter("resilience.checkpoint_fallbacks").inc()
-                with get_tracer().span(
-                    "CheckpointFallback", path=path, reason=str(exc)
-                ):
-                    pass
+                record_escalation(
+                    "CheckpointFallback",
+                    "resilience.checkpoint_fallbacks",
+                    path=path,
+                    reason=str(exc),
+                )
                 continue
             return self._restore(state)
         raise CheckpointError(
@@ -700,8 +694,9 @@ class BatchCampaign(_Driver):
     (counted in ``resilience.batch_isolations`` with a
     ``BatchIsolation`` span) and from then on advances alone through the
     ordinary :meth:`FractionalStepSolver.advance` rollback machinery --
-    the surviving ``S - 1`` scenarios keep the batched fast path and
-    their results are untouched.
+    the failed lockstep attempt is its step's first rollback, so the row
+    rolls back exactly as its solo run would.  The surviving ``S - 1``
+    scenarios keep the batched fast path and their results are untouched.
 
     Parameters
     ----------
@@ -826,8 +821,6 @@ class BatchCampaign(_Driver):
 
     # ------------------------------------------------------------------
     def _detach(self, s: int, exc: _StageFailure) -> None:
-        from ..resilience.ladders import record_escalation
-
         record_escalation(
             "BatchIsolation",
             "resilience.batch_isolations",
@@ -843,8 +836,9 @@ class BatchCampaign(_Driver):
         Active scenarios share one batched assembly per RK sweep, then one
         block pressure solve, projection and set of guards
         (:func:`_finish_steps`).  A guard trip detaches that scenario (its
-        state is still pre-step) and hands it to its solo solver's rollback
-        loop -- other scenarios commit their batched results untouched.
+        state is still pre-step) and hands the failure to its solo solver's
+        rollback loop, which goes on at ``dt/2`` -- other scenarios commit
+        their batched results untouched.
         Previously detached scenarios advance solo.
         """
         from ..core.batch import ScenarioBatch
@@ -873,10 +867,10 @@ class BatchCampaign(_Driver):
                 for s, outcome in zip(active, outcomes):
                     sv = self.solvers[s]
                     if isinstance(outcome, _StageFailure):
-                        # sv state is still pre-step: detach and let the
-                        # solo rollback loop (dt-halving) handle it.
+                        # sv state is still pre-step: detach; the failed
+                        # lockstep attempt is its solo step's first rollback.
                         self._detach(s, outcome)
-                        reports[s] = sv.advance(dt)
+                        reports[s] = sv._advance(dt, outcome)
                     else:
                         reports[s] = sv._commit_step(dt, *outcome)
             for s in range(S):

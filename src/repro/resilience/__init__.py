@@ -8,16 +8,16 @@ pressure solve degrade a run, not kill it.  This package provides
   injection (:class:`FaultPlan`), the driver of every chaos test;
 * :mod:`~repro.resilience.checkpoint` -- atomic ``.npz`` checkpoints for
   bitwise-stable integrator restarts;
-* :mod:`~repro.resilience.ladders` -- degradation ladders: the
-  ``codegen -> compiled -> interpreted -> reference`` assembler chain
-  (:class:`ResilientAssembler`) and the shared escalation bookkeeping the
-  pressure-solver ladder uses.
+* :mod:`~repro.resilience.ladders` -- the ``codegen -> compiled ->
+  interpreted -> reference`` mode ladder the server's breaker walks and
+  :func:`record_escalation`, the one event every recovery site emits.
 
-Recovery machinery itself lives where the failures happen: checkpoint and
-rollback in :class:`repro.physics.fractional_step.FractionalStepSolver`,
-and the CG escalation ladder in :class:`repro.physics.pressure.PressureSolver`.
-Every recovery action is observable through the ``resilience.*`` counters
-(:data:`RESILIENCE_COUNTERS`) and marker spans.
+Recovery itself lives with whoever owns the job, once: checkpoint and
+rollback in :class:`repro.physics.fractional_step.FractionalStepSolver`
+(a campaign's detached row included), the CG escalation ladder in
+:class:`repro.physics.pressure.PressureSolver`, and the mode ladder in
+:mod:`repro.server.service`.  Every recovery action is observable through
+a ``resilience.*`` counter and a marker span.
 """
 
 from .cancel import CancelToken, CooperativeCancel
@@ -31,26 +31,16 @@ from .checkpoint import (
     prune_checkpoints,
     save_checkpoint,
 )
-from .faults import (
-    RECOVERY_COUNTERS,
-    RESILIENCE_COUNTERS,
-    FaultPlan,
-    FaultSpec,
-    fault_seed_from_env,
-)
-from .ladders import AssemblyDegraded, ResilientAssembler, record_escalation
+from .faults import FaultPlan, FaultSpec, fault_seed_from_env
+from .ladders import record_escalation
 
 __all__ = [
-    "AssemblyDegraded",
     "CancelToken",
     "CheckpointError",
     "CheckpointState",
     "CooperativeCancel",
     "FaultPlan",
     "FaultSpec",
-    "RECOVERY_COUNTERS",
-    "RESILIENCE_COUNTERS",
-    "ResilientAssembler",
     "checkpoint_name",
     "fault_seed_from_env",
     "latest_checkpoint",

@@ -25,7 +25,6 @@ run can prove both that faults happened *and* that they were recovered.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import time
@@ -39,37 +38,8 @@ from ..obs.metrics import get_registry
 __all__ = [
     "FaultSpec",
     "FaultPlan",
-    "RESILIENCE_COUNTERS",
     "fault_seed_from_env",
 ]
-
-#: Every counter the resilience layer increments.  Pre-registered at zero,
-#: they make a fault-free run export an explicit all-zero baseline.
-RESILIENCE_COUNTERS = (
-    "resilience.faults_injected",
-    "resilience.rollbacks",
-    "resilience.checkpoints",
-    "resilience.checkpoint_fallbacks",
-    "resilience.solver_escalations",
-    "resilience.assembler_degradations",
-    "resilience.batch_isolations",
-    "resilience.validations",
-    "resilience.breaker_trips",
-    "resilience.breaker_reroutes",
-    "resilience.breaker_resets",
-)
-
-#: Counters that indicate a recovery action was taken (subset of
-#: :data:`RESILIENCE_COUNTERS`; nonzero in a fault-free run means silent
-#: degradation).
-RECOVERY_COUNTERS = (
-    "resilience.rollbacks",
-    "resilience.solver_escalations",
-    "resilience.assembler_degradations",
-    "resilience.checkpoint_fallbacks",
-    "resilience.breaker_trips",
-)
-
 
 def fault_seed_from_env(default: int = 1234) -> int:
     """The chaos-suite seed: ``REPRO_FAULT_SEED`` or ``default``."""
@@ -95,9 +65,9 @@ class FaultSpec:
         ``"server_client"`` (slow client, delayed response write) and
         ``"server_exec"`` (executor crash / slowdown while running a job).
     kind:
-        ``"crash"``/``"exit"`` -- fail the running job; ``"hang"``/
-        ``"slow"`` -- stall ``delay`` seconds, capped by the site, then
-        continue; ``"nan"``/``"inf"`` -- corrupt one array lane;
+        ``"crash"`` -- fail the running job; ``"slow"`` -- stall
+        ``delay`` seconds, capped by the site, then continue;
+        ``"nan"``/``"inf"`` -- corrupt one array lane;
         ``"breakdown"`` -- sabotage a CG matvec into non-SPD territory;
         ``"corrupt"`` -- garble a request byte stream
         (:meth:`FaultPlan.corrupt_bytes`); ``"poison"`` -- corrupt a
@@ -105,7 +75,7 @@ class FaultSpec:
     index:
         Fire on the ``index``-th occurrence of the site.
     delay:
-        Stall seconds for ``"slow"``/``"hang"`` (0: the site's cap).
+        Stall seconds for ``"slow"`` (0: the site's cap).
     """
 
     site: str
@@ -115,8 +85,6 @@ class FaultSpec:
 
     _KINDS = (
         "crash",
-        "exit",
-        "hang",
         "slow",
         "nan",
         "inf",
@@ -236,16 +204,3 @@ class FaultPlan:
         garbled[offset] ^= mask
         self._record(spec, index, offset=offset, mask=mask)
         return bytes(garbled), True
-
-    # -- reporting -------------------------------------------------------
-    def write_event_log(self, path: str) -> str:
-        """Append-free JSONL dump of every fault fired in this process."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
-        return path
-
-    def reset(self) -> None:
-        """Forget occurrence counters and events (fresh campaign)."""
-        self._counts.clear()
-        self.events.clear()

@@ -331,7 +331,7 @@ class CampaignServer:
         # one slow reader cannot wedge the accept loop.
         if self.fault_plan is not None:
             spec = self.fault_plan.draw("server_client")
-            if spec is not None and spec.kind in ("slow", "hang"):
+            if spec is not None and spec.kind == "slow":
                 await asyncio.sleep(
                     min(spec.delay or self.config.slow_client_s,
                         self.config.slow_client_s)
@@ -499,7 +499,7 @@ class CampaignServer:
         # check below turns an over-long stall into a typed rejection).
         if self.fault_plan is not None:
             spec = self.fault_plan.draw("server_queue")
-            if spec is not None and spec.kind in ("hang", "slow"):
+            if spec is not None and spec.kind == "slow":
                 await asyncio.sleep(
                     min(spec.delay or self.config.max_stall_s,
                         self.config.max_stall_s)
@@ -565,10 +565,10 @@ class CampaignServer:
         if self.fault_plan is not None:
             spec = self.fault_plan.draw("server_exec")
             if spec is not None:
-                if spec.kind in ("slow", "hang"):
+                if spec.kind == "slow":
                     time.sleep(min(spec.delay or self.config.max_stall_s,
                                    self.config.max_stall_s))
-                elif spec.kind in ("crash", "exit"):
+                elif spec.kind == "crash":
                     raise ProtocolError(
                         "internal", "injected executor crash"
                     )

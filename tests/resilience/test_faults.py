@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.resilience import (
-    RECOVERY_COUNTERS,
-    RESILIENCE_COUNTERS,
-    FaultPlan,
-    FaultSpec,
-    fault_seed_from_env,
-)
+from repro.resilience import FaultPlan, FaultSpec, fault_seed_from_env
 
 
 @pytest.fixture(autouse=True)
@@ -26,11 +20,6 @@ def _fresh_registry():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown fault kind"):
         FaultSpec(site="cg", kind="gremlin")
-
-
-def test_recovery_counters_are_a_subset():
-    assert set(RECOVERY_COUNTERS) < set(RESILIENCE_COUNTERS)
-    assert "resilience.faults_injected" not in RECOVERY_COUNTERS
 
 
 def test_seed_from_env(monkeypatch):
@@ -95,16 +84,3 @@ def test_plan_roundtrips_through_pickle():
         assert plan.corrupt("assembler", a) == clone.corrupt("assembler", b)
         assert np.array_equal(np.isnan(a), np.isnan(b))
     assert np.isnan(a).sum() == 1
-
-
-def test_event_log_jsonl(tmp_path):
-    import json
-
-    plan = FaultPlan.single("cg", "breakdown")
-    plan.draw("cg")
-    path = plan.write_event_log(str(tmp_path / "faults.jsonl"))
-    lines = [json.loads(x) for x in open(path, encoding="utf-8")]
-    assert len(lines) == 1
-    assert lines[0]["site"] == "cg" and lines[0]["kind"] == "breakdown"
-    plan.reset()
-    assert plan.events == [] and plan.draw("cg") is not None

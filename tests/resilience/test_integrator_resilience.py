@@ -190,10 +190,10 @@ def test_cfl_still_positive_on_healthy_mesh(mesh):
 
 
 def test_resolve_assembler_resilient_spec(mesh, params):
-    from repro.resilience import ResilientAssembler
-
-    asm = resolve_assembler("resilient:RS", mesh, params)
-    assert isinstance(asm, ResilientAssembler)
-    assert asm.variant == "RS" and asm.mode == "codegen"
-    with pytest.raises(ValueError, match="unknown assembler spec"):
-        resolve_assembler("quantum", mesh, params)
+    """The spec set has no self-repairing assembler: a step's guards own a
+    non-finite sweep, and an unknown spec names the accepted ones."""
+    for spec in ("resilient", "resilient:RS", "quantum"):
+        with pytest.raises(ValueError, match="unknown assembler spec") as err:
+            resolve_assembler(spec, mesh, params)
+        assert "'codegen[:VARIANT]'" in str(err.value)
+        assert "resilient[" not in str(err.value)

@@ -1,17 +1,12 @@
-"""Degradation ladders: pressure-solver escalation and assembler rungs."""
+"""The pressure-solver ladder: escalation rungs and their events."""
 
 import numpy as np
 import pytest
 
 from repro.fem import box_tet_mesh
-from repro.physics.momentum import AssemblyParams, assemble_momentum_rhs
+from repro.physics.momentum import AssemblyParams
 from repro.physics.pressure import PressureSolver
-from repro.resilience import (
-    AssemblyDegraded,
-    FaultPlan,
-    ResilientAssembler,
-    fault_seed_from_env,
-)
+from repro.resilience import FaultPlan, fault_seed_from_env
 from repro.solvers.cg import SolverError
 
 SEED = fault_seed_from_env()
@@ -31,9 +26,6 @@ def params():
 def velocity(mesh):
     rng = np.random.default_rng(11)
     return 0.05 * rng.standard_normal((mesh.nnode, 3))
-
-
-# -- pressure ladder ----------------------------------------------------------
 
 
 def test_clean_solve_serves_from_rung_zero(mesh, velocity, params, telemetry):
@@ -75,71 +67,3 @@ def test_max_rung_zero_preserves_seed_behaviour(mesh, velocity, params):
     solver = PressureSolver(mesh, tol=1e-14, maxiter=1, max_rung=0)
     result = solver.solve(velocity, params.density, dt=0.01)
     assert not result.converged and result.rung == 0
-
-
-# -- assembler ladder ---------------------------------------------------------
-
-
-def test_ladder_validates_and_stays_on_codegen(mesh, velocity, params, telemetry):
-    _, registry = telemetry
-    asm = ResilientAssembler(mesh, params)
-    rhs = asm(mesh, velocity, params)
-    assert asm.mode == "codegen"
-    ref = assemble_momentum_rhs(mesh, velocity, params)
-    assert np.allclose(rhs, ref, rtol=1e-8, atol=1e-12)
-    snap = registry.snapshot()
-    assert snap["resilience.validations"]["value"] == 1.0
-    # second sweep: validated rung is trusted, no second reference assembly
-    asm(mesh, velocity, params)
-    assert registry.snapshot()["resilience.validations"]["value"] == 1.0
-
-
-def test_corrupted_kernel_degrades_to_compiled(mesh, velocity, params, telemetry):
-    tracer, registry = telemetry
-    plan = FaultPlan.single("assembler", "nan", seed=SEED)
-    asm = ResilientAssembler(mesh, params, fault_plan=plan)
-    rhs = asm(mesh, velocity, params)
-    assert asm.mode == "compiled"
-    ref = assemble_momentum_rhs(mesh, velocity, params)
-    assert np.allclose(rhs, ref, rtol=1e-8, atol=1e-12)
-    snap = registry.snapshot()
-    assert snap["resilience.assembler_degradations"]["value"] == 1.0
-    spans = [s for s in tracer.export() if s["name"] == "AssemblerDegradation"]
-    assert len(spans) == 1
-    assert spans[0]["attributes"]["from_mode"] == "codegen"
-    assert spans[0]["attributes"]["to_mode"] == "compiled"
-
-
-def test_all_fast_rungs_corrupt_lands_on_reference(mesh, velocity, params, telemetry):
-    _, registry = telemetry
-    plan = FaultPlan(
-        [
-            FaultPlan.single("assembler", "nan", index=0).specs[0],
-            FaultPlan.single("assembler", "inf", index=1).specs[0],
-            FaultPlan.single("assembler", "nan", index=2).specs[0],
-        ],
-        seed=SEED,
-    )
-    asm = ResilientAssembler(mesh, params, fault_plan=plan)
-    rhs = asm(mesh, velocity, params)
-    assert asm.mode == "reference"
-    assert np.array_equal(rhs, assemble_momentum_rhs(mesh, velocity, params))
-    snap = registry.snapshot()
-    assert snap["resilience.assembler_degradations"]["value"] == 3.0
-
-
-def test_ladder_binding_and_rung_validation(mesh, velocity, params):
-    asm = ResilientAssembler(mesh, params)
-    other = box_tet_mesh(2, 2, 2)
-    with pytest.raises(ValueError, match="bound to the mesh"):
-        asm(other, velocity, params)
-    with pytest.raises(ValueError, match="bound to its construction params"):
-        asm(mesh, velocity, AssemblyParams(viscosity=123.0))
-    with pytest.raises(ValueError, match="must end on 'reference'"):
-        ResilientAssembler(mesh, params, modes=("compiled",))
-    with pytest.raises(ValueError, match="unknown assembler rung"):
-        ResilientAssembler(mesh, params, modes=("quantum", "reference"))
-
-
-def test_assembly_degraded_is_exported():
-    assert issubclass(AssemblyDegraded, RuntimeError)

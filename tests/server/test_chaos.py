@@ -38,7 +38,9 @@ def _serve(fault_plan, config=None):
     return server, handle, CampaignClient(port=handle.port, timeout=60)
 
 
-def _direct_sha(velocity_seed):
+def _direct_sha(velocity_seed, forcings=None):
+    """sha256 of the direct library call: one ``assemble``, or ``run_batch``
+    over the ``forcings`` (one z body force per scenario)."""
     from repro.core.unified import UnifiedAssembler
     from repro.fem.meshgen import box_tet_mesh
     from repro.physics.momentum import AssemblyParams
@@ -47,9 +49,12 @@ def _direct_sha(velocity_seed):
     velocity = 0.1 * np.random.default_rng(velocity_seed).standard_normal(
         (mesh.nnode, 3)
     )
-    rhs = UnifiedAssembler(mesh, AssemblyParams(), mode="compiled").assemble(
-        "RSP", velocity
-    )
+    asm = UnifiedAssembler(mesh, AssemblyParams(), mode="compiled")
+    if forcings is None:
+        rhs = asm.assemble("RSP", velocity)
+    else:
+        params = [AssemblyParams(body_force=(0.0, 0.0, f)) for f in forcings]
+        rhs = asm.run_batch("RSP", params, velocity)
     return hashlib.sha256(np.ascontiguousarray(rhs).tobytes()).hexdigest()
 
 
@@ -158,18 +163,24 @@ def test_exec_crash_is_typed_internal_and_server_stays_available():
 # in-server degradation: assembler fault -> breaker rung below, job OK
 # ---------------------------------------------------------------------------
 
-def test_assembler_fault_degrades_mode_and_still_serves():
+@pytest.mark.parametrize("kind", ["assemble", "batch"])
+def test_assembler_fault_degrades_mode_and_still_serves(kind):
+    """A NaN from the codegen rung is recovered once, by the server's mode
+    ladder: the job is served by a lower rung and says it degraded."""
     plan = FaultPlan.single("assembler", "nan", seed=SEED, index=0)
     server, handle, client = _serve(plan)
+    forcings = (0.1, 0.2, 0.3) if kind == "batch" else None
+    req = {"kind": kind, "mesh": MESH, "mode": "codegen", "velocity_seed": 8}
+    if forcings:
+        req["scenarios"] = [{"body_force": [0.0, 0.0, f]} for f in forcings]
     try:
         degradations = _count("resilience.assembler_degradations")
-        resp = client.run({"kind": "assemble", "mesh": MESH,
-                           "mode": "codegen", "velocity_seed": 8})
+        resp = client.run(req)
         assert resp["result"]["degraded"] is True
         assert resp["result"]["mode"] != "codegen"
         assert _count("resilience.assembler_degradations") == degradations + 1
         # the degraded rung still produces the exact reference numbers
-        assert resp["result"]["sha256"] == _direct_sha(8)
+        assert resp["result"]["sha256"] == _direct_sha(8, forcings)
     finally:
         handle.stop()
 
