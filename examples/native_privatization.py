@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from repro.core import UnifiedAssembler, native, variant_names
+from repro.core import ScenarioBatch, UnifiedAssembler, native, variant_names
 from repro.core.codegen import _lower_mesh, generated_kernel
 from repro.core.passes import front_end
 from repro.core.tape import _record
@@ -22,14 +22,15 @@ VD, REPEATS = 16, 15
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 24
 mesh, params = box_tet_mesh(n, n, n), AssemblyParams(body_force=(0.05, -0.1, 0.2))
 asm = UnifiedAssembler(mesh, params, mode="codegen", vector_dim=VD)
+batch = ScenarioBatch([params])  # a solo sweep is the one-scenario batch
 u = 0.1 * np.random.default_rng(0).standard_normal((mesh.nnode, 3))
 print(f"{mesh.nelem} tets, vector_dim {VD}; best of {REPEATS}, interleaved")
 print(f"{'variant':8s} {'rows':>5s} {'private ms':>11s} {'rows ms':>9s} {'private : rows':>15s}"
       f" {'fused ms':>9s} {'deferred ms':>12s} {'deferred : fused':>17s}")
 for name in variant_names():
     want = asm.assemble(name, u)  # binds the kernel and refreshes its inputs
-    kern = generated_kernel(asm.plan, name, VD, kernel_params=params.as_kernel_params())
-    front = front_end(_record(name, params.as_kernel_params(), 4)[1], hoist=True)
+    kern = generated_kernel(asm.plan, name, VD, batch)
+    front = front_end(_record(name, batch)[1], hoist=True)
     low, arena, best = _lower_mesh(front), np.empty((kern.program.nslab_vec, VD)), {}
     calls = {}
     for storage in ("private", "rows"):
@@ -46,7 +47,7 @@ for name in variant_names():
         fn(0, kern.ngroups, *args)
         best[storage] = min(best.get(storage, 1.0), time.perf_counter() - t0)
         got = np.zeros_like(want)
-        kern._flush(got)
+        kern._flush(got[None])
         assert got.tobytes() == want.tobytes(), (name, storage)
     assert kern.build_native(wait=True) and asm.assemble(name, u).tobytes() == want.tobytes()
     # the adopted C function as it serves (its group ranges scatter immediately, the
@@ -60,7 +61,7 @@ for name in variant_names():
             kern._native._fn(0, kern.ngroups, *kern._native._args, kern._values.ctypes.data,
                              None, None)
         got = np.zeros_like(want)
-        kern._flush(got)
+        kern._flush(got[None])
         best[placement] = min(best.get(placement, 1.0), time.perf_counter() - t0)
         assert got.tobytes() == want.tobytes(), (name, placement)
     print(f"{name:8s} {kern.program.nslab_vec:5d} {best['private'] * 1e3:11.2f} "

@@ -26,7 +26,7 @@ coordinate / velocity columns, ``(S, 1)`` scenario rows, deferred scatter
 values and the plan's scatter pattern of one ``(plan, packing)`` pair,
 plus the lock that makes a plan-cached kernel safe to call from two jobs.
 How many scenarios a kernel sweeps and over which mesh are arguments of
-this binding, not kinds of kernel.
+this binding, not kinds of kernel: a solo sweep is the ``S = 1`` batch.
 """
 
 from __future__ import annotations
@@ -104,18 +104,15 @@ def plan_cached(plan, store: str, key, vector_dim, batch, make):
     """The bound kernel under ``key`` in the plan's ``store`` (``"tape"``
     or ``"codegen"``), built by ``make(packing)`` on a miss."""
     kern, event = getattr(plan, f"cached_{store}")(key), "cache_hits"
-    batched = batch is not None
     if kern is None:
         event = "compiles"
         with get_tracer().span(
-            f"{store}.compile" + "_batch" * batched,
-            variant=key[0],
-            vector_dim=int(vector_dim),
-            scenarios=batch.size if batched else 1,
+            f"{store}.compile", variant=key[0], vector_dim=int(vector_dim),
+            scenarios=batch.size,
         ):
             kern = make(plan.packing(int(vector_dim)))
         getattr(plan, f"store_{store}")(key, kern)
-    get_registry().counter(f"{store}.{'batch_' * batched}{event}").inc()
+    get_registry().counter(f"{store}.{event}").inc()
     return kern
 
 
@@ -129,12 +126,11 @@ class MeshBound:
     the deferred scatter values and the scatter index pattern shared
     through ``plan`` under the ``(variant, vector_dim)`` key,
     so an interpreted, a compiled and a generated sweep of one
-    configuration build the pattern once between them.  A serial binding
-    (``batched=False``) has no scenario axis: values ``(ngroups, ncalls,
-    vector_dim)``, whose C-order flattening reproduces the accumulator's
-    group-major temporal order, and an ``(nnode, 3)`` RHS; a batch adds a
-    leading ``S`` axis to both (``S = 1`` included -- the same memory, one
-    more dimension).  ``_scatter == "fused"`` marks a sweep whose kernel
+    configuration build the pattern once between them.  Values are ``(S,
+    ngroups, ncalls, vector_dim)``, each scenario's C-order flattening
+    reproducing the accumulator's group-major temporal order, and the RHS
+    ``(S, nnode, 3)``: a solo sweep is the ``S = 1`` batch, its caller's
+    ``(nnode, 3)`` RHS viewed as ``rhs[None]``.  ``_scatter == "fused"`` marks a sweep whose kernel
     (:mod:`repro.core.native`) already reduced into ``_acc``; ``_values``
     is allocated by its first deferred sweep.
 
@@ -167,21 +163,19 @@ class MeshBound:
     #: each spill row's node, and its three entries' flat indices (none: no split)
     _spill = _spill_at = np.zeros(0, dtype=np.int64)
 
-    def __init__(self, program, plan, packing, batched: bool = False) -> None:
+    def __init__(self, program, plan, packing) -> None:
         self.program = program
         self.plan = plan
         self.packing = packing
         self.profiler = NULL_PROFILER
         self.lock = threading.Lock()
-        #: whether sweeps carry a scenario axis (names the telemetry too)
-        self.batched = bool(batched)
         mesh = plan.mesh
         self.nnode = int(mesh.nnode)
         self.ncomp = 3
         self.ngroups = packing.ngroups
         self.vector_dim = int(packing.vector_dim)
         self.nlane = self.ngroups * self.vector_dim
-        #: scenarios per sweep; a serial binding is ``S = 1`` without the axis
+        #: scenarios per sweep
         self.S = int(program.scenarios)
         nnpe = program.nnode_per_element
         ncalls = self._ncalls = len(program.scatter_calls)
@@ -217,12 +211,11 @@ class MeshBound:
         self._pattern = pattern
 
         self._sv: Optional[np.ndarray] = None
-        axis = (self.S,) if batched else ()
-        self._values_shape: Tuple[int, ...] = axis + shape
-        self._rhs_shape: Tuple[int, ...] = axis + (self.nnode, self.ncomp)
+        self._values_shape: Tuple[int, ...] = (self.S,) + shape
+        self._rhs_shape: Tuple[int, ...] = (self.S, self.nnode, self.ncomp)
         self._velocity_shape: Tuple[int, ...] = (self.nnode, 3)
         if program.velocity_rank == "full":
-            self._velocity_shape = axis + self._velocity_shape
+            self._velocity_shape = (self.S,) + self._velocity_shape
         self._vcols = aligned_empty((3,) + self._velocity_shape[:-1])
 
     @property
@@ -247,9 +240,8 @@ class MeshBound:
     def _count(self) -> None:
         registry = get_registry()
         prefix = self._span.partition(".")[0]
-        registry.counter(f"{prefix}.{'batch_' * self.batched}executions").inc()
-        if self.batched:
-            registry.counter(f"{prefix}.batch_scenarios").inc(self.S)
+        registry.counter(f"{prefix}.executions").inc()
+        registry.counter(f"{prefix}.scenarios").inc(self.S)
         registry.counter(f"{prefix}.lanes_executed").inc(self.nlane)
 
     def _chunks(self, cg: int) -> list:
@@ -280,6 +272,8 @@ class MeshBound:
         velocity = self._check_velocity(velocity)
         if rhs is None:
             rhs = np.zeros(self._rhs_shape)
+        elif rhs.shape != self._rhs_shape:
+            raise ValueError(f"rhs must be {self._rhs_shape}, got {rhs.shape}")
         nthreads = 1
         if executor == "threads":
             nthreads = threads.resolve_num_threads(num_threads)
@@ -291,8 +285,7 @@ class MeshBound:
             # this caller's, for this sweep: the kernel is shared
             self.profiler = NULL_PROFILER if profiler is None else profiler
             with get_tracer().span(
-                self._span + "_batch" * self.batched
-                + "_chunked" * (executor == "threads"),
+                self._span + "_chunked" * (executor == "threads"),
                 variant=self.program.variant,
                 scenarios=self.S,
                 vector_dim=self.vector_dim,
@@ -324,9 +317,9 @@ class MeshBound:
         param_rows=None,
         profiler=None,
     ) -> np.ndarray:
-        """Assemble the momentum RHS -- ``(nnode, 3)``, or ``(S, nnode,
-        3)`` for a batch, whose varying values ``param_rows`` carries --
-        accumulating into ``rhs`` in place."""
+        """Assemble the momentum RHS ``(S, nnode, 3)`` of the batch whose
+        varying values ``param_rows`` carries, accumulating into ``rhs`` in
+        place."""
         return self._sweep("serial", velocity, rhs, chunk_groups, None, param_rows, profiler)
 
     def execute_chunked(
@@ -381,14 +374,14 @@ class MeshBound:
                 np.copyto(Q[out], ref(a), where=m)
 
     def _flush(self, rhs: np.ndarray, profile=None) -> None:
-        """Reduce this sweep's scatter values into ``rhs``: the (per
-        scenario) ``bincount`` of :mod:`repro.fem.plan`, or the accumulator
-        a fused sweep reduced into -- ``(0 + contributions) + rhs`` both."""
-        from ..fem.plan import flush_batch, flush_pattern
+        """Reduce this sweep's scatter values into ``rhs``: one ``bincount``
+        of :mod:`repro.fem.plan` per scenario row over the one shared
+        pattern, or the accumulator a fused sweep reduced into -- ``(0 +
+        contributions) + rhs`` both."""
+        from ..fem.plan import flush_pattern
         from ..parallel import threads
 
-        name = "scatter.flush_batch" if self.batched else "scatter.flush"
-        with get_tracer().span(name, variant=self.program.variant, scenarios=self.S):
+        with get_tracer().span("scatter.flush", variant=self.program.variant, scenarios=self.S):
             t0 = time.perf_counter()
             if self._scatter == "fused":
                 threads.replay_spill(self._acc, self._spill_at, 3 * self.nnode)
@@ -397,9 +390,9 @@ class MeshBound:
                 counter("scatter.fused_sweeps").inc()
                 counter("scatter.values_reduced").inc(math.prod(self._values_shape))
                 return
-            flush = flush_batch if self.batched else flush_pattern
-            values = self._values.reshape(*self._values_shape[:-3], -1)
-            flush(self._pattern, values, rhs, self.nnode, self.ncomp)
+            values = self._values.reshape(self.S, -1)
+            for row, out in zip(values, rhs):
+                flush_pattern(self._pattern, row, out, self.nnode, self.ncomp)
             if profile is not None:
                 # values read + int64 index read + rhs accumulate traffic
                 moved = 2.0 * values.nbytes + rhs.nbytes

@@ -53,11 +53,11 @@ embedded via ``repr(float(x))`` -- shortest round-trip repr is exact for
 float64 -- with non-finite values spelled ``float('inf')`` etc.
 
 One :class:`CodegenProgram`, one :func:`generate_program` and one
-:class:`GeneratedKernel` serve every caller: a scenario batch is the same
-lowering with some parameters left symbolic (``S = 1`` the degenerate
-batch, every value rank-1).  Generated source is fully deterministic
-(all set iterations are sorted), so equal programs carry byte-identical
-source and the module-level code cache (:data:`_CODE_CACHE`) guarantees a
+:class:`GeneratedKernel` serve every caller: every program is of a
+scenario batch, its varying parameters left symbolic, and a solo sweep is
+the ``S = 1`` batch, every value rank-1.  Generated source is fully
+deterministic (all set iterations are sorted), so equal programs carry
+byte-identical source and the module-level code cache (:data:`_CODE_CACHE`) guarantees a
 cache hit never re-``exec``\\ s.
 
 Set ``REPRO_CODEGEN_DUMP=<dir>`` to dump every generated module to
@@ -87,13 +87,7 @@ from .passes import UFUNC_NAMES as _UFUNC_NAMES
 from .passes import Front, assign_rows, front_end
 from .passes import is_scalar as _is_scalar
 from .passes import reads as _reads
-from .tape import (
-    TapeReport,
-    _make_report,
-    _record,
-    _recording_args,
-    tape_cache_key,
-)
+from .tape import TapeReport, _make_report, _record, tape_cache_key
 
 __all__ = [
     "MAX_FUSE_DEPTH",
@@ -333,7 +327,7 @@ def _stmt_costs(
     """Per-statement ``(kind, label, rb, wb, fl)`` profiler cost slots, in
     units of the *root's* lanes.  A fused statement reports the summed
     bytes/FLOPs of its constituent ops, labelled ``<root>+<k>`` for ``k``
-    inlined ops (a serial program is the all-``vec``, ``S = 1`` case).
+    inlined ops (a solo sweep's program is the all-``vec``, ``S = 1`` case).
 
     The timed kernel records ``S * n`` lanes for full-rank statements and
     ``n`` for rank-1 ones; a rank-1 op fused inside a full-rank statement
@@ -385,11 +379,12 @@ def _stmt_costs(
 #
 # A recording keeps a batch's varying runtime parameters symbolic as
 # ("rp", name, out) ops, giving every SSA value a rank on the lattice
-# srow (S, 1) < {vec (lanes,), full (S, lanes)}; a serial recording is
-# the all-vec case.  The shared front end (repro.core.passes.front_end)
-# infers the ranks and peels the all-srow prefix into a tiny
-# Python-evaluated parameter stage (MeshBound evaluates it into
-# persistent (S, 1) rows Q); this back end adds two rank-aware twists:
+# srow (S, 1) < {vec (lanes,), full (S, lanes)}; a solo sweep's S = 1
+# recording is the all-vec case.  The shared front end
+# (repro.core.passes.front_end) infers the ranks and peels the all-srow
+# prefix into a tiny Python-evaluated parameter stage (MeshBound
+# evaluates it into persistent (S, 1) rows Q); this back end adds two
+# rank-aware twists:
 #
 # * slab rows are assigned from two pools -- rank-1 rows BV and (S, n)
 #   rows BF -- and every value, fused or not, draws from the pool of
@@ -415,7 +410,7 @@ class CodegenProgram:
     read per statement; ``n``/``ns`` are the chunk's rank-1 / full lane
     counts).  ``param_ops`` is the Python-evaluated ``(S, 1)``
     scenario-row stage in the exact :class:`~repro.core.tape.TapeProgram`
-    format.  A serial recording is the ``scenarios = 1``,
+    format.  A solo sweep's program is the ``scenarios = 1``,
     ``velocity_rank = "vec"`` case: no ``Q`` rows, ``nslab_full = 0``.
     Re-compilation is exact: the emission is deterministic, so equal
     configurations produce equal source strings and hit the module-level
@@ -423,7 +418,7 @@ class CodegenProgram:
     """
 
     variant: str
-    params_key: tuple  # kernel params, or a batch's cache_key()
+    params_key: tuple  # the batch's cache_key()
     scenarios: int
     velocity_rank: str
     vector_dim: int
@@ -536,27 +531,22 @@ def _module(header: str, setup_lines: List[str], prologue: List[str],
 def generate_program(
     variant_name: str,
     vector_dim: int,
-    kernel_params: Optional[Dict[str, float]] = None,
+    batch,
     nnode_per_element: int = 4,
-    batch=None,
     velocity_rank: str = "vec",
 ) -> CodegenProgram:
-    """Lower one variant to a generated source module; with ``batch`` (a
-    :class:`~repro.core.batch.ScenarioBatch`) to a scenario-batched one,
-    its varying parameters symbolic and, for ``velocity_rank="full"``,
-    its velocities per scenario."""
+    """Lower one variant to a generated source module for ``batch`` (a
+    :class:`~repro.core.batch.ScenarioBatch`; a solo sweep's is the
+    ``S = 1`` batch): its varying parameters symbolic and, for
+    ``velocity_rank="full"``, its velocities per scenario."""
     from . import native
 
     vd = int(vector_dim)
-    params, varying, key, S = _recording_args(kernel_params, batch)
-    batched = batch is not None
+    S = batch.size
     with get_tracer().span(
-        "codegen.generate" + "_batch" * batched,
-        variant=variant_name.upper(), vector_dim=vd, scenarios=S,
+        "codegen.generate", variant=variant_name.upper(), vector_dim=vd, scenarios=S
     ):
-        variant, recorder = _record(
-            variant_name, params, nnode_per_element, varying
-        )
+        variant, recorder = _record(variant_name, batch, nnode_per_element)
         front = front_end(recorder, velocity_rank, hoist=True)
         low = _lower_mesh(front)
         prod, fused, pin_index = front.prod, low.body_fused, low.pin_index
@@ -627,7 +617,7 @@ def generate_program(
         )
         program = CodegenProgram(
             variant=variant.name,
-            params_key=key,
+            params_key=batch.cache_key(),
             scenarios=S,
             velocity_rank=velocity_rank,
             vector_dim=vd,
@@ -652,7 +642,7 @@ def generate_program(
             ),
         )
     get_registry().counter("codegen.generates").inc()
-    _maybe_dump(f"{variant.name}_vd{vd}" + f"_S{S}" * batched, program)
+    _maybe_dump(f"{variant.name}_vd{vd}" + f"_S{S}" * (S > 1), program)
     return program
 
 
@@ -724,8 +714,8 @@ class GeneratedKernel(MeshBound):
     _span = "codegen.execute"
     _mode = "codegen"
 
-    def __init__(self, program: CodegenProgram, plan, packing, batched: bool = False) -> None:
-        super().__init__(program, plan, packing, batched)
+    def __init__(self, program: CodegenProgram, plan, packing) -> None:
+        super().__init__(program, plan, packing)
         if self.vector_dim != program.vector_dim:
             raise ValueError(
                 f"program generated for vector_dim={program.vector_dim}, "
@@ -823,18 +813,12 @@ class GeneratedKernel(MeshBound):
 
 
 def generated_kernel(
-    plan,
-    variant_name: str,
-    vector_dim: int,
-    kernel_params: Optional[Dict[str, float]] = None,
-    batch=None,
-    velocity_rank: str = "vec",
+    plan, variant_name: str, vector_dim: int, batch, velocity_rank: str = "vec"
 ) -> GeneratedKernel:
     """The plan-cached :class:`GeneratedKernel` for one configuration,
     stored next to the compiled tapes under the same
     :func:`~repro.core.tape.tape_cache_key`."""
-    key = tape_cache_key(variant_name, vector_dim, kernel_params, batch, velocity_rank)
+    key = tape_cache_key(variant_name, vector_dim, batch, velocity_rank)
     return plan_cached(plan, "codegen", key, vector_dim, batch, lambda packing: GeneratedKernel(
-        generate_program(key[0], int(vector_dim), kernel_params, batch=batch,
-                         velocity_rank=velocity_rank),
-        plan, packing, batched=batch is not None))
+        generate_program(key[0], vector_dim, batch, velocity_rank=velocity_rank),
+        plan, packing))

@@ -86,7 +86,7 @@ def emit_c(low, front, *, vector_dim: int, scenarios: int = 1,
            header: str = "") -> str:
     """Print a lowering's statements (``_Stmt.tree`` order, ``_stmt_rows``
     rows) as one C function over groups ``[g0, g1)``, one C statement per
-    ufunc call.  ``S = 1`` is the serial kernel; a batch runs its rank-1
+    ufunc call.  ``S = 1`` is a solo sweep's kernel; a batch runs its rank-1
     statements once per lane block ahead of the scenario loop and stashes,
     by value id, what the per-scenario ones read of them (each phase keeps
     the schedule's order, so a row is still read before it is reused)."""

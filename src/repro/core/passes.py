@@ -8,12 +8,12 @@
 The recorder of :mod:`repro.core.tape` value-numbers ops as the kernel
 issues them (CSE happens *while* recording); :func:`front_end` runs the
 remaining passes once, and both lowerings -- ``tape.compile_tape`` and
-``codegen.generate_program`` -- consume the same :class:`Front`, whether
-the recording is serial (every value rank-1, no parameter stage) or a
-scenario batch.  The replay back end adds op-level liveness and opcode
-lowering, the source back end adds fusion, call-level liveness (one step
-per ufunc call of a fused statement) and emission; both allocate every
-row they write with :func:`assign_rows`.
+``codegen.generate_program`` -- consume the same :class:`Front` of one
+scenario batch's recording (a solo sweep's ``S = 1`` batch: every value
+rank-1, no parameter stage).  The replay back end adds op-level liveness
+and opcode lowering, the source back end adds fusion, call-level
+liveness (one step per ufunc call of a fused statement) and emission;
+both allocate every row they write with :func:`assign_rows`.
 
 SSA op forms (last element of a value op is its id; refs are value ids
 or folded ``np.float64`` scalars)::
@@ -106,8 +106,8 @@ def _infer_ranks(ops: Sequence[tuple], velocity_rank: str) -> Dict[int, str]:
     """Rank of every value: ``srow`` is a per-scenario ``(S, 1)``
     parameter row, ``vec`` a rank-1 ``(lanes,)`` vector shared by all
     scenarios, ``full`` a per-scenario ``(S, lanes)`` matrix;
-    ``join(vec, srow) = full`` and scalars are rank-neutral.  A serial
-    recording has no ``rp`` ops, so everything in it is ``vec``."""
+    ``join(vec, srow) = full`` and scalars are rank-neutral.  A recording
+    with nothing varying has no ``rp`` ops, so everything in it is ``vec``."""
     rank: Dict[int, str] = {}
     for op in ops:
         tag = op[0]
@@ -234,7 +234,7 @@ class Front:
     ``setup`` is the scheduled coordinate-only partition (run once per
     bound mesh into ``pinned`` rows; empty without hoisting), ``body`` the
     scheduled per-sweep partition holding every scatter in call order,
-    ``param_ops`` the lowered ``(S, 1)`` scenario-row stage of a batched
+    ``param_ops`` the lowered ``(S, 1)`` scenario-row stage of the
     recording (values ``q_of``), in the format
     :class:`repro.core.arena.MeshBound` evaluates before every sweep.
     """

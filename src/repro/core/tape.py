@@ -11,9 +11,10 @@ the Python analogue of P:
   tape of the vector operations the kernel would have executed.  Because
   the kernels are straight-line code whose control flow depends only on
   runtime *flags* (baked into the tape) and never on lane data, a single
-  recording is valid for every element group of every assembly.  Runtime
-  parameters named in ``varying`` (a scenario batch's) stay symbolic
-  per-scenario ``(S, 1)`` rows; a serial recording has none.
+  recording is valid for every element group of every assembly.  Every
+  recording is of a :class:`~repro.core.batch.ScenarioBatch`: the
+  parameters that vary across it stay symbolic per-scenario ``(S, 1)``
+  rows, and a solo sweep is the ``S = 1`` batch, with none.
 * :func:`compile_tape` takes the shared front end of
   :mod:`repro.core.passes` (DCE backwards from the scatter calls, rank
   inference, a depth-first schedule), runs a linear-scan liveness
@@ -26,8 +27,8 @@ the Python analogue of P:
   of element groups (lanes stacked) with in-place ``out=`` ufunc calls
   into the arena, and ends with the same single-``bincount`` flush the
   deferred :class:`~repro.fem.plan.ScatterAccumulator` uses.  How many
-  scenarios it sweeps is an argument of the binding: ``S = 1`` is the
-  degenerate batch, every op rank-1.  Steady-state time-stepping does
+  scenarios it sweeps is an argument of the binding: a solo sweep is the
+  ``S = 1`` batch, every op rank-1.  Steady-state time-stepping does
   zero Python-level array allocation in the momentum RHS.
 
 Bit-identity contract
@@ -40,13 +41,13 @@ interpreted ``NumpyBackend`` path.  This holds because
   per-group evaluation;
 * scalar folding at record time uses the *same* numpy-scalar arithmetic
   ``NumpyBackend`` would have used (``np.float64`` throughout), and a
-  scenario row computes per scenario exactly the chain a serial
+  scenario row computes per scenario exactly the chain a one-scenario
   recording would have folded;
 * value numbering merges only ops with the identical tag and identical
   operands (same SSA ids, same scalar *bits*), and gathers and
   ``select_gt`` are pure selection, so CSE and predicated replay
   preserve bits; and
-* scatter values are laid out ``([S,] ngroups, ncalls, nlane)`` so that
+* scatter values are laid out ``(S, ngroups, ncalls, nlane)`` so that
   their C-order flattening reproduces the accumulator's group-major
   temporal order -- the same ``bincount`` input order, hence the same
   rounding.
@@ -62,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from functools import partial
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -257,7 +258,7 @@ class RecordingBackend(Backend):
 
     def runtime_flag(self, name: str) -> int:
         # Python-level control flow: the flag value specializes the tape,
-        # which is why tapes are keyed on the full kernel-params dict.
+        # which is why a batch's cache key carries every flag.
         return int(self.ctx.params[name])
 
     def fence(self, label: str = "") -> None:
@@ -308,7 +309,7 @@ class TapeReport:
     pinned_buffers: int = 0
     # per-rank statistics of the body: ops evaluated once per sweep in
     # the (S, 1) scenario-row stage, rank-1 lane ops shared by all
-    # scenarios, full-rank (S, lanes) ops, and the batch size (a serial
+    # scenarios, full-rank (S, lanes) ops, and the batch size (a solo
     # recording: 0 / every op / 0 / 1).  vec_ops / full_ops is the
     # work-retention ratio that carries the batched throughput win.
     srow_ops: int = 0
@@ -401,31 +402,15 @@ def _make_report(
     )
 
 
-def _recording_args(kernel_params, batch) -> tuple:
-    """``(params, varying names, cache identity, S)`` of one recording:
-    a serial caller's kernel params, or a batch's (whose varying columns
-    stay symbolic and whose identity is everything baked into the tape)."""
-    if batch is None:
-        params = dict(kernel_params or {})
-        return params, (), tuple(sorted(params.items())), 1
-    return (
-        batch.recording_params(), batch.varying, batch.cache_key(), batch.size
-    )
-
-
-def _record(
-    variant_name: str,
-    params: Dict[str, float],
-    nnode_per_element: int,
-    varying=(),
-):
+def _record(variant_name: str, batch, nnode_per_element: int = 4):
     """Run a variant kernel once against a recording backend.
 
     The recording runs against a dummy single-lane context: kernels are
     straight-line code whose only data-dependent control flow reads the
-    runtime flags in ``params``, so the captured tape is valid for any
-    element group of any mesh.  Parameters named in ``varying`` stay
-    symbolic.  A bound kernel gathers one field, the velocity.
+    runtime flags of ``batch`` (a :class:`~repro.core.batch.ScenarioBatch`),
+    so the captured tape is valid for any element group of any mesh.  The
+    batch's varying parameters stay symbolic.  A bound kernel gathers one
+    field, the velocity.
     """
     variant = get_variant(variant_name)
     ctx = KernelContext(
@@ -433,10 +418,10 @@ def _record(
         coords=np.zeros((1, 3)),
         fields={"velocity": np.zeros((1, 3))},
         rhs=np.zeros((1, 3)),
-        params=dict(params),
+        params=batch.recording_params(),
         nnode_per_element=nnode_per_element,
     )
-    recorder = RecordingBackend(ctx, varying)
+    recorder = RecordingBackend(ctx, batch.varying)
     variant.kernel(recorder, ctx)
     for op in recorder.ops:
         if op[0] == "gf" and op[1] != "velocity":
@@ -502,7 +487,7 @@ class TapeProgram:
     scenario-row stage (all-``srow`` chains, evaluated once per sweep by
     :class:`~repro.core.arena.MeshBound` into ``nq`` persistent ``(S,
     1)`` buffers ``Q``; empty when no parameter varies) and ``ops`` the
-    lane-wide body.  A serial recording is the ``scenarios = 1``,
+    lane-wide body.  A solo sweep's recording is the ``scenarios = 1``,
     ``velocity_rank = "vec"`` case: every body op rank-1, ``nbufs_full =
     0``.  Body ops use integer opcodes and tagged operands: a folded
     ``np.float64`` scalar, ``("q", k)`` for param row ``Q[k]``, ``("v",
@@ -530,7 +515,7 @@ class TapeProgram:
     """
 
     variant: str
-    params_key: tuple  # kernel params, or a batch's cache_key()
+    params_key: tuple  # the batch's cache_key()
     scenarios: int
     velocity_rank: str
     param_ops: Tuple[tuple, ...]
@@ -580,36 +565,28 @@ def compile_tape(
 
 def record_program(
     variant_name: str,
-    kernel_params: Optional[Dict[str, float]] = None,
+    batch,
     nnode_per_element: int = 4,
-    batch=None,
     velocity_rank: str = "vec",
 ) -> TapeProgram:
-    """Record a variant once and compile it to a :class:`TapeProgram`.
+    """Record a variant once for ``batch`` (a
+    :class:`~repro.core.batch.ScenarioBatch`; a solo sweep's is the
+    ``S = 1`` batch) and compile it to a :class:`TapeProgram`.
 
-    With ``batch`` (a :class:`~repro.core.batch.ScenarioBatch`) the
-    runtime parameters that vary across it stay symbolic per-scenario
-    rows instead of folding, and ``velocity_rank="full"`` records
-    per-scenario velocities.
+    The runtime parameters that vary across the batch stay symbolic
+    per-scenario rows instead of folding, and ``velocity_rank="full"``
+    records per-scenario velocities.
     """
-    params, varying, key, scenarios = _recording_args(kernel_params, batch)
-    batched = batch is not None
     with get_tracer().span(
-        "tape.record" + "_batch" * batched,
-        variant=variant_name.upper(), scenarios=scenarios,
+        "tape.record", variant=variant_name.upper(), scenarios=batch.size
     ):
-        variant, recorder = _record(
-            variant_name, params, nnode_per_element, varying
-        )
+        variant, recorder = _record(variant_name, batch, nnode_per_element)
         program = compile_tape(
-            recorder, variant.name, key, scenarios, velocity_rank
+            recorder, variant.name, batch.cache_key(), batch.size, velocity_rank
         )
     registry = get_registry()
-    registry.counter(f"tape.{'batch_' * batched}records").inc()
-    if batched:
-        registry.gauge(f"tape.batch_full_ops.{variant.name}").set(
-            program.report.full_ops
-        )
+    registry.counter("tape.records").inc()
+    registry.gauge(f"tape.full_ops.{variant.name}").set(program.report.full_ops)
     return program
 
 
@@ -625,9 +602,9 @@ class CompiledTape(MeshBound):
     chunk, each tape op one ufunc call per chunk.  Rank-1 (``vec``) ops
     run once per sweep over the chunk's lanes; only ``full`` ops --
     chains downstream of a varying parameter or of per-scenario
-    velocities, none in a serial recording -- run over ``(S, lanes)``.
-    Scatter values land in the binding's preallocated ``([S,] ngroups,
-    ncalls, vector_dim)`` buffer (:class:`~repro.core.arena.MeshBound`),
+    velocities, none in a solo sweep's recording -- run over ``(S,
+    lanes)``.  Scatter values land in the binding's preallocated ``(S,
+    ngroups, ncalls, vector_dim)`` buffer (:class:`~repro.core.arena.MeshBound`),
     which :mod:`repro.fem.plan` reduces (scenario by scenario) over the
     one pattern the interpreted sweep of the configuration shares: the
     final ``bincount`` flush is bit-identical to the interpreted
@@ -642,10 +619,8 @@ class CompiledTape(MeshBound):
     _span = "tape.execute"
     _mode = "compiled"
 
-    def __init__(
-        self, program: TapeProgram, plan, packing, batched: bool = False
-    ):
-        super().__init__(program, plan, packing, batched)
+    def __init__(self, program: TapeProgram, plan, packing):
+        super().__init__(program, plan, packing)
         self._closure_cache: Dict[tuple, list] = {}
         # rank-1 + (S, lanes) rows and their masks
         self._lane_bytes = (
@@ -829,30 +804,22 @@ class CompiledTape(MeshBound):
 
 
 def tape_cache_key(
-    variant_name: str,
-    vector_dim: int,
-    kernel_params: Optional[Dict[str, float]] = None,
-    batch=None,
-    velocity_rank: str = "vec",
+    variant_name: str, vector_dim: int, batch, velocity_rank: str = "vec"
 ) -> tuple:
     """Everything baked into one bound kernel: variant, group size and
-    the recording's identity -- the kernel params, or for
-    a batch its size, *which* parameters vary, every folded constant and
-    flag, and the velocity rank.  A batch's varying *values* live outside
-    the kernel (every sweep takes them as ``param_rows``), so sweeping a
-    campaign over new values of the same parameters re-records nothing."""
-    head = (variant_name.upper(), int(vector_dim))
-    if batch is None:
-        return head + (tuple(sorted((kernel_params or {}).items())),)
-    return head + ("batch", batch.cache_key(), velocity_rank)
+    the recording's identity -- the batch's size, *which* parameters vary,
+    every folded constant and flag -- and the velocity rank.  A batch's
+    varying *values* live outside the kernel (every sweep takes them as
+    ``param_rows``), so sweeping a campaign over new values of the same
+    parameters re-records nothing."""
+    return (variant_name.upper(), int(vector_dim), batch.cache_key(), velocity_rank)
 
 
 def compiled_tape(
     plan,
     variant_name: str,
     vector_dim: int,
-    kernel_params: Optional[Dict[str, float]] = None,
-    batch=None,
+    batch,
     velocity_rank: str = "vec",
 ) -> CompiledTape:
     """The plan-cached :class:`CompiledTape` for one configuration.
@@ -860,16 +827,11 @@ def compiled_tape(
     Tapes are recorded once per :func:`tape_cache_key` and cached on the
     mesh's :class:`~repro.fem.plan.AssemblyPlan`.
     """
-    key = tape_cache_key(
-        variant_name, vector_dim, kernel_params, batch, velocity_rank
-    )
+    key = tape_cache_key(variant_name, vector_dim, batch, velocity_rank)
     return plan_cached(
         plan, "tape", key, vector_dim, batch,
         lambda packing: CompiledTape(
-            record_program(
-                key[0], kernel_params, batch=batch,
-                velocity_rank=velocity_rank,
-            ),
-            plan, packing, batched=batch is not None,
+            record_program(key[0], batch, velocity_rank=velocity_rank),
+            plan, packing,
         ),
     )

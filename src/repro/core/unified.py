@@ -27,6 +27,7 @@ from ..obs.spans import get_tracer
 from ..physics.momentum import AssemblyParams
 from ..physics.convection import ConvectiveForm
 from ..physics.turbulence import TurbulenceModel
+from .batch import ScenarioBatch
 from .dsl import KernelContext, NumpyBackend, TracingBackend, TraceReport
 from .restructured import SPEC_DENSITY, SPEC_VISCOSITY, SPEC_VREMAN_C
 from .tape import compiled_tape
@@ -194,7 +195,9 @@ class UnifiedAssembler:
                 "the interpreted per-group backend would serialize on it"
             )
         self.plan = get_plan(self.mesh)
-        self._kernel_params = self.params.as_kernel_params()
+        #: the one-scenario batch a solo sweep binds (``interpreted`` too
+        #: reads its kernel params)
+        self._batch = ScenarioBatch([self.params])
         #: lazy per-scenario serial assemblers (interpreted batches and a
         #: campaign's solo rows)
         self._scenario_assemblers: dict = {}
@@ -216,7 +219,7 @@ class UnifiedAssembler:
             coords=self.mesh.coords,
             fields={"velocity": velocity},
             rhs=rhs,
-            params=self._kernel_params,
+            params=self._batch.recording_params(),
             nnode_per_element=4,
             active=None if group.nactive == group.vector_dim else group.active,
             scatter=scatter,
@@ -249,9 +252,8 @@ class UnifiedAssembler:
             executor=self.executor,
         ):
             if self.mode in ("compiled", "codegen"):
-                rhs = self._sweep(
-                    self._kernel(variant.name, vector_dim), velocity, rhs
-                )
+                # a solo sweep is the S = 1 batch, swept into a view of rhs
+                self._sweep(self._kernel(variant.name, vector_dim, self._batch), velocity, rhs[None])
                 self._maybe_corrupt(rhs)
                 return rhs
             acc = self.plan.accumulator(key=(variant.name, vector_dim))
@@ -264,23 +266,13 @@ class UnifiedAssembler:
             self._maybe_corrupt(rhs)
         return rhs
 
-    def _kernel(
-        self, variant_name: str, vector_dim: int, batch=None,
-        velocity_rank: str = "vec",
-    ):
-        """The plan-cached bound kernel of this assembler's mode."""
+    def _kernel(self, variant_name: str, vector_dim: int, batch, velocity_rank: str = "vec"):
+        """The plan-cached bound kernel of this assembler's mode for ``batch``."""
         if self.mode == "codegen":
             from .codegen import generated_kernel as make
         else:
             make = compiled_tape
-        return make(
-            self.plan,
-            variant_name,
-            vector_dim,
-            kernel_params=self._kernel_params,
-            batch=batch,
-            velocity_rank=velocity_rank,
-        )
+        return make(self.plan, variant_name, vector_dim, batch, velocity_rank)
 
     def _sweep(self, kern, velocity, rhs, param_rows=None) -> np.ndarray:
         """One sweep of ``kern`` on this assembler's executor.  The kernel
@@ -324,18 +316,18 @@ class UnifiedAssembler:
             :class:`AssemblyParams`, batched on the fly).
         velocity:
             Either one shared ``(nnode, 3)`` field (broadcast to all
-            scenarios) or per-scenario ``(S, nnode, 3)`` fields.
+            scenarios) or per-scenario ``(S, nnode, 3)`` fields (for
+            ``S = 1`` the shared field).
 
         In ``compiled`` / ``codegen`` modes all scenarios run through one
-        tape replay / generated kernel with ``(S, lanes)`` buffers and a
-        single scatter flush; ``interpreted`` mode is the reference
+        tape replay / generated kernel with ``(S, lanes)`` buffers and one
+        flush (a one-scenario batch binds the very kernel :meth:`assemble`
+        sweeps for its params); ``interpreted`` mode is the reference
         serial loop.  Results are bit-identical per scenario to ``S``
         independent :meth:`assemble` calls with the same configuration,
         a non-finite row included: the sweep's bytes are returned as
         computed, and the caller's own guards decide what a bad row means.
         """
-        from .batch import ScenarioBatch
-
         if not isinstance(batch, ScenarioBatch):
             batch = ScenarioBatch(batch)
         variant = get_variant(variant_name)
@@ -344,6 +336,8 @@ class UnifiedAssembler:
         S = batch.size
         nnode = self.mesh.nnode
         velocity = np.asarray(velocity, dtype=np.float64)
+        if velocity.shape == (1, nnode, 3) and S == 1:
+            velocity = velocity[0]  # one scenario's field is shared: the solo kernel
         if velocity.shape == (nnode, 3):
             velocity_rank = "vec"
         elif velocity.shape == (S, nnode, 3):

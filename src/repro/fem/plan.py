@@ -50,7 +50,6 @@ from .packing import ElementGroup, ElementPacking
 __all__ = [
     "segment_scatter",
     "flush_pattern",
-    "flush_batch",
     "ScatterPlan",
     "GeometryCache",
     "P1Derivatives",
@@ -209,9 +208,10 @@ def flush_pattern(
     """Reduce one sweep's buffered scatter ``values`` into ``rhs``.
 
     The single shared flush of the deferred-scatter paths (the interpreted
-    :class:`ScatterAccumulator` and the compiled tape executor): one
-    ``bincount`` over the precomputed index pattern, sequential in buffer
-    order -- bit-identical to per-call ``np.add.at`` on a zero target.
+    :class:`ScatterAccumulator`, and the bound kernels once per scenario
+    row): one ``bincount`` over the precomputed index pattern, sequential
+    in buffer order -- bit-identical to per-call ``np.add.at`` on a zero
+    target.
     The trash bin (one slot past the real ``nnode * ncomp`` bins) absorbs
     padding-lane contributions.
     """
@@ -221,23 +221,6 @@ def flush_pattern(
     trash = int(nnode) * int(ncomp)
     out = np.bincount(pattern.indices, weights=values, minlength=trash + 1)
     rhs += out[:trash].reshape(nnode, ncomp)
-
-
-def flush_batch(
-    pattern: _ScatterPattern,
-    values2d: np.ndarray,
-    rhs: np.ndarray,
-    nnode: int,
-    ncomp: int = 3,
-) -> None:
-    """Reduce a batched sweep's ``(S, length)`` values into ``(S, nnode,
-    ncomp)``: one :func:`flush_pattern` per scenario over the one shared
-    pattern, so every scenario's bins see exactly the sequence its serial
-    solve would reduce and no ``S``-times
-    tiled copy of the indices exists."""
-    get_registry().counter("scatter.batch_flushes").inc()
-    for values, out in zip(values2d, rhs):
-        flush_pattern(pattern, values, out, nnode, ncomp)
 
 
 class ScatterAccumulator:

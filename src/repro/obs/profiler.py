@@ -146,7 +146,7 @@ class TapeProfile:
         self.vector_dim = int(vector_dim)
         self.mode = mode
         self.executor = executor
-        #: batch size of a scenario-batched profile (1 for serial tapes);
+        #: batch size of a scenario-batched profile (1 for a solo sweep);
         #: part of the profile key so S=1 and S=16 runs never mix
         self.scenarios = int(scenarios)
         self.report = report  # TapeReport of the compiled program, if any

@@ -652,31 +652,16 @@ class CampaignServer:
         job: _Job,
     ) -> Dict[str, Any]:
         if req.kind == "assemble":
-            rhs = self._assemble_once(req, mesh, params[0], velocity, mode)
-            return self._field_payload(req, rhs, kind="assemble")
+            rhs = self._assemble(req, mesh, params[:1], velocity, mode)
+            return self._field_payload(req, rhs[0], kind="assemble")
         if req.kind == "batch":
-            rhs = self._assemble_batch(req, mesh, params, velocity, mode)
+            rhs = self._assemble(req, mesh, params, velocity, mode)
             return self._field_payload(req, rhs, kind="batch")
         return self._run_campaign(req, mesh, params, velocity, mode, job)
 
-    def _assemble_once(self, req, mesh, p, velocity, mode) -> np.ndarray:
-        if mode == "reference":
-            from ..physics.momentum import assemble_momentum_rhs
-
-            rhs = assemble_momentum_rhs(mesh, velocity, p)
-        else:
-            from ..core.unified import UnifiedAssembler
-
-            asm = UnifiedAssembler(
-                mesh, p, mode=mode, vector_dim=req.vector_dim,
-                fault_plan=self.fault_plan,
-            )
-            rhs = asm.assemble(req.variant, velocity)
-        if not np.isfinite(rhs).all():
-            raise RuntimeError(f"non-finite RHS from mode {mode!r}")
-        return rhs
-
-    def _assemble_batch(self, req, mesh, params, velocity, mode) -> np.ndarray:
+    def _assemble(self, req, mesh, params, velocity, mode) -> np.ndarray:
+        """The ``(S, nnode, 3)`` stack of ``params``' RHS; one non-finite
+        value fails the rung."""
         if mode == "reference":
             from ..physics.momentum import assemble_momentum_rhs
 
@@ -693,7 +678,7 @@ class CampaignServer:
             )
             rhs = asm.run_batch(req.variant, ScenarioBatch(params), velocity)
         if not np.isfinite(rhs).all():
-            raise RuntimeError(f"non-finite batch RHS from mode {mode!r}")
+            raise RuntimeError(f"non-finite RHS from mode {mode!r}")
         return rhs
 
     def _run_campaign(

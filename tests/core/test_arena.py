@@ -11,7 +11,6 @@ and every cell of the axis is held to one oracle by the differential
 harness.
 """
 
-import dataclasses
 import gc
 
 import numpy as np
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ScenarioBatch,
+    UnifiedAssembler,
     arena,
     compiled_tape,
     generated_kernel,
@@ -35,11 +35,13 @@ from repro.core.arena import (
 from repro.fem import box_tet_mesh, get_plan
 from repro.obs.profiler import TapeProfiler
 from repro.physics import AssemblyParams
-from tests.core.test_differential import corner
+from tests.conftest import installed_telemetry
+from tests.core.test_batch import forcing_batch
+from tests.core.test_differential import corner, have_cc
 
 VD = 16
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
-KP = PARAMS.as_kernel_params()
+ONE = ScenarioBatch([PARAMS])  # a solo sweep's batch
 
 
 def _aligned(a: np.ndarray) -> bool:
@@ -81,23 +83,15 @@ def test_default_dtype_and_the_single_budget():
 # -- every executor: placement, budget, chunk-size independence ----------------
 
 
-def _forcing_batch(size):
-    return ScenarioBatch([
-        AssemblyParams(body_force=(0.0, 0.0, 0.1 * (s + 1)))
-        for s in range(size)
-    ])
-
-
 def _bind(plan, variant, backend, S):
     """(kernel, sweep(chunk_groups) -> rhs) for one cell of the matrix."""
     rng = np.random.default_rng(7)
     u = 0.1 * rng.standard_normal((plan.mesh.nnode, 3))
     make = compiled_tape if backend == "replay" else generated_kernel
-    batch = _forcing_batch(S) if S > 1 else None
-    kern = make(plan, variant, VD, kernel_params=KP, batch=batch)
-    rows = batch.param_rows() if batch else None
+    batch = forcing_batch(S) if S > 1 else ONE
+    kern = make(plan, variant, VD, batch)
     return kern, lambda cg: kern.execute_chunked(
-        u, num_threads=1, chunk_groups=cg, param_rows=rows
+        u, num_threads=1, chunk_groups=cg, param_rows=batch.param_rows()
     )
 
 
@@ -160,8 +154,8 @@ def test_real_budget_bounds_the_benchmark_shaped_kernels():
     """With the real constant: the arena fits it, one more group would
     not, and the sweep needs more than one chunk."""
     plan = get_plan(box_tet_mesh(10, 10, 10))  # 375 groups > one B chunk
-    for batch in (None, _forcing_batch(16)):
-        kern = generated_kernel(plan, "B", VD, kernel_params=KP, batch=batch)
+    for batch in (ONE, forcing_batch(16)):
+        kern = generated_kernel(plan, "B", VD, batch)
         cg = kern._resolve_cg(None, 1)
         group_bytes = kern._lane_bytes * VD
         assert 1 < cg < kern.ngroups
@@ -186,8 +180,8 @@ def test_concurrent_callers_of_one_cached_kernel_take_turns(plan, backend, reque
     if backend == "native":  # kernels of its own: adoption is for good
         request.getfixturevalue("cc")
         plan = get_plan(box_tet_mesh(4, 4, 5))
-    serial = make(plan, "RS", VD, kernel_params=KP)
-    batched = make(plan, "RS", VD, batch=_forcing_batch(4))
+    serial = make(plan, "RS", VD, ONE)
+    batched = make(plan, "RS", VD, forcing_batch(4))
     rng = np.random.default_rng(3)
     fields = [0.1 * rng.standard_normal((plan.mesh.nnode, 3)) for _ in range(6)]
     rows = [{"force_z": np.full((4, 1), 0.01 * (i + 1))} for i in range(6)]
@@ -228,14 +222,40 @@ test_one_kernel_serves_every_binding_to_the_byte = corner(
     "test_one_kernel_serves_every_binding_to_the_byte")
 
 
-@pytest.mark.parametrize("make", [compiled_tape, generated_kernel])
-def test_a_one_scenario_batch_records_the_serial_program(make):
-    """``S = 1`` is the degenerate batch: the program of the serial
-    binding, but for its params key (and the C header that names it)."""
-    plan = get_plan(box_tet_mesh(3, 3, 3))
-    for variant in variant_names():
-        serial = make(plan, variant, VD, kernel_params=KP).program
-        one = make(plan, variant, VD, kernel_params=KP, batch=ScenarioBatch([PARAMS])).program
-        assert dataclasses.replace(one, params_key=serial.params_key) == serial
-        if make is generated_kernel:
-            assert one.c_source.splitlines()[2:] == serial.c_source.splitlines()[2:] != []
+@pytest.mark.parametrize("mode", ["compiled", "codegen"])
+def test_one_configuration_binds_one_kernel(mode):
+    """A solo sweep is the one-scenario batch: ``assemble``, ``run_batch``,
+    the solver's kernel assembler and a one-scenario campaign step sweep the
+    one kernel of the configuration -- compiled once and, with a compiler,
+    adopted once -- and agree with the interpreter to the byte."""
+    from repro.physics.fractional_step import BatchCampaign, FractionalStepSolver
+    from repro.physics.momentum import kernel_rhs_assembler
+
+    mesh = box_tet_mesh(3, 3, 3)  # a plan of its own: nothing bound yet
+    u = 0.1 * np.random.default_rng(11).standard_normal((mesh.nnode, 3))
+    want = UnifiedAssembler(mesh, PARAMS).assemble("RSP", u).tobytes()
+    store = "tape" if mode == "compiled" else "codegen"
+
+    def sweeps():
+        asm = UnifiedAssembler(mesh, PARAMS, mode=mode)
+        kra = kernel_rhs_assembler(mesh, PARAMS, "RSP", mode)
+        solo = FractionalStepSolver(mesh, PARAMS, assemble=kra)
+        campaign = BatchCampaign(mesh, [PARAMS], variant="RSP", mode=mode)
+        solo.set_velocity(u)
+        campaign.set_velocities(u)
+        solo.advance(1e-3)
+        campaign.advance(1e-3)
+        rhs = [asm.assemble("RSP", u), asm.run_batch("RSP", [PARAMS], u)[0], kra(mesh, u, PARAMS)]
+        assert [r.tobytes() for r in rhs] == [want] * 3
+        assert campaign.velocities()[0].tobytes() == solo.velocity.tobytes()
+        return solo.velocity.tobytes()
+
+    with installed_telemetry() as (tracer, registry):
+        stepped = sweeps()
+        if mode == "codegen" and have_cc():
+            assert generated_kernel(get_plan(mesh), "RSP", VD, ONE).build_native(wait=True)
+            assert sweeps() == stepped
+            assert registry.counter("codegen.native_adopted").value == 1
+    assert registry.counter(f"{store}.compiles").value == 1
+    compiles = [sp.name for sp in tracer.finished if sp.name.startswith(f"{store}.compile")]
+    assert compiles == [f"{store}.compile"]

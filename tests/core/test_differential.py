@@ -2,8 +2,9 @@
 
 A cell is one way of running a kernel variant over a mesh: the back end
 (replayed tape, generated Python, its C form, or the interpreter itself),
-the executor and chunking, a generated kernel's group ranges, the scenario batch,
-profiling, a mesh of disjoint elements, the entry (kernel or
+the executor and chunking, a generated kernel's group ranges, the scenario
+batch (every bound kernel carries one: a solo sweep is the ``S = 1``
+batch), profiling, a mesh of disjoint elements, the entry (kernel or
 ``UnifiedAssembler``), a non-zero ``rhs`` on entry and the field.  Every
 cell's ``.tobytes()`` equals ``mode="interpreted"`` at the same
 ``vector_dim``: one assembly per (variant, mesh, vd, scenario, field),
@@ -44,7 +45,6 @@ from tests.conftest import installed_telemetry
 
 VARIANTS = tuple(variant_names())
 PARAMS = AssemblyParams(body_force=(0.05, -0.1, 0.2))
-KP = PARAMS.as_kernel_params()
 #: 162 elements (box, jittered) and 299 (disjoint): every size pads
 VDS = (7, 8, 16, 33, 64, 100, 1024)
 MESHES = ("box", "jittered", "disjoint")
@@ -61,7 +61,7 @@ class Cell:
     threads: int = 0  # 0: execute(); n: execute_chunked(num_threads=n)
     chunk_groups: Optional[int] = None
     ranges: object = 1  # generated: k even group ranges, or a tuple's interior cuts
-    batch: str = "none"
+    batch: str = "one"  # "none": UnifiedAssembler.assemble (the assembler entry only)
     profile: bool = False
     field: str = "wide"  # plain: 0.1 N(0, 1); wide: magnitudes 1e-8 .. 1e8; nan: wide + a NaN
     entry: str = "kernel"  # or through UnifiedAssembler.assemble / run_batch
@@ -175,8 +175,8 @@ def have_cc() -> bool:
 
 def _bind(cell: Cell, mesh: TetMesh, batch):
     make = compiled_tape if cell.backend == "replay" else generated_kernel
-    return make(get_plan(mesh), cell.variant, cell.vd, kernel_params=KP,
-                batch=batch, velocity_rank="full" if cell.batch == "per_scenario" else "vec")
+    return make(get_plan(mesh), cell.variant, cell.vd, batch,
+                "full" if cell.batch == "per_scenario" else "vec")
 
 
 def _assembler(cell: Cell, mesh: TetMesh, profiler):
@@ -211,7 +211,7 @@ def check(cell: Cell) -> None:
         if cell.entry == "kernel":
             entry = _field(want.shape, "wide", seed=5)
             assert sweep(entry.copy()).tobytes() == (entry + want).tobytes()
-    placement = _placement(cell, kern, tracer, want)
+    placement = _placement(cell, kern, tracer)
     assert fused.value == before + (sweeps - 1) * (placement == "fused")
     if profiler is not None:
         (profile,) = profiler.profiles.values()
@@ -228,7 +228,7 @@ def _sweeper(cell: Cell, profiler):
         asms = {p: _assembler(cell, mesh, p) for p in {None, profiler}}
         rank = "full" if cell.batch == "per_scenario" else "vec"
         kern = None if cell.backend == "interpreted" else \
-            asms[None]._kernel(cell.variant, cell.vd, batch, rank)
+            asms[None]._kernel(cell.variant, cell.vd, batch or asms[None]._batch, rank)
 
         def sweep(rhs=None, profiled=True):
             asm = asms[profiler if profiled else None]
@@ -236,8 +236,9 @@ def _sweeper(cell: Cell, profiler):
                 return asm.assemble(cell.variant, u)
             return asm.run_batch(cell.variant, batch, u)
     else:
+        assert batch is not None
         kern = _bind(cell, mesh, batch)
-        rows = batch.param_rows() if batch else None
+        rows = batch.param_rows()
 
         def sweep(rhs=None, profiled=True):
             kw = dict(param_rows=rows, profiler=profiler if profiled else None)
@@ -245,7 +246,6 @@ def _sweeper(cell: Cell, profiler):
                 return kern.execute_chunked(u, rhs, num_threads=cell.threads,
                                             chunk_groups=cell.chunk_groups, **kw)
             return kern.execute(u, rhs, chunk_groups=cell.chunk_groups, **kw)
-    assert kern is None or kern.batched == (batch is not None)
     return kern, sweep
 
 
@@ -259,7 +259,7 @@ def _cuts(ranges):
     return cuts
 
 
-def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
+def _placement(cell: Cell, kern, tracer) -> Optional[str]:
     """Which form served the last sweep and where it scattered, read off the
     ``codegen.execute*`` span and held to what the cell implies: the C form
     (adopted when a compiler works) serves unless profiled, fused, over the
@@ -275,7 +275,7 @@ def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
     if native_form:
         assert (attrs["ranges"], attrs["spill_rows"]) == (len(kern._cuts) - 1, len(kern._spill))
     if served:
-        assert kern._acc.shape == want.shape[:-2] + (kern.nnode + len(kern._spill), 3)
+        assert kern._acc.shape == (kern.S, kern.nnode + len(kern._spill), 3)
         values = kern._sv  # released at adoption, re-created by the first deferred sweep only
         assert kern not in _VALUES if values is None else (
             values.ctypes.data % 64 == 0 and _VALUES.setdefault(kern, values) is values)
@@ -289,8 +289,9 @@ def _placement(cell: Cell, kern, tracer, want) -> Optional[str]:
 def cells(draw) -> Cell:
     mesh = draw(st.sampled_from(MESHES))
     entry = "kernel" if mesh == "disjoint" else draw(st.sampled_from(("kernel", "assembler")))
-    plain = mesh == "disjoint"  # the elemental form: the kernel entry, no batch
-    batch = "none" if plain else draw(st.sampled_from(BATCHES))
+    # the elemental form: the kernel entry, one scenario
+    batch = "one" if mesh == "disjoint" else draw(
+        st.sampled_from(BATCHES[entry == "kernel":]))
     # sixteen interpreted scenarios at a narrow group cost seconds each
     vds = [vd for vd in VDS if vd >= 64 or batch != "shared16"]
     backend = draw(st.sampled_from(BACKENDS))
@@ -328,7 +329,7 @@ EXAMPLES = [
     Cell("RS", "replay", mesh="jittered", vd=7),  # d
     Cell("B", "native", ranges=3, batch="one"),  # c d e
     Cell("P", "native", ranges=(0, 1), batch="per_scenario"),  # b c d e
-    Cell("P", "native", threads=2, profile=True, entry="assembler"),  # c d
+    Cell("P", "native", threads=2, profile=True, batch="none", entry="assembler"),  # c d
     Cell("RSP", "native", threads=2, chunk_groups=3, ranges=2),  # c d e
     Cell("RSP", "native", field="plain"),  # d
     Cell("RS", "interpreted", batch="per_scenario", entry="assembler"),  # d
@@ -364,7 +365,7 @@ def _by_variant(make, variants=VARIANTS):
 
 
 _THREADED = ((1, 2), (2, 3), (4, 1), (4, 5))
-_BINDINGS = [dict(), dict(batch="one"), dict(batch="shared4"),
+_BINDINGS = [dict(), dict(batch="shared4"),
              dict(batch="per_scenario"), dict(mesh="disjoint"),
              dict(vd=1024), dict(mesh="disjoint", vd=1024)]
 _FORMS = {"compiled": "replay", "codegen": "codegen", "native": "native"}
@@ -372,17 +373,17 @@ _FORMS = {"compiled": "replay", "codegen": "codegen", "native": "native"}
 #: old test id (``module::name``) -> {parametrize id or "": cells}
 CORNERS = {
     "test_tape::test_compiled_bitwise_equal_all_variants": _by_variant(
-        lambda v: [Cell(v, vd=100, field="plain", entry="assembler")]),
+        lambda v: [Cell(v, vd=100, batch="none", field="plain", entry="assembler")]),
     "test_tape::test_compiled_bitwise_equal_hypothesis": {"": [
-        Cell(v, vd=vd, field="plain", entry="assembler")
+        Cell(v, vd=vd, batch="none", field="plain", entry="assembler")
         for v, vd in zip(VARIANTS, (7, 33, 100, 64, 8))]},
     "test_tape::test_compiled_repeat_executions_stable": {"": [
-        Cell("B", vd=33, field=f, entry="assembler") for f in ("plain", "wide")]},
+        Cell("B", vd=33, batch="none", field=f, entry="assembler") for f in ("plain", "wide")]},
     "test_codegen::test_codegen_bitwise_equal_all_variants": _by_variant(
-        lambda v: [Cell(v, "codegen", vd=100, field="plain", entry="assembler")]),
+        lambda v: [Cell(v, "codegen", vd=100, batch="none", field="plain", entry="assembler")]),
     "test_codegen::test_codegen_bitwise_equal_hypothesis": {"": [
         Cell(v, "codegen", vd=vd, threads=t, chunk_groups=1 if t else None, field="plain",
-             entry="kernel" if t else "assembler")
+             batch="one" if t else "none", entry="kernel" if t else "assembler")
         for v, vd, t in zip(VARIANTS, (7, 33, 100, 64, 8), (0, 2, 0, 2, 3))]},
     "test_rows::test_generated_replay_and_interpreted_agree_to_the_byte": {
         f"{v}-{S}": [Cell(v, b, batch=kind, field="plain") for b in ("codegen", "replay")]
@@ -394,12 +395,12 @@ CORNERS = {
         f"{v}-{shape}": [Cell(v, "native", vd=16 + 48 * (b == "shared16"), batch=b, ranges=r,
                               field="nan")
                          for b in batches for r in (1, 2, 3)]
-        for shape, batches in (("serial", ("none", "one")), ("shared", ("shared4", "shared16")),
+        for shape, batches in (("serial", ("one",)), ("shared", ("shared4", "shared16")),
                                ("per_scenario", ("per_scenario",))) for v in VARIANTS},
     "test_native::test_fused_scatter_is_bitwise_the_interpreter": {
         f"{v}-{shape}-{vd}": [Cell(v, "native", vd=vd, batch=batch)]
         for vd in (8, 16, 64, 1024)
-        for shape, batch in (("serial", "none"), ("shared", "shared4"),
+        for shape, batch in (("serial", "one"), ("shared", "shared4"),
                              ("per_scenario", "per_scenario")) for v in VARIANTS},
     "test_plan::test_unified_plan_path_bitwise_equals_legacy": _by_variant(
         lambda v: [Cell(v, "replay", field="plain"), Cell(v, "replay", mesh="jittered")]),
@@ -423,10 +424,11 @@ CORNERS = {
         Cell("B", "interpreted", batch=kind, field="plain", entry="assembler")
         for kind in ("one", "shared4", "per_scenario")]},
     "test_profiler::test_profiled_assembly_bitwise_identical": {"": [
-        Cell(v, vd=vd, profile=True, field="plain", entry="assembler")
+        Cell(v, vd=vd, profile=True, batch="none", field="plain", entry="assembler")
         for v in VARIANTS for vd in (16, 64)]},
     "test_profiler::test_profiled_threads_bitwise_identical": {"": [
-        Cell("RSP", vd=32, threads=2, profile=True, field="plain", entry="assembler")]},
+        Cell("RSP", vd=32, threads=2, profile=True, batch="none", field="plain",
+             entry="assembler")]},
 }
 
 
@@ -456,12 +458,11 @@ def build_ahead() -> None:
     cells = [c for _, row in sorted(rows + [("test_differential", EXAMPLES)],
                                     key=lambda r: r[0]) for c in row]
     keys = dict.fromkeys(
-        (c.variant, c.vd, "none" if c.mesh == "disjoint" else c.batch)
+        (c.variant, c.vd, "one" if c.batch == "none" else c.batch)
         for c in cells if c.backend == "native")
     for variant, vd, kind in keys:
         rank = "full" if kind == "per_scenario" else "vec"
-        source = generate_program(variant, vd, KP, batch=_batch(variant, kind),
-                                  velocity_rank=rank).c_source
+        source = generate_program(variant, vd, _batch(variant, kind), velocity_rank=rank).c_source
         if native.load(source, {}) is None and (proc := native.build(source)) is not None:
             proc.wait()
             native.load(source, {})

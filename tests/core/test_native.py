@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import UnifiedAssembler, generated_kernel
+from repro.core import ScenarioBatch, UnifiedAssembler, generated_kernel
 from repro.core import native
 from repro.core.codegen import GeneratedKernel
 from repro.core.passes import UFUNC_NAMES
@@ -130,7 +130,7 @@ def test_rows_storage_is_the_same_function(cc):
     asm = UnifiedAssembler(mesh, PARAMS, mode="codegen", vector_dim=VD)
     want = asm.assemble("RSP", _field((mesh.nnode, 3), "plain"))
     kern = _only_kernel(asm)
-    front = front_end(_record("RSP", PARAMS.as_kernel_params(), 4)[1], hoist=True)
+    front = front_end(_record("RSP", ScenarioBatch([PARAMS]))[1], hoist=True)
     low = _lower_mesh(front)
     assert native.emit_c(low, front, vector_dim=VD).splitlines()[2:] == \
         kern.program.c_source.splitlines()[2:]
@@ -141,7 +141,7 @@ def test_rows_storage_is_the_same_function(cc):
     native.load(source, native.KERNEL)["kernel"](
         0, kern.ngroups, *kern._native._args, kern._values.ctypes.data, arena.ctypes.data, None)
     got = np.zeros_like(want)
-    kern._flush(got)
+    kern._flush(got[None])
     assert got.tobytes() == want.tobytes()
     with pytest.raises(KeyError):
         native.emit_c(low, front, vector_dim=VD, storage="registers")
@@ -347,7 +347,7 @@ def test_a_wrong_scatter_order_is_rejected_at_adoption(cc, monkeypatch, wrong):
     # the order was the only thing wrong with it
     kern._native._fn(0, kern.ngroups, *kern._native._args, kern._values.ctypes.data, None, None)
     got = np.zeros_like(want)
-    kern._flush(got)
+    kern._flush(got[None])
     assert got.tobytes() == want.tobytes()
 
 
@@ -377,7 +377,7 @@ def test_a_steady_state_fused_sweep_allocates_only_its_result(cc, monkeypatch):
             monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: {0})
             monkeypatch.setattr(threads, "_workers", [])
         kern = generated_kernel(get_plan(box_tet_mesh(6, 6, 6)), "RSP", VD,
-                                kernel_params=PARAMS.as_kernel_params())
+                                ScenarioBatch([PARAMS]))
         assert kern.build_native(wait=True)
         for _ in range(3):
             kern.execute(u)
@@ -388,7 +388,7 @@ def test_a_steady_state_fused_sweep_allocates_only_its_result(cc, monkeypatch):
         assert threading.active_count() == threads_before  # no thread per sweep
         # the guard would see the deferred buffer re-created, or the spill rows copied
         assert kern._sv is None and np.prod(kern._values_shape) * 8 > 4 * rhs.nbytes
-        assert ranges == 1 or kern._acc[kern.nnode:].nbytes > 4096 + replay
+        assert ranges == 1 or kern._acc[0, kern.nnode:].nbytes > 4096 + replay
         assert not one_cpu or threads._workers == []
         results.append(rhs.tobytes())
     assert results[0] == results[1] == results[2]
@@ -445,7 +445,7 @@ def test_dump_writes_the_c_file_beside_the_python_one(tmp_path, monkeypatch):
     from repro.core.codegen import generate_program
 
     monkeypatch.setenv("REPRO_CODEGEN_DUMP", str(tmp_path))
-    generate_program("RS", 8, kernel_params=PARAMS.as_kernel_params())
+    generate_program("RS", 8, ScenarioBatch([PARAMS]))
     py, c = ((tmp_path / f"RS_vd8.{ext}").read_text().splitlines()
              for ext in ("py", "c"))
     assert py[1].startswith("# variant=RS") and "rows=vec:" in py[1]

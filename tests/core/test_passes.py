@@ -34,17 +34,17 @@ def _recorder():
 
 @pytest.mark.parametrize("variant", variant_names())
 def test_accounting_identity_and_equal_live_ops(params, variant):
-    kp = params.as_kernel_params()
+    one = ScenarioBatch([params])
     batch = ScenarioBatch.from_arrays(
         viscosity=np.array([1.0e-3, 2.0e-3, 3.0e-3]),
         body_force=params.body_force,
     )
     serial, batched = (
-        {"compiled": record_program(variant, kp, batch=b).report,
-         "codegen": generate_program(variant, 64, kp, batch=b).report}
-        for b in (None, batch)
+        {"compiled": record_program(variant, b).report,
+         "codegen": generate_program(variant, 64, b).report}
+        for b in (one, batch)
     )
-    serial["codegen16"] = generate_program(variant, 16, kp).report
+    serial["codegen16"] = generate_program(variant, 16, one).report
     for r in list(serial.values()) + list(batched.values()):
         assert r.ops_recorded == r.ops_live + r.dce_removed + r.cse_removed
         assert r.cse_removed > 0  # every kernel repeats some work
@@ -59,7 +59,7 @@ def test_accounting_identity_and_equal_live_ops(params, variant):
     for r in (serial["compiled"], batched["compiled"]):
         assert r.hoisted_ops == r.pinned_buffers == 0
     assert batched["compiled"].scenarios == batched["codegen"].scenarios == 3
-    # a serial recording is the all-rank-1, S = 1 case of the one report
+    # a solo sweep's recording is the all-rank-1, S = 1 case of the one report
     for r in serial.values():
         assert (r.srow_ops, r.full_ops, r.scenarios) == (0, 0, 1) and r.vec_ops > 0
 
@@ -67,7 +67,7 @@ def test_accounting_identity_and_equal_live_ops(params, variant):
 def test_replay_arena_is_scheduled(params):
     """CSE alone lengthens live ranges; the depth-first schedule keeps
     B's replay arena small (it was 211 rows in recorded order)."""
-    assert record_program("B", params.as_kernel_params()).report.buffers_live <= 100
+    assert record_program("B", ScenarioBatch([params])).report.buffers_live <= 100
 
 
 # -- value numbering -----------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.core import (
 from repro.core.codegen import generated_kernel
 from repro.fem import TetMesh, get_plan
 from repro.physics import AssemblyParams
+from tests.core.test_batch import forcing_batch
 from tests.core.test_differential import corner
 
 VD = 16
@@ -31,22 +32,15 @@ VD = 16
 ROW_CEILING = {"B": 63, "P": 63, "RS": 37, "RSP": 37, "RSPR": 37}
 
 
-def _forcing_batch(size):
-    return ScenarioBatch([
-        AssemblyParams(body_force=(0.0, 0.0, 0.1 * (s + 1)))
-        for s in range(size)
-    ])
-
-
 def _generate(form, variant):
+    """``serial``: a solo sweep's program, the one-scenario batch."""
+    one = ScenarioBatch([AssemblyParams()])
     if form == "elemental":  # what a mesh of 23 disjoint elements binds
         xel = np.random.default_rng(1).standard_normal((23, 4, 3))
         mesh = TetMesh(xel.reshape(-1, 3), np.arange(92).reshape(23, 4), validate=False)
-        return generated_kernel(get_plan(mesh), variant, VD,
-                                AssemblyParams().as_kernel_params()).program
+        return generated_kernel(get_plan(mesh), variant, VD, one).program
     return generate_program(
-        variant, VD, AssemblyParams().as_kernel_params(),
-        batch=None if form == "serial" else _forcing_batch(4),
+        variant, VD, one if form == "serial" else forcing_batch(4),
         velocity_rank="full" if form == "full" else "vec",
     )
 

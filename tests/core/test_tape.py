@@ -10,7 +10,7 @@ variant and every group size (including padded final groups).
 import numpy as np
 import pytest
 
-from repro.core import variant_names
+from repro.core import ScenarioBatch, variant_names
 from repro.core.dsl import KernelContext, NumpyBackend
 from repro.core.storage import Storage, TempSpec
 from repro.core.tape import compiled_tape, record_program, tape_cache_key
@@ -19,12 +19,8 @@ from repro.fem.plan import get_plan
 from repro.physics import AssemblyParams
 from repro.physics.fractional_step import resolve_assembler
 from repro.physics.momentum import element_rhs
+from tests.core.test_codegen import _velocity
 from tests.core.test_differential import corner
-
-
-def _velocity(mesh, seed=0):
-    rng = np.random.default_rng(seed)
-    return 0.1 * rng.standard_normal((mesh.nnode, 3))
 
 
 # -- bit-identity --------------------------------------------------------------
@@ -39,10 +35,8 @@ def test_compiled_accumulates_into_rhs(small_mesh, params):
     """execute(velocity, rhs=...) adds into the caller's array."""
     u = _velocity(small_mesh)
     plan = get_plan(small_mesh)
-    tape = compiled_tape(
-        plan, "RS", 33, kernel_params=params.as_kernel_params()
-    )
-    base = np.ones((small_mesh.nnode, 3))
+    tape = compiled_tape(plan, "RS", 33, ScenarioBatch([params]))
+    base = np.ones((1, small_mesh.nnode, 3))
     out = tape.execute(u, rhs=base)
     assert out is base
     fresh = tape.execute(u)
@@ -55,7 +49,7 @@ def test_compiled_accumulates_into_rhs(small_mesh, params):
 @pytest.mark.parametrize("variant", variant_names())
 def test_arena_smaller_than_tape(params, variant):
     """Liveness planning packs many SSA values into few buffers."""
-    program = record_program(variant, params.as_kernel_params())
+    program = record_program(variant, ScenarioBatch([params]))
     rep = program.report
     assert rep.ops_live <= rep.ops_recorded
     assert 0 < rep.buffers_live < rep.ops_live
@@ -66,8 +60,8 @@ def test_arena_smaller_than_tape(params, variant):
 
 def test_baseline_dce_removes_dead_ops(params):
     """The B variant's dead stores are eliminated; RS records a lean tape."""
-    b = record_program("B", params.as_kernel_params()).report
-    rs = record_program("RS", params.as_kernel_params()).report
+    b = record_program("B", ScenarioBatch([params])).report
+    rs = record_program("RS", ScenarioBatch([params])).report
     assert b.ops_recorded >= b.ops_live
     assert rs.ops_live < b.ops_live  # restructuring shrinks the tape
     assert rs.buffers_live < b.buffers_live
@@ -78,11 +72,10 @@ def test_baseline_dce_removes_dead_ops(params):
 
 def test_tape_cached_on_plan(small_mesh, params):
     plan = get_plan(small_mesh)
-    kp = params.as_kernel_params()
-    t1 = compiled_tape(plan, "RSP", 33, kernel_params=kp)
-    t2 = compiled_tape(plan, "RSP", 33, kernel_params=kp)
+    t1 = compiled_tape(plan, "RSP", 33, ScenarioBatch([params]))
+    t2 = compiled_tape(plan, "RSP", 33, ScenarioBatch([params]))
     assert t1 is t2
-    t3 = compiled_tape(plan, "RSP", 16, kernel_params=kp)
+    t3 = compiled_tape(plan, "RSP", 16, ScenarioBatch([params]))
     assert t3 is not t1  # different vector_dim -> different tape
 
 
@@ -90,8 +83,8 @@ def test_cache_key_includes_params():
     """Runtime flags specialize the recording: params must key the cache."""
     a = AssemblyParams()
     b = AssemblyParams(viscosity=2.0e-3)
-    key_a = tape_cache_key("rsp", 16, a.as_kernel_params())
-    key_b = tape_cache_key("rsp", 16, b.as_kernel_params())
+    key_a = tape_cache_key("rsp", 16, ScenarioBatch([a]))
+    key_b = tape_cache_key("rsp", 16, ScenarioBatch([b]))
     assert key_a != key_b
     assert key_a[0] == "RSP"
 
@@ -104,7 +97,7 @@ def _elemental(variant, params, xel, uel):
     receives one lane, so the ``(4n, 3)`` RHS is the ``(n, 4, 3)`` elemental one."""
     n = len(xel)
     mesh = TetMesh(xel.reshape(-1, 3), np.arange(4 * n).reshape(n, 4), validate=False)
-    tape = compiled_tape(get_plan(mesh), variant, 16, kernel_params=params.as_kernel_params())
+    tape = compiled_tape(get_plan(mesh), variant, 16, ScenarioBatch([params]))
     return tape.execute(uel.reshape(-1, 3)).reshape(xel.shape)
 
 

@@ -24,7 +24,7 @@ def test_default_chunk_groups_bounds(params):
     ranks, the thread count and the one arena budget (see ``test_arena``)."""
     plan = get_plan(box_tet_mesh(10, 10, 10))  # 375 groups of 16
     # S = 4, yet no (S, lanes) row: identical scenarios fold every parameter
-    shared = compiled_tape(plan, "B", 16, batch=ScenarioBatch([params] * 4))
+    shared = compiled_tape(plan, "B", 16, ScenarioBatch([params] * 4))
     budget = budget_chunk_groups(shared._lane_bytes, 16, 375)
     assert shared.program.nbufs_full == 0 and 1 < budget < 375
     assert shared._resolve_cg(None, 1) == 375  # one dispatch per op, not per chunk

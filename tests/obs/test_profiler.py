@@ -11,7 +11,7 @@ within the stated tolerance.
 import numpy as np
 import pytest
 
-from repro.core import UnifiedAssembler, compiled_tape, generated_kernel
+from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape, generated_kernel
 from repro.fem import box_tet_mesh, get_plan
 from repro.obs import (
     NullProfiler,
@@ -108,10 +108,7 @@ def test_measured_bytes_match_predicted(
 
 
 def test_op_costs_from_program(mesh, prof_params):
-    tape = compiled_tape(
-        get_plan(mesh), "RSP", 32,
-        kernel_params=prof_params.as_kernel_params(),
-    )
+    tape = compiled_tape(get_plan(mesh), "RSP", 32, ScenarioBatch([prof_params]))
     costs = op_costs_from_program(tape.program)
     assert len(costs) == len(tape.program.ops)
     kinds = {kind for kind, *_ in costs}
@@ -148,7 +145,7 @@ def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
     assert prof.executions == 1
     for make in (compiled_tape, generated_kernel):
         profiler = TapeProfiler()
-        lookup = (get_plan(mesh), "RS", 16, prof_params.as_kernel_params())
+        lookup = (get_plan(mesh), "RS", 16, ScenarioBatch([prof_params]))
         mine, theirs = make(*lookup), make(*lookup)
         assert mine is theirs
         with installed_telemetry() as (tracer, _):
