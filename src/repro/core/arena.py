@@ -39,7 +39,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..obs.metrics import get_registry
-from ..obs.profiler import NULL_PROFILER
 from ..obs.spans import get_tracer
 from .passes import is_scalar
 
@@ -144,8 +143,9 @@ class MeshBound:
     kernel to every caller on the mesh: ``lock`` is held for the span of
     a sweep (input refresh to flush), so concurrent jobs serialize on the
     kernel instead of corrupting each other.  Everything that belongs to
-    one call -- ``param_rows``, ``profiler`` -- travels with the call and
-    is installed only under the lock.
+    one call travels with the call: ``param_rows`` is installed only under
+    the lock, and ``profiler`` (``None`` or a
+    :class:`~repro.obs.profiler.TapeProfiler`) never leaves the sweep.
 
     Subclasses supply the back end of :meth:`_sweep`: ``_span`` (span
     name; its prefix names the counters), ``_mode`` (the profile's mode),
@@ -167,7 +167,6 @@ class MeshBound:
         self.program = program
         self.plan = plan
         self.packing = packing
-        self.profiler = NULL_PROFILER
         self.lock = threading.Lock()
         mesh = plan.mesh
         self.nnode = int(mesh.nnode)
@@ -282,8 +281,6 @@ class MeshBound:
         nslabs = min(nthreads, nchunks)
         arena_bytes = self._lane_bytes * cg * self.vector_dim
         with self.lock:
-            # this caller's, for this sweep: the kernel is shared
-            self.profiler = NULL_PROFILER if profiler is None else profiler
             with get_tracer().span(
                 self._span + "_chunked" * (executor == "threads"),
                 variant=self.program.variant,
@@ -296,11 +293,9 @@ class MeshBound:
                 arena_bytes=arena_bytes,
             ):
                 self._refresh_inputs(velocity, param_rows)
-                profile = None
-                if self.profiler.enabled:
-                    profile = self.profiler.for_program(
-                        self.program, self.vector_dim, self._mode, executor
-                    )
+                profile = None if profiler is None else profiler.for_program(
+                    self.program, self.vector_dim, self._mode, executor
+                )
                 threads.fork_join(self._tasks(cg, nslabs, profile))
                 self._flush(rhs, profile)
                 if profile is not None:

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..fem.mesh import TetMesh
 from ..fem.plan import get_plan
+from ..obs.profiler import TapeProfiler
 from ..obs.spans import get_tracer
 from ..physics.momentum import AssemblyParams
 from ..physics.convection import ConvectiveForm
@@ -137,17 +138,13 @@ class UnifiedAssembler:
         ladder, a step's guards).
     profile:
         When true, assemblies record op-level software counters (wall
-        time, derived bytes and Flops per tape op) into ``profiler`` --
+        time, derived bytes and Flops per tape op) into this assembler's
+        own :class:`repro.obs.profiler.TapeProfiler`, ``.profiler`` --
         the reproduction's LIKWID.  Results are bitwise identical to an
-        unprofiled assembly; when false (default) no profiling code runs
-        at all (the zero-cost :data:`repro.obs.profiler.NULL_PROFILER`
-        path).  Requires ``mode="compiled"`` or ``"codegen"``: the
-        counters come from the program's op/statement cost table.
-    profiler:
-        Optional :class:`repro.obs.profiler.TapeProfiler` to collect
-        into; one is created lazily when ``profile=True``.  Pass a shared
-        instance to aggregate several assemblers/variants into one
-        report.
+        unprofiled assembly; when false (default) ``.profiler`` is
+        ``None`` and no profiling code runs at all.  Requires
+        ``mode="compiled"`` or ``"codegen"``: the counters come from the
+        program's op/statement cost table.
     """
 
     mesh: TetMesh
@@ -158,7 +155,6 @@ class UnifiedAssembler:
     executor: str = "serial"
     num_threads: Optional[int] = None
     profile: bool = False
-    profiler: Optional[object] = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         vd = self.vector_dim
@@ -166,12 +162,6 @@ class UnifiedAssembler:
             isinstance(vd, bool) or not isinstance(vd, (int, np.integer)) or vd < 1
         ):
             raise ValueError(f"vector_dim must be an integer >= 1, got {vd!r}")
-        if self.profile and self.profiler is None:
-            from ..obs.profiler import TapeProfiler
-
-            self.profiler = TapeProfiler()
-        if self.profiler is not None:
-            self.profile = True
         if self.mode not in ("interpreted", "compiled", "codegen"):
             raise ValueError(
                 f"unknown assembly mode {self.mode!r}; "
@@ -194,6 +184,7 @@ class UnifiedAssembler:
                 "'codegen': only those drop the GIL inside numpy ufuncs; "
                 "the interpreted per-group backend would serialize on it"
             )
+        self.profiler = TapeProfiler() if self.profile else None
         self.plan = get_plan(self.mesh)
         #: the one-scenario batch a solo sweep binds (``interpreted`` too
         #: reads its kernel params)
@@ -279,7 +270,7 @@ class UnifiedAssembler:
         is plan-cached and shared by every job on the mesh: this caller's
         parameter values and profiler travel with the call, inside the
         kernel's lock."""
-        kwargs = dict(param_rows=param_rows, profiler=self.profiler if self.profile else None)
+        kwargs = dict(param_rows=param_rows, profiler=self.profiler)
         if self.executor == "threads":
             kwargs["num_threads"] = self.num_threads
             return kern.execute_chunked(velocity, rhs, **kwargs)

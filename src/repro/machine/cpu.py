@@ -56,6 +56,9 @@ _L1_MISS_CYCLES = 2.0
 _L2_MISS_CYCLES = 8.0
 _L3_MISS_CYCLES = 28.0
 
+# Element groups the single-core cache replay walks.
+_SIM_GROUPS = 256
+
 
 @dataclasses.dataclass
 class CpuStorageMapping:
@@ -75,13 +78,11 @@ class CpuModel:
         vector_dim: int = 16,
         register_slots: int = 24,
         forward_window: int = 8,
-        sim_groups: int = 256,
     ) -> None:
         self.spec = spec
         self.vector_dim = int(vector_dim)
         self.register_slots = int(register_slots)
         self.forward_window = int(forward_window)
-        self.sim_groups = int(sim_groups)
 
     # ------------------------------------------------------------------
     def map_storage(self, report: TraceReport) -> CpuStorageMapping:
@@ -152,11 +153,11 @@ class CpuModel:
         filtered: List[Tuple[str, MemoryEvent]],
         connectivity: np.ndarray,
     ) -> Dict[str, float]:
-        """Single-core cache replay over ``sim_groups`` element groups."""
+        """Single-core cache replay over :data:`_SIM_GROUPS` element groups."""
         spec = self.spec
         vdim = self.vector_dim
         line = spec.line_bytes
-        nelem_needed = self.sim_groups * vdim
+        nelem_needed = _SIM_GROUPS * vdim
         if connectivity.shape[0] < nelem_needed:
             reps = -(-nelem_needed // connectivity.shape[0])
             connectivity = np.tile(connectivity, (reps, 1))
@@ -203,7 +204,7 @@ class CpuModel:
 
         ops = 0
         mesh_ops = 0
-        for g in range(self.sim_groups):
+        for g in range(_SIM_GROUPS):
             e0 = g * vdim
             lanes = np.arange(e0, e0 + vdim)
             for region, ev in filtered:
@@ -232,7 +233,7 @@ class CpuModel:
                     for ln in range(ln0, ln1 + 1):
                         probe(ln, store)
 
-        ngroups = float(self.sim_groups)
+        ngroups = float(_SIM_GROUPS)
         nelem = ngroups * vdim
         # One event is a vector statement over all vdim lanes: each element
         # sees one 8-byte lane-op per event, so per-element op count equals

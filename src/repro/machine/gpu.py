@@ -68,6 +68,11 @@ _REG_PRIVATE = 5.0 / 3.0  # per liveness-peak private slot (alloc slack)
 _REG_PER_ARRAY = 7  # address registers per memory-resident temp array
 _REG_GENERIC = 62  # generic-indexing overhead when temp arrays are in memory
 
+# -- cache-replay and timing constants (documented in DESIGN.md) --
+_BATCHES_PER_WARP = 2  # replayed element batches per simulated warp
+_INTERLEAVE_EVENTS = 8  # events a warp issues before the next warp's turn
+_L2_EFFICIENCY = 0.45  # achievable fraction of L2 peak at 16 warps/SM
+
 
 @dataclasses.dataclass
 class StorageMapping:
@@ -116,19 +121,13 @@ class GpuModel:
         self,
         spec: GpuSpec = A100_SXM4_40GB,
         sim_sms: int = 4,
-        batches_per_warp: int = 2,
         forward_window: int = 8,
-        interleave_events: int = 8,
-        l2_efficiency: float = 0.45,
     ) -> None:
-        if sim_sms < 1 or batches_per_warp < 1:
-            raise ValueError("need at least one SM and one batch")
+        if sim_sms < 1:
+            raise ValueError("need at least one SM")
         self.spec = spec
         self.sim_sms = int(sim_sms)
-        self.batches = int(batches_per_warp)
         self.forward_window = int(forward_window)
-        self.interleave = int(interleave_events)
-        self.l2_efficiency = float(l2_efficiency)
 
     # ------------------------------------------------------------------
     # Stage 1: registers / storage mapping
@@ -238,7 +237,7 @@ class GpuModel:
         warp = spec.warp_size
         warps_per_sm = mapping.warps_per_sm
         nwarps = self.sim_sms * warps_per_sm
-        nelem_needed = nwarps * warp * self.batches
+        nelem_needed = nwarps * warp * _BATCHES_PER_WARP
         nelem_avail = connectivity.shape[0]
         if nelem_avail < nelem_needed:
             reps = -(-nelem_needed // nelem_avail)
@@ -274,7 +273,7 @@ class GpuModel:
         ops_global = 0
         ops_local = 0
 
-        for batch in range(self.batches):
+        for batch in range(_BATCHES_PER_WARP):
             cursors = [0] * nwarps
             local_blocks: List[Set[int]] = [set() for _ in range(nwarps)]
             done = 0
@@ -289,7 +288,7 @@ class GpuModel:
                     sm = w % self.sim_sms
                     l1 = l1s[sm]
                     e0 = base_elem + w * warp
-                    stop = min(nev, cur + self.interleave)
+                    stop = min(nev, cur + _INTERLEAVE_EVENTS)
                     for idx in range(cur, stop):
                         region, ev = events[idx]
                         store = ev.is_store()
@@ -355,7 +354,7 @@ class GpuModel:
         l2_units = l2.stats.hit_units + l2.stats.miss_units
 
         denom = float(nelem_sim)
-        passes = nwarps * self.batches
+        passes = nwarps * _BATCHES_PER_WARP
         return {
             "nelem_sim": nelem_sim,
             # each warp event is one instruction executed by every lane, so
@@ -417,7 +416,7 @@ class GpuModel:
         # the fitted peak scales with resident warps (16/SM saturate it).
         l2_bw_eff = (
             spec.l2_bandwidth
-            * self.l2_efficiency
+            * _L2_EFFICIENCY
             * min(1.0, mapping.warps_per_sm / 16.0)
         )
         t_l2 = l2_volume / l2_bw_eff

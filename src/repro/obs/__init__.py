@@ -14,10 +14,10 @@ installs one::
     write_chrome_trace(get_tracer().finished, "trace.json")
     print(get_registry().snapshot())
 
-The profiler is the op-level layer (the reproduction's LIKWID): attach a
-:class:`TapeProfiler` via ``UnifiedAssembler(..., profile=True)`` and
-read per-op/per-phase wall time, derived bytes and Flops and folded
-flamegraphs back out of it.
+The profiler is the op-level layer (the reproduction's LIKWID):
+``UnifiedAssembler(..., profile=True)`` owns a :class:`TapeProfiler`,
+whose one :class:`TapeProfile` per ``(variant, vector_dim, mode,
+executor, S)`` holds per-phase wall time, derived bytes and Flops.
 """
 
 from .spans import (
@@ -37,8 +37,6 @@ from .metrics import (
     set_registry,
 )
 from .profiler import (
-    NULL_PROFILER,
-    NullProfiler,
     TapeProfile,
     TapeProfiler,
     op_costs_from_program,
@@ -46,7 +44,6 @@ from .profiler import (
 from .export import (
     chrome_trace_events,
     collapse_spans,
-    profile_trace_events,
     prometheus_text,
     read_spans_jsonl,
     write_chrome_trace,
@@ -58,9 +55,7 @@ __all__ = [
     "NULL_TRACER", "NullTracer", "Span", "Tracer", "get_tracer", "set_tracer",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry",
-    "NULL_PROFILER", "NullProfiler", "TapeProfile", "TapeProfiler",
-    "op_costs_from_program",
-    "chrome_trace_events", "profile_trace_events",
-    "collapse_spans", "write_flamegraph", "prometheus_text",
+    "TapeProfile", "TapeProfiler", "op_costs_from_program",
+    "chrome_trace_events", "collapse_spans", "write_flamegraph", "prometheus_text",
     "read_spans_jsonl", "write_chrome_trace", "write_spans_jsonl",
 ]

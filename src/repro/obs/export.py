@@ -6,13 +6,11 @@ Machine-readable trace and metric formats, all dependency-free:
   archival format -- :func:`read_spans_jsonl` round-trips exactly.
 * **Chrome trace events** (``*.json``): complete-event (``"ph": "X"``)
   records openable in ``chrome://tracing`` / Perfetto; one process row per
-  recorded ``pid``, microsecond timestamps.  Profiled runs append
-  per-tape-op slices (:func:`profile_trace_events`) on their own process
-  row.
+  recorded ``pid``, microsecond timestamps.
 * **Folded flamegraph** (``*.txt``): Brendan Gregg collapsed-stack lines
-  (``frame;frame;leaf weight``), importable by speedscope and
-  ``flamegraph.pl`` -- from spans (:func:`collapse_spans`) or from tape
-  profiles (:meth:`repro.obs.profiler.TapeProfiler.collapsed`).
+  (``frame;frame;leaf weight``) of the spans' self times
+  (:func:`collapse_spans`), importable by speedscope and
+  ``flamegraph.pl``.
 * **Prometheus text exposition**: counters/gauges/summaries from a
   :class:`MetricsRegistry` (:func:`prometheus_text`).
 """
@@ -29,7 +27,6 @@ __all__ = [
     "write_spans_jsonl",
     "read_spans_jsonl",
     "chrome_trace_events",
-    "profile_trace_events",
     "write_chrome_trace",
     "collapse_spans",
     "write_flamegraph",
@@ -99,86 +96,13 @@ def chrome_trace_events(spans: Iterable[_SpanLike]) -> List[Dict[str, Any]]:
     return events
 
 
-def profile_trace_events(
-    profile_dicts: Iterable[Dict[str, Any]], pid: int = 1000
-) -> List[Dict[str, Any]]:
-    """Per-tape-op Chrome slices from profiler snapshots.
-
-    Tape ops execute back-to-back inside one ``tape.execute`` span, so
-    each profile's ops are laid out sequentially from ts=0 with their
-    *accumulated* durations -- a time-proportional op breakdown row (one
-    ``tid`` per profiled configuration on a dedicated profiler ``pid``),
-    not a wall-clock alignment with the span rows.
-
-    ``profile_dicts`` is what :meth:`repro.obs.profiler.TapeProfiler.snapshot`
-    returns.
-    """
-    events: List[Dict[str, Any]] = []
-    for tid, prof in enumerate(profile_dicts):
-        label = (
-            f"{prof['variant']}@vd{prof['vector_dim']}"
-            f"[{prof['mode']}/{prof.get('executor', 'serial')}]"
-        )
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": f"profile {label}"},
-            }
-        )
-        cursor = 0.0
-        for i, seconds in enumerate(prof["seconds"]):
-            dur = float(seconds) * 1e6
-            if dur <= 0:
-                continue
-            events.append(
-                {
-                    "name": f"{prof['labels'][i]}#{i}",
-                    "ph": "X",
-                    "ts": cursor,
-                    "dur": dur,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {
-                        "kind": prof["kinds"][i],
-                        "calls": prof["calls"][i],
-                        "lanes": prof["lanes"][i],
-                    },
-                }
-            )
-            cursor += dur
-        flush = float(prof.get("flush_seconds", 0.0)) * 1e6
-        if flush > 0:
-            events.append(
-                {
-                    "name": "flush#bincount",
-                    "ph": "X",
-                    "ts": cursor,
-                    "dur": flush,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"kind": "flush"},
-                }
-            )
-    return events
-
-
 def write_chrome_trace(
     spans: Iterable[_SpanLike],
     path: str,
     metadata: Optional[Dict[str, Any]] = None,
-    extra_events: Optional[Iterable[Dict[str, Any]]] = None,
 ) -> int:
-    """Write a ``chrome://tracing`` JSON object file; returns event count.
-
-    ``extra_events`` (e.g. :func:`profile_trace_events` output) are
-    appended verbatim after the span-derived events.
-    """
+    """Write a ``chrome://tracing`` JSON object file; returns event count."""
     events = chrome_trace_events(spans)
-    if extra_events:
-        events.extend(extra_events)
     doc: Dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
     if metadata:
         doc["otherData"] = dict(metadata)

@@ -66,6 +66,11 @@ __all__ = [
     "resolve_assembler",
 ]
 
+#: Checkpoint generations kept in ``checkpoint_dir``: after each periodic
+#: checkpoint older ones are pruned, so a corrupted latest checkpoint always
+#: leaves a previous one for :meth:`FractionalStepSolver.restart_latest`.
+KEEP_CHECKPOINTS = 2
+
 
 class IntegrationError(RuntimeError):
     """A time step could not be completed even after dt-halving retries.
@@ -377,12 +382,8 @@ class FractionalStepSolver(_Driver):
     checkpoint_every, checkpoint_dir:
         When both set, a restartable ``.npz`` checkpoint is written to
         ``checkpoint_dir`` every ``checkpoint_every`` completed steps
-        (see :meth:`checkpoint` / :meth:`restart`).
-    keep_checkpoints:
-        Checkpoint generations retained in ``checkpoint_dir`` (default 2):
-        after each periodic checkpoint, older generations are pruned, so
-        a corrupted latest checkpoint always leaves a previous one for
-        :meth:`restart_latest` to fall back to.
+        (see :meth:`checkpoint` / :meth:`restart`), keeping
+        :data:`KEEP_CHECKPOINTS` generations.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; its
         ``"momentum_rhs"`` site corrupts one RHS sweep so chaos tests can
@@ -401,7 +402,6 @@ class FractionalStepSolver(_Driver):
         blowup_factor: float = 100.0,
         checkpoint_every: int = 0,
         checkpoint_dir: Optional[str] = None,
-        keep_checkpoints: int = 2,
         fault_plan=None,
     ) -> None:
         self.mesh = mesh
@@ -417,7 +417,6 @@ class FractionalStepSolver(_Driver):
         self.blowup_factor = float(blowup_factor)
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_dir = checkpoint_dir
-        self.keep_checkpoints = max(1, int(keep_checkpoints))
         self._plan = get_plan(mesh)
         self.mass = self._plan.lumped_mass()
         self.velocity = np.zeros((mesh.nnode, 3))
@@ -584,7 +583,7 @@ class FractionalStepSolver(_Driver):
         """Write a restartable ``.npz`` checkpoint; returns the path.
 
         Defaults to ``checkpoint_dir/checkpoint_<step>.npz`` (and prunes
-        the directory down to ``keep_checkpoints`` generations); pass an
+        the directory down to :data:`KEEP_CHECKPOINTS` generations); pass an
         explicit ``path`` for ad-hoc checkpoints (no pruning).
         """
         auto = path is None
@@ -608,7 +607,7 @@ class FractionalStepSolver(_Driver):
             )
         get_registry().counter("resilience.checkpoints").inc()
         if auto:
-            prune_checkpoints(self.checkpoint_dir, keep=self.keep_checkpoints)
+            prune_checkpoints(self.checkpoint_dir, keep=KEEP_CHECKPOINTS)
         return path
 
     def restart(self, path: str) -> "FractionalStepSolver":
@@ -644,7 +643,7 @@ class FractionalStepSolver(_Driver):
         A truncated or corrupt newest generation is skipped (counted in
         ``resilience.checkpoint_fallbacks`` with a ``CheckpointFallback``
         span) and the previous generation is tried -- the reason
-        :meth:`checkpoint` keeps ``keep_checkpoints >= 2`` generations.
+        :meth:`checkpoint` keeps :data:`KEEP_CHECKPOINTS` generations.
         Raises :class:`~repro.resilience.checkpoint.CheckpointError` when
         no checkpoint in the directory loads.
         """

@@ -67,6 +67,10 @@ __all__ = [
 #: the basis restarts from the newest solution.
 PROJECTION_DEPTH = 8
 
+#: Coarse-space size of the deflation rung (piecewise-constant over an RCB
+#: node partition).
+DEFLATION_SUBDOMAINS = 8
+
 
 def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
     """P1 stiffness matrix ``K_ab = sum_e V_e grad N_a . grad N_b``, formed
@@ -187,9 +191,6 @@ class PressureSolver:
         With ``max_rung > 0`` an exhausted ladder raises a structured
         :class:`~repro.solvers.cg.SolverError` instead of silently
         returning garbage.
-    deflation_subdomains:
-        Coarse-space size for the deflation rung (piecewise-constant over
-        an RCB node partition).
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; a
         ``("cg", "breakdown")`` fault sabotages the rung-0 matvec into
@@ -201,7 +202,6 @@ class PressureSolver:
     maxiter: int = 500
     use_amg: bool = True
     max_rung: int = 2
-    deflation_subdomains: int = 8
     fault_plan: Optional[object] = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -248,7 +248,7 @@ class PressureSolver:
         if self._deflation_basis is None:
             from ..parallel.partition import rcb_partition
 
-            nsub = max(1, min(self.deflation_subdomains, self.mesh.nelem))
+            nsub = max(1, min(DEFLATION_SUBDOMAINS, self.mesh.nelem))
             elem_labels = rcb_partition(self.mesh, nsub)
             node_labels = np.full(self.mesh.nnode, np.iinfo(np.int64).max)
             np.minimum.at(

@@ -32,6 +32,9 @@ from .cg import SolveResult, scenario_rows
 
 __all__ = ["AmgLevel", "SmoothedAggregationAMG"]
 
+#: Coarsenings a hierarchy makes at most.
+MAX_LEVELS = 10
+
 
 @dataclasses.dataclass
 class AmgLevel:
@@ -98,8 +101,9 @@ class SmoothedAggregationAMG:
         couple more weakly, so a fixed threshold stalls coarsening).
     omega:
         Damping of the prolongator smoother and of the Jacobi smoother.
-    max_levels, coarse_size:
-        Hierarchy limits.
+    coarse_size:
+        A level this small is the coarsest (so is level
+        :data:`MAX_LEVELS`).
     presmooth, postsmooth:
         Damped-Jacobi sweeps per side.
     """
@@ -109,7 +113,6 @@ class SmoothedAggregationAMG:
         a: sp.spmatrix,
         theta: float = 0.08,
         omega: float = 2.0 / 3.0,
-        max_levels: int = 10,
         coarse_size: int = 64,
         presmooth: int = 1,
         postsmooth: int = 1,
@@ -120,12 +123,12 @@ class SmoothedAggregationAMG:
         self.levels: List[AmgLevel] = []
 
         current = sp.csr_matrix(a, dtype=np.float64)
-        for k in range(max_levels + 1):
+        for k in range(MAX_LEVELS + 1):
             n = current.shape[0]
             diag = current.diagonal()
             diag_inv = np.where(diag != 0.0, 1.0 / np.where(diag == 0, 1, diag), 0.0)
             agg = None
-            if k < max_levels and n > coarse_size:
+            if k < MAX_LEVELS and n > coarse_size:
                 agg = _aggregate(_strength_graph(current, theta * 0.5**k))
             if agg is None or agg.max() + 1 >= n:  # coarsest, or aggregation stalled
                 self.levels.append(AmgLevel(current, None, diag_inv))

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import ScenarioBatch, UnifiedAssembler
-from repro.obs import TapeProfiler
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams
 from repro.physics.convection import ConvectiveForm
@@ -196,32 +195,25 @@ def test_cache_key_identity():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["compiled", "codegen"])
-def test_batched_profile_per_scenario_attribution(small_mesh, mode):
-    size = 4
+#: the S = 4 cases keep the ids they had before the S axis was added
+@pytest.mark.parametrize(
+    "mode,size",
+    [("compiled", 4), ("codegen", 4), ("compiled", 1), ("codegen", 1)],
+    ids=["compiled", "codegen", "compiled-S1", "codegen-S1"],
+)
+def test_batched_profile_per_scenario_attribution(small_mesh, mode, size):
     batch = forcing_batch(size)
     velocity = _velocity(small_mesh, 5)
-    profiler = TapeProfiler()
     asm = UnifiedAssembler(
-        small_mesh, batch[0], vector_dim=32, mode=mode, profiler=profiler
+        small_mesh, batch[0], vector_dim=32, mode=mode, profile=True
     )
     asm.run_batch("RS", batch, velocity)
 
-    # the batch size extends the serial profile key
-    prof = profiler.profiles[("RS", 32, mode, "serial", size)]
-    assert prof.scenarios == size
+    # one key form: the batch size is the fifth field, S = 1 included
+    assert list(asm.profiler.profiles) == [("RS", 32, mode, "serial", size)]
+    (prof,) = asm.profiler.profiles.values()
+    assert prof.report.scenarios == size
     assert prof.executions == 1
-    assert prof.key() == ("RS", 32, mode, "serial", size)
-
-    rows = prof.per_scenario_rows()
-    assert rows and all(r["scenarios"] == size for r in rows)
-    # per-scenario shares sum back to the whole batch's op traffic
-    assert sum(r["bytes"] for r in rows) * size == pytest.approx(
-        prof.total_bytes
-    )
-    assert sum(r["flops"] for r in rows) * size == pytest.approx(
-        prof.total_flops
-    )
 
 
 def test_batched_byte_residual(small_mesh):
@@ -233,20 +225,17 @@ def test_batched_byte_residual(small_mesh):
     size = 4
     batch = forcing_batch(size)
     velocity = _velocity(small_mesh, 5)
-    profiler = TapeProfiler()
     asm = UnifiedAssembler(
-        small_mesh, batch[0], vector_dim=32, mode="compiled",
-        profiler=profiler,
+        small_mesh, batch[0], vector_dim=32, mode="compiled", profile=True
     )
     asm.run_batch("RS", batch, velocity)
-    prof = profiler.profiles[("RS", 32, "compiled", "serial", size)]
+    prof = asm.profiler.profiles[("RS", 32, "compiled", "serial", size)]
 
-    serial_profiler = TapeProfiler()
-    UnifiedAssembler(
-        small_mesh, batch[0], vector_dim=32, mode="compiled",
-        profiler=serial_profiler,
-    ).assemble("RS", velocity)
-    serial = serial_profiler.profiles[("RS", 32, "compiled", "serial")]
+    solo = UnifiedAssembler(
+        small_mesh, batch[0], vector_dim=32, mode="compiled", profile=True
+    )
+    solo.assemble("RS", velocity)
+    serial = solo.profiler.profiles[("RS", 32, "compiled", "serial", 1)]
     nlane = serial.lanes[0] / serial.executions
 
     assert prof.report is not None and prof.report.scenarios == size

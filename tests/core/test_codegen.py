@@ -17,7 +17,6 @@ from repro.core.codegen import _CODE_CACHE, generate_program, generated_kernel
 from repro.core.tape import compiled_tape, record_program
 from repro.fem import TetMesh, box_tet_mesh
 from repro.fem.plan import get_plan
-from repro.obs.profiler import TapeProfiler
 from repro.physics.fractional_step import resolve_assembler
 from tests.core.test_batch import _count
 from tests.core.test_differential import corner
@@ -129,13 +128,12 @@ def test_codegen_profiled_run_keeps_bits_and_attributes_fusion(
     small_mesh, params
 ):
     u = _velocity(small_mesh)
-    profiler = TapeProfiler()
     gen = UnifiedAssembler(
-        small_mesh, params, vector_dim=32, mode="codegen", profiler=profiler
+        small_mesh, params, vector_dim=32, mode="codegen", profile=True
     )
     interp = UnifiedAssembler(small_mesh, params, vector_dim=32)
     assert np.array_equal(gen.assemble("RS", u), interp.assemble("RS", u))
-    prof = profiler.profiles[("RS", 32, "codegen", "serial")]
+    prof = gen.profiler.profiles[("RS", 32, "codegen", "serial", 1)]
     program = generate_program("RS", 32, ScenarioBatch([params]))
     assert len(prof.labels) == len(program.stmt_costs)
     # a fused statement reports the summed costs of its constituents,

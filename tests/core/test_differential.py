@@ -179,12 +179,12 @@ def _bind(cell: Cell, mesh: TetMesh, batch):
                 "full" if cell.batch == "per_scenario" else "vec")
 
 
-def _assembler(cell: Cell, mesh: TetMesh, profiler):
+def _assembler(cell: Cell, mesh: TetMesh, profile: bool):
     return UnifiedAssembler(
         mesh, PARAMS, vector_dim=cell.vd,
         mode={"replay": "compiled", "interpreted": "interpreted"}.get(cell.backend, "codegen"),
         executor="threads" if cell.threads else "serial",
-        num_threads=cell.threads or None, profiler=profiler)
+        num_threads=cell.threads or None, profile=profile)
 
 
 #: a generated kernel's values buffer after adoption: created at most once
@@ -194,13 +194,12 @@ _VALUES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def check(cell: Cell) -> None:
     """Run ``cell`` and hold every sweep to the oracle, byte for byte."""
     want = oracle(cell)
-    profiler = TapeProfiler() if cell.profile else None
     sweeps = 2 + (cell.entry == "kernel")
     # a cache key nobody built and nobody to build it keeps codegen on its Python form
     with installed_telemetry() as (tracer, _), \
             mock.patch.object(GeneratedKernel, "_range_cuts", _cuts(cell.ranges)), \
             mock.patch.dict(os.environ, {"CC": "/bin/false"} if cell.backend == "codegen" else {}):
-        kern, sweep = _sweeper(cell, profiler)
+        kern, sweep, profiler = _sweeper(cell)
         assert sweep().tobytes() == want.tobytes()
         if cell.backend == "native" and have_cc():  # without one: the Python form
             assert kern.build_native(wait=True)
@@ -218,20 +217,21 @@ def check(cell: Cell) -> None:
         assert profile.executions == sweeps and profile.total_seconds > 0
 
 
-def _sweeper(cell: Cell, profiler):
-    """``(kernel, sweep(rhs=None, profiled=True))`` of one cell."""
+def _sweeper(cell: Cell):
+    """``(kernel, sweep(rhs=None, profiled=True), profiler)`` of one cell."""
     mesh = _mesh(cell.mesh, ("python" if cell.backend == "codegen" else "kernel", cell.ranges))
     u = _velocity(cell, mesh)
     batch = _batch(cell.variant, cell.batch)
     if cell.entry == "assembler":  # the assembler sizes its own chunks
         assert cell.chunk_groups is None and cell.mesh != "disjoint"
-        asms = {p: _assembler(cell, mesh, p) for p in {None, profiler}}
+        asms = {p: _assembler(cell, mesh, p) for p in {False, cell.profile}}
+        profiler = asms[cell.profile].profiler
         rank = "full" if cell.batch == "per_scenario" else "vec"
         kern = None if cell.backend == "interpreted" else \
-            asms[None]._kernel(cell.variant, cell.vd, batch or asms[None]._batch, rank)
+            asms[False]._kernel(cell.variant, cell.vd, batch or asms[False]._batch, rank)
 
         def sweep(rhs=None, profiled=True):
-            asm = asms[profiler if profiled else None]
+            asm = asms[cell.profile and profiled]
             if batch is None:
                 return asm.assemble(cell.variant, u)
             return asm.run_batch(cell.variant, batch, u)
@@ -239,6 +239,7 @@ def _sweeper(cell: Cell, profiler):
         assert batch is not None
         kern = _bind(cell, mesh, batch)
         rows = batch.param_rows()
+        profiler = TapeProfiler() if cell.profile else None
 
         def sweep(rhs=None, profiled=True):
             kw = dict(param_rows=rows, profiler=profiler if profiled else None)
@@ -246,7 +247,7 @@ def _sweeper(cell: Cell, profiler):
                 return kern.execute_chunked(u, rhs, num_threads=cell.threads,
                                             chunk_groups=cell.chunk_groups, **kw)
             return kern.execute(u, rhs, chunk_groups=cell.chunk_groups, **kw)
-    return kern, sweep
+    return kern, sweep, profiler
 
 
 def _cuts(ranges):

@@ -1,4 +1,4 @@
-"""Op-level tape profiler: bit-identity, byte attribution, exports.
+"""Op-level tape profiler: bit-identity, byte attribution, phases.
 
 The two acceptance criteria of the profiler live here: profiled
 assemblies must be **bitwise identical** to unprofiled ones across every
@@ -13,13 +13,7 @@ import pytest
 
 from repro.core import ScenarioBatch, UnifiedAssembler, compiled_tape, generated_kernel
 from repro.fem import box_tet_mesh, get_plan
-from repro.obs import (
-    NullProfiler,
-    TapeProfiler,
-    op_costs_from_program,
-    profile_trace_events,
-    write_flamegraph,
-)
+from repro.obs import TapeProfiler, op_costs_from_program
 from repro.physics import AssemblyParams
 from tests.conftest import installed_telemetry
 from tests.core.test_differential import corner
@@ -48,7 +42,8 @@ def prof_velocity(mesh):
 
 def _assemble(mesh, params, velocity, variant, vector_dim, **kw):
     asm = UnifiedAssembler(mesh, params, vector_dim=vector_dim, **kw)
-    return asm.assemble(variant, velocity)
+    asm.assemble(variant, velocity)
+    return asm
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +75,11 @@ def test_measured_bytes_match_predicted(
 ):
     """Profiled per-op bytes agree with TapeReport.predicted_bytes within
     the stated tolerance (prediction is an all-vector upper bound)."""
-    profiler = TapeProfiler()
-    _assemble(
+    asm = _assemble(
         mesh, prof_params, prof_velocity, variant, 64, mode="compiled",
-        profiler=profiler,
+        profile=True,
     )
-    prof = profiler.profiles[(variant, 64, "compiled", "serial")]
+    prof = asm.profiler.profiles[(variant, 64, "compiled", "serial", 1)]
     assert prof.report is not None and prof.executions == 1
     nlane = prof.lanes[0] / prof.executions
     predicted = prof.report.predicted_bytes(nlane)
@@ -136,12 +130,12 @@ def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
     each call and its span goes to the tracer installed at the call: a later
     unprofiled assembler inherits nothing, nor do two callers that
     interleave lookup - lookup - sweep - sweep."""
-    profiler = TapeProfiler()
-    _assemble(mesh, prof_params, prof_velocity, "RS", 16,
-              mode="compiled", profiler=profiler)
-    prof = profiler.profiles[("RS", 16, "compiled", "serial")]
+    asm = _assemble(mesh, prof_params, prof_velocity, "RS", 16,
+                    mode="compiled", profile=True)
+    prof = asm.profiler.profiles[("RS", 16, "compiled", "serial", 1)]
     # same mesh + variant + vector_dim -> same cached tape, no profiler
-    _assemble(mesh, prof_params, prof_velocity, "RS", 16, mode="compiled")
+    unprofiled = _assemble(mesh, prof_params, prof_velocity, "RS", 16, mode="compiled")
+    assert unprofiled.profiler is None
     assert prof.executions == 1
     for make in (compiled_tape, generated_kernel):
         profiler = TapeProfiler()
@@ -155,25 +149,15 @@ def test_unprofiled_assembler_records_nothing(mesh, prof_params, prof_velocity):
         assert [s.name for s in tracer.finished].count(mine._span) == 1
 
 
-def test_null_profiler_contract():
-    null = NullProfiler()
-    assert not null.enabled
-    assert null.snapshot() == []
-    assert null.collapsed() == {}
-    with pytest.raises(RuntimeError):
-        null.for_program(None, 8, "compiled")
-
-
 # ---------------------------------------------------------------------------
-# Phases, exports
+# Phases
 # ---------------------------------------------------------------------------
 
 
 def test_phase_breakdown_orders_and_sums(mesh, prof_params, prof_velocity):
-    profiler = TapeProfiler()
-    _assemble(mesh, prof_params, prof_velocity, "RSPR", 64,
-              mode="compiled", profiler=profiler)
-    prof = profiler.profiles[("RSPR", 64, "compiled", "serial")]
+    asm = _assemble(mesh, prof_params, prof_velocity, "RSPR", 64,
+                    mode="compiled", profile=True)
+    prof = asm.profiler.profiles[("RSPR", 64, "compiled", "serial", 1)]
     phases = prof.phases()
     assert set(phases) <= {"gather", "compute", "select", "store",
                            "scatter", "flush"}
@@ -185,31 +169,3 @@ def test_phase_breakdown_orders_and_sums(mesh, prof_params, prof_velocity):
         p["bytes"] for name, p in phases.items() if name != "flush"
     )
     assert op_phase_bytes == pytest.approx(prof.total_bytes)
-    rows = prof.op_rows(top=5)
-    assert len(rows) == 5
-    assert rows[0]["seconds"] >= rows[-1]["seconds"]
-
-
-def test_collapsed_flamegraph_and_trace(tmp_path, mesh, prof_params,
-                                        prof_velocity):
-    profiler = TapeProfiler()
-    _assemble(mesh, prof_params, prof_velocity, "RS", 64,
-              mode="compiled", profiler=profiler)
-    collapsed = profiler.collapsed()
-    assert collapsed
-    for stack, usec in collapsed.items():
-        assert stack.startswith("tape;RS@vd64[compiled];")
-        assert usec >= 1 and isinstance(usec, int)
-
-    path = tmp_path / "flame.txt"
-    lines = write_flamegraph(collapsed, str(path))
-    assert lines == len([u for u in collapsed.values() if u > 0])
-    body = path.read_text()
-    for line in body.splitlines():
-        stack, weight = line.rsplit(" ", 1)
-        assert int(weight) > 0 and ";" in stack
-
-    events = profile_trace_events(profiler.snapshot())
-    names = {e["name"] for e in events if e.get("ph") == "X"}
-    assert any("#0" in n for n in names)
-    assert all(e["dur"] >= 0 for e in events if e.get("ph") == "X")
