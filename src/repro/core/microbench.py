@@ -21,6 +21,7 @@ from typing import Dict
 import numpy as np
 
 from ..machine.gpu import GpuModel
+from ..machine.traffic import forwarded
 from .dsl import Backend, KernelContext, TracingBackend
 from .storage import Storage
 
@@ -58,9 +59,9 @@ class Listing3Result:
     dram_store_bytes: int
 
 
-def run_listing3(model: GpuModel | None = None) -> Dict[str, Listing3Result]:
+def run_listing3() -> Dict[str, Listing3Result]:
     """Run the micro-study; keys are ``global``/``local``/``registers``."""
-    model = model or GpuModel()
+    model = GpuModel()
     dummy_ctx = KernelContext(
         connectivity=np.zeros((1, 4), dtype=np.int64),
         coords=np.zeros((4, 3)),
@@ -78,19 +79,15 @@ def run_listing3(model: GpuModel | None = None) -> Dict[str, Listing3Result]:
         bk = TracingBackend(dummy_ctx)
         make_listing3_kernel(storage, static)(bk, dummy_ctx)
         report = bk.finalize()
-        mapping = model.map_storage(report)
-        local_stores = 0
-        global_stores = 0
-        for ev in report.pattern:
-            if not ev.is_store():
-                continue
-            region = mapping.region_of.get(ev.array, "global")
-            if region == "register":
-                continue  # promoted: no store instruction at all
-            if region == "local":
-                local_stores += 1
-            else:
-                global_stores += 1
+        region_of = model.map_storage(report).region_of
+        # the store instructions that remain: a promoted array has none
+        stores = [
+            region
+            for region, ev in forwarded(report, region_of, window=0)
+            if ev.is_store()
+        ]
+        local_stores = stores.count("local")
+        global_stores = stores.count("global")
         # Both store kinds write through to L2; only global stores must
         # eventually reach DRAM (local lines are invalidated on thread
         # exit, assuming -- as in the paper's test -- no capacity eviction).

@@ -11,7 +11,7 @@ workload times one regeneration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from ..machine.cpu import CpuModel
 from ..machine.energy import energy_comparison
 from ..machine.gpu import GpuModel
 from ..machine.roofline import Roofline, RooflinePoint, gpu_roofline
+from ..machine.traffic import PAPER_NELEM
 from ..obs.metrics import get_registry
 from ..obs.spans import get_tracer
 from ..physics.momentum import AssemblyParams
@@ -29,9 +30,6 @@ from .unified import UnifiedAssembler
 from .variants import variant_names
 
 __all__ = ["OptimizationStudy", "PAPER_NELEM"]
-
-#: Element count of the paper's Bolund mesh.
-PAPER_NELEM = 32.6e6
 
 
 class OptimizationStudy:
@@ -44,8 +42,6 @@ class OptimizationStudy:
         (defaults to a 12^3 box -- per-element behaviour is what matters).
     params:
         Assembly parameters (must match the specialized kernels).
-    nelem_total:
-        Mesh size runtimes are extrapolated to (paper: 32.6M elements).
     seed:
         RNG seed for the synthetic velocity field used while tracing.
 
@@ -53,25 +49,22 @@ class OptimizationStudy:
     nested span tree (``variant`` > ``kernel_trace`` / ``gpu_model`` /
     ``cpu_model``); the process-wide registry receives the per-variant
     model runtimes (``study.gpu_runtime_ms.<V>`` /
-    ``study.cpu_runtime_ms.<V>`` gauges).
+    ``study.cpu_runtime_ms.<V>`` gauges).  Runtimes are extrapolated to
+    the paper's 32.6M-element mesh (:data:`PAPER_NELEM`).
     """
 
     def __init__(
         self,
         mesh: Optional[TetMesh] = None,
         params: Optional[AssemblyParams] = None,
-        gpu_model: Optional[GpuModel] = None,
-        cpu_model: Optional[CpuModel] = None,
-        nelem_total: float = PAPER_NELEM,
         seed: int = 2024,
     ) -> None:
         self.mesh = mesh if mesh is not None else box_tet_mesh(12, 12, 12)
         self.params = params if params is not None else AssemblyParams(
             body_force=(0.0, 0.0, 0.1)
         )
-        self.gpu_model = gpu_model if gpu_model is not None else GpuModel()
-        self.cpu_model = cpu_model if cpu_model is not None else CpuModel()
-        self.nelem_total = float(nelem_total)
+        self.gpu_model = GpuModel()
+        self.cpu_model = CpuModel()
         rng = np.random.default_rng(seed)
         self.velocity = 0.1 * rng.standard_normal((self.mesh.nnode, 3))
         self.assembler = UnifiedAssembler(self.mesh, self.params, vector_dim=64)
@@ -85,45 +78,37 @@ class OptimizationStudy:
         return self._traces[variant]
 
     # ------------------------------------------------------------------
-    # Table II
+    # Tables I and II
     # ------------------------------------------------------------------
     def gpu_table(self, variants: Optional[List[str]] = None) -> List[GpuCounters]:
         """Table II: GPU counters for B, P, RS, RSP, RSPR."""
-        names = variants or list(variant_names("gpu"))
-        out: List[GpuCounters] = []
-        tracer = get_tracer()
-        with tracer.span("gpu_table", variants=list(names)):
-            for v in names:
-                with tracer.span("variant", variant=v, target="gpu"):
-                    trace = self.trace(v)
-                    with tracer.span("gpu_model", variant=v):
-                        counters = self.gpu_model.run(
-                            v, trace, self.mesh.connectivity, self.nelem_total
-                        )
-                    get_registry().gauge(f"study.gpu_runtime_ms.{v}").set(
-                        counters.runtime_ms
-                    )
-                    out.append(counters)
-        return out
+        return self._table("gpu", self.gpu_model, "runtime_ms", variants)
 
-    # ------------------------------------------------------------------
-    # Table I
-    # ------------------------------------------------------------------
     def cpu_table(self, variants: Optional[List[str]] = None) -> List[CpuCounters]:
         """Table I: CPU counters for B, RS, RSP."""
-        names = variants or list(variant_names("cpu"))
-        out: List[CpuCounters] = []
+        return self._table("cpu", self.cpu_model, "runtime_1c_ms", variants)
+
+    def _table(
+        self,
+        target: str,
+        model: Union[GpuModel, CpuModel],
+        runtime: str,
+        variants: Optional[List[str]],
+    ) -> list:
+        """One machine model over the variants of ``target``, each in a
+        ``variant`` > ``<target>_model`` span, its ``runtime`` field
+        gauged as ``study.<target>_runtime_ms.<V>``."""
+        names = variants or list(variant_names(target))
+        out = []
         tracer = get_tracer()
-        with tracer.span("cpu_table", variants=list(names)):
+        with tracer.span(f"{target}_table", variants=list(names)):
             for v in names:
-                with tracer.span("variant", variant=v, target="cpu"):
+                with tracer.span("variant", variant=v, target=target):
                     trace = self.trace(v)
-                    with tracer.span("cpu_model", variant=v):
-                        counters = self.cpu_model.run(
-                            v, trace, self.mesh.connectivity, self.nelem_total
-                        )
-                    get_registry().gauge(f"study.cpu_runtime_ms.{v}").set(
-                        counters.runtime_1c_ms
+                    with tracer.span(f"{target}_model", variant=v):
+                        counters = model.run(v, trace, self.mesh.connectivity)
+                    get_registry().gauge(f"study.{target}_runtime_ms.{v}").set(
+                        getattr(counters, runtime)
                     )
                     out.append(counters)
         return out
@@ -140,10 +125,7 @@ class OptimizationStudy:
         names = variants or list(variant_names("cpu"))
         return {
             v: self.cpu_model.scaling_curve(
-                self.trace(v),
-                self.mesh.connectivity,
-                worker_counts,
-                self.nelem_total,
+                self.trace(v), self.mesh.connectivity, worker_counts
             )
             for v in names
         }

@@ -31,10 +31,7 @@ class CacheStats:
     __slots__ = (
         "hits",
         "misses",
-        "store_hits",
-        "store_misses",
         "writebacks",
-        "invalidated_dirty",
         "hit_units",
         "miss_units",
         "writeback_units",
@@ -43,28 +40,10 @@ class CacheStats:
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.store_hits = 0
-        self.store_misses = 0
         self.writebacks = 0
-        self.invalidated_dirty = 0
         self.hit_units = 0
         self.miss_units = 0
         self.writeback_units = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        n = self.accesses
-        return self.hits / n if n else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"hit_rate={self.hit_rate:.3f}, writebacks={self.writebacks})"
-        )
 
 
 class LruCache:
@@ -76,7 +55,7 @@ class LruCache:
         Number of lines the cache holds (capacity / line size).
     on_evict:
         Optional callback ``(line, dirty) -> None`` fired on every eviction
-        (used to chain levels and count writebacks).
+        (the CPU model chains its write-back levels with it).
     """
 
     def __init__(
@@ -114,14 +93,11 @@ class LruCache:
             lines.move_to_end(line)
             if store:
                 entry[0] = True
-                stats.store_hits += 1
             stats.hits += 1
             stats.hit_units += entry[1]
             return True
         stats.misses += 1
         stats.miss_units += weight
-        if store:
-            stats.store_misses += 1
         lines[line] = [store, weight]
         self._weight += weight
         while self._weight > self.capacity:
@@ -145,25 +121,8 @@ class LruCache:
             if entry is not None:
                 n += 1
                 self._weight -= entry[1]
-                if entry[0]:
-                    self.stats.invalidated_dirty += 1
         return n
 
     def dirty_weight(self) -> int:
         """Total weight of resident dirty lines."""
         return sum(e[1] for e in self._lines.values() if e[0])
-
-    def flush(self) -> int:
-        """Evict everything; returns the number of dirty writebacks."""
-        n = 0
-        while self._lines:
-            line, (dirty, w) = self._lines.popitem(last=False)
-            self._weight -= w
-            if dirty:
-                n += 1
-                self.stats.writebacks += 1
-                self.stats.writeback_units += w
-            if self.on_evict is not None:
-                self.on_evict(line, dirty)
-        return n
-

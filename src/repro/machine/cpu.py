@@ -2,23 +2,26 @@
 
 The LIKWID-counter analogue of :mod:`repro.machine.gpu`: consumes a kernel
 trace and produces Table I's per-element columns plus the Figure 2 scaling
-curves.
+curves.  Register forwarding, address layout and the cold-mesh correction
+are the shared stages of :mod:`repro.machine.traffic`; this module holds
+what is the Icelake's own.
 
 Model summary
 -------------
 
 * **Vector execution**: one core processes an element group of
-  ``VECTOR_DIM = 16`` lanes; every DSL statement is two AVX-512 vector
+  ``_VECTOR_DIM = 16`` lanes; every DSL statement is two AVX-512 vector
   operations (16 lanes / 8 doubles), and -- as the paper observed from the
   generated assembly -- 512-bit loads/stores are *split* into two 256-bit
   halves, doubling the load/store instruction count.
 * **Register mapping**: the CPU has 32 ZMM registers; a handful are needed
-  as working registers, leaving ``register_slots`` (default 24) lane-wide
-  slots for privatized temporaries.  Whole arrays are promoted by access
+  as working registers, leaving ``_REGISTER_SLOTS = 24`` lane-wide slots
+  for privatized temporaries.  Whole arrays are promoted by access
   density until the budget is spent; remaining private arrays live on the
-  stack but benefit from compiler store-to-load forwarding within a short
-  window.  Global-temp arrays always round-trip through the cache
-  hierarchy (the baseline behaviour the paper describes).
+  stack (the ``"local"`` region) but benefit from compiler store-to-load
+  forwarding within a short window.  Global-temp arrays always round-trip
+  through the cache hierarchy (the baseline behaviour the paper
+  describes).
 * **Cache simulation**: write-back, write-allocate L1/L2/L3 LRU caches with
   64-byte lines; a vector statement touches two consecutive lines, mesh
   gathers touch the per-lane lines of the real connectivity.  The paper
@@ -26,14 +29,14 @@ Model summary
 * **Timing**: port-throughput model
   ``cycles = max(ldst / ldst_ports, fma / fma_ports, total / issue_width)``
   plus amortized miss penalties, at the turbo frequency of the active-core
-  count.  Multi-core runtime adds the socket bandwidth ceiling (which the
-  paper notes is *not* reached -- linear scaling apart from turbo bins).
+  count.  Multi-core runtime (``_MULTICORE_WORKERS = 71`` workers for
+  Table I) adds the socket bandwidth ceiling (which the paper notes is
+  *not* reached -- linear scaling apart from turbo bins).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,13 +45,18 @@ from ..core.storage import MemoryEvent, Storage
 from .cache import LruCache
 from .counters import CpuCounters
 from .spec import ICELAKE_8360Y, CpuSpec
-from .traffic import cold_mesh_dram_bytes
+from .traffic import (
+    PAPER_NELEM,
+    SWEEPS_PER_STEP,
+    Layout,
+    candidate_regions,
+    cold_mesh_dram_bytes,
+    effectiveness,
+    forwarded,
+    tiled,
+)
 
-__all__ = ["CpuModel", "CPU_SWEEPS_PER_STEP"]
-
-#: Same convention as the GPU model: reported runtimes cover three assembly
-#: sweeps (Runge-Kutta substeps) over the 32.6M-element mesh.
-CPU_SWEEPS_PER_STEP = 3
+__all__ = ["CpuModel"]
 
 # Amortized out-of-order miss penalties (cycles per missed line); fitted so
 # the baseline lands in the paper's single-core performance regime.
@@ -59,193 +67,107 @@ _L3_MISS_CYCLES = 28.0
 # Element groups the single-core cache replay walks.
 _SIM_GROUPS = 256
 
+# Lanes of one element group: Alya's VECTOR_DIM on the CPU (Table I).
+_VECTOR_DIM = 16
 
-@dataclasses.dataclass
-class CpuStorageMapping:
-    """Where each temp array lives on the CPU path."""
+# Lane-wide ZMM slots left for privatized temporaries: 32 registers less
+# the compiler's working set.
+_REGISTER_SLOTS = 24
 
-    register_arrays: Tuple[str, ...]
-    stack_arrays: Tuple[str, ...]
-    global_arrays: Tuple[str, ...]
+# MPI workers of Table I's full-node column: 72 cores less Alya's master.
+_MULTICORE_WORKERS = 71
+
+
+def _write_back_to(cache: LruCache) -> Callable[[int, bool], None]:
+    """Eviction callback that writes a dirty line back into ``cache``."""
+
+    def evict(line: int, dirty: bool) -> None:
+        if dirty:
+            cache.access(line, store=True, weight=1)
+
+    return evict
 
 
 class CpuModel:
     """Icelake execution model; see module docstring."""
 
-    def __init__(
-        self,
-        spec: CpuSpec = ICELAKE_8360Y,
-        vector_dim: int = 16,
-        register_slots: int = 24,
-        forward_window: int = 8,
-    ) -> None:
+    def __init__(self, spec: CpuSpec = ICELAKE_8360Y) -> None:
         self.spec = spec
-        self.vector_dim = int(vector_dim)
-        self.register_slots = int(register_slots)
-        self.forward_window = int(forward_window)
 
     # ------------------------------------------------------------------
-    def map_storage(self, report: TraceReport) -> CpuStorageMapping:
-        """Promote private arrays to vector registers by access density."""
+    def map_storage(self, report: TraceReport) -> Dict[str, str]:
+        """Promote private arrays to vector registers by access density.
+
+        Returns the region of every temp array, as the GPU model's
+        ``StorageMapping.region_of`` does: a register candidate that does
+        not fit the budget stays on the stack (``"local"``).
+        """
         counts: Dict[str, int] = {}
         for ev in report.pattern:
             if ev.storage is Storage.PRIVATE:
                 counts[ev.array] = counts.get(ev.array, 0) + 1
-        regs: List[str] = []
-        stack: List[str] = []
-        budget = self.register_slots
-        candidates = [
-            (name, counts.get(name, 0) / max(1, spec.size))
-            for name, spec in report.temps.items()
-            if spec.storage is Storage.PRIVATE and spec.static
-        ]
-        candidates.sort(key=lambda kv: kv[1], reverse=True)
-        for name, _density in candidates:
+        region = candidate_regions(report)
+        candidates = [a for a, r in region.items() if r == "register"]
+        candidates.sort(
+            key=lambda a: counts.get(a, 0) / max(1, report.temps[a].size),
+            reverse=True,
+        )
+        budget = _REGISTER_SLOTS
+        for name in candidates:
             size = report.temps[name].size
             if size <= budget:
-                regs.append(name)
                 budget -= size
             else:
-                stack.append(name)
-        for name, spec in report.temps.items():
-            if spec.storage is Storage.PRIVATE and not spec.static:
-                stack.append(name)
-        glob = [
-            name
-            for name, spec in report.temps.items()
-            if spec.storage is Storage.GLOBAL_TEMP
-        ]
-        return CpuStorageMapping(
-            register_arrays=tuple(regs),
-            stack_arrays=tuple(stack),
-            global_arrays=tuple(glob),
-        )
-
-    # ------------------------------------------------------------------
-    def filter_pattern(
-        self, report: TraceReport, mapping: CpuStorageMapping
-    ) -> List[Tuple[str, MemoryEvent]]:
-        """Apply register promotion and store-to-load forwarding."""
-        regs = set(mapping.register_arrays)
-        stack = set(mapping.stack_arrays)
-        out: List[Tuple[str, MemoryEvent]] = []
-        last_touch: Dict[Tuple[str, int], int] = {}
-        for i, ev in enumerate(report.pattern):
-            if ev.storage is Storage.MESH:
-                out.append(("mesh", ev))
-                continue
-            if ev.array in regs:
-                continue
-            if ev.array in stack:
-                key = (ev.array, ev.offset)
-                prev = last_touch.get(key)
-                last_touch[key] = i
-                if prev is not None and i - prev <= self.forward_window:
-                    continue
-                out.append(("stack", ev))
-            else:
-                out.append(("global", ev))
-        return out
+                region[name] = "local"
+        return region
 
     # ------------------------------------------------------------------
     def simulate_caches(
-        self,
-        filtered: List[Tuple[str, MemoryEvent]],
-        connectivity: np.ndarray,
+        self, filtered: List[Tuple[str, MemoryEvent]], connectivity: np.ndarray
     ) -> Dict[str, float]:
         """Single-core cache replay over :data:`_SIM_GROUPS` element groups."""
         spec = self.spec
-        vdim = self.vector_dim
+        vdim = _VECTOR_DIM
         line = spec.line_bytes
-        nelem_needed = _SIM_GROUPS * vdim
-        if connectivity.shape[0] < nelem_needed:
-            reps = -(-nelem_needed // connectivity.shape[0])
-            connectivity = np.tile(connectivity, (reps, 1))
+        connectivity = tiled(connectivity, _SIM_GROUPS * vdim)
 
-        l3_stats = {"miss_units": 0, "wb_units": 0}
-
+        # write-back chaining: a dirty L1 eviction stores into the L2, etc.
         l3 = LruCache(max(8, spec.l3_bytes // line))
-        l2 = LruCache(max(8, spec.l2_bytes // line))
-        l1 = LruCache(max(8, spec.l1_bytes // line))
-
-        # write-back chaining: L1 evict dirty -> L2 access(store); etc.
-        def l1_evict(ln: int, dirty: bool) -> None:
-            if dirty:
-                l2.access(ln, store=True, weight=1)
-
-        def l2_evict(ln: int, dirty: bool) -> None:
-            if dirty:
-                l3.access(ln, store=True, weight=1)
-
-        def l3_evict(ln: int, dirty: bool) -> None:
-            if dirty:
-                l3_stats["wb_units"] += 1
-
-        l1.on_evict = l1_evict
-        l2.on_evict = l2_evict
-        l3.on_evict = l3_evict
-
-        array_base: Dict[Tuple[str, str], int] = {}
-
-        def base_of(region: str, array: str) -> int:
-            key = (region, array)
-            b = array_base.get(key)
-            if b is None:
-                b = (len(array_base) + 1) << 44
-                array_base[key] = b
-            return b
+        l2 = LruCache(max(8, spec.l2_bytes // line), on_evict=_write_back_to(l3))
+        l1 = LruCache(max(8, spec.l1_bytes // line), on_evict=_write_back_to(l2))
+        layout = Layout()
 
         def probe(ln: int, store: bool) -> None:
-            if l1.access(ln, store=store, weight=1):
-                return
-            if l2.access(ln, store=False, weight=1):
-                return
-            l3.access(ln, store=False, weight=1)
+            # a miss goes on to the next level and allocates at each
+            if not l1.access(ln, store=store) and not l2.access(ln):
+                l3.access(ln)
 
-        ops = 0
-        mesh_ops = 0
         for g in range(_SIM_GROUPS):
             e0 = g * vdim
-            lanes = np.arange(e0, e0 + vdim)
             for region, ev in filtered:
                 store = ev.is_store()
                 if region == "mesh":
-                    mesh_ops += 1
                     nodes = connectivity[e0 : e0 + vdim, ev.node_slot]
-                    addrs = base_of("mesh", ev.array) + (
-                        nodes * 3 + ev.component
-                    ) * 8
-                    for ln in np.unique(addrs // line):
-                        probe(int(ln), store)
+                    lines = layout.mesh_lines(ev, nodes, line)
                 else:
-                    ops += 1
-                    # stack arrays are reused across groups (same virtual
-                    # address every call); global temps are distinct per
-                    # group in the Alya allocation style.
-                    if region == "stack":
-                        addr0 = base_of(region, ev.array) + ev.offset * vdim * 8
-                    else:
-                        addr0 = base_of(region, ev.array) + (
-                            ev.offset * vdim + 0
-                        ) * 8
-                    ln0 = addr0 // line
-                    ln1 = (addr0 + vdim * 8 - 1) // line
-                    for ln in range(ln0, ln1 + 1):
-                        probe(ln, store)
+                    # every group reuses the same addresses: stack arrays
+                    # and global temps alike
+                    addr0 = layout.base(region, ev.array) + ev.offset * vdim * 8
+                    lines = range(addr0 // line, (addr0 + vdim * 8 - 1) // line + 1)
+                for ln in lines:
+                    probe(ln, store)
 
-        ngroups = float(_SIM_GROUPS)
-        nelem = ngroups * vdim
+        nelem = float(_SIM_GROUPS) * vdim
         # One event is a vector statement over all vdim lanes: each element
         # sees one 8-byte lane-op per event, so per-element op count equals
         # events per group and the L1 volume is ops x 8 B (the paper's
         # convention).
-        events_per_elem = (ops + mesh_ops) / ngroups
+        events_per_elem = float(len(filtered))
         l1_volume = events_per_elem * 8.0
 
         l2_requests = l2.stats.hits + l2.stats.misses
-        l3_requests = l3.stats.hits + l3.stats.misses
         l23_volume = l2_requests * line / nelem
-        dram_volume = (l3.stats.misses + l3_stats["wb_units"]) * line / nelem
+        dram_volume = (l3.stats.misses + l3.stats.writebacks) * line / nelem
         return {
             "events_per_elem": events_per_elem,
             "l1_volume": l1_volume,
@@ -281,12 +203,7 @@ class CpuModel:
 
     # ------------------------------------------------------------------
     def multicore_runtime(
-        self,
-        cycles_per_elem: float,
-        dram_bytes_per_elem: float,
-        workers: int,
-        nelem_total: float,
-        sweeps: int = CPU_SWEEPS_PER_STEP,
+        self, cycles_per_elem: float, dram_bytes_per_elem: float, workers: int
     ) -> float:
         """Wall time (s) for ``workers`` MPI worker processes.
 
@@ -304,7 +221,7 @@ class CpuModel:
             for s in range(spec.sockets)
         ]
         # elements are distributed evenly over workers
-        elems_per_worker = nelem_total * sweeps / workers
+        elems_per_worker = PAPER_NELEM * SWEEPS_PER_STEP / workers
         times = []
         for cores in per_socket:
             if cores == 0:
@@ -317,44 +234,42 @@ class CpuModel:
         return max(times)
 
     # ------------------------------------------------------------------
+    def _replay(
+        self, report: TraceReport, connectivity: np.ndarray
+    ) -> Tuple[Dict[str, float], float]:
+        """Map, forward and replay one kernel: ``(cache volumes, cycles per
+        element)``."""
+        filtered = forwarded(report, self.map_storage(report))
+        sim = self.simulate_caches(filtered, connectivity)
+        return sim, self.cycles_per_element(report, sim)
+
     def run(
-        self,
-        variant: str,
-        report: TraceReport,
-        connectivity: np.ndarray,
-        nelem_total: float = 32.6e6,
-        sweeps: int = CPU_SWEEPS_PER_STEP,
-        multicore_workers: int = 71,
+        self, variant: str, report: TraceReport, connectivity: np.ndarray
     ) -> CpuCounters:
         """Full pipeline to one Table I column."""
-        mapping = self.map_storage(report)
-        filtered = self.filter_pattern(report, mapping)
-        sim = self.simulate_caches(filtered, connectivity)
-        cyc = self.cycles_per_element(report, sim)
+        sim, cyc = self._replay(report, connectivity)
         freq1 = self.spec.frequency(1)
         t_elem = cyc / freq1
-        runtime_1c = t_elem * nelem_total * sweeps
+        runtime_1c = t_elem * PAPER_NELEM * SWEEPS_PER_STEP
         cold = cold_mesh_dram_bytes()
         l1v = sim["l1_volume"]
         l23v = sim["l23_volume"] + cold
         dram = sim["dram_volume"] + cold
-        runtime_mc = self.multicore_runtime(
-            cyc, dram, multicore_workers, nelem_total, sweeps
-        )
+        runtime_mc = self.multicore_runtime(cyc, dram, _MULTICORE_WORKERS)
         return CpuCounters(
             variant=variant,
             loadstore=sim["events_per_elem"],
             flops=float(report.flops),
             l1_volume=l1v,
-            l1_effectiveness=max(0.0, 1.0 - l23v / l1v) if l1v else 0.0,
+            l1_effectiveness=effectiveness(l1v, l23v),
             l23_volume=l23v,
-            l23_effectiveness=max(0.0, 1.0 - dram / l23v) if l23v else 0.0,
+            l23_effectiveness=effectiveness(l23v, dram),
             dram_volume=dram,
             gflops_1c=report.flops / t_elem / 1e9,
             gbs_1c=dram / t_elem / 1e9,
             runtime_1c_ms=runtime_1c * 1e3,
             runtime_multicore_ms=runtime_mc * 1e3,
-            multicore_workers=multicore_workers,
+            multicore_workers=_MULTICORE_WORKERS,
         )
 
     # ------------------------------------------------------------------
@@ -363,25 +278,20 @@ class CpuModel:
         report: TraceReport,
         connectivity: np.ndarray,
         worker_counts: Optional[List[int]] = None,
-        nelem_total: float = 32.6e6,
-        sweeps: int = CPU_SWEEPS_PER_STEP,
     ) -> List[Dict[str, float]]:
         """Figure 2 data: Melem/s and wall time vs worker count."""
-        mapping = self.map_storage(report)
-        filtered = self.filter_pattern(report, mapping)
-        sim = self.simulate_caches(filtered, connectivity)
-        cyc = self.cycles_per_element(report, sim)
+        sim, cyc = self._replay(report, connectivity)
         dram = sim["dram_volume"] + cold_mesh_dram_bytes()
         if worker_counts is None:
             worker_counts = [1, 2, 4, 8, 12, 17, 18, 24, 32, 48, 60, 71]
         rows = []
         for w in worker_counts:
-            t = self.multicore_runtime(cyc, dram, w, nelem_total, sweeps)
+            t = self.multicore_runtime(cyc, dram, w)
             rows.append(
                 {
                     "workers": w,
                     "wall_ms": t * 1e3,
-                    "melem_per_s": nelem_total * sweeps / t / 1e6,
+                    "melem_per_s": PAPER_NELEM * SWEEPS_PER_STEP / t / 1e6,
                 }
             )
         return rows

@@ -8,7 +8,8 @@ paper's Table II -- per-element global/local load-store and FP operation
 counts, L1/L2/DRAM volumes and effectiveness, register allocation,
 occupancy, and a roofline-with-latency runtime estimate.
 
-The model has four stages:
+The model runs the four stages of :mod:`repro.machine.traffic`'s method;
+this module holds the three that are the A100's own:
 
 1. **Register allocation / storage mapping** (Sec. V-C of the paper,
    Table III):  private arrays with compile-time-constant indices are
@@ -19,11 +20,8 @@ The model has four stages:
    memory.  Global-temp kernels pay a fitted address-generation overhead
    which drives them to the 255-register ceiling, as both paper baselines
    do.  (Constants fitted to Table II: see ``_REG_*`` below.)
-2. **Register forwarding**: for private (register/local) values the
-   compiler can keep a just-written value in a register for a short while;
-   accesses that re-touch a slot accessed fewer than ``forward_window``
-   events ago are eliminated.  Global temporaries get no forwarding -- the
-   paper observed both compilers reloading even just-stored zeros.
+2. **Register forwarding**: the shared
+   :func:`~repro.machine.traffic.forwarded` filter.
 3. **Cache simulation**: the filtered pattern is replayed warp-by-warp
    (each warp owns 32 consecutive elements) over an LRU L1 per SM and a
    shared LRU L2 scaled to the number of simulated SMs.  Mesh accesses use
@@ -42,24 +40,27 @@ The model has four stages:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.dsl import TraceReport
-from ..core.storage import AccessKind, MemoryEvent, Storage
+from ..core.storage import MemoryEvent
 from .cache import LruCache
 from .counters import GpuCounters
 from .spec import A100_SXM4_40GB, GpuSpec
-from .traffic import cold_mesh_dram_bytes
+from .traffic import (
+    PAPER_NELEM,
+    SWEEPS_PER_STEP,
+    Layout,
+    candidate_regions,
+    cold_mesh_dram_bytes,
+    effectiveness,
+    forwarded,
+    tiled,
+)
 
-__all__ = ["GpuModel", "StorageMapping", "GPU_SWEEPS_PER_STEP"]
-
-#: The paper's reported runtimes correspond to three assembly sweeps per
-#: time step (explicit Runge-Kutta substeps): e.g. Table II's baseline at
-#: 163 GFlop/s and 6293 Flop/element over 3773 ms implies ~98M element
-#: assemblies on the 32.6M-element mesh.
-GPU_SWEEPS_PER_STEP = 3
+__all__ = ["GpuModel", "StorageMapping"]
 
 # -- register-model constants, fitted to Table II (documented in DESIGN.md) --
 _REG_BASE = 33  # bookkeeping registers of any kernel
@@ -69,9 +70,11 @@ _REG_PER_ARRAY = 7  # address registers per memory-resident temp array
 _REG_GENERIC = 62  # generic-indexing overhead when temp arrays are in memory
 
 # -- cache-replay and timing constants (documented in DESIGN.md) --
+_SIM_SMS = 4  # SMs the replay simulates (the L2 is scaled to their share)
 _BATCHES_PER_WARP = 2  # replayed element batches per simulated warp
 _INTERLEAVE_EVENTS = 8  # events a warp issues before the next warp's turn
 _L2_EFFICIENCY = 0.45  # achievable fraction of L2 peak at 16 warps/SM
+_SECTOR = 32  # bytes: the A100's transfer granularity
 
 
 @dataclasses.dataclass
@@ -84,7 +87,6 @@ class StorageMapping:
     occupancy: float
     region_of: Dict[str, str]  # array -> "register" | "local" | "global"
     spilled_arrays: Tuple[str, ...]
-    peak_private_live: int
 
 
 def _private_liveness_peak(report: TraceReport, arrays: Sequence[str]) -> int:
@@ -117,34 +119,15 @@ def _private_liveness_peak(report: TraceReport, arrays: Sequence[str]) -> int:
 class GpuModel:
     """A100 execution model; see module docstring for the staged design."""
 
-    def __init__(
-        self,
-        spec: GpuSpec = A100_SXM4_40GB,
-        sim_sms: int = 4,
-        forward_window: int = 8,
-    ) -> None:
-        if sim_sms < 1:
-            raise ValueError("need at least one SM")
+    def __init__(self, spec: GpuSpec = A100_SXM4_40GB) -> None:
         self.spec = spec
-        self.sim_sms = int(sim_sms)
-        self.forward_window = int(forward_window)
 
     # ------------------------------------------------------------------
     # Stage 1: registers / storage mapping
     # ------------------------------------------------------------------
     def map_storage(self, report: TraceReport) -> StorageMapping:
-        region: Dict[str, str] = {}
-        reg_candidates: List[str] = []
-        for name, spec in report.temps.items():
-            if spec.storage is Storage.PRIVATE and spec.static:
-                reg_candidates.append(name)
-                region[name] = "register"
-            elif spec.storage is Storage.PRIVATE:
-                region[name] = "local"
-            else:
-                region[name] = "global"
-
-        peak_priv = _private_liveness_peak(report, reg_candidates)
+        region = candidate_regions(report)
+        reg_candidates = [a for a, r in region.items() if r == "register"]
         memory_arrays = [a for a, r in region.items() if r != "register"]
 
         def demand(priv_peak: int) -> float:
@@ -159,7 +142,7 @@ class GpuModel:
         cands = sorted(
             reg_candidates, key=lambda a: report.temps[a].size, reverse=True
         )
-        cur_peak = peak_priv
+        cur_peak = _private_liveness_peak(report, reg_candidates)
         while cands and demand(cur_peak) > self.spec.max_registers_per_thread:
             victim = cands.pop(0)
             region[victim] = "local"
@@ -177,39 +160,7 @@ class GpuModel:
             occupancy=warps / self.spec.max_warps_per_sm,
             region_of=region,
             spilled_arrays=tuple(spilled),
-            peak_private_live=cur_peak,
         )
-
-    # ------------------------------------------------------------------
-    # Stage 2: register forwarding filter
-    # ------------------------------------------------------------------
-    def filter_pattern(
-        self, report: TraceReport, mapping: StorageMapping
-    ) -> List[Tuple[str, MemoryEvent]]:
-        """Return ``(region, event)`` pairs surviving register forwarding.
-
-        Register-resident array accesses vanish entirely (they are the
-        registers).  Local/private accesses within ``forward_window`` events
-        of the previous access to the same slot are forwarded (eliminated).
-        Global temporaries and mesh traffic always survive.
-        """
-        out: List[Tuple[str, MemoryEvent]] = []
-        last_touch: Dict[Tuple[str, int], int] = {}
-        for i, ev in enumerate(report.pattern):
-            if ev.storage is Storage.MESH:
-                out.append(("mesh", ev))
-                continue
-            region = mapping.region_of.get(ev.array, "global")
-            if region == "register":
-                continue
-            if region == "local":
-                key = (ev.array, ev.offset)
-                prev = last_touch.get(key)
-                last_touch[key] = i
-                if prev is not None and i - prev <= self.forward_window:
-                    continue
-            out.append((region, ev))
-        return out
 
     # ------------------------------------------------------------------
     # Stage 3: cache simulation
@@ -219,78 +170,54 @@ class GpuModel:
         filtered: List[Tuple[str, MemoryEvent]],
         mapping: StorageMapping,
         connectivity: np.ndarray,
-        vector_dim: Optional[int] = None,
     ) -> Dict[str, float]:
         """Replay the pattern warp-by-warp through L1/L2 (see class doc).
 
         Accounting is in 32-byte sectors (the A100's transfer granularity):
-        a coalesced warp access to a ``VECTOR_DIM``-strided temporary is one
-        aligned 256-byte block (weight 8), a scattered mesh access touches
-        the distinct sectors of its 32 lanes (weight 1 each).  Stores write
-        through to the L2 and evict the L1 copy; mesh traffic bypasses the
-        L1 entirely; local-memory lines of finished warps are invalidated
-        without DRAM writeback.
+        a coalesced warp access to a temporary strided by the replayed
+        element count is one aligned 256-byte block (weight 8), a scattered
+        mesh access touches the distinct sectors of its 32 lanes (weight 1
+        each).  Stores write through to the L2 and evict the L1 copy;
+        local-memory lines of finished warps are invalidated without DRAM
+        writeback.
 
-        Returns per-element byte volumes and op counts.
+        Returns per-element byte volumes.
         """
         spec = self.spec
         warp = spec.warp_size
-        warps_per_sm = mapping.warps_per_sm
-        nwarps = self.sim_sms * warps_per_sm
-        nelem_needed = nwarps * warp * _BATCHES_PER_WARP
-        nelem_avail = connectivity.shape[0]
-        if nelem_avail < nelem_needed:
-            reps = -(-nelem_needed // nelem_avail)
-            connectivity = np.tile(connectivity, (reps, 1))
-        nelem_sim = nelem_needed
-        vdim = vector_dim if vector_dim is not None else nelem_sim
+        nwarps = _SIM_SMS * mapping.warps_per_sm
+        nelem_sim = nwarps * warp * _BATCHES_PER_WARP
+        connectivity = tiled(connectivity, nelem_sim)
 
-        sector = 32
         block = warp * 8  # one coalesced warp access
-        l1_sectors = max(8, spec.l1_bytes_per_sm // sector)
+        l1_sectors = max(8, spec.l1_bytes_per_sm // _SECTOR)
         l2_sectors = max(
-            64, int(spec.l2_bytes * self.sim_sms / spec.num_sms) // sector
+            64, int(spec.l2_bytes * _SIM_SMS / spec.num_sms) // _SECTOR
         )
 
         l2 = LruCache(l2_sectors)
-        l1s = [LruCache(l1_sectors) for _ in range(self.sim_sms)]
+        l1s = [LruCache(l1_sectors) for _ in range(_SIM_SMS)]
+        layout = Layout()
 
-        array_base: Dict[Tuple[str, str], int] = {}
-
-        def base_of(region: str, array: str) -> int:
-            key = (region, array)
-            b = array_base.get(key)
-            if b is None:
-                b = (len(array_base) + 1) << 44
-                array_base[key] = b
-            return b
-
-        events = filtered
-        nev = len(events)
-        l1_hit_units = 0
-        l1_miss_units = 0
-        atomic_ops = 0
-        ops_global = 0
-        ops_local = 0
+        def touch(l1: LruCache, line: int, store: bool, weight: int) -> None:
+            if store:
+                # write-through to L2, write-evict in L1
+                l1.invalidate((line,))
+                l2.access(line, store=True, weight=weight)
+            elif not l1.access(line, store=False, weight=weight):
+                l2.access(line, store=False, weight=weight)
 
         for batch in range(_BATCHES_PER_WARP):
-            cursors = [0] * nwarps
             local_blocks: List[Set[int]] = [set() for _ in range(nwarps)]
-            done = 0
             base_elem = batch * nwarps * warp
-            while done < nwarps:
-                done = 0
+            # Every warp runs the same pattern: each takes its turn of
+            # _INTERLEAVE_EVENTS events before the next warp's turn.
+            for start in range(0, len(filtered), _INTERLEAVE_EVENTS):
+                turn = filtered[start : start + _INTERLEAVE_EVENTS]
                 for w in range(nwarps):
-                    cur = cursors[w]
-                    if cur >= nev:
-                        done += 1
-                        continue
-                    sm = w % self.sim_sms
-                    l1 = l1s[sm]
+                    l1 = l1s[w % _SIM_SMS]
                     e0 = base_elem + w * warp
-                    stop = min(nev, cur + _INTERLEAVE_EVENTS)
-                    for idx in range(cur, stop):
-                        region, ev = events[idx]
+                    for region, ev in turn:
                         store = ev.is_store()
                         if region == "mesh":
                             # Scattered indirect accesses touch the distinct
@@ -298,53 +225,22 @@ class GpuModel:
                             # through the L1; atomic RHS reductions are
                             # serviced at the L2 (as on the A100), where
                             # cross-warp nodal reuse lives.
-                            if ev.kind is AccessKind.ATOMIC_ADD:
-                                atomic_ops += 1
-                            ops_global += 1
                             nodes = connectivity[e0 : e0 + warp, ev.node_slot]
-                            addrs = base_of("mesh", ev.array) + (
-                                nodes * 3 + ev.component
-                            ) * 8
-                            for sec in np.unique(addrs // sector):
-                                sec = int(sec)
-                                if store:
-                                    if l1.contains(sec):
-                                        l1.invalidate((sec,))
-                                    l2.access(sec, store=True, weight=1)
-                                elif l1.access(sec, store=False, weight=1):
-                                    l1_hit_units += 1
-                                else:
-                                    l1_miss_units += 1
-                                    l2.access(sec, store=False, weight=1)
-                        else:
-                            if region == "local":
-                                ops_local += 1
-                            else:
-                                ops_global += 1
-                            blk = (
-                                base_of(region, ev.array)
-                                + (ev.offset * vdim + e0) * 8
-                            ) // block
-                            if region == "local":
-                                local_blocks[w].add(blk)
-                            if store:
-                                # write-through to L2, write-evict in L1
-                                if l1.contains(blk):
-                                    l1.invalidate((blk,))
-                                l2.access(blk, store=True, weight=8)
-                            elif l1.access(blk, store=False, weight=8):
-                                l1_hit_units += 8
-                            else:
-                                l1_miss_units += 8
-                                l2.access(blk, store=False, weight=8)
-                    cursors[w] = stop
-                    if stop >= nev:
-                        done += 1
+                            for sec in layout.mesh_lines(ev, nodes, _SECTOR):
+                                touch(l1, sec, store, 1)
+                            continue
+                        blk = (
+                            layout.base(region, ev.array)
+                            + (ev.offset * nelem_sim + e0) * 8
+                        ) // block
+                        if region == "local":
+                            local_blocks[w].add(blk)
+                        touch(l1, blk, store, 8)
             # threads of this batch finish: local lines are invalidated
             # without DRAM writeback (Table III mechanism).
             for w in range(nwarps):
                 if local_blocks[w]:
-                    l1s[w % self.sim_sms].invalidate(local_blocks[w])
+                    l1s[w % _SIM_SMS].invalidate(local_blocks[w])
                     l2.invalidate(local_blocks[w])
 
         # remaining dirty global data eventually reaches DRAM
@@ -353,46 +249,31 @@ class GpuModel:
         )
         l2_units = l2.stats.hit_units + l2.stats.miss_units
 
-        denom = float(nelem_sim)
-        passes = nwarps * _BATCHES_PER_WARP
         return {
-            "nelem_sim": nelem_sim,
-            # each warp event is one instruction executed by every lane, so
-            # ops per element equals pattern events per warp pass
-            "global_ops_per_elem": ops_global / passes,
-            "local_ops_per_elem": ops_local / passes,
-            "l1_hit_units": l1_hit_units,
-            "l1_miss_units": l1_miss_units,
-            "l2_volume_bytes_per_elem": l2_units * sector / denom,
-            "dram_volume_bytes_per_elem": dram_units * sector / denom,
+            "l2_volume_bytes_per_elem": l2_units * _SECTOR / nelem_sim,
+            "dram_volume_bytes_per_elem": dram_units * _SECTOR / nelem_sim,
         }
 
     # ------------------------------------------------------------------
     # Stage 4: timing + assembled counters
     # ------------------------------------------------------------------
     def run(
-        self,
-        variant: str,
-        report: TraceReport,
-        connectivity: np.ndarray,
-        nelem_total: float = 32.6e6,
-        sweeps: int = GPU_SWEEPS_PER_STEP,
+        self, variant: str, report: TraceReport, connectivity: np.ndarray
     ) -> GpuCounters:
         """Full pipeline: mapping, filtering, cache sim, timing."""
         spec = self.spec
         mapping = self.map_storage(report)
-        filtered = self.filter_pattern(report, mapping)
+        filtered = forwarded(report, mapping.region_of)
         sim = self.simulate_caches(filtered, mapping, connectivity)
 
-        ops_g = sim["global_ops_per_elem"]
-        ops_l = sim["local_ops_per_elem"]
+        # each surviving event is one instruction every lane executes
+        ops_l = float(sum(region == "local" for region, _ in filtered))
+        ops_g = len(filtered) - ops_l
         l1_volume = (ops_g + ops_l) * 8.0
         # compulsory full-size-mesh traffic the small simulated mesh hides
         cold = cold_mesh_dram_bytes()
         l2_volume = sim["l2_volume_bytes_per_elem"] + cold
         dram_volume = sim["dram_volume_bytes_per_elem"] + cold
-        l1_eff = max(0.0, 1.0 - l2_volume / l1_volume) if l1_volume else 0.0
-        l2_eff = max(0.0, 1.0 - dram_volume / l2_volume) if l2_volume else 0.0
 
         flops = float(report.flops)
         # Forwarding shortens dependent load/use chains: scale the traced
@@ -422,7 +303,7 @@ class GpuModel:
         t_l2 = l2_volume / l2_bw_eff
         t_dram = dram_volume / bw_eff
         t_elem = max(t_flop, t_l2, t_dram)
-        runtime_s = t_elem * nelem_total * sweeps
+        runtime_s = t_elem * PAPER_NELEM * SWEEPS_PER_STEP
 
         return GpuCounters(
             variant=variant,
@@ -430,9 +311,9 @@ class GpuModel:
             local_loadstore=ops_l,
             flops=flops,
             l1_volume=l1_volume,
-            l1_effectiveness=l1_eff,
+            l1_effectiveness=effectiveness(l1_volume, l2_volume),
             l2_volume=l2_volume,
-            l2_effectiveness=l2_eff,
+            l2_effectiveness=effectiveness(l2_volume, dram_volume),
             dram_volume=dram_volume,
             registers=mapping.registers,
             warps_per_sm=mapping.warps_per_sm,

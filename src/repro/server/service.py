@@ -71,13 +71,17 @@ from .protocol import (
 
 __all__ = ["ServerConfig", "CampaignServer", "ServerHandle"]
 
+_BREAKER_RESET_S = 30.0  # an open breaker's wait before its half-open probe
+_MESH_CACHE_ENTRIES = 8  # warm meshes (and their plans) kept
+_SLOW_CLIENT_S = 0.2  # clamp on an injected slow client write
+
 
 @dataclasses.dataclass(frozen=True)
 class ServerConfig:
     """SLO and sizing knobs of one :class:`CampaignServer`.
 
-    ``max_stall_s`` / ``slow_client_s`` clamp the *injected*
-    ``server_queue`` / ``server_client`` fault delays so chaos tests
+    ``max_stall_s`` clamps the *injected* ``server_queue`` fault delays
+    (and ``_SLOW_CLIENT_S`` the ``server_client`` ones) so chaos tests
     stay fast while still exercising the timeout paths.
     """
 
@@ -87,11 +91,8 @@ class ServerConfig:
     max_queue_depth: int = 16
     max_per_tenant: int = 4
     breaker_threshold: int = 3
-    breaker_reset_s: float = 30.0
     default_deadline_s: float = 120.0
     max_stall_s: float = 0.25
-    slow_client_s: float = 0.2
-    mesh_cache_entries: int = 8
     result_cache_entries: int = 64
     checkpoint_dir: Optional[str] = None
 
@@ -150,9 +151,9 @@ class CampaignServer:
         )
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
-            reset_timeout_s=self.config.breaker_reset_s,
+            reset_timeout_s=_BREAKER_RESET_S,
         )
-        self.mesh_cache = MeshCache(max_entries=self.config.mesh_cache_entries)
+        self.mesh_cache = MeshCache(max_entries=_MESH_CACHE_ENTRIES)
         self.result_cache = ResultCache(
             max_entries=self.config.result_cache_entries, fault_plan=fault_plan
         )
@@ -332,10 +333,7 @@ class CampaignServer:
         if self.fault_plan is not None:
             spec = self.fault_plan.draw("server_client")
             if spec is not None and spec.kind == "slow":
-                await asyncio.sleep(
-                    min(spec.delay or self.config.slow_client_s,
-                        self.config.slow_client_s)
-                )
+                await asyncio.sleep(min(spec.delay or _SLOW_CLIENT_S, _SLOW_CLIENT_S))
         try:
             writer.write(response)
             await writer.drain()

@@ -20,7 +20,7 @@ def test_lru_hits_within_capacity():
         assert not c.access(ln)
     for ln in range(4):
         assert c.access(ln)
-    assert c.stats.hit_rate == pytest.approx(0.5)
+    assert (c.stats.hits, c.stats.misses) == (4, 4)
 
 
 def test_lru_evicts_least_recent():
@@ -45,7 +45,7 @@ def test_lru_invalidate_drops_without_writeback():
     c = LruCache(4)
     c.access(1, store=True)
     assert c.invalidate([1, 99]) == 1
-    assert c.stats.invalidated_dirty == 1
+    assert c.dirty_weight() == 0
     assert c.stats.writebacks == 0
     assert not c.contains(1)
 
@@ -66,14 +66,6 @@ def test_lru_weight_units_statistics():
     c.access(1, weight=8)
     assert c.stats.miss_units == 8
     assert c.stats.hit_units == 8
-
-
-def test_lru_flush():
-    c = LruCache(8)
-    c.access(1, store=True)
-    c.access(2)
-    assert c.flush() == 1
-    assert len(c) == 0
 
 
 def test_lru_dirty_weight():

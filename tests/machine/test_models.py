@@ -5,7 +5,7 @@ import pytest
 from repro.core.storage import Storage
 from repro.machine import CpuModel, GpuModel
 from repro.machine.gpu import _private_liveness_peak
-from repro.machine.traffic import cold_mesh_dram_bytes
+from repro.machine.traffic import cold_mesh_dram_bytes, forwarded
 
 
 # ``study``, ``gpu_table`` and ``cpu_table`` are the session's (conftest).
@@ -184,7 +184,7 @@ def test_scaling_variant_order_at_every_worker_count(study):
 def test_multicore_runtime_validates(study):
     model = CpuModel()
     with pytest.raises(ValueError, match="worker"):
-        model.multicore_runtime(100.0, 100.0, 0, 1e6)
+        model.multicore_runtime(100.0, 100.0, 0)
 
 
 # -- internals ------------------------------------------------------------------------
@@ -216,29 +216,41 @@ def test_rspr_liveness_below_rsp(study):
 
 
 def test_forwarding_window_shrinks_private_pattern(study):
-    model = GpuModel()
     rep = study.trace("P")
-    mapping = model.map_storage(rep)
-    filtered = model.filter_pattern(rep, mapping)
+    filtered = forwarded(rep, GpuModel().map_storage(rep).region_of)
     assert len(filtered) < len(rep.pattern)
 
 
 def test_wider_forwarding_window_never_keeps_more_accesses(study):
     """Ablation: P's surviving private accesses fall as the window widens."""
     rep = study.trace("P")
-    survivors = []
-    for window in (0, 2, 8, 32):
-        model = GpuModel(forward_window=window)
-        survivors.append(len(model.filter_pattern(rep, model.map_storage(rep))))
+    region_of = GpuModel().map_storage(rep).region_of
+    survivors = [
+        len(forwarded(rep, region_of, window=window)) for window in (0, 2, 8, 32)
+    ]
     assert survivors == sorted(survivors, reverse=True)
     assert survivors[-1] < survivors[0]
 
 
+def test_cpu_forwarding_window_never_keeps_more_accesses(study):
+    """The same ablation on the CPU's placement: RSP's 24 register slots
+    leave arrays on the stack, whose accesses fall as the window widens;
+    window 0 keeps every access that is not a register's."""
+    rep = study.trace("RSP")
+    region_of = CpuModel().map_storage(rep)
+    assert "local" in region_of.values()
+    survivors = [
+        len(forwarded(rep, region_of, window=window)) for window in (0, 2, 8, 32)
+    ]
+    assert survivors == sorted(survivors, reverse=True)
+    assert survivors[-1] < survivors[0]
+    in_memory = [ev for ev in rep.pattern if region_of.get(ev.array) != "register"]
+    assert survivors[0] == len(in_memory)
+
+
 def test_global_temps_never_forwarded(study):
-    model = GpuModel()
     rep = study.trace("B")
-    mapping = model.map_storage(rep)
-    filtered = model.filter_pattern(rep, mapping)
+    filtered = forwarded(rep, GpuModel().map_storage(rep).region_of)
     assert len(filtered) == len(rep.pattern)  # B has no private arrays
 
 
@@ -247,8 +259,3 @@ def test_cold_mesh_correction_positive():
     assert cold_mesh_dram_bytes(locality_factor=1.0) < cold_mesh_dram_bytes(
         locality_factor=5.0
     )
-
-
-def test_gpu_model_validates():
-    with pytest.raises(ValueError):
-        GpuModel(sim_sms=0)

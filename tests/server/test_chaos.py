@@ -128,7 +128,7 @@ def test_queue_stall_is_clamped_and_job_completes():
 def test_slow_client_write_is_clamped_and_response_intact():
     plan = FaultPlan.single("server_client", "slow", seed=SEED,
                             index=0, delay=30.0)
-    config = ServerConfig(workers=1, slow_client_s=0.2)
+    config = ServerConfig(workers=1)
     server, handle, client = _serve(plan, config)
     try:
         resp = client.run({"kind": "assemble", "mesh": MESH,
