@@ -4,7 +4,8 @@ product in their scipy form and in their C form (rows as lanes for a vector,
 columns as lanes for a block), byte-equal, with the per-level budget of one
 one-column cycle -- which product of which level the time goes to -- and the
 step's derivative products (nodal and elemental divergence, lumped gradient)
-as one C pass over the three axes against the per-axis scipy form.
+as one C pass over the three axes against the per-axis scipy form.  No level of
+the hierarchy stores rounding residue (an entry at or below ``RESIDUE_TOL``).
 
 Run:  python examples/native_vcycle.py [n]      (mesh n^3 cells, default 24)
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from repro.core import native
 from repro.fem import box_tet_mesh, get_plan
-from repro.physics.pressure import PressureSolver
+from repro.physics.pressure import RESIDUE_TOL, PressureSolver
 from repro.solvers.cg import VectorPhase
 from repro.solvers.native import SOURCE, SYMBOLS
 
@@ -41,6 +42,9 @@ def best(calls):
     return out
 
 
+for level in amg.levels:  # the Laplacian is formed without residue; Galerkin keeps none
+    a, d = level.a.tocoo(), np.sqrt(level.a.diagonal())
+    assert (np.abs(a.data) > RESIDUE_TOL * d[a.row] * d[a.col]).all(), "rounding residue stored"
 print(f"{mesh.nnode} nodes; levels (rows, nnz):",
       " ".join(str((lv.a.shape[0], lv.a.nnz)) for lv in amg.levels))
 print(f"{'k':>3s} {'cycle scipy':>12s} {'cycle C':>9s} {'ratio':>6s}"

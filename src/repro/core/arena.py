@@ -102,7 +102,8 @@ def budget_chunk_groups(lane_bytes: int, vector_dim: int, ngroups: int) -> int:
 def plan_cached(plan, store: str, key, vector_dim, batch, make):
     """The bound kernel under ``key`` in the plan's ``store`` (``"tape"``
     or ``"codegen"``), built by ``make(packing)`` on a miss."""
-    kern, event = getattr(plan, f"cached_{store}")(key), "cache_hits"
+    kernels, event = plan.kernels[store], "cache_hits"
+    kern = kernels.get(key)
     if kern is None:
         event = "compiles"
         with get_tracer().span(
@@ -110,7 +111,7 @@ def plan_cached(plan, store: str, key, vector_dim, batch, make):
             scenarios=batch.size,
         ):
             kern = make(plan.packing(int(vector_dim)))
-        getattr(plan, f"store_{store}")(key, kern)
+        kernels[key] = kern
     get_registry().counter(f"{store}.{event}").inc()
     return kern
 

@@ -346,8 +346,8 @@ class AssemblyPlan:
         self._operators: Dict[str, object] = {}
         self._packings: Dict[int, ElementPacking] = {}
         self._patterns: Dict[Tuple, _ScatterPattern] = {}
-        self._tapes: Dict[Tuple, object] = {}
-        self._codegen: Dict[Tuple, object] = {}
+        #: bound kernels by configuration key: compiled tapes, generated kernels
+        self.kernels: Dict[str, Dict[Tuple, object]] = {"tape": {}, "codegen": {}}
         get_registry().counter("plan.builds").inc()
 
     # -- cached geometry -------------------------------------------------
@@ -466,23 +466,6 @@ class AssemblyPlan:
         )
         self._patterns[key] = pattern
         return pattern
-
-    # -- compiled tapes -----------------------------------------------------
-    def cached_tape(self, key: Tuple):
-        """Cached compiled kernel tape for ``key``, or ``None``."""
-        return self._tapes.get(key)
-
-    def store_tape(self, key: Tuple, tape) -> None:
-        self._tapes[key] = tape
-
-    # -- generated (codegen) kernels ----------------------------------------
-    def cached_codegen(self, key: Tuple):
-        """Cached generated kernel for ``key``, or ``None`` (same key and
-        lifetime as the tapes)."""
-        return self._codegen.get(key)
-
-    def store_codegen(self, key: Tuple, kern) -> None:
-        self._codegen[key] = kern
 
     # -- solver operators ---------------------------------------------------
     def cached_operator(self, key: str):

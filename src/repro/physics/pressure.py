@@ -71,14 +71,24 @@ PROJECTION_DEPTH = 8
 #: node partition).
 DEFLATION_SUBDOMAINS = 8
 
+#: ``|a_ij| / sqrt(a_ii a_jj)`` at or below which a Laplacian entry is rounding
+#: residue (<= 1.8e-17 where 1/h is not a binary fraction), not a coupling
+#: (>= 0.125 on a box mesh): the rounding bound of a sum of 64 contributions.
+RESIDUE_TOL = 64 * np.finfo(np.float64).eps
+
 
 def assemble_laplacian(mesh: TetMesh) -> sp.csr_matrix:
     """P1 stiffness matrix ``K_ab = sum_e V_e grad N_a . grad N_b``, formed
-    as ``sum_i De_i^T diag(V) De_i`` from the plan's elemental derivatives."""
+    as ``sum_i De_i^T diag(V) De_i`` from the plan's elemental derivatives,
+    less its rounding residue (:data:`RESIDUE_TOL`, symmetric in a, b)."""
     plan = get_plan(mesh)
     vols = sp.diags(plan.geometry().volumes)
     k = sum(de.T @ (vols @ de) for de in plan.p1_derivatives().elemental)
-    return k.tocsr()  # from CSC: column indices come out sorted
+    k = k.tocsr()  # from CSC: column indices come out sorted
+    d = np.sqrt(k.diagonal())
+    k.data[np.abs(k.data) <= RESIDUE_TOL * np.repeat(d, np.diff(k.indptr)) * d[k.indices]] = 0
+    k.eliminate_zeros()
+    return k
 
 
 def _derivatives(plan, which: str, x: np.ndarray, mass=None) -> np.ndarray:

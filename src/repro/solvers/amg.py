@@ -10,7 +10,7 @@ AMG (Vanek/Mandel/Brezina) with
 * a dense coarse solve (pseudo-inverse, so the singular pure-Neumann
   pressure operator works),
 
-usable standalone (``solve``) or as a CG preconditioner (``as_preconditioner``),
+usable standalone (``solve``) or as a CG preconditioner (``vcycle``),
 which is how :mod:`repro.physics.pressure` uses it.  The V-cycle takes a
 vector or a node-major ``(n, S)`` block -- one sparse-times-dense product per
 level and sweep, the dense coarse solve column by column (gemm is
@@ -23,7 +23,7 @@ in C, which serves (``amg.native``) only after matching it to the byte.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -195,10 +195,6 @@ class SmoothedAggregationAMG:
         return self.native.vcycle(b.reshape(b.shape[0], -1)).reshape(b.shape)
 
     # ------------------------------------------------------------------
-    def as_preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Return a V-cycle callable for :func:`~repro.solvers.cg.conjugate_gradient`."""
-        return self.vcycle
-
     def solve(
         self,
         b: np.ndarray,

@@ -54,7 +54,7 @@ def _compile(source):
 
 
 def _only_kernel(asm):
-    (kern,) = asm.plan._codegen.values()
+    (kern,) = asm.plan.kernels["codegen"].values()
     return kern
 
 

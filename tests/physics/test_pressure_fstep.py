@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.fem import DirichletBC, box_tet_mesh, classify_box_boundaries
+from repro.fem import DirichletBC, box_tet_mesh, classify_box_boundaries, get_plan
 from repro.obs.metrics import get_registry
 from repro.physics import AssemblyParams, TurbulenceModel, fractional_step
 from repro.physics.fractional_step import (
@@ -13,6 +14,7 @@ from repro.physics.fractional_step import (
 )
 from repro.physics.pressure import (
     PROJECTION_DEPTH,
+    RESIDUE_TOL,
     PressureSolver,
     ProjectionBasis,
     assemble_laplacian,
@@ -47,6 +49,33 @@ def test_laplacian_psd(laplacian):
         assert v @ (laplacian @ v) >= -1e-10
 
 
+def unfiltered_laplacian(mesh):
+    """``sum_i De_i^T diag(V) De_i`` as the sparse products leave it."""
+    plan = get_plan(mesh)
+    vols = sp.diags(plan.geometry().volumes)
+    return sum(de.T @ (vols @ de) for de in plan.p1_derivatives().elemental).tocsr()
+
+
+def test_laplacian_stores_no_rounding_residue():
+    """Where 1/h is not a binary fraction (12^3) the P1 gradients carry
+    +-1e-17 for 0 and the products keep 14,400 entries of residue; the
+    Laplacian stores none and nothing else moves.  At 8^3 nothing is dropped:
+    the bytes of the unfiltered product."""
+    for n, residue in ((12, 14400), (8, 0)):
+        mesh = box_tet_mesh(n, n, n)
+        k, raw = assemble_laplacian(mesh), unfiltered_laplacian(mesh)
+        d = np.sqrt(k.diagonal())
+        coo = k.tocoo()
+        assert (np.abs(coo.data) > RESIDUE_TOL * d[coo.row] * d[coo.col]).all()
+        pattern = sp.csr_matrix((np.ones(k.nnz), k.indices, k.indptr), shape=k.shape)
+        assert (pattern != pattern.T).nnz == 0
+        assert raw.nnz - k.nnz == residue
+        assert abs(k - raw).max() <= 1e-15 * k.diagonal().max()
+        if not residue:
+            for name in ("data", "indices", "indptr"):
+                assert getattr(k, name).tobytes() == getattr(raw, name).tobytes()
+
+
 def test_divergence_rhs_zero_for_uniform_flow(mesh):
     u = np.tile([1.0, -2.0, 0.5], (mesh.nnode, 1))
     rhs = divergence_rhs(mesh, u, density=1.0, dt=0.1)
@@ -76,7 +105,7 @@ def test_pressure_solver_manufactured(mesh, laplacian):
         laplacian @ p_true,
         tol=1e-12,
         maxiter=2000,
-        preconditioner=ps._amg.as_preconditioner(),
+        preconditioner=ps._amg.vcycle,
     )
     assert res.converged
     err = res.x - res.x.mean() - p_true

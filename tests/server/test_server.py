@@ -274,7 +274,7 @@ def test_concurrent_campaigns_serialize_on_the_shared_kernel(mode, request):
         mode="codegen",
     )
     warm.run(1, dt=1e-3)
-    kernels = list(warm.assembler.plan._codegen.values())
+    kernels = list(warm.assembler.plan.kernels["codegen"].values())
     assert kernels and all(kern.build_native(wait=True) for kern in kernels)
     before = _count("codegen.native_adopted"), _count("scatter.fused_sweeps")
     _concurrent_campaigns_match_direct("codegen")

@@ -22,6 +22,7 @@ from repro.solvers import (
 )
 from repro.solvers.cg import VectorPhase
 from repro.solvers.native import NativeCycle, _bits
+from tests.physics.test_pressure_fstep import unfiltered_laplacian
 
 
 def _spd(n, seed=0):
@@ -654,7 +655,7 @@ def test_amg_preconditioned_cg_fast(poisson):
     amg = SmoothedAggregationAMG(poisson)
     res = conjugate_gradient(
         poisson, b, tol=1e-10, maxiter=100,
-        preconditioner=amg.as_preconditioner(),
+        preconditioner=amg.vcycle,
     )
     plain = conjugate_gradient(poisson, b, tol=1e-10, maxiter=1000)
     assert res.converged
@@ -678,10 +679,14 @@ def poisson12():
 @pytest.mark.parametrize("n", [12, 24])
 def test_amg_hierarchy_on_real_mesh(poisson12, n):
     """At 24^3 an undecayed threshold stalls level 1 and level 2 fills in to
-    2.5x the fine operator; 12^3 is too small to show it."""
-    a = poisson12 if n == 12 else assemble_laplacian(box_tet_mesh(n, n, n))
+    2.5x the fine operator; 12^3 is too small to show it.  Without its
+    rounding residue (12^3: 28,765 -> 14,365 level-0 nonzeros) the Laplacian
+    costs no cold-solve iteration against the unfiltered product's hierarchy."""
+    mesh = box_tet_mesh(n, n, n)
+    a = poisson12 if n == 12 else assemble_laplacian(mesh)
     amg = SmoothedAggregationAMG(a)
     nnz = [l.a.nnz for l in amg.levels]
+    assert n != 12 or nnz[0] == 14365
     assert amg.num_levels >= 3
     assert nnz == sorted(nnz, reverse=True)  # no level fills in past its parent
     assert amg.operator_complexity() <= 2.0
@@ -689,12 +694,17 @@ def test_amg_hierarchy_on_real_mesh(poisson12, n):
     b = rng.standard_normal(a.shape[0])
     b -= b.mean()
 
-    def precond(r):  # V-cycle, then project out the Neumann nullspace
-        z = amg.vcycle(r)
-        return z - z.mean()
+    def iterations(a, amg):
+        def precond(r):  # V-cycle, then project out the Neumann nullspace
+            z = amg.vcycle(r)
+            return z - z.mean()
 
-    res = conjugate_gradient(a, b, tol=1e-8, maxiter=100, preconditioner=precond)
-    assert res.converged and res.iterations <= 25
+        res = conjugate_gradient(a, b, tol=1e-8, maxiter=100, preconditioner=precond)
+        assert res.converged and res.iterations <= 25
+        return res.iterations
+
+    raw = unfiltered_laplacian(mesh)
+    assert iterations(a, amg) == iterations(raw, SmoothedAggregationAMG(raw))
 
 
 def test_amg_vcycle_is_symmetric(poisson12):
